@@ -48,6 +48,7 @@ from .submersion import (
     Splitting,
     SubmersionContext,
     conformal_a_formula,
+    evaluation_scope,
     identity_map,
     oneill_a,
     oneill_t,
@@ -102,6 +103,7 @@ __all__ = [
     "conformal_a_formula",
     "coordinate_submanifold_form",
     "covariant_derivative",
+    "evaluation_scope",
     "gradient",
     "identity_map",
     "lie_bracket",

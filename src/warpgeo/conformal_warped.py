@@ -26,7 +26,7 @@ from .connection import christoffel, lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
 from .manifold import ChartManifold, Point, ScalarField, VectorField
-from .report import CheckRecord, ResidualCheck
+from .report import CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
     SubmersionContext,
@@ -197,10 +197,6 @@ def compatibility_report(
     return CompatibilityReport(tuple(compatibility(cws, p) for p in points), cws.conf_tol)
 
 
-def _scale(*arrays) -> float:
-    return 1.0 + max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in arrays)
-
-
 def _lift_vector(cws: ConformalWarpedSubmersion, origin: str, field: VectorField) -> VectorField:
     return lift(cws.source, origin, field).ambient_field
 
@@ -264,7 +260,7 @@ def verify_first_factor_a_identity(
             grad_m = vertical_gradient(cws.ctx, engine, inv_l1_lifted, p).components
             rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
 
-            scale = _scale(lhs, rhs_a, rhs_b)
+            scale = residual_scale(lhs, rhs_a, rhs_b)
             check.add(max(np.linalg.norm(lhs - rhs_a), np.linalg.norm(lhs - rhs_b)), scale)
             convention_gap = max(convention_gap, np.linalg.norm(rhs_a - rhs_b) / scale)
 
@@ -362,7 +358,7 @@ def verify_second_factor_a_identity(
                 grad_v = vertical_gradient(cws.ctx, engine, field, p).components
                 rhs = 0.5 * (skew - lam2_sq * inner * grad_v)
                 worst[name] = max(
-                    worst[name], np.linalg.norm(lhs - rhs) / _scale(lhs, rhs)
+                    worst[name], np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs)
                 )
 
     # the check passes iff the best variant passes
@@ -523,15 +519,15 @@ def fiber_geometry_report(
 
         h1 = mean_curvature(v1)
         h2 = mean_curvature(v2)
-        h1_check.add(np.linalg.norm(h1), _scale(h1))
-        h2_check.add(np.linalg.norm(h2), _scale(h2))
+        h1_check.add(np.linalg.norm(h1), residual_scale(h1))
+        h2_check.add(np.linalg.norm(h2), residual_scale(h2))
 
         for a in range(v1.shape[1]):
             for b in range(v2.shape[1]):
                 e1 = VectorField.constant(v1[:, a])
                 e2 = VectorField.constant(v2[:, b])
                 t_mixed = oneill_t(cws.ctx, engine, e1, e2, p, gamma).components
-                mixed_check.add(np.linalg.norm(t_mixed), _scale(t_mixed))
+                mixed_check.add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
 
     records = []
     for check, expect in ((h1_check, expect_first_minimal), (h2_check, expect_second_minimal)):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .fd import SCHEMES, DiffEngine
 
@@ -76,6 +78,11 @@ class CheckRecord:
     @staticmethod
     def from_dict(d: dict) -> "CheckRecord":
         return CheckRecord(**d)
+
+
+def residual_scale(*arrays) -> float:
+    """1 + the largest absolute entry of the arrays: the scale of a residual."""
+    return 1.0 + max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in arrays)
 
 
 class ResidualCheck:

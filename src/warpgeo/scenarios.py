@@ -31,7 +31,7 @@ from .fields import vector_field_library
 from .manifold import ChartManifold, ScalarField
 from .report import CheckRecord, ResidualCheck, RunConfig, VerificationReport
 from .sampling import sample_points
-from .submersion import SmoothMap, SubmersionContext
+from .submersion import SmoothMap, SubmersionContext, evaluation_scope
 from .suites import (
     a_crossval_records,
     dilation_records,
@@ -815,12 +815,13 @@ def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
     index = next(i for i, s in enumerate(_SCENARIOS) if s.scenario_id == scenario_id)
     rng = np.random.default_rng([config.seed, index])
     objs = scenario.builder(config.engine())
-    if "cws" in objs:
-        records = _run_cws_scenario(objs, config, rng, scenario.expected)
-    elif "ctx_fd" in objs:
-        records = _run_exp_spiral(objs, config, rng)
-    else:
-        records = _run_warped_scenario(objs, config, rng)
+    with evaluation_scope():
+        if "cws" in objs:
+            records = _run_cws_scenario(objs, config, rng, scenario.expected)
+        elif "ctx_fd" in objs:
+            records = _run_exp_spiral(objs, config, rng)
+        else:
+            records = _run_warped_scenario(objs, config, rng)
     return VerificationReport(
         scenario=scenario.scenario_id,
         description=scenario.description,

@@ -10,10 +10,16 @@ metric. The O'Neill tensors evaluate
 
 literally: VF and HF are genuine fields whose projections are recomputed at
 every stencil point.
+
+Inside an ``evaluation_scope()`` each splitting is computed once per context
+and exact coordinates, then shared; stencil points still get their own
+splittings, so nothing is frozen at the base point.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +31,27 @@ from .fd import DiffEngine
 from .manifold import ChartManifold, Point, ScalarField, TangentVector, VectorField, gradient
 
 Array = np.ndarray
+
+# id(context) -> (context, {coords.tobytes(): Splitting}) of the active scope;
+# the context is held so that its id is not reused while the scope is open
+_SPLITTINGS: ContextVar[Optional[dict]] = ContextVar("warpgeo_splittings", default=None)
+
+
+@contextmanager
+def evaluation_scope():
+    """Memoize ``SubmersionContext.splitting_at`` until the block exits.
+
+    A nested scope shares the outer memo. Failed splittings are never
+    stored, and the memo is dropped on exit.
+    """
+    if _SPLITTINGS.get() is not None:
+        yield
+        return
+    token = _SPLITTINGS.set({})
+    try:
+        yield
+    finally:
+        _SPLITTINGS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -99,6 +126,8 @@ class Splitting:
     vertical: Euclidean-orthonormal kernel basis (columns).
     horizontal: g-orthonormal basis of the metric-orthogonal complement.
     projector_v: g-orthogonal projector onto the kernel.
+
+    The arrays are read-only, because memoized splittings are shared.
     """
 
     coords: Array
@@ -107,6 +136,11 @@ class Splitting:
     projector_v: Array
     rank: int
     singular_values: Array
+
+    def __post_init__(self):
+        for a in (self.coords, self.vertical, self.horizontal, self.projector_v,
+                  self.singular_values):
+            a.setflags(write=False)
 
     def vertical_part(self, components: Array) -> Array:
         return self.projector_v @ components
@@ -137,7 +171,17 @@ class SubmersionContext:
     conf_tol: float = 1e-6
 
     def splitting_at(self, coords) -> Splitting:
-        coords = np.asarray(coords, dtype=float)
+        coords = np.array(coords, dtype=float)  # a copy: the Splitting makes it read-only
+        memo = _SPLITTINGS.get()
+        if memo is None:
+            return self._splitting(coords)
+        _, cache = memo.setdefault(id(self), (self, {}))
+        key = coords.tobytes()
+        if key not in cache:
+            cache[key] = self._splitting(coords)
+        return cache[key]
+
+    def _splitting(self, coords: Array) -> Splitting:
         J = self.map.jacobian_at(coords, self.engine)
         g = self.map.source.metric_at(coords, check=False)
         n = self.map.source.dim
@@ -196,6 +240,28 @@ class SubmersionContext:
         return ScalarField(lambda c: self.dilation(source.point(c)).lambda_sq)
 
 
+def _oneill(
+    ctx: SubmersionContext,
+    engine: DiffEngine,
+    part: Callable[[Splitting, Array], Array],
+    E: VectorField,
+    F: VectorField,
+    p: Point,
+    gamma: Optional[ChristoffelAt],
+) -> TangentVector:
+    """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at p."""
+    M = ctx.map.source
+    s = ctx.splitting_at(p.coords)
+    direction = part(s, E(p.coords))
+    if gamma is None:
+        gamma = christoffel(M, engine, p)
+    d_vert = covariant_derivative_dir(M, engine, direction, ctx.vertical_field(F), p, gamma)
+    d_horiz = covariant_derivative_dir(M, engine, direction, ctx.horizontal_field(F), p, gamma)
+    return TangentVector(
+        p, s.horizontal_part(d_vert.components) + s.vertical_part(d_horiz.components)
+    )
+
+
 def oneill_a(
     ctx: SubmersionContext,
     engine: DiffEngine,
@@ -205,16 +271,7 @@ def oneill_a(
     gamma: Optional[ChristoffelAt] = None,
 ) -> TangentVector:
     """A_E F with projections recomputed along the stencil."""
-    M = ctx.map.source
-    s = ctx.splitting_at(p.coords)
-    h_dir = s.horizontal_part(E(p.coords))
-    if gamma is None:
-        gamma = christoffel(M, engine, p)
-    d_vert = covariant_derivative_dir(M, engine, h_dir, ctx.vertical_field(F), p, gamma)
-    d_horiz = covariant_derivative_dir(M, engine, h_dir, ctx.horizontal_field(F), p, gamma)
-    return TangentVector(
-        p, s.horizontal_part(d_vert.components) + s.vertical_part(d_horiz.components)
-    )
+    return _oneill(ctx, engine, Splitting.horizontal_part, E, F, p, gamma)
 
 
 def oneill_t(
@@ -226,16 +283,7 @@ def oneill_t(
     gamma: Optional[ChristoffelAt] = None,
 ) -> TangentVector:
     """T_E F with projections recomputed along the stencil."""
-    M = ctx.map.source
-    s = ctx.splitting_at(p.coords)
-    v_dir = s.vertical_part(E(p.coords))
-    if gamma is None:
-        gamma = christoffel(M, engine, p)
-    d_vert = covariant_derivative_dir(M, engine, v_dir, ctx.vertical_field(F), p, gamma)
-    d_horiz = covariant_derivative_dir(M, engine, v_dir, ctx.horizontal_field(F), p, gamma)
-    return TangentVector(
-        p, s.horizontal_part(d_vert.components) + s.vertical_part(d_horiz.components)
-    )
+    return _oneill(ctx, engine, Splitting.vertical_part, E, F, p, gamma)
 
 
 def vertical_gradient(

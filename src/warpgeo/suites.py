@@ -16,7 +16,7 @@ from .errors import GeometryError
 from .fd import DiffEngine
 from .fields import modulated, vector_field_library
 from .manifold import ChartManifold, Point, ScalarField, VectorField
-from .report import CheckRecord, ResidualCheck
+from .report import CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
     _gram_schmidt,
@@ -26,10 +26,6 @@ from .submersion import (
 )
 
 Array = np.ndarray
-
-
-def _scale(*arrays) -> float:
-    return 1.0 + max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in arrays)
 
 
 def engine_health_records(
@@ -56,7 +52,7 @@ def engine_health_records(
             dxy = covariant_derivative(M, engine, X, Y, p, gamma).components
             dyx = covariant_derivative(M, engine, Y, X, p, gamma).components
             br = lie_bracket(engine, X, Y, p).components
-            torsion.add(np.max(np.abs(dxy - dyx - br)), _scale(dxy, dyx, br))
+            torsion.add(np.max(np.abs(dxy - dyx - br)), residual_scale(dxy, dyx, br))
 
             dxz = covariant_derivative(M, engine, X, Z, p, gamma).components
             g = M.metric_at(p.coords)
@@ -93,7 +89,7 @@ def splitting_records(
             abs(float(vert @ g @ horiz)),
             float(np.max(np.abs(s.vertical_part(horiz)))),  # idempotence
         )
-        check.add(residual, _scale(v))
+        check.add(residual, residual_scale(v))
     return check.record()
 
 
@@ -162,7 +158,7 @@ def a_crossval_records(
             a_formula = conformal_a_formula(
                 ctx, engine, X, Y, p, lambda_sq_field=lambda_sq_field
             ).components
-            crossval.add(np.linalg.norm(a_direct - a_formula), _scale(a_direct, a_formula))
+            crossval.add(np.linalg.norm(a_direct - a_formula), residual_scale(a_direct, a_formula))
 
             # same horizontal vectors at p, different extensions
             x_const = ctx.horizontal_field(VectorField.constant(X(p.coords)))
@@ -175,8 +171,8 @@ def a_crossval_records(
             )
             a_ext1 = oneill_a(ctx, engine, x_const, y_const, p, gamma).components
             a_ext2 = oneill_a(ctx, engine, x_mod, y_mod, p, gamma).components
-            extension.add(np.linalg.norm(a_ext1 - a_ext2), _scale(a_ext1, a_ext2))
-            extension.add(np.linalg.norm(a_ext1 - a_direct), _scale(a_ext1, a_direct))
+            extension.add(np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2))
+            extension.add(np.linalg.norm(a_ext1 - a_direct), residual_scale(a_ext1, a_direct))
     return [crossval.record(), extension.record()]
 
 
@@ -214,7 +210,7 @@ def t_umbilicity_records(
                 ctx, engine, VectorField.constant(cu), VectorField.constant(cw), p, gamma
             ).components
             expected = float(cu @ g @ cw) * mean
-            check.add(np.linalg.norm(t_val - expected), _scale(t_val, expected))
+            check.add(np.linalg.norm(t_val - expected), residual_scale(t_val, expected))
     return check.record()
 
 

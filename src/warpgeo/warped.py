@@ -32,7 +32,7 @@ from .manifold import (
     metric_inner,
     scalar_partials,
 )
-from .report import CheckRecord, ResidualCheck
+from .report import CheckRecord, ResidualCheck, residual_scale
 
 Array = np.ndarray
 
@@ -184,10 +184,6 @@ def second_fundamental_form(
     return coordinate_submanifold_form(W.ambient, engine, axes, p)
 
 
-def _scale(*arrays) -> float:
-    return 1.0 + max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in arrays)
-
-
 def verify_warped_connection(
     W: WarpedProduct,
     engine: DiffEngine,
@@ -227,7 +223,7 @@ def verify_warped_connection(
             lhs = covariant_derivative(W.ambient, engine, E1l, F1l, p, gamma).components
             factor = covariant_derivative(W.first, engine, E1, F1, p1).components
             rhs = np.concatenate([factor, np.zeros(W.second.dim)])
-            checks[0].add(np.linalg.norm(lhs - rhs), _scale(lhs, rhs))
+            checks[0].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
 
         for (E1, _), (E2, _) in zip(pairs1, pairs2):
             E1l = lift(W, "first", E1).ambient_field
@@ -239,7 +235,7 @@ def verify_warped_connection(
             )
             rhs = (df_along / W.warp(c1)) * E2l(p.coords)
             res = max(np.linalg.norm(lhs_a - rhs), np.linalg.norm(lhs_b - rhs))
-            checks[1].add(res, _scale(lhs_a, lhs_b, rhs))
+            checks[1].add(res, residual_scale(lhs_a, lhs_b, rhs))
 
         grad_log = gradient(W.ambient, engine, log_warp, p).components
         for E2, F2 in pairs2:
@@ -251,11 +247,11 @@ def verify_warped_connection(
             )
             normal = np.concatenate([full[:m1], np.zeros(W.second.dim)])
             rhs3 = -inner * grad_log
-            checks[2].add(np.linalg.norm(normal - rhs3), _scale(normal, rhs3))
+            checks[2].add(np.linalg.norm(normal - rhs3), residual_scale(normal, rhs3))
 
             tangent = full[m1:]
             rhs4 = covariant_derivative(W.second, engine, E2, F2, p2).components
-            checks[3].add(np.linalg.norm(tangent - rhs4), _scale(tangent, rhs4))
+            checks[3].add(np.linalg.norm(tangent - rhs4), residual_scale(tangent, rhs4))
 
     return [c.record() for c in checks]
 
@@ -276,18 +272,20 @@ def verify_leaf_fiber_geometry(
 
     for p in points:
         leaf = second_fundamental_form(W, engine, "leaf", p)
-        leaf_check.add(np.max(np.abs(leaf.values)), _scale(leaf.values))
+        leaf_check.add(np.max(np.abs(leaf.values)), residual_scale(leaf.values))
 
         fiber = second_fundamental_form(W, engine, "fiber", p)
         g = W.ambient.metric_at(p.coords)
         induced = g[np.ix_(list(W.second_axes()), list(W.second_axes()))]
         expected = np.einsum("ab,k->abk", induced, fiber.mean_curvature)
-        umb_check.add(np.max(np.abs(fiber.values - expected)), _scale(fiber.values, expected))
+        umb_check.add(
+            np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)
+        )
 
         grad_log = gradient(W.ambient, engine, log_warp, p).components
         mean_check.add(
             np.linalg.norm(fiber.mean_curvature + grad_log),
-            _scale(fiber.mean_curvature, grad_log),
+            residual_scale(fiber.mean_curvature, grad_log),
         )
 
     return [leaf_check.record(), umb_check.record(), mean_check.record()]

@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import json
+from pathlib import Path
 
 from warpgeo import VerificationReport
 from warpgeo.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, main
@@ -8,6 +11,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _benchmark_report_digest() -> str:
+    """SEED42_REPORT_SHA256 as recorded by the benchmark, its one source."""
+    worker = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    for node in ast.parse(worker.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SEED42_REPORT_SHA256" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("SEED42_REPORT_SHA256 not found in bench/worker.py")
+
+
+def test_seed42_report_is_byte_identical_to_benchmark_digest(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--all", "--report", "json", "--seed", "42")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == _benchmark_report_digest()
 
 
 def test_list_prints_catalog(capsys):

@@ -1,0 +1,124 @@
+"""The splitting memo of evaluation_scope: same numbers, per-point splittings,
+nesting, lifetime, errors and read-only entries."""
+
+import numpy as np
+import pytest
+
+from warpgeo import (
+    DiffEngine,
+    RankError,
+    SmoothMap,
+    SubmersionContext,
+    conformal_a_formula,
+    evaluation_scope,
+    oneill_a,
+    oneill_t,
+)
+from warpgeo.fields import vector_field_library
+from warpgeo.scenarios import build_objects
+
+ENGINE = DiffEngine()
+COORDS = np.array([0.3, -0.4, 0.2, 0.5])
+
+
+@pytest.fixture(scope="module")
+def cws():
+    return build_objects("cws-variable-dilation", ENGINE)["cws"]
+
+
+def _tensor_components(cws):
+    ctx, ctx1 = cws.ctx, cws.ctx1
+    p = ctx.map.source.point(COORDS)
+    p1 = ctx1.map.source.point(COORDS[:2])
+    rng = np.random.default_rng(5)
+    E, F = vector_field_library(ctx.map.source, rng, 2)
+    X, Y = (ctx1.horizontal_field(f) for f in vector_field_library(ctx1.map.source, rng, 2))
+    return [
+        oneill_a(ctx, ENGINE, E, F, p).components,
+        oneill_t(ctx, ENGINE, E, F, p).components,
+        conformal_a_formula(ctx1, ENGINE, X, Y, p1).components,
+    ]
+
+
+def test_tensors_bit_identical_inside_and_outside_scope(cws):
+    outside = _tensor_components(cws)
+    with evaluation_scope():
+        first = _tensor_components(cws)
+        again = _tensor_components(cws)  # served from the memo
+    for a, b, c in zip(outside, first, again):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_stencil_points_get_their_own_splittings(cws):
+    ctx = cws.ctx
+    # the projector depends on the first-factor coordinates
+    shifted = [COORDS + ENGINE.step * np.eye(4)[i] for i in range(2)]
+    with evaluation_scope():
+        base = ctx.splitting_at(COORDS)
+        assert ctx.splitting_at(COORDS.copy()) is base
+        inside = [ctx.splitting_at(c) for c in shifted]
+    for c, s in zip(shifted, inside):
+        assert np.array_equal(s.coords, c)
+        assert not np.array_equal(s.projector_v, base.projector_v)
+        assert np.array_equal(s.projector_v, ctx.splitting_at(c).projector_v)
+
+
+def test_nested_scope_shares_the_outer_memo(cws):
+    ctx = cws.ctx
+    other = COORDS + 0.1
+    with evaluation_scope():
+        outer = ctx.splitting_at(COORDS)
+        with evaluation_scope():
+            assert ctx.splitting_at(COORDS) is outer
+            inner = ctx.splitting_at(other)
+        assert ctx.splitting_at(other) is inner
+
+
+def test_memo_is_dropped_on_exit(cws):
+    ctx = cws.ctx
+    assert ctx.splitting_at(COORDS) is not ctx.splitting_at(COORDS)
+    with evaluation_scope():
+        kept = ctx.splitting_at(COORDS)
+    assert ctx.splitting_at(COORDS) is not kept
+    with evaluation_scope():
+        assert ctx.splitting_at(COORDS) is not kept
+
+
+def test_memo_is_dropped_on_exit_by_exception(cws):
+    ctx = cws.ctx
+    with pytest.raises(RuntimeError):
+        with evaluation_scope():
+            kept = ctx.splitting_at(COORDS)
+            raise RuntimeError("abort")
+    assert ctx.splitting_at(COORDS) is not kept
+    with evaluation_scope():
+        assert ctx.splitting_at(COORDS) is not kept
+
+
+def test_rank_error_is_raised_on_every_call(cws):
+    jac_calls = []
+
+    def jac(c):
+        jac_calls.append(1)
+        return np.array([[2.0 * c[0], 2.0 * c[1]]])
+
+    M1 = cws.phi1.source
+    radius = SmoothMap(M1, cws.phi1.target, lambda c: np.array([c[0] ** 2 + c[1] ** 2]), jac)
+    ctx = SubmersionContext(radius, ENGINE)
+    with evaluation_scope():
+        for _ in range(3):
+            with pytest.raises(RankError):
+                ctx.splitting_at([0.0, 0.0])
+    assert len(jac_calls) == 3
+
+
+def test_memoized_splitting_is_read_only(cws):
+    coords = COORDS.copy()
+    with evaluation_scope():
+        s = cws.ctx.splitting_at(coords)
+        for name in ("coords", "vertical", "horizontal", "projector_v", "singular_values"):
+            with pytest.raises(ValueError):
+                getattr(s, name)[0] = 1.0
+        assert cws.ctx.splitting_at(coords) is s
+    coords[0] = 0.0  # the caller's array stays its own
+    assert s.coords[0] == COORDS[0]
