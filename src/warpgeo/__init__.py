@@ -36,7 +36,6 @@ from .connection import (
     lie_bracket,
 )
 from .warped import (
-    LiftedField,
     WarpedProduct,
     build_warped_product,
     lift,
@@ -80,7 +79,6 @@ __all__ = [
     "DilationEstimate",
     "DomainError",
     "GeometryError",
-    "LiftedField",
     "Point",
     "RankError",
     "RunConfig",

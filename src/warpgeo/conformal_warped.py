@@ -31,6 +31,7 @@ from .submersion import (
     SmoothMap,
     SubmersionContext,
     _gram_schmidt,
+    fiber_mean_curvature,
     oneill_a,
     oneill_t,
     vertical_gradient,
@@ -197,14 +198,6 @@ def compatibility_report(
     return CompatibilityReport(tuple(compatibility(cws, p) for p in points), cws.conf_tol)
 
 
-def _lift_vector(cws: ConformalWarpedSubmersion, origin: str, field: VectorField) -> VectorField:
-    return lift(cws.source, origin, field).ambient_field
-
-
-def _lift_scalar_first(cws: ConformalWarpedSubmersion, field: ScalarField) -> ScalarField:
-    return lift(cws.source, "first", field).ambient_field
-
-
 def verify_first_factor_a_identity(
     cws: ConformalWarpedSubmersion,
     engine: DiffEngine,
@@ -229,7 +222,7 @@ def verify_first_factor_a_identity(
             v = cws.lambda1(c)
             return -2.0 * np.asarray(cws.lambda1.partials(c), float) / v**3
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
-    inv_l1_lifted = _lift_scalar_first(cws, inv_l1)
+    inv_l1_lifted = lift(cws.source, "first", inv_l1)
 
     for p in points:
         entry = compatibility(cws, p)
@@ -245,8 +238,8 @@ def verify_first_factor_a_identity(
         gamma = christoffel(cws.source.ambient, engine, p)
 
         for X1, Y1 in pairs1:
-            Xl = _lift_vector(cws, "first", X1)
-            Yl = _lift_vector(cws, "first", Y1)
+            Xl = lift(cws.source, "first", X1)
+            Yl = lift(cws.source, "first", Y1)
             lhs = oneill_a(cws.ctx, engine, Xl, Yl, p, gamma).components
 
             inner = float(X1(c1) @ g1 @ Y1(c1))
@@ -345,8 +338,8 @@ def verify_second_factor_a_identity(
         gamma2 = christoffel(cws.source.second, engine, p2)
 
         for X2, Y2 in pairs2:
-            Xl = _lift_vector(cws, "second", X2)
-            Yl = _lift_vector(cws, "second", Y2)
+            Xl = lift(cws.source, "second", X2)
+            Yl = lift(cws.source, "second", Y2)
             lhs = oneill_a(cws.ctx, engine, Xl, Yl, p, gamma).components
 
             a2_xy = oneill_a(cws.ctx2, engine, X2, Y2, p2, gamma2).components
@@ -450,14 +443,13 @@ def verify_rescaled_riemannian(
     probe_value = ResidualCheck("rescale-probe-dilation", tolerance)
     expected = float(np.exp(2.0 * probe_offset))
     ctx1 = rescaled_context(cws, engine, probe_offset)
-    for p in points:
-        d = ctx1.dilation(cws.source.ambient.point(p.coords))
+    probes = [ctx1.dilation(cws.source.ambient.point(p.coords)) for p in points]
+    for d in probes:
         probe_detect.add(abs(d.lambda_sq - 1.0))
         probe_value.add(abs(d.lambda_sq - expected), 1.0 + expected)
     probe_detect.note(f"offset {probe_offset} perturbs squared dilation to {expected:.6f}")
     # log-factor gap |tau - sigma| recovered from the probe's dilation
-    gaps = [abs(0.5 * np.log(d.lambda_sq)) for d in
-            (ctx1.dilation(cws.source.ambient.point(p.coords)) for p in points)]
+    gaps = [abs(0.5 * np.log(d.lambda_sq)) for d in probes]
     probe_value.note(f"recovered log-factor offset {max(gaps):.6f}")
     return [main.record(), probe_detect.record(), probe_value.record()]
 
@@ -477,10 +469,8 @@ def factor_vertical_bases(
         out[offset : offset + basis.shape[0], :] = basis
         return out
 
-    v1 = embed(s1.vertical, 0, m1 + m2)
-    v2 = embed(s2.vertical, m1, m1 + m2)
-    v1 = _gram_schmidt(v1, g) if v1.shape[1] else v1
-    v2 = _gram_schmidt(v2, g) if v2.shape[1] else v2
+    v1 = _gram_schmidt(embed(s1.vertical, 0, m1 + m2), g)
+    v2 = _gram_schmidt(embed(s2.vertical, m1, m1 + m2), g)
     return v1, v2
 
 
@@ -507,18 +497,8 @@ def fiber_geometry_report(
     for p in points:
         v1, v2 = factor_vertical_bases(cws, p)
         gamma = christoffel(cws.source.ambient, engine, p)
-
-        def mean_curvature(basis: Array) -> Array:
-            if basis.shape[1] == 0:
-                return np.zeros(basis.shape[0])
-            acc = np.zeros(basis.shape[0])
-            for k in range(basis.shape[1]):
-                u = VectorField.constant(basis[:, k])
-                acc += oneill_t(cws.ctx, engine, u, u, p, gamma).components
-            return acc / basis.shape[1]
-
-        h1 = mean_curvature(v1)
-        h2 = mean_curvature(v2)
+        h1 = fiber_mean_curvature(cws.ctx, engine, v1, p, gamma)
+        h2 = fiber_mean_curvature(cws.ctx, engine, v2, p, gamma)
         h1_check.add(np.linalg.norm(h1), residual_scale(h1))
         h2_check.add(np.linalg.norm(h2), residual_scale(h2))
 

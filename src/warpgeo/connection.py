@@ -30,12 +30,8 @@ class ChristoffelAt:
 def christoffel(M: ChartManifold, engine: DiffEngine, p: Point) -> ChristoffelAt:
     g = M.metric_at(p.coords)  # SPD check happens here
     ginv = np.linalg.inv(g)
-    dg = np.stack(
-        [
-            engine.partial(lambda c: M.metric_at(c, check=False), p.coords, l, M.lower, M.upper)
-            for l in range(M.dim)
-        ]
-    )  # dg[l, i, j] = d_l g_ij
+    # dg[l, i, j] = d_l g_ij
+    dg = engine.partials(lambda c: M.metric_at(c, check=False), p.coords, M.lower, M.upper)
     # c[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, c)
@@ -54,9 +50,7 @@ def covariant_derivative_dir(
     if gamma is None:
         gamma = christoffel(M, engine, p)
     direction = np.asarray(direction, dtype=float)
-    dY = np.stack(
-        [engine.partial(Y.fn, p.coords, i, M.lower, M.upper) for i in range(M.dim)]
-    )  # dY[i, k] = d_i Y^k
+    dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)  # dY[i, k] = d_i Y^k
     comp = direction @ dY + np.einsum("kij,i,j->k", gamma.gamma, direction, Y(p.coords))
     return TangentVector(p, comp)
 
@@ -76,8 +70,8 @@ def covariant_derivative(
 def lie_bracket(engine: DiffEngine, X: VectorField, Y: VectorField, p: Point) -> TangentVector:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     M = p.manifold
-    dY = np.stack([engine.partial(Y.fn, p.coords, i, M.lower, M.upper) for i in range(M.dim)])
-    dX = np.stack([engine.partial(X.fn, p.coords, i, M.lower, M.upper) for i in range(M.dim)])
+    dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)
+    dX = engine.partials(X.fn, p.coords, M.lower, M.upper)
     comp = X(p.coords) @ dY - Y(p.coords) @ dX
     return TangentVector(p, comp)
 

@@ -9,16 +9,30 @@ would leave the chart's coordinate box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import StencilError
 
-SCHEMES = ("central2", "central4", "richardson")
 
-# farthest stencil point, in units of the step
-_REACH = {"central2": 1.0, "central4": 2.0, "richardson": 1.0}
+def _central2(at, h: float):
+    return (at(h) - at(-h)) / (2.0 * h)
+
+
+def _central4(at, h: float):
+    return (at(-2 * h) - 8.0 * at(-h) + 8.0 * at(h) - at(2 * h)) / (12.0 * h)
+
+
+# scheme -> (farthest stencil point in units of the step, combine(at, h)).
+# Richardson extrapolation of central2 from steps h and h/2 has exactly the
+# central4 weights at step h/2 (Fornberg, Math. Comp. 1988).
+STENCILS = {
+    "central2": (1.0, _central2),
+    "central4": (2.0, _central4),
+    "richardson": (1.0, lambda at, h: _central4(at, 0.5 * h)),
+}
+
+SCHEMES = tuple(STENCILS)
 
 
 @dataclass(frozen=True)
@@ -26,7 +40,7 @@ class DiffEngine:
     """Central differences with automatic step shrinking near box edges.
 
     scheme: "central2" (2nd order), "central4" (4th order) or "richardson"
-    (central2 extrapolated from steps h and h/2, 4th order).
+    (central2 extrapolated from steps h and h/2, i.e. central4 at h/2).
     """
 
     scheme: str = "central2"
@@ -43,7 +57,7 @@ class DiffEngine:
     def _fit_step(self, room: float) -> float:
         """Largest usable step given the distance to the nearest bound."""
         h = self.step
-        limit = 0.5 * room / _REACH[self.scheme]
+        limit = 0.5 * room / STENCILS[self.scheme][0]
         if np.isfinite(limit):
             h = min(h, limit)
         if h < self.min_step:
@@ -52,15 +66,6 @@ class DiffEngine:
                 f"{h:.3e} < min_step {self.min_step:.3e}"
             )
         return h
-
-    def _combine(self, at: Callable[[float], np.ndarray], h: float):
-        if self.scheme == "central2":
-            return (at(h) - at(-h)) / (2.0 * h)
-        if self.scheme == "central4":
-            return (at(-2 * h) - 8.0 * at(-h) + 8.0 * at(h) - at(2 * h)) / (12.0 * h)
-        d_h = (at(h) - at(-h)) / (2.0 * h)
-        d_half = (at(0.5 * h) - at(-0.5 * h)) / h
-        return (4.0 * d_half - d_h) / 3.0
 
     def partial(self, fn, coords, axis: int, lower, upper):
         """d(fn)/d(coords[axis]). fn may return a float or an ndarray."""
@@ -74,39 +79,29 @@ class DiffEngine:
             shifted[axis] = x + t
             return np.asarray(fn(shifted), dtype=float)
 
-        return self._combine(at, h)
+        return STENCILS[self.scheme][1](at, h)
 
     def partials(self, fn, coords, lower, upper) -> np.ndarray:
-        """All coordinate partials of a scalar fn, as a vector."""
-        return np.array(
-            [float(self.partial(fn, coords, i, lower, upper)) for i in range(len(coords))]
-        )
+        """All coordinate partials of fn stacked along axis 0: out[i] = d_i fn.
 
-    def jacobian(self, fn, coords, lower, upper) -> np.ndarray:
-        """Jacobian of a vector-valued fn; rows index outputs, columns inputs."""
-        cols = [self.partial(fn, coords, i, lower, upper) for i in range(len(coords))]
-        return np.column_stack([np.atleast_1d(c) for c in cols])
+        For a scalar fn this is the gradient vector, for a vector fn the
+        transposed Jacobian, for a matrix fn the array d_i fn_jk.
+        """
+        return np.stack([self.partial(fn, coords, i, lower, upper) for i in range(len(coords))])
 
     def directional(self, fn, coords, direction, lower, upper) -> float:
         """Derivative of a scalar fn along a straight line through coords."""
         coords = np.asarray(coords, dtype=float)
         d = np.asarray(direction, dtype=float)
-        if not np.any(d):
+        moving = d != 0.0
+        if not np.any(moving):
             return 0.0
-        room = np.inf
-        for i, di in enumerate(d):
-            if di == 0.0:
-                continue
-            lo = float(lower[i])
-            hi = float(upper[i])
-            gap = min(
-                (hi - coords[i]) / abs(di) if np.isfinite(hi) else np.inf,
-                (coords[i] - lo) / abs(di) if np.isfinite(lo) else np.inf,
-            )
-            room = min(room, gap)
-        h = self._fit_step(room)
+        # a subnormal component gives an infinite room along its axis
+        with np.errstate(over="ignore"):
+            gaps = np.minimum(upper - coords, coords - lower)[moving] / np.abs(d[moving])
+        h = self._fit_step(float(np.min(gaps)))
 
         def at(t: float):
             return np.asarray(fn(coords + t * d), dtype=float)
 
-        return float(self._combine(at, h))
+        return float(STENCILS[self.scheme][1](at, h))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
 from .fd import DiffEngine
+from .report import residual_scale
 
 Array = np.ndarray
 
@@ -209,10 +210,19 @@ def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, p
     """
     if phi.partials is None:
         return 0.0
+    return analytic_fd_gap(M, engine, phi.fn, phi.partials, points)
+
+
+def analytic_fd_gap(M: ChartManifold, engine: DiffEngine, fn, analytic, points) -> float:
+    """Max over points of the largest entry of |analytic - FD|, scaled by
+    :func:`~warpgeo.report.residual_scale`.
+
+    ``analytic`` gives the partials of a scalar fn or the Jacobian of a
+    vector fn (rows index outputs); both line up with ``engine.partials(fn).T``.
+    """
     worst = 0.0
     for p in points:
-        fd = engine.partials(phi.fn, p.coords, M.lower, M.upper)
-        an = np.asarray(phi.partials(p.coords), dtype=float)
-        scale = 1.0 + max(float(np.max(np.abs(fd))), float(np.max(np.abs(an))))
-        worst = max(worst, float(np.max(np.abs(fd - an))) / scale)
+        an = np.asarray(analytic(p.coords), dtype=float)
+        fd = engine.partials(fn, p.coords, M.lower, M.upper).T
+        worst = max(worst, float(np.max(np.abs(an - fd))) / residual_scale(an, fd))
     return worst

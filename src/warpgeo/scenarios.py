@@ -37,6 +37,7 @@ from .suites import (
     dilation_records,
     engine_health_records,
     fd_consistency_record,
+    horizontal_pairs,
     splitting_records,
     t_umbilicity_records,
 )
@@ -90,11 +91,17 @@ REQUIRED_CHECK_IDS = frozenset(
 
 @dataclass(frozen=True)
 class Scenario:
+    """One catalog entry. ``builder`` returns the scenario's objects, whose
+    ``"ctx"`` map has the sampled chart as its source; ``runner`` returns the
+    records that ``run_scenario`` puts between the fd-consistency and
+    engine-health checks every scenario shares."""
+
     scenario_id: str
     description: str
     expected: dict
     provides: tuple
     builder: Callable[[DiffEngine], dict]
+    runner: Callable[..., list]
 
 
 def _exp_field(rate: float, axis: int, dim: int) -> ScalarField:
@@ -220,6 +227,7 @@ def _build_cws_constant(engine: DiffEngine) -> dict:
     )
     return {
         "cws": cws,
+        "ctx": cws.ctx,
         "sample_lower": np.array([-0.6] * 4),
         "sample_upper": np.array([0.6] * 4),
         "expected_lambda_sq": lambda c: 4.0,
@@ -247,6 +255,7 @@ def _build_cws_incompatible(engine: DiffEngine) -> dict:
     )
     return {
         "cws": cws,
+        "ctx": cws.ctx,
         "sample_lower": np.array([0.1, -0.6, -0.6, -0.6]),
         "sample_upper": np.array([0.6, 0.6, 0.6, 0.6]),
         "expected_lambda_sq": None,
@@ -294,6 +303,7 @@ def _build_cws_variable(engine: DiffEngine) -> dict:
     )
     return {
         "cws": cws,
+        "ctx": cws.ctx,
         "sample_lower": np.array([0.1, 0.2, -0.6, -0.6]),
         "sample_upper": np.array([0.6, 0.8, 0.6, 0.6]),
         "expected_lambda_sq": lambda c: float(np.exp(2.0 * c[1]) * (1.0 + c[0] ** 2)),
@@ -322,6 +332,7 @@ def _build_cws_riemannian(engine: DiffEngine) -> dict:
     )
     return {
         "cws": cws,
+        "ctx": cws.ctx,
         "sample_lower": np.array([-0.6] * 4),
         "sample_upper": np.array([0.6] * 4),
         "expected_lambda_sq": lambda c: 1.0,
@@ -348,6 +359,7 @@ def _build_cws_mixed_local(engine: DiffEngine) -> dict:
     )
     return {
         "cws": cws,
+        "ctx": cws.ctx,
         "sample_lower": np.array([-0.6, -0.6, 0.1, -0.6, -0.6]),
         "sample_upper": np.array([0.6, 0.6, 0.6, 0.6, 0.6]),
         "expected_lambda_sq": None,
@@ -361,23 +373,17 @@ def _build_cws_mixed_local(engine: DiffEngine) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _points(objs: dict, W_or_ctx_manifold: ChartManifold, config: RunConfig):
+def _points(objs: dict, config: RunConfig):
     margin = 4.0 * config.fd_step
     coords = sample_points(
         objs["sample_lower"], objs["sample_upper"], config.samples, config.seed, margin
     )
-    return [W_or_ctx_manifold.point(c) for c in coords]
+    return [objs["ctx"].map.source.point(c) for c in coords]
 
 
 def _factor_pairs(M: ChartManifold, rng, n_pairs: int):
     fields = vector_field_library(M, rng, 2 * n_pairs)
     return [(fields[2 * i], fields[2 * i + 1]) for i in range(n_pairs)]
-
-
-def _horizontal_factor_pairs(ctx: SubmersionContext, rng, n_pairs: int):
-    fields = vector_field_library(ctx.map.source, rng, 2 * n_pairs)
-    projected = [ctx.horizontal_field(F) for F in fields]
-    return [(projected[2 * i], projected[2 * i + 1]) for i in range(n_pairs)]
 
 
 def _points_by_manifold(objs: dict, points) -> dict:
@@ -409,19 +415,14 @@ def _tols(config: RunConfig, base: float) -> float:
     return base * config.tolerance_scale
 
 
-def _run_warped_scenario(objs: dict, config: RunConfig, rng) -> list[CheckRecord]:
-    engine = config.engine()
+def _run_warped_scenario(
+    objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
+) -> list[CheckRecord]:
     W = objs["warped"]
     ctx = objs["ctx"]
-    points = _points(objs, W.ambient, config)
     pairs1 = _factor_pairs(W.first, rng, 3)
     pairs2 = _factor_pairs(W.second, rng, 3)
-    records = [
-        fd_consistency_record(
-            engine, objs["scalar_checks"], objs["map_checks"], _points_by_manifold(objs, points)
-        ),
-        verify_metric_blocks(W, points),
-    ]
+    records = [verify_metric_blocks(W, points)]
     records += verify_warped_connection(
         W, engine, points, pairs1, pairs2, tolerance=_tols(config, 1e-6)
     )
@@ -445,14 +446,6 @@ def _run_warped_scenario(objs: dict, config: RunConfig, rng) -> list[CheckRecord
     )
     records += a_crossval_records(
         ctx, engine, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
-    )
-    records += engine_health_records(
-        W.ambient,
-        engine,
-        points,
-        rng,
-        torsion_tol=_tols(config, 1e-6),
-        compat_tol=_tols(config, 1e-5),
     )
     return records
 
@@ -478,18 +471,12 @@ _WARPED_PROVIDES = (
 )
 
 
-def _run_exp_spiral(objs: dict, config: RunConfig, rng) -> list[CheckRecord]:
-    engine = config.engine()
+def _run_exp_spiral(
+    objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
+) -> list[CheckRecord]:
     ctx = objs["ctx"]
     ctx_fd = objs["ctx_fd"]
-    M = ctx.map.source
-    points = _points(objs, M, config)
-    records = [
-        fd_consistency_record(
-            engine, objs["scalar_checks"], objs["map_checks"], _points_by_manifold(objs, points)
-        ),
-        splitting_records(ctx, points, rng),
-    ]
+    records = [splitting_records(ctx, points, rng)]
     records += dilation_records(
         ctx,
         points,
@@ -507,14 +494,6 @@ def _run_exp_spiral(objs: dict, config: RunConfig, rng) -> list[CheckRecord]:
     )
     records += a_crossval_records(
         ctx, engine, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
-    )
-    records += engine_health_records(
-        M,
-        engine,
-        points,
-        rng,
-        torsion_tol=_tols(config, 1e-6),
-        compat_tol=_tols(config, 1e-5),
     )
     return records
 
@@ -560,18 +539,13 @@ def _compatibility_records(
     ]
 
 
-def _run_cws_scenario(objs: dict, config: RunConfig, rng, expected: dict) -> list[CheckRecord]:
-    engine = config.engine()
+def _run_cws_scenario(
+    objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
+) -> list[CheckRecord]:
     cws: ConformalWarpedSubmersion = objs["cws"]
-    points = _points(objs, cws.source.ambient, config)
     conformal = expected["conformal"]
 
-    records = [
-        fd_consistency_record(
-            engine, objs["scalar_checks"], objs["map_checks"], _points_by_manifold(objs, points)
-        ),
-        verify_metric_blocks(cws.source, points),
-    ]
+    records = [verify_metric_blocks(cws.source, points)]
     records += verify_kernel_product(cws, points)
     records += _compatibility_records(cws, points, config, conformal)
     records.append(splitting_records(cws.ctx, points, rng))
@@ -587,8 +561,8 @@ def _run_cws_scenario(objs: dict, config: RunConfig, rng, expected: dict) -> lis
         records += a_crossval_records(
             cws.ctx, engine, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
         )
-        pairs1 = _horizontal_factor_pairs(cws.ctx1, rng, 2)
-        pairs2 = _horizontal_factor_pairs(cws.ctx2, rng, 2)
+        pairs1 = horizontal_pairs(cws.ctx1, rng, 2)
+        pairs2 = horizontal_pairs(cws.ctx2, rng, 2)
         records.append(
             verify_first_factor_a_identity(
                 cws, engine, points, pairs1, tolerance=_tols(config, 1e-5)
@@ -614,14 +588,6 @@ def _run_cws_scenario(objs: dict, config: RunConfig, rng, expected: dict) -> lis
         expect_first_minimal=expected["first_factor_minimal"],
         expect_second_minimal=expected["second_factor_minimal"],
         tolerance=_tols(config, 1e-6),
-    )
-    records += engine_health_records(
-        cws.source.ambient,
-        engine,
-        points,
-        rng,
-        torsion_tol=_tols(config, 1e-6),
-        compat_tol=_tols(config, 1e-5),
     )
     return records
 
@@ -676,6 +642,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _WARPED_PROVIDES,
         _build_warped_line,
+        _run_warped_scenario,
     ),
     Scenario(
         "sphere-warped",
@@ -689,6 +656,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _WARPED_PROVIDES,
         _build_sphere_warped,
+        _run_warped_scenario,
     ),
     Scenario(
         "product-plain",
@@ -701,6 +669,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _WARPED_PROVIDES,
         _build_product_plain,
+        _run_warped_scenario,
     ),
     Scenario(
         "exp-spiral-r4",
@@ -714,6 +683,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _SPIRAL_PROVIDES,
         _build_exp_spiral,
+        _run_exp_spiral,
     ),
     Scenario(
         "cws-constant-dilation",
@@ -729,6 +699,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _cws_provides(True),
         _build_cws_constant,
+        _run_cws_scenario,
     ),
     Scenario(
         "cws-incompatible",
@@ -742,6 +713,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _cws_provides(False),
         _build_cws_incompatible,
+        _run_cws_scenario,
     ),
     Scenario(
         "cws-variable-dilation",
@@ -758,6 +730,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _cws_provides(True),
         _build_cws_variable,
+        _run_cws_scenario,
     ),
     Scenario(
         "cws-riemannian",
@@ -773,6 +746,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _cws_provides(True, riemannian=True),
         _build_cws_riemannian,
+        _run_cws_scenario,
     ),
     Scenario(
         "cws-mixed-local",
@@ -787,6 +761,7 @@ _SCENARIOS: list[Scenario] = [
         },
         _cws_provides(False),
         _build_cws_mixed_local,
+        _run_cws_scenario,
     ),
 ]
 
@@ -814,14 +789,24 @@ def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
     scenario = _BY_ID[scenario_id]
     index = next(i for i, s in enumerate(_SCENARIOS) if s.scenario_id == scenario_id)
     rng = np.random.default_rng([config.seed, index])
-    objs = scenario.builder(config.engine())
+    engine = config.engine()
+    objs = scenario.builder(engine)
+    points = _points(objs, config)
     with evaluation_scope():
-        if "cws" in objs:
-            records = _run_cws_scenario(objs, config, rng, scenario.expected)
-        elif "ctx_fd" in objs:
-            records = _run_exp_spiral(objs, config, rng)
-        else:
-            records = _run_warped_scenario(objs, config, rng)
+        records = [
+            fd_consistency_record(
+                engine, objs["scalar_checks"], objs["map_checks"], _points_by_manifold(objs, points)
+            )
+        ]
+        records += scenario.runner(objs, config, engine, points, rng, scenario.expected)
+        records += engine_health_records(
+            objs["ctx"].map.source,
+            engine,
+            points,
+            rng,
+            torsion_tol=_tols(config, 1e-6),
+            compat_tol=_tols(config, 1e-5),
+        )
     return VerificationReport(
         scenario=scenario.scenario_id,
         description=scenario.description,

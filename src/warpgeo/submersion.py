@@ -25,10 +25,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .connection import ChristoffelAt, christoffel, covariant_derivative_dir, lie_bracket
+from .connection import (
+    ChristoffelAt,
+    christoffel,
+    covariant_derivative_dir,
+    lie_bracket,
+    metric_orthogonal_projector,
+)
 from .errors import ConformalityError, DomainError, RankError
 from .fd import DiffEngine
-from .manifold import ChartManifold, Point, ScalarField, TangentVector, VectorField, gradient
+from .manifold import (
+    ChartManifold,
+    Point,
+    ScalarField,
+    TangentVector,
+    VectorField,
+    analytic_fd_gap,
+    gradient,
+)
 
 Array = np.ndarray
 
@@ -77,22 +91,14 @@ class SmoothMap:
         if self.jac is not None:
             return np.atleast_2d(np.asarray(self.jac(np.asarray(coords, dtype=float)), dtype=float))
         return np.atleast_2d(
-            engine.jacobian(self.fn, coords, self.source.lower, self.source.upper)
+            engine.partials(self.fn, coords, self.source.lower, self.source.upper).T
         )
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
         """Max scaled gap between analytic and FD Jacobians; 0.0 if numeric."""
         if self.jac is None:
             return 0.0
-        worst = 0.0
-        for p in points:
-            an = np.atleast_2d(np.asarray(self.jac(p.coords), dtype=float))
-            fd = np.atleast_2d(
-                engine.jacobian(self.fn, p.coords, self.source.lower, self.source.upper)
-            )
-            scale = 1.0 + max(float(np.max(np.abs(an))), float(np.max(np.abs(fd))))
-            worst = max(worst, float(np.max(np.abs(an - fd))) / scale)
-        return worst
+        return analytic_fd_gap(self.source, engine, self.fn, self.jac, points)
 
 
 def pushforward(F: SmoothMap, engine: DiffEngine, p: Point, v: TangentVector) -> TangentVector:
@@ -184,7 +190,6 @@ class SubmersionContext:
     def _splitting(self, coords: Array) -> Splitting:
         J = self.map.jacobian_at(coords, self.engine)
         g = self.map.source.metric_at(coords, check=False)
-        n = self.map.source.dim
         _, s, vt = np.linalg.svd(J)
         smax = float(s[0]) if s.size else 0.0
         rank = int(np.sum(s > self.rank_tol * smax)) if smax > 0 else 0
@@ -195,11 +200,7 @@ class SubmersionContext:
                 singular_values=s,
             )
         vertical = vt[rank:].T
-        if vertical.shape[1] > 0:
-            gram = vertical.T @ g @ vertical
-            projector = vertical @ np.linalg.solve(gram, vertical.T @ g)
-        else:
-            projector = np.zeros((n, n))
+        projector = metric_orthogonal_projector(g, vertical)
         row_space = vt[:rank].T
         complement = row_space - projector @ row_space
         horizontal = _gram_schmidt(complement, g)
@@ -284,6 +285,22 @@ def oneill_t(
 ) -> TangentVector:
     """T_E F with projections recomputed along the stencil."""
     return _oneill(ctx, engine, Splitting.vertical_part, E, F, p, gamma)
+
+
+def fiber_mean_curvature(
+    ctx: SubmersionContext,
+    engine: DiffEngine,
+    basis: Array,
+    p: Point,
+    gamma: Optional[ChristoffelAt] = None,
+) -> Array:
+    """Mean curvature at p of the fibers spanned by the columns of basis:
+    T_u u averaged over the g-orthonormal columns u (zero for no columns)."""
+    acc = np.zeros(basis.shape[0])
+    for column in basis.T:
+        u = VectorField.constant(column)
+        acc += oneill_t(ctx, engine, u, u, p, gamma).components
+    return acc / max(basis.shape[1], 1)
 
 
 def vertical_gradient(

@@ -21,6 +21,7 @@ from .submersion import (
     SubmersionContext,
     _gram_schmidt,
     conformal_a_formula,
+    fiber_mean_curvature,
     oneill_a,
     oneill_t,
 )
@@ -197,11 +198,7 @@ def t_umbilicity_records(
         gamma = christoffel(M, engine, p)
         # ambient-metric-orthonormal vertical basis
         basis = _gram_schmidt(s.vertical, g)
-        mean = np.zeros(M.dim)
-        for k in range(nv):
-            u = VectorField.constant(basis[:, k])
-            mean += oneill_t(ctx, engine, u, u, p, gamma).components
-        mean /= nv
+        mean = fiber_mean_curvature(ctx, engine, basis, p, gamma)
 
         for _ in range(2):
             cu = basis @ rng.uniform(-1.0, 1.0, size=nv)

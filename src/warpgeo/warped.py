@@ -111,17 +111,9 @@ def build_warped_product(
     return WarpedProduct(first, second, warp, ambient)
 
 
-@dataclass(frozen=True)
-class LiftedField:
-    """A factor field together with its zero-padded ambient version."""
-
-    origin: str  # "first" | "second"
-    factor_field: Union[ScalarField, VectorField]
-    ambient_field: Union[ScalarField, VectorField]
-
-
-def lift(W: WarpedProduct, origin: str, field) -> LiftedField:
-    """Lift a factor ScalarField or VectorField to the ambient chart."""
+def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField]:
+    """Lift a factor ScalarField or VectorField to the ambient chart,
+    zero-padding the other factor's block."""
     if origin not in ("first", "second"):
         raise ValueError(f"origin must be 'first' or 'second', got {origin!r}")
     m1, m2 = W.first.dim, W.second.dim
@@ -143,14 +135,14 @@ def lift(W: WarpedProduct, origin: str, field) -> LiftedField:
                     out = np.zeros(m1 + m2)
                     out[m1:] = field.partials(c[m1:])
                     return out
-        return LiftedField(origin, field, ScalarField(fn, partials))
+        return ScalarField(fn, partials)
 
     if isinstance(field, VectorField):
         if origin == "first":
             fn = lambda c: np.concatenate([field(c[:m1]), np.zeros(m2)])
         else:
             fn = lambda c: np.concatenate([np.zeros(m1), field(c[m1:])])
-        return LiftedField(origin, field, VectorField(fn))
+        return VectorField(fn)
 
     raise TypeError(f"cannot lift object of type {type(field).__name__}")
 
@@ -218,16 +210,16 @@ def verify_warped_connection(
         gamma = christoffel(W.ambient, engine, p)
 
         for E1, F1 in pairs1:
-            E1l = lift(W, "first", E1).ambient_field
-            F1l = lift(W, "first", F1).ambient_field
+            E1l = lift(W, "first", E1)
+            F1l = lift(W, "first", F1)
             lhs = covariant_derivative(W.ambient, engine, E1l, F1l, p, gamma).components
             factor = covariant_derivative(W.first, engine, E1, F1, p1).components
             rhs = np.concatenate([factor, np.zeros(W.second.dim)])
             checks[0].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
 
         for (E1, _), (E2, _) in zip(pairs1, pairs2):
-            E1l = lift(W, "first", E1).ambient_field
-            E2l = lift(W, "second", E2).ambient_field
+            E1l = lift(W, "first", E1)
+            E2l = lift(W, "second", E2)
             lhs_a = covariant_derivative(W.ambient, engine, E1l, E2l, p, gamma).components
             lhs_b = covariant_derivative(W.ambient, engine, E2l, E1l, p, gamma).components
             df_along = float(
@@ -239,8 +231,8 @@ def verify_warped_connection(
 
         grad_log = gradient(W.ambient, engine, log_warp, p).components
         for E2, F2 in pairs2:
-            E2l = lift(W, "second", E2).ambient_field
-            F2l = lift(W, "second", F2).ambient_field
+            E2l = lift(W, "second", E2)
+            F2l = lift(W, "second", F2)
             full = covariant_derivative(W.ambient, engine, E2l, F2l, p, gamma).components
             inner = metric_inner(
                 W.ambient, p, TangentVector(p, E2l(p.coords)), TangentVector(p, F2l(p.coords))

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from warpgeo.errors import StencilError
-from warpgeo.fd import DiffEngine
+from warpgeo.fd import SCHEMES, DiffEngine
 
 NO_BOUNDS = (np.array([-np.inf]), np.array([np.inf]))
 
@@ -51,8 +53,9 @@ def test_halving_step_shrinks_error(scheme, min_ratio):
     assert err[1e-2] / err[5e-3] >= min_ratio
 
 
-def test_step_shrinks_near_boundary():
-    engine = DiffEngine()
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_shrinks_near_boundary(scheme):
+    engine = DiffEngine(scheme=scheme)
     lower, upper = np.array([0.0]), np.array([1.0])
     x = 1e-6  # closer to the wall than the nominal step
     got = engine.partial(lambda c: c[0] ** 3, [x], 0, lower, upper)
@@ -81,7 +84,7 @@ def test_jacobian_matches_analytic():
     def fn(c):
         return np.array([c[0] * c[1], np.exp(c[0])])
 
-    J = engine.jacobian(fn, [0.3, -0.7], lower, upper)
+    J = engine.partials(fn, [0.3, -0.7], lower, upper).T
     want = np.array([[-0.7, 0.3], [np.exp(0.3), 0.0]])
     assert np.allclose(J, want, atol=1e-9)
 
@@ -94,6 +97,29 @@ def test_directional_matches_partial_combination():
     want = 2.0 * np.cos(0.4) * 1.2 - np.sin(0.4)
     assert abs(got - want) <= 1e-9
     assert engine.directional(fn, [0.4, 1.2], [0.0, 0.0], lower, upper) == 0.0
+
+
+def test_richardson_is_central4_at_half_step():
+    lower, upper = np.array([-5.0, -5.0]), np.array([5.0, 5.0])
+    fn = lambda c: np.array([np.sin(c[0]) * c[1], np.exp(c[0] - c[1])])
+    for h in (1e-2, 1e-5):
+        rich = DiffEngine("richardson", step=h)
+        c4 = DiffEngine("central4", step=h / 2)
+        for coords in ([0.4, 1.2], [-4.99999, 0.3]):  # the second one shrinks the step
+            for axis in (0, 1):
+                got = rich.partial(fn, coords, axis, lower, upper)
+                want = c4.partial(fn, coords, axis, lower, upper)
+                assert np.array_equal(got, want)
+
+
+def test_directional_subnormal_component_is_quiet():
+    engine = DiffEngine()
+    lower, upper = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+    fn = lambda c: c[0] + 3.0 * c[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = engine.directional(fn, [0.1, -0.2], [5e-324, 1.0], lower, upper)
+    assert got == pytest.approx(3.0, abs=1e-9)
 
 
 def test_rejects_bad_configuration():

@@ -186,8 +186,8 @@ def test_oneill_a_vertical_direction_vanishes(spiral):
 
 def test_oneill_a_warped_projection_lifted_fields(warped_line):
     ctx = SubmersionContext(projection_map(warped_line, "first"), ENGINE)
-    X = lift(warped_line, "first", VectorField(lambda c: np.array([np.sin(c[0]) + 1.5]))).ambient_field
-    Y = lift(warped_line, "first", VectorField(lambda c: np.array([c[0] ** 2 + 1.0]))).ambient_field
+    X = lift(warped_line, "first", VectorField(lambda c: np.array([np.sin(c[0]) + 1.5])))
+    Y = lift(warped_line, "first", VectorField(lambda c: np.array([c[0] ** 2 + 1.0])))
     p = warped_line.point([0.4], [0.2])
     out = oneill_a(ctx, ENGINE, X, Y, p)
     assert np.allclose(out.components, 0.0, atol=1e-9)

@@ -80,14 +80,14 @@ def test_lift_vector_fields():
     W = make_warped_line()
     dt = VectorField.coordinate(1, 0)
     lifted = lift(W, "first", dt)
-    assert np.allclose(lifted.ambient_field([0.4, 0.9]), [1.0, 0.0])
+    assert np.allclose(lifted([0.4, 0.9]), [1.0, 0.0])
     lifted2 = lift(W, "second", dt)
-    assert np.allclose(lifted2.ambient_field([0.4, 0.9]), [0.0, 1.0])
+    assert np.allclose(lifted2([0.4, 0.9]), [0.0, 1.0])
 
 
 def test_lift_scalar_composes_with_projection():
     W = make_warped_line()
-    lifted = lift(W, "first", W.warp).ambient_field
+    lifted = lift(W, "first", W.warp)
     assert lifted([2.0, 5.0]) == pytest.approx(np.exp(2.0), rel=1e-15)
     assert np.allclose(lifted.partials([2.0, 5.0]), [np.exp(2.0), 0.0])
 
@@ -97,7 +97,7 @@ def test_projection_recovers_factor_field():
     rng = np.random.default_rng(2)
     pi1 = projection_map(W, "first")
     for X in vector_field_library(W.first, rng, 3):
-        lifted = lift(W, "first", X).ambient_field
+        lifted = lift(W, "first", X)
         p = W.point([0.3], [0.8])
         pushed = pushforward(pi1, ENGINE, p, TangentVector(p, lifted(p.coords)))
         assert np.allclose(pushed.components, X([0.3]), atol=1e-12)
@@ -155,8 +155,8 @@ def test_mixed_derivative_value_warped_line():
 
     W = make_warped_line()
     p = W.point([0.0], [0.0])
-    dt = lift(W, "first", VectorField.coordinate(1, 0)).ambient_field
-    dx = lift(W, "second", VectorField.coordinate(1, 0)).ambient_field
+    dt = lift(W, "first", VectorField.coordinate(1, 0))
+    dx = lift(W, "second", VectorField.coordinate(1, 0))
     out = covariant_derivative(W.ambient, ENGINE, dt, dx, p)
     assert np.allclose(out.components, [0.0, 1.0], atol=1e-8)
 
@@ -167,7 +167,7 @@ def test_fiber_normal_value_sphere():
 
     W = make_sphere()
     p = W.point([np.pi / 4], [1.0])
-    dphi = lift(W, "second", VectorField.coordinate(1, 0)).ambient_field
+    dphi = lift(W, "second", VectorField.coordinate(1, 0))
     out = covariant_derivative(W.ambient, ENGINE, dphi, dphi, p).components
     assert out[0] == pytest.approx(-np.sin(np.pi / 4) * np.cos(np.pi / 4), abs=1e-8)
     assert abs(out[1]) <= 1e-8
