@@ -17,6 +17,7 @@ import sys
 from typing import Optional
 
 from .errors import ConfigurationError, GeometryError
+from .fd import SCHEMES
 from .report import RunConfig, reports_to_json, reports_to_text
 from .scenarios import list_scenarios, run_all, run_scenario
 
@@ -40,24 +41,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run verification scenarios")
     verify.add_argument("scenario", nargs="?", help="scenario id (see `warpgeo list`)")
     verify.add_argument("--all", action="store_true", help="run every scenario")
-    verify.add_argument("--samples", type=int, default=25)
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--fd-step", type=float, default=1e-5)
-    verify.add_argument(
-        "--scheme", choices=["central2", "central4", "richardson"], default="central2"
-    )
-    verify.add_argument("--tolerance-scale", type=float, default=1.0)
+    defaults = RunConfig()
+    verify.add_argument("--samples", type=int, default=defaults.samples)
+    verify.add_argument("--seed", type=int, default=defaults.seed)
+    verify.add_argument("--fd-step", type=float, default=defaults.fd_step)
+    verify.add_argument("--scheme", choices=SCHEMES, default=defaults.scheme)
+    verify.add_argument("--tolerance-scale", type=float, default=defaults.tolerance_scale)
     verify.add_argument("--report", choices=["json", "text"], default="text")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _cmd_list() -> int:

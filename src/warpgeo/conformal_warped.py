@@ -17,7 +17,7 @@ product into a Riemannian submersion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,8 @@ class ConformalWarpedSubmersion:
 
     ctx runs on the warped ambients; ctx1 and ctx2 run on the factors with
     their intrinsic (unwarped) metrics, which is what the per-factor A
-    tensors refer to.
+    tensors refer to. The product map and the conformality tolerance are
+    ctx.map and ctx.conf_tol.
     """
 
     phi1: SmoothMap
@@ -56,11 +57,9 @@ class ConformalWarpedSubmersion:
     lambda2: ScalarField
     source: WarpedProduct
     target: WarpedProduct
-    product_map: SmoothMap
     ctx: SubmersionContext
     ctx1: SubmersionContext
     ctx2: SubmersionContext
-    conf_tol: float = 1e-6
 
     @property
     def warp(self) -> ScalarField:
@@ -107,7 +106,6 @@ class CompatibilityEntry:
 @dataclass(frozen=True)
 class CompatibilityReport:
     entries: tuple
-    conf_tol: float
 
     @property
     def all_conformal(self) -> bool:
@@ -159,11 +157,9 @@ def build_product_submersion(
         lambda2=lambda2,
         source=source,
         target=target,
-        product_map=product,
         ctx=SubmersionContext(product, engine, conf_tol=conf_tol),
         ctx1=SubmersionContext(phi1, engine, conf_tol=conf_tol),
         ctx2=SubmersionContext(phi2, engine, conf_tol=conf_tol),
-        conf_tol=conf_tol,
     )
     for p in check_points:
         c1, c2 = source.split_coords(p.coords)
@@ -188,19 +184,18 @@ def compatibility(cws: ConformalWarpedSubmersion, p: Point) -> CompatibilityEntr
     rv = cws.target_warp(cws.phi1(c1))
     r1 = l1 * l1
     r2 = (rv * rv) * (l2 * l2) / (fv * fv)
-    conformal_here = abs(r1 / r2 - 1.0) <= cws.conf_tol
+    conformal_here = abs(r1 / r2 - 1.0) <= cws.ctx.conf_tol
     return CompatibilityEntry(p.coords, r1, r2, conformal_here, r1 if conformal_here else None)
 
 
 def compatibility_report(
     cws: ConformalWarpedSubmersion, points: Sequence[Point]
 ) -> CompatibilityReport:
-    return CompatibilityReport(tuple(compatibility(cws, p) for p in points), cws.conf_tol)
+    return CompatibilityReport(tuple(compatibility(cws, p) for p in points))
 
 
 def verify_first_factor_a_identity(
     cws: ConformalWarpedSubmersion,
-    engine: DiffEngine,
     points: Sequence[Point],
     pairs1: Sequence[tuple[VectorField, VectorField]],
     tolerance: float = 1e-5,
@@ -223,6 +218,7 @@ def verify_first_factor_a_identity(
             return -2.0 * np.asarray(cws.lambda1.partials(c), float) / v**3
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
     inv_l1_lifted = lift(cws.source, "first", inv_l1)
+    engine = cws.ctx.engine
 
     for p in points:
         entry = compatibility(cws, p)
@@ -240,17 +236,17 @@ def verify_first_factor_a_identity(
         for X1, Y1 in pairs1:
             Xl = lift(cws.source, "first", X1)
             Yl = lift(cws.source, "first", Y1)
-            lhs = oneill_a(cws.ctx, engine, Xl, Yl, p, gamma).components
+            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma).components
 
             inner = float(X1(c1) @ g1 @ Y1(c1))
             # convention A: everything on the first factor, then lifted
             br1 = lie_bracket(engine, X1, Y1, p1).components
-            grad1 = vertical_gradient(cws.ctx1, engine, inv_l1, p1).components
+            grad1 = vertical_gradient(cws.ctx1, inv_l1, p1).components
             rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
             rhs_a = np.concatenate([rhs_factor, np.zeros(cws.source.second.dim)])
             # convention B: bracket and vertical gradient on the product
             br = lie_bracket(engine, Xl, Yl, p).components
-            grad_m = vertical_gradient(cws.ctx, engine, inv_l1_lifted, p).components
+            grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p).components
             rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
 
             scale = residual_scale(lhs, rhs_a, rhs_b)
@@ -305,7 +301,6 @@ def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, Sc
 
 def verify_second_factor_a_identity(
     cws: ConformalWarpedSubmersion,
-    engine: DiffEngine,
     points: Sequence[Point],
     pairs2: Sequence[tuple[VectorField, VectorField]],
     tolerance: float = 1e-5,
@@ -320,6 +315,7 @@ def verify_second_factor_a_identity(
     """
     check = ResidualCheck("product-a-second-factor", tolerance)
     variants = second_factor_variant_fields(cws)
+    engine = cws.ctx.engine
     worst = {name: 0.0 for name in variants}
     skipped = 0
     used = 0
@@ -340,15 +336,15 @@ def verify_second_factor_a_identity(
         for X2, Y2 in pairs2:
             Xl = lift(cws.source, "second", X2)
             Yl = lift(cws.source, "second", Y2)
-            lhs = oneill_a(cws.ctx, engine, Xl, Yl, p, gamma).components
+            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma).components
 
-            a2_xy = oneill_a(cws.ctx2, engine, X2, Y2, p2, gamma2).components
-            a2_yx = oneill_a(cws.ctx2, engine, Y2, X2, p2, gamma2).components
+            a2_xy = oneill_a(cws.ctx2, X2, Y2, p2, gamma2).components
+            a2_yx = oneill_a(cws.ctx2, Y2, X2, p2, gamma2).components
             skew = np.concatenate([np.zeros(cws.source.first.dim), a2_xy - a2_yx])
             inner = float(X2(c2) @ g2 @ Y2(c2))
 
             for name, field in variants.items():
-                grad_v = vertical_gradient(cws.ctx, engine, field, p).components
+                grad_v = vertical_gradient(cws.ctx, field, p).components
                 rhs = 0.5 * (skew - lam2_sq * inner * grad_v)
                 worst[name] = max(
                     worst[name], np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs)
@@ -368,7 +364,6 @@ def verify_second_factor_a_identity(
 
 def verify_riemannian_reduction(
     cws: ConformalWarpedSubmersion,
-    engine: DiffEngine,
     points: Sequence[Point],
     tolerance: float = 1e-8,
 ) -> CheckRecord:
@@ -396,9 +391,7 @@ def verify_riemannian_reduction(
     return check.record()
 
 
-def rescaled_context(
-    cws: ConformalWarpedSubmersion, engine: DiffEngine, sigma_offset: float = 0.0
-) -> SubmersionContext:
+def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) -> SubmersionContext:
     """Context of the same map with source metric lambda^2 e^{-2 offset} g.
 
     With offset 0 the rescaled map is a Riemannian submersion; a nonzero
@@ -413,14 +406,11 @@ def rescaled_context(
 
     rescaled = ChartManifold(base.dim, base.lower, base.upper, metric,
                              name=f"{base.name}-rescaled")
-    resc_map = SmoothMap(rescaled, cws.target.ambient, cws.product_map.fn,
-                         cws.product_map.jac, name=cws.product_map.name)
-    return SubmersionContext(resc_map, engine, conf_tol=cws.conf_tol)
+    return replace(cws.ctx, map=replace(cws.ctx.map, source=rescaled))
 
 
 def verify_rescaled_riemannian(
     cws: ConformalWarpedSubmersion,
-    engine: DiffEngine,
     points: Sequence[Point],
     tolerance: float = 1e-8,
     probe_offset: float = 0.1,
@@ -433,7 +423,7 @@ def verify_rescaled_riemannian(
     matches e^{2 offset}.
     """
     main = ResidualCheck("rescale-to-riemannian", tolerance)
-    ctx0 = rescaled_context(cws, engine, 0.0)
+    ctx0 = rescaled_context(cws, 0.0)
     for p in points:
         d = ctx0.dilation(cws.source.ambient.point(p.coords))
         main.add(max(abs(d.lambda_sq - 1.0), d.anisotropy - 1.0))
@@ -442,7 +432,7 @@ def verify_rescaled_riemannian(
                                  expected_fail=True)
     probe_value = ResidualCheck("rescale-probe-dilation", tolerance)
     expected = float(np.exp(2.0 * probe_offset))
-    ctx1 = rescaled_context(cws, engine, probe_offset)
+    ctx1 = rescaled_context(cws, probe_offset)
     probes = [ctx1.dilation(cws.source.ambient.point(p.coords)) for p in points]
     for d in probes:
         probe_detect.add(abs(d.lambda_sq - 1.0))
@@ -476,7 +466,6 @@ def factor_vertical_bases(
 
 def fiber_geometry_report(
     cws: ConformalWarpedSubmersion,
-    engine: DiffEngine,
     points: Sequence[Point],
     expect_first_minimal: bool,
     expect_second_minimal: bool,
@@ -496,9 +485,9 @@ def fiber_geometry_report(
 
     for p in points:
         v1, v2 = factor_vertical_bases(cws, p)
-        gamma = christoffel(cws.source.ambient, engine, p)
-        h1 = fiber_mean_curvature(cws.ctx, engine, v1, p, gamma)
-        h2 = fiber_mean_curvature(cws.ctx, engine, v2, p, gamma)
+        gamma = christoffel(cws.source.ambient, cws.ctx.engine, p)
+        h1 = fiber_mean_curvature(cws.ctx, v1, p, gamma)
+        h2 = fiber_mean_curvature(cws.ctx, v2, p, gamma)
         h1_check.add(np.linalg.norm(h1), residual_scale(h1))
         h2_check.add(np.linalg.norm(h2), residual_scale(h2))
 
@@ -506,7 +495,7 @@ def fiber_geometry_report(
             for b in range(v2.shape[1]):
                 e1 = VectorField.constant(v1[:, a])
                 e2 = VectorField.constant(v2[:, b])
-                t_mixed = oneill_t(cws.ctx, engine, e1, e2, p, gamma).components
+                t_mixed = oneill_t(cws.ctx, e1, e2, p, gamma).components
                 mixed_check.add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
 
     records = []
@@ -527,9 +516,9 @@ def verify_kernel_product(
     m1 = cws.source.first.dim
     n1 = cws.target.first.dim
     for p in points:
-        J = cws.product_map.jacobian_at(p.coords, cws.ctx.engine)
-        blocks.add(float(np.max(np.abs(J[:n1, m1:]))) + float(np.max(np.abs(J[n1:, :m1]))))
         s = cws.ctx.splitting_at(p.coords)
+        J = s.jacobian
+        blocks.add(float(np.max(np.abs(J[:n1, m1:]))) + float(np.max(np.abs(J[n1:, :m1]))))
         c1, c2 = cws.source.split_coords(p.coords)
         nv1 = cws.ctx1.splitting_at(c1).vertical.shape[1]
         nv2 = cws.ctx2.splitting_at(c2).vertical.shape[1]

@@ -1,8 +1,8 @@
 """Seeded libraries of test fields.
 
 Verification suites never accept arbitrary user closures; they draw vector
-and scalar fields from fixed families (coordinate, affine, trigonometric)
-with coefficients generated from a seeded RNG, so residual reports are
+fields from fixed families (coordinate, affine, trigonometric) with
+coefficients generated from a seeded RNG, so residual reports are
 reproducible run to run.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ChartManifold, ScalarField, VectorField
+from .manifold import ChartManifold, VectorField
 
 
 def _center(M: ChartManifold, fallback: float = 0.0) -> np.ndarray:
@@ -46,27 +46,6 @@ def vector_field_library(M: ChartManifold, rng: np.random.Generator, n: int) -> 
             fields.append(affine_vector_field(M, rng))
         else:
             fields.append(trig_vector_field(M, rng))
-    return fields
-
-
-def scalar_field_library(M: ChartManifold, rng: np.random.Generator, n: int) -> list[ScalarField]:
-    """Smooth scalar fields: affine plus a sine ripple."""
-    fields: list[ScalarField] = []
-    c = _center(M)
-    for _ in range(n):
-        a = rng.uniform(-1.0, 1.0, size=M.dim)
-        b = rng.uniform(-1.0, 1.0)
-        w = rng.uniform(0.3, 1.2, size=M.dim)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        amp = rng.uniform(-1.0, 1.0)
-
-        def fn(x, a=a, b=b, w=w, phase=phase, amp=amp):
-            return float(a @ (x - c) + b + amp * np.sin(w @ x + phase))
-
-        def partials(x, a=a, w=w, phase=phase, amp=amp):
-            return a + amp * np.cos(w @ x + phase) * w
-
-        fields.append(ScalarField(fn, partials))
     return fields
 
 

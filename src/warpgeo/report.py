@@ -39,13 +39,7 @@ class RunConfig:
         return DiffEngine(scheme=self.scheme, step=self.fd_step)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "fd_step": self.fd_step,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerance_scale": self.tolerance_scale,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":

@@ -237,7 +237,7 @@ def _build_cws_constant(engine: DiffEngine) -> dict:
             (M1, cws.warp),
             (N1, cws.target_warp),
         ],
-        "map_checks": [phi1, phi2, cws.product_map],
+        "map_checks": [phi1, phi2, cws.ctx.map],
     }
 
 
@@ -260,7 +260,7 @@ def _build_cws_incompatible(engine: DiffEngine) -> dict:
         "sample_upper": np.array([0.6, 0.6, 0.6, 0.6]),
         "expected_lambda_sq": None,
         "scalar_checks": [(cws.source.first, cws.warp)],
-        "map_checks": [cws.product_map],
+        "map_checks": [cws.ctx.map],
     }
 
 
@@ -308,7 +308,7 @@ def _build_cws_variable(engine: DiffEngine) -> dict:
         "sample_upper": np.array([0.6, 0.8, 0.6, 0.6]),
         "expected_lambda_sq": lambda c: float(np.exp(2.0 * c[1]) * (1.0 + c[0] ** 2)),
         "scalar_checks": [(M1, lam1), (M1, warp)],
-        "map_checks": [phi1, phi2, cws.product_map],
+        "map_checks": [phi1, phi2, cws.ctx.map],
     }
 
 
@@ -337,7 +337,7 @@ def _build_cws_riemannian(engine: DiffEngine) -> dict:
         "sample_upper": np.array([0.6] * 4),
         "expected_lambda_sq": lambda c: 1.0,
         "scalar_checks": [(M1, cws.warp), (N1, cws.target_warp)],
-        "map_checks": [phi1, phi2, cws.product_map],
+        "map_checks": [phi1, phi2, cws.ctx.map],
     }
 
 
@@ -364,7 +364,7 @@ def _build_cws_mixed_local(engine: DiffEngine) -> dict:
         "sample_upper": np.array([0.6, 0.6, 0.6, 0.6, 0.6]),
         "expected_lambda_sq": None,
         "scalar_checks": [(M1, cws.lambda1)],
-        "map_checks": [phi1, cws.product_map],
+        "map_checks": [phi1, cws.ctx.map],
     }
 
 
@@ -441,12 +441,8 @@ def _run_warped_scenario(
         conformality_tol=_tols(config, 1e-6),
         value_tol=_tols(config, 1e-8),
     )
-    records.append(
-        t_umbilicity_records(ctx, engine, points, rng, tolerance=_tols(config, 1e-6))
-    )
-    records += a_crossval_records(
-        ctx, engine, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
-    )
+    records.append(t_umbilicity_records(ctx, points, rng, tolerance=_tols(config, 1e-6)))
+    records += a_crossval_records(ctx, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2)
     return records
 
 
@@ -492,9 +488,7 @@ def _run_exp_spiral(
         value_tol=_tols(config, 1e-6),
         check_prefix="fd-",
     )
-    records += a_crossval_records(
-        ctx, engine, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
-    )
+    records += a_crossval_records(ctx, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2)
     return records
 
 
@@ -531,7 +525,7 @@ def _compatibility_records(
             check_id="dilation-compatibility",
             n_samples=len(points),
             max_residual=worst,
-            tolerance=cws.conf_tol,
+            tolerance=cws.ctx.conf_tol,
             passed=fails >= int(np.ceil(0.9 * len(points))),
             expected_fail=True,
             notes=f"non-conformal at {fails}/{len(points)} points (needs >= 90%)",
@@ -559,31 +553,24 @@ def _run_cws_scenario(
     )
     if conformal:
         records += a_crossval_records(
-            cws.ctx, engine, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
+            cws.ctx, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
         )
         pairs1 = horizontal_pairs(cws.ctx1, rng, 2)
         pairs2 = horizontal_pairs(cws.ctx2, rng, 2)
         records.append(
-            verify_first_factor_a_identity(
-                cws, engine, points, pairs1, tolerance=_tols(config, 1e-5)
-            )
+            verify_first_factor_a_identity(cws, points, pairs1, tolerance=_tols(config, 1e-5))
         )
         item2, _ = verify_second_factor_a_identity(
-            cws, engine, points, pairs2, tolerance=_tols(config, 1e-5)
+            cws, points, pairs2, tolerance=_tols(config, 1e-5)
         )
         records.append(item2)
         if expected.get("riemannian"):
             records.append(
-                verify_riemannian_reduction(
-                    cws, engine, points, tolerance=_tols(config, 1e-8)
-                )
+                verify_riemannian_reduction(cws, points, tolerance=_tols(config, 1e-8))
             )
-        records += verify_rescaled_riemannian(
-            cws, engine, points, tolerance=_tols(config, 1e-8)
-        )
+        records += verify_rescaled_riemannian(cws, points, tolerance=_tols(config, 1e-8))
     records += fiber_geometry_report(
         cws,
-        engine,
         points,
         expect_first_minimal=expected["first_factor_minimal"],
         expect_second_minimal=expected["second_factor_minimal"],

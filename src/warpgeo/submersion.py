@@ -132,6 +132,7 @@ class Splitting:
     vertical: Euclidean-orthonormal kernel basis (columns).
     horizontal: g-orthonormal basis of the metric-orthogonal complement.
     projector_v: g-orthogonal projector onto the kernel.
+    jacobian: the map's Jacobian at coords, which the splitting comes from.
 
     The arrays are read-only, because memoized splittings are shared.
     """
@@ -142,10 +143,11 @@ class Splitting:
     projector_v: Array
     rank: int
     singular_values: Array
+    jacobian: Array
 
     def __post_init__(self):
         for a in (self.coords, self.vertical, self.horizontal, self.projector_v,
-                  self.singular_values):
+                  self.singular_values, self.jacobian):
             a.setflags(write=False)
 
     def vertical_part(self, components: Array) -> Array:
@@ -188,7 +190,8 @@ class SubmersionContext:
         return cache[key]
 
     def _splitting(self, coords: Array) -> Splitting:
-        J = self.map.jacobian_at(coords, self.engine)
+        # a copy: an analytic jac may hand out the same array on every call
+        J = np.array(self.map.jacobian_at(coords, self.engine))
         g = self.map.source.metric_at(coords, check=False)
         _, s, vt = np.linalg.svd(J)
         smax = float(s[0]) if s.size else 0.0
@@ -204,7 +207,7 @@ class SubmersionContext:
         row_space = vt[:rank].T
         complement = row_space - projector @ row_space
         horizontal = _gram_schmidt(complement, g)
-        return Splitting(coords, vertical, horizontal, projector, rank, s)
+        return Splitting(coords, vertical, horizontal, projector, rank, s, J)
 
     def split(self, p: Point, v: TangentVector) -> tuple[TangentVector, TangentVector]:
         s = self.splitting_at(p.coords)
@@ -213,9 +216,8 @@ class SubmersionContext:
 
     def dilation(self, p: Point) -> DilationEstimate:
         s = self.splitting_at(p.coords)
-        J = self.map.jacobian_at(p.coords, self.engine)
         g_target = self.map.target.metric_at(self(p), check=False)
-        jh = J @ s.horizontal
+        jh = s.jacobian @ s.horizontal
         q = jh.T @ g_target @ jh
         evals = np.linalg.eigvalsh(q)
         if evals[0] <= 0.0:
@@ -243,7 +245,6 @@ class SubmersionContext:
 
 def _oneill(
     ctx: SubmersionContext,
-    engine: DiffEngine,
     part: Callable[[Splitting, Array], Array],
     E: VectorField,
     F: VectorField,
@@ -251,7 +252,7 @@ def _oneill(
     gamma: Optional[ChristoffelAt],
 ) -> TangentVector:
     """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at p."""
-    M = ctx.map.source
+    M, engine = ctx.map.source, ctx.engine
     s = ctx.splitting_at(p.coords)
     direction = part(s, E(p.coords))
     if gamma is None:
@@ -265,31 +266,28 @@ def _oneill(
 
 def oneill_a(
     ctx: SubmersionContext,
-    engine: DiffEngine,
     E: VectorField,
     F: VectorField,
     p: Point,
     gamma: Optional[ChristoffelAt] = None,
 ) -> TangentVector:
     """A_E F with projections recomputed along the stencil."""
-    return _oneill(ctx, engine, Splitting.horizontal_part, E, F, p, gamma)
+    return _oneill(ctx, Splitting.horizontal_part, E, F, p, gamma)
 
 
 def oneill_t(
     ctx: SubmersionContext,
-    engine: DiffEngine,
     E: VectorField,
     F: VectorField,
     p: Point,
     gamma: Optional[ChristoffelAt] = None,
 ) -> TangentVector:
     """T_E F with projections recomputed along the stencil."""
-    return _oneill(ctx, engine, Splitting.vertical_part, E, F, p, gamma)
+    return _oneill(ctx, Splitting.vertical_part, E, F, p, gamma)
 
 
 def fiber_mean_curvature(
     ctx: SubmersionContext,
-    engine: DiffEngine,
     basis: Array,
     p: Point,
     gamma: Optional[ChristoffelAt] = None,
@@ -299,22 +297,19 @@ def fiber_mean_curvature(
     acc = np.zeros(basis.shape[0])
     for column in basis.T:
         u = VectorField.constant(column)
-        acc += oneill_t(ctx, engine, u, u, p, gamma).components
+        acc += oneill_t(ctx, u, u, p, gamma).components
     return acc / max(basis.shape[1], 1)
 
 
-def vertical_gradient(
-    ctx: SubmersionContext, engine: DiffEngine, phi: ScalarField, p: Point
-) -> TangentVector:
+def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, p: Point) -> TangentVector:
     """Vertical part of the metric gradient of phi at p."""
-    grad = gradient(ctx.map.source, engine, phi, p)
+    grad = gradient(ctx.map.source, ctx.engine, phi, p)
     s = ctx.splitting_at(p.coords)
     return TangentVector(p, s.vertical_part(grad.components))
 
 
 def conformal_a_formula(
     ctx: SubmersionContext,
-    engine: DiffEngine,
     X: VectorField,
     Y: VectorField,
     p: Point,
@@ -335,7 +330,7 @@ def conformal_a_formula(
         )
     Xh = ctx.horizontal_field(X)
     Yh = ctx.horizontal_field(Y)
-    bracket = lie_bracket(engine, Xh, Yh, p)
+    bracket = lie_bracket(ctx.engine, Xh, Yh, p)
     s = ctx.splitting_at(p.coords)
     v_bracket = s.vertical_part(bracket.components)
 
@@ -347,7 +342,7 @@ def conformal_a_formula(
             return -np.asarray(lam_field.partials(c), dtype=float) / (val * val)
     inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c), inv_partials)
 
-    grad_v = vertical_gradient(ctx, engine, inv_lambda_sq, p).components
+    grad_v = vertical_gradient(ctx, inv_lambda_sq, p).components
     g = ctx.map.source.metric_at(p.coords, check=False)
     inner = float(Xh(p.coords) @ g @ Yh(p.coords))
     lam_sq = lam_field(p.coords)

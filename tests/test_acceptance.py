@@ -179,7 +179,7 @@ def test_second_factor_a_adjudication(full_run):
     rng = np.random.default_rng(123)
     fields = [cws.ctx2.horizontal_field(F) for F in vector_field_library(cws.source.second, rng, 4)]
     _, worst = verify_second_factor_a_identity(
-        cws, ENGINE, points, [(fields[0], fields[1]), (fields[2], fields[3])]
+        cws, points, [(fields[0], fields[1]), (fields[2], fields[3])]
     )
     passing = worst["second-factor-denominator"]
     rejected = worst["first-factor-denominator"]
@@ -218,7 +218,7 @@ def test_rescaling_to_riemannian(full_run):
     objs = build_objects("cws-constant-dilation", ENGINE)
     cws = objs["cws"]
     p = _sampled_points(objs, cws.source.ambient)[0]
-    probe = rescaled_context(cws, ENGINE, 0.1).dilation(p).lambda_sq
+    probe = rescaled_context(cws, 0.1).dilation(p).lambda_sq
     _criterion(
         "conformal rescaling",
         worst_main <= 1e-8 and all_detected and abs(probe - np.exp(0.2)) <= 1e-8,

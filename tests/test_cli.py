@@ -3,8 +3,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from warpgeo import VerificationReport
-from warpgeo.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, main
+from warpgeo import RunConfig, VerificationReport
+from warpgeo.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, build_parser, main
+from warpgeo.fd import SCHEMES
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +29,15 @@ def test_seed42_report_is_byte_identical_to_benchmark_digest(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--report", "json", "--seed", "42")
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == _benchmark_report_digest()
+
+
+def test_parser_defaults_and_schemes_are_run_config_and_schemes():
+    args = build_parser().parse_args(["verify", "--all"])
+    defaults = RunConfig().to_dict()
+    assert {name: getattr(args, name) for name in defaults} == defaults
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    scheme = next(a for a in verify._actions if a.dest == "scheme")
+    assert tuple(scheme.choices) == SCHEMES
 
 
 def test_list_prints_catalog(capsys):

@@ -146,7 +146,7 @@ def test_lambda_sq_field_raises_off_conformal(cws_incompatible):
 def test_first_factor_identity_constant(cws_constant):
     points = pts(cws_constant, [[0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.2]])
     rec = verify_first_factor_a_identity(
-        cws_constant, ENGINE, points, horizontal_pairs(cws_constant.ctx1, 1)
+        cws_constant, points, horizontal_pairs(cws_constant.ctx1, 1)
     )
     assert rec.passed and rec.max_residual <= 1e-5
 
@@ -154,7 +154,7 @@ def test_first_factor_identity_constant(cws_constant):
 def test_first_factor_identity_variable(cws_variable):
     points = pts(cws_variable, [[0.3, 0.4, 0.1, -0.2], [0.2, 0.5, -0.3, 0.2]])
     rec = verify_first_factor_a_identity(
-        cws_variable, ENGINE, points, horizontal_pairs(cws_variable.ctx1, 2)
+        cws_variable, points, horizontal_pairs(cws_variable.ctx1, 2)
     )
     assert rec.passed and rec.max_residual <= 1e-5
     assert "gradient-convention gap" in rec.notes
@@ -163,7 +163,7 @@ def test_first_factor_identity_variable(cws_variable):
 def test_second_factor_identity_adjudication(cws_constant, cws_variable):
     points_c = pts(cws_constant, [[0.3, -0.2, 0.1, 0.4]])
     rec_c, worst_c = verify_second_factor_a_identity(
-        cws_constant, ENGINE, points_c, horizontal_pairs(cws_constant.ctx2, 3)
+        cws_constant, points_c, horizontal_pairs(cws_constant.ctx2, 3)
     )
     # equal constant dilations make the two denominators identical
     assert rec_c.passed
@@ -172,7 +172,7 @@ def test_second_factor_identity_adjudication(cws_constant, cws_variable):
 
     points_v = pts(cws_variable, [[0.3, 0.4, 0.1, -0.2], [0.2, 0.5, -0.3, 0.2]])
     rec_v, worst_v = verify_second_factor_a_identity(
-        cws_variable, ENGINE, points_v, horizontal_pairs(cws_variable.ctx2, 4)
+        cws_variable, points_v, horizontal_pairs(cws_variable.ctx2, 4)
     )
     assert rec_v.passed
     assert worst_v["second-factor-denominator"] <= 1e-5
@@ -191,12 +191,10 @@ def test_second_factor_variant_fields_values(cws_variable):
 
 def test_riemannian_reduction(cws_riemannian, cws_constant):
     points = pts(cws_riemannian, [[0.2, -0.1, 0.3, 0.4], [0.0, 0.0, 0.1, -0.5]])
-    rec = verify_riemannian_reduction(cws_riemannian, ENGINE, points)
+    rec = verify_riemannian_reduction(cws_riemannian, points)
     assert rec.passed and rec.max_residual <= 1e-8
     with pytest.raises(ConfigurationError):
-        verify_riemannian_reduction(
-            cws_constant, ENGINE, pts(cws_constant, [[0.2, -0.1, 0.3, 0.4]])
-        )
+        verify_riemannian_reduction(cws_constant, pts(cws_constant, [[0.2, -0.1, 0.3, 0.4]]))
 
 
 def test_reduction_rejects_mismatched_warps():
@@ -208,23 +206,23 @@ def test_reduction_rejects_mismatched_warps():
         identity_map(M1), unit, identity_map(M2), unit, warp, ScalarField.constant(1.0), ENGINE
     )
     with pytest.raises(ConfigurationError):
-        verify_riemannian_reduction(cws, ENGINE, [cws.source.ambient.point([0.5, 0.0, 0.0])])
+        verify_riemannian_reduction(cws, [cws.source.ambient.point([0.5, 0.0, 0.0])])
 
 
 def test_rescaling_turns_product_riemannian(cws_constant):
     points = pts(cws_constant, [[0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.2]])
-    main, probe_detect, probe_value = verify_rescaled_riemannian(cws_constant, ENGINE, points)
+    main, probe_detect, probe_value = verify_rescaled_riemannian(cws_constant, points)
     assert main.passed and main.max_residual <= 1e-8
     assert probe_detect.passed  # expected-fail: perturbation must be detected
     assert probe_value.passed
     # the perturbed factor moves the squared dilation to e^{0.2}
-    ctx = rescaled_context(cws_constant, ENGINE, 0.1)
+    ctx = rescaled_context(cws_constant, 0.1)
     d = ctx.dilation(cws_constant.source.ambient.point([0.3, -0.2, 0.1, 0.4]))
     assert d.lambda_sq == pytest.approx(np.exp(0.2), rel=1e-10)
 
 
 def test_rescaling_unit_dilation_is_noop(cws_riemannian):
-    ctx = rescaled_context(cws_riemannian, ENGINE, 0.0)
+    ctx = rescaled_context(cws_riemannian, 0.0)
     p = cws_riemannian.source.ambient.point([0.2, -0.1, 0.3, 0.4])
     d = ctx.dilation(p)
     assert d.lambda_sq == pytest.approx(1.0, abs=1e-14)
@@ -233,7 +231,7 @@ def test_rescaling_unit_dilation_is_noop(cws_riemannian):
 def test_fiber_geometry_constant_scenario(cws_constant):
     points = pts(cws_constant, [[0.3, -0.2, 0.1, 0.4]])
     h1, h2, mixed = fiber_geometry_report(
-        cws_constant, ENGINE, points, expect_first_minimal=True, expect_second_minimal=False
+        cws_constant, points, expect_first_minimal=True, expect_second_minimal=False
     )
     assert h1.passed and h1.max_residual <= 1e-6
     assert h2.passed and h2.max_residual > 1e-6
@@ -250,7 +248,7 @@ def test_fiber_mean_curvature_matches_warp_gradient(cws_constant):
     h2 = np.zeros(4)
     for k in range(v2.shape[1]):
         u = VectorField.constant(v2[:, k])
-        h2 += oneill_t(cws_constant.ctx, ENGINE, u, u, p, gamma).components
+        h2 += oneill_t(cws_constant.ctx, u, u, p, gamma).components
     h2 /= v2.shape[1]
     grad_log = gradient(
         cws_constant.source.ambient, ENGINE, cws_constant.source.log_warp(), p
@@ -284,6 +282,6 @@ def test_jacobian_block_structure_with_fd_factors():
     phi2 = SmoothMap(M2, M2, lambda c: c, None)
     unit = ScalarField.constant(1.0)
     cws = build_product_submersion(phi1, unit, phi2, unit, unit, unit, ENGINE)
-    J = cws.product_map.jacobian_at([0.1, 0.2, 0.3], ENGINE)
+    J = cws.ctx.map.jacobian_at([0.1, 0.2, 0.3], ENGINE)
     assert J.shape == (2, 3)
     assert J[0, 2] == 0.0 and J[1, 0] == 0.0 and J[1, 1] == 0.0

@@ -14,6 +14,7 @@ from warpgeo import (
 )
 from warpgeo.connection import covariant_derivative_dir
 from warpgeo.fields import vector_field_library
+from warpgeo.suites import engine_health_records
 
 from oracles import symbolic_christoffel
 
@@ -192,3 +193,12 @@ def test_submanifold_form_two_dim_block():
     want_mean = np.einsum("ab,abk->k", np.linalg.inv(induced), form.values) / 2
     assert np.allclose(form.mean_curvature, want_mean)
     assert np.allclose(form.mean_curvature, [-2.0, 0.0, 0.0, 0.0], atol=1e-8)
+
+
+def test_engine_health_failed_sample_counts_in_both_checks():
+    # the stencil does not fit at the second point, 1e-12 from the boundary
+    M = ChartManifold.euclidean(2, [0, 0], [1, 1])
+    points = [M.point([0.5, 0.5]), M.point([1e-12, 0.5])]
+    for rec in engine_health_records(M, ENGINE, points, np.random.default_rng(0)):
+        assert rec.n_samples == 2 and rec.max_residual == np.inf and not rec.passed
+        assert "error at" in rec.notes

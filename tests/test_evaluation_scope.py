@@ -1,10 +1,11 @@
 """The splitting memo of evaluation_scope: same numbers, per-point splittings,
-nesting, lifetime, errors and read-only entries."""
+nesting, lifetime, errors, read-only entries and Jacobian reuse."""
 
 import numpy as np
 import pytest
 
 from warpgeo import (
+    ChartManifold,
     DiffEngine,
     RankError,
     SmoothMap,
@@ -16,6 +17,8 @@ from warpgeo import (
 )
 from warpgeo.fields import vector_field_library
 from warpgeo.scenarios import build_objects
+from warpgeo.suites import splitting_records
+from warpgeo.warped import projection_map
 
 ENGINE = DiffEngine()
 COORDS = np.array([0.3, -0.4, 0.2, 0.5])
@@ -34,9 +37,9 @@ def _tensor_components(cws):
     E, F = vector_field_library(ctx.map.source, rng, 2)
     X, Y = (ctx1.horizontal_field(f) for f in vector_field_library(ctx1.map.source, rng, 2))
     return [
-        oneill_a(ctx, ENGINE, E, F, p).components,
-        oneill_t(ctx, ENGINE, E, F, p).components,
-        conformal_a_formula(ctx1, ENGINE, X, Y, p1).components,
+        oneill_a(ctx, E, F, p).components,
+        oneill_t(ctx, E, F, p).components,
+        conformal_a_formula(ctx1, X, Y, p1).components,
     ]
 
 
@@ -116,9 +119,36 @@ def test_memoized_splitting_is_read_only(cws):
     coords = COORDS.copy()
     with evaluation_scope():
         s = cws.ctx.splitting_at(coords)
-        for name in ("coords", "vertical", "horizontal", "projector_v", "singular_values"):
+        for name in ("coords", "vertical", "horizontal", "projector_v", "singular_values",
+                     "jacobian"):
             with pytest.raises(ValueError):
                 getattr(s, name)[0] = 1.0
         assert cws.ctx.splitting_at(coords) is s
     coords[0] = 0.0  # the caller's array stays its own
     assert s.coords[0] == COORDS[0]
+
+
+def test_dilation_and_splitting_records_reuse_the_splitting_jacobian():
+    jac_calls = []
+
+    def jac(c):
+        jac_calls.append(1)
+        return np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    M = ChartManifold.euclidean(3, [-2] * 3, [2] * 3)
+    N = ChartManifold.euclidean(2, [-9] * 2, [9] * 2)
+    ctx = SubmersionContext(SmoothMap(M, N, lambda c: np.array([c[0] + c[1], c[2]]), jac), ENGINE)
+    points = [M.point([0.1 * k, -0.2, 0.3]) for k in range(3)]
+    with evaluation_scope():
+        for p in points:
+            ctx.dilation(p)
+        splitting_records(ctx, points, np.random.default_rng(0))
+    assert len(jac_calls) == len(points)
+
+
+def test_projection_jacobian_stays_writable_after_splitting(cws):
+    smap = projection_map(cws.source, "first")
+    s = SubmersionContext(smap, ENGINE).splitting_at(COORDS)
+    J = smap.jacobian_at(COORDS, ENGINE)
+    assert J.flags.writeable and s.jacobian is not J
+    assert np.array_equal(s.jacobian, J)

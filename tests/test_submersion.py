@@ -180,7 +180,7 @@ def test_oneill_a_vertical_direction_vanishes(spiral):
     p = spiral.map.source.point([0.2, -0.1, 0.1, 0.3])
     vertical = VectorField.constant([1.0, 0.5, 0.0, 0.0])
     F = VectorField(lambda c: np.array([c[2], 0.1, np.sin(c[3]), 1.0]))
-    out = oneill_a(spiral, ENGINE, vertical, F, p)
+    out = oneill_a(spiral, vertical, F, p)
     assert np.allclose(out.components, 0.0, atol=1e-10)
 
 
@@ -189,7 +189,7 @@ def test_oneill_a_warped_projection_lifted_fields(warped_line):
     X = lift(warped_line, "first", VectorField(lambda c: np.array([np.sin(c[0]) + 1.5])))
     Y = lift(warped_line, "first", VectorField(lambda c: np.array([c[0] ** 2 + 1.0])))
     p = warped_line.point([0.4], [0.2])
-    out = oneill_a(ctx, ENGINE, X, Y, p)
+    out = oneill_a(ctx, X, Y, p)
     assert np.allclose(out.components, 0.0, atol=1e-9)
 
 
@@ -198,7 +198,7 @@ def test_oneill_t_horizontal_direction_vanishes(warped_line):
     p = warped_line.point([0.1], [0.4])
     horizontal = VectorField.constant([1.0, 0.0])
     F = VectorField(lambda c: np.array([np.cos(c[1]), c[0]]))
-    out = oneill_t(ctx, ENGINE, horizontal, F, p)
+    out = oneill_t(ctx, horizontal, F, p)
     assert np.allclose(out.components, 0.0, atol=1e-10)
 
 
@@ -207,7 +207,7 @@ def test_oneill_t_second_projection_leaf_direction(warped_line):
     ctx = SubmersionContext(projection_map(warped_line, "second"), ENGINE)
     p = warped_line.point([0.0], [0.0])
     dt = VectorField.coordinate(2, 0)
-    out = oneill_t(ctx, ENGINE, dt, dt, p)
+    out = oneill_t(ctx, dt, dt, p)
     assert np.allclose(out.components, 0.0, atol=1e-10)
 
 
@@ -215,22 +215,22 @@ def test_oneill_t_umbilical_value(warped_line):
     ctx = SubmersionContext(projection_map(warped_line, "first"), ENGINE)
     p = warped_line.point([0.0], [0.0])
     dx = VectorField.coordinate(2, 1)
-    out = oneill_t(ctx, ENGINE, dx, dx, p)
+    out = oneill_t(ctx, dx, dx, p)
     assert np.allclose(out.components, [-1.0, 0.0], atol=1e-8)
 
 
 def test_vertical_gradient_cases(spiral, warped_line):
     p = spiral.map.source.point([0.1, 0.2, 0.3, 0.4])
     const = ScalarField.constant(4.2)
-    assert np.allclose(vertical_gradient(spiral, ENGINE, const, p).components, 0.0)
+    assert np.allclose(vertical_gradient(spiral, const, p).components, 0.0)
 
     decay = ScalarField(lambda c: float(np.exp(-2 * c[2])))
-    assert np.allclose(vertical_gradient(spiral, ENGINE, decay, p).components, 0.0, atol=1e-10)
+    assert np.allclose(vertical_gradient(spiral, decay, p).components, 0.0, atol=1e-10)
 
     ctx = SubmersionContext(projection_map(warped_line, "first"), ENGINE)
     q = warped_line.point([0.3], [0.1])
     coord = ScalarField(lambda c: float(c[1]))
-    got = vertical_gradient(ctx, ENGINE, coord, q).components
+    got = vertical_gradient(ctx, coord, q).components
     assert np.allclose(got, [0.0, np.exp(-0.6)], atol=1e-9)
 
 
@@ -238,7 +238,7 @@ def test_conformal_a_formula_zero_cases(spiral):
     p = spiral.map.source.point([0.0, 0.0, 0.0, 0.0])
     d3 = VectorField.coordinate(4, 2)
     d4 = VectorField.coordinate(4, 3)
-    out = conformal_a_formula(spiral, ENGINE, d3, d4, p)
+    out = conformal_a_formula(spiral, d3, d4, p)
     assert np.allclose(out.components, 0.0, atol=1e-9)
 
 
@@ -251,7 +251,7 @@ def test_conformal_a_formula_constant_dilation_reduces_to_half_bracket():
     p = M.point([0.2, 0.4])
     X = ctx.horizontal_field(VectorField(lambda c: np.array([np.sin(c[1]) + 1.2, 0.7])))
     Y = ctx.horizontal_field(VectorField(lambda c: np.array([c[0] + 2.0, -0.3])))
-    got = conformal_a_formula(ctx, ENGINE, X, Y, p).components
+    got = conformal_a_formula(ctx, X, Y, p).components
     s = ctx.splitting_at(p.coords)
     want = 0.5 * s.vertical_part(lie_bracket(ENGINE, X, Y, p).components)
     assert np.allclose(got, want, atol=1e-9)
@@ -264,7 +264,7 @@ def test_conformal_a_formula_rejects_non_conformal():
                         lambda c: np.array([[1.0, 0, 0], [0, 2.0, 0]]))
     ctx = SubmersionContext(stretch, ENGINE)
     with pytest.raises(ConformalityError) as err:
-        conformal_a_formula(ctx, ENGINE, VectorField.coordinate(3, 0),
+        conformal_a_formula(ctx, VectorField.coordinate(3, 0),
                             VectorField.coordinate(3, 1), M.point([0.1, 0.1, 0.1]))
     assert err.value.anisotropy == pytest.approx(4.0, abs=1e-12)
 
@@ -276,8 +276,8 @@ def test_oneill_a_crossval_seeded_fields(spiral):
     for coords in rng.uniform(-0.7, 0.7, size=(3, 4)):
         p = M.point(coords)
         for X, Y in [(fields[0], fields[1]), (fields[2], fields[3])]:
-            direct = oneill_a(spiral, ENGINE, X, Y, p).components
-            formula = conformal_a_formula(spiral, ENGINE, X, Y, p).components
+            direct = oneill_a(spiral, X, Y, p).components
+            formula = conformal_a_formula(spiral, X, Y, p).components
             scale = 1.0 + max(np.max(np.abs(direct)), np.max(np.abs(formula)))
             assert np.max(np.abs(direct - formula)) <= 1e-5 * scale
 
