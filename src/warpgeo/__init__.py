@@ -23,6 +23,7 @@ from .manifold import (
     ScalarField,
     TangentVector,
     VectorField,
+    evaluation_scope,
     gradient,
     metric_inner,
     partial_derivative,
@@ -47,7 +48,6 @@ from .submersion import (
     Splitting,
     SubmersionContext,
     conformal_a_formula,
-    evaluation_scope,
     identity_map,
     oneill_a,
     oneill_t,

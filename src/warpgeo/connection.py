@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fd import DiffEngine
-from .manifold import ChartManifold, Point, TangentVector, VectorField
+from .manifold import _MEMO, ChartManifold, Point, TangentVector, VectorField, _memoized
 
 Array = np.ndarray
 
@@ -28,14 +28,25 @@ class ChristoffelAt:
 
 
 def christoffel(M: ChartManifold, engine: DiffEngine, p: Point) -> ChristoffelAt:
-    g = M.metric_at(p.coords)  # SPD check happens here
+    """Christoffel symbols of M at p; inside an evaluation scope gamma is
+    memoized by chart, exact coordinates and engine."""
+    coords = np.asarray(p.coords, dtype=float)
+    memo = _MEMO.get()
+    if memo is None:
+        gamma = _christoffel(M, engine, coords)
+    else:
+        gamma = _memoized(memo, M, (coords.tobytes(), engine), _christoffel, M, engine, coords)
+    return ChristoffelAt(p, gamma)
+
+
+def _christoffel(M: ChartManifold, engine: DiffEngine, coords: Array) -> Array:
+    g = M.metric_at(coords)  # SPD check happens here
     ginv = np.linalg.inv(g)
     # dg[l, i, j] = d_l g_ij
-    dg = engine.partials(lambda c: M.metric_at(c, check=False), p.coords, M.lower, M.upper)
+    dg = engine.partials(lambda c: M.metric_at(c, check=False), coords, M.lower, M.upper)
     # c[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, c)
-    return ChristoffelAt(p, gamma)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, c)
 
 
 def covariant_derivative_dir(
@@ -100,7 +111,11 @@ class SecondFundamentalFormAt:
 
 
 def coordinate_submanifold_form(
-    M: ChartManifold, engine: DiffEngine, tangent_axes: Sequence[int], p: Point
+    M: ChartManifold,
+    engine: DiffEngine,
+    tangent_axes: Sequence[int],
+    p: Point,
+    gamma: Optional[ChristoffelAt] = None,
 ) -> SecondFundamentalFormAt:
     """II and H of the submanifold obtained by freezing the other coordinates.
 
@@ -111,7 +126,8 @@ def coordinate_submanifold_form(
     g = M.metric_at(p.coords)
     tangent_basis = np.eye(M.dim)[:, list(axes)]
     normal_proj = np.eye(M.dim) - metric_orthogonal_projector(g, tangent_basis)
-    gamma = christoffel(M, engine, p)
+    if gamma is None:
+        gamma = christoffel(M, engine, p)
     # coordinate fields have no derivative term: nabla_{e_a} e_b = Gamma^k_ab
     values = np.empty((len(axes), len(axes), M.dim))
     for a, i in enumerate(axes):

@@ -4,10 +4,16 @@ A manifold here is a single global chart: an open axis-aligned box of
 coordinates together with a metric field mapping coordinates to a symmetric
 positive-definite matrix. Everything downstream (connections, submersions,
 warped products) is built from these atoms.
+
+Inside an ``evaluation_scope()`` pointwise results (metrics, Christoffel
+symbols, splittings) are computed once per owner and exact coordinates,
+then shared until the scope exits.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,6 +27,47 @@ Array = np.ndarray
 
 SPD_FLOOR = 1e-10
 SYM_TOL = 1e-9
+
+# id(owner) -> (owner, {key: value}) of the active scope; the owner is held
+# so that its id is not reused while the scope is open
+_MEMO: ContextVar[Optional[dict]] = ContextVar("warpgeo_memo", default=None)
+
+
+@contextmanager
+def evaluation_scope():
+    """Memoize metrics, Christoffel symbols and splittings until the block exits.
+
+    A nested scope shares the outer memo. Raised errors are never stored,
+    memoized arrays are read-only, and the memo is dropped on exit. Chart
+    metrics and maps must be pure functions of their coordinates while a
+    scope is open.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(memo: dict, owner, key, compute, *args):
+    """``compute(*args)``, computed once per ``(owner, key)`` in ``memo``.
+
+    Array results are made read-only, because they are shared.
+    """
+    entry = memo.get(id(owner))
+    if entry is None:
+        entry = memo[id(owner)] = (owner, {})
+    cache = entry[1]
+    value = cache.get(key)
+    if value is None:
+        value = compute(*args)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        cache[key] = value
+    return value
 
 
 def _as_bound(value, dim: int, default: float) -> Array:
@@ -73,8 +120,19 @@ class ChartManifold:
         return Point(self, coords)
 
     def metric_at(self, coords, check: bool = True) -> Array:
-        """Evaluate the metric; symmetrize, optionally check SPD."""
-        g = np.asarray(self.metric(np.asarray(coords, dtype=float)), dtype=float)
+        """Evaluate the metric; symmetrize, optionally check SPD.
+
+        Inside an evaluation scope the result is memoized by chart, exact
+        coordinates and ``check`` (so a hit never skips a requested check).
+        """
+        coords = np.asarray(coords, dtype=float)
+        memo = _MEMO.get()
+        if memo is None:
+            return self._metric(coords, check)
+        return _memoized(memo, self, (coords.tobytes(), check), self._metric, coords, check)
+
+    def _metric(self, coords: Array, check: bool) -> Array:
+        g = np.asarray(self.metric(coords), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise DegenerateMetricError(f"metric returned shape {g.shape} at {coords}")
         sym = 0.5 * (g + g.T)
@@ -82,10 +140,10 @@ class ChartManifold:
             scale = 1.0 + float(np.max(np.abs(g)))
             if float(np.max(np.abs(g - g.T))) > SYM_TOL * scale:
                 raise DegenerateMetricError(f"metric not symmetric at {coords}")
-            if float(np.linalg.eigvalsh(sym)[0]) <= self.spd_floor:
+            lowest = float(np.linalg.eigvalsh(sym)[0])
+            if lowest <= self.spd_floor:
                 raise DegenerateMetricError(
-                    f"metric not positive definite at {coords}: "
-                    f"min eigenvalue {np.linalg.eigvalsh(sym)[0]:.3e}"
+                    f"metric not positive definite at {coords}: min eigenvalue {lowest:.3e}"
                 )
         return sym
 
@@ -204,9 +262,8 @@ def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, p: Point) -
 def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, points) -> float:
     """Max gap between analytic and finite-difference partials over points.
 
-    Returns 0.0 when the field has no analytic partials. Raises
-    DegenerateMetricError-free diagnostics are left to the caller; this only
-    measures.
+    Returns 0.0 when the field has no analytic partials. This only
+    measures; judging the gap against a tolerance is left to the caller.
     """
     if phi.partials is None:
         return 0.0

@@ -5,6 +5,10 @@ bounded sub-box of the domain deterministically, and runs the verification
 suites that apply to it. The catalog order is stable and part of the public
 surface; ``expected`` entries document the verdicts a default run must
 produce (including deliberate failures of the negative scenarios).
+
+A scenario that raises a ``GeometryError`` still yields a report: every
+check it provides fails with ``n_samples = 0`` and a note naming the error,
+and ``run_all`` goes on with the next scenario.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from .conformal_warped import (
     verify_rescaled_riemannian,
     verify_second_factor_a_identity,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
 from .fields import vector_field_library
-from .manifold import ChartManifold, ScalarField
+from .manifold import ChartManifold, ScalarField, evaluation_scope
 from .report import CheckRecord, ResidualCheck, RunConfig, VerificationReport
 from .sampling import sample_points
-from .submersion import SmoothMap, SubmersionContext, evaluation_scope
+from .submersion import SmoothMap, SubmersionContext
 from .suites import (
     a_crossval_records,
     dilation_records,
@@ -770,11 +774,8 @@ def build_objects(scenario_id: str, engine: DiffEngine) -> dict:
     return _BY_ID[scenario_id].builder(engine)
 
 
-def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
-    if scenario_id not in _BY_ID:
-        raise ConfigurationError(f"unknown scenario {scenario_id!r}")
-    scenario = _BY_ID[scenario_id]
-    index = next(i for i, s in enumerate(_SCENARIOS) if s.scenario_id == scenario_id)
+def _run_suites(scenario: Scenario, config: RunConfig) -> list[CheckRecord]:
+    index = next(i for i, s in enumerate(_SCENARIOS) if s.scenario_id == scenario.scenario_id)
     rng = np.random.default_rng([config.seed, index])
     engine = config.engine()
     objs = scenario.builder(engine)
@@ -794,6 +795,23 @@ def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
             torsion_tol=_tols(config, 1e-6),
             compat_tol=_tols(config, 1e-5),
         )
+    return records
+
+
+def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
+    """Run one scenario; a ``GeometryError`` it raises becomes a failed
+    report rather than propagating."""
+    if scenario_id not in _BY_ID:
+        raise ConfigurationError(f"unknown scenario {scenario_id!r}")
+    scenario = _BY_ID[scenario_id]
+    try:
+        records = _run_suites(scenario, config)
+    except GeometryError as exc:
+        note = f"scenario aborted by {type(exc).__name__}: {exc}"
+        records = [
+            CheckRecord(check_id, 0, 0.0, 0.0, passed=False, notes=note)
+            for check_id in scenario.provides
+        ]
     return VerificationReport(
         scenario=scenario.scenario_id,
         description=scenario.description,

@@ -18,8 +18,6 @@ splittings, so nothing is frozen at the base point.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,37 +33,18 @@ from .connection import (
 from .errors import ConformalityError, DomainError, RankError
 from .fd import DiffEngine
 from .manifold import (
+    _MEMO,
     ChartManifold,
     Point,
     ScalarField,
     TangentVector,
     VectorField,
+    _memoized,
     analytic_fd_gap,
     gradient,
 )
 
 Array = np.ndarray
-
-# id(context) -> (context, {coords.tobytes(): Splitting}) of the active scope;
-# the context is held so that its id is not reused while the scope is open
-_SPLITTINGS: ContextVar[Optional[dict]] = ContextVar("warpgeo_splittings", default=None)
-
-
-@contextmanager
-def evaluation_scope():
-    """Memoize ``SubmersionContext.splitting_at`` until the block exits.
-
-    A nested scope shares the outer memo. Failed splittings are never
-    stored, and the memo is dropped on exit.
-    """
-    if _SPLITTINGS.get() is not None:
-        yield
-        return
-    token = _SPLITTINGS.set({})
-    try:
-        yield
-    finally:
-        _SPLITTINGS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -180,14 +159,10 @@ class SubmersionContext:
 
     def splitting_at(self, coords) -> Splitting:
         coords = np.array(coords, dtype=float)  # a copy: the Splitting makes it read-only
-        memo = _SPLITTINGS.get()
+        memo = _MEMO.get()
         if memo is None:
             return self._splitting(coords)
-        _, cache = memo.setdefault(id(self), (self, {}))
-        key = coords.tobytes()
-        if key not in cache:
-            cache[key] = self._splitting(coords)
-        return cache[key]
+        return _memoized(memo, self, coords.tobytes(), self._splitting, coords)
 
     def _splitting(self, coords: Array) -> Splitting:
         # a copy: an analytic jac may hand out the same array on every call

@@ -1,8 +1,10 @@
 """Reusable verification suites.
 
 Each helper runs one family of identity checks over sampled points and
-seeded fields and returns CheckRecords. Suites never abort on a bad sample:
-errors become recorded failures with a note.
+seeded fields and returns CheckRecords. Only ``engine_health_records``
+records a bad sample (a ``GeometryError``) as a failure with a note and goes
+on; the other suites let the error propagate, and ``run_scenario`` turns it
+into a failed report for the whole scenario.
 """
 
 from __future__ import annotations

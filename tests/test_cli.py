@@ -1,9 +1,13 @@
 import ast
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from warpgeo import RunConfig, VerificationReport
+import pytest
+
+from warpgeo import RunConfig, VerificationReport, WarpPositivityError
+from warpgeo import scenarios
 from warpgeo.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, build_parser, main
 from warpgeo.fd import SCHEMES
 
@@ -29,6 +33,50 @@ def test_seed42_report_is_byte_identical_to_benchmark_digest(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--report", "json", "--seed", "42")
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == _benchmark_report_digest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--scheme", "central4", "--samples", "6"),
+         "1577c3acef7e93db46b2ec4ca55a942ec6e0b2e9786550d6a16c1f48181bab82"),
+        (("--scheme", "richardson", "--samples", "5", "--seed", "7"),
+         "9dc120a9899a3e8b2040522096d38cd62556a1fa3ffd4f6d8f17d5cf892bd2f6"),
+    ],
+    ids=["central4", "richardson"],
+)
+def test_other_scheme_reports_are_byte_identical(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "verify", "--all", "--report", "json", *argv)
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_raising_scenario_becomes_a_failed_report(capsys, monkeypatch):
+    argv = ("verify", "--all", "--report", "json", "--samples", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PASS
+    clean = json.loads(out)["reports"]
+
+    def runner(*args):
+        raise WarpPositivityError("warp -1.0 <= 0 at first-factor point [0.]")
+
+    spec = scenarios._BY_ID["cws-mixed-local"]
+    monkeypatch.setitem(scenarios._BY_ID, spec.scenario_id, replace(spec, runner=runner))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_CHECK_FAILURE
+    reports = json.loads(out)["reports"]
+    assert len(reports) == len(clean) == 9
+    failed = next(r for r in reports if r["scenario"] == spec.scenario_id)
+    assert [r for r in reports if r is not failed] == [
+        r for r in clean if r["scenario"] != spec.scenario_id
+    ]
+    assert not failed["overall_pass"]
+    assert [c["check_id"] for c in failed["checks"]] == list(spec.provides)
+    for check in failed["checks"]:
+        assert not check["passed"] and check["n_samples"] == 0
+        assert check["max_residual"] == 0.0  # no samples; the JSON stays finite
+        assert not check["expected_fail"] and not check["informational"]
+        assert "WarpPositivityError: warp -1.0 <= 0" in check["notes"]
 
 
 def test_parser_defaults_and_schemes_are_run_config_and_schemes():

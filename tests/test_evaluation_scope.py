@@ -1,15 +1,21 @@
-"""The splitting memo of evaluation_scope: same numbers, per-point splittings,
-nesting, lifetime, errors, read-only entries and Jacobian reuse."""
+"""The pointwise memo of evaluation_scope: same numbers, per-point splittings,
+metrics and Christoffel symbols, nesting, lifetime, errors, read-only
+entries and Jacobian reuse."""
 
 import numpy as np
 import pytest
 
 from warpgeo import (
     ChartManifold,
+    DegenerateMetricError,
     DiffEngine,
     RankError,
+    ScalarField,
     SmoothMap,
     SubmersionContext,
+    WarpPositivityError,
+    build_warped_product,
+    christoffel,
     conformal_a_formula,
     evaluation_scope,
     oneill_a,
@@ -152,3 +158,85 @@ def test_projection_jacobian_stays_writable_after_splitting(cws):
     J = smap.jacobian_at(COORDS, ENGINE)
     assert J.flags.writeable and s.jacobian is not J
     assert np.array_equal(s.jacobian, J)
+
+
+# -- metrics and Christoffel symbols ---------------------------------------
+
+
+def test_metric_and_christoffel_bit_identical_inside_and_outside_scope(cws):
+    charts = (cws.source.ambient, cws.source.first, cws.target.ambient)
+    points = [M.point(COORDS[: M.dim] * 0.5) for M in charts]
+    outside = [(M.metric_at(p.coords), christoffel(M, ENGINE, p).gamma)
+               for M, p in zip(charts, points)]
+    with evaluation_scope():
+        for _ in range(2):  # the second round is served from the memo
+            for (g, gamma), M, p in zip(outside, charts, points):
+                assert np.array_equal(M.metric_at(p.coords), g)
+                assert np.array_equal(M.metric_at(p.coords, check=False), g)
+                assert np.array_equal(christoffel(M, ENGINE, p).gamma, gamma)
+
+
+def test_check_true_request_after_unchecked_entry_still_raises():
+    # g = diag(1, x) is not positive definite for x <= 0
+    M = ChartManifold(2, None, None, lambda c: np.diag([1.0, c[0]]))
+    coords = np.array([-0.5, 0.0])
+    with evaluation_scope():
+        assert M.metric_at(coords, check=False)[1, 1] == -0.5
+        for _ in range(2):
+            with pytest.raises(DegenerateMetricError):
+                M.metric_at(coords)
+
+
+def test_warp_positivity_error_is_raised_on_every_call():
+    warp_calls = []
+
+    def warp(c):
+        warp_calls.append(1)
+        return float(c[0])
+
+    line = ChartManifold.euclidean(1, [-2.0], [2.0])
+    W = build_warped_product(line, line, ScalarField(warp))
+    with evaluation_scope():
+        for _ in range(3):
+            with pytest.raises(WarpPositivityError):
+                W.ambient.metric_at([-0.5, 0.0])
+    assert len(warp_calls) == 3
+
+
+def test_each_engine_gets_its_own_christoffel_symbols(cws):
+    M = cws.source.ambient
+    p = M.point(COORDS)
+    engines = (DiffEngine(scheme="central2"), DiffEngine(scheme="central4"))
+    outside = [christoffel(M, e, p).gamma for e in engines]
+    assert not np.array_equal(*outside)
+    with evaluation_scope():
+        for _ in range(2):
+            for e, gamma in zip(engines, outside):
+                assert np.array_equal(christoffel(M, e, p).gamma, gamma)
+
+
+def test_memoized_metric_and_christoffel_are_read_only(cws):
+    M = cws.source.ambient
+    p = M.point(COORDS)
+    with evaluation_scope():
+        g = M.metric_at(COORDS)
+        gamma = christoffel(M, ENGINE, p).gamma
+        for a in (g, M.metric_at(COORDS, check=False), gamma):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        assert M.metric_at(COORDS) is g
+        assert christoffel(M, ENGINE, p).gamma is gamma
+
+
+def test_metric_and_christoffel_memo_is_dropped_on_exit(cws):
+    M = cws.source.ambient
+    p = M.point(COORDS)
+    assert M.metric_at(COORDS) is not M.metric_at(COORDS)
+    with evaluation_scope():
+        g = M.metric_at(COORDS)
+        gamma = christoffel(M, ENGINE, p).gamma
+    assert M.metric_at(COORDS) is not g
+    assert christoffel(M, ENGINE, p).gamma is not gamma
+    with evaluation_scope():
+        assert M.metric_at(COORDS) is not g
+        assert christoffel(M, ENGINE, p).gamma is not gamma

@@ -199,3 +199,37 @@ def test_constant_warp_fiber_form_vanishes():
     W = build_warped_product(line, line, ScalarField.constant(2.0))
     fiber = second_fundamental_form(W, ENGINE, "fiber", W.point([0.1], [0.2]))
     assert np.allclose(fiber.values, 0.0, atol=1e-12)
+
+
+def test_verifiers_build_each_christoffel_once_per_point(monkeypatch):
+    # no evaluation scope: the sharing comes from the verifiers themselves
+    import warpgeo.connection as connection
+
+    built = []
+    original = connection._christoffel
+
+    def counting(M, engine, coords):
+        built.append(M)
+        return original(M, engine, coords)
+
+    monkeypatch.setattr(connection, "_christoffel", counting)
+    W = make_warped_line()
+    pts = _sample_points(W, [-0.8, -0.8], [0.8, 0.8], n=3)
+    verify_warped_connection(W, ENGINE, pts, _pairs(W.first, 1, 3), _pairs(W.second, 2, 3))
+    assert sorted(map(id, built)) == sorted(map(id, [W.ambient, W.first, W.second] * len(pts)))
+    built.clear()
+    verify_leaf_fiber_geometry(W, ENGINE, pts)
+    assert list(map(id, built)) == [id(W.ambient)] * len(pts)
+
+
+def test_shared_gamma_gives_the_same_forms():
+    from warpgeo import christoffel
+
+    W = make_sphere()
+    p = W.point([0.7], [1.3])
+    gamma = christoffel(W.ambient, ENGINE, p)
+    for which in ("leaf", "fiber"):
+        own = second_fundamental_form(W, ENGINE, which, p)
+        shared = second_fundamental_form(W, ENGINE, which, p, gamma)
+        assert np.array_equal(own.values, shared.values)
+        assert np.array_equal(own.mean_curvature, shared.mean_curvature)
