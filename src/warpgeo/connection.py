@@ -61,9 +61,13 @@ def covariant_derivative_dir(
     if gamma is None:
         gamma = christoffel(M, engine, p)
     direction = np.asarray(direction, dtype=float)
-    dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)  # dY[i, k] = d_i Y^k
-    comp = direction @ dY + np.einsum("kij,i,j->k", gamma.gamma, direction, Y(p.coords))
-    return TangentVector(p, comp)
+    dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)
+    return TangentVector(p, _covariant_from_partials(direction, dY, Y(p.coords), gamma))
+
+
+def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: ChristoffelAt) -> Array:
+    """v^i d_i Y^k + Gamma^k_ij v^i Y^j from dY[i, k] = d_i Y^k and y = Y(p)."""
+    return direction @ dY + np.einsum("kij,i,j->k", gamma.gamma, direction, y)
 
 
 def covariant_derivative(

@@ -6,8 +6,8 @@ positive-definite matrix. Everything downstream (connections, submersions,
 warped products) is built from these atoms.
 
 Inside an ``evaluation_scope()`` pointwise results (metrics, Christoffel
-symbols, splittings) are computed once per owner and exact coordinates,
-then shared until the scope exits.
+symbols, splittings, dilations) are computed once per owner and exact
+coordinates, then shared until the scope exits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ _MEMO: ContextVar[Optional[dict]] = ContextVar("warpgeo_memo", default=None)
 
 @contextmanager
 def evaluation_scope():
-    """Memoize metrics, Christoffel symbols and splittings until the block exits.
+    """Memoize metrics, Christoffel symbols, splittings and dilations until
+    the block exits.
 
     A nested scope shares the outer memo. Raised errors are never stored,
     memoized arrays are read-only, and the memo is dropped on exit. Chart

@@ -2,6 +2,8 @@
 
 Field names of the JSON report are a public contract (see README). Reports
 serialize deterministically: fixed check order, sorted keys, repr floats.
+They are strict JSON: a non-finite ``max_residual`` (a failed sample) is
+written as ``null``, and read back as ``inf``.
 """
 
 from __future__ import annotations
@@ -67,11 +69,19 @@ class CheckRecord:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        d = asdict(self)
+        if not np.isfinite(self.max_residual):
+            d["max_residual"] = None
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "CheckRecord":
+        if d["max_residual"] is None:
+            d = {**d, "max_residual": np.inf}
         return CheckRecord(**d)
+
+
+NON_FINITE_NOTE = "non-finite max_residual, written as null"
 
 
 def residual_scale(*arrays) -> float:
@@ -105,6 +115,7 @@ class ResidualCheck:
     def record(self) -> CheckRecord:
         raw_pass = self.max_residual <= self.tolerance
         passed = (not raw_pass) if self.expected_fail else raw_pass
+        notes = self.notes + ([] if np.isfinite(self.max_residual) else [NON_FINITE_NOTE])
         return CheckRecord(
             check_id=self.check_id,
             n_samples=len(self.residuals),
@@ -113,7 +124,7 @@ class ResidualCheck:
             passed=passed,
             expected_fail=self.expected_fail,
             informational=self.informational,
-            notes="; ".join(self.notes),
+            notes="; ".join(notes),
         )
 
 
@@ -152,7 +163,7 @@ class VerificationReport:
         return report
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":
@@ -184,7 +195,7 @@ def reports_to_json(reports: list[VerificationReport], config: RunConfig) -> str
         "reports": [r.to_dict() for r in reports],
         "overall_pass": all(r.overall_pass for r in reports),
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def reports_to_text(reports: list[VerificationReport]) -> str:

@@ -9,11 +9,14 @@ metric. The O'Neill tensors evaluate
     T_E F = H nabla_{VE} (VF) + V nabla_{VE} (HF)
 
 literally: VF and HF are genuine fields whose projections are recomputed at
-every stencil point.
+every stencil point. Both are differentiated in one stencil pass over the
+stacked field [VF, HF], so F and its splitting are evaluated once per
+stencil point.
 
-Inside an ``evaluation_scope()`` each splitting is computed once per context
-and exact coordinates, then shared; stencil points still get their own
-splittings, so nothing is frozen at the base point.
+Inside an ``evaluation_scope()`` each splitting and each dilation is
+computed once per context and exact coordinates, then shared; stencil
+points still get their own splittings, so nothing is frozen at the base
+point.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 
 from .connection import (
     ChristoffelAt,
+    _covariant_from_partials,
     christoffel,
-    covariant_derivative_dir,
     lie_bracket,
     metric_orthogonal_projector,
 )
@@ -158,13 +161,14 @@ class SubmersionContext:
     conf_tol: float = 1e-6
 
     def splitting_at(self, coords) -> Splitting:
-        coords = np.array(coords, dtype=float)  # a copy: the Splitting makes it read-only
+        coords = np.asarray(coords, dtype=float)
         memo = _MEMO.get()
         if memo is None:
             return self._splitting(coords)
         return _memoized(memo, self, coords.tobytes(), self._splitting, coords)
 
     def _splitting(self, coords: Array) -> Splitting:
+        coords = np.array(coords)  # a copy: the Splitting makes it read-only
         # a copy: an analytic jac may hand out the same array on every call
         J = np.array(self.map.jacobian_at(coords, self.engine))
         g = self.map.source.metric_at(coords, check=False)
@@ -190,19 +194,27 @@ class SubmersionContext:
         return TangentVector(p, vert), TangentVector(p, v.components - vert)
 
     def dilation(self, p: Point) -> DilationEstimate:
-        s = self.splitting_at(p.coords)
-        g_target = self.map.target.metric_at(self(p), check=False)
+        """Inside an evaluation scope, memoized by context and exact coordinates."""
+        coords = np.asarray(p.coords, dtype=float)
+        memo = _MEMO.get()
+        if memo is None:
+            return self._dilation(coords)
+        return _memoized(memo, self, ("dilation", coords.tobytes()), self._dilation, coords)
+
+    def _dilation(self, coords: Array) -> DilationEstimate:
+        s = self.splitting_at(coords)
+        g_target = self.map.target.metric_at(self.map(coords), check=False)
         jh = s.jacobian @ s.horizontal
         q = jh.T @ g_target @ jh
         evals = np.linalg.eigvalsh(q)
         if evals[0] <= 0.0:
             raise RankError(
-                f"pullback metric degenerate on horizontal space at {p.coords}",
+                f"pullback metric degenerate on horizontal space at {coords}",
                 rank=s.rank,
                 singular_values=s.singular_values,
             )
         lam_sq = float(np.trace(q)) / q.shape[0]
-        return DilationEstimate(p.coords, lam_sq, float(evals[-1] / evals[0]))
+        return DilationEstimate(s.coords, lam_sq, float(evals[-1] / evals[0]))
 
     def __call__(self, p: Point) -> Array:
         return self.map(p.coords)
@@ -226,17 +238,28 @@ def _oneill(
     p: Point,
     gamma: Optional[ChristoffelAt],
 ) -> TangentVector:
-    """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at p."""
+    """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at p.
+
+    VF and HF are differentiated in one stencil pass over c -> [VF(c), HF(c)];
+    the stencils act elementwise, so each slice equals its own pass bit for bit.
+    """
     M, engine = ctx.map.source, ctx.engine
     s = ctx.splitting_at(p.coords)
     direction = part(s, E(p.coords))
     if gamma is None:
         gamma = christoffel(M, engine, p)
-    d_vert = covariant_derivative_dir(M, engine, direction, ctx.vertical_field(F), p, gamma)
-    d_horiz = covariant_derivative_dir(M, engine, direction, ctx.horizontal_field(F), p, gamma)
-    return TangentVector(
-        p, s.horizontal_part(d_vert.components) + s.vertical_part(d_horiz.components)
-    )
+
+    def split(c):
+        f = F(c)
+        v = ctx.splitting_at(c).vertical_part(f)
+        return v, f - v
+
+    d = engine.partials(lambda c: np.array(split(c)), p.coords, M.lower, M.upper)
+    v, h = split(p.coords)
+    # contiguous slices, so each product is the same call as for a lone field
+    d_vert = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 0]), v, gamma)
+    d_horiz = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 1]), h, gamma)
+    return TangentVector(p, s.horizontal_part(d_vert) + s.vertical_part(d_horiz))
 
 
 def oneill_a(

@@ -1,6 +1,8 @@
 """The pointwise memo of evaluation_scope: same numbers, per-point splittings,
 metrics and Christoffel symbols, nesting, lifetime, errors, read-only
-entries and Jacobian reuse."""
+entries and Jacobian reuse; dilations; the one-pass O'Neill tensors."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from warpgeo import (
     ScalarField,
     SmoothMap,
     SubmersionContext,
+    VectorField,
     WarpPositivityError,
     build_warped_product,
     christoffel,
@@ -21,8 +24,12 @@ from warpgeo import (
     oneill_a,
     oneill_t,
 )
+from warpgeo.conformal_warped import rescaled_context
+from warpgeo.connection import covariant_derivative_dir
+from warpgeo.fd import SCHEMES
 from warpgeo.fields import vector_field_library
 from warpgeo.scenarios import build_objects
+from warpgeo.submersion import Splitting, fiber_mean_curvature
 from warpgeo.suites import splitting_records
 from warpgeo.warped import projection_map
 
@@ -240,3 +247,150 @@ def test_metric_and_christoffel_memo_is_dropped_on_exit(cws):
     with evaluation_scope():
         assert M.metric_at(COORDS) is not g
         assert christoffel(M, ENGINE, p).gamma is not gamma
+
+
+# -- O'Neill tensors: one stencil pass for VF and HF -----------------------
+
+
+def _two_pass_oneill(ctx, part, E, F, p, gamma):
+    """The O'Neill tensor with VF and HF differentiated in separate passes."""
+    M = ctx.map.source
+    s = ctx.splitting_at(p.coords)
+    direction = part(s, E(p.coords))
+    d_vert = covariant_derivative_dir(M, ctx.engine, direction, ctx.vertical_field(F), p, gamma)
+    d_horiz = covariant_derivative_dir(M, ctx.engine, direction, ctx.horizontal_field(F), p,
+                                       gamma)
+    return s.horizontal_part(d_vert.components) + s.vertical_part(d_horiz.components)
+
+
+def _oneill_outputs(ctx, p, stacked):
+    """A, T and the fiber mean curvature at p, stacked or from the reference."""
+    M = ctx.map.source
+    gamma = christoffel(M, ctx.engine, p)
+    E, F = vector_field_library(M, np.random.default_rng(11), 2)
+    basis = ctx.splitting_at(p.coords).vertical
+    if stacked:
+        return [oneill_a(ctx, E, F, p, gamma).components,
+                oneill_t(ctx, E, F, p, gamma).components,
+                fiber_mean_curvature(ctx, basis, p, gamma)]
+    acc = np.zeros(basis.shape[0])
+    for column in basis.T:
+        u = VectorField.constant(column)
+        acc += _two_pass_oneill(ctx, Splitting.vertical_part, u, u, p, gamma)
+    return [_two_pass_oneill(ctx, Splitting.horizontal_part, E, F, p, gamma),
+            _two_pass_oneill(ctx, Splitting.vertical_part, E, F, p, gamma),
+            acc / max(basis.shape[1], 1)]
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scenario", ["cws-variable-dilation", "exp-spiral-r4"])
+def test_stacked_oneill_is_bit_identical_to_two_passes(scenario, scheme, scoped):
+    objs = build_objects(scenario, DiffEngine(scheme=scheme))
+    ctx = objs["ctx"]
+    p = ctx.map.source.point(0.5 * (objs["sample_lower"] + objs["sample_upper"]) + 0.05)
+    reference = _oneill_outputs(ctx, p, stacked=False)
+    with evaluation_scope() if scoped else nullcontext():
+        stacked = _oneill_outputs(ctx, p, stacked=True)
+    for want, got in zip(reference, stacked):
+        assert np.any(want != 0.0)
+        assert np.array_equal(want, got)
+
+
+def test_oneill_makes_one_partials_call(monkeypatch):
+    objs = build_objects("exp-spiral-r4", ENGINE)  # analytic Jacobian: no FD splittings
+    ctx = objs["ctx"]
+    M = ctx.map.source
+    p = M.point([0.2, -0.1, 0.3, 0.4])
+    gamma = christoffel(M, ENGINE, p)
+    E, F = vector_field_library(M, np.random.default_rng(3), 2)
+    basis = ctx.splitting_at(p.coords).vertical
+    calls = []
+    partials = DiffEngine.partials
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return partials(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiffEngine, "partials", counting)
+    oneill_a(ctx, E, F, p, gamma)
+    assert len(calls) == 1
+    oneill_t(ctx, E, F, p, gamma)
+    assert len(calls) == 2
+    fiber_mean_curvature(ctx, basis, p, gamma)
+    assert len(calls) == 2 + basis.shape[1]
+
+
+# -- dilations ---------------------------------------------------------------
+
+
+def _dilations(ctx, points):
+    return [(d.coords, d.lambda_sq, d.anisotropy) for d in (ctx.dilation(p) for p in points)]
+
+
+def test_dilation_bit_identical_inside_and_outside_scope(cws):
+    contexts = (cws.ctx, cws.ctx1, cws.ctx2)
+    points = [[ctx.map.source.point(COORDS[: ctx.map.source.dim] * t) for t in (0.5, 1.0)]
+              for ctx in contexts]
+    outside = [_dilations(ctx, pts) for ctx, pts in zip(contexts, points)]
+    with evaluation_scope():
+        for _ in range(2):  # the second round is served from the memo
+            inside = [_dilations(ctx, pts) for ctx, pts in zip(contexts, points)]
+            for want, got in zip(outside, inside):
+                for (c0, l0, a0), (c1, l1, a1) in zip(want, got):
+                    assert np.array_equal(c0, c1) and l0 == l1 and a0 == a1
+
+
+def test_degenerate_pullback_rank_error_is_raised_on_every_call():
+    map_calls = []
+
+    def fn(c):
+        map_calls.append(1)
+        return np.array([c[0]])
+
+    M = ChartManifold.euclidean(2, [-1, -1], [1, 1])
+    # a target metric that vanishes: the pullback on the horizontal line is zero
+    N = ChartManifold(1, [-2.0], [2.0], lambda c: np.zeros((1, 1)))
+    ctx = SubmersionContext(SmoothMap(M, N, fn, lambda c: np.array([[1.0, 0.0]])), ENGINE)
+    p = M.point([0.2, 0.3])
+    with evaluation_scope():
+        for _ in range(3):
+            with pytest.raises(RankError, match="pullback metric degenerate"):
+                ctx.dilation(p)
+    assert len(map_calls) == 3
+
+
+def test_dilation_memo_is_keyed_by_context(cws):
+    p = cws.source.ambient.point(COORDS)
+    plain, offset = rescaled_context(cws, 0.0), rescaled_context(cws, 0.1)
+    want = [ctx.dilation(p).lambda_sq for ctx in (plain, offset)]
+    assert want[0] != want[1]
+    with evaluation_scope():
+        assert [ctx.dilation(p).lambda_sq for ctx in (plain, offset)] == want
+
+
+def test_dilation_memo_is_dropped_on_exit(cws):
+    ctx = cws.ctx
+    p = ctx.map.source.point(COORDS)
+    assert ctx.dilation(p) is not ctx.dilation(p)
+    with evaluation_scope():
+        kept = ctx.dilation(p)
+        assert ctx.dilation(p) is kept
+        assert ctx.dilation(ctx.map.source.point(COORDS.copy())) is kept
+    assert ctx.dilation(p) is not kept
+    with evaluation_scope():
+        assert ctx.dilation(p) is not kept
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+def test_dilation_coords_read_only_and_caller_coords_writable(cws, scoped):
+    ctx = cws.ctx
+    p = ctx.map.source.point(COORDS.copy())
+    with evaluation_scope() if scoped else nullcontext():
+        d = ctx.dilation(p)
+    assert np.array_equal(d.coords, COORDS)
+    with pytest.raises(ValueError):
+        d.coords[0] = 1.0
+    assert p.coords.flags.writeable
+    p.coords[0] = 0.0  # the caller's array stays its own
+    assert d.coords[0] == COORDS[0]

@@ -1,9 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from warpgeo import CheckRecord, ConfigurationError, RunConfig, VerificationReport
-from warpgeo.report import ResidualCheck, reports_to_json, reports_to_text
+from warpgeo import (
+    ChartManifold,
+    CheckRecord,
+    ConfigurationError,
+    DiffEngine,
+    RunConfig,
+    VerificationReport,
+)
+from warpgeo.report import NON_FINITE_NOTE, ResidualCheck, reports_to_json, reports_to_text
+from warpgeo.suites import engine_health_records
 
 
 def make_report():
@@ -91,3 +100,33 @@ def test_inconsistent_overall_rejected():
     doc["overall_pass"] = False
     with pytest.raises(ConfigurationError):
         VerificationReport.from_dict(doc)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_failed_sample_serializes_as_strict_json():
+    M = ChartManifold.euclidean(2, [0, 0], [1, 1])
+    # too close to the boundary for any stencil: each check records a failed sample
+    records = engine_health_records(M, DiffEngine(), [M.point([1e-12, 0.5])],
+                                    np.random.default_rng(0))
+    assert [r.max_residual for r in records] == [np.inf, np.inf]
+    assert not any(r.passed for r in records)
+    assert all(NON_FINITE_NOTE in r.notes and "error at" in r.notes for r in records)
+    report = VerificationReport("edge", "failed sample", RunConfig().to_dict(), records)
+    for text in (report.to_json(), reports_to_json([report], RunConfig())):
+        assert "Infinity" not in text and "NaN" not in text
+        doc = json.loads(text, parse_constant=_reject_constant)
+        checks = doc["checks"] if "checks" in doc else doc["reports"][0]["checks"]
+        assert [c["max_residual"] for c in checks] == [None, None]
+    clone = VerificationReport.from_json(report.to_json())
+    assert clone == report
+    assert clone.to_json() == report.to_json()
+
+
+def test_non_finite_residual_never_reaches_the_json_text():
+    record = CheckRecord("nan", 1, float("nan"), 1e-6, False)
+    assert record.to_dict()["max_residual"] is None
+    assert CheckRecord.from_dict(record.to_dict()).max_residual == np.inf
+    assert CheckRecord.from_dict(make_report().checks[0].to_dict()) == make_report().checks[0]
