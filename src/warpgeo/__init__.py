@@ -21,7 +21,6 @@ from .manifold import (
     ChartManifold,
     Point,
     ScalarField,
-    TangentVector,
     VectorField,
     evaluation_scope,
     gradient,
@@ -29,7 +28,6 @@ from .manifold import (
     partial_derivative,
 )
 from .connection import (
-    ChristoffelAt,
     SecondFundamentalFormAt,
     christoffel,
     coordinate_submanifold_form,
@@ -67,7 +65,6 @@ from .sampling import sample_points
 
 __all__ = [
     "ChartManifold",
-    "ChristoffelAt",
     "CheckRecord",
     "CompatibilityEntry",
     "CompatibilityReport",
@@ -88,7 +85,6 @@ __all__ = [
     "Splitting",
     "StencilError",
     "SubmersionContext",
-    "TangentVector",
     "VectorField",
     "VerificationReport",
     "WarpPositivityError",

@@ -236,17 +236,17 @@ def verify_first_factor_a_identity(
         for X1, Y1 in pairs1:
             Xl = lift(cws.source, "first", X1)
             Yl = lift(cws.source, "first", Y1)
-            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma).components
+            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma)
 
             inner = float(X1(c1) @ g1 @ Y1(c1))
             # convention A: everything on the first factor, then lifted
-            br1 = lie_bracket(engine, X1, Y1, p1).components
-            grad1 = vertical_gradient(cws.ctx1, inv_l1, p1).components
+            br1 = lie_bracket(engine, X1, Y1, p1)
+            grad1 = vertical_gradient(cws.ctx1, inv_l1, p1)
             rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
             rhs_a = np.concatenate([rhs_factor, np.zeros(cws.source.second.dim)])
             # convention B: bracket and vertical gradient on the product
-            br = lie_bracket(engine, Xl, Yl, p).components
-            grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p).components
+            br = lie_bracket(engine, Xl, Yl, p)
+            grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p)
             rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
 
             scale = residual_scale(lhs, rhs_a, rhs_b)
@@ -336,15 +336,15 @@ def verify_second_factor_a_identity(
         for X2, Y2 in pairs2:
             Xl = lift(cws.source, "second", X2)
             Yl = lift(cws.source, "second", Y2)
-            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma).components
+            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma)
 
-            a2_xy = oneill_a(cws.ctx2, X2, Y2, p2, gamma2).components
-            a2_yx = oneill_a(cws.ctx2, Y2, X2, p2, gamma2).components
+            a2_xy = oneill_a(cws.ctx2, X2, Y2, p2, gamma2)
+            a2_yx = oneill_a(cws.ctx2, Y2, X2, p2, gamma2)
             skew = np.concatenate([np.zeros(cws.source.first.dim), a2_xy - a2_yx])
             inner = float(X2(c2) @ g2 @ Y2(c2))
 
             for name, field in variants.items():
-                grad_v = vertical_gradient(cws.ctx, field, p).components
+                grad_v = vertical_gradient(cws.ctx, field, p)
                 rhs = 0.5 * (skew - lam2_sq * inner * grad_v)
                 worst[name] = max(
                     worst[name], np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs)
@@ -495,7 +495,7 @@ def fiber_geometry_report(
             for b in range(v2.shape[1]):
                 e1 = VectorField.constant(v1[:, a])
                 e2 = VectorField.constant(v2[:, b])
-                t_mixed = oneill_t(cws.ctx, e1, e2, p, gamma).components
+                t_mixed = oneill_t(cws.ctx, e1, e2, p, gamma)
                 mixed_check.add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
 
     records = []

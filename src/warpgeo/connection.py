@@ -2,8 +2,9 @@
 
 Christoffel symbols come from the coordinate formula
 Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) with metric partials
-taken by the finite-difference engine. Covariant derivatives, Lie brackets
-and second fundamental forms of coordinate-aligned submanifolds build on it.
+taken by the finite-difference engine, as the array gamma[k, i, j].
+Covariant derivatives, Lie brackets and second fundamental forms of
+coordinate-aligned submanifolds build on it and return component arrays.
 """
 
 from __future__ import annotations
@@ -14,29 +15,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fd import DiffEngine
-from .manifold import _MEMO, ChartManifold, Point, TangentVector, VectorField, _memoized
+from .manifold import ChartManifold, Point, VectorField, _memoized
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class ChristoffelAt:
-    """All Christoffel symbols at a point: gamma[k, i, j] = Gamma^k_ij."""
+def christoffel(M: ChartManifold, engine: DiffEngine, p: Point) -> Array:
+    """Christoffel symbols of M at p as gamma[k, i, j] = Gamma^k_ij.
 
-    point: Point
-    gamma: Array
-
-
-def christoffel(M: ChartManifold, engine: DiffEngine, p: Point) -> ChristoffelAt:
-    """Christoffel symbols of M at p; inside an evaluation scope gamma is
-    memoized by chart, exact coordinates and engine."""
+    Inside an evaluation scope the array is memoized by chart, exact
+    coordinates and engine, and is read-only."""
     coords = np.asarray(p.coords, dtype=float)
-    memo = _MEMO.get()
-    if memo is None:
-        gamma = _christoffel(M, engine, coords)
-    else:
-        gamma = _memoized(memo, M, (coords.tobytes(), engine), _christoffel, M, engine, coords)
-    return ChristoffelAt(p, gamma)
+    return _memoized(M, coords, engine, _christoffel, M, engine, coords)
 
 
 def _christoffel(M: ChartManifold, engine: DiffEngine, coords: Array) -> Array:
@@ -55,19 +45,19 @@ def covariant_derivative_dir(
     direction: Array,
     Y: VectorField,
     p: Point,
-    gamma: Optional[ChristoffelAt] = None,
-) -> TangentVector:
+    gamma: Optional[Array] = None,
+) -> Array:
     """nabla_v Y at p for a fixed direction v (tensorial slot)."""
     if gamma is None:
         gamma = christoffel(M, engine, p)
     direction = np.asarray(direction, dtype=float)
     dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)
-    return TangentVector(p, _covariant_from_partials(direction, dY, Y(p.coords), gamma))
+    return _covariant_from_partials(direction, dY, Y(p.coords), gamma)
 
 
-def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: ChristoffelAt) -> Array:
+def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: Array) -> Array:
     """v^i d_i Y^k + Gamma^k_ij v^i Y^j from dY[i, k] = d_i Y^k and y = Y(p)."""
-    return direction @ dY + np.einsum("kij,i,j->k", gamma.gamma, direction, y)
+    return direction @ dY + np.einsum("kij,i,j->k", gamma, direction, y)
 
 
 def covariant_derivative(
@@ -76,19 +66,18 @@ def covariant_derivative(
     X: VectorField,
     Y: VectorField,
     p: Point,
-    gamma: Optional[ChristoffelAt] = None,
-) -> TangentVector:
+    gamma: Optional[Array] = None,
+) -> Array:
     """nabla_X Y at p: X^i d_i Y^k + Gamma^k_ij X^i Y^j."""
     return covariant_derivative_dir(M, engine, X(p.coords), Y, p, gamma)
 
 
-def lie_bracket(engine: DiffEngine, X: VectorField, Y: VectorField, p: Point) -> TangentVector:
+def lie_bracket(engine: DiffEngine, X: VectorField, Y: VectorField, p: Point) -> Array:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     M = p.manifold
     dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)
     dX = engine.partials(X.fn, p.coords, M.lower, M.upper)
-    comp = X(p.coords) @ dY - Y(p.coords) @ dX
-    return TangentVector(p, comp)
+    return X(p.coords) @ dY - Y(p.coords) @ dX
 
 
 def metric_orthogonal_projector(g: Array, basis: Array) -> Array:
@@ -119,7 +108,7 @@ def coordinate_submanifold_form(
     engine: DiffEngine,
     tangent_axes: Sequence[int],
     p: Point,
-    gamma: Optional[ChristoffelAt] = None,
+    gamma: Optional[Array] = None,
 ) -> SecondFundamentalFormAt:
     """II and H of the submanifold obtained by freezing the other coordinates.
 
@@ -136,7 +125,7 @@ def coordinate_submanifold_form(
     values = np.empty((len(axes), len(axes), M.dim))
     for a, i in enumerate(axes):
         for b, j in enumerate(axes):
-            values[a, b] = normal_proj @ gamma.gamma[:, i, j]
+            values[a, b] = normal_proj @ gamma[:, i, j]
     induced = g[np.ix_(list(axes), list(axes))]
     mean = np.einsum("ab,abk->k", np.linalg.inv(induced), values) / len(axes)
     return SecondFundamentalFormAt(p, axes, values, mean)

@@ -1,9 +1,10 @@
-"""Coordinate charts, points, tangent vectors, fields and metric evaluation.
+"""Coordinate charts, points, fields and metric evaluation.
 
 A manifold here is a single global chart: an open axis-aligned box of
 coordinates together with a metric field mapping coordinates to a symmetric
 positive-definite matrix. Everything downstream (connections, submersions,
-warped products) is built from these atoms.
+warped products) is built from these atoms. A tangent vector is the plain
+array of its chart components.
 
 Inside an ``evaluation_scope()`` pointwise results (metrics, Christoffel
 symbols, splittings, dilations) are computed once per owner and exact
@@ -53,15 +54,21 @@ def evaluation_scope():
         _MEMO.reset(token)
 
 
-def _memoized(memo: dict, owner, key, compute, *args):
-    """``compute(*args)``, computed once per ``(owner, key)`` in ``memo``.
+def _memoized(owner, coords: Array, tag, compute, *args):
+    """``compute(*args)``; inside an evaluation scope, computed once per
+    ``owner``, exact ``coords`` and ``tag`` and then shared.
 
-    Array results are made read-only, because they are shared.
+    Outside a scope this is a plain call and builds no key. Array results
+    of a scope are made read-only, because they are shared.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return compute(*args)
     entry = memo.get(id(owner))
     if entry is None:
         entry = memo[id(owner)] = (owner, {})
     cache = entry[1]
+    key = (coords.tobytes(), tag)
     value = cache.get(key)
     if value is None:
         value = compute(*args)
@@ -69,6 +76,15 @@ def _memoized(memo: dict, owner, key, compute, *args):
             value.setflags(write=False)
         cache[key] = value
     return value
+
+
+def _as_vector(v, dim: int) -> Array:
+    """The components of a tangent vector given from outside, as a float
+    array of shape (dim,)."""
+    comps = np.asarray(v, dtype=float).reshape(-1)
+    if comps.shape != (dim,):
+        raise ValueError(f"components have shape {comps.shape}, expected ({dim},)")
+    return comps
 
 
 def _as_bound(value, dim: int, default: float) -> Array:
@@ -127,10 +143,7 @@ class ChartManifold:
         coordinates and ``check`` (so a hit never skips a requested check).
         """
         coords = np.asarray(coords, dtype=float)
-        memo = _MEMO.get()
-        if memo is None:
-            return self._metric(coords, check)
-        return _memoized(memo, self, (coords.tobytes(), check), self._metric, coords, check)
+        return _memoized(self, coords, check, self._metric, coords, check)
 
     def _metric(self, coords: Array, check: bool) -> Array:
         g = np.asarray(self.metric(coords), dtype=float)
@@ -155,31 +168,6 @@ class Point:
 
     manifold: ChartManifold
     coords: Array
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector attached to a point, in chart coordinates."""
-
-    base: Point
-    components: Array
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float).reshape(-1)
-        if comps.shape != (self.base.manifold.dim,):
-            raise ValueError(
-                f"components have shape {comps.shape}, expected ({self.base.manifold.dim},)"
-            )
-        object.__setattr__(self, "components", comps)
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.base, self.components + other.components)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.base, self.components - other.components)
-
-    def __rmul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(self.base, float(scalar) * self.components)
 
 
 @dataclass(frozen=True)
@@ -223,12 +211,13 @@ class VectorField:
         return VectorField(lambda c: comps)
 
 
-def metric_inner(M: ChartManifold, p: Point, u: TangentVector, v: TangentVector) -> float:
-    """g_p(u, v) = u^T g(p) v."""
+def metric_inner(M: ChartManifold, p: Point, u, v) -> float:
+    """g_p(u, v) = u^T g(p) v for component vectors u and v."""
+    u, v = _as_vector(u, M.dim), _as_vector(v, M.dim)
     if not M.contains(p.coords):
         raise DomainError(f"point {p.coords} outside domain")
     g = M.metric_at(p.coords)
-    return float(u.components @ g @ v.components)
+    return float(u @ g @ v)
 
 
 def partial_derivative(engine: DiffEngine, field, p: Point, axis: int):
@@ -251,13 +240,13 @@ def scalar_partials(engine: DiffEngine, phi: ScalarField, p: Point) -> Array:
     return engine.partials(phi.fn, p.coords, M.lower, M.upper)
 
 
-def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, p: Point) -> TangentVector:
+def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, p: Point) -> Array:
     """Metric gradient: components g^{kl} d_l(phi)."""
     if not M.contains(p.coords):
         raise DomainError(f"point {p.coords} outside domain")
     dphi = scalar_partials(engine, phi, p)
     g = M.metric_at(p.coords)
-    return TangentVector(p, np.linalg.solve(g, dphi))
+    return np.linalg.solve(g, dphi)
 
 
 def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, points) -> float:

@@ -110,16 +110,21 @@ class ResidualCheck:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
+        """The largest residual, or NaN when any residual is NaN."""
+        return float(np.max(self.residuals)) if self.residuals else 0.0
 
     def record(self) -> CheckRecord:
-        raw_pass = self.max_residual <= self.tolerance
+        """The check's record. A NaN residual compared nothing, so it fails
+        the check, also one that is expected to fail."""
+        worst = self.max_residual
+        raw_pass = worst <= self.tolerance
         passed = (not raw_pass) if self.expected_fail else raw_pass
-        notes = self.notes + ([] if np.isfinite(self.max_residual) else [NON_FINITE_NOTE])
+        passed = passed and not np.isnan(worst)
+        notes = self.notes + ([] if np.isfinite(worst) else [NON_FINITE_NOTE])
         return CheckRecord(
             check_id=self.check_id,
             n_samples=len(self.residuals),
-            max_residual=self.max_residual,
+            max_residual=worst,
             tolerance=self.tolerance,
             passed=passed,
             expected_fail=self.expected_fail,

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .connection import (
-    ChristoffelAt,
     _covariant_from_partials,
     christoffel,
     lie_bracket,
@@ -36,12 +35,11 @@ from .connection import (
 from .errors import ConformalityError, DomainError, RankError
 from .fd import DiffEngine
 from .manifold import (
-    _MEMO,
     ChartManifold,
     Point,
     ScalarField,
-    TangentVector,
     VectorField,
+    _as_vector,
     _memoized,
     analytic_fd_gap,
     gradient,
@@ -83,10 +81,14 @@ class SmoothMap:
         return analytic_fd_gap(self.source, engine, self.fn, self.jac, points)
 
 
-def pushforward(F: SmoothMap, engine: DiffEngine, p: Point, v: TangentVector) -> TangentVector:
-    """F_* v = J(p) v, based at F(p)."""
+def pushforward(F: SmoothMap, engine: DiffEngine, p: Point, v) -> Array:
+    """F_* v = J(p) v, the components at F(p) of the component vector v.
+
+    Raises DomainError when F(p) leaves the target chart."""
+    v = _as_vector(v, F.source.dim)
     J = F.jacobian_at(p.coords, engine)
-    return TangentVector(F.image_point(p), J @ v.components)
+    F.image_point(p)  # the target chart check
+    return J @ v
 
 
 def identity_map(M: ChartManifold) -> SmoothMap:
@@ -162,10 +164,7 @@ class SubmersionContext:
 
     def splitting_at(self, coords) -> Splitting:
         coords = np.asarray(coords, dtype=float)
-        memo = _MEMO.get()
-        if memo is None:
-            return self._splitting(coords)
-        return _memoized(memo, self, coords.tobytes(), self._splitting, coords)
+        return _memoized(self, coords, "splitting", self._splitting, coords)
 
     def _splitting(self, coords: Array) -> Splitting:
         coords = np.array(coords)  # a copy: the Splitting makes it read-only
@@ -188,18 +187,16 @@ class SubmersionContext:
         horizontal = _gram_schmidt(complement, g)
         return Splitting(coords, vertical, horizontal, projector, rank, s, J)
 
-    def split(self, p: Point, v: TangentVector) -> tuple[TangentVector, TangentVector]:
-        s = self.splitting_at(p.coords)
-        vert = s.vertical_part(v.components)
-        return TangentVector(p, vert), TangentVector(p, v.components - vert)
+    def split(self, p: Point, v) -> tuple[Array, Array]:
+        """The vertical and horizontal parts of the component vector v at p."""
+        v = _as_vector(v, self.map.source.dim)
+        vert = self.splitting_at(p.coords).vertical_part(v)
+        return vert, v - vert
 
     def dilation(self, p: Point) -> DilationEstimate:
         """Inside an evaluation scope, memoized by context and exact coordinates."""
         coords = np.asarray(p.coords, dtype=float)
-        memo = _MEMO.get()
-        if memo is None:
-            return self._dilation(coords)
-        return _memoized(memo, self, ("dilation", coords.tobytes()), self._dilation, coords)
+        return _memoized(self, coords, "dilation", self._dilation, coords)
 
     def _dilation(self, coords: Array) -> DilationEstimate:
         s = self.splitting_at(coords)
@@ -236,8 +233,8 @@ def _oneill(
     E: VectorField,
     F: VectorField,
     p: Point,
-    gamma: Optional[ChristoffelAt],
-) -> TangentVector:
+    gamma: Optional[Array],
+) -> Array:
     """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at p.
 
     VF and HF are differentiated in one stencil pass over c -> [VF(c), HF(c)];
@@ -259,7 +256,7 @@ def _oneill(
     # contiguous slices, so each product is the same call as for a lone field
     d_vert = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 0]), v, gamma)
     d_horiz = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 1]), h, gamma)
-    return TangentVector(p, s.horizontal_part(d_vert) + s.vertical_part(d_horiz))
+    return s.horizontal_part(d_vert) + s.vertical_part(d_horiz)
 
 
 def oneill_a(
@@ -267,8 +264,8 @@ def oneill_a(
     E: VectorField,
     F: VectorField,
     p: Point,
-    gamma: Optional[ChristoffelAt] = None,
-) -> TangentVector:
+    gamma: Optional[Array] = None,
+) -> Array:
     """A_E F with projections recomputed along the stencil."""
     return _oneill(ctx, Splitting.horizontal_part, E, F, p, gamma)
 
@@ -278,8 +275,8 @@ def oneill_t(
     E: VectorField,
     F: VectorField,
     p: Point,
-    gamma: Optional[ChristoffelAt] = None,
-) -> TangentVector:
+    gamma: Optional[Array] = None,
+) -> Array:
     """T_E F with projections recomputed along the stencil."""
     return _oneill(ctx, Splitting.vertical_part, E, F, p, gamma)
 
@@ -288,22 +285,21 @@ def fiber_mean_curvature(
     ctx: SubmersionContext,
     basis: Array,
     p: Point,
-    gamma: Optional[ChristoffelAt] = None,
+    gamma: Optional[Array] = None,
 ) -> Array:
     """Mean curvature at p of the fibers spanned by the columns of basis:
     T_u u averaged over the g-orthonormal columns u (zero for no columns)."""
     acc = np.zeros(basis.shape[0])
     for column in basis.T:
         u = VectorField.constant(column)
-        acc += oneill_t(ctx, u, u, p, gamma).components
+        acc += oneill_t(ctx, u, u, p, gamma)
     return acc / max(basis.shape[1], 1)
 
 
-def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, p: Point) -> TangentVector:
+def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, p: Point) -> Array:
     """Vertical part of the metric gradient of phi at p."""
     grad = gradient(ctx.map.source, ctx.engine, phi, p)
-    s = ctx.splitting_at(p.coords)
-    return TangentVector(p, s.vertical_part(grad.components))
+    return ctx.splitting_at(p.coords).vertical_part(grad)
 
 
 def conformal_a_formula(
@@ -312,7 +308,7 @@ def conformal_a_formula(
     Y: VectorField,
     p: Point,
     lambda_sq_field: Optional[ScalarField] = None,
-) -> TangentVector:
+) -> Array:
     """A_X Y = 1/2 { V[X, Y] - lambda^2 g(X, Y) grad_V(1/lambda^2) }.
 
     X and Y are replaced by their horizontal parts (as fields). Requires
@@ -330,7 +326,7 @@ def conformal_a_formula(
     Yh = ctx.horizontal_field(Y)
     bracket = lie_bracket(ctx.engine, Xh, Yh, p)
     s = ctx.splitting_at(p.coords)
-    v_bracket = s.vertical_part(bracket.components)
+    v_bracket = s.vertical_part(bracket)
 
     lam_field = lambda_sq_field if lambda_sq_field is not None else ctx.lambda_sq_field()
     inv_partials = None
@@ -340,8 +336,8 @@ def conformal_a_formula(
             return -np.asarray(lam_field.partials(c), dtype=float) / (val * val)
     inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c), inv_partials)
 
-    grad_v = vertical_gradient(ctx, inv_lambda_sq, p).components
+    grad_v = vertical_gradient(ctx, inv_lambda_sq, p)
     g = ctx.map.source.metric_at(p.coords, check=False)
     inner = float(Xh(p.coords) @ g @ Yh(p.coords))
     lam_sq = lam_field(p.coords)
-    return TangentVector(p, 0.5 * (v_bracket - lam_sq * inner * grad_v))
+    return 0.5 * (v_bracket - lam_sq * inner * grad_v)

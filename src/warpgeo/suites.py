@@ -52,10 +52,10 @@ def engine_health_records(
     for p in points:
         try:
             gamma = christoffel(M, engine, p)
-            dxy = covariant_derivative(M, engine, X, Y, p, gamma).components
-            dyx = covariant_derivative(M, engine, Y, X, p, gamma).components
-            br = lie_bracket(engine, X, Y, p).components
-            dxz = covariant_derivative(M, engine, X, Z, p, gamma).components
+            dxy = covariant_derivative(M, engine, X, Y, p, gamma)
+            dyx = covariant_derivative(M, engine, Y, X, p, gamma)
+            br = lie_bracket(engine, X, Y, p)
+            dxz = covariant_derivative(M, engine, X, Z, p, gamma)
             g = M.metric_at(p.coords)
             lhs = engine.directional(g_inner_field, p.coords, X(p.coords), M.lower, M.upper)
         except GeometryError as exc:
@@ -157,8 +157,8 @@ def a_crossval_records(
     for p in points:
         gamma = christoffel(M, ctx.engine, p)
         for X, Y in pairs:
-            a_direct = oneill_a(ctx, X, Y, p, gamma).components
-            a_formula = conformal_a_formula(ctx, X, Y, p, lambda_sq_field=lambda_sq_field).components
+            a_direct = oneill_a(ctx, X, Y, p, gamma)
+            a_formula = conformal_a_formula(ctx, X, Y, p, lambda_sq_field=lambda_sq_field)
             crossval.add(np.linalg.norm(a_direct - a_formula), residual_scale(a_direct, a_formula))
 
             # same horizontal vectors at p, different extensions
@@ -170,8 +170,8 @@ def a_crossval_records(
             y_mod = ctx.horizontal_field(
                 modulated(VectorField.constant(Y(p.coords)), M.dim - 1, p.coords)
             )
-            a_ext1 = oneill_a(ctx, x_const, y_const, p, gamma).components
-            a_ext2 = oneill_a(ctx, x_mod, y_mod, p, gamma).components
+            a_ext1 = oneill_a(ctx, x_const, y_const, p, gamma)
+            a_ext2 = oneill_a(ctx, x_mod, y_mod, p, gamma)
             extension.add(np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2))
             extension.add(np.linalg.norm(a_ext1 - a_direct), residual_scale(a_ext1, a_direct))
     return [crossval.record(), extension.record()]
@@ -202,9 +202,7 @@ def t_umbilicity_records(
         for _ in range(2):
             cu = basis @ rng.uniform(-1.0, 1.0, size=nv)
             cw = basis @ rng.uniform(-1.0, 1.0, size=nv)
-            t_val = oneill_t(
-                ctx, VectorField.constant(cu), VectorField.constant(cw), p, gamma
-            ).components
+            t_val = oneill_t(ctx, VectorField.constant(cu), VectorField.constant(cw), p, gamma)
             expected = float(cu @ g @ cw) * mean
             check.add(np.linalg.norm(t_val - expected), residual_scale(t_val, expected))
     return check.record()

@@ -227,6 +227,29 @@ def test_rescaling_to_riemannian(full_run):
     )
 
 
+# gated checks allowed to pass with n_samples = 0 at seed 42, with the reason
+VACUOUS_PASSES = {
+    ("cws-mixed-local", "mixed-fiber-geodesic"):
+        "the identity second factor has 0-dimensional fibers, so no mixed pair exists",
+}
+
+
+def test_no_gated_check_passes_without_samples(full_run):
+    reports, _ = full_run
+    vacuous = {
+        (r.scenario, c.check_id)
+        for r in reports.values()
+        for c in r.checks
+        if c.passed and not c.informational and c.n_samples == 0
+    }
+    _criterion(
+        "no vacuous passes",
+        vacuous == set(VACUOUS_PASSES),
+        f"passing gated checks with 0 samples: {sorted(vacuous)}; "
+        f"allowed: {sorted(VACUOUS_PASSES)}",
+    )
+
+
 def test_engine_health_and_determinism(full_run):
     reports, _ = full_run
     worst = 0.0

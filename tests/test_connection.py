@@ -34,11 +34,11 @@ def warped_line():
 def test_euclidean_christoffel_exactly_zero():
     M = ChartManifold.euclidean(3)
     gamma = christoffel(M, ENGINE, M.point([0.3, -0.8, 2.0]))
-    assert np.all(gamma.gamma == 0.0)
+    assert np.all(gamma == 0.0)
 
 
 def test_polar_christoffel_frozen_values(polar):
-    gamma = christoffel(polar, ENGINE, polar.point([2.0, 0.0])).gamma
+    gamma = christoffel(polar, ENGINE, polar.point([2.0, 0.0]))
     # symbolic Levi-Civita of diag(1, r^2): Gamma^r_tt = -r, Gamma^t_rt = 1/r
     assert gamma[0, 1, 1] == pytest.approx(-2.0, abs=1e-8)
     assert gamma[1, 0, 1] == pytest.approx(0.5, abs=1e-8)
@@ -57,12 +57,12 @@ def test_christoffel_matches_symbolic_oracle(polar, warped_line):
     for M, g_expr, syms, pts in cases:
         for coords in pts:
             want = symbolic_christoffel(g_expr, syms, coords)
-            got = christoffel(M, ENGINE, M.point(coords)).gamma
+            got = christoffel(M, ENGINE, M.point(coords))
             assert np.allclose(got, want, atol=1e-8)
 
 
 def test_warped_line_christoffel_frozen(warped_line):
-    gamma = christoffel(warped_line, ENGINE, warped_line.point([0.0, 0.0])).gamma
+    gamma = christoffel(warped_line, ENGINE, warped_line.point([0.0, 0.0]))
     assert gamma[1, 0, 1] == pytest.approx(1.0, abs=1e-8)   # Gamma^x_tx = 1
     assert gamma[0, 1, 1] == pytest.approx(-1.0, abs=1e-8)  # Gamma^t_xx = -1
 
@@ -71,7 +71,7 @@ def test_christoffel_lower_index_symmetry(polar):
     rng = np.random.default_rng(5)
     for _ in range(5):
         p = polar.point(rng.uniform([0.5, -3.0], [5.0, 3.0]))
-        gamma = christoffel(polar, ENGINE, p).gamma
+        gamma = christoffel(polar, ENGINE, p)
         scale = 1.0 + np.max(np.abs(gamma))
         assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) <= 1e-8 * scale
 
@@ -82,7 +82,7 @@ def test_covariant_derivative_constants_euclidean():
         M, ENGINE, VectorField.constant([1.0, 2.0]), VectorField.constant([3.0, -1.0]),
         M.point([0.5, 0.5]),
     )
-    assert np.allclose(out.components, 0.0)
+    assert np.allclose(out, 0.0)
 
 
 def test_covariant_derivative_warped_line_oracles(warped_line):
@@ -90,9 +90,9 @@ def test_covariant_derivative_warped_line_oracles(warped_line):
     p = warped_line.point([0.0, 0.0])
     dt = VectorField.coordinate(2, 0)
     dx = VectorField.coordinate(2, 1)
-    assert np.allclose(covariant_derivative(warped_line, ENGINE, dt, dx, p).components, [0, 1], atol=1e-8)
-    assert np.allclose(covariant_derivative(warped_line, ENGINE, dx, dx, p).components, [-1, 0], atol=1e-8)
-    assert np.allclose(covariant_derivative(warped_line, ENGINE, dx, dt, p).components, [0, 1], atol=1e-8)
+    assert np.allclose(covariant_derivative(warped_line, ENGINE, dt, dx, p), [0, 1], atol=1e-8)
+    assert np.allclose(covariant_derivative(warped_line, ENGINE, dx, dx, p), [-1, 0], atol=1e-8)
+    assert np.allclose(covariant_derivative(warped_line, ENGINE, dx, dt, p), [0, 1], atol=1e-8)
 
 
 def test_leibniz_rule(polar):
@@ -103,18 +103,18 @@ def test_leibniz_rule(polar):
     for _ in range(3):
         p = polar.point(rng.uniform([0.5, -3.0], [5.0, 3.0]))
         phiY = VectorField(lambda c: phi(c) * Y(c))
-        lhs = covariant_derivative(polar, ENGINE, X, phiY, p).components
+        lhs = covariant_derivative(polar, ENGINE, X, phiY, p)
         xphi = ENGINE.directional(phi.fn, p.coords, X(p.coords), polar.lower, polar.upper)
-        rhs = xphi * Y(p.coords) + phi(p.coords) * covariant_derivative(polar, ENGINE, X, Y, p).components
+        rhs = xphi * Y(p.coords) + phi(p.coords) * covariant_derivative(polar, ENGINE, X, Y, p)
         assert np.allclose(lhs, rhs, atol=1e-6 * (1 + np.max(np.abs(rhs))))
 
 
 def test_bilinear_in_direction(polar):
     p = polar.point([2.0, 1.0])
     Y = VectorField(lambda c: np.array([np.sin(c[1]), c[0]]))
-    d1 = covariant_derivative_dir(polar, ENGINE, [1.0, 0.0], Y, p).components
-    d2 = covariant_derivative_dir(polar, ENGINE, [0.0, 1.0], Y, p).components
-    mix = covariant_derivative_dir(polar, ENGINE, [2.0, -3.0], Y, p).components
+    d1 = covariant_derivative_dir(polar, ENGINE, [1.0, 0.0], Y, p)
+    d2 = covariant_derivative_dir(polar, ENGINE, [0.0, 1.0], Y, p)
+    mix = covariant_derivative_dir(polar, ENGINE, [2.0, -3.0], Y, p)
     assert np.allclose(mix, 2 * d1 - 3 * d2, atol=1e-9)
 
 
@@ -123,14 +123,14 @@ def test_lie_bracket_oracles():
     p = M.point([1.0, 1.0])
     d0 = VectorField.coordinate(2, 0)
     d1 = VectorField.coordinate(2, 1)
-    assert np.allclose(lie_bracket(ENGINE, d0, d1, p).components, 0.0)
+    assert np.allclose(lie_bracket(ENGINE, d0, d1, p), 0.0)
 
     rot = VectorField(lambda c: np.array([-c[1], c[0]]))
-    got = lie_bracket(ENGINE, rot, d0, p).components
+    got = lie_bracket(ENGINE, rot, d0, p)
     assert np.allclose(got, [0.0, -1.0], atol=1e-9)
-    assert np.allclose(lie_bracket(ENGINE, rot, rot, p).components, 0.0, atol=1e-12)
+    assert np.allclose(lie_bracket(ENGINE, rot, rot, p), 0.0, atol=1e-12)
     # antisymmetry
-    rev = lie_bracket(ENGINE, d0, rot, p).components
+    rev = lie_bracket(ENGINE, d0, rot, p)
     assert np.allclose(got, -rev, atol=1e-12)
 
 
@@ -139,9 +139,9 @@ def test_torsion_free_consistency(polar):
     X, Y = vector_field_library(polar, rng, 2)
     for _ in range(5):
         p = polar.point(rng.uniform([0.5, -3.0], [5.0, 3.0]))
-        dxy = covariant_derivative(polar, ENGINE, X, Y, p).components
-        dyx = covariant_derivative(polar, ENGINE, Y, X, p).components
-        br = lie_bracket(ENGINE, X, Y, p).components
+        dxy = covariant_derivative(polar, ENGINE, X, Y, p)
+        dyx = covariant_derivative(polar, ENGINE, Y, X, p)
+        br = lie_bracket(ENGINE, X, Y, p)
         scale = 1.0 + max(np.max(np.abs(dxy)), np.max(np.abs(dyx)), np.max(np.abs(br)))
         assert np.max(np.abs(dxy - dyx - br)) <= 1e-6 * scale
 
@@ -160,8 +160,8 @@ def test_metric_compatibility(polar):
         lhs = ENGINE.directional(inner_field, coords, X(coords), polar.lower, polar.upper)
         g = polar.metric_at(coords)
         rhs = float(
-            covariant_derivative(polar, ENGINE, X, Y, p).components @ g @ Z(coords)
-        ) + float(Y(coords) @ g @ covariant_derivative(polar, ENGINE, X, Z, p).components)
+            covariant_derivative(polar, ENGINE, X, Y, p) @ g @ Z(coords)
+        ) + float(Y(coords) @ g @ covariant_derivative(polar, ENGINE, X, Z, p))
         assert abs(lhs - rhs) <= 1e-5 * (1.0 + max(abs(lhs), abs(rhs)))
 
 

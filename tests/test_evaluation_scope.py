@@ -50,9 +50,9 @@ def _tensor_components(cws):
     E, F = vector_field_library(ctx.map.source, rng, 2)
     X, Y = (ctx1.horizontal_field(f) for f in vector_field_library(ctx1.map.source, rng, 2))
     return [
-        oneill_a(ctx, E, F, p).components,
-        oneill_t(ctx, E, F, p).components,
-        conformal_a_formula(ctx1, X, Y, p1).components,
+        oneill_a(ctx, E, F, p),
+        oneill_t(ctx, E, F, p),
+        conformal_a_formula(ctx1, X, Y, p1),
     ]
 
 
@@ -173,14 +173,14 @@ def test_projection_jacobian_stays_writable_after_splitting(cws):
 def test_metric_and_christoffel_bit_identical_inside_and_outside_scope(cws):
     charts = (cws.source.ambient, cws.source.first, cws.target.ambient)
     points = [M.point(COORDS[: M.dim] * 0.5) for M in charts]
-    outside = [(M.metric_at(p.coords), christoffel(M, ENGINE, p).gamma)
+    outside = [(M.metric_at(p.coords), christoffel(M, ENGINE, p))
                for M, p in zip(charts, points)]
     with evaluation_scope():
         for _ in range(2):  # the second round is served from the memo
             for (g, gamma), M, p in zip(outside, charts, points):
                 assert np.array_equal(M.metric_at(p.coords), g)
                 assert np.array_equal(M.metric_at(p.coords, check=False), g)
-                assert np.array_equal(christoffel(M, ENGINE, p).gamma, gamma)
+                assert np.array_equal(christoffel(M, ENGINE, p), gamma)
 
 
 def test_check_true_request_after_unchecked_entry_still_raises():
@@ -214,12 +214,12 @@ def test_each_engine_gets_its_own_christoffel_symbols(cws):
     M = cws.source.ambient
     p = M.point(COORDS)
     engines = (DiffEngine(scheme="central2"), DiffEngine(scheme="central4"))
-    outside = [christoffel(M, e, p).gamma for e in engines]
+    outside = [christoffel(M, e, p) for e in engines]
     assert not np.array_equal(*outside)
     with evaluation_scope():
         for _ in range(2):
             for e, gamma in zip(engines, outside):
-                assert np.array_equal(christoffel(M, e, p).gamma, gamma)
+                assert np.array_equal(christoffel(M, e, p), gamma)
 
 
 def test_memoized_metric_and_christoffel_are_read_only(cws):
@@ -227,12 +227,12 @@ def test_memoized_metric_and_christoffel_are_read_only(cws):
     p = M.point(COORDS)
     with evaluation_scope():
         g = M.metric_at(COORDS)
-        gamma = christoffel(M, ENGINE, p).gamma
+        gamma = christoffel(M, ENGINE, p)
         for a in (g, M.metric_at(COORDS, check=False), gamma):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
         assert M.metric_at(COORDS) is g
-        assert christoffel(M, ENGINE, p).gamma is gamma
+        assert christoffel(M, ENGINE, p) is gamma
 
 
 def test_metric_and_christoffel_memo_is_dropped_on_exit(cws):
@@ -241,12 +241,12 @@ def test_metric_and_christoffel_memo_is_dropped_on_exit(cws):
     assert M.metric_at(COORDS) is not M.metric_at(COORDS)
     with evaluation_scope():
         g = M.metric_at(COORDS)
-        gamma = christoffel(M, ENGINE, p).gamma
+        gamma = christoffel(M, ENGINE, p)
     assert M.metric_at(COORDS) is not g
-    assert christoffel(M, ENGINE, p).gamma is not gamma
+    assert christoffel(M, ENGINE, p) is not gamma
     with evaluation_scope():
         assert M.metric_at(COORDS) is not g
-        assert christoffel(M, ENGINE, p).gamma is not gamma
+        assert christoffel(M, ENGINE, p) is not gamma
 
 
 # -- O'Neill tensors: one stencil pass for VF and HF -----------------------
@@ -260,7 +260,7 @@ def _two_pass_oneill(ctx, part, E, F, p, gamma):
     d_vert = covariant_derivative_dir(M, ctx.engine, direction, ctx.vertical_field(F), p, gamma)
     d_horiz = covariant_derivative_dir(M, ctx.engine, direction, ctx.horizontal_field(F), p,
                                        gamma)
-    return s.horizontal_part(d_vert.components) + s.vertical_part(d_horiz.components)
+    return s.horizontal_part(d_vert) + s.vertical_part(d_horiz)
 
 
 def _oneill_outputs(ctx, p, stacked):
@@ -270,8 +270,8 @@ def _oneill_outputs(ctx, p, stacked):
     E, F = vector_field_library(M, np.random.default_rng(11), 2)
     basis = ctx.splitting_at(p.coords).vertical
     if stacked:
-        return [oneill_a(ctx, E, F, p, gamma).components,
-                oneill_t(ctx, E, F, p, gamma).components,
+        return [oneill_a(ctx, E, F, p, gamma),
+                oneill_t(ctx, E, F, p, gamma),
                 fiber_mean_curvature(ctx, basis, p, gamma)]
     acc = np.zeros(basis.shape[0])
     for column in basis.T:

@@ -9,11 +9,13 @@ from warpgeo import (
     DiffEngine,
     DomainError,
     ScalarField,
-    TangentVector,
+    SubmersionContext,
     VectorField,
     gradient,
+    identity_map,
     metric_inner,
     partial_derivative,
+    pushforward,
 )
 from warpgeo.manifold import check_scalar_field
 
@@ -31,21 +33,17 @@ def polar():
     return ChartManifold(2, [1e-6, -10.0], [10.0, 10.0], lambda c: np.diag([1.0, c[0] ** 2]), "polar")
 
 
-def tv(p, comps):
-    return TangentVector(p, comps)
-
-
 def test_metric_inner_euclidean():
     M = ChartManifold.euclidean(2)
     p = M.point([0.0, 0.0])
-    assert metric_inner(M, p, tv(p, [1, 0]), tv(p, [1, 0])) == 1.0
+    assert metric_inner(M, p, [1, 0], [1, 0]) == 1.0
     q = M.point([3.0, 4.0])
-    assert metric_inner(M, q, tv(q, [1, 0]), tv(q, [0, 1])) == 0.0
+    assert metric_inner(M, q, [1, 0], [0, 1]) == 0.0
 
 
 def test_metric_inner_polar(polar):
     p = polar.point([2.0, 0.0])
-    assert metric_inner(polar, p, tv(p, [0, 1]), tv(p, [0, 1])) == pytest.approx(4.0, abs=1e-12)
+    assert metric_inner(polar, p, [0, 1], [0, 1]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_point_outside_domain_raises(polar):
@@ -54,7 +52,7 @@ def test_point_outside_domain_raises(polar):
     inside = polar.point([1.0, 0.0])
     squeezed = ChartManifold.euclidean(2, [5.0, 5.0], [6.0, 6.0])
     with pytest.raises(DomainError):
-        metric_inner(squeezed, inside, tv(inside, [1, 0]), tv(inside, [1, 0]))
+        metric_inner(squeezed, inside, [1, 0], [1, 0])
 
 
 @pytest.mark.parametrize(
@@ -69,20 +67,20 @@ def test_degenerate_metric_raises(bad_metric):
     M = ChartManifold(2, [-1, -1], [1, 1], bad_metric)
     p = M.point([0.0, 0.0])
     with pytest.raises(DegenerateMetricError):
-        metric_inner(M, p, tv(p, [1, 0]), tv(p, [1, 0]))
+        metric_inner(M, p, [1, 0], [1, 0])
 
 
 def test_metric_inner_symmetric_bilinear(polar):
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = polar.point(rng.uniform([0.5, -3.0], [5.0, 3.0]))
-        u = tv(p, rng.uniform(-1, 1, 2))
-        v = tv(p, rng.uniform(-1, 1, 2))
+        u = rng.uniform(-1, 1, 2)
+        v = rng.uniform(-1, 1, 2)
         guv = metric_inner(polar, p, u, v)
         gvu = metric_inner(polar, p, v, u)
         scale = 1.0 + max(abs(guv), abs(gvu))
         assert abs(guv - gvu) <= 1e-12 * scale
-        w = tv(p, 2.5 * u.components - 0.5 * v.components)
+        w = 2.5 * u - 0.5 * v
         assert metric_inner(polar, p, w, v) == pytest.approx(
             2.5 * guv - 0.5 * metric_inner(polar, p, v, v), rel=1e-12, abs=1e-12
         )
@@ -102,16 +100,16 @@ def test_gradient_trivial_and_derived(engine, polar):
     M = ChartManifold.euclidean(2)
     p = M.point([0.7, -0.2])
     g = gradient(M, engine, ScalarField(lambda c: c[0]), p)
-    assert np.allclose(g.components, [1.0, 0.0], atol=1e-10)
+    assert np.allclose(g, [1.0, 0.0], atol=1e-10)
 
     warped = ChartManifold(2, None, None, lambda c: np.diag([1.0, np.exp(2 * c[0])]), "warped-line")
     p0 = warped.point([0.0, 0.0])
     g0 = gradient(warped, engine, ScalarField(lambda c: c[1]), p0)
-    assert np.allclose(g0.components, [0.0, 1.0], atol=1e-10)
+    assert np.allclose(g0, [0.0, 1.0], atol=1e-10)
 
     pp = polar.point([2.0, 0.0])
     gp = gradient(polar, engine, ScalarField(lambda c: c[1]), pp)
-    assert np.allclose(gp.components, [0.0, 0.25], atol=1e-10)
+    assert np.allclose(gp, [0.0, 0.25], atol=1e-10)
 
 
 def test_gradient_matches_symbolic_oracle(engine, polar):
@@ -120,7 +118,7 @@ def test_gradient_matches_symbolic_oracle(engine, polar):
     phi = ScalarField(lambda c: float(np.sin(c[1]) * c[0] ** 2))
     for coords in [(1.5, 0.3), (2.5, -1.1)]:
         want = symbolic_gradient([[1, 0], [0, r**2]], (r, th), phi_expr, coords)
-        got = gradient(polar, engine, phi, polar.point(coords)).components
+        got = gradient(polar, engine, phi, polar.point(coords))
         assert np.allclose(got, want, atol=1e-8)
 
 
@@ -133,10 +131,10 @@ def test_gradient_duality(engine, polar):
         w = rng.uniform(0.3, 1.0, 2)
         phi = ScalarField(lambda c, a=a, w=w: float(a @ c + np.sin(w @ c)))
         p = polar.point(coords)
-        v = tv(p, rng.uniform(-1, 1, 2))
+        v = rng.uniform(-1, 1, 2)
         df = gradient(polar, engine, phi, p)
         lhs = metric_inner(polar, p, df, v)
-        rhs = engine.directional(phi.fn, coords, v.components, polar.lower, polar.upper)
+        rhs = engine.directional(phi.fn, coords, v, polar.lower, polar.upper)
         assert abs(lhs - rhs) <= 1e-5 * (1.0 + max(abs(lhs), abs(rhs)))
 
 
@@ -152,9 +150,9 @@ def test_gradient_duality_property(x, y, a, b):
     M = ChartManifold(2, [-2, -2], [2, 2], lambda c: np.diag([1.0, np.exp(2 * c[0])]))
     phi = ScalarField(lambda c: float(a * c[0] + b * np.cos(c[1])))
     p = M.point([x, y])
-    v = tv(p, [b, a])
+    v = np.array([b, a])
     lhs = metric_inner(M, p, gradient(M, engine, phi, p), v)
-    rhs = engine.directional(phi.fn, p.coords, v.components, M.lower, M.upper)
+    rhs = engine.directional(phi.fn, p.coords, v, M.lower, M.upper)
     assert abs(lhs - rhs) <= 1e-5 * (1.0 + max(abs(lhs), abs(rhs)))
 
 
@@ -174,13 +172,20 @@ def test_gradient_uses_analytic_partials(engine):
     M = ChartManifold.euclidean(2)
     phi = ScalarField(lambda c: 0.0, lambda c: np.array([1.0, 0.0]))
     g = gradient(M, engine, phi, M.point([0.3, 0.4]))
-    assert np.allclose(g.components, [1.0, 0.0])
+    assert np.allclose(g, [1.0, 0.0])
 
 
-def test_tangent_vector_shape_and_ops():
+def test_vector_entry_points_reject_wrong_length():
     M = ChartManifold.euclidean(2)
     p = M.point([0.0, 0.0])
-    with pytest.raises(ValueError):
-        TangentVector(p, [1.0, 2.0, 3.0])
-    v = tv(p, [1.0, 2.0]) + 2.0 * tv(p, [1.0, 0.0]) - tv(p, [0.0, 1.0])
-    assert np.allclose(v.components, [3.0, 1.0])
+    with pytest.raises(ValueError, match=r"expected \(2,\)"):
+        metric_inner(M, p, [1.0, 2.0, 3.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"expected \(2,\)"):
+        metric_inner(M, p, [1.0, 0.0], [1.0])
+    ctx = SubmersionContext(identity_map(M), DiffEngine())
+    with pytest.raises(ValueError, match=r"expected \(2,\)"):
+        pushforward(ctx.map, ctx.engine, p, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"expected \(2,\)"):
+        ctx.split(p, [1.0])
+    # a column vector is flattened, not refused
+    assert metric_inner(M, p, [[1.0], [2.0]], [3.0, 4.0]) == 11.0

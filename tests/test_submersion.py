@@ -9,7 +9,6 @@ from warpgeo import (
     ScalarField,
     SmoothMap,
     SubmersionContext,
-    TangentVector,
     VectorField,
     build_warped_product,
     conformal_a_formula,
@@ -46,27 +45,27 @@ def warped_line():
 def test_pushforward_identity():
     M = ChartManifold.euclidean(3)
     p = M.point([0.1, 0.2, 0.3])
-    v = TangentVector(p, [1.0, -2.0, 0.5])
+    v = np.array([1.0, -2.0, 0.5])
     out = pushforward(identity_map(M), ENGINE, p, v)
-    assert np.allclose(out.components, v.components)
+    assert np.allclose(out, v)
 
 
 def test_pushforward_spiral_at_origin(spiral):
     p = spiral.map.source.point([0.0, 0.0, 0.0, 0.0])
-    d3 = pushforward(spiral.map, ENGINE, p, TangentVector(p, [0, 0, 1, 0]))
-    assert np.allclose(d3.components, [0.0, 1.0], atol=1e-14)
-    d1 = pushforward(spiral.map, ENGINE, p, TangentVector(p, [1, 0, 0, 0]))
-    assert np.allclose(d1.components, 0.0)
+    d3 = pushforward(spiral.map, ENGINE, p, [0, 0, 1, 0])
+    assert np.allclose(d3, [0.0, 1.0], atol=1e-14)
+    d1 = pushforward(spiral.map, ENGINE, p, [1, 0, 0, 0])
+    assert np.allclose(d1, 0.0)
 
 
 def test_pushforward_linear(spiral):
     p = spiral.map.source.point([0.1, 0.2, 0.3, 0.4])
-    u = TangentVector(p, [1.0, 0.0, 0.5, -0.5])
-    v = TangentVector(p, [0.0, 1.0, -1.0, 2.0])
-    pu = pushforward(spiral.map, ENGINE, p, u).components
-    pv = pushforward(spiral.map, ENGINE, p, v).components
-    mix = pushforward(spiral.map, ENGINE, p, TangentVector(p, 2 * u.components + v.components))
-    assert np.allclose(mix.components, 2 * pu + pv, atol=1e-12)
+    u = np.array([1.0, 0.0, 0.5, -0.5])
+    v = np.array([0.0, 1.0, -1.0, 2.0])
+    pu = pushforward(spiral.map, ENGINE, p, u)
+    pv = pushforward(spiral.map, ENGINE, p, v)
+    mix = pushforward(spiral.map, ENGINE, p, 2 * u + v)
+    assert np.allclose(mix, 2 * pu + pv, atol=1e-12)
 
 
 def test_jacobian_check_flags_wrong_analytic():
@@ -81,19 +80,19 @@ def test_jacobian_check_flags_wrong_analytic():
 
 def test_split_vertical_input(spiral):
     p = spiral.map.source.point([0.0, 0.0, 0.0, 0.0])
-    vert, horiz = spiral.split(p, TangentVector(p, [1.0, 2.0, 0.0, 0.0]))
-    assert np.allclose(vert.components, [1.0, 2.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(horiz.components, 0.0, atol=1e-12)
+    vert, horiz = spiral.split(p, [1.0, 2.0, 0.0, 0.0])
+    assert np.allclose(vert, [1.0, 2.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(horiz, 0.0, atol=1e-12)
 
 
 def test_split_mixed_input_and_idempotence(spiral):
     p = spiral.map.source.point([0.0, 0.0, 0.0, 0.0])
-    vert, horiz = spiral.split(p, TangentVector(p, [1.0, 0.0, 1.0, 0.0]))
-    assert np.allclose(vert.components, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(horiz.components, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+    vert, horiz = spiral.split(p, [1.0, 0.0, 1.0, 0.0])
+    assert np.allclose(vert, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(horiz, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
     vert2, horiz2 = spiral.split(p, horiz)
-    assert np.allclose(vert2.components, 0.0, atol=1e-12)
-    assert np.allclose(horiz2.components, horiz.components, atol=1e-12)
+    assert np.allclose(vert2, 0.0, atol=1e-12)
+    assert np.allclose(horiz2, horiz, atol=1e-12)
 
 
 def test_split_invariants_random_points(spiral):
@@ -101,15 +100,14 @@ def test_split_invariants_random_points(spiral):
     M = spiral.map.source
     for _ in range(5):
         coords = rng.uniform(-0.9, 0.9, 4)
-        p = M.point(coords)
-        v = TangentVector(p, rng.uniform(-1, 1, 4))
+        v = rng.uniform(-1, 1, 4)
         s = spiral.splitting_at(coords)
-        vert = s.vertical_part(v.components)
-        horiz = s.horizontal_part(v.components)
+        vert = s.vertical_part(v)
+        horiz = s.horizontal_part(v)
         g = M.metric_at(coords)
         J = spiral.map.jacobian_at(coords, ENGINE)
-        scale = 1.0 + np.max(np.abs(v.components))
-        assert np.max(np.abs(v.components - vert - horiz)) <= 1e-10 * scale
+        scale = 1.0 + np.max(np.abs(v))
+        assert np.max(np.abs(v - vert - horiz)) <= 1e-10 * scale
         assert np.max(np.abs(J @ vert)) <= 1e-8 * (1.0 + np.max(np.abs(J)))
         assert abs(vert @ g @ horiz) <= 1e-8 * scale
         assert s.rank == 2 and s.vertical.shape[1] == 2 and s.horizontal.shape[1] == 2
@@ -181,7 +179,7 @@ def test_oneill_a_vertical_direction_vanishes(spiral):
     vertical = VectorField.constant([1.0, 0.5, 0.0, 0.0])
     F = VectorField(lambda c: np.array([c[2], 0.1, np.sin(c[3]), 1.0]))
     out = oneill_a(spiral, vertical, F, p)
-    assert np.allclose(out.components, 0.0, atol=1e-10)
+    assert np.allclose(out, 0.0, atol=1e-10)
 
 
 def test_oneill_a_warped_projection_lifted_fields(warped_line):
@@ -190,7 +188,7 @@ def test_oneill_a_warped_projection_lifted_fields(warped_line):
     Y = lift(warped_line, "first", VectorField(lambda c: np.array([c[0] ** 2 + 1.0])))
     p = warped_line.point([0.4], [0.2])
     out = oneill_a(ctx, X, Y, p)
-    assert np.allclose(out.components, 0.0, atol=1e-9)
+    assert np.allclose(out, 0.0, atol=1e-9)
 
 
 def test_oneill_t_horizontal_direction_vanishes(warped_line):
@@ -199,7 +197,7 @@ def test_oneill_t_horizontal_direction_vanishes(warped_line):
     horizontal = VectorField.constant([1.0, 0.0])
     F = VectorField(lambda c: np.array([np.cos(c[1]), c[0]]))
     out = oneill_t(ctx, horizontal, F, p)
-    assert np.allclose(out.components, 0.0, atol=1e-10)
+    assert np.allclose(out, 0.0, atol=1e-10)
 
 
 def test_oneill_t_second_projection_leaf_direction(warped_line):
@@ -208,7 +206,7 @@ def test_oneill_t_second_projection_leaf_direction(warped_line):
     p = warped_line.point([0.0], [0.0])
     dt = VectorField.coordinate(2, 0)
     out = oneill_t(ctx, dt, dt, p)
-    assert np.allclose(out.components, 0.0, atol=1e-10)
+    assert np.allclose(out, 0.0, atol=1e-10)
 
 
 def test_oneill_t_umbilical_value(warped_line):
@@ -216,21 +214,21 @@ def test_oneill_t_umbilical_value(warped_line):
     p = warped_line.point([0.0], [0.0])
     dx = VectorField.coordinate(2, 1)
     out = oneill_t(ctx, dx, dx, p)
-    assert np.allclose(out.components, [-1.0, 0.0], atol=1e-8)
+    assert np.allclose(out, [-1.0, 0.0], atol=1e-8)
 
 
 def test_vertical_gradient_cases(spiral, warped_line):
     p = spiral.map.source.point([0.1, 0.2, 0.3, 0.4])
     const = ScalarField.constant(4.2)
-    assert np.allclose(vertical_gradient(spiral, const, p).components, 0.0)
+    assert np.allclose(vertical_gradient(spiral, const, p), 0.0)
 
     decay = ScalarField(lambda c: float(np.exp(-2 * c[2])))
-    assert np.allclose(vertical_gradient(spiral, decay, p).components, 0.0, atol=1e-10)
+    assert np.allclose(vertical_gradient(spiral, decay, p), 0.0, atol=1e-10)
 
     ctx = SubmersionContext(projection_map(warped_line, "first"), ENGINE)
     q = warped_line.point([0.3], [0.1])
     coord = ScalarField(lambda c: float(c[1]))
-    got = vertical_gradient(ctx, coord, q).components
+    got = vertical_gradient(ctx, coord, q)
     assert np.allclose(got, [0.0, np.exp(-0.6)], atol=1e-9)
 
 
@@ -239,7 +237,7 @@ def test_conformal_a_formula_zero_cases(spiral):
     d3 = VectorField.coordinate(4, 2)
     d4 = VectorField.coordinate(4, 3)
     out = conformal_a_formula(spiral, d3, d4, p)
-    assert np.allclose(out.components, 0.0, atol=1e-9)
+    assert np.allclose(out, 0.0, atol=1e-9)
 
 
 def test_conformal_a_formula_constant_dilation_reduces_to_half_bracket():
@@ -251,9 +249,9 @@ def test_conformal_a_formula_constant_dilation_reduces_to_half_bracket():
     p = M.point([0.2, 0.4])
     X = ctx.horizontal_field(VectorField(lambda c: np.array([np.sin(c[1]) + 1.2, 0.7])))
     Y = ctx.horizontal_field(VectorField(lambda c: np.array([c[0] + 2.0, -0.3])))
-    got = conformal_a_formula(ctx, X, Y, p).components
+    got = conformal_a_formula(ctx, X, Y, p)
     s = ctx.splitting_at(p.coords)
-    want = 0.5 * s.vertical_part(lie_bracket(ENGINE, X, Y, p).components)
+    want = 0.5 * s.vertical_part(lie_bracket(ENGINE, X, Y, p))
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -276,8 +274,8 @@ def test_oneill_a_crossval_seeded_fields(spiral):
     for coords in rng.uniform(-0.7, 0.7, size=(3, 4)):
         p = M.point(coords)
         for X, Y in [(fields[0], fields[1]), (fields[2], fields[3])]:
-            direct = oneill_a(spiral, X, Y, p).components
-            formula = conformal_a_formula(spiral, X, Y, p).components
+            direct = oneill_a(spiral, X, Y, p)
+            formula = conformal_a_formula(spiral, X, Y, p)
             scale = 1.0 + max(np.max(np.abs(direct)), np.max(np.abs(formula)))
             assert np.max(np.abs(direct - formula)) <= 1e-5 * scale
 
