@@ -54,6 +54,25 @@ def evaluation_scope():
         _MEMO.reset(token)
 
 
+def _owner_cache(memo: dict, owner) -> dict:
+    """The ``{key: value}`` store of ``owner`` in the scope's memo."""
+    entry = memo.get(id(owner))
+    if entry is None:
+        entry = memo[id(owner)] = (owner, {})
+    return entry[1]
+
+
+def _memo_key(coords: Array, tag) -> tuple:
+    return coords.tobytes(), tag
+
+
+def _store(cache: dict, key: tuple, value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    cache[key] = value
+    return value
+
+
 def _memoized(owner, coords: Array, tag, compute, *args):
     """``compute(*args)``; inside an evaluation scope, computed once per
     ``owner``, exact ``coords`` and ``tag`` and then shared.
@@ -64,18 +83,39 @@ def _memoized(owner, coords: Array, tag, compute, *args):
     memo = _MEMO.get()
     if memo is None:
         return compute(*args)
-    entry = memo.get(id(owner))
-    if entry is None:
-        entry = memo[id(owner)] = (owner, {})
-    cache = entry[1]
-    key = (coords.tobytes(), tag)
+    cache = _owner_cache(memo, owner)
+    key = _memo_key(coords, tag)
     value = cache.get(key)
     if value is None:
-        value = compute(*args)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        cache[key] = value
+        value = _store(cache, key, compute(*args))
     return value
+
+
+def _memoized_many(owner, coords_seq, tag, compute_many, compute) -> list:
+    """``[_memoized(owner, c, tag, compute, c) for c in coords_seq]``, with
+    the values not yet stored computed by one ``compute_many`` call on the
+    list of their coordinates (each once, in input order).
+
+    If ``compute_many`` raises, that loop itself is run: it stores the
+    values before the first failing point and raises that point's error.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        missing = dict(enumerate(coords_seq))
+    else:
+        cache = _owner_cache(memo, owner)
+        keys = [_memo_key(c, tag) for c in coords_seq]
+        missing = {key: c for key, c in zip(keys, coords_seq) if key not in cache}
+    try:
+        values = compute_many(list(missing.values())) if missing else []
+    except Exception:
+        # one point at a time finds the first failing point and its error
+        return [_memoized(owner, c, tag, compute, c) for c in coords_seq]
+    if memo is None:
+        return values
+    for key, value in zip(missing, values):
+        _store(cache, key, value)
+    return [cache[key] for key in keys]
 
 
 def _as_vector(v, dim: int) -> Array:

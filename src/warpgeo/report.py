@@ -114,12 +114,13 @@ class ResidualCheck:
         return float(np.max(self.residuals)) if self.residuals else 0.0
 
     def record(self) -> CheckRecord:
-        """The check's record. A NaN residual compared nothing, so it fails
-        the check, also one that is expected to fail."""
+        """The check's record. A non-finite residual (NaN, or the inf of a
+        failed sample) compared nothing, so it fails the check, also one
+        that is expected to fail."""
         worst = self.max_residual
         raw_pass = worst <= self.tolerance
         passed = (not raw_pass) if self.expected_fail else raw_pass
-        passed = passed and not np.isnan(worst)
+        passed = passed and bool(np.isfinite(worst))
         notes = self.notes + ([] if np.isfinite(worst) else [NON_FINITE_NOTE])
         return CheckRecord(
             check_id=self.check_id,

@@ -35,7 +35,7 @@ from .fields import vector_field_library
 from .manifold import ChartManifold, ScalarField, evaluation_scope
 from .report import CheckRecord, ResidualCheck, RunConfig, VerificationReport
 from .sampling import sample_points
-from .submersion import SmoothMap, SubmersionContext
+from .submersion import SmoothMap, SubmersionContext, _in_blocks
 from .suites import (
     a_crossval_records,
     dilation_records,
@@ -517,9 +517,8 @@ def _compatibility_records(
     if expect_conformal:
         check = ResidualCheck("dilation-compatibility", _tols(config, 1e-10))
         agree = ResidualCheck("compatibility-vs-dilation", _tols(config, 1e-6))
-        for entry, p in zip(report.entries, points):
+        for entry, (_, d) in zip(report.entries, _in_blocks(cws.ctx.dilations, points)):
             check.add(abs(entry.r1 / entry.r2 - 1.0))
-            d = cws.ctx.dilation(p)
             agree.add(abs(d.lambda_sq - entry.r1), 1.0 + abs(entry.r1))
         return [check.record(), agree.record()]
     fails = sum(1 for e in report.entries if not e.conformal_here)

@@ -13,10 +13,20 @@ every stencil point. Both are differentiated in one stencil pass over the
 stacked field [VF, HF], so F and its splitting are evaluated once per
 stencil point.
 
+Splittings and dilations of a point set (``splittings_at``, ``dilations``)
+run each LAPACK and matrix-product step as one call on the stacked
+``(N, ., .)`` arrays of the points; Jacobians and metrics are still
+evaluated point by point. numpy's stacked ``svd``, ``solve``, ``eigvalsh``
+and ``matmul`` give each matrix the bits of its own call, so a point-set
+result equals the single-point one bit for bit. The suites fetch point sets
+in blocks of ``POINT_BLOCK`` points, which bounds the memory held at once.
+A stack of one costs more than the single-point kernel, so ``splitting_at``
+and ``dilation`` (stencil points, one at a time) keep their own kernel.
+
 Inside an ``evaluation_scope()`` each splitting and each dilation is
-computed once per context and exact coordinates, then shared; stencil
-points still get their own splittings, so nothing is frozen at the base
-point.
+computed once per context and exact coordinates, then shared by the
+single-point and point-set calls; stencil points still get their own
+splittings, so nothing is frozen at the base point.
 """
 
 from __future__ import annotations
@@ -41,11 +51,15 @@ from .manifold import (
     VectorField,
     _as_vector,
     _memoized,
+    _memoized_many,
     analytic_fd_gap,
     gradient,
 )
 
 Array = np.ndarray
+
+# points per stacked call when a suite walks a point set
+POINT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -95,6 +109,15 @@ def identity_map(M: ChartManifold) -> SmoothMap:
     return SmoothMap(M, M, lambda c: c, lambda c: np.eye(M.dim), name="identity")
 
 
+def _in_blocks(fetch, points):
+    """``(p, value)`` for each point, with ``fetch`` called once per block of
+    ``POINT_BLOCK`` points, so that outside a scope only one block of values
+    is alive at once."""
+    for start in range(0, len(points), POINT_BLOCK):
+        block = points[start:start + POINT_BLOCK]
+        yield from zip(block, fetch(block))
+
+
 def _gram_schmidt(basis: Array, g: Array) -> Array:
     """g-orthonormalize the columns of basis (assumed independent)."""
     out = []
@@ -117,6 +140,7 @@ class Splitting:
     horizontal: g-orthonormal basis of the metric-orthogonal complement.
     projector_v: g-orthogonal projector onto the kernel.
     jacobian: the map's Jacobian at coords, which the splitting comes from.
+    metric: the source metric at coords, which the splitting comes from.
 
     The arrays are read-only, because memoized splittings are shared.
     """
@@ -128,10 +152,11 @@ class Splitting:
     rank: int
     singular_values: Array
     jacobian: Array
+    metric: Array
 
     def __post_init__(self):
         for a in (self.coords, self.vertical, self.horizontal, self.projector_v,
-                  self.singular_values, self.jacobian):
+                  self.singular_values, self.jacobian, self.metric):
             a.setflags(write=False)
 
     def vertical_part(self, components: Array) -> Array:
@@ -185,7 +210,52 @@ class SubmersionContext:
         row_space = vt[:rank].T
         complement = row_space - projector @ row_space
         horizontal = _gram_schmidt(complement, g)
-        return Splitting(coords, vertical, horizontal, projector, rank, s, J)
+        return Splitting(coords, vertical, horizontal, projector, rank, s, J, g)
+
+    def splittings_at(self, coords_seq) -> list[Splitting]:
+        """``[self.splitting_at(c) for c in coords_seq]``, with one stacked
+        LAPACK call per step for the whole set; memo entries are shared with
+        ``splitting_at``."""
+        coords = [np.asarray(c, dtype=float) for c in coords_seq]
+        return _memoized_many(self, coords, "splitting", self._stacked_splittings,
+                              self._splitting)
+
+    def _stacked_splittings(self, coords_list: list) -> list[Splitting]:
+        """``_splitting`` at every point, each step one call on the stack;
+        raises if any point fails, and the caller's loop of ``_splitting``
+        then names the first."""
+        coords = [np.array(c) for c in coords_list]
+        J = np.stack([self.map.jacobian_at(c, self.engine) for c in coords])
+        G = np.stack([self.map.source.metric_at(c, check=False) for c in coords])
+        _, S, VT = np.linalg.svd(J)
+        m = self.map.target.dim
+        smax = S[:, 0]
+        ranks = np.where(smax > 0, np.sum(S > self.rank_tol * smax[:, None], axis=1), 0)
+        if np.any(ranks < m):
+            raise RankError("rank below target dimension in the point set")
+        # the single-point kernel's products, left to right, on the stack
+        V = VT[:, m:].transpose(0, 2, 1)
+        if V.shape[2]:
+            VtG = VT[:, m:] @ G
+            P = V @ np.linalg.solve(VtG @ V, VtG)
+        else:
+            P = np.zeros(G.shape)
+        R = VT[:, :m].transpose(0, 2, 1)
+        complement = R - P @ R
+        columns = []
+        for k in range(m):
+            v = complement[:, :, k].copy()
+            for u in columns:
+                v -= _stacked_inner(u, G, v)[:, None] * u
+            norm = np.sqrt(_stacked_inner(v, G, v))
+            if np.any(norm < 1e-13):
+                raise RankError("degenerate basis during orthonormalization")
+            columns.append(v / norm[:, None])
+        H = np.stack(columns, axis=2)
+        return [
+            Splitting(c, vt[m:].T, h, p, m, s, j, g)
+            for c, vt, h, p, s, j, g in zip(coords, VT, H, P, S, J, G)
+        ]
 
     def split(self, p: Point, v) -> tuple[Array, Array]:
         """The vertical and horizontal parts of the component vector v at p."""
@@ -197,6 +267,34 @@ class SubmersionContext:
         """Inside an evaluation scope, memoized by context and exact coordinates."""
         coords = np.asarray(p.coords, dtype=float)
         return _memoized(self, coords, "dilation", self._dilation, coords)
+
+    def dilations(self, points) -> list[DilationEstimate]:
+        """``[self.dilation(p) for p in points]``, with one stacked call per
+        step for the whole set; memo entries are shared with ``dilation``
+        and, for the splittings, with ``splitting_at``."""
+        coords = [np.asarray(p.coords, dtype=float) for p in points]
+        return _memoized_many(self, coords, "dilation", self._stacked_dilations, self._dilation)
+
+    def _stacked_dilations(self, coords_list: list) -> list[DilationEstimate]:
+        """``_dilation`` at every point, each step one call on the stack;
+        raises if any point fails, and the caller's loop of ``_dilation``
+        then names the first."""
+        splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings,
+                                    self._splitting)
+        target = self.map.target
+        G = np.stack([target.metric_at(self.map(c), check=False) for c in coords_list])
+        J = np.stack([s.jacobian for s in splittings])
+        jh = J @ np.stack([s.horizontal for s in splittings])
+        q = jh.transpose(0, 2, 1) @ G @ jh
+        evals = np.linalg.eigvalsh(q)
+        if np.any(evals[:, 0] <= 0.0):
+            raise RankError("pullback metric degenerate on horizontal space in the point set")
+        lam_sq = np.trace(q, axis1=1, axis2=2) / q.shape[1]
+        anisotropy = evals[:, -1] / evals[:, 0]
+        return [
+            DilationEstimate(s.coords, float(lam), float(a))
+            for s, lam, a in zip(splittings, lam_sq, anisotropy)
+        ]
 
     def _dilation(self, coords: Array) -> DilationEstimate:
         s = self.splitting_at(coords)
@@ -225,6 +323,11 @@ class SubmersionContext:
     def lambda_sq_field(self) -> ScalarField:
         source = self.map.source
         return ScalarField(lambda c: self.dilation(source.point(c)).lambda_sq)
+
+
+def _stacked_inner(u: Array, G: Array, v: Array) -> Array:
+    """``u[i] @ G[i] @ v[i]`` for each i, as the same two products."""
+    return (u[:, None, :] @ G @ v[:, :, None])[:, 0, 0]
 
 
 def _oneill(

@@ -22,6 +22,7 @@ from .report import CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
     _gram_schmidt,
+    _in_blocks,
     conformal_a_formula,
     fiber_mean_curvature,
     oneill_a,
@@ -79,18 +80,20 @@ def splitting_records(
 ) -> CheckRecord:
     """v = Vv + Hv with J Vv = 0 and g(Vv, Hv) = 0, idempotently."""
     check = ResidualCheck("split-decomposition", max(decomposition_tol, orthogonality_tol))
-    M = ctx.map.source
-    for p in points:
-        v = rng.uniform(-1.0, 1.0, size=M.dim)
-        s = ctx.splitting_at(p.coords)
+    dim = ctx.map.source.dim
+
+    def splittings(block):
+        return ctx.splittings_at([p.coords for p in block])
+
+    for _, s in _in_blocks(splittings, points):
+        v = rng.uniform(-1.0, 1.0, size=dim)
         vert = s.vertical_part(v)
         horiz = s.horizontal_part(v)
-        g = M.metric_at(p.coords, check=False)
         smax = float(s.singular_values[0]) if s.singular_values.size else 1.0
         residual = max(
             float(np.max(np.abs(v - vert - horiz))),
             float(np.max(np.abs(s.jacobian @ vert))) / (1.0 + smax),
-            abs(float(vert @ g @ horiz)),
+            abs(float(vert @ s.metric @ horiz)),
             float(np.max(np.abs(s.vertical_part(horiz)))),  # idempotence
         )
         check.add(residual, residual_scale(v))
@@ -115,8 +118,7 @@ def dilation_records(
     value: Optional[ResidualCheck] = None
     if expected_lambda_sq is not None:
         value = ResidualCheck(check_prefix + "dilation-value", value_tol)
-    for p in points:
-        d = ctx.dilation(p)
+    for p, d in _in_blocks(ctx.dilations, points):
         conf.add(d.anisotropy - 1.0)
         if value is not None:
             want = float(expected_lambda_sq(p.coords))

@@ -133,7 +133,7 @@ def test_memoized_splitting_is_read_only(cws):
     with evaluation_scope():
         s = cws.ctx.splitting_at(coords)
         for name in ("coords", "vertical", "horizontal", "projector_v", "singular_values",
-                     "jacobian"):
+                     "jacobian", "metric"):
             with pytest.raises(ValueError):
                 getattr(s, name)[0] = 1.0
         assert cws.ctx.splitting_at(coords) is s

@@ -133,14 +133,15 @@ def test_non_finite_residual_never_reaches_the_json_text():
 
 
 @pytest.mark.parametrize("expected_fail", [False, True])
-@pytest.mark.parametrize("residuals", [[1e-9, np.nan, 1e-9], [np.nan, 1e-9, 2e-9]],
-                         ids=["nan-after-finite", "nan-first"])
+@pytest.mark.parametrize("residuals",
+                         [[1e-9, np.nan, 1e-9], [np.nan, 1e-9, 2e-9], [1e-9, np.inf, 1e-9]],
+                         ids=["nan-after-finite", "nan-first", "inf"])
 def test_nan_residual_fails_the_check(residuals, expected_fail):
     check = ResidualCheck("nan", 1e-6, expected_fail=expected_fail)
     for r in residuals:
         check.add(r)
     record = check.record()
-    assert np.isnan(record.max_residual)
+    assert not np.isfinite(record.max_residual)
     assert record.passed is False
     assert NON_FINITE_NOTE in record.notes
     assert record.to_dict()["max_residual"] is None
