@@ -19,7 +19,6 @@ from .errors import (
 from .fd import DiffEngine
 from .manifold import (
     ChartManifold,
-    Point,
     ScalarField,
     VectorField,
     evaluation_scope,
@@ -76,7 +75,6 @@ __all__ = [
     "DilationEstimate",
     "DomainError",
     "GeometryError",
-    "Point",
     "RankError",
     "RunConfig",
     "ScalarField",

@@ -25,7 +25,7 @@ import numpy as np
 from .connection import christoffel, lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
-from .manifold import ChartManifold, Point, ScalarField, VectorField
+from .manifold import ChartManifold, ScalarField, VectorField
 from .report import CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
@@ -127,7 +127,7 @@ def build_product_submersion(
     rho: ScalarField,
     engine: DiffEngine,
     conf_tol: float = 1e-6,
-    check_points: Sequence[Point] = (),
+    check_points: Sequence[Array] = (),
 ) -> ConformalWarpedSubmersion:
     """Assemble the product map with block-diagonal Jacobian.
 
@@ -162,7 +162,7 @@ def build_product_submersion(
         ctx2=SubmersionContext(phi2, engine, conf_tol=conf_tol),
     )
     for p in check_points:
-        c1, c2 = source.split_coords(p.coords)
+        c1, c2 = source.split_coords(p)
         for field, value, label in (
             (lambda1, lambda1(c1), "lambda1"),
             (lambda2, lambda2(c2), "lambda2"),
@@ -170,14 +170,14 @@ def build_product_submersion(
             (rho, rho(phi1(c1)), "target warp"),
         ):
             if value <= 0.0:
-                raise WarpPositivityError(f"{label} = {value} <= 0 at {p.coords}")
-        cws.ctx.splitting_at(p.coords)  # raises RankError when rank-deficient
+                raise WarpPositivityError(f"{label} = {value} <= 0 at {p}")
+        cws.ctx.splitting_at(p)  # raises RankError when rank-deficient
     return cws
 
 
-def compatibility(cws: ConformalWarpedSubmersion, p: Point) -> CompatibilityEntry:
+def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
     """r1 vs r2 at one point; conformal iff |r1/r2 - 1| <= conf_tol."""
-    c1, c2 = cws.source.split_coords(p.coords)
+    c1, c2 = cws.source.split_coords(coords)
     l1 = cws.lambda1(c1)
     l2 = cws.lambda2(c2)
     fv = cws.warp(c1)
@@ -185,18 +185,18 @@ def compatibility(cws: ConformalWarpedSubmersion, p: Point) -> CompatibilityEntr
     r1 = l1 * l1
     r2 = (rv * rv) * (l2 * l2) / (fv * fv)
     conformal_here = abs(r1 / r2 - 1.0) <= cws.ctx.conf_tol
-    return CompatibilityEntry(p.coords, r1, r2, conformal_here, r1 if conformal_here else None)
+    return CompatibilityEntry(coords, r1, r2, conformal_here, r1 if conformal_here else None)
 
 
 def compatibility_report(
-    cws: ConformalWarpedSubmersion, points: Sequence[Point]
+    cws: ConformalWarpedSubmersion, points: Sequence[Array]
 ) -> CompatibilityReport:
     return CompatibilityReport(tuple(compatibility(cws, p) for p in points))
 
 
 def verify_first_factor_a_identity(
     cws: ConformalWarpedSubmersion,
-    points: Sequence[Point],
+    points: Sequence[Array],
     pairs1: Sequence[tuple[VectorField, VectorField]],
     tolerance: float = 1e-5,
 ) -> CheckRecord:
@@ -225,12 +225,11 @@ def verify_first_factor_a_identity(
         if not entry.conformal_here:
             skipped += 1
             continue
-        c1, _ = cws.source.split_coords(p.coords)
-        p1 = cws.source.first.point(c1)
+        c1, _ = cws.source.split_coords(p)
         g1 = cws.source.first.metric_at(c1)
         lam1_sq = cws.lambda1(c1) ** 2
         s1 = cws.ctx1.splitting_at(c1)
-        s = cws.ctx.splitting_at(p.coords)
+        s = cws.ctx.splitting_at(p)
         gamma = christoffel(cws.source.ambient, engine, p)
 
         for X1, Y1 in pairs1:
@@ -240,12 +239,12 @@ def verify_first_factor_a_identity(
 
             inner = float(X1(c1) @ g1 @ Y1(c1))
             # convention A: everything on the first factor, then lifted
-            br1 = lie_bracket(engine, X1, Y1, p1)
-            grad1 = vertical_gradient(cws.ctx1, inv_l1, p1)
+            br1 = lie_bracket(cws.source.first, engine, X1, Y1, c1)
+            grad1 = vertical_gradient(cws.ctx1, inv_l1, c1)
             rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
             rhs_a = np.concatenate([rhs_factor, np.zeros(cws.source.second.dim)])
             # convention B: bracket and vertical gradient on the product
-            br = lie_bracket(engine, Xl, Yl, p)
+            br = lie_bracket(cws.source.ambient, engine, Xl, Yl, p)
             grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p)
             rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
 
@@ -301,7 +300,7 @@ def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, Sc
 
 def verify_second_factor_a_identity(
     cws: ConformalWarpedSubmersion,
-    points: Sequence[Point],
+    points: Sequence[Array],
     pairs2: Sequence[tuple[VectorField, VectorField]],
     tolerance: float = 1e-5,
 ) -> tuple[CheckRecord, dict[str, float]]:
@@ -326,20 +325,19 @@ def verify_second_factor_a_identity(
             skipped += 1
             continue
         used += 1
-        c1, c2 = cws.source.split_coords(p.coords)
-        p2 = cws.source.second.point(c2)
+        c1, c2 = cws.source.split_coords(p)
         g2 = cws.source.second.metric_at(c2)
         lam2_sq = cws.lambda2(c2) ** 2
         gamma = christoffel(cws.source.ambient, engine, p)
-        gamma2 = christoffel(cws.source.second, engine, p2)
+        gamma2 = christoffel(cws.source.second, engine, c2)
 
         for X2, Y2 in pairs2:
             Xl = lift(cws.source, "second", X2)
             Yl = lift(cws.source, "second", Y2)
             lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma)
 
-            a2_xy = oneill_a(cws.ctx2, X2, Y2, p2, gamma2)
-            a2_yx = oneill_a(cws.ctx2, Y2, X2, p2, gamma2)
+            a2_xy = oneill_a(cws.ctx2, X2, Y2, c2, gamma2)
+            a2_yx = oneill_a(cws.ctx2, Y2, X2, c2, gamma2)
             skew = np.concatenate([np.zeros(cws.source.first.dim), a2_xy - a2_yx])
             inner = float(X2(c2) @ g2 @ Y2(c2))
 
@@ -364,24 +362,24 @@ def verify_second_factor_a_identity(
 
 def verify_riemannian_reduction(
     cws: ConformalWarpedSubmersion,
-    points: Sequence[Point],
+    points: Sequence[Array],
     tolerance: float = 1e-8,
 ) -> CheckRecord:
     """With lambda1 = lambda2 = 1 and rho o phi1 = f, the product map is a
     Riemannian submersion: squared dilation 1 and horizontal lengths kept."""
     for p in points:
-        c1, c2 = cws.source.split_coords(p.coords)
+        c1, c2 = cws.source.split_coords(p)
         if abs(cws.lambda1(c1) - 1.0) > 1e-12 or abs(cws.lambda2(c2) - 1.0) > 1e-12:
             raise ConfigurationError(
                 f"reduction requires unit dilations; lambda1={cws.lambda1(c1)}, "
-                f"lambda2={cws.lambda2(c2)} at {p.coords}"
+                f"lambda2={cws.lambda2(c2)} at {p}"
             )
         fv = cws.warp(c1)
         rv = cws.target_warp(cws.phi1(c1))
         if abs(rv - fv) > 1e-9 * (1.0 + abs(fv)):
             raise ConfigurationError(
                 f"reduction requires target warp to pull back to the source warp; "
-                f"got {rv} vs {fv} at {p.coords}"
+                f"got {rv} vs {fv} at {p}"
             )
     check = ResidualCheck("riemannian-reduction", tolerance)
     for p in points:
@@ -411,7 +409,7 @@ def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) 
 
 def verify_rescaled_riemannian(
     cws: ConformalWarpedSubmersion,
-    points: Sequence[Point],
+    points: Sequence[Array],
     tolerance: float = 1e-8,
     probe_offset: float = 0.1,
 ) -> list[CheckRecord]:
@@ -425,7 +423,7 @@ def verify_rescaled_riemannian(
     main = ResidualCheck("rescale-to-riemannian", tolerance)
     ctx0 = rescaled_context(cws, 0.0)
     for p in points:
-        d = ctx0.dilation(cws.source.ambient.point(p.coords))
+        d = ctx0.dilation(p)
         main.add(max(abs(d.lambda_sq - 1.0), d.anisotropy - 1.0))
 
     probe_detect = ResidualCheck("rescale-uniqueness-probe", 100.0 * tolerance,
@@ -433,7 +431,7 @@ def verify_rescaled_riemannian(
     probe_value = ResidualCheck("rescale-probe-dilation", tolerance)
     expected = float(np.exp(2.0 * probe_offset))
     ctx1 = rescaled_context(cws, probe_offset)
-    probes = [ctx1.dilation(cws.source.ambient.point(p.coords)) for p in points]
+    probes = [ctx1.dilation(p) for p in points]
     for d in probes:
         probe_detect.add(abs(d.lambda_sq - 1.0))
         probe_value.add(abs(d.lambda_sq - expected), 1.0 + expected)
@@ -445,14 +443,14 @@ def verify_rescaled_riemannian(
 
 
 def factor_vertical_bases(
-    cws: ConformalWarpedSubmersion, p: Point
+    cws: ConformalWarpedSubmersion, coords
 ) -> tuple[Array, Array]:
-    """Lifted, ambient-metric-orthonormal bases of the two vertical blocks."""
-    c1, c2 = cws.source.split_coords(p.coords)
+    """Lifted, ambient-metric-orthonormal bases of the two vertical blocks at coords."""
+    c1, c2 = cws.source.split_coords(coords)
     m1, m2 = cws.source.first.dim, cws.source.second.dim
     s1 = cws.ctx1.splitting_at(c1)
     s2 = cws.ctx2.splitting_at(c2)
-    g = cws.source.ambient.metric_at(p.coords)
+    g = cws.source.ambient.metric_at(coords)
 
     def embed(basis: Array, offset: int, total: int) -> Array:
         out = np.zeros((total, basis.shape[1]))
@@ -466,7 +464,7 @@ def factor_vertical_bases(
 
 def fiber_geometry_report(
     cws: ConformalWarpedSubmersion,
-    points: Sequence[Point],
+    points: Sequence[Array],
     expect_first_minimal: bool,
     expect_second_minimal: bool,
     tolerance: float = 1e-6,
@@ -508,7 +506,7 @@ def fiber_geometry_report(
 
 
 def verify_kernel_product(
-    cws: ConformalWarpedSubmersion, points: Sequence[Point]
+    cws: ConformalWarpedSubmersion, points: Sequence[Array]
 ) -> list[CheckRecord]:
     """Jacobian cross blocks are exactly zero and kernel dimensions add up."""
     blocks = ResidualCheck("jacobian-blocks", 0.0)
@@ -516,10 +514,10 @@ def verify_kernel_product(
     m1 = cws.source.first.dim
     n1 = cws.target.first.dim
     for p in points:
-        s = cws.ctx.splitting_at(p.coords)
+        s = cws.ctx.splitting_at(p)
         J = s.jacobian
         blocks.add(float(np.max(np.abs(J[:n1, m1:]))) + float(np.max(np.abs(J[n1:, :m1]))))
-        c1, c2 = cws.source.split_coords(p.coords)
+        c1, c2 = cws.source.split_coords(p)
         nv1 = cws.ctx1.splitting_at(c1).vertical.shape[1]
         nv2 = cws.ctx2.splitting_at(c2).vertical.shape[1]
         kernel.add(abs(s.vertical.shape[1] - nv1 - nv2))

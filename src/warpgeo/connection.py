@@ -15,17 +15,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fd import DiffEngine
-from .manifold import ChartManifold, Point, VectorField, _memoized
+from .manifold import ChartManifold, VectorField, _memoized
 
 Array = np.ndarray
 
 
-def christoffel(M: ChartManifold, engine: DiffEngine, p: Point) -> Array:
-    """Christoffel symbols of M at p as gamma[k, i, j] = Gamma^k_ij.
+def christoffel(M: ChartManifold, engine: DiffEngine, coords) -> Array:
+    """Christoffel symbols of M at coords as gamma[k, i, j] = Gamma^k_ij.
 
     Inside an evaluation scope the array is memoized by chart, exact
     coordinates and engine, and is read-only."""
-    coords = np.asarray(p.coords, dtype=float)
+    coords = np.asarray(coords, dtype=float)
     return _memoized(M, coords, engine, _christoffel, M, engine, coords)
 
 
@@ -44,15 +44,15 @@ def covariant_derivative_dir(
     engine: DiffEngine,
     direction: Array,
     Y: VectorField,
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> Array:
-    """nabla_v Y at p for a fixed direction v (tensorial slot)."""
+    """nabla_v Y at coords for a fixed direction v (tensorial slot)."""
     if gamma is None:
-        gamma = christoffel(M, engine, p)
+        gamma = christoffel(M, engine, coords)
     direction = np.asarray(direction, dtype=float)
-    dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)
-    return _covariant_from_partials(direction, dY, Y(p.coords), gamma)
+    dY = engine.partials(Y.fn, coords, M.lower, M.upper)
+    return _covariant_from_partials(direction, dY, Y(coords), gamma)
 
 
 def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: Array) -> Array:
@@ -65,19 +65,20 @@ def covariant_derivative(
     engine: DiffEngine,
     X: VectorField,
     Y: VectorField,
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> Array:
-    """nabla_X Y at p: X^i d_i Y^k + Gamma^k_ij X^i Y^j."""
-    return covariant_derivative_dir(M, engine, X(p.coords), Y, p, gamma)
+    """nabla_X Y at coords: X^i d_i Y^k + Gamma^k_ij X^i Y^j."""
+    return covariant_derivative_dir(M, engine, X(coords), Y, coords, gamma)
 
 
-def lie_bracket(engine: DiffEngine, X: VectorField, Y: VectorField, p: Point) -> Array:
-    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
-    M = p.manifold
-    dY = engine.partials(Y.fn, p.coords, M.lower, M.upper)
-    dX = engine.partials(X.fn, p.coords, M.lower, M.upper)
-    return X(p.coords) @ dY - Y(p.coords) @ dX
+def lie_bracket(
+    M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField, coords
+) -> Array:
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at coords."""
+    dY = engine.partials(Y.fn, coords, M.lower, M.upper)
+    dX = engine.partials(X.fn, coords, M.lower, M.upper)
+    return X(coords) @ dY - Y(coords) @ dX
 
 
 def metric_orthogonal_projector(g: Array, basis: Array) -> Array:
@@ -97,7 +98,7 @@ class SecondFundamentalFormAt:
     values against the induced metric, divided by the submanifold dimension.
     """
 
-    point: Point
+    point: Array
     tangent_axes: tuple
     values: Array
     mean_curvature: Array
@@ -107,7 +108,7 @@ def coordinate_submanifold_form(
     M: ChartManifold,
     engine: DiffEngine,
     tangent_axes: Sequence[int],
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> SecondFundamentalFormAt:
     """II and H of the submanifold obtained by freezing the other coordinates.
@@ -116,11 +117,11 @@ def coordinate_submanifold_form(
     of the tangent coordinate subspace.
     """
     axes = tuple(tangent_axes)
-    g = M.metric_at(p.coords)
+    g = M.metric_at(coords)
     tangent_basis = np.eye(M.dim)[:, list(axes)]
     normal_proj = np.eye(M.dim) - metric_orthogonal_projector(g, tangent_basis)
     if gamma is None:
-        gamma = christoffel(M, engine, p)
+        gamma = christoffel(M, engine, coords)
     # coordinate fields have no derivative term: nabla_{e_a} e_b = Gamma^k_ab
     values = np.empty((len(axes), len(axes), M.dim))
     for a, i in enumerate(axes):
@@ -128,4 +129,4 @@ def coordinate_submanifold_form(
             values[a, b] = normal_proj @ gamma[:, i, j]
     induced = g[np.ix_(list(axes), list(axes))]
     mean = np.einsum("ab,abk->k", np.linalg.inv(induced), values) / len(axes)
-    return SecondFundamentalFormAt(p, axes, values, mean)
+    return SecondFundamentalFormAt(coords, axes, values, mean)

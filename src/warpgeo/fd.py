@@ -45,7 +45,6 @@ class DiffEngine:
 
     scheme: str = "central2"
     step: float = 1e-5
-    fd_check_tol: float = 1e-5
     min_step: float = 1e-10
 
     def __post_init__(self):

@@ -1,10 +1,12 @@
-"""Coordinate charts, points, fields and metric evaluation.
+"""Coordinate charts, fields and metric evaluation.
 
 A manifold here is a single global chart: an open axis-aligned box of
 coordinates together with a metric field mapping coordinates to a symmetric
 positive-definite matrix. Everything downstream (connections, submersions,
-warped products) is built from these atoms. A tangent vector is the plain
-array of its chart components.
+warped products) is built from these atoms. A point is the float array of
+its coordinates, as ``ChartManifold.point`` checks and returns it, and a
+tangent vector is the plain array of its chart components. Functions that
+need the chart take it as their first argument.
 
 Inside an ``evaluation_scope()`` pointwise results (metrics, Christoffel
 symbols, splittings, dilations) are computed once per owner and exact
@@ -168,13 +170,15 @@ class ChartManifold:
         coords = np.asarray(coords, dtype=float)
         return bool(np.all(coords > self.lower) and np.all(coords < self.upper))
 
-    def point(self, coords) -> "Point":
+    def point(self, coords) -> Array:
+        """The coordinates as a float array of shape (dim,), checked to lie
+        inside the domain box."""
         coords = np.asarray(coords, dtype=float).reshape(-1)
         if coords.shape != (self.dim,):
             raise ValueError(f"coords have shape {coords.shape}, expected ({self.dim},)")
         if not self.contains(coords):
             raise DomainError(f"point {coords} outside domain of {self.name or 'chart'}")
-        return Point(self, coords)
+        return coords
 
     def metric_at(self, coords, check: bool = True) -> Array:
         """Evaluate the metric; symmetrize, optionally check SPD.
@@ -203,19 +207,11 @@ class ChartManifold:
 
 
 @dataclass(frozen=True)
-class Point:
-    """A point of a chart; carries its owning manifold."""
-
-    manifold: ChartManifold
-    coords: Array
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """A real-valued field of coordinates, with optional analytic partials.
 
     When ``partials`` is supplied it must agree with the finite-difference
-    partials to the engine's ``fd_check_tol`` (see :func:`check_scalar_field`).
+    partials (see :func:`check_scalar_field`).
     """
 
     fn: Callable[[Array], float]
@@ -251,41 +247,39 @@ class VectorField:
         return VectorField(lambda c: comps)
 
 
-def metric_inner(M: ChartManifold, p: Point, u, v) -> float:
-    """g_p(u, v) = u^T g(p) v for component vectors u and v."""
+def metric_inner(M: ChartManifold, coords, u, v) -> float:
+    """g(u, v) = u^T g(coords) v for component vectors u and v."""
     u, v = _as_vector(u, M.dim), _as_vector(v, M.dim)
-    if not M.contains(p.coords):
-        raise DomainError(f"point {p.coords} outside domain")
-    g = M.metric_at(p.coords)
+    if not M.contains(coords):
+        raise DomainError(f"point {coords} outside domain")
+    g = M.metric_at(coords)
     return float(u @ g @ v)
 
 
-def partial_derivative(engine: DiffEngine, field, p: Point, axis: int):
-    """Partial derivative along a coordinate axis at p.
+def partial_derivative(M: ChartManifold, engine: DiffEngine, field, coords, axis: int):
+    """Partial derivative along a coordinate axis at coords.
 
     ``field`` may be a ScalarField, a VectorField, or any callable of
     coordinates (e.g. a manifold's metric); the return type follows the
     field's value type.
     """
-    M = p.manifold
     fn = field.fn if hasattr(field, "fn") else field
-    return engine.partial(fn, p.coords, axis, M.lower, M.upper)
+    return engine.partial(fn, coords, axis, M.lower, M.upper)
 
 
-def scalar_partials(engine: DiffEngine, phi: ScalarField, p: Point) -> Array:
-    """Coordinate partials of phi at p, analytic when the field carries them."""
+def scalar_partials(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords) -> Array:
+    """Coordinate partials of phi at coords, analytic when the field carries them."""
     if phi.partials is not None:
-        return np.asarray(phi.partials(p.coords), dtype=float)
-    M = p.manifold
-    return engine.partials(phi.fn, p.coords, M.lower, M.upper)
+        return np.asarray(phi.partials(coords), dtype=float)
+    return engine.partials(phi.fn, coords, M.lower, M.upper)
 
 
-def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, p: Point) -> Array:
+def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords) -> Array:
     """Metric gradient: components g^{kl} d_l(phi)."""
-    if not M.contains(p.coords):
-        raise DomainError(f"point {p.coords} outside domain")
-    dphi = scalar_partials(engine, phi, p)
-    g = M.metric_at(p.coords)
+    if not M.contains(coords):
+        raise DomainError(f"point {coords} outside domain")
+    dphi = scalar_partials(M, engine, phi, coords)
+    g = M.metric_at(coords)
     return np.linalg.solve(g, dphi)
 
 
@@ -309,7 +303,7 @@ def analytic_fd_gap(M: ChartManifold, engine: DiffEngine, fn, analytic, points) 
     """
     worst = 0.0
     for p in points:
-        an = np.asarray(analytic(p.coords), dtype=float)
-        fd = engine.partials(fn, p.coords, M.lower, M.upper).T
+        an = np.asarray(analytic(p), dtype=float)
+        fd = engine.partials(fn, p, M.lower, M.upper).T
         worst = max(worst, float(np.max(np.abs(an - fd))) / residual_scale(an, fd))
     return worst

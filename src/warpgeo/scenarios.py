@@ -393,25 +393,25 @@ def _factor_pairs(M: ChartManifold, rng, n_pairs: int):
 def _points_by_manifold(objs: dict, points) -> dict:
     """Spot-check points for fd-consistency, keyed by manifold identity.
 
+    The points are sample points of the sampled chart, ``ctx.map.source``.
     Ambient sample points are split into factor points (and pushed through
     the first factor map) so fields living on factors get checked too.
     """
-    out: dict = {}
     spot = points[: min(3, len(points))]
+    source = objs["ctx"].map.source
+    out: dict = {id(source): spot}
     cws = objs.get("cws")
     W = objs.get("warped") or (cws.source if cws is not None else None)
+    if W is None or source is not W.ambient:
+        return out
     for p in spot:
-        out.setdefault(id(p.manifold), []).append(p)
-        if W is not None and p.manifold is W.ambient:
-            c1, c2 = W.split_coords(p.coords)
-            out.setdefault(id(W.first), []).append(W.first.point(c1))
-            out.setdefault(id(W.second), []).append(W.second.point(c2))
-            if cws is not None:
-                image = cws.phi1(c1)
-                if cws.target.first.contains(image):
-                    out.setdefault(id(cws.target.first), []).append(
-                        cws.target.first.point(image)
-                    )
+        c1, c2 = W.split_coords(p)
+        out.setdefault(id(W.first), []).append(c1)
+        out.setdefault(id(W.second), []).append(c2)
+        if cws is not None:
+            image = cws.phi1(c1)
+            if cws.target.first.contains(image):
+                out.setdefault(id(cws.target.first), []).append(cws.target.first.point(image))
     return out
 
 
@@ -437,7 +437,7 @@ def _run_warped_scenario(
         leaf_tolerance=_tols(config, 1e-8),
         fiber_tolerance=_tols(config, 1e-6),
     )
-    records.append(splitting_records(ctx, points, rng))
+    records.append(splitting_records(ctx, points, rng, tolerance=_tols(config, 1e-8)))
     records += dilation_records(
         ctx,
         points,
@@ -476,7 +476,7 @@ def _run_exp_spiral(
 ) -> list[CheckRecord]:
     ctx = objs["ctx"]
     ctx_fd = objs["ctx_fd"]
-    records = [splitting_records(ctx, points, rng)]
+    records = [splitting_records(ctx, points, rng, tolerance=_tols(config, 1e-8))]
     records += dilation_records(
         ctx,
         points,
@@ -545,7 +545,7 @@ def _run_cws_scenario(
     records = [verify_metric_blocks(cws.source, points)]
     records += verify_kernel_product(cws, points)
     records += _compatibility_records(cws, points, config, conformal)
-    records.append(splitting_records(cws.ctx, points, rng))
+    records.append(splitting_records(cws.ctx, points, rng, tolerance=_tols(config, 1e-8)))
     records += dilation_records(
         cws.ctx,
         points,
@@ -782,7 +782,11 @@ def _run_suites(scenario: Scenario, config: RunConfig) -> list[CheckRecord]:
     with evaluation_scope():
         records = [
             fd_consistency_record(
-                engine, objs["scalar_checks"], objs["map_checks"], _points_by_manifold(objs, points)
+                engine,
+                objs["scalar_checks"],
+                objs["map_checks"],
+                _points_by_manifold(objs, points),
+                tolerance=_tols(config, 1e-5),
             )
         ]
         records += scenario.runner(objs, config, engine, points, rng, scenario.expected)

@@ -46,7 +46,6 @@ from .errors import ConformalityError, DomainError, RankError
 from .fd import DiffEngine
 from .manifold import (
     ChartManifold,
-    Point,
     ScalarField,
     VectorField,
     _as_vector,
@@ -75,11 +74,12 @@ class SmoothMap:
     def __call__(self, coords) -> Array:
         return np.atleast_1d(np.asarray(self.fn(np.asarray(coords, dtype=float)), dtype=float))
 
-    def image_point(self, p: Point) -> Point:
-        image = self(p.coords)
+    def image_point(self, coords) -> Array:
+        """The image coordinates, checked to lie inside the target chart."""
+        image = self(coords)
         if not self.target.contains(image):
-            raise DomainError(f"image {image} of {p.coords} outside target domain")
-        return Point(self.target, image)
+            raise DomainError(f"image {image} of {coords} outside target domain")
+        return image
 
     def jacobian_at(self, coords, engine: DiffEngine) -> Array:
         if self.jac is not None:
@@ -95,13 +95,14 @@ class SmoothMap:
         return analytic_fd_gap(self.source, engine, self.fn, self.jac, points)
 
 
-def pushforward(F: SmoothMap, engine: DiffEngine, p: Point, v) -> Array:
-    """F_* v = J(p) v, the components at F(p) of the component vector v.
+def pushforward(F: SmoothMap, engine: DiffEngine, coords, v) -> Array:
+    """F_* v = J(coords) v, the components at F(coords) of the component
+    vector v.
 
-    Raises DomainError when F(p) leaves the target chart."""
+    Raises DomainError when F(coords) leaves the target chart."""
     v = _as_vector(v, F.source.dim)
-    J = F.jacobian_at(p.coords, engine)
-    F.image_point(p)  # the target chart check
+    J = F.jacobian_at(coords, engine)
+    F.image_point(coords)  # the target chart check
     return J @ v
 
 
@@ -257,22 +258,22 @@ class SubmersionContext:
             for c, vt, h, p, s, j, g in zip(coords, VT, H, P, S, J, G)
         ]
 
-    def split(self, p: Point, v) -> tuple[Array, Array]:
-        """The vertical and horizontal parts of the component vector v at p."""
+    def split(self, coords, v) -> tuple[Array, Array]:
+        """The vertical and horizontal parts of the component vector v at coords."""
         v = _as_vector(v, self.map.source.dim)
-        vert = self.splitting_at(p.coords).vertical_part(v)
+        vert = self.splitting_at(coords).vertical_part(v)
         return vert, v - vert
 
-    def dilation(self, p: Point) -> DilationEstimate:
+    def dilation(self, coords) -> DilationEstimate:
         """Inside an evaluation scope, memoized by context and exact coordinates."""
-        coords = np.asarray(p.coords, dtype=float)
+        coords = np.asarray(coords, dtype=float)
         return _memoized(self, coords, "dilation", self._dilation, coords)
 
-    def dilations(self, points) -> list[DilationEstimate]:
-        """``[self.dilation(p) for p in points]``, with one stacked call per
-        step for the whole set; memo entries are shared with ``dilation``
+    def dilations(self, coords_seq) -> list[DilationEstimate]:
+        """``[self.dilation(c) for c in coords_seq]``, with one stacked call
+        per step for the whole set; memo entries are shared with ``dilation``
         and, for the splittings, with ``splitting_at``."""
-        coords = [np.asarray(p.coords, dtype=float) for p in points]
+        coords = [np.asarray(c, dtype=float) for c in coords_seq]
         return _memoized_many(self, coords, "dilation", self._stacked_dilations, self._dilation)
 
     def _stacked_dilations(self, coords_list: list) -> list[DilationEstimate]:
@@ -311,8 +312,8 @@ class SubmersionContext:
         lam_sq = float(np.trace(q)) / q.shape[0]
         return DilationEstimate(s.coords, lam_sq, float(evals[-1] / evals[0]))
 
-    def __call__(self, p: Point) -> Array:
-        return self.map(p.coords)
+    def __call__(self, coords) -> Array:
+        return self.map(coords)
 
     def vertical_field(self, F: VectorField) -> VectorField:
         return VectorField(lambda c: self.splitting_at(c).vertical_part(F(c)))
@@ -335,27 +336,27 @@ def _oneill(
     part: Callable[[Splitting, Array], Array],
     E: VectorField,
     F: VectorField,
-    p: Point,
+    coords,
     gamma: Optional[Array],
 ) -> Array:
-    """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at p.
+    """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at coords.
 
     VF and HF are differentiated in one stencil pass over c -> [VF(c), HF(c)];
     the stencils act elementwise, so each slice equals its own pass bit for bit.
     """
     M, engine = ctx.map.source, ctx.engine
-    s = ctx.splitting_at(p.coords)
-    direction = part(s, E(p.coords))
+    s = ctx.splitting_at(coords)
+    direction = part(s, E(coords))
     if gamma is None:
-        gamma = christoffel(M, engine, p)
+        gamma = christoffel(M, engine, coords)
 
     def split(c):
         f = F(c)
         v = ctx.splitting_at(c).vertical_part(f)
         return v, f - v
 
-    d = engine.partials(lambda c: np.array(split(c)), p.coords, M.lower, M.upper)
-    v, h = split(p.coords)
+    d = engine.partials(lambda c: np.array(split(c)), coords, M.lower, M.upper)
+    v, h = split(coords)
     # contiguous slices, so each product is the same call as for a lone field
     d_vert = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 0]), v, gamma)
     d_horiz = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 1]), h, gamma)
@@ -366,69 +367,69 @@ def oneill_a(
     ctx: SubmersionContext,
     E: VectorField,
     F: VectorField,
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> Array:
-    """A_E F with projections recomputed along the stencil."""
-    return _oneill(ctx, Splitting.horizontal_part, E, F, p, gamma)
+    """A_E F at coords, with projections recomputed along the stencil."""
+    return _oneill(ctx, Splitting.horizontal_part, E, F, coords, gamma)
 
 
 def oneill_t(
     ctx: SubmersionContext,
     E: VectorField,
     F: VectorField,
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> Array:
-    """T_E F with projections recomputed along the stencil."""
-    return _oneill(ctx, Splitting.vertical_part, E, F, p, gamma)
+    """T_E F at coords, with projections recomputed along the stencil."""
+    return _oneill(ctx, Splitting.vertical_part, E, F, coords, gamma)
 
 
 def fiber_mean_curvature(
     ctx: SubmersionContext,
     basis: Array,
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> Array:
-    """Mean curvature at p of the fibers spanned by the columns of basis:
+    """Mean curvature at coords of the fibers spanned by the columns of basis:
     T_u u averaged over the g-orthonormal columns u (zero for no columns)."""
     acc = np.zeros(basis.shape[0])
     for column in basis.T:
         u = VectorField.constant(column)
-        acc += oneill_t(ctx, u, u, p, gamma)
+        acc += oneill_t(ctx, u, u, coords, gamma)
     return acc / max(basis.shape[1], 1)
 
 
-def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, p: Point) -> Array:
-    """Vertical part of the metric gradient of phi at p."""
-    grad = gradient(ctx.map.source, ctx.engine, phi, p)
-    return ctx.splitting_at(p.coords).vertical_part(grad)
+def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, coords) -> Array:
+    """Vertical part of the metric gradient of phi at coords."""
+    grad = gradient(ctx.map.source, ctx.engine, phi, coords)
+    return ctx.splitting_at(coords).vertical_part(grad)
 
 
 def conformal_a_formula(
     ctx: SubmersionContext,
     X: VectorField,
     Y: VectorField,
-    p: Point,
+    coords,
     lambda_sq_field: Optional[ScalarField] = None,
 ) -> Array:
     """A_X Y = 1/2 { V[X, Y] - lambda^2 g(X, Y) grad_V(1/lambda^2) }.
 
     X and Y are replaced by their horizontal parts (as fields). Requires
-    conformality at p; raises ConformalityError carrying the anisotropy
+    conformality at coords; raises ConformalityError carrying the anisotropy
     otherwise. By default lambda^2 is the context's own dilation estimate,
     so the formula is entirely self-contained.
     """
-    d = ctx.dilation(p)
+    d = ctx.dilation(coords)
     if not d.is_conformal(ctx.conf_tol):
         raise ConformalityError(
-            f"map not conformal at {p.coords}: anisotropy {d.anisotropy:.6e}",
+            f"map not conformal at {coords}: anisotropy {d.anisotropy:.6e}",
             anisotropy=d.anisotropy,
         )
     Xh = ctx.horizontal_field(X)
     Yh = ctx.horizontal_field(Y)
-    bracket = lie_bracket(ctx.engine, Xh, Yh, p)
-    s = ctx.splitting_at(p.coords)
+    bracket = lie_bracket(ctx.map.source, ctx.engine, Xh, Yh, coords)
+    s = ctx.splitting_at(coords)
     v_bracket = s.vertical_part(bracket)
 
     lam_field = lambda_sq_field if lambda_sq_field is not None else ctx.lambda_sq_field()
@@ -439,8 +440,8 @@ def conformal_a_formula(
             return -np.asarray(lam_field.partials(c), dtype=float) / (val * val)
     inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c), inv_partials)
 
-    grad_v = vertical_gradient(ctx, inv_lambda_sq, p)
-    g = ctx.map.source.metric_at(p.coords, check=False)
-    inner = float(Xh(p.coords) @ g @ Yh(p.coords))
-    lam_sq = lam_field(p.coords)
+    grad_v = vertical_gradient(ctx, inv_lambda_sq, coords)
+    g = ctx.map.source.metric_at(coords, check=False)
+    inner = float(Xh(coords) @ g @ Yh(coords))
+    lam_sq = lam_field(coords)
     return 0.5 * (v_bracket - lam_sq * inner * grad_v)

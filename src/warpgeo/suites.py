@@ -17,7 +17,7 @@ from .connection import christoffel, covariant_derivative, lie_bracket
 from .errors import GeometryError
 from .fd import DiffEngine
 from .fields import modulated, vector_field_library
-from .manifold import ChartManifold, Point, ScalarField, VectorField, check_scalar_field
+from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_field
 from .report import CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
@@ -35,7 +35,7 @@ Array = np.ndarray
 def engine_health_records(
     M: ChartManifold,
     engine: DiffEngine,
-    points: Sequence[Point],
+    points: Sequence[Array],
     rng: np.random.Generator,
     torsion_tol: float = 1e-6,
     compat_tol: float = 1e-5,
@@ -55,37 +55,32 @@ def engine_health_records(
             gamma = christoffel(M, engine, p)
             dxy = covariant_derivative(M, engine, X, Y, p, gamma)
             dyx = covariant_derivative(M, engine, Y, X, p, gamma)
-            br = lie_bracket(engine, X, Y, p)
+            br = lie_bracket(M, engine, X, Y, p)
             dxz = covariant_derivative(M, engine, X, Z, p, gamma)
-            g = M.metric_at(p.coords)
-            lhs = engine.directional(g_inner_field, p.coords, X(p.coords), M.lower, M.upper)
+            g = M.metric_at(p)
+            lhs = engine.directional(g_inner_field, p, X(p), M.lower, M.upper)
         except GeometryError as exc:
             # a failed sample counts once against each check
             for check in (torsion, compat):
                 check.add(np.inf)
-                check.note(f"error at {p.coords}: {exc}")
+                check.note(f"error at {p}: {exc}")
             continue
         torsion.add(np.max(np.abs(dxy - dyx - br)), residual_scale(dxy, dyx, br))
-        rhs = float(dxy @ g @ Z(p.coords)) + float(Y(p.coords) @ g @ dxz)
+        rhs = float(dxy @ g @ Z(p)) + float(Y(p) @ g @ dxz)
         compat.add(abs(lhs - rhs), 1.0 + max(abs(lhs), abs(rhs)))
     return [torsion.record(), compat.record()]
 
 
 def splitting_records(
     ctx: SubmersionContext,
-    points: Sequence[Point],
+    points: Sequence[Array],
     rng: np.random.Generator,
-    decomposition_tol: float = 1e-10,
-    orthogonality_tol: float = 1e-8,
+    tolerance: float = 1e-8,
 ) -> CheckRecord:
     """v = Vv + Hv with J Vv = 0 and g(Vv, Hv) = 0, idempotently."""
-    check = ResidualCheck("split-decomposition", max(decomposition_tol, orthogonality_tol))
+    check = ResidualCheck("split-decomposition", tolerance)
     dim = ctx.map.source.dim
-
-    def splittings(block):
-        return ctx.splittings_at([p.coords for p in block])
-
-    for _, s in _in_blocks(splittings, points):
+    for _, s in _in_blocks(ctx.splittings_at, points):
         v = rng.uniform(-1.0, 1.0, size=dim)
         vert = s.vertical_part(v)
         horiz = s.horizontal_part(v)
@@ -102,7 +97,7 @@ def splitting_records(
 
 def dilation_records(
     ctx: SubmersionContext,
-    points: Sequence[Point],
+    points: Sequence[Array],
     expected_lambda_sq: Optional[Callable[[Array], float]],
     conformality_tol: float = 1e-6,
     value_tol: float = 1e-8,
@@ -121,7 +116,7 @@ def dilation_records(
     for p, d in _in_blocks(ctx.dilations, points):
         conf.add(d.anisotropy - 1.0)
         if value is not None:
-            want = float(expected_lambda_sq(p.coords))
+            want = float(expected_lambda_sq(p))
             value.add(abs(d.lambda_sq - want), abs(want))
     if not expect_conformal:
         fails = sum(1 for r in conf.residuals if r > conformality_tol)
@@ -143,7 +138,7 @@ def horizontal_pairs(
 
 def a_crossval_records(
     ctx: SubmersionContext,
-    points: Sequence[Point],
+    points: Sequence[Array],
     rng: np.random.Generator,
     tolerance: float = 1e-5,
     n_pairs: int = 2,
@@ -164,14 +159,10 @@ def a_crossval_records(
             crossval.add(np.linalg.norm(a_direct - a_formula), residual_scale(a_direct, a_formula))
 
             # same horizontal vectors at p, different extensions
-            x_const = ctx.horizontal_field(VectorField.constant(X(p.coords)))
-            y_const = ctx.horizontal_field(VectorField.constant(Y(p.coords)))
-            x_mod = ctx.horizontal_field(
-                modulated(VectorField.constant(X(p.coords)), 0, p.coords)
-            )
-            y_mod = ctx.horizontal_field(
-                modulated(VectorField.constant(Y(p.coords)), M.dim - 1, p.coords)
-            )
+            x_const = ctx.horizontal_field(VectorField.constant(X(p)))
+            y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
+            x_mod = ctx.horizontal_field(modulated(VectorField.constant(X(p)), 0, p))
+            y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
             a_ext1 = oneill_a(ctx, x_const, y_const, p, gamma)
             a_ext2 = oneill_a(ctx, x_mod, y_mod, p, gamma)
             extension.add(np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2))
@@ -181,7 +172,7 @@ def a_crossval_records(
 
 def t_umbilicity_records(
     ctx: SubmersionContext,
-    points: Sequence[Point],
+    points: Sequence[Array],
     rng: np.random.Generator,
     tolerance: float = 1e-6,
 ) -> CheckRecord:
@@ -190,12 +181,12 @@ def t_umbilicity_records(
     check = ResidualCheck("t-umbilical", tolerance)
     M = ctx.map.source
     for p in points:
-        s = ctx.splitting_at(p.coords)
+        s = ctx.splitting_at(p)
         nv = s.vertical.shape[1]
         if nv == 0:
             check.add(0.0)
             continue
-        g = M.metric_at(p.coords, check=False)
+        g = M.metric_at(p, check=False)
         gamma = christoffel(M, ctx.engine, p)
         # ambient-metric-orthonormal vertical basis
         basis = _gram_schmidt(s.vertical, g)
@@ -215,9 +206,10 @@ def fd_consistency_record(
     scalar_checks: Sequence[tuple[ChartManifold, ScalarField]],
     map_checks: Sequence,
     points_by_manifold: dict,
+    tolerance: float = 1e-5,
 ) -> CheckRecord:
     """Analytic partials and Jacobians agree with their FD counterparts."""
-    check = ResidualCheck("fd-consistency", engine.fd_check_tol)
+    check = ResidualCheck("fd-consistency", tolerance)
     for M, phi in scalar_checks:
         pts = points_by_manifold.get(id(M), ())
         if pts:

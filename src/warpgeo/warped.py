@@ -24,7 +24,6 @@ from .errors import WarpPositivityError
 from .fd import DiffEngine
 from .manifold import (
     ChartManifold,
-    Point,
     ScalarField,
     VectorField,
     gradient,
@@ -55,7 +54,8 @@ class WarpedProduct:
     def second_axes(self) -> tuple:
         return tuple(range(self.first.dim, self.first.dim + self.second.dim))
 
-    def point(self, coords1, coords2) -> Point:
+    def point(self, coords1, coords2) -> Array:
+        """The ambient coordinates (coords1, coords2), checked by the ambient chart."""
         return self.ambient.point(np.concatenate([np.atleast_1d(coords1), np.atleast_1d(coords2)]))
 
     def log_warp(self) -> ScalarField:
@@ -166,12 +166,13 @@ def second_fundamental_form(
     W: WarpedProduct,
     engine: DiffEngine,
     which: str,
-    p: Point,
+    coords,
     gamma: Optional[Array] = None,
 ) -> SecondFundamentalFormAt:
-    """II and H of the leaf (second coords frozen) or fiber (first frozen).
+    """II and H at coords of the leaf (second coords frozen) or fiber (first
+    frozen).
 
-    ``gamma``, the ambient Christoffel symbols at p, is built when not given.
+    ``gamma``, the ambient Christoffel symbols at coords, is built when not given.
     """
     if which == "leaf":
         axes = W.first_axes()
@@ -179,13 +180,13 @@ def second_fundamental_form(
         axes = W.second_axes()
     else:
         raise ValueError(f"which must be 'leaf' or 'fiber', got {which!r}")
-    return coordinate_submanifold_form(W.ambient, engine, axes, p, gamma)
+    return coordinate_submanifold_form(W.ambient, engine, axes, coords, gamma)
 
 
 def verify_warped_connection(
     W: WarpedProduct,
     engine: DiffEngine,
-    points: Sequence[Point],
+    points: Sequence[Array],
     pairs1: Sequence[tuple[VectorField, VectorField]],
     pairs2: Sequence[tuple[VectorField, VectorField]],
     tolerance: float = 1e-6,
@@ -210,18 +211,16 @@ def verify_warped_connection(
     log_warp = W.log_warp()
 
     for p in points:
-        c1, c2 = W.split_coords(p.coords)
-        p1 = W.first.point(c1)
-        p2 = W.second.point(c2)
+        c1, c2 = W.split_coords(p)
         gamma = christoffel(W.ambient, engine, p)
-        gamma1 = christoffel(W.first, engine, p1)
-        gamma2 = christoffel(W.second, engine, p2)
+        gamma1 = christoffel(W.first, engine, c1)
+        gamma2 = christoffel(W.second, engine, c2)
 
         for E1, F1 in pairs1:
             E1l = lift(W, "first", E1)
             F1l = lift(W, "first", F1)
             lhs = covariant_derivative(W.ambient, engine, E1l, F1l, p, gamma)
-            factor = covariant_derivative(W.first, engine, E1, F1, p1, gamma1)
+            factor = covariant_derivative(W.first, engine, E1, F1, c1, gamma1)
             rhs = np.concatenate([factor, np.zeros(W.second.dim)])
             checks[0].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
 
@@ -231,9 +230,9 @@ def verify_warped_connection(
             lhs_a = covariant_derivative(W.ambient, engine, E1l, E2l, p, gamma)
             lhs_b = covariant_derivative(W.ambient, engine, E2l, E1l, p, gamma)
             df_along = float(
-                np.dot(scalar_partials(engine, W.warp, p1), E1(c1))
+                np.dot(scalar_partials(W.first, engine, W.warp, c1), E1(c1))
             )
-            rhs = (df_along / W.warp(c1)) * E2l(p.coords)
+            rhs = (df_along / W.warp(c1)) * E2l(p)
             res = max(np.linalg.norm(lhs_a - rhs), np.linalg.norm(lhs_b - rhs))
             checks[1].add(res, residual_scale(lhs_a, lhs_b, rhs))
 
@@ -242,13 +241,13 @@ def verify_warped_connection(
             E2l = lift(W, "second", E2)
             F2l = lift(W, "second", F2)
             full = covariant_derivative(W.ambient, engine, E2l, F2l, p, gamma)
-            inner = metric_inner(W.ambient, p, E2l(p.coords), F2l(p.coords))
+            inner = metric_inner(W.ambient, p, E2l(p), F2l(p))
             normal = np.concatenate([full[:m1], np.zeros(W.second.dim)])
             rhs3 = -inner * grad_log
             checks[2].add(np.linalg.norm(normal - rhs3), residual_scale(normal, rhs3))
 
             tangent = full[m1:]
-            rhs4 = covariant_derivative(W.second, engine, E2, F2, p2, gamma2)
+            rhs4 = covariant_derivative(W.second, engine, E2, F2, c2, gamma2)
             checks[3].add(np.linalg.norm(tangent - rhs4), residual_scale(tangent, rhs4))
 
     return [c.record() for c in checks]
@@ -257,7 +256,7 @@ def verify_warped_connection(
 def verify_leaf_fiber_geometry(
     W: WarpedProduct,
     engine: DiffEngine,
-    points: Sequence[Point],
+    points: Sequence[Array],
     leaf_tolerance: float = 1e-8,
     fiber_tolerance: float = 1e-6,
 ) -> list[CheckRecord]:
@@ -275,7 +274,7 @@ def verify_leaf_fiber_geometry(
         leaf_check.add(np.max(np.abs(leaf.values)), residual_scale(leaf.values))
 
         fiber = second_fundamental_form(W, engine, "fiber", p, gamma)
-        g = W.ambient.metric_at(p.coords)
+        g = W.ambient.metric_at(p)
         induced = g[np.ix_(list(W.second_axes()), list(W.second_axes()))]
         expected = np.einsum("ab,k->abk", induced, fiber.mean_curvature)
         umb_check.add(
@@ -291,11 +290,11 @@ def verify_leaf_fiber_geometry(
     return [leaf_check.record(), umb_check.record(), mean_check.record()]
 
 
-def verify_metric_blocks(W: WarpedProduct, points: Sequence[Point]) -> CheckRecord:
+def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:
     """Cross blocks of the ambient metric are identically zero (exact)."""
     check = ResidualCheck("metric-blocks", 0.0)
     m1 = W.first.dim
     for p in points:
-        g = W.ambient.metric_at(p.coords)
+        g = W.ambient.metric_at(p)
         check.add(float(np.max(np.abs(g[:m1, m1:]))) + float(np.max(np.abs(g[m1:, :m1]))))
     return check.record()

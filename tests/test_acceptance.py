@@ -102,7 +102,7 @@ def test_exp_spiral_dilation_both_paths():
     assert len(points) == 25
     worst_an = worst_an_aniso = worst_fd = worst_fd_aniso = 0.0
     for p in points:
-        want = np.exp(2.0 * p.coords[2])
+        want = np.exp(2.0 * p[2])
         d = ctx.dilation(p)
         worst_an = max(worst_an, abs(d.lambda_sq - want) / want)
         worst_an_aniso = max(worst_an_aniso, d.anisotropy - 1.0)

@@ -188,3 +188,34 @@ def test_exit_codes_of_the_installed_binary():
     assert invoke(
         "verify", "product-plain", "--samples", "2", "--tolerance-scale", "1e-18"
     ) == EXIT_CHECK_FAILURE
+
+
+def test_tolerance_scale_multiplies_every_tolerance(capsys):
+    def tolerances(scale):
+        code, out, _ = run_cli(
+            capsys, "verify", "--all", "--samples", "2", "--report", "json",
+            "--tolerance-scale", str(scale),
+        )
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILURE)
+        return {
+            (report["scenario"], k, check["check_id"]): check["tolerance"]
+            for report in json.loads(out)["reports"]
+            for k, check in enumerate(report["checks"])
+        }
+
+    base, scaled = tolerances(1), tolerances(4)
+    assert scaled.keys() == base.keys()
+    # a non-conformal scenario judges compatibility by the conformality
+    # threshold conf_tol of its context, not by a residual tolerance
+    exempt = {
+        (s.scenario_id, "dilation-compatibility")
+        for s in scenarios.list_scenarios()
+        if not s.expected["conformal"]
+    }
+    unscaled = [
+        key for key, tol in base.items()
+        if (key[0], key[2]) not in exempt
+        and scaled[key] != pytest.approx(4.0 * tol, rel=1e-12, abs=0.0)
+    ]
+    assert unscaled == []
+    assert {key[2] for key in base} >= {"split-decomposition", "fd-consistency"}

@@ -173,13 +173,13 @@ def test_projection_jacobian_stays_writable_after_splitting(cws):
 def test_metric_and_christoffel_bit_identical_inside_and_outside_scope(cws):
     charts = (cws.source.ambient, cws.source.first, cws.target.ambient)
     points = [M.point(COORDS[: M.dim] * 0.5) for M in charts]
-    outside = [(M.metric_at(p.coords), christoffel(M, ENGINE, p))
+    outside = [(M.metric_at(p), christoffel(M, ENGINE, p))
                for M, p in zip(charts, points)]
     with evaluation_scope():
         for _ in range(2):  # the second round is served from the memo
             for (g, gamma), M, p in zip(outside, charts, points):
-                assert np.array_equal(M.metric_at(p.coords), g)
-                assert np.array_equal(M.metric_at(p.coords, check=False), g)
+                assert np.array_equal(M.metric_at(p), g)
+                assert np.array_equal(M.metric_at(p, check=False), g)
                 assert np.array_equal(christoffel(M, ENGINE, p), gamma)
 
 
@@ -255,8 +255,8 @@ def test_metric_and_christoffel_memo_is_dropped_on_exit(cws):
 def _two_pass_oneill(ctx, part, E, F, p, gamma):
     """The O'Neill tensor with VF and HF differentiated in separate passes."""
     M = ctx.map.source
-    s = ctx.splitting_at(p.coords)
-    direction = part(s, E(p.coords))
+    s = ctx.splitting_at(p)
+    direction = part(s, E(p))
     d_vert = covariant_derivative_dir(M, ctx.engine, direction, ctx.vertical_field(F), p, gamma)
     d_horiz = covariant_derivative_dir(M, ctx.engine, direction, ctx.horizontal_field(F), p,
                                        gamma)
@@ -268,7 +268,7 @@ def _oneill_outputs(ctx, p, stacked):
     M = ctx.map.source
     gamma = christoffel(M, ctx.engine, p)
     E, F = vector_field_library(M, np.random.default_rng(11), 2)
-    basis = ctx.splitting_at(p.coords).vertical
+    basis = ctx.splitting_at(p).vertical
     if stacked:
         return [oneill_a(ctx, E, F, p, gamma),
                 oneill_t(ctx, E, F, p, gamma),
@@ -304,7 +304,7 @@ def test_oneill_makes_one_partials_call(monkeypatch):
     p = M.point([0.2, -0.1, 0.3, 0.4])
     gamma = christoffel(M, ENGINE, p)
     E, F = vector_field_library(M, np.random.default_rng(3), 2)
-    basis = ctx.splitting_at(p.coords).vertical
+    basis = ctx.splitting_at(p).vertical
     calls = []
     partials = DiffEngine.partials
 
@@ -391,6 +391,6 @@ def test_dilation_coords_read_only_and_caller_coords_writable(cws, scoped):
     assert np.array_equal(d.coords, COORDS)
     with pytest.raises(ValueError):
         d.coords[0] = 1.0
-    assert p.coords.flags.writeable
-    p.coords[0] = 0.0  # the caller's array stays its own
+    assert p.flags.writeable
+    p[0] = 0.0  # the caller's array stays its own
     assert d.coords[0] == COORDS[0]

@@ -46,6 +46,19 @@ def test_metric_inner_polar(polar):
     assert metric_inner(polar, p, [0, 1], [0, 1]) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_point_is_the_checked_coordinate_array():
+    M = ChartManifold.euclidean(2, [-1.0, -1.0], [1.0, 1.0])
+    p = M.point([0.5, -0.5])
+    assert isinstance(p, np.ndarray) and p.dtype == float
+    assert np.array_equal(p, [0.5, -0.5])
+    for wrong_length in ([0.5], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError):
+            M.point(wrong_length)
+    for outside in ([1.5, 0.0], [0.0, -1.0]):  # the box is open
+        with pytest.raises(DomainError):
+            M.point(outside)
+
+
 def test_point_outside_domain_raises(polar):
     with pytest.raises(DomainError):
         polar.point([-1.0, 0.0])
@@ -89,10 +102,11 @@ def test_metric_inner_symmetric_bilinear(polar):
 def test_partial_derivative_dispatch(engine):
     M = ChartManifold.euclidean(1, [-5], [5])
     p = M.point([1.0])
-    assert partial_derivative(engine, ScalarField(lambda c: c[0] ** 2), p, 0) == pytest.approx(2.0, abs=1e-9)
-    vec = partial_derivative(engine, VectorField(lambda c: np.array([c[0] ** 3])), p, 0)
+    square = ScalarField(lambda c: c[0] ** 2)
+    assert partial_derivative(M, engine, square, p, 0) == pytest.approx(2.0, abs=1e-9)
+    vec = partial_derivative(M, engine, VectorField(lambda c: np.array([c[0] ** 3])), p, 0)
     assert np.allclose(vec, [3.0], atol=1e-9)
-    mat = partial_derivative(engine, M.metric, p, 0)
+    mat = partial_derivative(M, engine, M.metric, p, 0)
     assert np.allclose(mat, 0.0)
 
 
@@ -152,7 +166,7 @@ def test_gradient_duality_property(x, y, a, b):
     p = M.point([x, y])
     v = np.array([b, a])
     lhs = metric_inner(M, p, gradient(M, engine, phi, p), v)
-    rhs = engine.directional(phi.fn, p.coords, v, M.lower, M.upper)
+    rhs = engine.directional(phi.fn, p, v, M.lower, M.upper)
     assert abs(lhs - rhs) <= 1e-5 * (1.0 + max(abs(lhs), abs(rhs)))
 
 
@@ -161,8 +175,9 @@ def test_analytic_partials_validated(engine):
     good = ScalarField(lambda c: float(np.exp(c[0])), lambda c: np.array([np.exp(c[0])]))
     bad = ScalarField(lambda c: float(np.exp(c[0])), lambda c: np.array([2.0 * np.exp(c[0])]))
     pts = [M.point([0.2]), M.point([1.1])]
-    assert check_scalar_field(M, engine, good, pts) <= engine.fd_check_tol
-    assert check_scalar_field(M, engine, bad, pts) > engine.fd_check_tol
+    fd_consistency_tol = 1e-5
+    assert check_scalar_field(M, engine, good, pts) <= fd_consistency_tol
+    assert check_scalar_field(M, engine, bad, pts) > fd_consistency_tol
     no_partials = ScalarField(lambda c: float(c[0]))
     assert check_scalar_field(M, engine, no_partials, pts) == 0.0
 

@@ -76,7 +76,7 @@ def test_point_sets_bit_identical_to_single_points(scheme, scoped, monkeypatch):
     assert any(ctx.map.jac is None for ctx, _ in contexts)  # an FD Jacobian
     assert any(ctx.map.source.dim == ctx.map.target.dim for ctx, _ in contexts)  # no fiber
     want = [
-        ([ctx.splitting_at(p.coords) for p in points], [ctx.dilation(p) for p in points])
+        ([ctx.splitting_at(p) for p in points], [ctx.dilation(p) for p in points])
         for ctx, points in contexts
     ]
 
@@ -88,7 +88,7 @@ def test_point_sets_bit_identical_to_single_points(scheme, scoped, monkeypatch):
     for (ctx, points), (splittings, dilations) in zip(contexts, want):
         for n in SIZES:
             with evaluation_scope() if scoped else nullcontext():
-                got_s = ctx.splittings_at([p.coords for p in points[:n]])
+                got_s = ctx.splittings_at(points[:n])
                 got_d = ctx.dilations(points[:n])
             assert len(got_s) == len(got_d) == n
             for w, g in zip(splittings, got_s):
@@ -127,8 +127,8 @@ def test_first_failing_point_raises_as_the_single_point_loop(order, error, scope
     M, ctx = _guarded_map([])
     points = [M.point(c) for c in order]
     loops = (
-        (lambda: [ctx.splitting_at(p.coords) for p in points],
-         lambda: ctx.splittings_at([p.coords for p in points])),
+        (lambda: [ctx.splitting_at(p) for p in points],
+         lambda: ctx.splittings_at(points)),
         (lambda: [ctx.dilation(p) for p in points], lambda: ctx.dilations(points)),
     )
     for single, point_set in loops:
@@ -167,12 +167,12 @@ def test_errors_are_not_stored_and_earlier_points_are():
     with evaluation_scope():
         for _ in range(3):
             with pytest.raises(RankError):
-                ctx.splittings_at([p.coords for p in points])
+                ctx.splittings_at(points)
             with pytest.raises(RankError):
                 ctx.dilations(points)
         # the point before the failing one was stored, as a loop would store it
         n = len(calls)
-        ctx.splitting_at(points[0].coords)
+        ctx.splitting_at(points[0])
         ctx.dilation(points[0])
         assert len(calls) == n
 

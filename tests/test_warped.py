@@ -4,7 +4,9 @@ import pytest
 from warpgeo import (
     ChartManifold,
     DiffEngine,
+    DomainError,
     ScalarField,
+    StencilError,
     VectorField,
     WarpPositivityError,
     build_warped_product,
@@ -98,8 +100,30 @@ def test_projection_recovers_factor_field():
     for X in vector_field_library(W.first, rng, 3):
         lifted = lift(W, "first", X)
         p = W.point([0.3], [0.8])
-        pushed = pushforward(pi1, ENGINE, p, lifted(p.coords))
+        pushed = pushforward(pi1, ENGINE, p, lifted(p))
         assert np.allclose(pushed, X([0.3]), atol=1e-12)
+
+
+def test_warped_point_is_the_checked_ambient_coordinate_array():
+    W = make_warped_line()
+    assert np.array_equal(W.point([0.5], [-1.0]), [0.5, -1.0])
+    with pytest.raises(ValueError):
+        W.point([0.5, 0.1], [-1.0])
+    for outside in (([3.5], [0.0]), ([0.0], [-3.0])):
+        with pytest.raises(DomainError):
+            W.point(*outside)
+
+
+@pytest.mark.parametrize("verifier", ["connection", "leaf-fiber"])
+def test_off_chart_coordinates_raise_in_fd_verifiers(verifier):
+    # unchecked coordinates outside the box: no stencil fits, so no residual
+    W = make_warped_line()
+    outside = [np.array([0.2, 0.1]), np.array([3.5, 0.0])]
+    with pytest.raises(StencilError):
+        if verifier == "connection":
+            verify_warped_connection(W, ENGINE, outside, _pairs(W.first, 1), _pairs(W.second, 2))
+        else:
+            verify_leaf_fiber_geometry(W, ENGINE, outside)
 
 
 def test_lift_rejects_unknown_origin():
