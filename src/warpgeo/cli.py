@@ -46,7 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=defaults.seed)
     verify.add_argument("--fd-step", type=float, default=defaults.fd_step)
     verify.add_argument("--scheme", choices=SCHEMES, default=defaults.scheme)
-    verify.add_argument("--tolerance-scale", type=float, default=defaults.tolerance_scale)
+    verify.add_argument(
+        "--tolerance-scale", type=float, default=defaults.tolerance_scale,
+        help="multiply every tolerance, except the dilation-compatibility verdict of a "
+        "non-conformal scenario, which is judged by its context's conf_tol",
+    )
     verify.add_argument("--report", choices=["json", "text"], default="text")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser

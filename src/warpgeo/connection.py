@@ -51,7 +51,7 @@ def covariant_derivative_dir(
     if gamma is None:
         gamma = christoffel(M, engine, coords)
     direction = np.asarray(direction, dtype=float)
-    dY = engine.partials(Y.fn, coords, M.lower, M.upper)
+    dY = engine.partials(Y.fn, coords, M.lower, M.upper, along=direction)
     return _covariant_from_partials(direction, dY, Y(coords), gamma)
 
 
@@ -76,9 +76,10 @@ def lie_bracket(
     M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField, coords
 ) -> Array:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at coords."""
-    dY = engine.partials(Y.fn, coords, M.lower, M.upper)
-    dX = engine.partials(X.fn, coords, M.lower, M.upper)
-    return X(coords) @ dY - Y(coords) @ dX
+    x, y = X(coords), Y(coords)
+    dY = engine.partials(Y.fn, coords, M.lower, M.upper, along=x)
+    dX = engine.partials(X.fn, coords, M.lower, M.upper, along=y)
+    return x @ dY - y @ dX
 
 
 def metric_orthogonal_projector(g: Array, basis: Array) -> Array:

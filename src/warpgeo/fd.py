@@ -8,6 +8,7 @@ would leave the chart's coordinate box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,10 @@ class DiffEngine:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("step", "min_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def _fit_step(self, room: float) -> float:
         """Largest usable step given the distance to the nearest bound."""
@@ -80,13 +83,28 @@ class DiffEngine:
 
         return STENCILS[self.scheme][1](at, h)
 
-    def partials(self, fn, coords, lower, upper) -> np.ndarray:
+    def partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
         """All coordinate partials of fn stacked along axis 0: out[i] = d_i fn.
 
         For a scalar fn this is the gradient vector, for a vector fn the
         transposed Jacobian, for a matrix fn the array d_i fn_jk.
+
+        For a derivative that is only contracted with a direction, pass it as
+        ``along``: row i is then differentiated only where along[i] != 0.0,
+        and every other row is an exact zero whose stencil is never evaluated
+        (nor checked against the box). ``along @ out`` then differs from the
+        full contraction at most in the sign of a zero.
         """
-        return np.stack([self.partial(fn, coords, i, lower, upper) for i in range(len(coords))])
+        n = len(coords)
+        used = [i for i in range(n) if along is None or along[i] != 0.0]
+        if not used:  # nothing to differentiate; one evaluation gives the shape
+            return np.zeros((n,) + np.shape(fn(np.asarray(coords, dtype=float))))
+        rows = np.stack([self.partial(fn, coords, i, lower, upper) for i in used])
+        if len(used) == n:
+            return rows
+        out = np.zeros((n,) + rows.shape[1:])
+        out[used] = rows
+        return out
 
     def directional(self, fn, coords, direction, lower, upper) -> float:
         """Derivative of a scalar fn along a straight line through coords."""

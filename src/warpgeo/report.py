@@ -9,6 +9,7 @@ written as ``null``, and read back as ``inf``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -30,12 +31,15 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.fd_step <= 0:
-            raise ConfigurationError("fd_step must be positive")
+        # NaN fails every comparison, so "<= 0" alone lets it through
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ConfigurationError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.samples < 1:
             raise ConfigurationError("samples must be >= 1")
-        if self.tolerance_scale <= 0:
-            raise ConfigurationError("tolerance_scale must be positive")
+        if not (math.isfinite(self.tolerance_scale) and self.tolerance_scale > 0):
+            raise ConfigurationError(
+                f"tolerance_scale must be positive and finite, got {self.tolerance_scale}"
+            )
 
     def engine(self) -> DiffEngine:
         return DiffEngine(scheme=self.scheme, step=self.fd_step)

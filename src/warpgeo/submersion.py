@@ -343,6 +343,7 @@ def _oneill(
 
     VF and HF are differentiated in one stencil pass over c -> [VF(c), HF(c)];
     the stencils act elementwise, so each slice equals its own pass bit for bit.
+    Only the axes where D has a nonzero component are differentiated.
     """
     M, engine = ctx.map.source, ctx.engine
     s = ctx.splitting_at(coords)
@@ -355,7 +356,7 @@ def _oneill(
         v = ctx.splitting_at(c).vertical_part(f)
         return v, f - v
 
-    d = engine.partials(lambda c: np.array(split(c)), coords, M.lower, M.upper)
+    d = engine.partials(lambda c: np.array(split(c)), coords, M.lower, M.upper, along=direction)
     v, h = split(coords)
     # contiguous slices, so each product is the same call as for a lone field
     d_vert = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 0]), v, gamma)

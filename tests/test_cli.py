@@ -134,6 +134,18 @@ def test_bad_flag_values_are_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--fd-step", "--tolerance-scale"])
+def test_non_finite_numeric_flags_are_usage_errors(capsys, flag, value):
+    # "--flag=-inf": argparse would read a separate "-inf" as an option
+    code, out, err = run_cli(
+        capsys, "verify", "warped-line", "--samples", "2", "--report", "json", f"{flag}={value}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err and "must be positive and finite" in err
+
+
 def test_check_failure_exit_code(capsys):
     # an absurd tolerance scale forces residual checks to fail
     code, out, _ = run_cli(

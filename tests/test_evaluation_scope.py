@@ -1,6 +1,7 @@
 """The pointwise memo of evaluation_scope: same numbers, per-point splittings,
 metrics and Christoffel symbols, nesting, lifetime, errors, read-only
-entries and Jacobian reuse; dilations; the one-pass O'Neill tensors."""
+entries and Jacobian reuse; dilations; the one-pass O'Neill tensors;
+derivatives contracted with a direction skip its zero components."""
 
 from contextlib import nullcontext
 
@@ -21,6 +22,7 @@ from warpgeo import (
     christoffel,
     conformal_a_formula,
     evaluation_scope,
+    lie_bracket,
     oneill_a,
     oneill_t,
 )
@@ -319,6 +321,54 @@ def test_oneill_makes_one_partials_call(monkeypatch):
     assert len(calls) == 2
     fiber_mean_curvature(ctx, basis, p, gamma)
     assert len(calls) == 2 + basis.shape[1]
+
+
+# -- direction-contracted derivatives skip the zero components ---------------
+
+
+def _contracted_outputs(objs, p):
+    """nabla_X Y, [X, Y], A_X Y and T_X Y for generic and coordinate fields."""
+    ctx = objs["ctx"]
+    M, engine = ctx.map.source, ctx.engine
+    gamma = christoffel(M, engine, p)
+    fields = vector_field_library(M, np.random.default_rng(7), 2)
+    fields += [VectorField.coordinate(M.dim, 0), VectorField.coordinate(M.dim, M.dim - 1)]
+    out = []
+    for X in fields:
+        for Y in fields:
+            out.append(covariant_derivative_dir(M, engine, X(p), Y, p, gamma))
+            out.append(lie_bracket(M, engine, X, Y, p))
+            out.append(oneill_a(ctx, X, Y, p, gamma))
+            out.append(oneill_t(ctx, X, Y, p, gamma))
+    return out
+
+
+@pytest.mark.parametrize(
+    "scenario", ["sphere-warped", "product-plain", "exp-spiral-r4", "cws-variable-dilation"]
+)
+def test_contracted_derivatives_bit_identical_to_full_partials(scenario, monkeypatch):
+    objs = build_objects(scenario, ENGINE)
+    p = objs["ctx"].map.source.point(0.5 * (objs["sample_lower"] + objs["sample_upper"]) + 0.05)
+    partials = DiffEngine.partials
+    skipped = []
+
+    def counting(self, fn, coords, lower, upper, along=None):
+        if along is not None:
+            skipped.append(int(np.count_nonzero(np.asarray(along) == 0.0)))
+        return partials(self, fn, coords, lower, upper, along=along)
+
+    monkeypatch.setattr(DiffEngine, "partials", counting)
+    got = _contracted_outputs(objs, p)
+    assert sum(skipped) > 0  # some direction components are exact zeros
+
+    def full(self, fn, coords, lower, upper, along=None):
+        return partials(self, fn, coords, lower, upper)
+
+    monkeypatch.setattr(DiffEngine, "partials", full)
+    reference = _contracted_outputs(objs, p)
+    assert any(np.any(r != 0.0) for r in reference)
+    for want, have in zip(reference, got):
+        assert np.array_equal(want, have)
 
 
 # -- dilations ---------------------------------------------------------------

@@ -125,5 +125,104 @@ def test_directional_subnormal_component_is_quiet():
 def test_rejects_bad_configuration():
     with pytest.raises(ValueError):
         DiffEngine(scheme="forward1")
-    with pytest.raises(ValueError):
-        DiffEngine(step=-1e-5)
+    for bad in (-1e-5, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            DiffEngine(step=bad)
+        with pytest.raises(ValueError):
+            DiffEngine(min_step=bad)
+
+
+# -- derivatives contracted with a direction: partials(..., along=v) ----------
+
+BOX = (np.array([-2.0, -2.0, -2.0]), np.array([2.0, 2.0, 2.0]))
+ALONG_POINT = np.array([0.3, -0.7, 1.1])
+
+ALONG_FNS = {
+    "scalar": lambda c: np.sin(c[0]) * c[1] + np.exp(c[2] - c[0]),
+    "vector": lambda c: np.array([c[0] * c[1], np.cos(c[2]), c[0] ** 3 - c[1] * c[2]]),
+    "stacked": lambda c: np.array([[c[0] * c[2], np.exp(c[1]), 1.0],
+                                   [np.sin(c[1] + c[2]), c[0] ** 2, c[1] * c[2]]]),
+}
+
+# zero, negative, tiny but normal, and all-zero components
+ALONG_DIRECTIONS = [
+    [1.0, 0.0, 0.0],
+    [0.0, -1.5, 0.0],
+    [0.7, 0.0, -2.0],
+    [-0.3, 1e-13, 0.0],
+    [0.0, 0.0, 0.0],
+    [1.2, -0.4, 0.9],
+]
+
+
+def _contract(along, d):
+    """along^i d_i, a stacked field slice by slice as the O'Neill tensors do."""
+    if d.ndim <= 2:
+        return along @ d
+    return np.array([along @ np.ascontiguousarray(d[:, k]) for k in range(d.shape[1])])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", list(ALONG_FNS))
+def test_along_contraction_is_bit_identical_to_full_partials(scheme, kind):
+    engine = DiffEngine(scheme=scheme)
+    fn = ALONG_FNS[kind]
+    full = engine.partials(fn, ALONG_POINT, *BOX)
+    for direction in ALONG_DIRECTIONS:
+        along = np.array(direction)
+        got = engine.partials(fn, ALONG_POINT, *BOX, along=along)
+        assert got.shape == full.shape
+        assert np.array_equal(_contract(along, got), _contract(along, full))
+        # differentiated rows are the full rows, the others exact zeros
+        for i, a in enumerate(along):
+            assert np.array_equal(got[i], full[i] if a != 0.0 else np.zeros_like(full[i]))
+
+
+@pytest.mark.parametrize("scheme,per_axis", [("central2", 2), ("central4", 4), ("richardson", 4)])
+def test_along_evaluates_nothing_on_skipped_axes(scheme, per_axis):
+    engine = DiffEngine(scheme=scheme)
+    seen = []
+
+    def fn(c):
+        seen.append(c.copy())
+        return np.array([c[0] * c[1], c[2]])
+
+    engine.partials(fn, ALONG_POINT, *BOX, along=np.array([1.0, 0.0, 0.0]))
+    assert len(seen) == per_axis
+    assert all(np.array_equal(c[1:], ALONG_POINT[1:]) for c in seen)
+    seen.clear()
+    engine.partials(fn, ALONG_POINT, *BOX, along=np.array([0.0, -2.0, 3.0]))
+    assert len(seen) == 2 * per_axis
+    seen.clear()
+    engine.partials(fn, ALONG_POINT, *BOX)
+    assert len(seen) == 3 * per_axis
+
+
+def test_along_all_zero_gives_zeros_without_stencil_points():
+    engine = DiffEngine()
+    seen = []
+
+    def fn(c):
+        seen.append(c.copy())
+        return np.ones((2, 3))
+
+    got = engine.partials(fn, ALONG_POINT, *BOX, along=np.zeros(3))
+    assert got.shape == (3, 2, 3) and not np.any(got)
+    # at most the base point, for the shape; never a shifted stencil point
+    assert all(np.array_equal(c, ALONG_POINT) for c in seen)
+
+
+def test_along_skipped_axis_may_sit_at_the_boundary():
+    # no room along axis 1: a skipped axis is not differentiated, so the
+    # stencil never leaves the box there; a used axis still raises
+    engine = DiffEngine()
+    lower, upper = np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1e-12, 1.0])
+    coords = np.array([0.2, 5e-13, -0.1])
+    fn = ALONG_FNS["vector"]
+    got = engine.partials(fn, coords, lower, upper, along=np.array([1.0, 0.0, -1.0]))
+    assert not np.any(got[1])
+    assert np.array_equal(got[0], engine.partial(fn, coords, 0, lower, upper))
+    with pytest.raises(StencilError):
+        engine.partials(fn, coords, lower, upper, along=np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(StencilError):
+        engine.partials(fn, coords, lower, upper)
