@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -27,6 +28,12 @@ EXIT_USAGE = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option looks like a number, so a token such as "-1e-5" or "-inf"
+        # is a flag's value; argparse's own pattern covers only "-1" and "-.5"
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigurationError(message)
@@ -49,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--tolerance-scale", type=float, default=defaults.tolerance_scale,
         help="multiply every tolerance, except the dilation-compatibility verdict of a "
-        "non-conformal scenario, which is judged by its context's conf_tol",
+        "non-conformal scenario, which is judged by the unscaled "
+        "TOLERANCES['conformality/threshold'] of warpgeo.report",
     )
     verify.add_argument("--report", choices=["json", "text"], default="text")
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")

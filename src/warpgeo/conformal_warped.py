@@ -26,7 +26,7 @@ from .connection import christoffel, lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
 from .manifold import ChartManifold, ScalarField, VectorField
-from .report import CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
     SubmersionContext,
@@ -47,8 +47,7 @@ class ConformalWarpedSubmersion:
 
     ctx runs on the warped ambients; ctx1 and ctx2 run on the factors with
     their intrinsic (unwarped) metrics, which is what the per-factor A
-    tensors refer to. The product map and the conformality tolerance are
-    ctx.map and ctx.conf_tol.
+    tensors refer to. The product map is ctx.map.
     """
 
     phi1: SmoothMap
@@ -126,7 +125,6 @@ def build_product_submersion(
     f: ScalarField,
     rho: ScalarField,
     engine: DiffEngine,
-    conf_tol: float = 1e-6,
     check_points: Sequence[Array] = (),
 ) -> ConformalWarpedSubmersion:
     """Assemble the product map with block-diagonal Jacobian.
@@ -157,9 +155,9 @@ def build_product_submersion(
         lambda2=lambda2,
         source=source,
         target=target,
-        ctx=SubmersionContext(product, engine, conf_tol=conf_tol),
-        ctx1=SubmersionContext(phi1, engine, conf_tol=conf_tol),
-        ctx2=SubmersionContext(phi2, engine, conf_tol=conf_tol),
+        ctx=SubmersionContext(product, engine),
+        ctx1=SubmersionContext(phi1, engine),
+        ctx2=SubmersionContext(phi2, engine),
     )
     for p in check_points:
         c1, c2 = source.split_coords(p)
@@ -176,7 +174,8 @@ def build_product_submersion(
 
 
 def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
-    """r1 vs r2 at one point; conformal iff |r1/r2 - 1| <= conf_tol."""
+    """r1 vs r2 at one point; conformal iff |r1/r2 - 1| is at most the
+    unscaled ``TOLERANCES["conformality/threshold"]``."""
     c1, c2 = cws.source.split_coords(coords)
     l1 = cws.lambda1(c1)
     l2 = cws.lambda2(c2)
@@ -184,7 +183,7 @@ def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
     rv = cws.target_warp(cws.phi1(c1))
     r1 = l1 * l1
     r2 = (rv * rv) * (l2 * l2) / (fv * fv)
-    conformal_here = abs(r1 / r2 - 1.0) <= cws.ctx.conf_tol
+    conformal_here = abs(r1 / r2 - 1.0) <= TOLERANCES["conformality/threshold"]
     return CompatibilityEntry(coords, r1, r2, conformal_here, r1 if conformal_here else None)
 
 
@@ -198,7 +197,7 @@ def verify_first_factor_a_identity(
     cws: ConformalWarpedSubmersion,
     points: Sequence[Array],
     pairs1: Sequence[tuple[VectorField, VectorField]],
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCES["product-a-first-factor"],
 ) -> CheckRecord:
     """Product A on lifted first-factor horizontal fields equals the factor
     bracket/dilation-gradient formula.
@@ -302,7 +301,7 @@ def verify_second_factor_a_identity(
     cws: ConformalWarpedSubmersion,
     points: Sequence[Array],
     pairs2: Sequence[tuple[VectorField, VectorField]],
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCES["product-a-second-factor"],
 ) -> tuple[CheckRecord, dict[str, float]]:
     """Product A on lifted second-factor horizontal fields.
 
@@ -363,7 +362,7 @@ def verify_second_factor_a_identity(
 def verify_riemannian_reduction(
     cws: ConformalWarpedSubmersion,
     points: Sequence[Array],
-    tolerance: float = 1e-8,
+    tolerance: float = TOLERANCES["riemannian-reduction"],
 ) -> CheckRecord:
     """With lambda1 = lambda2 = 1 and rho o phi1 = f, the product map is a
     Riemannian submersion: squared dilation 1 and horizontal lengths kept."""
@@ -410,7 +409,7 @@ def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) 
 def verify_rescaled_riemannian(
     cws: ConformalWarpedSubmersion,
     points: Sequence[Array],
-    tolerance: float = 1e-8,
+    tolerance: float = TOLERANCES["rescale-to-riemannian"],
     probe_offset: float = 0.1,
 ) -> list[CheckRecord]:
     """Rescaling by the squared dilation yields a Riemannian submersion, and
@@ -467,7 +466,7 @@ def fiber_geometry_report(
     points: Sequence[Array],
     expect_first_minimal: bool,
     expect_second_minimal: bool,
-    tolerance: float = 1e-6,
+    tolerance: float = TOLERANCES["fiber-minimality-first"],
 ) -> list[CheckRecord]:
     """Mean curvatures of the two vertical blocks and the mixed T values.
 
@@ -509,8 +508,8 @@ def verify_kernel_product(
     cws: ConformalWarpedSubmersion, points: Sequence[Array]
 ) -> list[CheckRecord]:
     """Jacobian cross blocks are exactly zero and kernel dimensions add up."""
-    blocks = ResidualCheck("jacobian-blocks", 0.0)
-    kernel = ResidualCheck("kernel-product", 0.0)
+    blocks = ResidualCheck("jacobian-blocks", TOLERANCES["jacobian-blocks"])
+    kernel = ResidualCheck("kernel-product", TOLERANCES["kernel-product"])
     m1 = cws.source.first.dim
     n1 = cws.target.first.dim
     for p in points:

@@ -34,6 +34,10 @@ class RunConfig:
         # NaN fails every comparison, so "<= 0" alone lets it through
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise ConfigurationError(f"fd_step must be positive and finite, got {self.fd_step}")
+        if self.fd_step < DiffEngine.min_step:
+            raise ConfigurationError(
+                f"fd_step {self.fd_step} is below the engine's min_step {DiffEngine.min_step}"
+            )
         if self.samples < 1:
             raise ConfigurationError("samples must be >= 1")
         if not (math.isfinite(self.tolerance_scale) and self.tolerance_scale > 0):
@@ -43,6 +47,10 @@ class RunConfig:
 
     def engine(self) -> DiffEngine:
         return DiffEngine(scheme=self.scheme, step=self.fd_step)
+
+    def tolerance(self, key: str) -> float:
+        """``TOLERANCES[key]`` times ``tolerance_scale``."""
+        return TOLERANCES[key] * self.tolerance_scale
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -91,6 +99,50 @@ NON_FINITE_NOTE = "non-finite max_residual, written as null"
 def residual_scale(*arrays) -> float:
     """1 + the largest absolute entry of the arrays: the scale of a residual."""
     return 1.0 + max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in arrays)
+
+
+# The base tolerance of every check id the catalog gates, before
+# ``RunConfig.tolerance_scale``; exact checks are gated at 0.0. A key
+# "<check id>/<qualifier>" is a variant of that check's tolerance.
+TOLERANCES: dict[str, float] = {
+    "fd-consistency": 1e-5,
+    "metric-blocks": 0.0,
+    "warped-conn-first-pair": 1e-6,
+    "warped-conn-mixed": 1e-6,
+    "warped-conn-fiber-normal": 1e-6,
+    "warped-conn-fiber-tangent": 1e-6,
+    "leaf-totally-geodesic": 1e-8,
+    "fiber-umbilical": 1e-6,
+    "fiber-mean-curvature-warp": 1e-6,
+    "jacobian-blocks": 0.0,
+    "kernel-product": 0.0,
+    "dilation-compatibility": 1e-10,
+    "compatibility-vs-dilation": 1e-6,
+    "split-decomposition": 1e-8,
+    "conformality": 1e-6,
+    # the analytic exp-spiral-r4 Jacobian is exact, so its anisotropy is gated tighter
+    "conformality/exp-spiral-r4": 1e-8,
+    # never scaled: the pointwise verdict of compatibility() and conformal_a_formula
+    "conformality/threshold": 1e-6,
+    "dilation-value": 1e-8,
+    "fd-conformality": 1e-6,
+    "fd-dilation-value": 1e-6,
+    "t-umbilical": 1e-6,
+    "a-vs-bracket-formula": 1e-5,
+    "a-extension-independence": 1e-5,
+    "product-a-first-factor": 1e-5,
+    "product-a-second-factor": 1e-5,
+    "riemannian-reduction": 1e-8,
+    "rescale-to-riemannian": 1e-8,
+    "rescale-probe-dilation": 1e-8,
+    "fiber-minimality-first": 1e-6,
+    "fiber-minimality-second": 1e-6,
+    "mixed-fiber-geodesic": 1e-6,
+    "torsion-free": 1e-6,
+    "metric-compatibility": 1e-5,
+}
+# the probe must find its perturbation 100x above the rescaling's own gate
+TOLERANCES["rescale-uniqueness-probe"] = 100.0 * TOLERANCES["rescale-to-riemannian"]
 
 
 class ResidualCheck:

@@ -33,7 +33,7 @@ from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
 from .fields import vector_field_library
 from .manifold import ChartManifold, ScalarField, evaluation_scope
-from .report import CheckRecord, ResidualCheck, RunConfig, VerificationReport
+from .report import TOLERANCES, CheckRecord, ResidualCheck, RunConfig, VerificationReport
 from .sampling import sample_points
 from .submersion import SmoothMap, SubmersionContext, _in_blocks
 from .suites import (
@@ -54,44 +54,6 @@ from .warped import (
 )
 
 Array = np.ndarray
-
-# every identity family the engine verifies must appear in at least one
-# scenario; tests assert this against the union of `provides` below
-REQUIRED_CHECK_IDS = frozenset(
-    {
-        "metric-blocks",
-        "warped-conn-first-pair",
-        "warped-conn-mixed",
-        "warped-conn-fiber-normal",
-        "warped-conn-fiber-tangent",
-        "leaf-totally-geodesic",
-        "fiber-umbilical",
-        "fiber-mean-curvature-warp",
-        "split-decomposition",
-        "conformality",
-        "dilation-value",
-        "a-vs-bracket-formula",
-        "a-extension-independence",
-        "t-umbilical",
-        "jacobian-blocks",
-        "kernel-product",
-        "dilation-compatibility",
-        "compatibility-vs-dilation",
-        "product-a-first-factor",
-        "product-a-second-factor",
-        "riemannian-reduction",
-        "rescale-to-riemannian",
-        "rescale-uniqueness-probe",
-        "rescale-probe-dilation",
-        "fiber-minimality-first",
-        "fiber-minimality-second",
-        "mixed-fiber-geodesic",
-        "torsion-free",
-        "metric-compatibility",
-        "fd-consistency",
-    }
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -415,38 +377,35 @@ def _points_by_manifold(objs: dict, points) -> dict:
     return out
 
 
-def _tols(config: RunConfig, base: float) -> float:
-    return base * config.tolerance_scale
-
-
 def _run_warped_scenario(
     objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
 ) -> list[CheckRecord]:
     W = objs["warped"]
     ctx = objs["ctx"]
+    tol = config.tolerance
     pairs1 = _factor_pairs(W.first, rng, 3)
     pairs2 = _factor_pairs(W.second, rng, 3)
     records = [verify_metric_blocks(W, points)]
     records += verify_warped_connection(
-        W, engine, points, pairs1, pairs2, tolerance=_tols(config, 1e-6)
+        W, engine, points, pairs1, pairs2, tolerance=tol("warped-conn-first-pair")
     )
     records += verify_leaf_fiber_geometry(
         W,
         engine,
         points,
-        leaf_tolerance=_tols(config, 1e-8),
-        fiber_tolerance=_tols(config, 1e-6),
+        leaf_tolerance=tol("leaf-totally-geodesic"),
+        fiber_tolerance=tol("fiber-umbilical"),
     )
-    records.append(splitting_records(ctx, points, rng, tolerance=_tols(config, 1e-8)))
+    records.append(splitting_records(ctx, points, rng, tolerance=tol("split-decomposition")))
     records += dilation_records(
         ctx,
         points,
         objs["expected_lambda_sq"],
-        conformality_tol=_tols(config, 1e-6),
-        value_tol=_tols(config, 1e-8),
+        conformality_tol=tol("conformality"),
+        value_tol=tol("dilation-value"),
     )
-    records.append(t_umbilicity_records(ctx, points, rng, tolerance=_tols(config, 1e-6)))
-    records += a_crossval_records(ctx, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2)
+    records.append(t_umbilicity_records(ctx, points, rng, tolerance=tol("t-umbilical")))
+    records += a_crossval_records(ctx, points, rng, tolerance=tol("a-vs-bracket-formula"))
     return records
 
 
@@ -476,23 +435,24 @@ def _run_exp_spiral(
 ) -> list[CheckRecord]:
     ctx = objs["ctx"]
     ctx_fd = objs["ctx_fd"]
-    records = [splitting_records(ctx, points, rng, tolerance=_tols(config, 1e-8))]
+    tol = config.tolerance
+    records = [splitting_records(ctx, points, rng, tolerance=tol("split-decomposition"))]
     records += dilation_records(
         ctx,
         points,
         objs["expected_lambda_sq"],
-        conformality_tol=_tols(config, 1e-8),
-        value_tol=_tols(config, 1e-8),
+        conformality_tol=tol("conformality/exp-spiral-r4"),
+        value_tol=tol("dilation-value"),
     )
     records += dilation_records(
         ctx_fd,
         points,
         objs["expected_lambda_sq"],
-        conformality_tol=_tols(config, 1e-6),
-        value_tol=_tols(config, 1e-6),
+        conformality_tol=tol("fd-conformality"),
+        value_tol=tol("fd-dilation-value"),
         check_prefix="fd-",
     )
-    records += a_crossval_records(ctx, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2)
+    records += a_crossval_records(ctx, points, rng, tolerance=tol("a-vs-bracket-formula"))
     return records
 
 
@@ -515,8 +475,9 @@ def _compatibility_records(
 ) -> list[CheckRecord]:
     report = compatibility_report(cws, points)
     if expect_conformal:
-        check = ResidualCheck("dilation-compatibility", _tols(config, 1e-10))
-        agree = ResidualCheck("compatibility-vs-dilation", _tols(config, 1e-6))
+        check = ResidualCheck("dilation-compatibility", config.tolerance("dilation-compatibility"))
+        agree = ResidualCheck("compatibility-vs-dilation",
+                              config.tolerance("compatibility-vs-dilation"))
         for entry, (_, d) in zip(report.entries, _in_blocks(cws.ctx.dilations, points)):
             check.add(abs(entry.r1 / entry.r2 - 1.0))
             agree.add(abs(d.lambda_sq - entry.r1), 1.0 + abs(entry.r1))
@@ -528,7 +489,7 @@ def _compatibility_records(
             check_id="dilation-compatibility",
             n_samples=len(points),
             max_residual=worst,
-            tolerance=cws.ctx.conf_tol,
+            tolerance=TOLERANCES["conformality/threshold"],
             passed=fails >= int(np.ceil(0.9 * len(points))),
             expected_fail=True,
             notes=f"non-conformal at {fails}/{len(points)} points (needs >= 90%)",
@@ -541,43 +502,42 @@ def _run_cws_scenario(
 ) -> list[CheckRecord]:
     cws: ConformalWarpedSubmersion = objs["cws"]
     conformal = expected["conformal"]
+    tol = config.tolerance
 
     records = [verify_metric_blocks(cws.source, points)]
     records += verify_kernel_product(cws, points)
     records += _compatibility_records(cws, points, config, conformal)
-    records.append(splitting_records(cws.ctx, points, rng, tolerance=_tols(config, 1e-8)))
+    records.append(splitting_records(cws.ctx, points, rng, tolerance=tol("split-decomposition")))
     records += dilation_records(
         cws.ctx,
         points,
         objs["expected_lambda_sq"],
-        conformality_tol=_tols(config, 1e-6),
-        value_tol=_tols(config, 1e-8),
+        conformality_tol=tol("conformality"),
+        value_tol=tol("dilation-value"),
         expect_conformal=conformal,
     )
     if conformal:
-        records += a_crossval_records(
-            cws.ctx, points, rng, tolerance=_tols(config, 1e-5), n_pairs=2
-        )
+        records += a_crossval_records(cws.ctx, points, rng, tolerance=tol("a-vs-bracket-formula"))
         pairs1 = horizontal_pairs(cws.ctx1, rng, 2)
         pairs2 = horizontal_pairs(cws.ctx2, rng, 2)
-        records.append(
-            verify_first_factor_a_identity(cws, points, pairs1, tolerance=_tols(config, 1e-5))
-        )
+        records.append(verify_first_factor_a_identity(
+            cws, points, pairs1, tolerance=tol("product-a-first-factor")
+        ))
         item2, _ = verify_second_factor_a_identity(
-            cws, points, pairs2, tolerance=_tols(config, 1e-5)
+            cws, points, pairs2, tolerance=tol("product-a-second-factor")
         )
         records.append(item2)
         if expected.get("riemannian"):
             records.append(
-                verify_riemannian_reduction(cws, points, tolerance=_tols(config, 1e-8))
+                verify_riemannian_reduction(cws, points, tolerance=tol("riemannian-reduction"))
             )
-        records += verify_rescaled_riemannian(cws, points, tolerance=_tols(config, 1e-8))
+        records += verify_rescaled_riemannian(cws, points, tolerance=tol("rescale-to-riemannian"))
     records += fiber_geometry_report(
         cws,
         points,
         expect_first_minimal=expected["first_factor_minimal"],
         expect_second_minimal=expected["second_factor_minimal"],
-        tolerance=_tols(config, 1e-6),
+        tolerance=tol("fiber-minimality-first"),
     )
     return records
 
@@ -786,7 +746,7 @@ def _run_suites(scenario: Scenario, config: RunConfig) -> list[CheckRecord]:
                 objs["scalar_checks"],
                 objs["map_checks"],
                 _points_by_manifold(objs, points),
-                tolerance=_tols(config, 1e-5),
+                tolerance=config.tolerance("fd-consistency"),
             )
         ]
         records += scenario.runner(objs, config, engine, points, rng, scenario.expected)
@@ -795,8 +755,8 @@ def _run_suites(scenario: Scenario, config: RunConfig) -> list[CheckRecord]:
             engine,
             points,
             rng,
-            torsion_tol=_tols(config, 1e-6),
-            compat_tol=_tols(config, 1e-5),
+            torsion_tol=config.tolerance("torsion-free"),
+            compat_tol=config.tolerance("metric-compatibility"),
         )
     return records
 

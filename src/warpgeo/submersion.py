@@ -1,7 +1,7 @@
 """Smooth maps, vertical/horizontal splitting, dilation, O'Neill tensors.
 
 The vertical space at a point is the kernel of the Jacobian, obtained from a
-rank-revealing SVD with threshold rank_tol * sigma_max; the horizontal space
+rank-revealing SVD with threshold RANK_TOL * sigma_max; the horizontal space
 is its metric-orthogonal complement, orthonormalized against the source
 metric. The O'Neill tensors evaluate
 
@@ -54,11 +54,14 @@ from .manifold import (
     analytic_fd_gap,
     gradient,
 )
+from .report import TOLERANCES
 
 Array = np.ndarray
 
 # points per stacked call when a suite walks a point set
 POINT_BLOCK = 64
+# singular values at most RANK_TOL * sigma_max count as zero
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,6 @@ class SubmersionContext:
 
     map: SmoothMap
     engine: DiffEngine
-    rank_tol: float = 1e-8
-    conf_tol: float = 1e-6
 
     def splitting_at(self, coords) -> Splitting:
         coords = np.asarray(coords, dtype=float)
@@ -199,7 +200,7 @@ class SubmersionContext:
         g = self.map.source.metric_at(coords, check=False)
         _, s, vt = np.linalg.svd(J)
         smax = float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > self.rank_tol * smax)) if smax > 0 else 0
+        rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
         if rank < self.map.target.dim:
             raise RankError(
                 f"rank {rank} below target dimension {self.map.target.dim} at {coords}",
@@ -231,7 +232,7 @@ class SubmersionContext:
         _, S, VT = np.linalg.svd(J)
         m = self.map.target.dim
         smax = S[:, 0]
-        ranks = np.where(smax > 0, np.sum(S > self.rank_tol * smax[:, None], axis=1), 0)
+        ranks = np.where(smax > 0, np.sum(S > RANK_TOL * smax[:, None], axis=1), 0)
         if np.any(ranks < m):
             raise RankError("rank below target dimension in the point set")
         # the single-point kernel's products, left to right, on the stack
@@ -417,12 +418,13 @@ def conformal_a_formula(
     """A_X Y = 1/2 { V[X, Y] - lambda^2 g(X, Y) grad_V(1/lambda^2) }.
 
     X and Y are replaced by their horizontal parts (as fields). Requires
-    conformality at coords; raises ConformalityError carrying the anisotropy
-    otherwise. By default lambda^2 is the context's own dilation estimate,
-    so the formula is entirely self-contained.
+    conformality at coords, judged by ``TOLERANCES["conformality/threshold"]``;
+    raises ConformalityError carrying the anisotropy otherwise. By default
+    lambda^2 is the context's own dilation estimate, so the formula is
+    entirely self-contained.
     """
     d = ctx.dilation(coords)
-    if not d.is_conformal(ctx.conf_tol):
+    if not d.is_conformal(TOLERANCES["conformality/threshold"]):
         raise ConformalityError(
             f"map not conformal at {coords}: anisotropy {d.anisotropy:.6e}",
             anisotropy=d.anisotropy,

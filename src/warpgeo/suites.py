@@ -18,7 +18,7 @@ from .errors import GeometryError
 from .fd import DiffEngine
 from .fields import modulated, vector_field_library
 from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_field
-from .report import CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
     _gram_schmidt,
@@ -37,8 +37,8 @@ def engine_health_records(
     engine: DiffEngine,
     points: Sequence[Array],
     rng: np.random.Generator,
-    torsion_tol: float = 1e-6,
-    compat_tol: float = 1e-5,
+    torsion_tol: float = TOLERANCES["torsion-free"],
+    compat_tol: float = TOLERANCES["metric-compatibility"],
 ) -> list[CheckRecord]:
     """Torsion-free and metric-compatibility residuals of the connection."""
     torsion = ResidualCheck("torsion-free", torsion_tol)
@@ -75,7 +75,7 @@ def splitting_records(
     ctx: SubmersionContext,
     points: Sequence[Array],
     rng: np.random.Generator,
-    tolerance: float = 1e-8,
+    tolerance: float = TOLERANCES["split-decomposition"],
 ) -> CheckRecord:
     """v = Vv + Hv with J Vv = 0 and g(Vv, Hv) = 0, idempotently."""
     check = ResidualCheck("split-decomposition", tolerance)
@@ -99,8 +99,8 @@ def dilation_records(
     ctx: SubmersionContext,
     points: Sequence[Array],
     expected_lambda_sq: Optional[Callable[[Array], float]],
-    conformality_tol: float = 1e-6,
-    value_tol: float = 1e-8,
+    conformality_tol: float = TOLERANCES["conformality"],
+    value_tol: float = TOLERANCES["dilation-value"],
     check_prefix: str = "",
     expect_conformal: bool = True,
 ) -> list[CheckRecord]:
@@ -140,7 +140,7 @@ def a_crossval_records(
     ctx: SubmersionContext,
     points: Sequence[Array],
     rng: np.random.Generator,
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCES["a-vs-bracket-formula"],
     n_pairs: int = 2,
     lambda_sq_field: Optional[ScalarField] = None,
 ) -> list[CheckRecord]:
@@ -174,7 +174,7 @@ def t_umbilicity_records(
     ctx: SubmersionContext,
     points: Sequence[Array],
     rng: np.random.Generator,
-    tolerance: float = 1e-6,
+    tolerance: float = TOLERANCES["t-umbilical"],
 ) -> CheckRecord:
     """T restricted to vertical pairs is g(U, W) H with H the fiber mean
     curvature obtained by tracing T over an orthonormal vertical basis."""
@@ -206,7 +206,7 @@ def fd_consistency_record(
     scalar_checks: Sequence[tuple[ChartManifold, ScalarField]],
     map_checks: Sequence,
     points_by_manifold: dict,
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCES["fd-consistency"],
 ) -> CheckRecord:
     """Analytic partials and Jacobians agree with their FD counterparts."""
     check = ResidualCheck("fd-consistency", tolerance)

@@ -30,7 +30,7 @@ from .manifold import (
     metric_inner,
     scalar_partials,
 )
-from .report import CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 
 Array = np.ndarray
 
@@ -189,7 +189,7 @@ def verify_warped_connection(
     points: Sequence[Array],
     pairs1: Sequence[tuple[VectorField, VectorField]],
     pairs2: Sequence[tuple[VectorField, VectorField]],
-    tolerance: float = 1e-6,
+    tolerance: float = TOLERANCES["warped-conn-first-pair"],
 ) -> list[CheckRecord]:
     """The four ambient-connection identities of a warped product.
 
@@ -257,8 +257,8 @@ def verify_leaf_fiber_geometry(
     W: WarpedProduct,
     engine: DiffEngine,
     points: Sequence[Array],
-    leaf_tolerance: float = 1e-8,
-    fiber_tolerance: float = 1e-6,
+    leaf_tolerance: float = TOLERANCES["leaf-totally-geodesic"],
+    fiber_tolerance: float = TOLERANCES["fiber-umbilical"],
 ) -> list[CheckRecord]:
     """Leaves are totally geodesic; fibers are totally umbilical with
     mean curvature -grad(ln f). Leaf and fiber share one ambient Christoffel
@@ -292,7 +292,7 @@ def verify_leaf_fiber_geometry(
 
 def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:
     """Cross blocks of the ambient metric are identically zero (exact)."""
-    check = ResidualCheck("metric-blocks", 0.0)
+    check = ResidualCheck("metric-blocks", TOLERANCES["metric-blocks"])
     m1 = W.first.dim
     for p in points:
         g = W.ambient.metric_at(p)

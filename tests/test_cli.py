@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from warpgeo import RunConfig, VerificationReport, WarpPositivityError
+from warpgeo import DiffEngine, RunConfig, VerificationReport, WarpPositivityError
 from warpgeo import scenarios
 from warpgeo.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, build_parser, main
 from warpgeo.fd import SCHEMES
+from warpgeo.report import TOLERANCES
 
 
 def run_cli(capsys, *argv):
@@ -132,14 +133,23 @@ def test_bad_flag_values_are_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "verify", "warped-line", "--scheme", "upwind")
     assert code == EXIT_USAGE
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", ["--fd-step", "--tolerance-scale"])
-def test_non_finite_numeric_flags_are_usage_errors(capsys, flag, value):
-    # "--flag=-inf": argparse would read a separate "-inf" as an option
+    # a step the engine may never use is a configuration error, not failed checks
     code, out, err = run_cli(
-        capsys, "verify", "warped-line", "--samples", "2", "--report", "json", f"{flag}={value}"
+        capsys, "verify", "warped-line", "--samples", "2", "--fd-step",
+        str(0.1 * DiffEngine.min_step),
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and "min_step" in err
+
+
+@pytest.mark.parametrize("joined", [True, False], ids=["flag=value", "flag value"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-5"])
+@pytest.mark.parametrize("flag", ["--fd-step", "--tolerance-scale"])
+def test_non_finite_numeric_flags_are_usage_errors(capsys, flag, value, joined):
+    # a separate "-inf" or "-1e-5" is the flag's value, not an option
+    given = [f"{flag}={value}"] if joined else [flag, value]
+    code, out, err = run_cli(
+        capsys, "verify", "warped-line", "--samples", "2", "--report", "json", *given
     )
     assert code == EXIT_USAGE
     assert out == ""
@@ -215,19 +225,21 @@ def test_tolerance_scale_multiplies_every_tolerance(capsys):
             for k, check in enumerate(report["checks"])
         }
 
-    base, scaled = tolerances(1), tolerances(4)
-    assert scaled.keys() == base.keys()
-    # a non-conformal scenario judges compatibility by the conformality
-    # threshold conf_tol of its context, not by a residual tolerance
-    exempt = {
-        (s.scenario_id, "dilation-compatibility")
-        for s in scenarios.list_scenarios()
-        if not s.expected["conformal"]
-    }
-    unscaled = [
-        key for key, tol in base.items()
-        if (key[0], key[2]) not in exempt
-        and scaled[key] != pytest.approx(4.0 * tol, rel=1e-12, abs=0.0)
+    def want(scale, scenario, check_id):
+        """The record's table entry times the scale."""
+        conformal = scenarios._BY_ID[scenario].expected["conformal"]
+        if check_id == "dilation-compatibility" and not conformal:
+            return TOLERANCES["conformality/threshold"]  # a verdict, never scaled
+        variant = f"{check_id}/{scenario}"
+        return TOLERANCES[variant if variant in TOLERANCES else check_id] * scale
+
+    runs = {scale: tolerances(scale) for scale in (1, 4)}
+    assert runs[4].keys() == runs[1].keys()
+    wrong = [
+        (scale, scenario, check_id, tol)
+        for scale, run in runs.items()
+        for (scenario, _, check_id), tol in run.items()
+        if tol != pytest.approx(want(scale, scenario, check_id), rel=1e-12, abs=0.0)
     ]
-    assert unscaled == []
-    assert {key[2] for key in base} >= {"split-decomposition", "fd-consistency"}
+    assert wrong == []
+    assert {key[2] for key in runs[1]} >= {"split-decomposition", "fd-consistency"}

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from warpgeo import (
     RunConfig,
     VerificationReport,
 )
-from warpgeo.report import NON_FINITE_NOTE, ResidualCheck, reports_to_json, reports_to_text
+from warpgeo.report import (
+    NON_FINITE_NOTE,
+    TOLERANCES,
+    ResidualCheck,
+    reports_to_json,
+    reports_to_text,
+)
 from warpgeo.suites import engine_health_records
 
 
@@ -88,6 +96,9 @@ def test_run_config_validation():
         RunConfig(scheme="midpoint")
     with pytest.raises(ConfigurationError):
         RunConfig(fd_step=0.0)
+    with pytest.raises(ConfigurationError, match="min_step"):
+        RunConfig(fd_step=0.1 * DiffEngine.min_step)
+    assert RunConfig(fd_step=DiffEngine.min_step).engine().step == DiffEngine.min_step
     with pytest.raises(ConfigurationError):
         RunConfig(samples=0)
     with pytest.raises(ConfigurationError):
@@ -145,3 +156,53 @@ def test_nan_residual_fails_the_check(residuals, expected_fail):
     assert record.passed is False
     assert NON_FINITE_NOTE in record.notes
     assert record.to_dict()["max_residual"] is None
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "warpgeo"
+
+
+def _is_literal_number(expr) -> bool:
+    """A number written out, such as ``1e-6`` or ``-2 * 0.5``: an expression
+    with a numeric constant that names nothing, so no table lookup."""
+    nodes = list(ast.walk(expr))
+    return not any(isinstance(n, (ast.Name, ast.Attribute)) for n in nodes) and any(
+        isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in nodes
+    )
+
+
+def _literal_tolerances(tree: ast.AST) -> list:
+    """(line, what) of each parameter named ``*tol*`` with a literal default
+    and of each ``ResidualCheck`` given a literal tolerance."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [(p.lineno, p.arg) for p, d in pairs
+                      if "tol" in p.arg and _is_literal_number(d)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "ResidualCheck":
+            given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "tolerance"]
+            found += [(node.lineno, "ResidualCheck") for t in given if _is_literal_number(t)]
+    return found
+
+
+def test_the_tolerance_table_is_the_only_place_a_base_tolerance_is_written():
+    found = {
+        path.name: _literal_tolerances(ast.parse(path.read_text()))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    # the scan sees what it is meant to catch
+    planted = ast.parse(
+        "def f(x, rel_tol=1e-6):\n"
+        "    ResidualCheck('c', 1e-8)\n"
+        "    ResidualCheck('c', tolerance=-0.0)\n"
+    )
+    assert [what for _, what in _literal_tolerances(planted)] == [
+        "rel_tol", "ResidualCheck", "ResidualCheck"
+    ]
+    derived = ast.parse("def f(tol=TOLERANCES['c']):\n    ResidualCheck('c', 100.0 * tol)\n")
+    assert _literal_tolerances(derived) == []
+

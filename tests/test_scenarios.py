@@ -1,9 +1,8 @@
 import pytest
 
 from warpgeo import ConfigurationError, RunConfig
-from warpgeo.report import reports_to_json
+from warpgeo.report import TOLERANCES, reports_to_json
 from warpgeo.scenarios import (
-    REQUIRED_CHECK_IDS,
     build_objects,
     list_scenarios,
     run_all,
@@ -61,11 +60,16 @@ def test_catalog_filter():
 
 
 def test_every_identity_family_is_covered():
+    # the check ids of the tolerance table are exactly the families the
+    # catalog runs: none uncovered, no entry dead
     union = set()
     for s in list_scenarios():
         union.update(s.provides)
-    missing = REQUIRED_CHECK_IDS - union
-    assert not missing, f"uncovered identity families: {sorted(missing)}"
+    check_ids = {key for key in TOLERANCES if "/" not in key}
+    assert sorted(check_ids - union) == [], "uncovered identity families"
+    assert sorted(union - check_ids) == [], "checks without a tolerance entry"
+    # a "<check id>/<qualifier>" entry is a variant of a check id's tolerance
+    assert {key.split("/")[0] for key in TOLERANCES} == check_ids
 
 
 @pytest.mark.parametrize("scenario", [s.scenario_id for s in list_scenarios()])
