@@ -31,6 +31,8 @@ from .submersion import (
     SmoothMap,
     SubmersionContext,
     _gram_schmidt,
+    _in_blocks,
+    _warm_parts,
     fiber_mean_curvature,
     oneill_a,
     oneill_t,
@@ -193,6 +195,11 @@ def compatibility_report(
     return CompatibilityReport(tuple(compatibility(cws, p) for p in points))
 
 
+def _conformal_points(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> list:
+    """The points at which the two candidate dilations agree."""
+    return [p for p in points if compatibility(cws, p).conformal_here]
+
+
 def verify_first_factor_a_identity(
     cws: ConformalWarpedSubmersion,
     points: Sequence[Array],
@@ -208,7 +215,6 @@ def verify_first_factor_a_identity(
     noted.
     """
     check = ResidualCheck("product-a-first-factor", tolerance)
-    skipped = 0
     convention_gap = 0.0
     inv_l1_partials = None
     if cws.lambda1.partials is not None:
@@ -218,12 +224,11 @@ def verify_first_factor_a_identity(
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
     inv_l1_lifted = lift(cws.source, "first", inv_l1)
     engine = cws.ctx.engine
+    used = _conformal_points(cws, points)
+    skipped = len(points) - len(used)
+    _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
 
-    for p in points:
-        entry = compatibility(cws, p)
-        if not entry.conformal_here:
-            skipped += 1
-            continue
+    for p in used:
         c1, _ = cws.source.split_coords(p)
         g1 = cws.source.first.metric_at(c1)
         lam1_sq = cws.lambda1(c1) ** 2
@@ -315,15 +320,12 @@ def verify_second_factor_a_identity(
     variants = second_factor_variant_fields(cws)
     engine = cws.ctx.engine
     worst = {name: 0.0 for name in variants}
-    skipped = 0
-    used = 0
+    used = _conformal_points(cws, points)
+    skipped = len(points) - len(used)
+    _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.second_axes())
+    _warm_parts(cws.ctx2, [cws.source.split_coords(p)[1] for p in used], vertical=False)
 
-    for p in points:
-        entry = compatibility(cws, p)
-        if not entry.conformal_here:
-            skipped += 1
-            continue
-        used += 1
+    for p in used:
         c1, c2 = cws.source.split_coords(p)
         g2 = cws.source.second.metric_at(c2)
         lam2_sq = cws.lambda2(c2) ** 2
@@ -348,7 +350,7 @@ def verify_second_factor_a_identity(
                 )
 
     # the check passes iff the best variant passes
-    for _ in range(used):
+    for _ in used:
         check.add(min(worst.values()))
     passing = sorted(name for name, r in worst.items() if r <= tolerance)
     check.note("passing variant(s): " + (", ".join(passing) if passing else "none"))
@@ -421,8 +423,7 @@ def verify_rescaled_riemannian(
     """
     main = ResidualCheck("rescale-to-riemannian", tolerance)
     ctx0 = rescaled_context(cws, 0.0)
-    for p in points:
-        d = ctx0.dilation(p)
+    for _, d in _in_blocks(ctx0.dilations, points):
         main.add(max(abs(d.lambda_sq - 1.0), d.anisotropy - 1.0))
 
     probe_detect = ResidualCheck("rescale-uniqueness-probe", 100.0 * tolerance,
@@ -430,7 +431,7 @@ def verify_rescaled_riemannian(
     probe_value = ResidualCheck("rescale-probe-dilation", tolerance)
     expected = float(np.exp(2.0 * probe_offset))
     ctx1 = rescaled_context(cws, probe_offset)
-    probes = [ctx1.dilation(p) for p in points]
+    probes = [d for _, d in _in_blocks(ctx1.dilations, points)]
     for d in probes:
         probe_detect.add(abs(d.lambda_sq - 1.0))
         probe_value.add(abs(d.lambda_sq - expected), 1.0 + expected)
@@ -479,6 +480,7 @@ def fiber_geometry_report(
     h1_check = ResidualCheck("fiber-minimality-first", tolerance)
     h2_check = ResidualCheck("fiber-minimality-second", tolerance)
     mixed_check = ResidualCheck("mixed-fiber-geodesic", tolerance)
+    _warm_parts(cws.ctx, points, vertical=True)
 
     for p in points:
         v1, v2 = factor_vertical_bases(cws, p)
@@ -512,12 +514,11 @@ def verify_kernel_product(
     kernel = ResidualCheck("kernel-product", TOLERANCES["kernel-product"])
     m1 = cws.source.first.dim
     n1 = cws.target.first.dim
-    for p in points:
-        s = cws.ctx.splitting_at(p)
+    factors = [cws.source.split_coords(p) for p in points]
+    first = _in_blocks(cws.ctx1.splittings_at, [c1 for c1, _ in factors])
+    second = _in_blocks(cws.ctx2.splittings_at, [c2 for _, c2 in factors])
+    for (_, s), (_, s1), (_, s2) in zip(_in_blocks(cws.ctx.splittings_at, points), first, second):
         J = s.jacobian
         blocks.add(float(np.max(np.abs(J[:n1, m1:]))) + float(np.max(np.abs(J[n1:, :m1]))))
-        c1, c2 = cws.source.split_coords(p)
-        nv1 = cws.ctx1.splitting_at(c1).vertical.shape[1]
-        nv2 = cws.ctx2.splitting_at(c2).vertical.shape[1]
-        kernel.add(abs(s.vertical.shape[1] - nv1 - nv2))
+        kernel.add(abs(s.vertical.shape[1] - s1.vertical.shape[1] - s2.vertical.shape[1]))
     return [blocks.record(), kernel.record()]

@@ -83,6 +83,33 @@ class DiffEngine:
 
         return STENCILS[self.scheme][1](at, h)
 
+    def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
+        """The points ``partial(fn, coords, axis, lower, upper)`` passes to
+        ``fn`` for each axis of ``axes``, in call order, as rows of one array.
+
+        The offsets come from running the scheme's own combine with an
+        ``at`` that records them, and each row is built as in ``partial``,
+        so the rows equal its points bit for bit. Raises StencilError where
+        ``partial`` would.
+        """
+        coords = np.asarray(coords, dtype=float)
+        rows = []
+        for axis in axes:
+            x = float(coords[axis])
+            room = min(x - float(lower[axis]), float(upper[axis]) - x)
+            offsets = []
+
+            def at(t: float):
+                offsets.append(t)
+                return 0.0
+
+            STENCILS[self.scheme][1](at, self._fit_step(room))
+            for t in offsets:
+                shifted = coords.copy()
+                shifted[axis] = x + t
+                rows.append(shifted)
+        return np.array(rows).reshape(-1, len(coords))
+
     def partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
         """All coordinate partials of fn stacked along axis 0: out[i] = d_i fn.
 

@@ -761,9 +761,17 @@ def _run_suites(scenario: Scenario, config: RunConfig) -> list[CheckRecord]:
     return records
 
 
+def _gate(scenario: Scenario, check_id: str, config: RunConfig) -> float:
+    """The tolerance the scenario's runner gives the check ``check_id``."""
+    if check_id == "dilation-compatibility" and not scenario.expected["conformal"]:
+        return TOLERANCES["conformality/threshold"]  # a verdict, never scaled
+    variant = f"{check_id}/{scenario.scenario_id}"
+    return config.tolerance(variant if variant in TOLERANCES else check_id)
+
+
 def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
     """Run one scenario; a ``GeometryError`` it raises becomes a failed
-    report rather than propagating."""
+    report rather than propagating, whose records keep their gates."""
     if scenario_id not in _BY_ID:
         raise ConfigurationError(f"unknown scenario {scenario_id!r}")
     scenario = _BY_ID[scenario_id]
@@ -772,7 +780,8 @@ def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
     except GeometryError as exc:
         note = f"scenario aborted by {type(exc).__name__}: {exc}"
         records = [
-            CheckRecord(check_id, 0, 0.0, 0.0, passed=False, notes=note)
+            CheckRecord(check_id, 0, 0.0, _gate(scenario, check_id, config), passed=False,
+                        notes=note)
             for check_id in scenario.provides
         ]
     return VerificationReport(

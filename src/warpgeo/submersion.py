@@ -21,12 +21,16 @@ and ``matmul`` give each matrix the bits of its own call, so a point-set
 result equals the single-point one bit for bit. The suites fetch point sets
 in blocks of ``POINT_BLOCK`` points, which bounds the memory held at once.
 A stack of one costs more than the single-point kernel, so ``splitting_at``
-and ``dilation`` (stencil points, one at a time) keep their own kernel.
+and ``dilation`` keep their own kernel for single points.
 
 Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
 single-point and point-set calls; stencil points still get their own
-splittings, so nothing is frozen at the base point.
+splittings, so nothing is frozen at the base point. Before an O'Neill
+suite walks its sample points, ``warm_stencils`` stores the splittings (or
+dilations) at all their stencil points, along the axes the suite's
+directions use, through the point-set calls; the O'Neill tensors then find
+them in the memo.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from .connection import (
     lie_bracket,
     metric_orthogonal_projector,
 )
-from .errors import ConformalityError, DomainError, RankError
+from .errors import ConformalityError, DomainError, RankError, StencilError
 from .fd import DiffEngine
 from .manifold import (
+    _MEMO,
     ChartManifold,
     ScalarField,
     VectorField,
@@ -313,6 +318,35 @@ class SubmersionContext:
         lam_sq = float(np.trace(q)) / q.shape[0]
         return DilationEstimate(s.coords, lam_sq, float(evals[-1] / evals[0]))
 
+    def warm_stencils(self, points, axes, dilations: bool = False) -> None:
+        """Store in the evaluation scope the splittings (with ``dilations``,
+        the dilations) at every stencil point of ``points`` along ``axes``,
+        fetched through ``splittings_at`` (``dilations``) in blocks of
+        ``POINT_BLOCK`` stencil points.
+
+        The entries equal those the single-point calls at those points
+        would store. A no-op outside a scope. Never raises: a stencil that
+        does not fit and a block that fails are skipped, so the caller's own
+        call there raises what it would raise anyway.
+        """
+        if _MEMO.get() is None:
+            return
+        M = self.map.source
+        axes = tuple(axes)
+        stencils = []
+        for p in points:
+            for axis in axes:
+                try:
+                    stencils.extend(self.engine.stencil_points(p, M.lower, M.upper, (axis,)))
+                except StencilError:
+                    continue
+        fetch = self.dilations if dilations else self.splittings_at
+        for start in range(0, len(stencils), POINT_BLOCK):
+            try:
+                fetch(stencils[start:start + POINT_BLOCK])
+            except Exception:  # the caller's own call at that point raises it
+                continue
+
     def __call__(self, coords) -> Array:
         return self.map(coords)
 
@@ -325,6 +359,35 @@ class SubmersionContext:
     def lambda_sq_field(self) -> ScalarField:
         source = self.map.source
         return ScalarField(lambda c: self.dilation(source.point(c)).lambda_sq)
+
+
+def _part_axes(splittings, vertical: bool, columns=None) -> list[int]:
+    """The axes along which the vertical (else horizontal) part of a vector
+    that is zero outside ``columns`` can be nonzero at one of the
+    splittings: the rows of the projector, restricted to those columns, that
+    have a nonzero entry. A derivative along such a part is taken along no
+    other axis."""
+    used: set = set()
+    for s in splittings:
+        P = s.projector_v if vertical else np.eye(len(s.coords)) - s.projector_v
+        if columns is not None:
+            P = P[:, list(columns)]
+        used.update(np.flatnonzero(np.any(P != 0.0, axis=1)).tolist())
+    return sorted(used)
+
+
+def _warm_parts(ctx: SubmersionContext, points, vertical: bool, columns=None) -> None:
+    """``ctx.warm_stencils`` at ``points`` along the ``_part_axes`` of their
+    splittings: for a suite that differentiates along the vertical (else
+    horizontal) parts of vectors that are zero outside ``columns``. A no-op
+    outside a scope; never raises."""
+    if _MEMO.get() is None:
+        return
+    try:
+        splittings = [s for _, s in _in_blocks(ctx.splittings_at, points)]
+    except Exception:  # the suite's own call at that point raises it
+        return
+    ctx.warm_stencils(points, _part_axes(splittings, vertical, columns))
 
 
 def _stacked_inner(u: Array, G: Array, v: Array) -> Array:

@@ -23,6 +23,7 @@ from .submersion import (
     SubmersionContext,
     _gram_schmidt,
     _in_blocks,
+    _warm_parts,
     conformal_a_formula,
     fiber_mean_curvature,
     oneill_a,
@@ -150,6 +151,11 @@ def a_crossval_records(
     extension = ResidualCheck("a-extension-independence", tolerance)
     pairs = horizontal_pairs(ctx, rng, n_pairs)
     M = ctx.map.source
+    if lambda_sq_field is None:
+        # the formula differentiates the context's own dilation along every axis
+        ctx.warm_stencils(points, range(M.dim), dilations=True)
+    else:
+        _warm_parts(ctx, points, vertical=False)
 
     for p in points:
         gamma = christoffel(M, ctx.engine, p)
@@ -180,6 +186,7 @@ def t_umbilicity_records(
     curvature obtained by tracing T over an orthonormal vertical basis."""
     check = ResidualCheck("t-umbilical", tolerance)
     M = ctx.map.source
+    _warm_parts(ctx, points, vertical=True)
     for p in points:
         s = ctx.splitting_at(p)
         nv = s.vertical.shape[1]

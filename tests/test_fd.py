@@ -226,3 +226,46 @@ def test_along_skipped_axis_may_sit_at_the_boundary():
         engine.partials(fn, coords, lower, upper, along=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(StencilError):
         engine.partials(fn, coords, lower, upper)
+
+
+def _recorded_stencil(engine, coords, lower, upper, along):
+    """The coordinates ``partials`` passes to fn, in call order, as rows."""
+    seen = []
+
+    def fn(c):
+        seen.append(c.copy())
+        return np.array([c[0] * c[1], c[2]])
+
+    engine.partials(fn, coords, lower, upper, along=along)
+    return np.array(seen).reshape(-1, len(coords))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stencil_points_are_the_points_partial_evaluates(scheme):
+    engine = DiffEngine(scheme=scheme)
+    lower, upper = np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0])
+    # axis 1 sits closer to its wall than the nominal step, so its step shrinks
+    coords = np.array([0.2, 3e-6, -0.1 / 3.0])
+    for axes, along in (
+        ((0, 1, 2), None),
+        ((1,), np.array([0.0, 1.0, 0.0])),
+        ((0, 2), np.array([0.5, 0.0, -2.0])),  # axis 1 skipped
+    ):
+        want = _recorded_stencil(engine, coords, lower, upper, along)
+        got = engine.stencil_points(coords, lower, upper, axes)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # bit for bit, in call order
+    shifts = engine.stencil_points(coords, lower, upper, (1,))[:, 1] - coords[1]
+    assert np.max(np.abs(shifts)) < coords[1] < engine.step
+
+
+def test_stencil_points_raise_where_partial_raises():
+    engine = DiffEngine()
+    lower, upper = np.array([-1.0, 0.0]), np.array([1.0, 1e-12])
+    coords = np.array([0.2, 5e-13])
+    assert engine.stencil_points(coords, lower, upper, (0,)).shape == (2, 2)
+    assert engine.stencil_points(coords, lower, upper, ()).shape == (0, 2)
+    with pytest.raises(StencilError):
+        engine.partial(lambda c: c[1], coords, 1, lower, upper)
+    with pytest.raises(StencilError):
+        engine.stencil_points(coords, lower, upper, (0, 1))

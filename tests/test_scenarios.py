@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from warpgeo import ConfigurationError, RunConfig
+from warpgeo import ConfigurationError, RunConfig, WarpPositivityError, scenarios
 from warpgeo.report import TOLERANCES, reports_to_json
 from warpgeo.scenarios import (
     build_objects,
@@ -129,3 +131,21 @@ def test_richardson_scheme_also_passes():
 def test_central4_scheme_also_passes():
     report = run_scenario("sphere-warped", RunConfig(samples=3, scheme="central4"))
     assert report.overall_pass
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_an_aborted_scenario_keeps_the_gates_of_its_checks(scale, monkeypatch):
+    config = RunConfig(tolerance_scale=scale)
+    normal = {
+        s.scenario_id: {c.check_id: c.tolerance for c in run_scenario(s.scenario_id, config).checks}
+        for s in list_scenarios()
+    }
+
+    def runner(*args):
+        raise WarpPositivityError("warp -1.0 <= 0")
+
+    for s in list_scenarios():
+        monkeypatch.setitem(scenarios._BY_ID, s.scenario_id, replace(s, runner=runner))
+        aborted = run_scenario(s.scenario_id, config).checks
+        assert all(c.n_samples == 0 and not c.passed for c in aborted)
+        assert {c.check_id: c.tolerance for c in aborted} == normal[s.scenario_id], s.scenario_id
