@@ -413,6 +413,7 @@ def verify_rescaled_riemannian(
     points: Sequence[Array],
     tolerance: float = TOLERANCES["rescale-to-riemannian"],
     probe_offset: float = 0.1,
+    probe_tolerance: float = TOLERANCES["rescale-uniqueness-probe"],
 ) -> list[CheckRecord]:
     """Rescaling by the squared dilation yields a Riemannian submersion, and
     the conformal factor achieving that is unique.
@@ -426,7 +427,7 @@ def verify_rescaled_riemannian(
     for _, d in _in_blocks(ctx0.dilations, points):
         main.add(max(abs(d.lambda_sq - 1.0), d.anisotropy - 1.0))
 
-    probe_detect = ResidualCheck("rescale-uniqueness-probe", 100.0 * tolerance,
+    probe_detect = ResidualCheck("rescale-uniqueness-probe", probe_tolerance,
                                  expected_fail=True)
     probe_value = ResidualCheck("rescale-probe-dilation", tolerance)
     expected = float(np.exp(2.0 * probe_offset))

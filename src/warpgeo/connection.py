@@ -83,11 +83,14 @@ def lie_bracket(
 
 
 def metric_orthogonal_projector(g: Array, basis: Array) -> Array:
-    """g-orthogonal projector onto the span of the given basis columns."""
-    if basis.shape[1] == 0:
-        return np.zeros((g.shape[0], g.shape[0]))
-    gram = basis.T @ g @ basis
-    return basis @ np.linalg.solve(gram, basis.T @ g)
+    """g-orthogonal projector onto the span of the given basis columns.
+
+    ``g`` and ``basis`` may carry the same leading axes, a stack of metrics
+    and bases; each projector then equals its own call bit for bit."""
+    if basis.shape[-1] == 0:
+        return np.zeros(g.shape)
+    basis_t_g = np.swapaxes(basis, -1, -2) @ g
+    return basis @ np.linalg.solve(basis_t_g @ basis, basis_t_g)
 
 
 @dataclass(frozen=True)

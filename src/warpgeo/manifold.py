@@ -93,13 +93,27 @@ def _memoized(owner, coords: Array, tag, compute, *args):
     return value
 
 
-def _memoized_many(owner, coords_seq, tag, compute_many, compute) -> list:
-    """``[_memoized(owner, c, tag, compute, c) for c in coords_seq]``, with
-    the values not yet stored computed by one ``compute_many`` call on the
-    list of their coordinates (each once, in input order).
+def _compute_one(compute_many, coords: Array):
+    """The value at one point of a point-set kernel: ``compute_many`` on a
+    stack of one."""
+    return compute_many([coords])[0]
 
-    If ``compute_many`` raises, that loop itself is run: it stores the
-    values before the first failing point and raises that point's error.
+
+def _one_at_a_time(owner, coords_seq, tag, compute_many) -> list:
+    """``_memoized_many`` point by point: stores the values before the first
+    failing point and raises that point's error."""
+    return [_memoized(owner, c, tag, _compute_one, compute_many, c) for c in coords_seq]
+
+
+def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
+    """``[_memoized(owner, c, tag, _compute_one, compute_many, c) for c in
+    coords_seq]``, with the values not yet stored computed by one
+    ``compute_many`` call on the list of their coordinates (each once, in
+    input order).
+
+    If ``compute_many`` raises on more than one missing point, that loop
+    itself is run (``_one_at_a_time``), so the first failing point raises
+    its own error.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -111,8 +125,9 @@ def _memoized_many(owner, coords_seq, tag, compute_many, compute) -> list:
     try:
         values = compute_many(list(missing.values())) if missing else []
     except Exception:
-        # one point at a time finds the first failing point and its error
-        return [_memoized(owner, c, tag, compute, c) for c in coords_seq]
+        if len(missing) == 1:
+            raise  # a lone missing point's error is already the first
+        return _one_at_a_time(owner, coords_seq, tag, compute_many)
     if memo is None:
         return values
     for key, value in zip(missing, values):

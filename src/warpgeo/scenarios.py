@@ -531,7 +531,10 @@ def _run_cws_scenario(
             records.append(
                 verify_riemannian_reduction(cws, points, tolerance=tol("riemannian-reduction"))
             )
-        records += verify_rescaled_riemannian(cws, points, tolerance=tol("rescale-to-riemannian"))
+        records += verify_rescaled_riemannian(
+            cws, points, tolerance=tol("rescale-to-riemannian"),
+            probe_tolerance=tol("rescale-uniqueness-probe"),
+        )
     records += fiber_geometry_report(
         cws,
         points,

@@ -13,15 +13,15 @@ every stencil point. Both are differentiated in one stencil pass over the
 stacked field [VF, HF], so F and its splitting are evaluated once per
 stencil point.
 
-Splittings and dilations of a point set (``splittings_at``, ``dilations``)
-run each LAPACK and matrix-product step as one call on the stacked
-``(N, ., .)`` arrays of the points; Jacobians and metrics are still
-evaluated point by point. numpy's stacked ``svd``, ``solve``, ``eigvalsh``
-and ``matmul`` give each matrix the bits of its own call, so a point-set
-result equals the single-point one bit for bit. The suites fetch point sets
-in blocks of ``POINT_BLOCK`` points, which bounds the memory held at once.
-A stack of one costs more than the single-point kernel, so ``splitting_at``
-and ``dilation`` keep their own kernel for single points.
+Splittings and dilations have one kernel each, which runs each LAPACK and
+matrix-product step as one call on the stacked ``(N, ., .)`` arrays of a
+point set (``splittings_at``, ``dilations``); Jacobians and metrics are
+still evaluated point by point. A single point (``splitting_at``,
+``dilation``) is a stack of one. numpy's stacked ``svd``, ``solve``,
+``eigvalsh`` and ``matmul`` give each matrix the bits of its own call, so a
+point's result does not depend on the set it is computed in. The suites
+fetch point sets in blocks of ``POINT_BLOCK`` points, which bounds the
+memory held at once.
 
 Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
@@ -54,6 +54,7 @@ from .manifold import (
     ScalarField,
     VectorField,
     _as_vector,
+    _compute_one,
     _memoized,
     _memoized_many,
     analytic_fd_gap,
@@ -128,17 +129,27 @@ def _in_blocks(fetch, points):
 
 
 def _gram_schmidt(basis: Array, g: Array) -> Array:
-    """g-orthonormalize the columns of basis (assumed independent)."""
+    """g-orthonormalize the columns of basis (assumed independent).
+
+    ``basis`` and ``g`` may carry the same leading axes, a stack of bases
+    and metrics; each result then equals its own call bit for bit."""
     out = []
-    for k in range(basis.shape[1]):
-        v = basis[:, k].copy()
+    for k in range(basis.shape[-1]):
+        v = basis[..., k].copy()
         for u in out:
-            v -= (u @ g @ v) * u
-        norm = float(np.sqrt(v @ g @ v))
-        if norm < 1e-13:
+            v -= _inner(u, g, v) * u
+        norm = np.sqrt(_inner(v, g, v))
+        if np.any(norm < 1e-13):
             raise RankError("degenerate basis during orthonormalization")
         out.append(v / norm)
-    return np.column_stack(out) if out else np.zeros((basis.shape[0], 0))
+    return np.stack(out, axis=-1) if out else np.zeros(basis.shape)
+
+
+def _inner(u: Array, g: Array, v: Array) -> Array:
+    """``u @ g @ v`` for each vector of a stack, as the same two products as
+    on one vector, with a trailing axis of length 1 so that it scales the
+    stack."""
+    return (u[..., None, :] @ g @ v[..., :, None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -195,73 +206,44 @@ class SubmersionContext:
     engine: DiffEngine
 
     def splitting_at(self, coords) -> Splitting:
+        """Inside an evaluation scope, memoized by context and exact coordinates."""
         coords = np.asarray(coords, dtype=float)
-        return _memoized(self, coords, "splitting", self._splitting, coords)
-
-    def _splitting(self, coords: Array) -> Splitting:
-        coords = np.array(coords)  # a copy: the Splitting makes it read-only
-        # a copy: an analytic jac may hand out the same array on every call
-        J = np.array(self.map.jacobian_at(coords, self.engine))
-        g = self.map.source.metric_at(coords, check=False)
-        _, s, vt = np.linalg.svd(J)
-        smax = float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
-        if rank < self.map.target.dim:
-            raise RankError(
-                f"rank {rank} below target dimension {self.map.target.dim} at {coords}",
-                rank=rank,
-                singular_values=s,
-            )
-        vertical = vt[rank:].T
-        projector = metric_orthogonal_projector(g, vertical)
-        row_space = vt[:rank].T
-        complement = row_space - projector @ row_space
-        horizontal = _gram_schmidt(complement, g)
-        return Splitting(coords, vertical, horizontal, projector, rank, s, J, g)
+        return _memoized(self, coords, "splitting", _compute_one, self._stacked_splittings,
+                         coords)
 
     def splittings_at(self, coords_seq) -> list[Splitting]:
         """``[self.splitting_at(c) for c in coords_seq]``, with one stacked
         LAPACK call per step for the whole set; memo entries are shared with
         ``splitting_at``."""
         coords = [np.asarray(c, dtype=float) for c in coords_seq]
-        return _memoized_many(self, coords, "splitting", self._stacked_splittings,
-                              self._splitting)
+        return _memoized_many(self, coords, "splitting", self._stacked_splittings)
 
     def _stacked_splittings(self, coords_list: list) -> list[Splitting]:
-        """``_splitting`` at every point, each step one call on the stack;
-        raises if any point fails, and the caller's loop of ``_splitting``
-        then names the first."""
-        coords = [np.array(c) for c in coords_list]
+        """The splitting at every point, each step one call on the stack.
+        Raises the error of the first point whose Jacobian has a rank below
+        the target dimension."""
+        coords = [np.array(c) for c in coords_list]  # copies: a Splitting is read-only
         J = np.stack([self.map.jacobian_at(c, self.engine) for c in coords])
         G = np.stack([self.map.source.metric_at(c, check=False) for c in coords])
         _, S, VT = np.linalg.svd(J)
         m = self.map.target.dim
         smax = S[:, 0]
         ranks = np.where(smax > 0, np.sum(S > RANK_TOL * smax[:, None], axis=1), 0)
-        if np.any(ranks < m):
-            raise RankError("rank below target dimension in the point set")
-        # the single-point kernel's products, left to right, on the stack
+        failing = np.flatnonzero(ranks < m)
+        if failing.size:
+            i = failing[0]
+            raise RankError(
+                f"rank {ranks[i]} below target dimension {m} at {coords[i]}",
+                rank=int(ranks[i]),
+                singular_values=S[i],
+            )
         V = VT[:, m:].transpose(0, 2, 1)
-        if V.shape[2]:
-            VtG = VT[:, m:] @ G
-            P = V @ np.linalg.solve(VtG @ V, VtG)
-        else:
-            P = np.zeros(G.shape)
+        P = metric_orthogonal_projector(G, V)
         R = VT[:, :m].transpose(0, 2, 1)
-        complement = R - P @ R
-        columns = []
-        for k in range(m):
-            v = complement[:, :, k].copy()
-            for u in columns:
-                v -= _stacked_inner(u, G, v)[:, None] * u
-            norm = np.sqrt(_stacked_inner(v, G, v))
-            if np.any(norm < 1e-13):
-                raise RankError("degenerate basis during orthonormalization")
-            columns.append(v / norm[:, None])
-        H = np.stack(columns, axis=2)
+        H = _gram_schmidt(R - P @ R, G)
         return [
-            Splitting(c, vt[m:].T, h, p, m, s, j, g)
-            for c, vt, h, p, s, j, g in zip(coords, VT, H, P, S, J, G)
+            Splitting(c, v, h, p, m, s, j, g)
+            for c, v, h, p, s, j, g in zip(coords, V, H, P, S, J, G)
         ]
 
     def split(self, coords, v) -> tuple[Array, Array]:
@@ -273,50 +255,40 @@ class SubmersionContext:
     def dilation(self, coords) -> DilationEstimate:
         """Inside an evaluation scope, memoized by context and exact coordinates."""
         coords = np.asarray(coords, dtype=float)
-        return _memoized(self, coords, "dilation", self._dilation, coords)
+        return _memoized(self, coords, "dilation", _compute_one, self._stacked_dilations, coords)
 
     def dilations(self, coords_seq) -> list[DilationEstimate]:
         """``[self.dilation(c) for c in coords_seq]``, with one stacked call
         per step for the whole set; memo entries are shared with ``dilation``
         and, for the splittings, with ``splitting_at``."""
         coords = [np.asarray(c, dtype=float) for c in coords_seq]
-        return _memoized_many(self, coords, "dilation", self._stacked_dilations, self._dilation)
+        return _memoized_many(self, coords, "dilation", self._stacked_dilations)
 
     def _stacked_dilations(self, coords_list: list) -> list[DilationEstimate]:
-        """``_dilation`` at every point, each step one call on the stack;
-        raises if any point fails, and the caller's loop of ``_dilation``
-        then names the first."""
-        splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings,
-                                    self._splitting)
+        """The dilation at every point, each step one call on the stack.
+        Raises the error of the first point whose splitting fails or whose
+        pullback metric is degenerate on the horizontal space."""
+        splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings)
         target = self.map.target
         G = np.stack([target.metric_at(self.map(c), check=False) for c in coords_list])
         J = np.stack([s.jacobian for s in splittings])
         jh = J @ np.stack([s.horizontal for s in splittings])
         q = jh.transpose(0, 2, 1) @ G @ jh
         evals = np.linalg.eigvalsh(q)
-        if np.any(evals[:, 0] <= 0.0):
-            raise RankError("pullback metric degenerate on horizontal space in the point set")
+        failing = np.flatnonzero(evals[:, 0] <= 0.0)
+        if failing.size:
+            i = failing[0]
+            raise RankError(
+                f"pullback metric degenerate on horizontal space at {coords_list[i]}",
+                rank=splittings[i].rank,
+                singular_values=splittings[i].singular_values,
+            )
         lam_sq = np.trace(q, axis1=1, axis2=2) / q.shape[1]
         anisotropy = evals[:, -1] / evals[:, 0]
         return [
             DilationEstimate(s.coords, float(lam), float(a))
             for s, lam, a in zip(splittings, lam_sq, anisotropy)
         ]
-
-    def _dilation(self, coords: Array) -> DilationEstimate:
-        s = self.splitting_at(coords)
-        g_target = self.map.target.metric_at(self.map(coords), check=False)
-        jh = s.jacobian @ s.horizontal
-        q = jh.T @ g_target @ jh
-        evals = np.linalg.eigvalsh(q)
-        if evals[0] <= 0.0:
-            raise RankError(
-                f"pullback metric degenerate on horizontal space at {coords}",
-                rank=s.rank,
-                singular_values=s.singular_values,
-            )
-        lam_sq = float(np.trace(q)) / q.shape[0]
-        return DilationEstimate(s.coords, lam_sq, float(evals[-1] / evals[0]))
 
     def warm_stencils(self, points, axes, dilations: bool = False) -> None:
         """Store in the evaluation scope the splittings (with ``dilations``,
@@ -388,11 +360,6 @@ def _warm_parts(ctx: SubmersionContext, points, vertical: bool, columns=None) ->
     except Exception:  # the suite's own call at that point raises it
         return
     ctx.warm_stencils(points, _part_axes(splittings, vertical, columns))
-
-
-def _stacked_inner(u: Array, G: Array, v: Array) -> Array:
-    """``u[i] @ G[i] @ v[i]`` for each i, as the same two products."""
-    return (u[:, None, :] @ G @ v[:, :, None])[:, 0, 0]
 
 
 def _oneill(

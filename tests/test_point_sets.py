@@ -1,8 +1,8 @@
 """Point-set splittings and dilations (``splittings_at``, ``dilations``):
-bit-identical to the single-point calls on every catalog context, the same
-first error in input order, and one memo entry per point shared with
-``splitting_at`` and ``dilation``; plus the numpy property the stacked
-kernel rests on."""
+bit-identical to the single-point calls, which compute a stack of one, on
+every catalog context; the same first error in input order; and one memo
+entry per point shared with ``splitting_at`` and ``dilation``; plus the
+numpy property the one stacked kernel rests on."""
 
 from contextlib import nullcontext
 from dataclasses import fields
@@ -18,6 +18,7 @@ from warpgeo import (
     SubmersionContext,
     evaluation_scope,
 )
+from warpgeo import manifold
 from warpgeo.fd import SCHEMES
 from warpgeo.sampling import sample_points
 from warpgeo.scenarios import build_objects, list_scenarios
@@ -53,10 +54,14 @@ def _catalog_contexts(engine):
 
 
 def _outcome(compute):
+    """What ``compute`` returned, or the type, message, rank and singular
+    values of what it raised."""
     try:
         return compute()
     except Exception as exc:
-        return type(exc), str(exc)
+        singular_values = getattr(exc, "singular_values", None)
+        return (type(exc), str(exc), getattr(exc, "rank", None),
+                None if singular_values is None else singular_values.tolist())
 
 
 def _assert_same_splitting(want, got):
@@ -80,11 +85,14 @@ def test_point_sets_bit_identical_to_single_points(scheme, scoped, monkeypatch):
         for ctx, points in contexts
     ]
 
-    def no_fallback(self, coords):
-        raise AssertionError("the stacked kernel fell back to one point at a time")
+    fallbacks = []
+    one_at_a_time = manifold._one_at_a_time
 
-    monkeypatch.setattr(SubmersionContext, "_splitting", no_fallback)
-    monkeypatch.setattr(SubmersionContext, "_dilation", no_fallback)
+    def spy(owner, coords_seq, tag, compute_many):
+        fallbacks.append((tag, len(coords_seq)))
+        return one_at_a_time(owner, coords_seq, tag, compute_many)
+
+    monkeypatch.setattr(manifold, "_one_at_a_time", spy)
     for (ctx, points), (splittings, dilations) in zip(contexts, want):
         for n in SIZES:
             with evaluation_scope() if scoped else nullcontext():
@@ -96,11 +104,15 @@ def test_point_sets_bit_identical_to_single_points(scheme, scoped, monkeypatch):
             for w, g in zip(dilations, got_d):
                 assert np.array_equal(w.coords, g.coords)
                 assert (w.lambda_sq, w.anisotropy) == (g.lambda_sq, g.anisotropy)
+    # a clean point set is never computed one point at a time
+    assert fallbacks == []
 
 
 def _guarded_map(calls):
     """R^2 -> R: the squared radius, rank-deficient at the origin; its map and
-    Jacobian raise ValueError at x = 0.5. Appends "fn" or "jac" to calls."""
+    Jacobian raise ValueError at x = 0.5, and the target metric is zero at
+    the image 0.25 of (0, 0.5), so the pullback is degenerate there.
+    Appends "fn" or "jac" to calls."""
     def fn(c):
         calls.append("fn")
         if c[0] == 0.5:
@@ -114,29 +126,39 @@ def _guarded_map(calls):
         return np.array([[2.0 * c[0], 2.0 * c[1]]])
 
     M = ChartManifold.euclidean(2, [-1, -1], [1, 1])
-    N = ChartManifold.euclidean(1, [-5], [5])
+    N = ChartManifold(1, [-5], [5], lambda y: np.array([[0.0 if y[0] == 0.25 else 1.0]]))
     return M, SubmersionContext(SmoothMap(M, N, fn, jac), DiffEngine())
 
 
+RANK_DEFICIENT = (RankError, "rank 0 below target dimension 1 at [0. 0.]")
+
+
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
-@pytest.mark.parametrize("order, error", [
-    ([[0.2, 0.1], [0.0, 0.0], [0.5, 0.3], [0.3, 0.4]], RankError),
-    ([[0.2, 0.1], [0.5, 0.3], [0.0, 0.0], [0.3, 0.4]], ValueError),
-], ids=["rank-deficient-first", "raising-map-first"])
-def test_first_failing_point_raises_as_the_single_point_loop(order, error, scoped):
+@pytest.mark.parametrize("order, splitting_error, dilation_error", [
+    ([[0.2, 0.1], [0.0, 0.0], [0.5, 0.3], [0.3, 0.4]], RANK_DEFICIENT, RANK_DEFICIENT),
+    ([[0.2, 0.1], [0.5, 0.3], [0.0, 0.0], [0.3, 0.4]],
+     (ValueError, "Jacobian undefined at [0.5 0.3]"),
+     (ValueError, "Jacobian undefined at [0.5 0.3]")),
+    ([[0.2, 0.1], [0.0, 0.5], [0.0, 0.0], [0.3, 0.4]], RANK_DEFICIENT,
+     (RankError, "pullback metric degenerate on horizontal space at [0.  0.5]")),
+], ids=["rank-deficient-first", "raising-map-first", "degenerate-pullback-first"])
+def test_first_failing_point_raises_as_the_single_point_loop(
+    order, splitting_error, dilation_error, scoped
+):
     M, ctx = _guarded_map([])
     points = [M.point(c) for c in order]
     loops = (
         (lambda: [ctx.splitting_at(p) for p in points],
-         lambda: ctx.splittings_at(points)),
-        (lambda: [ctx.dilation(p) for p in points], lambda: ctx.dilations(points)),
+         lambda: ctx.splittings_at(points), splitting_error),
+        (lambda: [ctx.dilation(p) for p in points], lambda: ctx.dilations(points),
+         dilation_error),
     )
-    for single, point_set in loops:
+    for single, point_set, error in loops:
         with evaluation_scope() if scoped else nullcontext():
             want = _outcome(single)
         with evaluation_scope() if scoped else nullcontext():
             got = _outcome(point_set)
-        assert want[0] is error and got == want
+        assert want[:2] == error and got == want
 
 
 def test_point_set_and_single_point_share_memo_entries():
@@ -175,6 +197,31 @@ def test_errors_are_not_stored_and_earlier_points_are():
         ctx.splitting_at(points[0])
         ctx.dilation(points[0])
         assert len(calls) == n
+
+
+def test_the_stacked_kernels_name_their_first_failing_point():
+    M, ctx = _guarded_map([])
+    ok, origin, degenerate, mirrored = (
+        M.point(c) for c in ([0.2, 0.1], [0.0, 0.0], [0.0, 0.5], [-0.5, 0.0])
+    )
+    assert _outcome(lambda: ctx._stacked_splittings([ok, origin, ok])) == _outcome(
+        lambda: ctx.splitting_at(origin)
+    )
+    assert _outcome(lambda: ctx._stacked_dilations([ok, degenerate, mirrored])) == _outcome(
+        lambda: ctx.dilation(degenerate)
+    )
+
+
+def test_a_lone_failing_point_is_computed_once():
+    calls = []
+    M, ctx = _guarded_map(calls)
+    p = M.point([0.0, 0.0])
+    for call in (ctx.splitting_at, ctx.dilation,
+                 lambda q: ctx.splittings_at([q]), lambda q: ctx.dilations([q])):
+        calls.clear()
+        with pytest.raises(RankError):
+            call(p)
+        assert calls.count("jac") == 1
 
 
 def test_numpy_stacked_calls_equal_per_matrix_calls():

@@ -161,18 +161,18 @@ def test_nan_residual_fails_the_check(residuals, expected_fail):
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "warpgeo"
 
 
-def _is_literal_number(expr) -> bool:
-    """A number written out, such as ``1e-6`` or ``-2 * 0.5``: an expression
-    with a numeric constant that names nothing, so no table lookup."""
-    nodes = list(ast.walk(expr))
-    return not any(isinstance(n, (ast.Name, ast.Attribute)) for n in nodes) and any(
-        isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in nodes
+def _writes_a_number(expr) -> bool:
+    """An expression with a numeric constant in it, such as ``1e-6`` or
+    ``100.0 * tol``: a base tolerance, or a factor on one, written outside
+    the table. A table lookup such as ``TOLERANCES["c"]`` writes none."""
+    return any(
+        isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in ast.walk(expr)
     )
 
 
 def _literal_tolerances(tree: ast.AST) -> list:
-    """(line, what) of each parameter named ``*tol*`` with a literal default
-    and of each ``ResidualCheck`` given a literal tolerance."""
+    """(line, what) of each parameter named ``*tol*`` whose default writes a
+    number and of each ``ResidualCheck`` whose tolerance writes one."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -181,10 +181,10 @@ def _literal_tolerances(tree: ast.AST) -> list:
             pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
             pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             found += [(p.lineno, p.arg) for p, d in pairs
-                      if "tol" in p.arg and _is_literal_number(d)]
+                      if "tol" in p.arg and _writes_a_number(d)]
         elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "ResidualCheck":
             given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "tolerance"]
-            found += [(node.lineno, "ResidualCheck") for t in given if _is_literal_number(t)]
+            found += [(node.lineno, "ResidualCheck") for t in given if _writes_a_number(t)]
     return found
 
 
@@ -203,6 +203,13 @@ def test_the_tolerance_table_is_the_only_place_a_base_tolerance_is_written():
     assert [what for _, what in _literal_tolerances(planted)] == [
         "rel_tol", "ResidualCheck", "ResidualCheck"
     ]
-    derived = ast.parse("def f(tol=TOLERANCES['c']):\n    ResidualCheck('c', 100.0 * tol)\n")
-    assert _literal_tolerances(derived) == []
+    # a literal factor on a tolerance writes a second base tolerance
+    factor = ast.parse("def f(tol=TOLERANCES['c']):\n    ResidualCheck('c', 100.0 * tol)\n")
+    assert _literal_tolerances(factor) == [(2, "ResidualCheck")]
+    looked_up = ast.parse(
+        "def f(tol=TOLERANCES['c']):\n"
+        "    ResidualCheck('c', tol)\n"
+        "    ResidualCheck('c', tolerance=config.tolerance('c'))\n"
+    )
+    assert _literal_tolerances(looked_up) == []
 

@@ -114,16 +114,42 @@ def test_split_invariants_random_points(spiral):
         assert s.rank == 2 and s.vertical.shape[1] == 2 and s.horizontal.shape[1] == 2
 
 
+def _rank_error(call) -> tuple:
+    with pytest.raises(RankError) as err:
+        call()
+    e = err.value
+    return type(e), str(e), e.rank, tuple(e.singular_values.tolist())
+
+
 def test_rank_error_reports_diagnostics():
     M = ChartManifold.euclidean(2, [-2, -2], [2, 2])
     N = ChartManifold.euclidean(2, [-9, -9], [9, 9])
     degenerate = SmoothMap(M, N, lambda c: np.array([c[0], c[0]]),
                            lambda c: np.array([[1.0, 0.0], [1.0, 0.0]]))
     ctx = SubmersionContext(degenerate, ENGINE)
-    with pytest.raises(RankError) as err:
-        ctx.splitting_at([0.1, 0.1])
-    assert err.value.rank == 1
-    assert err.value.singular_values is not None
+    p, q = M.point([0.1, 0.1]), M.point([0.2, 0.1])
+    raised = {
+        _rank_error(call)
+        for call in (
+            lambda: ctx.splitting_at(p),
+            lambda: ctx.splittings_at([p, q]),
+            lambda: ctx.dilation(p),
+            lambda: ctx.dilations([p, q]),
+        )
+    }
+    sigma = tuple(np.linalg.svd([[1.0, 0.0], [1.0, 0.0]])[1].tolist())
+    assert raised == {(RankError, f"rank 1 below target dimension 2 at {p}", 1, sigma)}
+
+    # a full-rank Jacobian into a target metric that vanishes
+    flat = ChartManifold(1, [-9], [9], lambda y: np.zeros((1, 1)))
+    ctx = SubmersionContext(
+        SmoothMap(M, flat, lambda c: c[:1], lambda c: np.array([[1.0, 0.0]])), ENGINE
+    )
+    raised = {_rank_error(call) for call in (lambda: ctx.dilation(p),
+                                             lambda: ctx.dilations([p, q]))}
+    assert raised == {
+        (RankError, f"pullback metric degenerate on horizontal space at {p}", 1, (1.0,))
+    }
 
 
 def test_dilation_riemannian_projection(warped_line):
