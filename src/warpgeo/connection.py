@@ -20,17 +20,20 @@ from .manifold import ChartManifold, VectorField, _memoized
 Array = np.ndarray
 
 
-def christoffel(M: ChartManifold, engine: DiffEngine, coords) -> Array:
+def christoffel(M: ChartManifold, engine: DiffEngine, coords, g: Optional[Array] = None) -> Array:
     """Christoffel symbols of M at coords as gamma[k, i, j] = Gamma^k_ij.
 
-    Inside an evaluation scope the array is memoized by chart, exact
-    coordinates and engine, and is read-only."""
+    ``g`` is the checked ``M.metric_at(coords)``, evaluated when not given;
+    never pass an unchecked metric, which would skip the SPD check. Inside an
+    evaluation scope the array is memoized by chart, exact coordinates and
+    engine, and is read-only."""
     coords = np.asarray(coords, dtype=float)
-    return _memoized(M, coords, engine, _christoffel, M, engine, coords)
+    return _memoized(M, coords, engine, _christoffel, M, engine, coords, g)
 
 
-def _christoffel(M: ChartManifold, engine: DiffEngine, coords: Array) -> Array:
-    g = M.metric_at(coords)  # SPD check happens here
+def _christoffel(M: ChartManifold, engine: DiffEngine, coords: Array, g: Optional[Array]) -> Array:
+    if g is None:
+        g = M.metric_at(coords)  # SPD check happens here
     ginv = np.linalg.inv(g)
     # dg[l, i, j] = d_l g_ij
     dg = engine.partials(lambda c: M.metric_at(c, check=False), coords, M.lower, M.upper)
@@ -114,18 +117,21 @@ def coordinate_submanifold_form(
     tangent_axes: Sequence[int],
     coords,
     gamma: Optional[Array] = None,
+    g: Optional[Array] = None,
 ) -> SecondFundamentalFormAt:
     """II and H of the submanifold obtained by freezing the other coordinates.
 
     The normal projection is the g-orthogonal projection onto the complement
-    of the tangent coordinate subspace.
+    of the tangent coordinate subspace. ``gamma`` and ``g`` (the checked
+    ``M.metric_at(coords)``) are built when not given.
     """
     axes = tuple(tangent_axes)
-    g = M.metric_at(coords)
+    if g is None:
+        g = M.metric_at(coords)
     tangent_basis = np.eye(M.dim)[:, list(axes)]
     normal_proj = np.eye(M.dim) - metric_orthogonal_projector(g, tangent_basis)
     if gamma is None:
-        gamma = christoffel(M, engine, coords)
+        gamma = christoffel(M, engine, coords, g)
     # coordinate fields have no derivative term: nabla_{e_a} e_b = Gamma^k_ab
     values = np.empty((len(axes), len(axes), M.dim))
     for a, i in enumerate(axes):

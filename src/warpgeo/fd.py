@@ -36,6 +36,14 @@ STENCILS = {
 SCHEMES = tuple(STENCILS)
 
 
+def _room(x: float, lower, upper) -> float:
+    """Distance from x to the nearer bound of its axis: +inf on an unbounded
+    axis, NaN at a coordinate that is not finite."""
+    if not math.isfinite(x):
+        return math.nan
+    return min(x - float(lower), float(upper) - x)
+
+
 @dataclass(frozen=True)
 class DiffEngine:
     """Central differences with automatic step shrinking near box edges.
@@ -57,12 +65,15 @@ class DiffEngine:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def _fit_step(self, room: float) -> float:
-        """Largest usable step given the distance to the nearest bound."""
-        h = self.step
+        """Largest usable step given the distance to the nearest bound.
+
+        Only a room of +inf (an unbounded axis) leaves the step unlimited; a
+        NaN or negative room, as at a coordinate that is not a number or lies
+        outside the box, raises StencilError."""
         limit = 0.5 * room / STENCILS[self.scheme][0]
-        if np.isfinite(limit):
-            h = min(h, limit)
-        if h < self.min_step:
+        # min(limit, step) keeps a NaN limit, which then fails the check below
+        h = self.step if limit == math.inf else min(limit, self.step)
+        if not h >= self.min_step:
             raise StencilError(
                 f"stencil does not fit: room to boundary {room:.3e} allows step "
                 f"{h:.3e} < min_step {self.min_step:.3e}"
@@ -73,8 +84,7 @@ class DiffEngine:
         """d(fn)/d(coords[axis]). fn may return a float or an ndarray."""
         coords = np.asarray(coords, dtype=float)
         x = float(coords[axis])
-        room = min(x - float(lower[axis]), float(upper[axis]) - x)
-        h = self._fit_step(room)
+        h = self._fit_step(_room(x, lower[axis], upper[axis]))
 
         def at(t: float):
             shifted = coords.copy()
@@ -96,14 +106,13 @@ class DiffEngine:
         rows = []
         for axis in axes:
             x = float(coords[axis])
-            room = min(x - float(lower[axis]), float(upper[axis]) - x)
             offsets = []
 
             def at(t: float):
                 offsets.append(t)
                 return 0.0
 
-            STENCILS[self.scheme][1](at, self._fit_step(room))
+            STENCILS[self.scheme][1](at, self._fit_step(_room(x, lower[axis], upper[axis])))
             for t in offsets:
                 shifted = coords.copy()
                 shifted[axis] = x + t
@@ -122,15 +131,16 @@ class DiffEngine:
         (nor checked against the box). ``along @ out`` then differs from the
         full contraction at most in the sign of a zero.
         """
+        coords = np.asarray(coords, dtype=float)
         n = len(coords)
         used = [i for i in range(n) if along is None or along[i] != 0.0]
         if not used:  # nothing to differentiate; one evaluation gives the shape
-            return np.zeros((n,) + np.shape(fn(np.asarray(coords, dtype=float))))
-        rows = np.stack([self.partial(fn, coords, i, lower, upper) for i in used])
-        if len(used) == n:
-            return rows
-        out = np.zeros((n,) + rows.shape[1:])
-        out[used] = rows
+            return np.zeros((n,) + np.shape(fn(coords)))
+        first = self.partial(fn, coords, used[0], lower, upper)
+        out = np.zeros((n,) + np.shape(first))
+        out[used[0]] = first
+        for i in used[1:]:
+            out[i] = self.partial(fn, coords, i, lower, upper)
         return out
 
     def directional(self, fn, coords, direction, lower, upper) -> float:
@@ -140,8 +150,9 @@ class DiffEngine:
         moving = d != 0.0
         if not np.any(moving):
             return 0.0
-        # a subnormal component gives an infinite room along its axis
-        with np.errstate(over="ignore"):
+        # a subnormal component gives an infinite room along its axis, and a
+        # non-finite coordinate a NaN or negative one, which _fit_step rejects
+        with np.errstate(over="ignore", invalid="ignore"):
             gaps = np.minimum(upper - coords, coords - lower)[moving] / np.abs(d[moving])
         h = self._fit_step(float(np.min(gaps)))
 

@@ -208,10 +208,11 @@ class ChartManifold:
         g = np.asarray(self.metric(coords), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise DegenerateMetricError(f"metric returned shape {g.shape} at {coords}")
-        sym = 0.5 * (g + g.T)
+        gt = g.T
+        sym = 0.5 * (g + gt)
         if check:
-            scale = 1.0 + float(np.max(np.abs(g)))
-            if float(np.max(np.abs(g - g.T))) > SYM_TOL * scale:
+            scale = 1.0 + float(np.abs(g).max())
+            if float(np.abs(g - gt).max()) > SYM_TOL * scale:
                 raise DegenerateMetricError(f"metric not symmetric at {coords}")
             lowest = float(np.linalg.eigvalsh(sym)[0])
             if lowest <= self.spd_floor:
@@ -289,12 +290,17 @@ def scalar_partials(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coor
     return engine.partials(phi.fn, coords, M.lower, M.upper)
 
 
-def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords) -> Array:
-    """Metric gradient: components g^{kl} d_l(phi)."""
+def gradient(
+    M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords, g: Optional[Array] = None
+) -> Array:
+    """Metric gradient: components g^{kl} d_l(phi).
+
+    ``g``, the checked ``M.metric_at(coords)``, is evaluated when not given."""
     if not M.contains(coords):
         raise DomainError(f"point {coords} outside domain")
     dphi = scalar_partials(M, engine, phi, coords)
-    g = M.metric_at(coords)
+    if g is None:
+        g = M.metric_at(coords)
     return np.linalg.solve(g, dphi)
 
 

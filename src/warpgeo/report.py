@@ -98,7 +98,7 @@ NON_FINITE_NOTE = "non-finite max_residual, written as null"
 
 def residual_scale(*arrays) -> float:
     """1 + the largest absolute entry of the arrays: the scale of a residual."""
-    return 1.0 + max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in arrays)
+    return 1.0 + max(float(np.abs(a).max()) if np.size(a) else 0.0 for a in arrays)
 
 
 # The base tolerance of every check id the catalog gates, before

@@ -41,7 +41,8 @@ def engine_health_records(
     torsion_tol: float = TOLERANCES["torsion-free"],
     compat_tol: float = TOLERANCES["metric-compatibility"],
 ) -> list[CheckRecord]:
-    """Torsion-free and metric-compatibility residuals of the connection."""
+    """Torsion-free and metric-compatibility residuals of the connection; the
+    metric is evaluated and checked once per point."""
     torsion = ResidualCheck("torsion-free", torsion_tol)
     compat = ResidualCheck("metric-compatibility", compat_tol)
     fields = vector_field_library(M, rng, 3)
@@ -53,12 +54,12 @@ def engine_health_records(
 
     for p in points:
         try:
-            gamma = christoffel(M, engine, p)
+            g = M.metric_at(p)
+            gamma = christoffel(M, engine, p, g)
             dxy = covariant_derivative(M, engine, X, Y, p, gamma)
             dyx = covariant_derivative(M, engine, Y, X, p, gamma)
             br = lie_bracket(M, engine, X, Y, p)
             dxz = covariant_derivative(M, engine, X, Z, p, gamma)
-            g = M.metric_at(p)
             lhs = engine.directional(g_inner_field, p, X(p), M.lower, M.upper)
         except GeometryError as exc:
             # a failed sample counts once against each check

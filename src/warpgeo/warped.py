@@ -27,7 +27,6 @@ from .manifold import (
     ScalarField,
     VectorField,
     gradient,
-    metric_inner,
     scalar_partials,
 )
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
@@ -168,11 +167,13 @@ def second_fundamental_form(
     which: str,
     coords,
     gamma: Optional[Array] = None,
+    g: Optional[Array] = None,
 ) -> SecondFundamentalFormAt:
     """II and H at coords of the leaf (second coords frozen) or fiber (first
     frozen).
 
-    ``gamma``, the ambient Christoffel symbols at coords, is built when not given.
+    ``gamma``, the ambient Christoffel symbols at coords, and ``g``, the
+    checked ambient metric there, are built when not given.
     """
     if which == "leaf":
         axes = W.first_axes()
@@ -180,7 +181,7 @@ def second_fundamental_form(
         axes = W.second_axes()
     else:
         raise ValueError(f"which must be 'leaf' or 'fiber', got {which!r}")
-    return coordinate_submanifold_form(W.ambient, engine, axes, coords, gamma)
+    return coordinate_submanifold_form(W.ambient, engine, axes, coords, gamma, g)
 
 
 def verify_warped_connection(
@@ -199,7 +200,8 @@ def verify_warped_connection(
       3. normal part of nabla_{E2} F2 = -g(E2, F2) grad(ln f).
       4. tangent part of nabla_{E2} F2 is the lift of the second factor's nabla.
     Residuals are scaled by 1 + max |entry| per sample. The ambient and the
-    two factor Christoffel symbols are built once per point.
+    two factor Christoffel symbols are built once per point, and each of the
+    three metrics is evaluated and checked once per point.
     """
     m1 = W.first.dim
     checks = [
@@ -212,7 +214,8 @@ def verify_warped_connection(
 
     for p in points:
         c1, c2 = W.split_coords(p)
-        gamma = christoffel(W.ambient, engine, p)
+        g = W.ambient.metric_at(p)
+        gamma = christoffel(W.ambient, engine, p, g)
         gamma1 = christoffel(W.first, engine, c1)
         gamma2 = christoffel(W.second, engine, c2)
 
@@ -236,12 +239,12 @@ def verify_warped_connection(
             res = max(np.linalg.norm(lhs_a - rhs), np.linalg.norm(lhs_b - rhs))
             checks[1].add(res, residual_scale(lhs_a, lhs_b, rhs))
 
-        grad_log = gradient(W.ambient, engine, log_warp, p)
+        grad_log = gradient(W.ambient, engine, log_warp, p, g)  # checks p is in the box
         for E2, F2 in pairs2:
             E2l = lift(W, "second", E2)
             F2l = lift(W, "second", F2)
             full = covariant_derivative(W.ambient, engine, E2l, F2l, p, gamma)
-            inner = metric_inner(W.ambient, p, E2l(p), F2l(p))
+            inner = float(E2l(p) @ g @ F2l(p))
             normal = np.concatenate([full[:m1], np.zeros(W.second.dim)])
             rhs3 = -inner * grad_log
             checks[2].add(np.linalg.norm(normal - rhs3), residual_scale(normal, rhs3))
@@ -262,26 +265,26 @@ def verify_leaf_fiber_geometry(
 ) -> list[CheckRecord]:
     """Leaves are totally geodesic; fibers are totally umbilical with
     mean curvature -grad(ln f). Leaf and fiber share one ambient Christoffel
-    per point."""
+    and one checked ambient metric per point."""
     leaf_check = ResidualCheck("leaf-totally-geodesic", leaf_tolerance)
     umb_check = ResidualCheck("fiber-umbilical", fiber_tolerance)
     mean_check = ResidualCheck("fiber-mean-curvature-warp", fiber_tolerance)
     log_warp = W.log_warp()
 
     for p in points:
-        gamma = christoffel(W.ambient, engine, p)
-        leaf = second_fundamental_form(W, engine, "leaf", p, gamma)
+        g = W.ambient.metric_at(p)
+        gamma = christoffel(W.ambient, engine, p, g)
+        leaf = second_fundamental_form(W, engine, "leaf", p, gamma, g)
         leaf_check.add(np.max(np.abs(leaf.values)), residual_scale(leaf.values))
 
-        fiber = second_fundamental_form(W, engine, "fiber", p, gamma)
-        g = W.ambient.metric_at(p)
+        fiber = second_fundamental_form(W, engine, "fiber", p, gamma, g)
         induced = g[np.ix_(list(W.second_axes()), list(W.second_axes()))]
         expected = np.einsum("ab,k->abk", induced, fiber.mean_curvature)
         umb_check.add(
             np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)
         )
 
-        grad_log = gradient(W.ambient, engine, log_warp, p)
+        grad_log = gradient(W.ambient, engine, log_warp, p, g)
         mean_check.add(
             np.linalg.norm(fiber.mean_curvature + grad_log),
             residual_scale(fiber.mean_curvature, grad_log),

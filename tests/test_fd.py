@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpgeo.errors import StencilError
-from warpgeo.fd import SCHEMES, DiffEngine
+from warpgeo.fd import SCHEMES, STENCILS, DiffEngine
 
 NO_BOUNDS = (np.array([-np.inf]), np.array([np.inf]))
 
@@ -168,6 +168,8 @@ def test_along_contraction_is_bit_identical_to_full_partials(scheme, kind):
     engine = DiffEngine(scheme=scheme)
     fn = ALONG_FNS[kind]
     full = engine.partials(fn, ALONG_POINT, *BOX)
+    for i in range(len(ALONG_POINT)):  # each row is partial's own result
+        assert np.array_equal(full[i], engine.partial(fn, ALONG_POINT, i, *BOX))
     for direction in ALONG_DIRECTIONS:
         along = np.array(direction)
         got = engine.partials(fn, ALONG_POINT, *BOX, along=along)
@@ -269,3 +271,55 @@ def test_stencil_points_raise_where_partial_raises():
         engine.partial(lambda c: c[1], coords, 1, lower, upper)
     with pytest.raises(StencilError):
         engine.stencil_points(coords, lower, upper, (0, 1))
+
+
+# -- coordinates that are not finite -----------------------------------------
+
+FINITE_BOX = (np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+UNBOUNDED_BOX = (np.array([-np.inf, -np.inf]), np.array([np.inf, np.inf]))
+
+
+def _every_stencil_entry(engine, coords, lower, upper):
+    """partial, partials, directional and stencil_points along axis 0."""
+    fn = lambda c: c[0] * c[1]
+    return [
+        lambda: engine.partial(fn, coords, 0, lower, upper),
+        lambda: engine.partials(fn, coords, lower, upper),
+        lambda: engine.partials(fn, coords, lower, upper, along=np.array([1.0, 0.0])),
+        lambda: engine.directional(fn, coords, [1.0, 0.0], lower, upper),
+        lambda: engine.stencil_points(coords, lower, upper, (0,)),
+    ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("box", ["finite", "unbounded"])
+def test_non_finite_coordinate_raises_stencil_error(scheme, bad, box):
+    engine = DiffEngine(scheme=scheme)
+    lower, upper = FINITE_BOX if box == "finite" else UNBOUNDED_BOX
+    for call in _every_stencil_entry(engine, np.array([bad, 0.5]), lower, upper):
+        with pytest.raises(StencilError):
+            call()
+
+
+def test_non_finite_coordinate_raises_in_christoffel():
+    from warpgeo import ChartManifold, christoffel
+
+    M = ChartManifold.euclidean(2, *FINITE_BOX)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(StencilError):
+            christoffel(M, DiffEngine(), np.array([bad, 0.5]))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_unbounded_axis_uses_the_full_step(scheme):
+    # the room is +inf: the step is not limited, so an unbounded box gives
+    # the same bits as a box far wider than the stencil
+    engine = DiffEngine(scheme=scheme, step=0.25)
+    wide = (np.array([-1e6, -1e6]), np.array([1e6, 1e6]))
+    coords = np.array([0.3, -0.7])
+    for got, want in zip(_every_stencil_entry(engine, coords, *UNBOUNDED_BOX),
+                         _every_stencil_entry(engine, coords, *wide)):
+        assert np.array_equal(got(), want())
+    shifts = engine.stencil_points(coords, *UNBOUNDED_BOX, (0,))[:, 0] - coords[0]
+    assert np.max(np.abs(shifts)) == pytest.approx(STENCILS[scheme][0] * engine.step)

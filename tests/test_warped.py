@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,9 +233,9 @@ def test_verifiers_build_each_christoffel_once_per_point(monkeypatch):
     built = []
     original = connection._christoffel
 
-    def counting(M, engine, coords):
+    def counting(M, engine, coords, g):
         built.append(M)
-        return original(M, engine, coords)
+        return original(M, engine, coords, g)
 
     monkeypatch.setattr(connection, "_christoffel", counting)
     W = make_warped_line()
@@ -256,3 +258,79 @@ def test_shared_gamma_gives_the_same_forms():
         shared = second_fundamental_form(W, ENGINE, which, p, gamma)
         assert np.array_equal(own.values, shared.values)
         assert np.array_equal(own.mean_curvature, shared.mean_curvature)
+
+
+def _count_checked_metrics(monkeypatch):
+    """A list that records the chart of every checked ``metric_at`` evaluation."""
+    checked = []
+    original = ChartManifold._metric
+
+    def counting(self, coords, check):
+        if check:
+            checked.append(id(self))
+        return original(self, coords, check)
+
+    monkeypatch.setattr(ChartManifold, "_metric", counting)
+    return checked
+
+
+def test_verifiers_check_each_metric_once_per_point(monkeypatch):
+    # no evaluation scope: one checked metric per chart and point, whatever
+    # the number of field pairs
+    from warpgeo.suites import engine_health_records
+
+    checked = _count_checked_metrics(monkeypatch)
+    W = make_warped_line()
+    pts = _sample_points(W, [-0.8, -0.8], [0.8, 0.8], n=3)
+    verify_warped_connection(W, ENGINE, pts, _pairs(W.first, 1, 3), _pairs(W.second, 2, 3))
+    assert sorted(checked) == sorted(map(id, [W.ambient, W.first, W.second] * len(pts)))
+    checked.clear()
+    verify_leaf_fiber_geometry(W, ENGINE, pts)
+    assert checked == [id(W.ambient)] * len(pts)
+    checked.clear()
+    engine_health_records(W.ambient, ENGINE, pts, np.random.default_rng(0))
+    assert checked == [id(W.ambient)] * len(pts)
+
+
+def test_verifiers_still_reject_a_non_spd_ambient_metric():
+    from warpgeo import DegenerateMetricError
+    from warpgeo.suites import engine_health_records
+
+    line = ChartManifold.euclidean(1, [-3.0], [3.0])
+    W = build_warped_product(line, line, ScalarField.constant(1.0))
+    bad = ChartManifold(2, W.ambient.lower, W.ambient.upper, lambda c: np.diag([1.0, -1.0]))
+    W = dataclasses.replace(W, ambient=bad)
+    pts = _sample_points(W, [-0.8, -0.8], [0.8, 0.8], n=2)
+    with pytest.raises(DegenerateMetricError):
+        verify_warped_connection(W, ENGINE, pts, _pairs(W.first, 1), _pairs(W.second, 2))
+    with pytest.raises(DegenerateMetricError):
+        verify_leaf_fiber_geometry(W, ENGINE, pts)
+    # engine_health_records records a bad sample instead of raising
+    for rec in engine_health_records(W.ambient, ENGINE, pts, np.random.default_rng(0)):
+        assert not rec.passed and rec.max_residual == np.inf
+        assert rec.notes.count("not positive definite") == len(pts)
+
+
+def test_shared_metric_gives_the_same_forms():
+    from warpgeo import christoffel, coordinate_submanifold_form, gradient
+
+    W = make_sphere()
+    M = W.ambient
+    p = W.point([0.7], [1.3])
+    g = M.metric_at(p)
+    assert np.array_equal(christoffel(M, ENGINE, p, g), christoffel(M, ENGINE, p))
+    log_warp = W.log_warp()
+    assert np.array_equal(gradient(M, ENGINE, log_warp, p, g), gradient(M, ENGINE, log_warp, p))
+    gamma = christoffel(M, ENGINE, p)
+    for axes in (W.first_axes(), W.second_axes()):
+        own = coordinate_submanifold_form(M, ENGINE, axes, p)
+        for shared in (coordinate_submanifold_form(M, ENGINE, axes, p, g=g),
+                       coordinate_submanifold_form(M, ENGINE, axes, p, gamma, g)):
+            assert np.array_equal(own.values, shared.values)
+            assert np.array_equal(own.mean_curvature, shared.mean_curvature)
+    for which in ("leaf", "fiber"):
+        own = second_fundamental_form(W, ENGINE, which, p)
+        for shared in (second_fundamental_form(W, ENGINE, which, p, g=g),
+                       second_fundamental_form(W, ENGINE, which, p, gamma, g)):
+            assert np.array_equal(own.values, shared.values)
+            assert np.array_equal(own.mean_curvature, shared.mean_curvature)
