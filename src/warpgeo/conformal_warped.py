@@ -81,14 +81,14 @@ class ConformalWarpedSubmersion:
                 )
             return entry.r1
 
-        m1 = self.source.first.dim
         partials = None
         if self.lambda1.partials is not None:
+            first = self.source.block("first")
+
             def partials(coords):
-                out = np.zeros(self.source.ambient.dim)
-                c1 = coords[:m1]
-                out[:m1] = 2.0 * self.lambda1(c1) * np.asarray(self.lambda1.partials(c1), float)
-                return out
+                c1 = coords[first]
+                dl1 = 2.0 * self.lambda1(c1) * np.asarray(self.lambda1.partials(c1), float)
+                return self.source.pad("first", dl1)
 
         return ScalarField(fn, partials)
 
@@ -136,16 +136,16 @@ def build_product_submersion(
     """
     source = build_warped_product(phi1.source, phi2.source, f)
     target = build_warped_product(phi1.target, phi2.target, rho)
-    m1 = phi1.source.dim
-    n1 = phi1.target.dim
+    m1, m2 = source.block("first"), source.block("second")
+    n1, n2 = target.block("first"), target.block("second")
 
     def fn(coords):
-        return np.concatenate([phi1(coords[:m1]), phi2(coords[m1:])])
+        return np.concatenate([phi1(coords[m1]), phi2(coords[m2])])
 
     def jac(coords):
         J = np.zeros((target.ambient.dim, source.ambient.dim))
-        J[:n1, :m1] = phi1.jacobian_at(coords[:m1], engine)
-        J[n1:, m1:] = phi2.jacobian_at(coords[m1:], engine)
+        J[n1, m1] = phi1.jacobian_at(coords[m1], engine)
+        J[n2, m2] = phi2.jacobian_at(coords[m2], engine)
         return J
 
     product = SmoothMap(source.ambient, target.ambient, fn, jac,
@@ -246,7 +246,7 @@ def verify_first_factor_a_identity(
             br1 = lie_bracket(cws.source.first, engine, X1, Y1, c1)
             grad1 = vertical_gradient(cws.ctx1, inv_l1, c1)
             rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
-            rhs_a = np.concatenate([rhs_factor, np.zeros(cws.source.second.dim)])
+            rhs_a = cws.source.pad("first", rhs_factor)
             # convention B: bracket and vertical gradient on the product
             br = lie_bracket(cws.source.ambient, engine, Xl, Yl, p)
             grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p)
@@ -264,40 +264,38 @@ def verify_first_factor_a_identity(
 
 def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, ScalarField]:
     """The two candidate scalar fields f^2 / lambda_i^2 on the product."""
-    m1 = cws.source.first.dim
+    W = cws.source
+    first, second = W.block("first"), W.block("second")
     f = cws.warp
     l1 = cws.lambda1
     l2 = cws.lambda2
 
-    def fn_first(c):
-        return f(c[:m1]) ** 2 / l1(c[:m1]) ** 2
-
-    def fn_second(c):
-        return f(c[:m1]) ** 2 / l2(c[m1:]) ** 2
-
     partials_first = None
     if f.partials is not None and l1.partials is not None:
-        def partials_first(c):
-            c1 = c[:m1]
+        def partials_first(c1):
             fv, lv = f(c1), l1(c1)
             df = np.asarray(f.partials(c1), float)
             dl = np.asarray(l1.partials(c1), float)
-            out = np.zeros(len(c))
-            out[:m1] = 2.0 * fv * df / lv**2 - 2.0 * fv**2 * dl / lv**3
-            return out
+            return 2.0 * fv * df / lv**2 - 2.0 * fv**2 * dl / lv**3
 
+    def fn_second(c):
+        return f(c[first]) ** 2 / l2(c[second]) ** 2
+
+    # both blocks are written into one array: adding two padded arrays
+    # would turn a -0.0 partial into +0.0
     partials_second = None
     if f.partials is not None and l2.partials is not None:
         def partials_second(c):
-            c1, c2 = c[:m1], c[m1:]
+            c1, c2 = c[first], c[second]
             fv, lv = f(c1), l2(c2)
             out = np.zeros(len(c))
-            out[:m1] = 2.0 * fv * np.asarray(f.partials(c1), float) / lv**2
-            out[m1:] = -2.0 * fv**2 * np.asarray(l2.partials(c2), float) / lv**3
+            out[first] = 2.0 * fv * np.asarray(f.partials(c1), float) / lv**2
+            out[second] = -2.0 * fv**2 * np.asarray(l2.partials(c2), float) / lv**3
             return out
 
+    first_field = ScalarField(lambda c1: f(c1) ** 2 / l1(c1) ** 2, partials_first)
     return {
-        "first-factor-denominator": ScalarField(fn_first, partials_first),
+        "first-factor-denominator": lift(W, "first", first_field),
         "second-factor-denominator": ScalarField(fn_second, partials_second),
     }
 
@@ -339,7 +337,7 @@ def verify_second_factor_a_identity(
 
             a2_xy = oneill_a(cws.ctx2, X2, Y2, c2, gamma2)
             a2_yx = oneill_a(cws.ctx2, Y2, X2, c2, gamma2)
-            skew = np.concatenate([np.zeros(cws.source.first.dim), a2_xy - a2_yx])
+            skew = cws.source.pad("second", a2_xy - a2_yx)
             inner = float(X2(c2) @ g2 @ Y2(c2))
 
             for name, field in variants.items():
@@ -447,19 +445,13 @@ def factor_vertical_bases(
     cws: ConformalWarpedSubmersion, coords
 ) -> tuple[Array, Array]:
     """Lifted, ambient-metric-orthonormal bases of the two vertical blocks at coords."""
-    c1, c2 = cws.source.split_coords(coords)
-    m1, m2 = cws.source.first.dim, cws.source.second.dim
+    W = cws.source
+    c1, c2 = W.split_coords(coords)
     s1 = cws.ctx1.splitting_at(c1)
     s2 = cws.ctx2.splitting_at(c2)
-    g = cws.source.ambient.metric_at(coords)
-
-    def embed(basis: Array, offset: int, total: int) -> Array:
-        out = np.zeros((total, basis.shape[1]))
-        out[offset : offset + basis.shape[0], :] = basis
-        return out
-
-    v1 = _gram_schmidt(embed(s1.vertical, 0, m1 + m2), g)
-    v2 = _gram_schmidt(embed(s2.vertical, m1, m1 + m2), g)
+    g = W.ambient.metric_at(coords)
+    v1 = _gram_schmidt(W.pad("first", s1.vertical), g)
+    v2 = _gram_schmidt(W.pad("second", s2.vertical), g)
     return v1, v2
 
 
@@ -513,13 +505,13 @@ def verify_kernel_product(
     """Jacobian cross blocks are exactly zero and kernel dimensions add up."""
     blocks = ResidualCheck("jacobian-blocks", TOLERANCES["jacobian-blocks"])
     kernel = ResidualCheck("kernel-product", TOLERANCES["kernel-product"])
-    m1 = cws.source.first.dim
-    n1 = cws.target.first.dim
+    m1, m2 = cws.source.block("first"), cws.source.block("second")
+    n1, n2 = cws.target.block("first"), cws.target.block("second")
     factors = [cws.source.split_coords(p) for p in points]
     first = _in_blocks(cws.ctx1.splittings_at, [c1 for c1, _ in factors])
     second = _in_blocks(cws.ctx2.splittings_at, [c2 for _, c2 in factors])
     for (_, s), (_, s1), (_, s2) in zip(_in_blocks(cws.ctx.splittings_at, points), first, second):
         J = s.jacobian
-        blocks.add(float(np.max(np.abs(J[:n1, m1:]))) + float(np.max(np.abs(J[n1:, :m1]))))
+        blocks.add(float(np.max(np.abs(J[n1, m2]))) + float(np.max(np.abs(J[n2, m1]))))
         kernel.add(abs(s.vertical.shape[1] - s1.vertical.shape[1] - s2.vertical.shape[1]))
     return [blocks.record(), kernel.record()]

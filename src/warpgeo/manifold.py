@@ -173,7 +173,7 @@ class ChartManifold:
     def __post_init__(self):
         object.__setattr__(self, "lower", _as_bound(self.lower, self.dim, -np.inf))
         object.__setattr__(self, "upper", _as_bound(self.upper, self.dim, np.inf))
-        if np.any(self.lower >= self.upper):
+        if not np.all(self.lower < self.upper):
             raise ValueError("domain box is empty along some axis")
 
     @staticmethod
@@ -204,10 +204,16 @@ class ChartManifold:
         coords = np.asarray(coords, dtype=float)
         return _memoized(self, coords, check, self._metric, coords, check)
 
-    def _metric(self, coords: Array, check: bool) -> Array:
+    def _raw_metric(self, coords: Array) -> Array:
+        """The metric field's value as a float (dim, dim) array, neither
+        symmetrized nor checked."""
         g = np.asarray(self.metric(coords), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise DegenerateMetricError(f"metric returned shape {g.shape} at {coords}")
+        return g
+
+    def _metric(self, coords: Array, check: bool) -> Array:
+        g = self._raw_metric(coords)
         gt = g.T
         sym = 0.5 * (g + gt)
         if check:

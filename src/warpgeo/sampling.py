@@ -20,9 +20,11 @@ def sample_points(lower, upper, n: int, seed, margin: float) -> np.ndarray:
         raise ConfigurationError("need at least one sample point")
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ConfigurationError("sampling needs a bounded box; pass a finite sub-box")
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise ConfigurationError(f"margin must be finite and >= 0, got {margin}")
     lo = lower + margin
     hi = upper - margin
-    if np.any(lo >= hi):
+    if not np.all(lo < hi):
         raise ConfigurationError(
             f"box {lower}..{upper} degenerate after margin {margin}"
         )

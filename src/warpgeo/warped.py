@@ -2,9 +2,10 @@
 
 The ambient manifold of first x_f second carries block coordinates
 (first coords, second coords) and the block-diagonal metric
-diag(g1(p1), f(p1)^2 g2(p2)). Lifts of factor fields are zero-padded into
-the matching block; vertical/horizontal-by-block reasoning keys off index
-ranges throughout.
+diag(g1(p1), f(p1)^2 g2(p2)). ``WarpedProduct.block`` is the one owner of
+that layout: every move between a factor and the ambient chart goes through
+it, ``pad`` (which zero-pads factor rows into the ambient dimension),
+``split_coords`` or ``lift``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,32 @@ class WarpedProduct:
     warp: ScalarField
     ambient: ChartManifold
 
+    def block(self, which: str) -> slice:
+        """The ambient coordinate slice of factor ``which``: 'first' or 'second'."""
+        m1 = self.first.dim
+        if which == "first":
+            return slice(0, m1)
+        if which == "second":
+            return slice(m1, m1 + self.second.dim)
+        raise ValueError(f"factor must be 'first' or 'second', got {which!r}")
+
+    def pad(self, which: str, values) -> Array:
+        """Factor rows zero-padded into the ambient dimension: a factor vector
+        of shape (m,) becomes (dim,), a basis of shape (m, k) becomes (dim, k)."""
+        values = np.asarray(values, dtype=float)
+        out = np.zeros((self.ambient.dim,) + values.shape[1:])
+        out[self.block(which)] = values
+        return out
+
     def split_coords(self, coords) -> tuple[Array, Array]:
         coords = np.asarray(coords, dtype=float)
-        return coords[: self.first.dim], coords[self.first.dim :]
+        return coords[self.block("first")], coords[self.block("second")]
 
     def first_axes(self) -> tuple:
-        return tuple(range(self.first.dim))
+        return tuple(range(self.ambient.dim)[self.block("first")])
 
     def second_axes(self) -> tuple:
-        return tuple(range(self.first.dim, self.first.dim + self.second.dim))
+        return tuple(range(self.ambient.dim)[self.block("second")])
 
     def point(self, coords1, coords2) -> Array:
         """The ambient coordinates (coords1, coords2), checked by the ambient chart."""
@@ -59,22 +77,11 @@ class WarpedProduct:
 
     def log_warp(self) -> ScalarField:
         """ln f as a field on the ambient chart (depends on first coords only)."""
-        m1 = self.first.dim
-        dim = self.ambient.dim
         warp = self.warp
-
-        def fn(c):
-            return float(np.log(warp(c[:m1])))
-
-        if warp.partials is None:
-            return ScalarField(fn)
-
-        def partials(c):
-            out = np.zeros(dim)
-            out[:m1] = np.asarray(warp.partials(c[:m1]), dtype=float) / warp(c[:m1])
-            return out
-
-        return ScalarField(fn, partials)
+        partials = None
+        if warp.partials is not None:
+            partials = lambda c: np.asarray(warp.partials(c), dtype=float) / warp(c)
+        return lift(self, "first", ScalarField(lambda c: float(np.log(warp(c))), partials))
 
 
 def build_warped_product(
@@ -86,17 +93,18 @@ def build_warped_product(
     WarpPositivityError, so sampling suites surface violations with the
     offending point.
     """
-    m1, m2 = first.dim, second.dim
-    dim = m1 + m2
+    m1 = first.dim
+    dim = m1 + second.dim
+    first_block, second_block = slice(0, m1), slice(m1, dim)
 
     def metric(coords):
-        c1, c2 = coords[:m1], coords[m1:]
+        c1, c2 = coords[first_block], coords[second_block]
         f = warp(c1)
         if f <= 0.0:
             raise WarpPositivityError(f"warp {f} <= 0 at first-factor point {c1}")
         g = np.zeros((dim, dim))
-        g[:m1, :m1] = first.metric_at(c1, check=False)
-        g[m1:, m1:] = (f * f) * second.metric_at(c2, check=False)
+        g[first_block, first_block] = first._raw_metric(c1)
+        g[second_block, second_block] = (f * f) * second._raw_metric(c2)
         return g
 
     ambient = ChartManifold(
@@ -112,36 +120,14 @@ def build_warped_product(
 def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField]:
     """Lift a factor ScalarField or VectorField to the ambient chart,
     zero-padding the other factor's block."""
-    if origin not in ("first", "second"):
-        raise ValueError(f"origin must be 'first' or 'second', got {origin!r}")
-    m1, m2 = W.first.dim, W.second.dim
-
+    block = W.block(origin)
     if isinstance(field, ScalarField):
-        if origin == "first":
-            fn = lambda c: field(c[:m1])
-            partials = None
-            if field.partials is not None:
-                def partials(c):
-                    out = np.zeros(m1 + m2)
-                    out[:m1] = field.partials(c[:m1])
-                    return out
-        else:
-            fn = lambda c: field(c[m1:])
-            partials = None
-            if field.partials is not None:
-                def partials(c):
-                    out = np.zeros(m1 + m2)
-                    out[m1:] = field.partials(c[m1:])
-                    return out
-        return ScalarField(fn, partials)
-
+        partials = None
+        if field.partials is not None:
+            partials = lambda c: W.pad(origin, field.partials(c[block]))
+        return ScalarField(lambda c: field(c[block]), partials)
     if isinstance(field, VectorField):
-        if origin == "first":
-            fn = lambda c: np.concatenate([field(c[:m1]), np.zeros(m2)])
-        else:
-            fn = lambda c: np.concatenate([np.zeros(m1), field(c[m1:])])
-        return VectorField(fn)
-
+        return VectorField(lambda c: W.pad(origin, field(c[block])))
     raise TypeError(f"cannot lift object of type {type(field).__name__}")
 
 
@@ -149,16 +135,10 @@ def projection_map(W: WarpedProduct, which: str):
     """Factor projection as a SmoothMap onto the intrinsic factor chart."""
     from .submersion import SmoothMap
 
-    m1, m2 = W.first.dim, W.second.dim
-    if which == "first":
-        J = np.hstack([np.eye(m1), np.zeros((m1, m2))])
-        return SmoothMap(W.ambient, W.first, lambda c: c[:m1], lambda c: J,
-                         name="first-projection")
-    if which == "second":
-        J = np.hstack([np.zeros((m2, m1)), np.eye(m2)])
-        return SmoothMap(W.ambient, W.second, lambda c: c[m1:], lambda c: J,
-                         name="second-projection")
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    block = W.block(which)
+    J = np.eye(W.ambient.dim)[block]
+    return SmoothMap(W.ambient, getattr(W, which), lambda c: c[block], lambda c: J,
+                     name=f"{which}-projection")
 
 
 def second_fundamental_form(
@@ -203,7 +183,7 @@ def verify_warped_connection(
     two factor Christoffel symbols are built once per point, and each of the
     three metrics is evaluated and checked once per point.
     """
-    m1 = W.first.dim
+    first, second = W.block("first"), W.block("second")
     checks = [
         ResidualCheck("warped-conn-first-pair", tolerance),
         ResidualCheck("warped-conn-mixed", tolerance),
@@ -224,7 +204,7 @@ def verify_warped_connection(
             F1l = lift(W, "first", F1)
             lhs = covariant_derivative(W.ambient, engine, E1l, F1l, p, gamma)
             factor = covariant_derivative(W.first, engine, E1, F1, c1, gamma1)
-            rhs = np.concatenate([factor, np.zeros(W.second.dim)])
+            rhs = W.pad("first", factor)
             checks[0].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
 
         for (E1, _), (E2, _) in zip(pairs1, pairs2):
@@ -245,11 +225,11 @@ def verify_warped_connection(
             F2l = lift(W, "second", F2)
             full = covariant_derivative(W.ambient, engine, E2l, F2l, p, gamma)
             inner = float(E2l(p) @ g @ F2l(p))
-            normal = np.concatenate([full[:m1], np.zeros(W.second.dim)])
+            normal = W.pad("first", full[first])
             rhs3 = -inner * grad_log
             checks[2].add(np.linalg.norm(normal - rhs3), residual_scale(normal, rhs3))
 
-            tangent = full[m1:]
+            tangent = full[second]
             rhs4 = covariant_derivative(W.second, engine, E2, F2, c2, gamma2)
             checks[3].add(np.linalg.norm(tangent - rhs4), residual_scale(tangent, rhs4))
 
@@ -270,6 +250,7 @@ def verify_leaf_fiber_geometry(
     umb_check = ResidualCheck("fiber-umbilical", fiber_tolerance)
     mean_check = ResidualCheck("fiber-mean-curvature-warp", fiber_tolerance)
     log_warp = W.log_warp()
+    second = W.block("second")
 
     for p in points:
         g = W.ambient.metric_at(p)
@@ -278,7 +259,7 @@ def verify_leaf_fiber_geometry(
         leaf_check.add(np.max(np.abs(leaf.values)), residual_scale(leaf.values))
 
         fiber = second_fundamental_form(W, engine, "fiber", p, gamma, g)
-        induced = g[np.ix_(list(W.second_axes()), list(W.second_axes()))]
+        induced = g[second, second]
         expected = np.einsum("ab,k->abk", induced, fiber.mean_curvature)
         umb_check.add(
             np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)
@@ -296,8 +277,8 @@ def verify_leaf_fiber_geometry(
 def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:
     """Cross blocks of the ambient metric are identically zero (exact)."""
     check = ResidualCheck("metric-blocks", TOLERANCES["metric-blocks"])
-    m1 = W.first.dim
+    first, second = W.block("first"), W.block("second")
     for p in points:
         g = W.ambient.metric_at(p)
-        check.add(float(np.max(np.abs(g[:m1, m1:]))) + float(np.max(np.abs(g[m1:, :m1]))))
+        check.add(float(np.max(np.abs(g[first, second]))) + float(np.max(np.abs(g[second, first]))))
     return check.record()

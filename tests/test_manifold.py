@@ -59,6 +59,16 @@ def test_point_is_the_checked_coordinate_array():
             M.point(outside)
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]), ([0.0, 1.0], [1.0, 1.0])],
+    ids=["nan-lower", "nan-upper", "empty"],
+)
+def test_empty_or_nan_box_is_rejected(lower, upper):
+    with pytest.raises(ValueError, match="domain box is empty"):
+        ChartManifold.euclidean(2, lower, upper)
+
+
 def test_point_outside_domain_raises(polar):
     with pytest.raises(DomainError):
         polar.point([-1.0, 0.0])

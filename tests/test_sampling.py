@@ -34,3 +34,9 @@ def test_degenerate_box_rejected():
         sample_points([0.0], [np.inf], 3, 0, margin=1e-5)
     with pytest.raises(ConfigurationError):
         sample_points([0.0], [1.0], 0, 0, margin=1e-5)
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf, -5.0, -1e-5])
+def test_margin_must_be_finite_and_non_negative(margin):
+    with pytest.raises(ConfigurationError, match="margin"):
+        sample_points([0.0], [1.0], 3, 0, margin=margin)

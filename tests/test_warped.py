@@ -79,6 +79,30 @@ def test_warp_positivity_error():
         W.ambient.metric_at([-0.5, 0.0])
 
 
+def make_product_plain():
+    """plane x line: factors of different dimensions (2 + 1)."""
+    from warpgeo.scenarios import build_objects
+
+    return build_objects("product-plain", ENGINE)["warped"]
+
+
+# ambient points with zero coordinates, so that -sin gives -0.0 partials
+PLAIN_POINTS = [np.array([0.4, -0.3, 0.9]), np.array([0.0, 0.5, 0.0])]
+
+
+def test_block_and_pad_place_factor_rows():
+    W = make_product_plain()
+    assert (W.block("first"), W.block("second")) == (slice(0, 2), slice(2, 3))
+    assert W.first_axes() == (0, 1) and W.second_axes() == (2,)
+    assert np.array_equal(W.pad("first", [1.0, 2.0]), [1.0, 2.0, 0.0])
+    assert np.array_equal(W.pad("second", [3.0]), [0.0, 0.0, 3.0])
+    basis = np.arange(1.0, 7.0).reshape(2, 3)  # (k, cols) rows of the first factor
+    assert np.array_equal(W.pad("first", basis), np.vstack([basis, np.zeros((1, 3))]))
+    assert np.array_equal(W.pad("second", [[4.0, 5.0]]), [[0.0, 0.0], [0.0, 0.0], [4.0, 5.0]])
+    c1, c2 = W.split_coords(PLAIN_POINTS[0])
+    assert np.array_equal(c1, [0.4, -0.3]) and np.array_equal(c2, [0.9])
+
+
 def test_lift_vector_fields():
     W = make_warped_line()
     dt = VectorField.coordinate(1, 0)
@@ -87,12 +111,33 @@ def test_lift_vector_fields():
     lifted2 = lift(W, "second", dt)
     assert np.allclose(lifted2([0.4, 0.9]), [0.0, 1.0])
 
+    W = make_product_plain()
+    X = VectorField(lambda c: -np.sin(c) + 0.5 * c[::-1])
+    for origin in ("first", "second"):
+        lifted = lift(W, origin, X)
+        for p in PLAIN_POINTS:
+            value = lifted(p)
+            assert value.shape == (3,)
+            assert value.tobytes() == W.pad(origin, X(p[W.block(origin)])).tobytes()
+
 
 def test_lift_scalar_composes_with_projection():
     W = make_warped_line()
     lifted = lift(W, "first", W.warp)
     assert lifted([2.0, 5.0]) == pytest.approx(np.exp(2.0), rel=1e-15)
     assert np.allclose(lifted.partials([2.0, 5.0]), [np.exp(2.0), 0.0])
+
+    W = make_product_plain()
+    phi = ScalarField(lambda c: float(np.sum(np.cos(c))), lambda c: -np.sin(c))
+    for origin in ("first", "second"):
+        lifted = lift(W, origin, phi)
+        for p in PLAIN_POINTS:
+            c = p[W.block(origin)]
+            assert lifted(p) == phi(c)
+            assert lifted.partials(p).tobytes() == W.pad(origin, phi.partials(c)).tobytes()
+        pi = projection_map(W, origin)
+        assert pi.target is getattr(W, origin)
+        assert np.array_equal(pi(PLAIN_POINTS[0]), PLAIN_POINTS[0][W.block(origin)])
 
 
 def test_projection_recovers_factor_field():
@@ -128,10 +173,38 @@ def test_off_chart_coordinates_raise_in_fd_verifiers(verifier):
             verify_leaf_fiber_geometry(W, ENGINE, outside)
 
 
+@pytest.mark.parametrize(
+    "bad_shape", [np.eye(3), np.array([2.0, 3.0])], ids=["too-large", "broadcastable"]
+)
+def test_factor_metric_of_the_wrong_shape_raises_degenerate_metric(bad_shape):
+    from warpgeo import DegenerateMetricError
+
+    plane = ChartManifold(2, [-2.0, -2.0], [2.0, 2.0], lambda c: bad_shape)
+    line = ChartManifold.euclidean(1, [-2.0], [2.0])
+    for first, second in ((plane, line), (line, plane)):
+        W = build_warped_product(first, second, ScalarField.constant(1.0))
+        for check in (True, False):
+            with pytest.raises(DegenerateMetricError, match="shape"):
+                W.ambient.metric_at(np.zeros(3), check=check)
+
+
+def test_checked_ambient_metric_rejects_an_asymmetric_factor_metric():
+    from warpgeo import DegenerateMetricError
+
+    plane = ChartManifold(2, [-2.0, -2.0], [2.0, 2.0],
+                          lambda c: np.array([[2.0, 0.5], [0.0, 2.0]]))
+    line = ChartManifold.euclidean(1, [-2.0], [2.0])
+    W = build_warped_product(plane, line, ScalarField.constant(1.0))
+    with pytest.raises(DegenerateMetricError, match="not symmetric"):
+        W.ambient.metric_at(np.zeros(3))
+
+
 def test_lift_rejects_unknown_origin():
     W = make_warped_line()
     with pytest.raises(ValueError):
         lift(W, "third", VectorField.coordinate(1, 0))
+    with pytest.raises(ValueError):
+        projection_map(W, "third")
     with pytest.raises(TypeError):
         lift(W, "first", 3.0)
 
