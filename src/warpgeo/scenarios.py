@@ -1,19 +1,23 @@
 """Built-in scenario catalog.
 
 Every scenario assembles concrete manifolds, warps and maps, samples a
-bounded sub-box of the domain deterministically, and runs the verification
-suites that apply to it. The catalog order is stable and part of the public
-surface; ``expected`` entries document the verdicts a default run must
-produce (including deliberate failures of the negative scenarios).
+bounded sub-box of the domain deterministically, and runs its suites in
+order. A suite declares the check ids it records, in order, and one function
+that records them, so a scenario's checks are the concatenation of its
+suites' ids: a new check goes into one suite. The catalog order is stable
+and part of the public surface; ``expected`` entries document the verdicts a
+default run must produce (including deliberate failures of the negative
+scenarios).
 
 A scenario that raises a ``GeometryError`` still yields a report: every
 check it provides fails with ``n_samples = 0`` and a note naming the error,
-and ``run_all`` goes on with the next scenario.
+and ``run_all`` goes on with the next scenario. A sample box that the
+``--fd-step`` margin empties is a ``ConfigurationError`` of the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,21 +57,41 @@ from .warped import (
     verify_warped_connection,
 )
 
-Array = np.ndarray
+
+@dataclass(frozen=True)
+class Suite:
+    """The check ids a suite records, in order, and the function
+    ``(objs, config, engine, points, rng) -> records`` that records them.
+
+    A check is gated at ``config.tolerance(check_id)`` unless ``gates``
+    names its gate: a ``TOLERANCES`` key, scaled like any other, or a float,
+    which is never scaled."""
+
+    ids: tuple
+    run: Callable[..., list]
+    gates: dict = field(default_factory=dict)
+
+    def gate(self, check_id: str, config: RunConfig) -> float:
+        gate = self.gates.get(check_id, check_id)
+        return config.tolerance(gate) if isinstance(gate, str) else gate
+
 
 @dataclass(frozen=True)
 class Scenario:
     """One catalog entry. ``builder`` returns the scenario's objects, whose
-    ``"ctx"`` map has the sampled chart as its source; ``runner`` returns the
-    records that ``run_scenario`` puts between the fd-consistency and
-    engine-health checks every scenario shares."""
+    ``"ctx"`` map has the sampled chart as its source; ``suites`` run on
+    them in order, from fd-consistency first to engine health last."""
 
     scenario_id: str
     description: str
     expected: dict
-    provides: tuple
     builder: Callable[[DiffEngine], dict]
-    runner: Callable[..., list]
+    suites: tuple
+
+    @property
+    def provides(self) -> tuple:
+        """Every check id the scenario records, in report order."""
+        return tuple(check_id for suite in self.suites for check_id in suite.ids)
 
 
 def _exp_field(rate: float, axis: int, dim: int) -> ScalarField:
@@ -85,7 +109,7 @@ def _exp_field(rate: float, axis: int, dim: int) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# scenario builders: return every object the runner (and tests) need
+# scenario builders: return every object the suites (and tests) need
 # ---------------------------------------------------------------------------
 
 
@@ -335,7 +359,7 @@ def _build_cws_mixed_local(engine: DiffEngine) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# suite assembly
+# suites
 # ---------------------------------------------------------------------------
 
 
@@ -352,6 +376,13 @@ def _factor_pairs(M: ChartManifold, rng, n_pairs: int):
     return [(fields[2 * i], fields[2 * i + 1]) for i in range(n_pairs)]
 
 
+def _warped_product(objs: dict):
+    """The scenario's warped product: its own, or the source of its product
+    submersion; None for a plain submersion."""
+    cws = objs.get("cws")
+    return objs.get("warped") or (cws.source if cws is not None else None)
+
+
 def _points_by_manifold(objs: dict, points) -> dict:
     """Spot-check points for fd-consistency, keyed by manifold identity.
 
@@ -363,7 +394,7 @@ def _points_by_manifold(objs: dict, points) -> dict:
     source = objs["ctx"].map.source
     out: dict = {id(source): spot}
     cws = objs.get("cws")
-    W = objs.get("warped") or (cws.source if cws is not None else None)
+    W = _warped_product(objs)
     if W is None or source is not W.ambient:
         return out
     for p in spot:
@@ -375,99 +406,6 @@ def _points_by_manifold(objs: dict, points) -> dict:
             if cws.target.first.contains(image):
                 out.setdefault(id(cws.target.first), []).append(cws.target.first.point(image))
     return out
-
-
-def _run_warped_scenario(
-    objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
-) -> list[CheckRecord]:
-    W = objs["warped"]
-    ctx = objs["ctx"]
-    tol = config.tolerance
-    pairs1 = _factor_pairs(W.first, rng, 3)
-    pairs2 = _factor_pairs(W.second, rng, 3)
-    records = [verify_metric_blocks(W, points)]
-    records += verify_warped_connection(
-        W, engine, points, pairs1, pairs2, tolerance=tol("warped-conn-first-pair")
-    )
-    records += verify_leaf_fiber_geometry(
-        W,
-        engine,
-        points,
-        leaf_tolerance=tol("leaf-totally-geodesic"),
-        fiber_tolerance=tol("fiber-umbilical"),
-    )
-    records.append(splitting_records(ctx, points, rng, tolerance=tol("split-decomposition")))
-    records += dilation_records(
-        ctx,
-        points,
-        objs["expected_lambda_sq"],
-        conformality_tol=tol("conformality"),
-        value_tol=tol("dilation-value"),
-    )
-    records.append(t_umbilicity_records(ctx, points, rng, tolerance=tol("t-umbilical")))
-    records += a_crossval_records(ctx, points, rng, tolerance=tol("a-vs-bracket-formula"))
-    return records
-
-
-_WARPED_PROVIDES = (
-    "fd-consistency",
-    "metric-blocks",
-    "warped-conn-first-pair",
-    "warped-conn-mixed",
-    "warped-conn-fiber-normal",
-    "warped-conn-fiber-tangent",
-    "leaf-totally-geodesic",
-    "fiber-umbilical",
-    "fiber-mean-curvature-warp",
-    "split-decomposition",
-    "conformality",
-    "dilation-value",
-    "t-umbilical",
-    "a-vs-bracket-formula",
-    "a-extension-independence",
-    "torsion-free",
-    "metric-compatibility",
-)
-
-
-def _run_exp_spiral(
-    objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
-) -> list[CheckRecord]:
-    ctx = objs["ctx"]
-    ctx_fd = objs["ctx_fd"]
-    tol = config.tolerance
-    records = [splitting_records(ctx, points, rng, tolerance=tol("split-decomposition"))]
-    records += dilation_records(
-        ctx,
-        points,
-        objs["expected_lambda_sq"],
-        conformality_tol=tol("conformality/exp-spiral-r4"),
-        value_tol=tol("dilation-value"),
-    )
-    records += dilation_records(
-        ctx_fd,
-        points,
-        objs["expected_lambda_sq"],
-        conformality_tol=tol("fd-conformality"),
-        value_tol=tol("fd-dilation-value"),
-        check_prefix="fd-",
-    )
-    records += a_crossval_records(ctx, points, rng, tolerance=tol("a-vs-bracket-formula"))
-    return records
-
-
-_SPIRAL_PROVIDES = (
-    "fd-consistency",
-    "split-decomposition",
-    "conformality",
-    "dilation-value",
-    "fd-conformality",
-    "fd-dilation-value",
-    "a-vs-bracket-formula",
-    "a-extension-independence",
-    "torsion-free",
-    "metric-compatibility",
-)
 
 
 def _compatibility_records(
@@ -497,85 +435,180 @@ def _compatibility_records(
     ]
 
 
-def _run_cws_scenario(
-    objs: dict, config: RunConfig, engine: DiffEngine, points, rng, expected: dict
-) -> list[CheckRecord]:
-    cws: ConformalWarpedSubmersion = objs["cws"]
+def _suite(*ids: str):
+    """The decorated ``(objs, config, engine, points, rng)`` function as the
+    suite that records ``ids``."""
+    return lambda run: Suite(ids, run)
+
+
+@_suite("fd-consistency")
+def _fd_consistency(objs, config, engine, points, rng):
+    by_manifold = _points_by_manifold(objs, points)
+    return [fd_consistency_record(engine, objs["scalar_checks"], objs["map_checks"], by_manifold,
+                                  config.tolerance("fd-consistency"))]
+
+
+@_suite("metric-blocks")
+def _metric_blocks(objs, config, engine, points, rng):
+    return [verify_metric_blocks(_warped_product(objs), points)]
+
+
+@_suite("warped-conn-first-pair", "warped-conn-mixed", "warped-conn-fiber-normal",
+        "warped-conn-fiber-tangent")
+def _warped_connection(objs, config, engine, points, rng):
+    W = objs["warped"]
+    pairs1 = _factor_pairs(W.first, rng, 3)
+    pairs2 = _factor_pairs(W.second, rng, 3)
+    return verify_warped_connection(W, engine, points, pairs1, pairs2,
+                                    config.tolerance("warped-conn-first-pair"))
+
+
+@_suite("leaf-totally-geodesic", "fiber-umbilical", "fiber-mean-curvature-warp")
+def _leaf_fiber(objs, config, engine, points, rng):
+    return verify_leaf_fiber_geometry(objs["warped"], engine, points,
+                                      config.tolerance("leaf-totally-geodesic"),
+                                      config.tolerance("fiber-umbilical"))
+
+
+@_suite("split-decomposition")
+def _splitting(objs, config, engine, points, rng):
+    return [splitting_records(objs["ctx"], points, rng, config.tolerance("split-decomposition"))]
+
+
+def _dilation(conformal: bool = True, conformality_gate: str = "conformality") -> Suite:
+    """Conformality, gated at ``conformality_gate``, and for a conformal map
+    the dilation against the scenario's oracle."""
+
+    def run(objs, config, engine, points, rng):
+        return dilation_records(objs["ctx"], points, objs["expected_lambda_sq"],
+                                config.tolerance(conformality_gate),
+                                config.tolerance("dilation-value"), expect_conformal=conformal)
+
+    ids = ("conformality", "dilation-value") if conformal else ("conformality",)
+    return Suite(ids, run, {"conformality": conformality_gate})
+
+
+@_suite("fd-conformality", "fd-dilation-value")
+def _fd_dilation(objs, config, engine, points, rng):
+    return dilation_records(objs["ctx_fd"], points, objs["expected_lambda_sq"],
+                            config.tolerance("fd-conformality"),
+                            config.tolerance("fd-dilation-value"), check_prefix="fd-")
+
+
+@_suite("t-umbilical")
+def _t_umbilicity(objs, config, engine, points, rng):
+    return [t_umbilicity_records(objs["ctx"], points, rng, config.tolerance("t-umbilical"))]
+
+
+@_suite("a-vs-bracket-formula", "a-extension-independence")
+def _a_crossval(objs, config, engine, points, rng):
+    return a_crossval_records(objs["ctx"], points, rng, config.tolerance("a-vs-bracket-formula"))
+
+
+@_suite("torsion-free", "metric-compatibility")
+def _engine_health(objs, config, engine, points, rng):
+    return engine_health_records(objs["ctx"].map.source, engine, points, rng,
+                                 config.tolerance("torsion-free"),
+                                 config.tolerance("metric-compatibility"))
+
+
+@_suite("jacobian-blocks", "kernel-product")
+def _kernel_product(objs, config, engine, points, rng):
+    return verify_kernel_product(objs["cws"], points)
+
+
+def _compatibility(conformal: bool) -> Suite:
+    """dilation-compatibility, and its agreement with the dilation, for a
+    conformal map; for a non-conformal one, the unscaled verdict alone."""
+
+    def run(objs, config, engine, points, rng):
+        return _compatibility_records(objs["cws"], points, config, conformal)
+
+    if conformal:
+        return Suite(("dilation-compatibility", "compatibility-vs-dilation"), run)
+    threshold = TOLERANCES["conformality/threshold"]
+    return Suite(("dilation-compatibility",), run, {"dilation-compatibility": threshold})
+
+
+@_suite("product-a-first-factor", "product-a-second-factor")
+def _product_a(objs, config, engine, points, rng):
+    cws = objs["cws"]
+    pairs1 = horizontal_pairs(cws.ctx1, rng, 2)
+    pairs2 = horizontal_pairs(cws.ctx2, rng, 2)
+    first = verify_first_factor_a_identity(cws, points, pairs1,
+                                           config.tolerance("product-a-first-factor"))
+    second, _ = verify_second_factor_a_identity(cws, points, pairs2,
+                                                config.tolerance("product-a-second-factor"))
+    return [first, second]
+
+
+@_suite("riemannian-reduction")
+def _riemannian_reduction(objs, config, engine, points, rng):
+    return [verify_riemannian_reduction(objs["cws"], points,
+                                        config.tolerance("riemannian-reduction"))]
+
+
+@_suite("rescale-to-riemannian", "rescale-uniqueness-probe", "rescale-probe-dilation")
+def _rescale(objs, config, engine, points, rng):
+    return verify_rescaled_riemannian(
+        objs["cws"], points, tolerance=config.tolerance("rescale-to-riemannian"),
+        probe_tolerance=config.tolerance("rescale-uniqueness-probe"),
+    )
+
+
+def _fiber_geometry(expected: dict) -> Suite:
+    """Fiber minimality of each factor's block, as ``expected`` says, and
+    the mixed block."""
+
+    def run(objs, config, engine, points, rng):
+        return fiber_geometry_report(objs["cws"], points, expected["first_factor_minimal"],
+                                     expected["second_factor_minimal"],
+                                     config.tolerance("fiber-minimality-first"))
+
+    return Suite(("fiber-minimality-first", "fiber-minimality-second", "mixed-fiber-geodesic"), run)
+
+
+_WARPED_SUITES = (
+    _fd_consistency,
+    _metric_blocks,
+    _warped_connection,
+    _leaf_fiber,
+    _splitting,
+    _dilation(),
+    _t_umbilicity,
+    _a_crossval,
+    _engine_health,
+)
+
+_SPIRAL_SUITES = (
+    _fd_consistency,
+    _splitting,
+    _dilation(conformality_gate="conformality/exp-spiral-r4"),
+    _fd_dilation,
+    _a_crossval,
+    _engine_health,
+)
+
+
+def _cws_scenario(scenario_id: str, description: str, expected: dict, builder) -> Scenario:
+    """A conformal warped product scenario, whose suites follow from its
+    ``expected`` verdicts."""
     conformal = expected["conformal"]
-    tol = config.tolerance
-
-    records = [verify_metric_blocks(cws.source, points)]
-    records += verify_kernel_product(cws, points)
-    records += _compatibility_records(cws, points, config, conformal)
-    records.append(splitting_records(cws.ctx, points, rng, tolerance=tol("split-decomposition")))
-    records += dilation_records(
-        cws.ctx,
-        points,
-        objs["expected_lambda_sq"],
-        conformality_tol=tol("conformality"),
-        value_tol=tol("dilation-value"),
-        expect_conformal=conformal,
-    )
-    if conformal:
-        records += a_crossval_records(cws.ctx, points, rng, tolerance=tol("a-vs-bracket-formula"))
-        pairs1 = horizontal_pairs(cws.ctx1, rng, 2)
-        pairs2 = horizontal_pairs(cws.ctx2, rng, 2)
-        records.append(verify_first_factor_a_identity(
-            cws, points, pairs1, tolerance=tol("product-a-first-factor")
-        ))
-        item2, _ = verify_second_factor_a_identity(
-            cws, points, pairs2, tolerance=tol("product-a-second-factor")
-        )
-        records.append(item2)
-        if expected.get("riemannian"):
-            records.append(
-                verify_riemannian_reduction(cws, points, tolerance=tol("riemannian-reduction"))
-            )
-        records += verify_rescaled_riemannian(
-            cws, points, tolerance=tol("rescale-to-riemannian"),
-            probe_tolerance=tol("rescale-uniqueness-probe"),
-        )
-    records += fiber_geometry_report(
-        cws,
-        points,
-        expect_first_minimal=expected["first_factor_minimal"],
-        expect_second_minimal=expected["second_factor_minimal"],
-        tolerance=tol("fiber-minimality-first"),
-    )
-    return records
-
-
-def _cws_provides(conformal: bool, riemannian: bool = False) -> tuple:
-    ids = [
-        "fd-consistency",
-        "metric-blocks",
-        "jacobian-blocks",
-        "kernel-product",
+    suites = [
+        _fd_consistency,
+        _metric_blocks,
+        _kernel_product,
+        _compatibility(conformal),
+        _splitting,
+        _dilation(conformal),
     ]
     if conformal:
-        ids += ["dilation-compatibility", "compatibility-vs-dilation"]
-    else:
-        ids += ["dilation-compatibility"]
-    ids += ["split-decomposition", "conformality"]
-    if conformal:
-        ids += [
-            "dilation-value",
-            "a-vs-bracket-formula",
-            "a-extension-independence",
-            "product-a-first-factor",
-            "product-a-second-factor",
-        ]
-        if riemannian:
-            ids.append("riemannian-reduction")
-        ids += ["rescale-to-riemannian", "rescale-uniqueness-probe", "rescale-probe-dilation"]
-    ids += [
-        "fiber-minimality-first",
-        "fiber-minimality-second",
-        "mixed-fiber-geodesic",
-        "torsion-free",
-        "metric-compatibility",
-    ]
-    return tuple(ids)
+        suites += [_a_crossval, _product_a]
+        if expected["riemannian"]:
+            suites.append(_riemannian_reduction)
+        suites.append(_rescale)
+    suites += [_fiber_geometry(expected), _engine_health]
+    return Scenario(scenario_id, description, expected, builder, tuple(suites))
 
 
 # ---------------------------------------------------------------------------
@@ -587,134 +620,81 @@ _SCENARIOS: list[Scenario] = [
         "warped-line",
         "line x_exp(t) line: block metric, connection identities, leaf/fiber "
         "geometry, first-factor projection as a Riemannian submersion",
-        {
-            "conformal": True,
-            "dilation_sq": "1",
-            "first_factor_minimal": None,
-            "second_factor_minimal": None,
-        },
-        _WARPED_PROVIDES,
+        {"conformal": True, "dilation_sq": "1",
+         "first_factor_minimal": None, "second_factor_minimal": None},
         _build_warped_line,
-        _run_warped_scenario,
+        _WARPED_SUITES,
     ),
     Scenario(
         "sphere-warped",
         "round-sphere chart (0,pi) x_sin(theta) (0,2pi): warped-product "
         "identities on a curved example",
-        {
-            "conformal": True,
-            "dilation_sq": "1",
-            "first_factor_minimal": None,
-            "second_factor_minimal": None,
-        },
-        _WARPED_PROVIDES,
+        {"conformal": True, "dilation_sq": "1",
+         "first_factor_minimal": None, "second_factor_minimal": None},
         _build_sphere_warped,
-        _run_warped_scenario,
+        _WARPED_SUITES,
     ),
     Scenario(
         "product-plain",
         "plane x line with unit warp: the plain Riemannian product limit",
-        {
-            "conformal": True,
-            "dilation_sq": "1",
-            "first_factor_minimal": None,
-            "second_factor_minimal": None,
-        },
-        _WARPED_PROVIDES,
+        {"conformal": True, "dilation_sq": "1",
+         "first_factor_minimal": None, "second_factor_minimal": None},
         _build_product_plain,
-        _run_warped_scenario,
+        _WARPED_SUITES,
     ),
     Scenario(
         "exp-spiral-r4",
         "R4 -> R2, (x1..x4) |-> (e^{x3} sin x4, e^{x3} cos x4): conformal "
         "submersion with squared dilation e^{2 x3}; analytic and FD Jacobians",
-        {
-            "conformal": True,
-            "dilation_sq": "exp(2*x3)",
-            "first_factor_minimal": None,
-            "second_factor_minimal": None,
-        },
-        _SPIRAL_PROVIDES,
+        {"conformal": True, "dilation_sq": "exp(2*x3)",
+         "first_factor_minimal": None, "second_factor_minimal": None},
         _build_exp_spiral,
-        _run_exp_spiral,
+        _SPIRAL_SUITES,
     ),
-    Scenario(
+    _cws_scenario(
         "cws-constant-dilation",
         "product of two doubling submersions with warps e^{2x} / e^{s}: "
         "conformal with squared dilation 4 everywhere",
-        {
-            "conformal": True,
-            "dilation_sq": "4",
-            "second_factor_variant": "both",
-            "riemannian": False,
-            "first_factor_minimal": True,
-            "second_factor_minimal": False,
-        },
-        _cws_provides(True),
+        {"conformal": True, "dilation_sq": "4",
+         "second_factor_variant": "both", "riemannian": False,
+         "first_factor_minimal": True, "second_factor_minimal": False},
         _build_cws_constant,
-        _run_cws_scenario,
     ),
-    Scenario(
+    _cws_scenario(
         "cws-incompatible",
         "same factors but unit target warp: the two candidate dilations "
         "disagree, conformality must fail at >= 90% of samples",
-        {
-            "conformal": False,
-            "dilation_sq": None,
-            "first_factor_minimal": True,
-            "second_factor_minimal": False,
-        },
-        _cws_provides(False),
+        {"conformal": False, "dilation_sq": None,
+         "first_factor_minimal": True, "second_factor_minimal": False},
         _build_cws_incompatible,
-        _run_cws_scenario,
     ),
-    Scenario(
+    _cws_scenario(
         "cws-variable-dilation",
         "shear-exponential first factor with non-constant dilation "
         "e^{y} sqrt(1+x^2): discriminates the two second-factor gradient "
         "denominators",
-        {
-            "conformal": True,
-            "dilation_sq": "exp(2*y)*(1+x^2)",
-            "second_factor_variant": "second-factor-denominator",
-            "riemannian": False,
-            "first_factor_minimal": False,
-            "second_factor_minimal": False,
-        },
-        _cws_provides(True),
+        {"conformal": True, "dilation_sq": "exp(2*y)*(1+x^2)",
+         "second_factor_variant": "second-factor-denominator", "riemannian": False,
+         "first_factor_minimal": False, "second_factor_minimal": False},
         _build_cws_variable,
-        _run_cws_scenario,
     ),
-    Scenario(
+    _cws_scenario(
         "cws-riemannian",
         "unit dilations with target warp pulling back to the source warp: "
         "the product map is a Riemannian submersion",
-        {
-            "conformal": True,
-            "dilation_sq": "1",
-            "second_factor_variant": "both",
-            "riemannian": True,
-            "first_factor_minimal": True,
-            "second_factor_minimal": False,
-        },
-        _cws_provides(True, riemannian=True),
+        {"conformal": True, "dilation_sq": "1",
+         "second_factor_variant": "both", "riemannian": True,
+         "first_factor_minimal": True, "second_factor_minimal": False},
         _build_cws_riemannian,
-        _run_cws_scenario,
     ),
-    Scenario(
+    _cws_scenario(
         "cws-mixed-local",
         "exp-spiral first factor with unit warps: candidate dilations "
         "e^{2 x3} vs 1 agree only on the x3 = 0 slice, so conformality "
         "fails on the sampled box",
-        {
-            "conformal": False,
-            "dilation_sq": None,
-            "first_factor_minimal": True,
-            "second_factor_minimal": True,
-        },
-        _cws_provides(False),
+        {"conformal": False, "dilation_sq": None,
+         "first_factor_minimal": True, "second_factor_minimal": True},
         _build_cws_mixed_local,
-        _run_cws_scenario,
     ),
 ]
 
@@ -736,62 +716,49 @@ def build_objects(scenario_id: str, engine: DiffEngine) -> dict:
     return _BY_ID[scenario_id].builder(engine)
 
 
+def _aborted(scenario: Scenario, config: RunConfig, exc: GeometryError) -> list[CheckRecord]:
+    """Every check of the scenario, failed with no samples at its own gate."""
+    note = f"scenario aborted by {type(exc).__name__}: {exc}"
+    return [
+        CheckRecord(check_id, 0, 0.0, suite.gate(check_id, config), passed=False, notes=note)
+        for suite in scenario.suites
+        for check_id in suite.ids
+    ]
+
+
 def _run_suites(scenario: Scenario, config: RunConfig) -> list[CheckRecord]:
+    engine = config.engine()
+    try:
+        objs = scenario.builder(engine)
+    except GeometryError as exc:
+        return _aborted(scenario, config, exc)
+    # a sample box the step's margin empties is the run's error, so it propagates
+    points = _points(objs, config)
     index = next(i for i, s in enumerate(_SCENARIOS) if s.scenario_id == scenario.scenario_id)
     rng = np.random.default_rng([config.seed, index])
-    engine = config.engine()
-    objs = scenario.builder(engine)
-    points = _points(objs, config)
-    with evaluation_scope():
-        records = [
-            fd_consistency_record(
-                engine,
-                objs["scalar_checks"],
-                objs["map_checks"],
-                _points_by_manifold(objs, points),
-                tolerance=config.tolerance("fd-consistency"),
-            )
-        ]
-        records += scenario.runner(objs, config, engine, points, rng, scenario.expected)
-        records += engine_health_records(
-            objs["ctx"].map.source,
-            engine,
-            points,
-            rng,
-            torsion_tol=config.tolerance("torsion-free"),
-            compat_tol=config.tolerance("metric-compatibility"),
-        )
-    return records
-
-
-def _gate(scenario: Scenario, check_id: str, config: RunConfig) -> float:
-    """The tolerance the scenario's runner gives the check ``check_id``."""
-    if check_id == "dilation-compatibility" and not scenario.expected["conformal"]:
-        return TOLERANCES["conformality/threshold"]  # a verdict, never scaled
-    variant = f"{check_id}/{scenario.scenario_id}"
-    return config.tolerance(variant if variant in TOLERANCES else check_id)
+    try:
+        with evaluation_scope():
+            return [
+                record
+                for suite in scenario.suites
+                for record in suite.run(objs, config, engine, points, rng)
+            ]
+    except GeometryError as exc:
+        return _aborted(scenario, config, exc)
 
 
 def run_scenario(scenario_id: str, config: RunConfig) -> VerificationReport:
-    """Run one scenario; a ``GeometryError`` it raises becomes a failed
-    report rather than propagating, whose records keep their gates."""
+    """Run one scenario; a ``GeometryError`` its builder or a suite raises
+    becomes a failed report rather than propagating, whose records keep
+    their gates."""
     if scenario_id not in _BY_ID:
         raise ConfigurationError(f"unknown scenario {scenario_id!r}")
     scenario = _BY_ID[scenario_id]
-    try:
-        records = _run_suites(scenario, config)
-    except GeometryError as exc:
-        note = f"scenario aborted by {type(exc).__name__}: {exc}"
-        records = [
-            CheckRecord(check_id, 0, 0.0, _gate(scenario, check_id, config), passed=False,
-                        notes=note)
-            for check_id in scenario.provides
-        ]
     return VerificationReport(
         scenario=scenario.scenario_id,
         description=scenario.description,
         config=config.to_dict(),
-        checks=records,
+        checks=_run_suites(scenario, config),
     )
 
 

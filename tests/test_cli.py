@@ -39,15 +39,24 @@ def test_seed42_report_is_byte_identical_to_benchmark_digest(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("--scheme", "central4", "--samples", "6"),
+        (("verify", "--all", "--report", "json", "--scheme", "central4", "--samples", "6"),
          "1577c3acef7e93db46b2ec4ca55a942ec6e0b2e9786550d6a16c1f48181bab82"),
-        (("--scheme", "richardson", "--samples", "5", "--seed", "7"),
+        (("verify", "--all", "--report", "json", "--scheme", "richardson", "--samples", "5",
+          "--seed", "7"),
          "9dc120a9899a3e8b2040522096d38cd62556a1fa3ffd4f6d8f17d5cf892bd2f6"),
+        (("verify", "--all", "--report", "json", "--seed", "7"),
+         "7796a6268344c5fe3ae626768b95905d6f75fd34ef9849423fb2559317b256b1"),
+        (("verify", "--all", "--report", "json", "--tolerance-scale", "4"),
+         "e843f12315f63e71eac4b6260937de8c4107774edbd4b9c204e442e9689a5d9e"),
+        (("verify", "--all"),
+         "a6c7266e2e1979e09085d38da5e5b472da309a25a7cf3d6cdc51a8ac839293c1"),
+        (("list",),
+         "e61b44ae837943b2cd02efb7677d3b31ddb0bd5442f294379bf3465b93c69b3e"),
     ],
-    ids=["central4", "richardson"],
+    ids=["central4", "richardson", "seed7", "tolerance-scale4", "text", "list"],
 )
 def test_other_scheme_reports_are_byte_identical(capsys, argv, digest):
-    code, out, _ = run_cli(capsys, "verify", "--all", "--report", "json", *argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -58,11 +67,13 @@ def test_a_raising_scenario_becomes_a_failed_report(capsys, monkeypatch):
     assert code == EXIT_PASS
     clean = json.loads(out)["reports"]
 
-    def runner(*args):
+    def raising(*args):
         raise WarpPositivityError("warp -1.0 <= 0 at first-factor point [0.]")
 
     spec = scenarios._BY_ID["cws-mixed-local"]
-    monkeypatch.setitem(scenarios._BY_ID, spec.scenario_id, replace(spec, runner=runner))
+    suites = list(spec.suites)
+    suites[2] = replace(suites[2], run=raising)  # after two suites have recorded
+    monkeypatch.setitem(scenarios._BY_ID, spec.scenario_id, replace(spec, suites=tuple(suites)))
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_CHECK_FAILURE
     reports = json.loads(out)["reports"]
@@ -140,6 +151,10 @@ def test_bad_flag_values_are_usage_errors(capsys):
     )
     assert code == EXIT_USAGE
     assert out == "" and "min_step" in err
+    # so is a step whose sampling margin of 4 steps empties a scenario's sample box
+    code, out, err = run_cli(capsys, "verify", "warped-line", "--samples", "2", "--fd-step", "0.2")
+    assert code == EXIT_USAGE
+    assert out == "" and "degenerate after margin 0.8" in err
 
 
 @pytest.mark.parametrize("joined", [True, False], ids=["flag=value", "flag value"])

@@ -84,6 +84,41 @@ def test_scenario_emits_declared_checks_and_passes(scenario):
     assert report.overall_pass
 
 
+def test_a_raising_builder_gives_an_aborted_report(monkeypatch):
+    def raising(engine):
+        raise WarpPositivityError("warp -1.0 <= 0")
+
+    spec = scenarios._BY_ID["warped-line"]
+    monkeypatch.setitem(scenarios._BY_ID, spec.scenario_id, replace(spec, builder=raising))
+    report = run_scenario(spec.scenario_id, FAST)
+    assert tuple(c.check_id for c in report.checks) == spec.provides
+    assert all(c.n_samples == 0 and not c.passed for c in report.checks)
+    assert "WarpPositivityError: warp -1.0 <= 0" in report.checks[0].notes
+
+
+def test_each_suite_records_exactly_its_declared_ids(monkeypatch):
+    recorded = []
+
+    def spy(suite):
+        def run(*args):
+            records = suite.run(*args)
+            recorded.append((suite.ids, tuple(r.check_id for r in records)))
+            return records
+
+        return replace(suite, run=run)
+
+    for s in list_scenarios():
+        assert s.suites[0].ids == ("fd-consistency",), s.scenario_id
+        assert s.suites[-1].ids == ("torsion-free", "metric-compatibility"), s.scenario_id
+        spied = replace(s, suites=tuple(spy(suite) for suite in s.suites))
+        monkeypatch.setitem(scenarios._BY_ID, s.scenario_id, spied)
+        recorded.clear()
+        run_scenario(s.scenario_id, RunConfig(samples=2))
+        assert [declared for declared, _ in recorded] == [suite.ids for suite in s.suites]
+        for declared, got in recorded:
+            assert got == declared, (s.scenario_id, declared)
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ConfigurationError):
         run_scenario("nonexistent", FAST)
@@ -141,11 +176,12 @@ def test_an_aborted_scenario_keeps_the_gates_of_its_checks(scale, monkeypatch):
         for s in list_scenarios()
     }
 
-    def runner(*args):
+    def raising(*args):
         raise WarpPositivityError("warp -1.0 <= 0")
 
     for s in list_scenarios():
-        monkeypatch.setitem(scenarios._BY_ID, s.scenario_id, replace(s, runner=runner))
+        suites = s.suites[:-1] + (replace(s.suites[-1], run=raising),)
+        monkeypatch.setitem(scenarios._BY_ID, s.scenario_id, replace(s, suites=suites))
         aborted = run_scenario(s.scenario_id, config).checks
         assert all(c.n_samples == 0 and not c.passed for c in aborted)
         assert {c.check_id: c.tolerance for c in aborted} == normal[s.scenario_id], s.scenario_id
