@@ -81,16 +81,7 @@ class ConformalWarpedSubmersion:
                 )
             return entry.r1
 
-        partials = None
-        if self.lambda1.partials is not None:
-            first = self.source.block("first")
-
-            def partials(coords):
-                c1 = coords[first]
-                dl1 = 2.0 * self.lambda1(c1) * np.asarray(self.lambda1.partials(c1), float)
-                return self.source.pad("first", dl1)
-
-        return ScalarField(fn, partials)
+        return ScalarField(fn)
 
 
 @dataclass(frozen=True)
@@ -406,19 +397,22 @@ def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) 
     return replace(cws.ctx, map=replace(cws.ctx.map, source=rescaled))
 
 
+# the log-factor offset of the rescaling's uniqueness probe
+PROBE_OFFSET = 0.1
+
+
 def verify_rescaled_riemannian(
     cws: ConformalWarpedSubmersion,
     points: Sequence[Array],
     tolerance: float = TOLERANCES["rescale-to-riemannian"],
-    probe_offset: float = 0.1,
     probe_tolerance: float = TOLERANCES["rescale-uniqueness-probe"],
 ) -> list[CheckRecord]:
     """Rescaling by the squared dilation yields a Riemannian submersion, and
     the conformal factor achieving that is unique.
 
-    The uniqueness probe perturbs the log factor by probe_offset and passes
-    when the perturbed dilation is detected away from 1 (expected-fail) and
-    matches e^{2 offset}.
+    The uniqueness probe perturbs the log factor by ``PROBE_OFFSET`` and
+    passes when the perturbed dilation is detected away from 1
+    (expected-fail) and matches e^{2 offset}.
     """
     main = ResidualCheck("rescale-to-riemannian", tolerance)
     ctx0 = rescaled_context(cws, 0.0)
@@ -428,13 +422,13 @@ def verify_rescaled_riemannian(
     probe_detect = ResidualCheck("rescale-uniqueness-probe", probe_tolerance,
                                  expected_fail=True)
     probe_value = ResidualCheck("rescale-probe-dilation", tolerance)
-    expected = float(np.exp(2.0 * probe_offset))
-    ctx1 = rescaled_context(cws, probe_offset)
+    expected = float(np.exp(2.0 * PROBE_OFFSET))
+    ctx1 = rescaled_context(cws, PROBE_OFFSET)
     probes = [d for _, d in _in_blocks(ctx1.dilations, points)]
     for d in probes:
         probe_detect.add(abs(d.lambda_sq - 1.0))
         probe_value.add(abs(d.lambda_sq - expected), 1.0 + expected)
-    probe_detect.note(f"offset {probe_offset} perturbs squared dilation to {expected:.6f}")
+    probe_detect.note(f"offset {PROBE_OFFSET} perturbs squared dilation to {expected:.6f}")
     # log-factor gap |tau - sigma| recovered from the probe's dilation
     gaps = [abs(0.5 * np.log(d.lambda_sq)) for d in probes]
     probe_value.note(f"recovered log-factor offset {max(gaps):.6f}")

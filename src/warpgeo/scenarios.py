@@ -2,12 +2,16 @@
 
 Every scenario assembles concrete manifolds, warps and maps, samples a
 bounded sub-box of the domain deterministically, and runs its suites in
-order. A suite declares the check ids it records, in order, and one function
-that records them, so a scenario's checks are the concatenation of its
-suites' ids: a new check goes into one suite. The catalog order is stable
-and part of the public surface; ``expected`` entries document the verdicts a
-default run must produce (including deliberate failures of the negative
-scenarios).
+order. A scenario is declared by its kind, as one call of the kind's
+builder with its data: ``_warped`` for a warped product and its
+first-factor projection, ``_submersion`` for a plain submersion, ``_cws``
+for a product of two submersions between warped products; ``_objects``
+writes the objects every kind returns. A suite declares the check ids it
+records, in order, and one function that records them, so a scenario's
+checks are the concatenation of its suites' ids: a new check goes into one
+suite. The catalog order is stable and part of the public surface;
+``expected`` entries document the verdicts a default run must produce
+(including deliberate failures of the negative scenarios).
 
 A scenario that raises a ``GeometryError`` still yields a report: every
 check it provides fails with ``n_samples = 0`` and a note naming the error,
@@ -65,7 +69,9 @@ class Suite:
 
     A check is gated at ``config.tolerance(check_id)`` unless ``gates``
     names its gate: a ``TOLERANCES`` key, scaled like any other, or a float,
-    which is never scaled."""
+    which is never scaled. Checks that one tolerance argument of their
+    verifier gates name that argument's key, and have no entry of their
+    own."""
 
     ids: tuple
     run: Callable[..., list]
@@ -109,61 +115,76 @@ def _exp_field(rate: float, axis: int, dim: int) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# scenario builders: return every object the suites (and tests) need
+# scenario builders, one per kind: each returns ``build(engine) -> objects``,
+# and every call builds fresh charts and maps
 # ---------------------------------------------------------------------------
 
 
-def _build_warped_line(engine: DiffEngine) -> dict:
-    line_t = ChartManifold.euclidean(1, [-2.0], [2.0], name="t-line")
-    line_x = ChartManifold.euclidean(1, [-2.0], [2.0], name="x-line")
-    warp = _exp_field(1.0, 0, 1)
-    W = build_warped_product(line_t, line_x, warp, name="warped-line")
-    ctx = SubmersionContext(projection_map(W, "first"), engine)
+def _objects(ctx: SubmersionContext, lower, upper, expected_lambda_sq, scalar_checks, map_checks,
+             **named) -> dict:
+    """A scenario's objects: ``ctx``, whose map has the sampled chart as its
+    source, the sample box, the squared-dilation oracle (None for a
+    non-conformal map), the ``(chart, field)`` pairs and maps fd-consistency
+    checks, and the kind's own objects (``warped``, ``cws`` or ``ctx_fd``)."""
     return {
-        "warped": W,
         "ctx": ctx,
-        "sample_lower": np.array([-0.8, -0.8]),
-        "sample_upper": np.array([0.8, 0.8]),
-        "expected_lambda_sq": lambda c: 1.0,
-        "scalar_checks": [(line_t, warp)],
-        "map_checks": [ctx.map],
+        "sample_lower": np.array(lower, dtype=float),
+        "sample_upper": np.array(upper, dtype=float),
+        "expected_lambda_sq": expected_lambda_sq,
+        "scalar_checks": scalar_checks,
+        "map_checks": map_checks,
+        **named,
     }
 
 
-def _build_sphere_warped(engine: DiffEngine) -> dict:
-    theta = ChartManifold.euclidean(1, [0.0], [np.pi], name="colatitude")
-    phi = ChartManifold.euclidean(1, [0.0], [2.0 * np.pi], name="longitude")
-    warp = ScalarField(
-        lambda c: float(np.sin(c[0])), lambda c: np.array([np.cos(c[0])])
-    )
-    W = build_warped_product(theta, phi, warp, name="sphere-chart")
-    ctx = SubmersionContext(projection_map(W, "first"), engine)
-    return {
-        "warped": W,
-        "ctx": ctx,
-        "sample_lower": np.array([0.5, 0.5]),
-        "sample_upper": np.array([2.6, 5.5]),
-        "expected_lambda_sq": lambda c: 1.0,
-        "scalar_checks": [(theta, warp)],
-        "map_checks": [ctx.map],
-    }
+def _euclidean(name: str, lower, upper) -> Callable[[], ChartManifold]:
+    """A factory of the Euclidean chart on the box ``(lower, upper)``."""
+    return lambda: ChartManifold.euclidean(len(lower), lower, upper, name=name)
 
 
-def _build_product_plain(engine: DiffEngine) -> dict:
-    plane = ChartManifold.euclidean(2, [-2.0, -2.0], [2.0, 2.0], name="plane")
-    line = ChartManifold.euclidean(1, [-2.0], [2.0], name="line")
-    warp = ScalarField.constant(1.0)
-    W = build_warped_product(plane, line, warp, name="plain-product")
-    ctx = SubmersionContext(projection_map(W, "first"), engine)
-    return {
-        "warped": W,
-        "ctx": ctx,
-        "sample_lower": np.array([-0.8, -0.8, -0.8]),
-        "sample_upper": np.array([0.8, 0.8, 0.8]),
-        "expected_lambda_sq": lambda c: 1.0,
-        "scalar_checks": [(plane, warp)],
-        "map_checks": [ctx.map],
-    }
+def _warped(first, second, warp: ScalarField, name: str, lower, upper):
+    """``first x_warp second``, from two chart factories, and its
+    first-factor projection, a Riemannian submersion."""
+
+    def build(engine: DiffEngine) -> dict:
+        M1 = first()
+        W = build_warped_product(M1, second(), warp, name=name)
+        ctx = SubmersionContext(projection_map(W, "first"), engine)
+        return _objects(ctx, lower, upper, lambda c: 1.0, [(M1, warp)], [ctx.map], warped=W)
+
+    return build
+
+
+def _submersion(make_map, lower, upper, expected_lambda_sq):
+    """The map ``make_map()``, whose Jacobian is analytic, and as ``ctx_fd``
+    its twin with a finite-difference Jacobian."""
+
+    def build(engine: DiffEngine) -> dict:
+        smap = make_map()
+        fd_map = SmoothMap(smap.source, smap.target, smap.fn, None, name=f"{smap.name}-fd")
+        return _objects(SubmersionContext(smap, engine), lower, upper, expected_lambda_sq, [],
+                        [smap], ctx_fd=SubmersionContext(fd_map, engine))
+
+    return build
+
+
+def _cws(factors, lower, upper, expected_lambda_sq, fields, maps):
+    """The product submersion ``build_product_submersion(*factors(), engine)``.
+
+    fd-consistency checks the product's ``fields`` (of ``lambda1``,
+    ``lambda2``, ``warp``, ``target_warp``) on the charts they live on, and
+    its ``maps`` (of ``phi1``, ``phi2``, ``product``)."""
+
+    def build(engine: DiffEngine) -> dict:
+        cws = build_product_submersion(*factors(), engine)
+        charts = {"lambda1": cws.source.first, "lambda2": cws.source.second,
+                  "warp": cws.source.first, "target_warp": cws.target.first}
+        named_maps = {"phi1": cws.phi1, "phi2": cws.phi2, "product": cws.ctx.map}
+        return _objects(cws.ctx, lower, upper, expected_lambda_sq,
+                        [(charts[name], getattr(cws, name)) for name in fields],
+                        [named_maps[name] for name in maps], cws=cws, warped=cws.source)
+
+    return build
 
 
 def spiral_map(source: ChartManifold, target: ChartManifold) -> SmoothMap:
@@ -181,181 +202,78 @@ def spiral_map(source: ChartManifold, target: ChartManifold) -> SmoothMap:
     return SmoothMap(source, target, fn, jac, name="exp-spiral")
 
 
-def _build_exp_spiral(engine: DiffEngine) -> dict:
-    source = ChartManifold.euclidean(4, [-2.0] * 4, [2.0] * 4, name="R4")
-    target = ChartManifold.euclidean(2, [-9.0] * 2, [9.0] * 2, name="R2")
-    smap = spiral_map(source, target)
-    fd_map = SmoothMap(source, target, smap.fn, None, name="exp-spiral-fd")
-    return {
-        "ctx": SubmersionContext(smap, engine),
-        "ctx_fd": SubmersionContext(fd_map, engine),
-        "sample_lower": np.array([-0.8] * 4),
-        "sample_upper": np.array([0.8] * 4),
-        "expected_lambda_sq": lambda c: float(np.exp(2.0 * c[2])),
-        "scalar_checks": [],
-        "map_checks": [smap],
-    }
+def _spiral_r4() -> SmoothMap:
+    """``spiral_map`` from R4 into a box of R2 that holds its image."""
+    return spiral_map(ChartManifold.euclidean(4, [-2.0] * 4, [2.0] * 4, name="R4"),
+                      ChartManifold.euclidean(2, [-9.0] * 2, [9.0] * 2, name="R2"))
 
 
-def _build_cws_constant(engine: DiffEngine) -> dict:
+def _first_coord(source: ChartManifold, target: ChartManifold) -> SmoothMap:
+    """(x, y) |-> x."""
+    return SmoothMap(source, target, lambda c: np.array([c[0]]), lambda c: np.array([[1.0, 0.0]]),
+                     name="first-coord")
+
+
+# factor families: each returns the arguments of build_product_submersion
+# but the engine, (phi1, lambda1, phi2, lambda2, f, rho)
+
+
+def _doubling(rho: ScalarField) -> tuple:
+    """Two doubling submersions (x, y) |-> 2x, with dilations 2 and source
+    warp e^{2x}."""
+    double = lambda c: np.array([2.0 * c[0]])
+    double_jac = lambda c: np.array([[2.0, 0.0]])
     M1 = ChartManifold.euclidean(2, [-1.5, -1.5], [1.5, 1.5], name="M1")
     N1 = ChartManifold.euclidean(1, [-3.5], [3.5], name="N1")
     M2 = ChartManifold.euclidean(2, [-1.5, -1.5], [1.5, 1.5], name="M2")
     N2 = ChartManifold.euclidean(1, [-3.5], [3.5], name="N2")
-    double = lambda c: np.array([2.0 * c[0]])
-    double_jac = lambda c: np.array([[2.0, 0.0]])
-    phi1 = SmoothMap(M1, N1, double, double_jac, name="double-x")
-    phi2 = SmoothMap(M2, N2, double, double_jac, name="double-u")
-    cws = build_product_submersion(
-        phi1,
-        ScalarField.constant(2.0),
-        phi2,
-        ScalarField.constant(2.0),
-        _exp_field(2.0, 0, 2),
-        _exp_field(1.0, 0, 1),
-        engine,
-    )
-    return {
-        "cws": cws,
-        "ctx": cws.ctx,
-        "sample_lower": np.array([-0.6] * 4),
-        "sample_upper": np.array([0.6] * 4),
-        "expected_lambda_sq": lambda c: 4.0,
-        "scalar_checks": [
-            (M1, cws.lambda1),
-            (M2, cws.lambda2),
-            (M1, cws.warp),
-            (N1, cws.target_warp),
-        ],
-        "map_checks": [phi1, phi2, cws.ctx.map],
-    }
+    two = ScalarField.constant(2.0)
+    return (SmoothMap(M1, N1, double, double_jac, name="double-x"), two,
+            SmoothMap(M2, N2, double, double_jac, name="double-u"), two,
+            _exp_field(2.0, 0, 2), rho)
 
 
-def _build_cws_incompatible(engine: DiffEngine) -> dict:
-    objs = _build_cws_constant(engine)
-    base = objs["cws"]
-    cws = build_product_submersion(
-        base.phi1,
-        base.lambda1,
-        base.phi2,
-        base.lambda2,
-        base.warp,
-        ScalarField.constant(1.0),
-        engine,
-    )
-    return {
-        "cws": cws,
-        "ctx": cws.ctx,
-        "sample_lower": np.array([0.1, -0.6, -0.6, -0.6]),
-        "sample_upper": np.array([0.6, 0.6, 0.6, 0.6]),
-        "expected_lambda_sq": None,
-        "scalar_checks": [(cws.source.first, cws.warp)],
-        "map_checks": [cws.ctx.map],
-    }
-
-
-def _build_cws_variable(engine: DiffEngine) -> dict:
+def _shear_exp() -> tuple:
+    """(x, y) |-> x e^y, with dilation e^y sqrt(1 + x^2) and the warp that
+    makes the product conformal, times the first-coordinate map."""
     M1 = ChartManifold.euclidean(2, [-1.5, -1.5], [1.5, 1.5], name="M1")
     N1 = ChartManifold.euclidean(1, [-8.0], [8.0], name="N1")
     M2 = ChartManifold.euclidean(2, [-1.5, -1.5], [1.5, 1.5], name="M2")
     N2 = ChartManifold.euclidean(1, [-2.0], [2.0], name="N2")
-    phi1 = SmoothMap(
-        M1,
-        N1,
-        lambda c: np.array([c[0] * np.exp(c[1])]),
-        lambda c: np.array([[np.exp(c[1]), c[0] * np.exp(c[1])]]),
-        name="shear-exp",
-    )
-    phi2 = SmoothMap(
-        M2, N2, lambda c: np.array([c[0]]), lambda c: np.array([[1.0, 0.0]]),
-        name="first-coord",
-    )
-    lam1 = ScalarField(
-        lambda c: float(np.exp(c[1]) * np.sqrt(1.0 + c[0] ** 2)),
-        lambda c: np.array(
-            [
-                np.exp(c[1]) * c[0] / np.sqrt(1.0 + c[0] ** 2),
-                np.exp(c[1]) * np.sqrt(1.0 + c[0] ** 2),
-            ]
-        ),
-    )
-    warp = ScalarField(
-        lambda c: float(np.exp(-c[1]) / np.sqrt(1.0 + c[0] ** 2)),
-        lambda c: np.array(
-            [
-                -c[0] * np.exp(-c[1]) * (1.0 + c[0] ** 2) ** -1.5,
-                -np.exp(-c[1]) / np.sqrt(1.0 + c[0] ** 2),
-            ]
-        ),
-    )
-    cws = build_product_submersion(
-        phi1, lam1, phi2, ScalarField.constant(1.0), warp, ScalarField.constant(1.0), engine
-    )
-    return {
-        "cws": cws,
-        "ctx": cws.ctx,
-        "sample_lower": np.array([0.1, 0.2, -0.6, -0.6]),
-        "sample_upper": np.array([0.6, 0.8, 0.6, 0.6]),
-        "expected_lambda_sq": lambda c: float(np.exp(2.0 * c[1]) * (1.0 + c[0] ** 2)),
-        "scalar_checks": [(M1, lam1), (M1, warp)],
-        "map_checks": [phi1, phi2, cws.ctx.map],
-    }
+    phi1 = SmoothMap(M1, N1, lambda c: np.array([c[0] * np.exp(c[1])]),
+                     lambda c: np.array([[np.exp(c[1]), c[0] * np.exp(c[1])]]), name="shear-exp")
+    root = lambda c: np.sqrt(1.0 + c[0] ** 2)
+    lam1 = ScalarField(lambda c: float(np.exp(c[1]) * root(c)),
+                       lambda c: np.array([np.exp(c[1]) * c[0] / root(c), np.exp(c[1]) * root(c)]))
+    warp = ScalarField(lambda c: float(np.exp(-c[1]) / root(c)),
+                       lambda c: np.array([-c[0] * np.exp(-c[1]) * (1.0 + c[0] ** 2) ** -1.5,
+                                           -np.exp(-c[1]) / root(c)]))
+    unit = ScalarField.constant(1.0)
+    return phi1, lam1, _first_coord(M2, N2), unit, warp, unit
 
 
-def _build_cws_riemannian(engine: DiffEngine) -> dict:
+def _first_coords() -> tuple:
+    """Two first-coordinate maps with unit dilations, and warps e^x on both
+    sides, so rho o phi1 = f."""
     M1 = ChartManifold.euclidean(2, [-1.5, -1.5], [1.5, 1.5], name="M1")
     N1 = ChartManifold.euclidean(1, [-2.0], [2.0], name="N1")
     M2 = ChartManifold.euclidean(2, [-1.5, -1.5], [1.5, 1.5], name="M2")
     N2 = ChartManifold.euclidean(1, [-2.0], [2.0], name="N2")
-    first_coord = lambda c: np.array([c[0]])
-    first_jac = lambda c: np.array([[1.0, 0.0]])
-    phi1 = SmoothMap(M1, N1, first_coord, first_jac, name="first-coord")
-    phi2 = SmoothMap(M2, N2, first_coord, first_jac, name="first-coord")
-    cws = build_product_submersion(
-        phi1,
-        ScalarField.constant(1.0),
-        phi2,
-        ScalarField.constant(1.0),
-        _exp_field(1.0, 0, 2),
-        _exp_field(1.0, 0, 1),
-        engine,
-    )
-    return {
-        "cws": cws,
-        "ctx": cws.ctx,
-        "sample_lower": np.array([-0.6] * 4),
-        "sample_upper": np.array([0.6] * 4),
-        "expected_lambda_sq": lambda c: 1.0,
-        "scalar_checks": [(M1, cws.warp), (N1, cws.target_warp)],
-        "map_checks": [phi1, phi2, cws.ctx.map],
-    }
+    unit = ScalarField.constant(1.0)
+    return (_first_coord(M1, N1), unit, _first_coord(M2, N2), unit,
+            _exp_field(1.0, 0, 2), _exp_field(1.0, 0, 1))
 
 
-def _build_cws_mixed_local(engine: DiffEngine) -> dict:
+def _spiral_identity() -> tuple:
+    """The exp-spiral R4 -> R2, dilation e^{x3}, times the identity of a
+    line, with unit warps."""
     M1 = ChartManifold.euclidean(4, [-2.0] * 4, [2.0] * 4, name="M1")
     N1 = ChartManifold.euclidean(2, [-9.0] * 2, [9.0] * 2, name="N1")
     M2 = ChartManifold.euclidean(1, [-2.0], [2.0], name="M2")
     N2 = ChartManifold.euclidean(1, [-2.0], [2.0], name="N2")
-    phi1 = spiral_map(M1, N1)
-    phi2 = SmoothMap(M2, N2, lambda c: c, lambda c: np.eye(1), name="identity")
-    cws = build_product_submersion(
-        phi1,
-        _exp_field(1.0, 2, 4),
-        phi2,
-        ScalarField.constant(1.0),
-        ScalarField.constant(1.0),
-        ScalarField.constant(1.0),
-        engine,
-    )
-    return {
-        "cws": cws,
-        "ctx": cws.ctx,
-        "sample_lower": np.array([-0.6, -0.6, 0.1, -0.6, -0.6]),
-        "sample_upper": np.array([0.6, 0.6, 0.6, 0.6, 0.6]),
-        "expected_lambda_sq": None,
-        "scalar_checks": [(M1, cws.lambda1)],
-        "map_checks": [phi1, cws.ctx.map],
-    }
+    unit = ScalarField.constant(1.0)
+    identity = SmoothMap(M2, N2, lambda c: c, lambda c: np.eye(1), name="identity")
+    return spiral_map(M1, N1), _exp_field(1.0, 2, 4), identity, unit, unit, unit
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +294,6 @@ def _factor_pairs(M: ChartManifold, rng, n_pairs: int):
     return [(fields[2 * i], fields[2 * i + 1]) for i in range(n_pairs)]
 
 
-def _warped_product(objs: dict):
-    """The scenario's warped product: its own, or the source of its product
-    submersion; None for a plain submersion."""
-    cws = objs.get("cws")
-    return objs.get("warped") or (cws.source if cws is not None else None)
-
-
 def _points_by_manifold(objs: dict, points) -> dict:
     """Spot-check points for fd-consistency, keyed by manifold identity.
 
@@ -394,7 +305,7 @@ def _points_by_manifold(objs: dict, points) -> dict:
     source = objs["ctx"].map.source
     out: dict = {id(source): spot}
     cws = objs.get("cws")
-    W = _warped_product(objs)
+    W = objs.get("warped")
     if W is None or source is not W.ambient:
         return out
     for p in spot:
@@ -435,10 +346,16 @@ def _compatibility_records(
     ]
 
 
-def _suite(*ids: str):
+def _suite(*ids: str, gates: dict | None = None):
     """The decorated ``(objs, config, engine, points, rng)`` function as the
-    suite that records ``ids``."""
-    return lambda run: Suite(ids, run)
+    suite that records ``ids``, gated as ``gates`` says."""
+    return lambda run: Suite(ids, run, gates or {})
+
+
+def _shared(gate: str, *ids: str) -> dict:
+    """``ids`` gated at ``gate``'s entry: one tolerance argument of their
+    verifier gates them all."""
+    return dict.fromkeys(ids, gate)
 
 
 @_suite("fd-consistency")
@@ -450,11 +367,14 @@ def _fd_consistency(objs, config, engine, points, rng):
 
 @_suite("metric-blocks")
 def _metric_blocks(objs, config, engine, points, rng):
-    return [verify_metric_blocks(_warped_product(objs), points)]
+    return [verify_metric_blocks(objs["warped"], points)]
 
 
-@_suite("warped-conn-first-pair", "warped-conn-mixed", "warped-conn-fiber-normal",
-        "warped-conn-fiber-tangent")
+_CONN_SHARED = ("warped-conn-mixed", "warped-conn-fiber-normal", "warped-conn-fiber-tangent")
+
+
+@_suite("warped-conn-first-pair", *_CONN_SHARED,
+        gates=_shared("warped-conn-first-pair", *_CONN_SHARED))
 def _warped_connection(objs, config, engine, points, rng):
     W = objs["warped"]
     pairs1 = _factor_pairs(W.first, rng, 3)
@@ -463,7 +383,8 @@ def _warped_connection(objs, config, engine, points, rng):
                                     config.tolerance("warped-conn-first-pair"))
 
 
-@_suite("leaf-totally-geodesic", "fiber-umbilical", "fiber-mean-curvature-warp")
+@_suite("leaf-totally-geodesic", "fiber-umbilical", "fiber-mean-curvature-warp",
+        gates=_shared("fiber-umbilical", "fiber-mean-curvature-warp"))
 def _leaf_fiber(objs, config, engine, points, rng):
     return verify_leaf_fiber_geometry(objs["warped"], engine, points,
                                       config.tolerance("leaf-totally-geodesic"),
@@ -500,7 +421,8 @@ def _t_umbilicity(objs, config, engine, points, rng):
     return [t_umbilicity_records(objs["ctx"], points, rng, config.tolerance("t-umbilical"))]
 
 
-@_suite("a-vs-bracket-formula", "a-extension-independence")
+@_suite("a-vs-bracket-formula", "a-extension-independence",
+        gates=_shared("a-vs-bracket-formula", "a-extension-independence"))
 def _a_crossval(objs, config, engine, points, rng):
     return a_crossval_records(objs["ctx"], points, rng, config.tolerance("a-vs-bracket-formula"))
 
@@ -548,7 +470,8 @@ def _riemannian_reduction(objs, config, engine, points, rng):
                                         config.tolerance("riemannian-reduction"))]
 
 
-@_suite("rescale-to-riemannian", "rescale-uniqueness-probe", "rescale-probe-dilation")
+@_suite("rescale-to-riemannian", "rescale-uniqueness-probe", "rescale-probe-dilation",
+        gates=_shared("rescale-to-riemannian", "rescale-probe-dilation"))
 def _rescale(objs, config, engine, points, rng):
     return verify_rescaled_riemannian(
         objs["cws"], points, tolerance=config.tolerance("rescale-to-riemannian"),
@@ -565,7 +488,8 @@ def _fiber_geometry(expected: dict) -> Suite:
                                      expected["second_factor_minimal"],
                                      config.tolerance("fiber-minimality-first"))
 
-    return Suite(("fiber-minimality-first", "fiber-minimality-second", "mixed-fiber-geodesic"), run)
+    shared = ("fiber-minimality-second", "mixed-fiber-geodesic")
+    return Suite(("fiber-minimality-first", *shared), run, _shared("fiber-minimality-first", *shared))
 
 
 _WARPED_SUITES = (
@@ -588,6 +512,14 @@ _SPIRAL_SUITES = (
     _a_crossval,
     _engine_health,
 )
+
+
+def _warped_scenario(scenario_id: str, description: str, builder) -> Scenario:
+    """A warped product scenario: the warped-product identities, and its
+    first-factor projection as a Riemannian submersion."""
+    expected = {"conformal": True, "dilation_sq": "1",
+                "first_factor_minimal": None, "second_factor_minimal": None}
+    return Scenario(scenario_id, description, expected, builder, _WARPED_SUITES)
 
 
 def _cws_scenario(scenario_id: str, description: str, expected: dict, builder) -> Scenario:
@@ -616,31 +548,27 @@ def _cws_scenario(scenario_id: str, description: str, expected: dict, builder) -
 # ---------------------------------------------------------------------------
 
 _SCENARIOS: list[Scenario] = [
-    Scenario(
+    _warped_scenario(
         "warped-line",
         "line x_exp(t) line: block metric, connection identities, leaf/fiber "
         "geometry, first-factor projection as a Riemannian submersion",
-        {"conformal": True, "dilation_sq": "1",
-         "first_factor_minimal": None, "second_factor_minimal": None},
-        _build_warped_line,
-        _WARPED_SUITES,
+        _warped(_euclidean("t-line", [-2.0], [2.0]), _euclidean("x-line", [-2.0], [2.0]),
+                _exp_field(1.0, 0, 1), "warped-line", [-0.8] * 2, [0.8] * 2),
     ),
-    Scenario(
+    _warped_scenario(
         "sphere-warped",
         "round-sphere chart (0,pi) x_sin(theta) (0,2pi): warped-product "
         "identities on a curved example",
-        {"conformal": True, "dilation_sq": "1",
-         "first_factor_minimal": None, "second_factor_minimal": None},
-        _build_sphere_warped,
-        _WARPED_SUITES,
+        _warped(_euclidean("colatitude", [0.0], [np.pi]),
+                _euclidean("longitude", [0.0], [2.0 * np.pi]),
+                ScalarField(lambda c: float(np.sin(c[0])), lambda c: np.array([np.cos(c[0])])),
+                "sphere-chart", [0.5, 0.5], [2.6, 5.5]),
     ),
-    Scenario(
+    _warped_scenario(
         "product-plain",
         "plane x line with unit warp: the plain Riemannian product limit",
-        {"conformal": True, "dilation_sq": "1",
-         "first_factor_minimal": None, "second_factor_minimal": None},
-        _build_product_plain,
-        _WARPED_SUITES,
+        _warped(_euclidean("plane", [-2.0, -2.0], [2.0, 2.0]), _euclidean("line", [-2.0], [2.0]),
+                ScalarField.constant(1.0), "plain-product", [-0.8] * 3, [0.8] * 3),
     ),
     Scenario(
         "exp-spiral-r4",
@@ -648,7 +576,7 @@ _SCENARIOS: list[Scenario] = [
         "submersion with squared dilation e^{2 x3}; analytic and FD Jacobians",
         {"conformal": True, "dilation_sq": "exp(2*x3)",
          "first_factor_minimal": None, "second_factor_minimal": None},
-        _build_exp_spiral,
+        _submersion(_spiral_r4, [-0.8] * 4, [0.8] * 4, lambda c: float(np.exp(2.0 * c[2]))),
         _SPIRAL_SUITES,
     ),
     _cws_scenario(
@@ -658,7 +586,8 @@ _SCENARIOS: list[Scenario] = [
         {"conformal": True, "dilation_sq": "4",
          "second_factor_variant": "both", "riemannian": False,
          "first_factor_minimal": True, "second_factor_minimal": False},
-        _build_cws_constant,
+        _cws(lambda: _doubling(_exp_field(1.0, 0, 1)), [-0.6] * 4, [0.6] * 4, lambda c: 4.0,
+             ("lambda1", "lambda2", "warp", "target_warp"), ("phi1", "phi2", "product")),
     ),
     _cws_scenario(
         "cws-incompatible",
@@ -666,7 +595,8 @@ _SCENARIOS: list[Scenario] = [
         "disagree, conformality must fail at >= 90% of samples",
         {"conformal": False, "dilation_sq": None,
          "first_factor_minimal": True, "second_factor_minimal": False},
-        _build_cws_incompatible,
+        _cws(lambda: _doubling(ScalarField.constant(1.0)), [0.1, -0.6, -0.6, -0.6], [0.6] * 4,
+             None, ("warp",), ("product",)),
     ),
     _cws_scenario(
         "cws-variable-dilation",
@@ -676,7 +606,9 @@ _SCENARIOS: list[Scenario] = [
         {"conformal": True, "dilation_sq": "exp(2*y)*(1+x^2)",
          "second_factor_variant": "second-factor-denominator", "riemannian": False,
          "first_factor_minimal": False, "second_factor_minimal": False},
-        _build_cws_variable,
+        _cws(_shear_exp, [0.1, 0.2, -0.6, -0.6], [0.6, 0.8, 0.6, 0.6],
+             lambda c: float(np.exp(2.0 * c[1]) * (1.0 + c[0] ** 2)),
+             ("lambda1", "warp"), ("phi1", "phi2", "product")),
     ),
     _cws_scenario(
         "cws-riemannian",
@@ -685,7 +617,8 @@ _SCENARIOS: list[Scenario] = [
         {"conformal": True, "dilation_sq": "1",
          "second_factor_variant": "both", "riemannian": True,
          "first_factor_minimal": True, "second_factor_minimal": False},
-        _build_cws_riemannian,
+        _cws(_first_coords, [-0.6] * 4, [0.6] * 4, lambda c: 1.0,
+             ("warp", "target_warp"), ("phi1", "phi2", "product")),
     ),
     _cws_scenario(
         "cws-mixed-local",
@@ -694,7 +627,8 @@ _SCENARIOS: list[Scenario] = [
         "fails on the sampled box",
         {"conformal": False, "dilation_sq": None,
          "first_factor_minimal": True, "second_factor_minimal": True},
-        _build_cws_mixed_local,
+        _cws(_spiral_identity, [-0.6, -0.6, 0.1, -0.6, -0.6], [0.6] * 5, None,
+             ("lambda1",), ("phi1", "product")),
     ),
 ]
 

@@ -443,15 +443,14 @@ def conformal_a_formula(
     X: VectorField,
     Y: VectorField,
     coords,
-    lambda_sq_field: Optional[ScalarField] = None,
 ) -> Array:
     """A_X Y = 1/2 { V[X, Y] - lambda^2 g(X, Y) grad_V(1/lambda^2) }.
 
     X and Y are replaced by their horizontal parts (as fields). Requires
     conformality at coords, judged by ``TOLERANCES["conformality/threshold"]``;
-    raises ConformalityError carrying the anisotropy otherwise. By default
-    lambda^2 is the context's own dilation estimate, so the formula is
-    entirely self-contained.
+    raises ConformalityError carrying the anisotropy otherwise. lambda^2 is
+    the context's own dilation estimate, so the formula is entirely
+    self-contained.
     """
     d = ctx.dilation(coords)
     if not d.is_conformal(TOLERANCES["conformality/threshold"]):
@@ -465,13 +464,8 @@ def conformal_a_formula(
     s = ctx.splitting_at(coords)
     v_bracket = s.vertical_part(bracket)
 
-    lam_field = lambda_sq_field if lambda_sq_field is not None else ctx.lambda_sq_field()
-    inv_partials = None
-    if lam_field.partials is not None:
-        def inv_partials(c, lam_field=lam_field):
-            val = lam_field(c)
-            return -np.asarray(lam_field.partials(c), dtype=float) / (val * val)
-    inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c), inv_partials)
+    lam_field = ctx.lambda_sq_field()
+    inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c))
 
     grad_v = vertical_gradient(ctx, inv_lambda_sq, coords)
     g = ctx.map.source.metric_at(coords, check=False)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .connection import christoffel, covariant_derivative, lie_bracket
-from .errors import GeometryError
+from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
 from .fields import modulated, vector_field_library
 from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_field
@@ -143,26 +143,21 @@ def a_crossval_records(
     points: Sequence[Array],
     rng: np.random.Generator,
     tolerance: float = TOLERANCES["a-vs-bracket-formula"],
-    n_pairs: int = 2,
-    lambda_sq_field: Optional[ScalarField] = None,
 ) -> list[CheckRecord]:
     """O'Neill A evaluated literally agrees with the bracket/dilation-gradient
     formula, and is insensitive to how horizontal vectors are extended."""
     crossval = ResidualCheck("a-vs-bracket-formula", tolerance)
     extension = ResidualCheck("a-extension-independence", tolerance)
-    pairs = horizontal_pairs(ctx, rng, n_pairs)
+    pairs = horizontal_pairs(ctx, rng, 2)
     M = ctx.map.source
-    if lambda_sq_field is None:
-        # the formula differentiates the context's own dilation along every axis
-        ctx.warm_stencils(points, range(M.dim), dilations=True)
-    else:
-        _warm_parts(ctx, points, vertical=False)
+    # the formula differentiates the context's own dilation along every axis
+    ctx.warm_stencils(points, range(M.dim), dilations=True)
 
     for p in points:
         gamma = christoffel(M, ctx.engine, p)
         for X, Y in pairs:
             a_direct = oneill_a(ctx, X, Y, p, gamma)
-            a_formula = conformal_a_formula(ctx, X, Y, p, lambda_sq_field=lambda_sq_field)
+            a_formula = conformal_a_formula(ctx, X, Y, p)
             crossval.add(np.linalg.norm(a_direct - a_formula), residual_scale(a_direct, a_formula))
 
             # same horizontal vectors at p, different extensions
@@ -216,14 +211,22 @@ def fd_consistency_record(
     points_by_manifold: dict,
     tolerance: float = TOLERANCES["fd-consistency"],
 ) -> CheckRecord:
-    """Analytic partials and Jacobians agree with their FD counterparts."""
+    """Analytic partials and Jacobians agree with their FD counterparts, at
+    the points ``points_by_manifold`` holds for their chart (keyed by
+    ``id(chart)``); a listed field or map whose chart has none raises
+    ``ConfigurationError``, naming the chart."""
     check = ResidualCheck("fd-consistency", tolerance)
+
+    def spot(M: ChartManifold, what: str):
+        pts = points_by_manifold.get(id(M))
+        if not pts:
+            raise ConfigurationError(
+                f"fd-consistency has no points on chart {M.name!r} for {what}"
+            )
+        return pts
+
     for M, phi in scalar_checks:
-        pts = points_by_manifold.get(id(M), ())
-        if pts:
-            check.add(check_scalar_field(M, engine, phi, pts))
+        check.add(check_scalar_field(M, engine, phi, spot(M, "a scalar field")))
     for smap in map_checks:
-        pts = points_by_manifold.get(id(smap.source), ())
-        if pts:
-            check.add(smap.check_jacobian(engine, pts))
+        check.add(smap.check_jacobian(engine, spot(smap.source, f"map {smap.name!r}")))
     return check.record()

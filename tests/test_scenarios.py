@@ -10,6 +10,7 @@ from warpgeo.scenarios import (
     run_all,
     run_scenario,
 )
+from warpgeo.suites import fd_consistency_record
 
 FAST = RunConfig(samples=4)
 
@@ -34,18 +35,42 @@ def test_catalog_entries_carry_expected_verdicts():
         assert isinstance(s.description, str) and s.description
 
 
-def test_sample_boxes_inside_domains():
+# the objects every scenario's suites and the benchmark's workloads read,
+# and those of each kind
+OBJECT_KEYS = {"ctx", "sample_lower", "sample_upper", "expected_lambda_sq", "scalar_checks",
+               "map_checks"}
+KIND_KEYS = {"warped": {"warped"}, "submersion": {"ctx_fd"}, "cws": {"cws"}}
+
+
+def _kind(scenario) -> str:
+    if scenario.suites is scenarios._WARPED_SUITES:
+        return "warped"
+    return "submersion" if scenario.suites is scenarios._SPIRAL_SUITES else "cws"
+
+
+@pytest.mark.parametrize("scenario", [s.scenario_id for s in list_scenarios()])
+def test_objects_carry_what_their_kind_is_read_for(scenario):
+    spec = scenarios._BY_ID[scenario]
+    kind = _kind(spec)
     engine = FAST.engine()
-    for s in list_scenarios():
-        objs = build_objects(s.scenario_id, engine)
-        if "cws" in objs:
-            ambient = objs["cws"].source.ambient
-        elif "warped" in objs:
-            ambient = objs["warped"].ambient
-        else:
-            ambient = objs["ctx"].map.source
-        assert (objs["sample_lower"] > ambient.lower).all()
-        assert (objs["sample_upper"] < ambient.upper).all()
+    objs = build_objects(scenario, engine)
+    assert OBJECT_KEYS | KIND_KEYS[kind] <= objs.keys()
+    source = objs["ctx"].map.source
+    if kind != "submersion":
+        # the sampled chart is the ambient of the warped product
+        ambient = (objs["cws"].source if kind == "cws" else objs["warped"]).ambient
+        assert source is ambient
+    lower, upper = objs["sample_lower"], objs["sample_upper"]
+    assert lower.shape == upper.shape == (source.dim,)
+    assert (lower > source.lower).all() and (upper < source.upper).all()
+    assert (lower < upper).all()
+    assert (objs["expected_lambda_sq"] is None) == (not spec.expected["conformal"])
+    for M, field in objs["scalar_checks"]:
+        assert M.dim == len(field.partials(M.lower / 2 + M.upper / 2))
+    # fresh charts and maps on every call
+    again = build_objects(scenario, engine)
+    assert again["ctx"].map is not objs["ctx"].map
+    assert again["ctx"].map.source is not source
 
 
 def test_catalog_filter():
@@ -62,16 +87,37 @@ def test_catalog_filter():
 
 
 def test_every_identity_family_is_covered():
-    # the check ids of the tolerance table are exactly the families the
-    # catalog runs: none uncovered, no entry dead
-    union = set()
-    for s in list_scenarios():
-        union.update(s.provides)
-    check_ids = {key for key in TOLERANCES if "/" not in key}
-    assert sorted(check_ids - union) == [], "uncovered identity families"
-    assert sorted(union - check_ids) == [], "checks without a tolerance entry"
+    # every entry of the tolerance table is the gate of some check the
+    # catalog runs, but the pointwise conformality verdict: no entry dead
+    gates = {suite.gates.get(check_id, check_id)
+             for s in list_scenarios() for suite in s.suites for check_id in suite.ids}
+    keys = {gate for gate in gates if isinstance(gate, str)}
+    assert sorted(keys - set(TOLERANCES)) == [], "gates without a tolerance entry"
+    assert sorted(set(TOLERANCES) - keys) == ["conformality/threshold"], "dead entries"
+    # which is the fixed gate of the non-conformal dilation-compatibility verdict
+    assert TOLERANCES["conformality/threshold"] in gates
     # a "<check id>/<qualifier>" entry is a variant of a check id's tolerance
-    assert {key.split("/")[0] for key in TOLERANCES} == check_ids
+    union = {check_id for s in list_scenarios() for check_id in s.provides}
+    assert {key.split("/")[0] for key in TOLERANCES} <= union
+
+
+def test_every_record_is_gated_at_its_suites_gate(monkeypatch):
+    # with a distinct sentinel in every entry, a record gated at an entry
+    # other than its suite's declared gate shows
+    for i, key in enumerate(sorted(TOLERANCES)):
+        monkeypatch.setitem(TOLERANCES, key, 1e-3 * (1.0 + i / 64))
+    config = RunConfig(samples=2)
+    for s in list_scenarios():
+        report = run_scenario(s.scenario_id, config)
+        assert not any("aborted" in c.notes for c in report.checks), s.scenario_id
+        gates = {check_id: suite.gate(check_id, config)
+                 for suite in s.suites for check_id in suite.ids}
+        for c in report.checks:
+            if c.check_id == "dilation-compatibility" and not s.expected["conformal"]:
+                # the non-conformal verdict's gate is the unscaled float read
+                # from the table at import, before any patch
+                continue
+            assert c.tolerance == gates[c.check_id], (s.scenario_id, c.check_id)
 
 
 @pytest.mark.parametrize("scenario", [s.scenario_id for s in list_scenarios()])
@@ -94,6 +140,19 @@ def test_a_raising_builder_gives_an_aborted_report(monkeypatch):
     assert tuple(c.check_id for c in report.checks) == spec.provides
     assert all(c.n_samples == 0 and not c.passed for c in report.checks)
     assert "WarpPositivityError: warp -1.0 <= 0" in report.checks[0].notes
+
+
+def test_fd_consistency_without_points_names_the_chart(monkeypatch):
+    engine = FAST.engine()
+    objs = build_objects("cws-constant-dilation", engine)
+    with pytest.raises(ConfigurationError, match="no points on chart 'M1'"):
+        fd_consistency_record(engine, objs["scalar_checks"], objs["map_checks"], {})
+    # so the scenario's aborted report says what is missing
+    monkeypatch.setattr(scenarios, "_points_by_manifold", lambda objs, points: {})
+    report = run_scenario("cws-constant-dilation", FAST)
+    assert not report.overall_pass
+    assert all(c.n_samples == 0 for c in report.checks)
+    assert "ConfigurationError: fd-consistency has no points on chart 'M1'" in report.checks[0].notes
 
 
 def test_each_suite_records_exactly_its_declared_ids(monkeypatch):
