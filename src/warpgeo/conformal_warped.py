@@ -153,27 +153,28 @@ def build_product_submersion(
         ctx2=SubmersionContext(phi2, engine),
     )
     for p in check_points:
-        c1, c2 = source.split_coords(p)
-        for field, value, label in (
-            (lambda1, lambda1(c1), "lambda1"),
-            (lambda2, lambda2(c2), "lambda2"),
-            (f, f(c1), "source warp"),
-            (rho, rho(phi1(c1)), "target warp"),
-        ):
-            if value <= 0.0:
-                raise WarpPositivityError(f"{label} = {value} <= 0 at {p}")
+        _positive_factor_data(cws, p)
         cws.ctx.splitting_at(p)  # raises RankError when rank-deficient
     return cws
 
 
+def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
+    """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises
+    WarpPositivityError naming the first that is not positive, NaN
+    included."""
+    c1, c2 = cws.source.split_coords(coords)
+    values = (cws.lambda1(c1), cws.lambda2(c2), cws.warp(c1), cws.target_warp(cws.phi1(c1)))
+    for value, label in zip(values, ("lambda1", "lambda2", "source warp", "target warp")):
+        if not value > 0.0:  # NaN fails every comparison
+            raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")
+    return values
+
+
 def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
     """r1 vs r2 at one point; conformal iff |r1/r2 - 1| is at most the
-    unscaled ``TOLERANCES["conformality/threshold"]``."""
-    c1, c2 = cws.source.split_coords(coords)
-    l1 = cws.lambda1(c1)
-    l2 = cws.lambda2(c2)
-    fv = cws.warp(c1)
-    rv = cws.target_warp(cws.phi1(c1))
+    unscaled ``TOLERANCES["conformality/threshold"]``. Raises
+    WarpPositivityError where a dilation or a warp is not positive."""
+    l1, l2, fv, rv = _positive_factor_data(cws, coords)
     r1 = l1 * l1
     r2 = (rv * rv) * (l2 * l2) / (fv * fv)
     conformal_here = abs(r1 / r2 - 1.0) <= TOLERANCES["conformality/threshold"]

@@ -17,11 +17,13 @@ Splittings and dilations have one kernel each, which runs each LAPACK and
 matrix-product step as one call on the stacked ``(N, ., .)`` arrays of a
 point set (``splittings_at``, ``dilations``); Jacobians and metrics are
 still evaluated point by point. A single point (``splitting_at``,
-``dilation``) is a stack of one. numpy's stacked ``svd``, ``solve``,
-``eigvalsh`` and ``matmul`` give each matrix the bits of its own call, so a
-point's result does not depend on the set it is computed in. The suites
-fetch point sets in blocks of ``POINT_BLOCK`` points, which bounds the
-memory held at once.
+``dilation``) is a stack of one. The splitting kernel copies the set's
+coordinates once and makes each of its stacked arrays read-only once; a
+``Splitting``'s arrays are views of them. numpy's stacked ``svd``,
+``solve``, ``eigvalsh`` and ``matmul`` give each matrix the bits of its own
+call, so a point's result does not depend on the set it is computed in.
+The suites fetch point sets in blocks of ``POINT_BLOCK`` points, which
+bounds the memory held at once.
 
 Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
@@ -119,12 +121,17 @@ def identity_map(M: ChartManifold) -> SmoothMap:
     return SmoothMap(M, M, lambda c: c, lambda c: np.eye(M.dim), name="identity")
 
 
+def _blocks(points):
+    """The consecutive slices of ``POINT_BLOCK`` points of ``points``."""
+    for start in range(0, len(points), POINT_BLOCK):
+        yield points[start:start + POINT_BLOCK]
+
+
 def _in_blocks(fetch, points):
     """``(p, value)`` for each point, with ``fetch`` called once per block of
     ``POINT_BLOCK`` points, so that outside a scope only one block of values
     is alive at once."""
-    for start in range(0, len(points), POINT_BLOCK):
-        block = points[start:start + POINT_BLOCK]
+    for block in _blocks(points):
         yield from zip(block, fetch(block))
 
 
@@ -162,7 +169,8 @@ class Splitting:
     jacobian: the map's Jacobian at coords, which the splitting comes from.
     metric: the source metric at coords, which the splitting comes from.
 
-    The arrays are read-only, because memoized splittings are shared.
+    The kernel hands out each array as a view of a read-only stack of its
+    point set, because memoized splittings are shared.
     """
 
     coords: Array
@@ -173,11 +181,6 @@ class Splitting:
     singular_values: Array
     jacobian: Array
     metric: Array
-
-    def __post_init__(self):
-        for a in (self.coords, self.vertical, self.horizontal, self.projector_v,
-                  self.singular_values, self.jacobian, self.metric):
-            a.setflags(write=False)
 
     def vertical_part(self, components: Array) -> Array:
         return self.projector_v @ components
@@ -222,7 +225,7 @@ class SubmersionContext:
         """The splitting at every point, each step one call on the stack.
         Raises the error of the first point whose Jacobian has a rank below
         the target dimension."""
-        coords = [np.array(c) for c in coords_list]  # copies: a Splitting is read-only
+        coords = np.array(coords_list)  # a copy: a Splitting is read-only
         J = np.stack([self.map.jacobian_at(c, self.engine) for c in coords])
         G = np.stack([self.map.source.metric_at(c, check=False) for c in coords])
         _, S, VT = np.linalg.svd(J)
@@ -241,6 +244,9 @@ class SubmersionContext:
         P = metric_orthogonal_projector(G, V)
         R = VT[:, :m].transpose(0, 2, 1)
         H = _gram_schmidt(R - P @ R, G)
+        # V, not VT: a view taken before its base is frozen stays writable
+        for a in (coords, V, H, P, S, J, G):
+            a.setflags(write=False)
         return [
             Splitting(c, v, h, p, m, s, j, g)
             for c, v, h, p, s, j, g in zip(coords, V, H, P, S, J, G)
@@ -313,9 +319,9 @@ class SubmersionContext:
                 except StencilError:
                     continue
         fetch = self.dilations if dilations else self.splittings_at
-        for start in range(0, len(stencils), POINT_BLOCK):
+        for block in _blocks(stencils):
             try:
-                fetch(stencils[start:start + POINT_BLOCK])
+                fetch(block)
             except Exception:  # the caller's own call at that point raises it
                 continue
 

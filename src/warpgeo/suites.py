@@ -21,8 +21,10 @@ from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_fiel
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
+    _blocks,
     _gram_schmidt,
     _in_blocks,
+    _inner,
     _warm_parts,
     conformal_a_formula,
     fiber_mean_curvature,
@@ -79,21 +81,36 @@ def splitting_records(
     rng: np.random.Generator,
     tolerance: float = TOLERANCES["split-decomposition"],
 ) -> CheckRecord:
-    """v = Vv + Hv with J Vv = 0 and g(Vv, Hv) = 0, idempotently."""
+    """v = Vv + Hv with J Vv = 0 and g(Vv, Hv) = 0, idempotently, for one
+    uniform draw v per point.
+
+    Each block of ``POINT_BLOCK`` points is one set of stacked calls: one
+    ``splittings_at``, one ``rng.uniform`` (the same stream as one draw per
+    point) and one product per term on the stacked projectors, Jacobians
+    and metrics. numpy's stacked products give each point the bits of its
+    own call, so every residual, and its order, is that of a point-by-point
+    walk. A point's residual is the largest of its four terms, NaN when any
+    of them is NaN.
+    """
     check = ResidualCheck("split-decomposition", tolerance)
     dim = ctx.map.source.dim
-    for _, s in _in_blocks(ctx.splittings_at, points):
-        v = rng.uniform(-1.0, 1.0, size=dim)
-        vert = s.vertical_part(v)
-        horiz = s.horizontal_part(v)
-        smax = float(s.singular_values[0]) if s.singular_values.size else 1.0
-        residual = max(
-            float(np.max(np.abs(v - vert - horiz))),
-            float(np.max(np.abs(s.jacobian @ vert))) / (1.0 + smax),
-            abs(float(vert @ s.metric @ horiz)),
-            float(np.max(np.abs(s.vertical_part(horiz)))),  # idempotence
-        )
-        check.add(residual, residual_scale(v))
+    for block in _blocks(points):
+        splittings = ctx.splittings_at(block)
+        v = rng.uniform(-1.0, 1.0, size=(len(block), dim))
+        P = np.stack([s.projector_v for s in splittings])
+        J = np.stack([s.jacobian for s in splittings])
+        G = np.stack([s.metric for s in splittings])
+        smax = np.array([s.singular_values[0] for s in splittings])
+        vert = (P @ v[:, :, None])[:, :, 0]
+        horiz = v - vert
+        terms = np.stack([
+            np.max(np.abs(v - vert - horiz), axis=1),
+            np.max(np.abs(J @ vert[:, :, None]), axis=(1, 2)) / (1.0 + smax),
+            np.abs(_inner(vert, G, horiz)[:, 0]),
+            np.max(np.abs(P @ horiz[:, :, None]), axis=(1, 2)),  # idempotence
+        ], axis=1)
+        for residual, scale in zip(np.max(terms, axis=1), 1.0 + np.max(np.abs(v), axis=1)):
+            check.add(residual, scale)
     return check.record()
 
 

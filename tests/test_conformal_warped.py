@@ -27,6 +27,7 @@ from warpgeo.conformal_warped import (
     verify_second_factor_a_identity,
 )
 from warpgeo.fields import vector_field_library
+from warpgeo import scenarios
 from warpgeo.scenarios import build_objects
 
 ENGINE = DiffEngine()
@@ -269,6 +270,26 @@ def test_build_rejects_nonpositive_data():
             identity_map(M1), unit, identity_map(M2), unit, unit, bad_rho, ENGINE,
             check_points=probe,
         )
+
+
+@pytest.mark.parametrize("x, shown", [(0.0, "0.0"), (-0.5, "-0.5"), (-1.2, "nan")],
+                         ids=["zero", "negative", "nan"])
+def test_nonpositive_warp_raises_warp_positivity_in_compatibility(x, shown):
+    # the first-coordinate factors of cws-mixed-local with the warp f = x,
+    # NaN below x = -1
+    phi1, lam1, phi2, lam2, _, rho = scenarios._first_coords()
+    warp = ScalarField(lambda c: float(c[0]) if c[0] > -1.0 else np.nan)
+    cws = build_product_submersion(phi1, lam1, phi2, lam2, warp, rho, ENGINE)
+    p = cws.source.ambient.point([x, 0.1, 0.2, 0.3])
+    message = f"source warp = {shown} <= 0 at {p}"
+    with pytest.raises(WarpPositivityError) as exc:
+        compatibility(cws, p)
+    assert str(exc.value) == message
+    with pytest.raises(WarpPositivityError):
+        cws.ctx.dilation(p)  # the ambient metric agrees
+    with pytest.raises(WarpPositivityError) as exc:
+        build_product_submersion(phi1, lam1, phi2, lam2, warp, rho, ENGINE, check_points=[p])
+    assert str(exc.value) == message
 
 
 def test_jacobian_block_structure_with_fd_factors():

@@ -130,17 +130,38 @@ def test_rank_error_is_raised_on_every_call(cws):
     assert len(jac_calls) == 3
 
 
+SPLITTING_ARRAYS = ("coords", "vertical", "horizontal", "projector_v", "singular_values",
+                    "jacobian", "metric")
+
+
 def test_memoized_splitting_is_read_only(cws):
     coords = COORDS.copy()
     with evaluation_scope():
         s = cws.ctx.splitting_at(coords)
-        for name in ("coords", "vertical", "horizontal", "projector_v", "singular_values",
-                     "jacobian", "metric"):
+        for name in SPLITTING_ARRAYS:
             with pytest.raises(ValueError):
                 getattr(s, name)[0] = 1.0
         assert cws.ctx.splitting_at(coords) is s
     coords[0] = 0.0  # the caller's array stays its own
     assert s.coords[0] == COORDS[0]
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("n", [1, 65])
+def test_point_set_splittings_are_read_only(cws, n, scoped):
+    M = cws.ctx.map.source
+    coords = [M.point(COORDS * (1.0 - 0.01 * k)) for k in range(n)]
+    want = [c.copy() for c in coords]
+    with evaluation_scope() if scoped else nullcontext():
+        splittings = cws.ctx.splittings_at(coords)
+    for s in splittings:
+        for name in SPLITTING_ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(s, name)[0] = 1.0
+    for c, w, s in zip(coords, want, splittings):
+        assert c.flags.writeable
+        c[0] = 0.0  # the caller's array stays its own
+        assert np.array_equal(s.coords, w)
 
 
 def test_dilation_and_splitting_records_reuse_the_splitting_jacobian():

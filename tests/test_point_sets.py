@@ -1,11 +1,13 @@
 """Point-set splittings and dilations (``splittings_at``, ``dilations``):
 bit-identical to the single-point calls, which compute a stack of one, on
 every catalog context; the same first error in input order; and one memo
-entry per point shared with ``splitting_at`` and ``dilation``; plus the
+entry per point shared with ``splitting_at`` and ``dilation``; the block
+residuals of ``splitting_records`` against a point-by-point walk; plus the
 numpy property the one stacked kernel rests on."""
 
 from contextlib import nullcontext
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,18 +20,20 @@ from warpgeo import (
     SubmersionContext,
     evaluation_scope,
 )
-from warpgeo import manifold
+from warpgeo import manifold, suites
 from warpgeo.fd import SCHEMES
+from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
 from warpgeo.sampling import sample_points
 from warpgeo.scenarios import build_objects, list_scenarios
-from warpgeo.submersion import Splitting
+from warpgeo.submersion import Splitting, _in_blocks
 
 SIZES = (0, 1, 64, 65)
 
 STACKED_KERNEL = (
     "the stacked kernel of SubmersionContext.splittings_at/dilations is only "
-    "bit-identical to splitting_at/dilation while numpy's stacked calls equal "
-    "its per-matrix calls"
+    "bit-identical to splitting_at/dilation, and the block residuals of "
+    "suites.splitting_records to a point-by-point walk, while numpy's stacked "
+    "calls equal its per-matrix calls"
 )
 
 
@@ -224,6 +228,96 @@ def test_a_lone_failing_point_is_computed_once():
         assert calls.count("jac") == 1
 
 
+def _splitting_records_per_point(ctx, points, rng):
+    """The split-decomposition check of ``suites.splitting_records`` walked
+    point by point: one draw, ten small products and a Python ``max`` per
+    point. The reference for its block residuals."""
+    check = ResidualCheck("split-decomposition", TOLERANCES["split-decomposition"])
+    dim = ctx.map.source.dim
+    for _, s in _in_blocks(ctx.splittings_at, points):
+        v = rng.uniform(-1.0, 1.0, size=dim)
+        vert = s.vertical_part(v)
+        horiz = s.horizontal_part(v)
+        smax = float(s.singular_values[0]) if s.singular_values.size else 1.0
+        residual = max(
+            float(np.max(np.abs(v - vert - horiz))),
+            float(np.max(np.abs(s.jacobian @ vert))) / (1.0 + smax),
+            abs(float(vert @ s.metric @ horiz)),
+            float(np.max(np.abs(s.vertical_part(horiz)))),  # idempotence
+        )
+        check.add(residual, residual_scale(v))
+    return check
+
+
+def _block_residuals(ctx, points, rng, monkeypatch):
+    """The per-point residuals that ``suites.splitting_records`` adds, in order."""
+    checks = []
+
+    class Spy(ResidualCheck):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            checks.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "ResidualCheck", Spy)
+        record = suites.splitting_records(ctx, points, rng)
+    (check,) = checks
+    assert record.max_residual == check.max_residual
+    return check.residuals
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("scenario", ["exp-spiral-r4", "cws-variable-dilation"])
+def test_splitting_records_equal_the_point_by_point_walk(scenario, scoped, monkeypatch):
+    objs = build_objects(scenario, DiffEngine())
+    ctx = objs["ctx"]
+    coords = sample_points(objs["sample_lower"], objs["sample_upper"], 130, 3, 4e-5)
+    points = [ctx.map.source.point(c) for c in coords]
+    for n in (1, 64, 65, 130):
+        want_rng, got_rng = np.random.default_rng(n), np.random.default_rng(n)
+        with evaluation_scope() if scoped else nullcontext():
+            want = _splitting_records_per_point(ctx, points[:n], want_rng).residuals
+        with evaluation_scope() if scoped else nullcontext():
+            got = _block_residuals(ctx, points[:n], got_rng, monkeypatch)
+        assert len(got) == n
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (scenario, n)
+        # the later suites of a scenario draw from the same generator
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _hand_built_splitting(x, jacobian_xy=0.0, metric_yx=0.0):
+    """The splitting at (x, 0) of (x, y) -> x on the Euclidean plane, with
+    the Jacobian entry that acts on the vertical part and a metric entry
+    that pairs it with the horizontal part replaced."""
+    return Splitting(
+        coords=np.array([x, 0.0]),
+        vertical=np.array([[0.0], [1.0]]),
+        horizontal=np.array([[1.0], [0.0]]),
+        projector_v=np.array([[0.0, 0.0], [0.0, 1.0]]),
+        rank=1,
+        singular_values=np.array([1.0]),
+        jacobian=np.array([[1.0, jacobian_xy]]),
+        metric=np.array([[1.0, 0.0], [metric_yx, 1.0]]),
+    )
+
+
+@pytest.mark.parametrize("bad", [{"jacobian_xy": np.nan}, {"metric_yx": np.nan}],
+                         ids=["jacobian", "metric"])
+def test_a_nan_in_any_term_fails_split_decomposition(bad):
+    # a NaN Jacobian entry reaches only the second term (J Vv) and a NaN
+    # metric entry only the third (g(Vv, Hv)); a Python max(a, b, c, d)
+    # drops a NaN anywhere but in the first position
+    splittings = [_hand_built_splitting(0.1), _hand_built_splitting(0.2, **bad),
+                  _hand_built_splitting(0.3)]
+    ctx = SimpleNamespace(map=SimpleNamespace(source=SimpleNamespace(dim=2)),
+                          splittings_at=lambda block: splittings[:len(block)])
+    points = [s.coords for s in splittings]
+    clean = suites.splitting_records(ctx, points[:1], np.random.default_rng(1))
+    assert clean.passed and np.isfinite(clean.max_residual)
+    record = suites.splitting_records(ctx, points, np.random.default_rng(1))
+    assert not record.passed and not np.isfinite(record.max_residual)
+
+
 def test_numpy_stacked_calls_equal_per_matrix_calls():
     rng = np.random.default_rng(20261018)
     for m, n in ((1, 1), (1, 2), (2, 4), (3, 5), (5, 5)):
@@ -235,11 +329,20 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
         u, v = rng.standard_normal((2, N, n))
         Gt = G[:, :m, :m]
         W = A[:, m:]  # a row block, as the kernel slices its right singular vectors
+        seed = int(rng.integers(2**32))
+        one_by_one = np.random.default_rng(seed)
+        draws = [one_by_one.uniform(-1.0, 1.0, size=n) for _ in range(N)]
         cases = {
             "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
             "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
             "eigvalsh": (lambda: np.linalg.eigvalsh(G), lambda i: np.linalg.eigvalsh(G[i])),
             "(m x n)(n x m)": (lambda: J @ B, lambda i: J[i] @ B[i]),
+            "(n x n)(n x 1)": (lambda: (G @ v[:, :, None])[:, :, 0], lambda i: G[i] @ v[i]),
+            "(m x n)(n x 1)": (lambda: (J @ u[:, :, None])[:, :, 0], lambda i: J[i] @ u[i]),
+            "uniform": (
+                lambda: np.random.default_rng(seed).uniform(-1.0, 1.0, size=(N, n)),
+                lambda i: draws[i],
+            ),
             "B^T G B": (lambda: B.transpose(0, 2, 1) @ G @ B, lambda i: B[i].T @ G[i] @ B[i]),
             "W G W^T": (
                 lambda: W @ G @ W.transpose(0, 2, 1), lambda i: W[i] @ G[i] @ W[i].T,
