@@ -53,7 +53,6 @@ from .submersion import (
 )
 from .conformal_warped import (
     CompatibilityEntry,
-    CompatibilityReport,
     ConformalWarpedSubmersion,
     build_product_submersion,
     compatibility,
@@ -66,7 +65,6 @@ __all__ = [
     "ChartManifold",
     "CheckRecord",
     "CompatibilityEntry",
-    "CompatibilityReport",
     "ConfigurationError",
     "ConformalWarpedSubmersion",
     "ConformalityError",

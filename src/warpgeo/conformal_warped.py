@@ -18,7 +18,7 @@ product into a Riemannian submersion.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,11 +49,10 @@ class ConformalWarpedSubmersion:
 
     ctx runs on the warped ambients; ctx1 and ctx2 run on the factors with
     their intrinsic (unwarped) metrics, which is what the per-factor A
-    tensors refer to. The product map is ctx.map.
+    tensors refer to. The product map is ctx.map, the factor maps are
+    ctx1.map and ctx2.map, and the warps are source.warp and target.warp.
     """
 
-    phi1: SmoothMap
-    phi2: SmoothMap
     lambda1: ScalarField
     lambda2: ScalarField
     source: WarpedProduct
@@ -62,52 +61,17 @@ class ConformalWarpedSubmersion:
     ctx1: SubmersionContext
     ctx2: SubmersionContext
 
-    @property
-    def warp(self) -> ScalarField:
-        return self.source.warp
-
-    @property
-    def target_warp(self) -> ScalarField:
-        return self.target.warp
-
-    def lambda_sq_field(self) -> ScalarField:
-        """Squared lift dilation: r1 where compatibility holds, error elsewhere."""
-
-        def fn(coords):
-            entry = compatibility(self, self.source.ambient.point(coords))
-            if not entry.conformal_here:
-                raise ConformalityError(
-                    f"product not conformal at {coords}: r1={entry.r1:.6e}, r2={entry.r2:.6e}"
-                )
-            return entry.r1
-
-        return ScalarField(fn)
-
 
 @dataclass(frozen=True)
 class CompatibilityEntry:
-    """The two candidate squared dilations at one point, and the verdict."""
+    """The two candidate squared dilations at one point, their relative gap
+    ``residual = |r1/r2 - 1|``, and the verdict."""
 
     coords: Array
     r1: float
     r2: float
     conformal_here: bool
-    lambda_sq: Optional[float]
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    entries: tuple
-
-    @property
-    def all_conformal(self) -> bool:
-        return all(e.conformal_here for e in self.entries)
-
-    @property
-    def fail_fraction(self) -> float:
-        if not self.entries:
-            return 0.0
-        return sum(not e.conformal_here for e in self.entries) / len(self.entries)
+    residual: float
 
 
 def build_product_submersion(
@@ -142,15 +106,9 @@ def build_product_submersion(
     product = SmoothMap(source.ambient, target.ambient, fn, jac,
                         name=f"{phi1.name}x{phi2.name}")
     cws = ConformalWarpedSubmersion(
-        phi1=phi1,
-        phi2=phi2,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        source=source,
-        target=target,
+        lambda1=lambda1, lambda2=lambda2, source=source, target=target,
         ctx=SubmersionContext(product, engine),
-        ctx1=SubmersionContext(phi1, engine),
-        ctx2=SubmersionContext(phi2, engine),
+        ctx1=SubmersionContext(phi1, engine), ctx2=SubmersionContext(phi2, engine),
     )
     for p in check_points:
         _positive_factor_data(cws, p)
@@ -163,7 +121,8 @@ def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
     WarpPositivityError naming the first that is not positive, NaN
     included."""
     c1, c2 = cws.source.split_coords(coords)
-    values = (cws.lambda1(c1), cws.lambda2(c2), cws.warp(c1), cws.target_warp(cws.phi1(c1)))
+    values = (cws.lambda1(c1), cws.lambda2(c2), cws.source.warp(c1),
+              cws.target.warp(cws.ctx1.map(c1)))
     for value, label in zip(values, ("lambda1", "lambda2", "source warp", "target warp")):
         if not value > 0.0:  # NaN fails every comparison
             raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")
@@ -177,14 +136,14 @@ def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
     l1, l2, fv, rv = _positive_factor_data(cws, coords)
     r1 = l1 * l1
     r2 = (rv * rv) * (l2 * l2) / (fv * fv)
-    conformal_here = abs(r1 / r2 - 1.0) <= TOLERANCES["conformality/threshold"]
-    return CompatibilityEntry(coords, r1, r2, conformal_here, r1 if conformal_here else None)
+    residual = abs(r1 / r2 - 1.0)
+    return CompatibilityEntry(coords, r1, r2, residual <= TOLERANCES["conformality/threshold"],
+                              residual)
 
 
-def compatibility_report(
-    cws: ConformalWarpedSubmersion, points: Sequence[Array]
-) -> CompatibilityReport:
-    return CompatibilityReport(tuple(compatibility(cws, p) for p in points))
+def compatibility_report(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> tuple:
+    """``compatibility`` at each point, in order."""
+    return tuple(compatibility(cws, p) for p in points)
 
 
 def _conformal_points(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> list:
@@ -258,7 +217,7 @@ def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, Sc
     """The two candidate scalar fields f^2 / lambda_i^2 on the product."""
     W = cws.source
     first, second = W.block("first"), W.block("second")
-    f = cws.warp
+    f = cws.source.warp
     l1 = cws.lambda1
     l2 = cws.lambda2
 
@@ -357,16 +316,15 @@ def verify_riemannian_reduction(
     tolerance: float = TOLERANCES["riemannian-reduction"],
 ) -> CheckRecord:
     """With lambda1 = lambda2 = 1 and rho o phi1 = f, the product map is a
-    Riemannian submersion: squared dilation 1 and horizontal lengths kept."""
+    Riemannian submersion: squared dilation 1 and horizontal lengths kept.
+    Raises WarpPositivityError where a dilation or a warp is not positive,
+    then ConfigurationError where the hypotheses fail."""
     for p in points:
-        c1, c2 = cws.source.split_coords(p)
-        if abs(cws.lambda1(c1) - 1.0) > 1e-12 or abs(cws.lambda2(c2) - 1.0) > 1e-12:
+        l1, l2, fv, rv = _positive_factor_data(cws, p)
+        if abs(l1 - 1.0) > 1e-12 or abs(l2 - 1.0) > 1e-12:
             raise ConfigurationError(
-                f"reduction requires unit dilations; lambda1={cws.lambda1(c1)}, "
-                f"lambda2={cws.lambda2(c2)} at {p}"
+                f"reduction requires unit dilations; lambda1={l1}, lambda2={l2} at {p}"
             )
-        fv = cws.warp(c1)
-        rv = cws.target_warp(cws.phi1(c1))
         if abs(rv - fv) > 1e-9 * (1.0 + abs(fv)):
             raise ConfigurationError(
                 f"reduction requires target warp to pull back to the source warp; "
@@ -381,17 +339,23 @@ def verify_riemannian_reduction(
 
 
 def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) -> SubmersionContext:
-    """Context of the same map with source metric lambda^2 e^{-2 offset} g.
+    """Context of the same map with source metric lambda^2 e^{-2 offset} g,
+    lambda^2 = r1 where the product is conformal; the metric raises
+    ConformalityError elsewhere.
 
     With offset 0 the rescaled map is a Riemannian submersion; a nonzero
     offset multiplies every squared dilation by e^{2 offset}.
     """
-    lam_field = cws.lambda_sq_field()
     factor = float(np.exp(-2.0 * sigma_offset))
     base = cws.source.ambient
 
     def metric(coords):
-        return (factor * lam_field(coords)) * base.metric_at(coords, check=False)
+        entry = compatibility(cws, base.point(coords))
+        if not entry.conformal_here:
+            raise ConformalityError(
+                f"product not conformal at {coords}: r1={entry.r1:.6e}, r2={entry.r2:.6e}"
+            )
+        return (factor * entry.r1) * base.metric_at(coords, check=False)
 
     rescaled = ChartManifold(base.dim, base.lower, base.upper, metric,
                              name=f"{base.name}-rescaled")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,19 +51,18 @@ class DiffEngine:
 
     scheme: "central2" (2nd order), "central4" (4th order) or "richardson"
     (central2 extrapolated from steps h and h/2, i.e. central4 at h/2).
+    A stencil that only fits with a step below ``min_step`` raises.
     """
 
     scheme: str = "central2"
     step: float = 1e-5
-    min_step: float = 1e-10
+    min_step: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        for name in ("step", "min_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     def _fit_step(self, room: float) -> float:
         """Largest usable step given the distance to the nearest bound.

@@ -168,7 +168,6 @@ class ChartManifold:
     upper: Array
     metric: Callable[[Array], Array]
     name: str = ""
-    spd_floor: float = SPD_FLOOR
 
     def __post_init__(self):
         object.__setattr__(self, "lower", _as_bound(self.lower, self.dim, -np.inf))
@@ -221,7 +220,7 @@ class ChartManifold:
             if float(np.abs(g - gt).max()) > SYM_TOL * scale:
                 raise DegenerateMetricError(f"metric not symmetric at {coords}")
             lowest = float(np.linalg.eigvalsh(sym)[0])
-            if lowest <= self.spd_floor:
+            if lowest <= SPD_FLOOR:
                 raise DegenerateMetricError(
                     f"metric not positive definite at {coords}: min eigenvalue {lowest:.3e}"
                 )

@@ -177,11 +177,12 @@ def _cws(factors, lower, upper, expected_lambda_sq, fields, maps):
 
     def build(engine: DiffEngine) -> dict:
         cws = build_product_submersion(*factors(), engine)
-        charts = {"lambda1": cws.source.first, "lambda2": cws.source.second,
-                  "warp": cws.source.first, "target_warp": cws.target.first}
-        named_maps = {"phi1": cws.phi1, "phi2": cws.phi2, "product": cws.ctx.map}
+        W, T = cws.source, cws.target
+        named_fields = {"lambda1": (W.first, cws.lambda1), "lambda2": (W.second, cws.lambda2),
+                        "warp": (W.first, W.warp), "target_warp": (T.first, T.warp)}
+        named_maps = {"phi1": cws.ctx1.map, "phi2": cws.ctx2.map, "product": cws.ctx.map}
         return _objects(cws.ctx, lower, upper, expected_lambda_sq,
-                        [(charts[name], getattr(cws, name)) for name in fields],
+                        [named_fields[name] for name in fields],
                         [named_maps[name] for name in maps], cws=cws, warped=cws.source)
 
     return build
@@ -313,7 +314,7 @@ def _points_by_manifold(objs: dict, points) -> dict:
         out.setdefault(id(W.first), []).append(c1)
         out.setdefault(id(W.second), []).append(c2)
         if cws is not None:
-            image = cws.phi1(c1)
+            image = cws.ctx1.map(c1)
             if cws.target.first.contains(image):
                 out.setdefault(id(cws.target.first), []).append(cws.target.first.point(image))
     return out
@@ -322,17 +323,17 @@ def _points_by_manifold(objs: dict, points) -> dict:
 def _compatibility_records(
     cws: ConformalWarpedSubmersion, points, config: RunConfig, expect_conformal: bool
 ) -> list[CheckRecord]:
-    report = compatibility_report(cws, points)
+    entries = compatibility_report(cws, points)
     if expect_conformal:
         check = ResidualCheck("dilation-compatibility", config.tolerance("dilation-compatibility"))
         agree = ResidualCheck("compatibility-vs-dilation",
                               config.tolerance("compatibility-vs-dilation"))
-        for entry, (_, d) in zip(report.entries, _in_blocks(cws.ctx.dilations, points)):
-            check.add(abs(entry.r1 / entry.r2 - 1.0))
+        for entry, (_, d) in zip(entries, _in_blocks(cws.ctx.dilations, points)):
+            check.add(entry.residual)
             agree.add(abs(d.lambda_sq - entry.r1), 1.0 + abs(entry.r1))
         return [check.record(), agree.record()]
-    fails = sum(1 for e in report.entries if not e.conformal_here)
-    worst = max(abs(e.r1 / e.r2 - 1.0) for e in report.entries)
+    fails = sum(1 for e in entries if not e.conformal_here)
+    worst = max(e.residual for e in entries)
     return [
         CheckRecord(
             check_id="dilation-compatibility",

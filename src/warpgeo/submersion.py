@@ -48,7 +48,7 @@ from .connection import (
     lie_bracket,
     metric_orthogonal_projector,
 )
-from .errors import ConformalityError, DomainError, RankError, StencilError
+from .errors import ConformalityError, DegenerateMetricError, DomainError, RankError, StencilError
 from .fd import DiffEngine
 from .manifold import (
     _MEMO,
@@ -223,11 +223,18 @@ class SubmersionContext:
 
     def _stacked_splittings(self, coords_list: list) -> list[Splitting]:
         """The splitting at every point, each step one call on the stack.
-        Raises the error of the first point whose Jacobian has a rank below
-        the target dimension."""
+        Raises the error of the first point whose Jacobian or source metric
+        is not finite, or whose Jacobian has a rank below the target
+        dimension."""
         coords = np.array(coords_list)  # a copy: a Splitting is read-only
         J = np.stack([self.map.jacobian_at(c, self.engine) for c in coords])
         G = np.stack([self.map.source.metric_at(c, check=False) for c in coords])
+        if not (np.isfinite(J).all() and np.isfinite(G).all()):
+            finite_jacobian = np.isfinite(J).all(axis=(1, 2))
+            i = np.flatnonzero(~(finite_jacobian & np.isfinite(G).all(axis=(1, 2))))[0]
+            if not finite_jacobian[i]:
+                raise RankError(f"Jacobian not finite at {coords[i]}")
+            raise DegenerateMetricError(f"metric not finite at {coords[i]}")
         _, S, VT = np.linalg.svd(J)
         m = self.map.target.dim
         smax = S[:, 0]
@@ -273,7 +280,8 @@ class SubmersionContext:
     def _stacked_dilations(self, coords_list: list) -> list[DilationEstimate]:
         """The dilation at every point, each step one call on the stack.
         Raises the error of the first point whose splitting fails or whose
-        pullback metric is degenerate on the horizontal space."""
+        pullback metric is degenerate (or not finite) on the horizontal
+        space."""
         splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings)
         target = self.map.target
         G = np.stack([target.metric_at(self.map(c), check=False) for c in coords_list])
@@ -281,7 +289,7 @@ class SubmersionContext:
         jh = J @ np.stack([s.horizontal for s in splittings])
         q = jh.transpose(0, 2, 1) @ G @ jh
         evals = np.linalg.eigvalsh(q)
-        failing = np.flatnonzero(evals[:, 0] <= 0.0)
+        failing = np.flatnonzero(~(evals[:, 0] > 0.0))  # NaN fails the test
         if failing.size:
             i = failing[0]
             raise RankError(
@@ -474,7 +482,5 @@ def conformal_a_formula(
     inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c))
 
     grad_v = vertical_gradient(ctx, inv_lambda_sq, coords)
-    g = ctx.map.source.metric_at(coords, check=False)
-    inner = float(Xh(coords) @ g @ Yh(coords))
-    lam_sq = lam_field(coords)
-    return 0.5 * (v_bracket - lam_sq * inner * grad_v)
+    inner = float(Xh(coords) @ s.metric @ Yh(coords))
+    return 0.5 * (v_bracket - d.lambda_sq * inner * grad_v)

@@ -6,6 +6,7 @@ from warpgeo import (
     ConfigurationError,
     ConformalityError,
     DiffEngine,
+    RunConfig,
     ScalarField,
     SmoothMap,
     VectorField,
@@ -27,6 +28,7 @@ from warpgeo.conformal_warped import (
     verify_second_factor_a_identity,
 )
 from warpgeo.fields import vector_field_library
+from warpgeo.report import TOLERANCES
 from warpgeo import scenarios
 from warpgeo.scenarios import build_objects
 
@@ -82,8 +84,8 @@ def test_constant_scenario_compatibility(cws_constant):
     entry = compatibility(cws_constant, p)
     assert entry.r1 == 4.0
     assert entry.r2 == pytest.approx(4.0, abs=1e-12)
-    assert abs(entry.r1 / entry.r2 - 1.0) <= 1e-10
-    assert entry.lambda_sq == 4.0
+    assert entry.residual == abs(entry.r1 / entry.r2 - 1.0) <= 1e-10
+    assert entry.conformal_here  # the product's squared dilation is then r1 = 4
     d = cws_constant.ctx.dilation(p)
     assert abs(d.lambda_sq - 4.0) <= 1e-8
 
@@ -96,15 +98,31 @@ def test_incompatible_scenario_r2_formula(cws_incompatible):
     assert entry.r1 == 4.0
     assert entry.r2 == pytest.approx(4.0 * np.exp(-4 * x), rel=1e-12)
     assert not entry.conformal_here
-    assert entry.lambda_sq is None
+    assert entry.residual > TOLERANCES["conformality/threshold"]
 
 
 def test_incompatible_report_fraction(cws_incompatible):
     rng = np.random.default_rng(0)
     coords = rng.uniform([0.1, -0.5, -0.5, -0.5], [0.6, 0.5, 0.5, 0.5], size=(20, 4))
-    report = compatibility_report(cws_incompatible, pts(cws_incompatible, coords))
-    assert report.fail_fraction >= 0.9
-    assert not report.all_conformal
+    entries = compatibility_report(cws_incompatible, pts(cws_incompatible, coords))
+    assert len(entries) == 20
+    assert sum(not e.conformal_here for e in entries) / len(entries) >= 0.9
+    assert not all(e.conformal_here for e in entries)
+
+
+@pytest.mark.parametrize("scenario_id, conformal",
+                         [("cws-constant-dilation", True), ("cws-incompatible", False)])
+def test_compatibility_residual_gates_the_verdict(scenario_id, conformal):
+    config = RunConfig()
+    objs = build_objects(scenario_id, config.engine())
+    points = scenarios._points(objs, config)
+    entries = compatibility_report(objs["cws"], points)
+    threshold = TOLERANCES["conformality/threshold"]
+    assert [e.conformal_here for e in entries] == [e.residual <= threshold for e in entries]
+    assert any(e.conformal_here for e in entries) == conformal
+    record = scenarios._compatibility_records(objs["cws"], points, config, conformal)[0]
+    assert record.check_id == "dilation-compatibility"
+    assert record.max_residual == max(e.residual for e in entries)
 
 
 def test_mixed_local_scenario_values():
@@ -138,10 +156,10 @@ def test_kernel_product_and_blocks(cws_constant):
     assert s.vertical.shape[1] == 2
 
 
-def test_lambda_sq_field_raises_off_conformal(cws_incompatible):
-    field = cws_incompatible.lambda_sq_field()
+def test_rescaled_metric_raises_off_conformal(cws_incompatible):
+    rescaled = rescaled_context(cws_incompatible).map.source
     with pytest.raises(ConformalityError):
-        field([0.3, 0.0, 0.0, 0.0])
+        rescaled.metric_at([0.3, 0.0, 0.0, 0.0])
 
 
 def test_first_factor_identity_constant(cws_constant):
@@ -208,6 +226,19 @@ def test_reduction_rejects_mismatched_warps():
     )
     with pytest.raises(ConfigurationError):
         verify_riemannian_reduction(cws, [cws.source.ambient.point([0.5, 0.0, 0.0])])
+
+
+def test_reduction_checks_positivity_before_unit_dilations():
+    # lambda1 = 2 is no unit dilation, and the warp f = x vanishes at x = 0
+    M1 = ChartManifold.euclidean(2, [-2, -2], [2, 2])
+    M2 = ChartManifold.euclidean(1, [-2], [2])
+    unit = ScalarField.constant(1.0)
+    warp = ScalarField(lambda c: float(c[0]))
+    cws = build_product_submersion(identity_map(M1), ScalarField.constant(2.0),
+                                   identity_map(M2), unit, warp, unit, ENGINE)
+    p = cws.source.ambient.point([0.0, 0.1, 0.2])
+    with pytest.raises(WarpPositivityError, match="source warp = 0.0 <= 0"):
+        verify_riemannian_reduction(cws, [p])
 
 
 def test_rescaling_turns_product_riemannian(cws_constant):

@@ -120,8 +120,8 @@ def test_rank_error_is_raised_on_every_call(cws):
         jac_calls.append(1)
         return np.array([[2.0 * c[0], 2.0 * c[1]]])
 
-    M1 = cws.phi1.source
-    radius = SmoothMap(M1, cws.phi1.target, lambda c: np.array([c[0] ** 2 + c[1] ** 2]), jac)
+    M1 = cws.ctx1.map.source
+    radius = SmoothMap(M1, cws.ctx1.map.target, lambda c: np.array([c[0] ** 2 + c[1] ** 2]), jac)
     ctx = SubmersionContext(radius, ENGINE)
     with evaluation_scope():
         for _ in range(3):

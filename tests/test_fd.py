@@ -128,8 +128,6 @@ def test_rejects_bad_configuration():
     for bad in (-1e-5, 0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             DiffEngine(step=bad)
-        with pytest.raises(ValueError):
-            DiffEngine(min_step=bad)
 
 
 # -- derivatives contracted with a direction: partials(..., along=v) ----------

@@ -14,6 +14,7 @@ import pytest
 
 from warpgeo import (
     ChartManifold,
+    DegenerateMetricError,
     DiffEngine,
     RankError,
     SmoothMap,
@@ -114,7 +115,8 @@ def test_point_sets_bit_identical_to_single_points(scheme, scoped, monkeypatch):
 
 def _guarded_map(calls):
     """R^2 -> R: the squared radius, rank-deficient at the origin; its map and
-    Jacobian raise ValueError at x = 0.5, and the target metric is zero at
+    Jacobian raise ValueError at x = 0.5, its Jacobian is NaN at x = -0.7,
+    the source metric is NaN at x = -0.6, and the target metric is zero at
     the image 0.25 of (0, 0.5), so the pullback is degenerate there.
     Appends "fn" or "jac" to calls."""
     def fn(c):
@@ -127,9 +129,9 @@ def _guarded_map(calls):
         calls.append("jac")
         if c[0] == 0.5:
             raise ValueError(f"Jacobian undefined at {c}")
-        return np.array([[2.0 * c[0], 2.0 * c[1]]])
+        return np.array([[np.nan if c[0] == -0.7 else 2.0 * c[0], 2.0 * c[1]]])
 
-    M = ChartManifold.euclidean(2, [-1, -1], [1, 1])
+    M = ChartManifold(2, [-1, -1], [1, 1], lambda c: np.eye(2) * (np.nan if c[0] == -0.6 else 1.0))
     N = ChartManifold(1, [-5], [5], lambda y: np.array([[0.0 if y[0] == 0.25 else 1.0]]))
     return M, SubmersionContext(SmoothMap(M, N, fn, jac), DiffEngine())
 
@@ -145,7 +147,14 @@ RANK_DEFICIENT = (RankError, "rank 0 below target dimension 1 at [0. 0.]")
      (ValueError, "Jacobian undefined at [0.5 0.3]")),
     ([[0.2, 0.1], [0.0, 0.5], [0.0, 0.0], [0.3, 0.4]], RANK_DEFICIENT,
      (RankError, "pullback metric degenerate on horizontal space at [0.  0.5]")),
-], ids=["rank-deficient-first", "raising-map-first", "degenerate-pullback-first"])
+    ([[0.2, 0.1], [-0.6, 0.3], [-0.7, 0.2], [0.3, 0.4]],
+     (DegenerateMetricError, "metric not finite at [-0.6  0.3]"),
+     (DegenerateMetricError, "metric not finite at [-0.6  0.3]")),
+    ([[0.2, 0.1], [-0.7, 0.2], [-0.6, 0.3], [0.3, 0.4]],
+     (RankError, "Jacobian not finite at [-0.7  0.2]"),
+     (RankError, "Jacobian not finite at [-0.7  0.2]")),
+], ids=["rank-deficient-first", "raising-map-first", "degenerate-pullback-first",
+        "non-finite-metric-first", "non-finite-jacobian-first"])
 def test_first_failing_point_raises_as_the_single_point_loop(
     order, splitting_error, dilation_error, scoped
 ):

@@ -4,6 +4,7 @@ import pytest
 from warpgeo import (
     ChartManifold,
     ConformalityError,
+    DegenerateMetricError,
     DiffEngine,
     RankError,
     ScalarField,
@@ -150,6 +151,40 @@ def test_rank_error_reports_diagnostics():
     assert raised == {
         (RankError, f"pullback metric degenerate on horizontal space at {p}", 1, (1.0,))
     }
+
+
+def _nan_above_half(datum):
+    """(x, y) |-> y on the unit square, with ``datum`` ("jacobian", "source
+    metric" or "target metric") NaN where y > 0.5."""
+
+    def nan_above_half(name, y, value):
+        return np.full(value.shape, np.nan) if datum == name and y > 0.5 else value
+
+    M = ChartManifold(2, [0.0, 0.0], [1.0, 1.0],
+                      lambda c: nan_above_half("source metric", c[1], np.eye(2)))
+    N = ChartManifold(1, [-1.0], [2.0],
+                      lambda y: nan_above_half("target metric", y[0], np.eye(1)))
+    jac = lambda c: nan_above_half("jacobian", c[1], np.array([[0.0, 1.0]]))
+    return SubmersionContext(SmoothMap(M, N, lambda c: c[1:], jac), ENGINE)
+
+
+@pytest.mark.parametrize("datum, error, message", [
+    ("jacobian", RankError, "Jacobian not finite at [0.2 0.7]"),
+    ("source metric", DegenerateMetricError, "metric not finite at [0.2 0.7]"),
+    ("target metric", RankError, "pullback metric degenerate on horizontal space at [0.2 0.7]"),
+])
+def test_non_finite_input_raises_naming_the_point(datum, error, message):
+    ctx = _nan_above_half(datum)
+    M = ctx.map.source
+    good, bad = M.point([0.2, 0.3]), M.point([0.2, 0.7])
+    assert ctx.dilation(good).lambda_sq == 1.0
+    calls = [ctx.dilation, lambda p: ctx.dilations([good, p])]
+    if datum != "target metric":
+        calls += [ctx.splitting_at, lambda p: ctx.splittings_at([good, p])]
+    for call in calls:
+        with pytest.raises(error) as exc:
+            call(bad)
+        assert str(exc.value) == message
 
 
 def test_dilation_riemannian_projection(warped_line):
