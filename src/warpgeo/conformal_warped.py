@@ -17,6 +17,7 @@ product into a Riemannian submersion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -119,13 +120,15 @@ def build_product_submersion(
 def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
     """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises
     WarpPositivityError naming the first that is not positive, NaN
-    included."""
+    included, or not finite."""
     c1, c2 = cws.source.split_coords(coords)
     values = (cws.lambda1(c1), cws.lambda2(c2), cws.source.warp(c1),
               cws.target.warp(cws.ctx1.map(c1)))
     for value, label in zip(values, ("lambda1", "lambda2", "source warp", "target warp")):
         if not value > 0.0:  # NaN fails every comparison
             raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")
+        if not math.isfinite(value):
+            raise WarpPositivityError(f"{label} = {value} is not finite at {coords}")
     return values
 
 

@@ -15,6 +15,7 @@ coordinates, then shared until the scope exits.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -135,6 +136,11 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
     return [cache[key] for key in keys]
 
 
+def _symmetrized(g: Array) -> Array:
+    """0.5 (g + gᵀ) of a metric, or of each metric of a stack ``(..., d, d)``."""
+    return 0.5 * (g + g.swapaxes(-1, -2))
+
+
 def _as_vector(v, dim: int) -> Array:
     """The components of a tangent vector given from outside, as a float
     array of shape (dim,)."""
@@ -195,13 +201,29 @@ class ChartManifold:
         return coords
 
     def metric_at(self, coords, check: bool = True) -> Array:
-        """Evaluate the metric; symmetrize, optionally check SPD.
+        """Evaluate the metric; symmetrize, optionally check that it is
+        finite, symmetric and positive definite.
 
         Inside an evaluation scope the result is memoized by chart, exact
         coordinates and ``check`` (so a hit never skips a requested check).
         """
         coords = np.asarray(coords, dtype=float)
         return _memoized(self, coords, check, self._metric, coords, check)
+
+    def metrics_at(self, coords_seq) -> list[Array]:
+        """``[self.metric_at(c, check=False) for c in coords_seq]``, with the
+        metrics of the set converted and symmetrized as one stack; memo
+        entries are shared with ``metric_at(c, check=False)``."""
+        coords = [np.asarray(c, dtype=float) for c in coords_seq]
+        return _memoized_many(self, coords, False, self._stacked_metrics)
+
+    def _stacked_metrics(self, coords_list: list) -> list[Array]:
+        """The unchecked metric at every point, as views of one symmetrized
+        stack."""
+        g = np.array([self.metric(c) for c in coords_list], dtype=float)
+        if g.shape[1:] != (self.dim, self.dim):  # one shape: the first point fails first
+            raise DegenerateMetricError(f"metric returned shape {g.shape[1:]} at {coords_list[0]}")
+        return list(_symmetrized(g))
 
     def _raw_metric(self, coords: Array) -> Array:
         """The metric field's value as a float (dim, dim) array, neither
@@ -213,17 +235,19 @@ class ChartManifold:
 
     def _metric(self, coords: Array, check: bool) -> Array:
         g = self._raw_metric(coords)
-        gt = g.T
-        sym = 0.5 * (g + gt)
-        if check:
-            scale = 1.0 + float(np.abs(g).max())
-            if float(np.abs(g - gt).max()) > SYM_TOL * scale:
-                raise DegenerateMetricError(f"metric not symmetric at {coords}")
-            lowest = float(np.linalg.eigvalsh(sym)[0])
-            if lowest <= SPD_FLOOR:
-                raise DegenerateMetricError(
-                    f"metric not positive definite at {coords}: min eigenvalue {lowest:.3e}"
-                )
+        if not check:
+            return _symmetrized(g)
+        scale = 1.0 + float(np.abs(g).max())
+        if not math.isfinite(scale):  # a NaN fails both tests below
+            raise DegenerateMetricError(f"metric not finite at {coords}")
+        if float(np.abs(g - g.T).max()) > SYM_TOL * scale:
+            raise DegenerateMetricError(f"metric not symmetric at {coords}")
+        sym = _symmetrized(g)
+        lowest = float(np.linalg.eigvalsh(sym)[0])
+        if lowest <= SPD_FLOOR:
+            raise DegenerateMetricError(
+                f"metric not positive definite at {coords}: min eigenvalue {lowest:.3e}"
+            )
         return sym
 
 

@@ -333,7 +333,7 @@ def _compatibility_records(
             agree.add(abs(d.lambda_sq - entry.r1), 1.0 + abs(entry.r1))
         return [check.record(), agree.record()]
     fails = sum(1 for e in entries if not e.conformal_here)
-    worst = max(e.residual for e in entries)
+    worst = float(np.max([e.residual for e in entries]))  # a NaN residual propagates
     return [
         CheckRecord(
             check_id="dilation-compatibility",

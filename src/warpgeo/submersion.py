@@ -15,9 +15,14 @@ stencil point.
 
 Splittings and dilations have one kernel each, which runs each LAPACK and
 matrix-product step as one call on the stacked ``(N, ., .)`` arrays of a
-point set (``splittings_at``, ``dilations``); Jacobians and metrics are
-still evaluated point by point. A single point (``splitting_at``,
-``dilation``) is a stack of one. The splitting kernel copies the set's
+point set (``splittings_at``, ``dilations``). Their inputs are point sets
+too: the kernels read a set's Jacobians (``SmoothMap.jacobians_at``),
+images (``SmoothMap.images``) and metrics (``ChartManifold.metrics_at``),
+which call the user's callables once per point but convert, shape and
+symmetrize the results once per stack. FD Jacobians, the warped ambient
+metric and the product map's Jacobian are still assembled point by point,
+inside their callables. A single point (``splitting_at``, ``dilation``)
+is a stack of one. The splitting kernel copies the set's
 coordinates once and makes each of its stacked arrays read-only once; a
 ``Splitting``'s arrays are views of them. numpy's stacked ``svd``,
 ``solve``, ``eigvalsh`` and ``matmul`` give each matrix the bits of its own
@@ -92,11 +97,27 @@ class SmoothMap:
             raise DomainError(f"image {image} of {coords} outside target domain")
         return image
 
+    def images(self, coords_seq) -> Array:
+        """``np.stack([self(c) for c in coords_seq])``, with the images
+        converted once for the whole set."""
+        images = np.array([self.fn(np.asarray(c, dtype=float)) for c in coords_seq], dtype=float)
+        return images[:, None] if images.ndim == 1 else images
+
     def jacobian_at(self, coords, engine: DiffEngine) -> Array:
         if self.jac is not None:
-            return np.atleast_2d(np.asarray(self.jac(np.asarray(coords, dtype=float)), dtype=float))
-        return np.atleast_2d(
-            engine.partials(self.fn, coords, self.source.lower, self.source.upper).T
+            J = np.asarray(self.jac(np.asarray(coords, dtype=float)), dtype=float)
+        else:
+            J = engine.partials(self.fn, coords, self.source.lower, self.source.upper).T
+        return _jacobian_stack(J[None])[0]
+
+    def jacobians_at(self, coords_seq, engine: DiffEngine) -> Array:
+        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``,
+        with analytic Jacobians converted and shaped once for the whole set;
+        FD Jacobians are still taken point by point."""
+        if self.jac is None:
+            return np.stack([self.jacobian_at(c, engine) for c in coords_seq])
+        return _jacobian_stack(
+            np.array([self.jac(np.asarray(c, dtype=float)) for c in coords_seq], dtype=float)
         )
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
@@ -104,6 +125,15 @@ class SmoothMap:
         if self.jac is None:
             return 0.0
         return analytic_fd_gap(self.source, engine, self.fn, self.jac, points)
+
+
+def _jacobian_stack(values: Array) -> Array:
+    """A stack of Jacobian values as ``(N, rows, columns)`` matrices: a
+    point's scalar becomes (1, 1) and its (m,) row (1, m), as
+    ``np.atleast_2d`` shapes a single value."""
+    if values.ndim >= 3:
+        return values
+    return values.reshape(values.shape[:1] + (1,) * (3 - values.ndim) + values.shape[1:])
 
 
 def pushforward(F: SmoothMap, engine: DiffEngine, coords, v) -> Array:
@@ -227,8 +257,8 @@ class SubmersionContext:
         is not finite, or whose Jacobian has a rank below the target
         dimension."""
         coords = np.array(coords_list)  # a copy: a Splitting is read-only
-        J = np.stack([self.map.jacobian_at(c, self.engine) for c in coords])
-        G = np.stack([self.map.source.metric_at(c, check=False) for c in coords])
+        J = self.map.jacobians_at(coords, self.engine)
+        G = np.stack(self.map.source.metrics_at(coords))
         if not (np.isfinite(J).all() and np.isfinite(G).all()):
             finite_jacobian = np.isfinite(J).all(axis=(1, 2))
             i = np.flatnonzero(~(finite_jacobian & np.isfinite(G).all(axis=(1, 2))))[0]
@@ -283,8 +313,7 @@ class SubmersionContext:
         pullback metric is degenerate (or not finite) on the horizontal
         space."""
         splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings)
-        target = self.map.target
-        G = np.stack([target.metric_at(self.map(c), check=False) for c in coords_list])
+        G = np.stack(self.map.target.metrics_at(self.map.images(coords_list)))
         J = np.stack([s.jacobian for s in splittings])
         jh = J @ np.stack([s.horizontal for s in splittings])
         q = jh.transpose(0, 2, 1) @ G @ jh

@@ -323,6 +323,42 @@ def test_nonpositive_warp_raises_warp_positivity_in_compatibility(x, shown):
     assert str(exc.value) == message
 
 
+def _identity_factors(lambda1, lambda2, f, rho):
+    """The identity maps of R^2 and R, with the given dilations and warps."""
+    M1 = ChartManifold.euclidean(2, [-2, -2], [2, 2])
+    M2 = ChartManifold.euclidean(1, [-2], [2])
+    return build_product_submersion(identity_map(M1), lambda1, identity_map(M2), lambda2, f, rho,
+                                    ENGINE)
+
+
+@pytest.mark.parametrize("slot, label", enumerate(["lambda1", "lambda2", "source warp",
+                                                   "target warp"]))
+def test_an_infinite_dilation_or_warp_raises_warp_positivity(slot, label):
+    # infinite on x > 0.5 of its own factor; at the parent, compatibility
+    # returned r1 = r2 = inf and residual = nan, read as "non-conformal"
+    unit = ScalarField.constant(1.0)
+    data = [unit] * 4
+    data[slot] = ScalarField(lambda c: np.inf if c[0] > 0.5 else 1.0)
+    cws = _identity_factors(*data)
+    assert compatibility(cws, cws.source.ambient.point([0.2, 0.1, 0.2])).conformal_here
+    p = cws.source.ambient.point([0.7, 0.1, 0.8])
+    with pytest.raises(WarpPositivityError) as exc:
+        compatibility(cws, p)
+    assert str(exc.value) == f"{label} = inf is not finite at {p}"
+
+
+def test_a_nan_residual_reaches_the_non_conformal_record():
+    # lambda1 = lambda2 = 1e200 on x > 0.5 overflow r1 and r2 to inf, so the
+    # residual there is NaN; a Python max drops a NaN after the first entry
+    huge = ScalarField(lambda c: 1e200 if c[0] > 0.5 else 1.0)
+    unit = ScalarField.constant(1.0)
+    cws = _identity_factors(huge, huge, unit, unit)
+    points = [cws.source.ambient.point(c) for c in ([0.2, 0.1, 0.2], [0.7, 0.1, 0.8])]
+    assert [np.isnan(e.residual) for e in compatibility_report(cws, points)] == [False, True]
+    (record,) = scenarios._compatibility_records(cws, points, RunConfig(), False)
+    assert np.isnan(record.max_residual)
+
+
 def test_jacobian_block_structure_with_fd_factors():
     # factor maps without analytic Jacobians still give exact zero cross blocks
     M1 = ChartManifold.euclidean(2, [-2, -2], [2, 2])

@@ -93,6 +93,18 @@ def test_degenerate_metric_raises(bad_metric):
         metric_inner(M, p, [1, 0], [1, 0])
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_metric_raises_when_checked(entry):
+    # NaN fails both the symmetry and the floor comparisons, so it passed both
+    g = np.array([[1.0, 0.0], [0.0, entry]])
+    M = ChartManifold(2, [0, 0], [1, 1], lambda c: g)
+    p = M.point([0.5, 0.5])
+    with pytest.raises(DegenerateMetricError) as exc:
+        M.metric_at(p)
+    assert str(exc.value) == f"metric not finite at {p}"
+    assert np.array_equal(M.metric_at(p, check=False), g, equal_nan=True)
+
+
 def test_metric_inner_symmetric_bilinear(polar):
     rng = np.random.default_rng(3)
     for _ in range(20):

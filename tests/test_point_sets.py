@@ -1,9 +1,11 @@
 """Point-set splittings and dilations (``splittings_at``, ``dilations``):
 bit-identical to the single-point calls, which compute a stack of one, on
 every catalog context; the same first error in input order; and one memo
-entry per point shared with ``splitting_at`` and ``dilation``; the block
-residuals of ``splitting_records`` against a point-by-point walk; plus the
-numpy property the one stacked kernel rests on."""
+entry per point shared with ``splitting_at`` and ``dilation``; the kernels'
+point-set inputs (``metrics_at``, ``jacobians_at``, ``images``) against
+their single-point calls; the block residuals of ``splitting_records``
+against a point-by-point walk; plus the numpy property the one stacked
+kernel rests on."""
 
 from contextlib import nullcontext
 from dataclasses import fields
@@ -29,10 +31,12 @@ from warpgeo.scenarios import build_objects, list_scenarios
 from warpgeo.submersion import Splitting, _in_blocks
 
 SIZES = (0, 1, 64, 65)
+ENGINE = DiffEngine()
 
 STACKED_KERNEL = (
     "the stacked kernel of SubmersionContext.splittings_at/dilations is only "
-    "bit-identical to splitting_at/dilation, and the block residuals of "
+    "bit-identical to splitting_at/dilation, its point-set metrics and "
+    "Jacobians to metric_at/jacobian_at, and the block residuals of "
     "suites.splitting_records to a point-by-point walk, while numpy's stacked "
     "calls equal its per-matrix calls"
 )
@@ -237,6 +241,130 @@ def test_a_lone_failing_point_is_computed_once():
         assert calls.count("jac") == 1
 
 
+INPUT_SCENARIOS = ("exp-spiral-r4", "cws-variable-dilation", "cws-incompatible")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _chart_points(scenario, engine, n):
+    """(map, source points, target points) of each map of a scenario: its
+    target points are the images of its source points."""
+    objs = build_objects(scenario, engine)
+    coords = sample_points(objs["sample_lower"], objs["sample_upper"], n, 5, 4.0 * engine.step)
+    out = []
+    for key in ("ctx", "ctx_fd"):
+        if key in objs:
+            F = objs[key].map
+            points = [F.source.point(c) for c in coords]
+            out.append((F, points, [F(p) for p in points]))
+    return out
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("scenario", INPUT_SCENARIOS)
+def test_point_set_inputs_bit_identical_to_single_points(scenario, scoped):
+    engine = DiffEngine()
+    maps = _chart_points(scenario, engine, max(SIZES))
+    fd_jacobians = [False, True] if scenario == "exp-spiral-r4" else [False]  # its ctx_fd
+    assert [F.jac is None for F, _, _ in maps] == fd_jacobians
+    for F, points, images in maps:
+        want_metrics = {
+            id(M): [M.metric_at(c, check=False) for c in coords]
+            for M, coords in ((F.source, points), (F.target, images))
+        }
+        want_jacobians = [F.jacobian_at(p, engine) for p in points]
+        for n in SIZES[1:]:
+            with evaluation_scope() if scoped else nullcontext():
+                got_images = F.images(points[:n])
+                for M, coords in ((F.source, points), (F.target, images)):
+                    got = M.metrics_at(coords[:n])
+                    assert len(got) == n
+                    assert all(_same_bits(w, g) for w, g in zip(want_metrics[id(M)], got))
+                got_jacobians = F.jacobians_at(points[:n], engine)
+            assert _same_bits(got_images, np.stack(images[:n]))
+            assert _same_bits(got_jacobians, np.stack(want_jacobians[:n]))
+
+
+@pytest.mark.parametrize("scenario", INPUT_SCENARIOS)
+def test_point_set_metrics_share_read_only_scope_entries(scenario):
+    (F, points, images), *_ = _chart_points(scenario, DiffEngine(), 6)
+    for M, coords in ((F.source, points), (F.target, images)):
+        with evaluation_scope():
+            first = [M.metric_at(c, check=False) for c in coords[:3]]
+            stacked = M.metrics_at(coords)
+            assert all(a is b for a, b in zip(first, stacked))
+            assert all(M.metric_at(c, check=False) is g for c, g in zip(coords, stacked))
+            assert not any(g.flags.writeable for g in stacked)
+            # a checked metric is its own entry
+            assert all(M.metric_at(c) is not g for c, g in zip(coords, stacked))
+        # nothing is stored outside a scope
+        assert M.metrics_at(coords[:1])[0] is not M.metrics_at(coords[:1])[0]
+
+
+@pytest.mark.parametrize("value, shape", [
+    (lambda c: 2.0 * c[0], (1, 1)),
+    (lambda c: np.array([c[1], 2.0 * c[0]]), (1, 2)),
+    (lambda c: [[1, c[0]], [0, 2]], (2, 2)),
+], ids=["scalar", "row", "matrix"])
+def test_point_set_jacobians_keep_the_single_point_shape_rule(value, shape):
+    dim = shape[1]
+    M = ChartManifold.euclidean(dim, -1.0, 1.0)
+    F = SmoothMap(M, ChartManifold.euclidean(shape[0]), lambda c: c[:shape[0]], value)
+    points = [M.point(np.full(dim, x)) for x in (0.1, -0.3, 0.7)]
+    for n in (1, 3):
+        got = F.jacobians_at(points[:n], ENGINE)
+        assert got.shape == (n,) + shape
+        assert _same_bits(got, np.stack([F.jacobian_at(p, ENGINE) for p in points[:n]]))
+
+
+def test_point_set_metrics_are_symmetrized_as_the_single_point_call():
+    # the catalog's metrics are symmetric, so they cannot tell
+    M = ChartManifold(2, -1.0, 1.0, lambda c: np.array([[1.0, c[0]], [0.1 * c[1], 1.0]]))
+    points = [M.point(c) for c in ([0.3, 0.7], [-0.9, 0.2], [0.1, 0.1])]
+    got = M.metrics_at(points)
+    assert all(_same_bits(M.metric_at(p, check=False), g) for p, g in zip(points, got))
+    assert all(g[0, 1] == g[1, 0] == 0.5 * (p[0] + 0.1 * p[1]) for p, g in zip(points, got))
+
+
+def test_a_metric_of_the_wrong_shape_raises_as_the_single_point_call():
+    N = ChartManifold(1, [-5], [5], lambda y: np.eye(1) if y[0] < 1.0 else np.ones(1))
+    good, bad = np.array([0.5]), np.array([2.0])
+    want = _outcome(lambda: N.metric_at(bad, check=False))
+    assert want[:2] == (DegenerateMetricError, "metric returned shape (1,) at [2.]")
+    for coords in ([bad, bad], [good, bad, good], [bad]):
+        for scope in (nullcontext(), evaluation_scope()):
+            with scope:
+                assert _outcome(lambda: N.metrics_at(coords)) == want
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+def test_a_target_metric_error_precedes_a_later_failing_image(scoped):
+    # (x, y) -> x, whose map raises at x = 0.5 and whose target metric
+    # raises at the image 0.25; the kernel computes every image before it
+    # reads a target metric
+    def fn(c):
+        if c[0] == 0.5:
+            raise ValueError(f"map undefined at {c}")
+        return c[:1]
+
+    def target_metric(y):
+        if y[0] == 0.25:
+            raise ValueError(f"target metric undefined at {y}")
+        return np.eye(1)
+
+    M = ChartManifold.euclidean(2, -1.0, 1.0)
+    N = ChartManifold(1, [-5], [5], target_metric)
+    ctx = SubmersionContext(SmoothMap(M, N, fn, lambda c: np.array([[1.0, 0.0]])), ENGINE)
+    points = [M.point(c) for c in ([0.1, 0.2], [0.25, 0.3], [0.5, 0.1], [0.3, 0.4])]
+    with evaluation_scope() if scoped else nullcontext():
+        want = _outcome(lambda: [ctx.dilation(p) for p in points])
+    with evaluation_scope() if scoped else nullcontext():
+        got = _outcome(lambda: ctx.dilations(points))
+    assert got == want == (ValueError, "target metric undefined at [0.25]", None, None)
+
+
 def _splitting_records_per_point(ctx, points, rng):
     """The split-decomposition check of ``suites.splitting_records`` walked
     point by point: one draw, ten small products and a Python ``max`` per
@@ -341,6 +469,8 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
         seed = int(rng.integers(2**32))
         one_by_one = np.random.default_rng(seed)
         draws = [one_by_one.uniform(-1.0, 1.0, size=n) for _ in range(N)]
+        # the values a user's metric or Jacobian returns: arrays and lists
+        items = [J[i].tolist() if i % 2 else J[i] for i in range(N)]
         cases = {
             "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
             "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
@@ -365,6 +495,10 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                 lambda i: (J[i] @ B[i]).T @ Gt[i] @ (J[i] @ B[i]),
             ),
             "trace": (lambda: np.trace(G, axis1=1, axis2=2), lambda i: np.trace(G[i])),
+            "symmetrize": (lambda: manifold._symmetrized(A), lambda i: 0.5 * (A[i] + A[i].T)),
+            "array of a list": (
+                lambda: np.array(items, dtype=float), lambda i: np.asarray(items[i], dtype=float),
+            ),
         }
         for name, (stacked, single) in cases.items():
             whole = stacked()

@@ -95,15 +95,19 @@ def test_outside_a_scope_the_warm_up_computes_nothing(monkeypatch):
 
 
 def _inject_rank_error(monkeypatch, bad: np.ndarray):
-    """The Jacobian of every map is zero at the coordinates ``bad``."""
-    jacobian_at = SmoothMap.jacobian_at
+    """The Jacobian of every map is zero at the coordinates ``bad``, as the
+    splitting kernel reads it: through ``SmoothMap.jacobians_at``."""
+    jacobians_at = SmoothMap.jacobians_at
 
-    def patched(self, coords, engine):
-        J = jacobian_at(self, coords, engine)
-        c = np.asarray(coords, dtype=float)
-        return np.zeros_like(J) if c.shape == bad.shape and np.array_equal(c, bad) else J
+    def patched(self, coords_seq, engine):
+        J = jacobians_at(self, coords_seq, engine)
+        for i, c in enumerate(coords_seq):
+            c = np.asarray(c, dtype=float)
+            if c.shape == bad.shape and np.array_equal(c, bad):
+                J[i] = 0.0
+        return J
 
-    monkeypatch.setattr(SmoothMap, "jacobian_at", patched)
+    monkeypatch.setattr(SmoothMap, "jacobians_at", patched)
 
 
 # (scenario, sample, axis, the scenario aborts): a stencil point that the

@@ -384,6 +384,24 @@ def test_verifiers_still_reject_a_non_spd_ambient_metric():
         assert rec.notes.count("not positive definite") == len(pts)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_verifiers_reject_a_non_finite_ambient_metric(entry):
+    from warpgeo import DegenerateMetricError
+    from warpgeo.suites import engine_health_records
+
+    line = ChartManifold.euclidean(1, [-3.0], [3.0])
+    W = build_warped_product(line, line, ScalarField.constant(1.0))
+    bad = ChartManifold(2, W.ambient.lower, W.ambient.upper, lambda c: np.diag([1.0, entry]))
+    W = dataclasses.replace(W, ambient=bad)
+    pts = _sample_points(W, [-0.8, -0.8], [0.8, 0.8], n=2)
+    with pytest.raises(DegenerateMetricError, match="metric not finite at"):
+        verify_warped_connection(W, ENGINE, pts, _pairs(W.first, 1), _pairs(W.second, 2))
+    # engine_health_records records each bad sample and goes on
+    for rec in engine_health_records(W.ambient, ENGINE, pts, np.random.default_rng(0)):
+        assert not rec.passed and rec.max_residual == np.inf and rec.n_samples == len(pts)
+        assert rec.notes.count("metric not finite at") == len(pts)
+
+
 def test_shared_metric_gives_the_same_forms():
     from warpgeo import christoffel, coordinate_submanifold_form, gradient
 
