@@ -83,13 +83,8 @@ def build_product_submersion(
     f: ScalarField,
     rho: ScalarField,
     engine: DiffEngine,
-    check_points: Sequence[Array] = (),
 ) -> ConformalWarpedSubmersion:
-    """Assemble the product map with block-diagonal Jacobian.
-
-    check_points (on the source ambient) get positivity and maximal-rank
-    spot checks up front; failures raise with the offending point.
-    """
+    """Assemble the product map with block-diagonal Jacobian."""
     source = build_warped_product(phi1.source, phi2.source, f)
     target = build_warped_product(phi1.target, phi2.target, rho)
     m1, m2 = source.block("first"), source.block("second")
@@ -106,24 +101,20 @@ def build_product_submersion(
 
     product = SmoothMap(source.ambient, target.ambient, fn, jac,
                         name=f"{phi1.name}x{phi2.name}")
-    cws = ConformalWarpedSubmersion(
+    return ConformalWarpedSubmersion(
         lambda1=lambda1, lambda2=lambda2, source=source, target=target,
         ctx=SubmersionContext(product, engine),
         ctx1=SubmersionContext(phi1, engine), ctx2=SubmersionContext(phi2, engine),
     )
-    for p in check_points:
-        _positive_factor_data(cws, p)
-        cws.ctx.splitting_at(p)  # raises RankError when rank-deficient
-    return cws
 
 
 def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
-    """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises
-    WarpPositivityError naming the first that is not positive, NaN
-    included, or not finite."""
+    """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises DomainError
+    where phi1's image leaves the target chart, then WarpPositivityError
+    naming the first value that is not positive, NaN included, or not finite."""
     c1, c2 = cws.source.split_coords(coords)
     values = (cws.lambda1(c1), cws.lambda2(c2), cws.source.warp(c1),
-              cws.target.warp(cws.ctx1.map(c1)))
+              cws.target.warp(cws.ctx1.map.image_point(c1)))
     for value, label in zip(values, ("lambda1", "lambda2", "source warp", "target warp")):
         if not value > 0.0:  # NaN fails every comparison
             raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError
+from .errors import DegenerateMetricError, DomainError, GeometryError
 from .fd import DiffEngine
 from .report import residual_scale
 
@@ -136,6 +136,14 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
     return [cache[key] for key in keys]
 
 
+def _finite(stack: Array, coords_seq, error, what: str) -> Array:
+    """``stack``, values at ``coords_seq``; raises ``error`` naming the first non-finite one."""
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    if not finite.all():
+        raise error(f"{what} not finite at {coords_seq[np.argmin(finite)]}")
+    return stack
+
+
 def _symmetrized(g: Array) -> Array:
     """0.5 (g + gᵀ) of a metric, or of each metric of a stack ``(..., d, d)``."""
     return 0.5 * (g + g.swapaxes(-1, -2))
@@ -186,9 +194,9 @@ class ChartManifold:
         identity = np.eye(dim)
         return ChartManifold(dim, lower, upper, lambda c: identity, name or f"euclidean{dim}")
 
-    def contains(self, coords) -> bool:
+    def contains(self, coords):
         coords = np.asarray(coords, dtype=float)
-        return bool(np.all(coords > self.lower) and np.all(coords < self.upper))
+        return ((coords > self.lower) & (coords < self.upper)).all(axis=-1)
 
     def point(self, coords) -> Array:
         """The coordinates as a float array of shape (dim,), checked to lie
@@ -263,7 +271,11 @@ class ScalarField:
     partials: Optional[Callable[[Array], Array]] = None
 
     def __call__(self, coords) -> float:
-        return float(self.fn(np.asarray(coords, dtype=float)))
+        value = self.fn(np.asarray(coords, dtype=float))
+        try:
+            return float(value)
+        except TypeError:  # not a scalar
+            raise GeometryError(f"scalar field of shape {np.shape(value)} at {coords}") from None
 
     @staticmethod
     def constant(value: float) -> "ScalarField":
@@ -295,10 +307,7 @@ class VectorField:
 def metric_inner(M: ChartManifold, coords, u, v) -> float:
     """g(u, v) = u^T g(coords) v for component vectors u and v."""
     u, v = _as_vector(u, M.dim), _as_vector(v, M.dim)
-    if not M.contains(coords):
-        raise DomainError(f"point {coords} outside domain")
-    g = M.metric_at(coords)
-    return float(u @ g @ v)
+    return float(u @ M.metric_at(M.point(coords)) @ v)
 
 
 def partial_derivative(M: ChartManifold, engine: DiffEngine, field, coords, axis: int):
@@ -316,7 +325,7 @@ def scalar_partials(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coor
     """Coordinate partials of phi at coords, analytic when the field carries them."""
     if phi.partials is not None:
         return np.asarray(phi.partials(coords), dtype=float)
-    return engine.partials(phi.fn, coords, M.lower, M.upper)
+    return engine.partials(phi, coords, M.lower, M.upper)
 
 
 def gradient(
@@ -325,8 +334,7 @@ def gradient(
     """Metric gradient: components g^{kl} d_l(phi).
 
     ``g``, the checked ``M.metric_at(coords)``, is evaluated when not given."""
-    if not M.contains(coords):
-        raise DomainError(f"point {coords} outside domain")
+    coords = M.point(coords)
     dphi = scalar_partials(M, engine, phi, coords)
     if g is None:
         g = M.metric_at(coords)
@@ -341,19 +349,12 @@ def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, p
     """
     if phi.partials is None:
         return 0.0
-    return analytic_fd_gap(M, engine, phi.fn, phi.partials, points)
+    return analytic_fd_gap([np.asarray(phi.partials(p), dtype=float) for p in points],
+                           [engine.partials(phi, p, M.lower, M.upper) for p in points])
 
 
-def analytic_fd_gap(M: ChartManifold, engine: DiffEngine, fn, analytic, points) -> float:
-    """Max over points of the largest entry of |analytic - FD|, scaled by
-    :func:`~warpgeo.report.residual_scale`.
-
-    ``analytic`` gives the partials of a scalar fn or the Jacobian of a
-    vector fn (rows index outputs); both line up with ``engine.partials(fn).T``.
-    """
-    worst = 0.0
-    for p in points:
-        an = np.asarray(analytic(p), dtype=float)
-        fd = engine.partials(fn, p, M.lower, M.upper).T
-        worst = max(worst, float(np.max(np.abs(an - fd))) / residual_scale(an, fd))
-    return worst
+def analytic_fd_gap(analytic, fd) -> float:
+    """Max over pairs of analytic and FD partials (or Jacobians) of the largest
+    entry of |analytic - fd|, scaled by ``residual_scale``; a NaN gap is kept."""
+    gaps = [float(np.max(np.abs(a - f))) / residual_scale(a, f) for a, f in zip(analytic, fd)]
+    return float(np.max(gaps, initial=0.0))

@@ -314,9 +314,7 @@ def _points_by_manifold(objs: dict, points) -> dict:
         out.setdefault(id(W.first), []).append(c1)
         out.setdefault(id(W.second), []).append(c2)
         if cws is not None:
-            image = cws.ctx1.map(c1)
-            if cws.target.first.contains(image):
-                out.setdefault(id(cws.target.first), []).append(cws.target.first.point(image))
+            out.setdefault(id(cws.target.first), []).append(cws.ctx1.map.image_point(c1))
     return out
 
 

@@ -18,8 +18,8 @@ matrix-product step as one call on the stacked ``(N, ., .)`` arrays of a
 point set (``splittings_at``, ``dilations``). Their inputs are point sets
 too: the kernels read a set's Jacobians (``SmoothMap.jacobians_at``),
 images (``SmoothMap.images``) and metrics (``ChartManifold.metrics_at``),
-which call the user's callables once per point but convert, shape and
-symmetrize the results once per stack. FD Jacobians, the warped ambient
+which call the user's callables once per point but convert, shape, check
+and symmetrize the results once per stack. FD Jacobians, the warped ambient
 metric and the product map's Jacobian are still assembled point by point,
 inside their callables. A single point (``splitting_at``, ``dilation``)
 is a stack of one. The splitting kernel copies the set's
@@ -42,7 +42,7 @@ them in the memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +62,7 @@ from .manifold import (
     VectorField,
     _as_vector,
     _compute_one,
+    _finite,
     _memoized,
     _memoized_many,
     analytic_fd_gap,
@@ -88,52 +89,75 @@ class SmoothMap:
     name: str = ""
 
     def __call__(self, coords) -> Array:
-        return np.atleast_1d(np.asarray(self.fn(np.asarray(coords, dtype=float)), dtype=float))
-
-    def image_point(self, coords) -> Array:
-        """The image coordinates, checked to lie inside the target chart."""
-        image = self(coords)
-        if not self.target.contains(image):
-            raise DomainError(f"image {image} of {coords} outside target domain")
+        """The image, of shape (target.dim,); ``images`` also checks the chart."""
+        image = np.atleast_1d(np.asarray(self.fn(np.asarray(coords, dtype=float)), dtype=float))
+        if image.shape != (self.target.dim,):
+            raise DomainError(f"image of shape {image.shape} at {coords}")
         return image
 
+    def image_point(self, coords) -> Array:
+        return self.images([coords])[0]
+
     def images(self, coords_seq) -> Array:
-        """``np.stack([self(c) for c in coords_seq])``, with the images
-        converted once for the whole set."""
-        images = np.array([self.fn(np.asarray(c, dtype=float)) for c in coords_seq], dtype=float)
-        return images[:, None] if images.ndim == 1 else images
+        """``np.stack([self(c) for c in coords_seq])``, converted once; raises
+        DomainError naming the first point whose image is not in the target box."""
+        values = [self.fn(np.asarray(c, dtype=float)) for c in coords_seq]
+        try:
+            images = np.array(values, dtype=float)
+        except ValueError:  # images of different shapes: the first wrong one raises
+            images = np.stack([self(c) for c in coords_seq])
+        images = images[:, None] if images.ndim == 1 else images
+        if images.shape[1:] != (self.target.dim,):  # one shape: the first point fails first
+            raise DomainError(f"image of shape {images.shape[1:]} at {coords_seq[0]}")
+        inside = self.target.contains(images)
+        if np.count_nonzero(inside) < len(inside):
+            i = np.argmin(inside)
+            raise DomainError(f"image {images[i]} of {coords_seq[i]} outside target domain")
+        return images
 
     def jacobian_at(self, coords, engine: DiffEngine) -> Array:
         if self.jac is not None:
             J = np.asarray(self.jac(np.asarray(coords, dtype=float)), dtype=float)
-        else:
-            J = engine.partials(self.fn, coords, self.source.lower, self.source.upper).T
-        return _jacobian_stack(J[None])[0]
+        else:  # through the checked call only when stencil images differ in shape
+            try:
+                J = engine.partials(self.fn, coords, self.source.lower, self.source.upper).T
+            except ValueError:
+                J = engine.partials(self, coords, self.source.lower, self.source.upper).T
+        shape = (self.target.dim, self.source.dim)
+        return J if J.shape == shape else _jacobian_stack([J], (coords,), shape)[0]
 
     def jacobians_at(self, coords_seq, engine: DiffEngine) -> Array:
-        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``,
-        with analytic Jacobians converted and shaped once for the whole set;
-        FD Jacobians are still taken point by point."""
+        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``, analytic
+        ones shaped once for the set; raises RankError naming the first non-finite one."""
         if self.jac is None:
-            return np.stack([self.jacobian_at(c, engine) for c in coords_seq])
-        return _jacobian_stack(
-            np.array([self.jac(np.asarray(c, dtype=float)) for c in coords_seq], dtype=float)
-        )
+            J = np.stack([self.jacobian_at(c, engine) for c in coords_seq])
+        else:
+            J = _jacobian_stack([self.jac(np.asarray(c, dtype=float)) for c in coords_seq],
+                                coords_seq, (self.target.dim, self.source.dim))
+        return _finite(J, coords_seq, RankError, "Jacobian")
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
-        """Max scaled gap between analytic and FD Jacobians; 0.0 if numeric."""
+        """Max scaled gap between analytic and FD ``jacobians_at``; 0.0 if numeric."""
         if self.jac is None:
             return 0.0
-        return analytic_fd_gap(self.source, engine, self.fn, self.jac, points)
+        return analytic_fd_gap(self.jacobians_at(points, engine),
+                               replace(self, jac=None).jacobians_at(points, engine))
 
 
-def _jacobian_stack(values: Array) -> Array:
-    """A stack of Jacobian values as ``(N, rows, columns)`` matrices: a
-    point's scalar becomes (1, 1) and its (m,) row (1, m), as
-    ``np.atleast_2d`` shapes a single value."""
-    if values.ndim >= 3:
-        return values
-    return values.reshape(values.shape[:1] + (1,) * (3 - values.ndim) + values.shape[1:])
+def _jacobian_stack(values: list, coords_seq, shape: tuple) -> Array:
+    """Jacobian values at ``coords_seq`` as a float ``(N, rows, columns)`` stack,
+    a scalar as (1, 1) and an (m,) row as (1, m), like ``np.atleast_2d``;
+    raises RankError naming the first point whose value has not ``shape``."""
+    try:
+        J = np.array(values, dtype=float)
+    except ValueError:  # values of different shapes: each is shaped alone
+        return np.stack([_jacobian_stack([np.asarray(v, dtype=float)], (c,), shape)[0]
+                         for c, v in zip(coords_seq, values)])
+    if J.ndim < 3:
+        J = J.reshape(J.shape[:1] + (1,) * (3 - J.ndim) + J.shape[1:])
+    if J.shape[1:] != shape:  # one shape: the first point fails first
+        raise RankError(f"Jacobian of shape {J.shape[1:]} at {coords_seq[0]}, expected {shape}")
+    return J
 
 
 def pushforward(F: SmoothMap, engine: DiffEngine, coords, v) -> Array:
@@ -258,13 +282,8 @@ class SubmersionContext:
         dimension."""
         coords = np.array(coords_list)  # a copy: a Splitting is read-only
         J = self.map.jacobians_at(coords, self.engine)
-        G = np.stack(self.map.source.metrics_at(coords))
-        if not (np.isfinite(J).all() and np.isfinite(G).all()):
-            finite_jacobian = np.isfinite(J).all(axis=(1, 2))
-            i = np.flatnonzero(~(finite_jacobian & np.isfinite(G).all(axis=(1, 2))))[0]
-            if not finite_jacobian[i]:
-                raise RankError(f"Jacobian not finite at {coords[i]}")
-            raise DegenerateMetricError(f"metric not finite at {coords[i]}")
+        G = _finite(np.stack(self.map.source.metrics_at(coords)), coords, DegenerateMetricError,
+                    "metric")
         _, S, VT = np.linalg.svd(J)
         m = self.map.target.dim
         smax = S[:, 0]
@@ -310,10 +329,11 @@ class SubmersionContext:
     def _stacked_dilations(self, coords_list: list) -> list[DilationEstimate]:
         """The dilation at every point, each step one call on the stack.
         Raises the error of the first point whose splitting fails or whose
-        pullback metric is degenerate (or not finite) on the horizontal
-        space."""
+        pullback metric is degenerate on the horizontal space; a target
+        metric that is not finite pulls back to zero, which is."""
         splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings)
         G = np.stack(self.map.target.metrics_at(self.map.images(coords_list)))
+        G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0)
         J = np.stack([s.jacobian for s in splittings])
         jh = J @ np.stack([s.horizontal for s in splittings])
         q = jh.transpose(0, 2, 1) @ G @ jh

@@ -89,7 +89,7 @@ def build_warped_product(
 ) -> WarpedProduct:
     """Assemble the ambient chart with metric diag(g1, f^2 g2).
 
-    The warp is validated lazily: any evaluation with f <= 0 or NaN raises
+    The warp is validated lazily: any evaluation with f <= 0, NaN or inf raises
     WarpPositivityError, so sampling suites surface violations with the
     offending point.
     """
@@ -100,8 +100,8 @@ def build_warped_product(
     def metric(coords):
         c1, c2 = coords[first_block], coords[second_block]
         f = warp(c1)
-        if not f > 0.0:  # NaN fails every comparison
-            raise WarpPositivityError(f"warp {f} <= 0 at first-factor point {c1}")
+        if not 0.0 < f < np.inf:  # NaN fails every comparison
+            raise WarpPositivityError(f"warp {f} is not in (0, inf) at first-factor point {c1}")
         g = np.zeros((dim, dim))
         g[first_block, first_block] = first._raw_metric(c1)
         g[second_block, second_block] = (f * f) * second._raw_metric(c2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from warpgeo import (
     ConfigurationError,
     ConformalityError,
     DiffEngine,
+    DomainError,
     RunConfig,
     ScalarField,
     SmoothMap,
@@ -287,20 +290,18 @@ def test_fiber_mean_curvature_matches_warp_gradient(cws_constant):
     assert np.allclose(h2, [-2.0, 0.0, 0.0, 0.0], atol=1e-7)
 
 
-def test_build_rejects_nonpositive_data():
+def test_compatibility_rejects_nonpositive_data():
     M1 = ChartManifold.euclidean(2, [-2, -2], [2, 2])
     M2 = ChartManifold.euclidean(1, [-2], [2])
     unit = ScalarField.constant(1.0)
     bad_rho = ScalarField(lambda c: float(c[0]))  # negative on half the target
-    base = build_product_submersion(
-        identity_map(M1), unit, identity_map(M2), unit, unit, unit, ENGINE
+    cws = build_product_submersion(
+        identity_map(M1), unit, identity_map(M2), unit, unit, bad_rho, ENGINE
     )
-    probe = [base.source.ambient.point([-0.5, 0.0, 0.0])]
+    probe = cws.source.ambient.point([-0.5, 0.0, 0.0])
     with pytest.raises(WarpPositivityError):
-        build_product_submersion(
-            identity_map(M1), unit, identity_map(M2), unit, unit, bad_rho, ENGINE,
-            check_points=probe,
-        )
+        compatibility(cws, probe)
+    cws.ctx.splitting_at(probe)  # the target warp is not read by the splitting
 
 
 @pytest.mark.parametrize("x, shown", [(0.0, "0.0"), (-0.5, "-0.5"), (-1.2, "nan")],
@@ -318,9 +319,20 @@ def test_nonpositive_warp_raises_warp_positivity_in_compatibility(x, shown):
     assert str(exc.value) == message
     with pytest.raises(WarpPositivityError):
         cws.ctx.dilation(p)  # the ambient metric agrees
-    with pytest.raises(WarpPositivityError) as exc:
-        build_product_submersion(phi1, lam1, phi2, lam2, warp, rho, ENGINE, check_points=[p])
-    assert str(exc.value) == message
+    with pytest.raises(WarpPositivityError):
+        cws.ctx.splitting_at(p)
+
+
+def test_a_nan_first_factor_image_raises_domain_error_naming_the_source_point():
+    # the factors of cws-riemannian; rho was read at the unchecked image, and
+    # the error blamed the target warp: "target warp = nan <= 0"
+    phi1, lam1, phi2, lam2, f, rho = scenarios._first_coords()
+    nan_phi1 = replace(phi1, fn=lambda c: np.array([np.nan]))
+    cws = build_product_submersion(nan_phi1, lam1, phi2, lam2, f, rho, ENGINE)
+    p = cws.source.ambient.point([0.4, 0.1, 0.2, 0.3])
+    with pytest.raises(DomainError) as exc:
+        compatibility(cws, p)
+    assert str(exc.value) == f"image [nan] of {p[:2]} outside target domain"
 
 
 def _identity_factors(lambda1, lambda2, f, rho):
