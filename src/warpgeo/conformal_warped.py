@@ -26,11 +26,12 @@ import numpy as np
 from .connection import christoffel, lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
-from .manifold import ChartManifold, ScalarField, VectorField
+from .manifold import ChartManifold, ScalarField, VectorField, _with_stack
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
     SubmersionContext,
+    _blocks,
     _gram_schmidt,
     _in_blocks,
     _warm_parts,
@@ -84,28 +85,56 @@ def build_product_submersion(
     rho: ScalarField,
     engine: DiffEngine,
 ) -> ConformalWarpedSubmersion:
-    """Assemble the product map with block-diagonal Jacobian."""
+    """Assemble the product map with block-diagonal Jacobian.
+
+    The product's images and Jacobians of a point set (``images``,
+    ``jacobians_at``) are assembled from the factor maps' stacks."""
     source = build_warped_product(phi1.source, phi2.source, f)
     target = build_warped_product(phi1.target, phi2.target, rho)
     m1, m2 = source.block("first"), source.block("second")
     n1, n2 = target.block("first"), target.block("second")
 
+    blocks = ((n1, m1), (n2, m2))
+    shape = (target.ambient.dim, source.ambient.dim)
+
+    def joined(y1, y2):
+        """(y1, y2) of one pair of factor images, or of each pair of two
+        stacks of them."""
+        return np.concatenate([y1, y2], axis=-1)
+
     def fn(coords):
-        return np.concatenate([phi1(coords[m1]), phi2(coords[m2])])
+        return joined(phi1(coords[m1]), phi2(coords[m2]))
+
+    def images(coords):
+        return joined(phi1._image_values(coords[:, m1]), phi2._image_values(coords[:, m2]))
 
     def jac(coords):
-        J = np.zeros((target.ambient.dim, source.ambient.dim))
-        J[n1, m1] = phi1.jacobian_at(coords[m1], engine)
-        J[n2, m2] = phi2.jacobian_at(coords[m2], engine)
-        return J
+        return _block_diagonal(np.zeros(shape), blocks, phi1.jacobian_at(coords[m1], engine),
+                               phi2.jacobian_at(coords[m2], engine))
 
-    product = SmoothMap(source.ambient, target.ambient, fn, jac,
+    def jacobians(coords):
+        return _block_diagonal(np.zeros((len(coords),) + shape), blocks,
+                               phi1._jacobian_values(coords[:, m1], engine),
+                               phi2._jacobian_values(coords[:, m2], engine))
+
+    product = SmoothMap(source.ambient, target.ambient, _with_stack(fn, images),
+                        _with_stack(jac, jacobians),
                         name=f"{phi1.name}x{phi2.name}")
     return ConformalWarpedSubmersion(
         lambda1=lambda1, lambda2=lambda2, source=source, target=target,
         ctx=SubmersionContext(product, engine),
         ctx1=SubmersionContext(phi1, engine), ctx2=SubmersionContext(phi2, engine),
     )
+
+
+def _block_diagonal(J: Array, blocks: tuple, J1: Array, J2: Array) -> Array:
+    """diag(J1, J2), written into the zeros ``J`` along the (rows, columns)
+    ``blocks`` of the two factors: at one point, or at each point of two
+    stacks. Returns ``J``."""
+    (rows1, columns1), (rows2, columns2) = blocks
+    J[..., rows1, columns1] = J1
+    J[..., rows2, columns2] = J2
+    return J
 
 
 def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
@@ -136,13 +165,45 @@ def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
 
 
 def compatibility_report(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> tuple:
-    """``compatibility`` at each point, in order."""
-    return tuple(compatibility(cws, p) for p in points)
+    """``compatibility`` at each point, in order, one block of ``POINT_BLOCK``
+    points at a time: one ``images`` call of phi1 and the same arithmetic,
+    in the same operand order, on stacked values. A block in which a value
+    fails, or f^2 is zero (where the single-point call divides by zero),
+    is walked point by point, so that its first failing point raises its
+    own error."""
+    return tuple(entry for block in _blocks(points) for entry in _compatibility_block(cws, block))
+
+
+def _compatibility_block(cws: ConformalWarpedSubmersion, block) -> list:
+    """The entries of one block of ``compatibility_report``."""
+    try:
+        l1, l2, fv, rv = data = _stacked_factor_data(cws, block)
+    except Exception:  # the walk below raises the first failing point's error
+        data = None
+    if data is None or not np.all((data > 0.0) & (data < np.inf)) or not np.all(fv * fv > 0.0):
+        return [compatibility(cws, p) for p in block]
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
+        r1 = l1 * l1
+        r2 = (rv * rv) * (l2 * l2) / (fv * fv)
+        residual = np.abs(r1 / r2 - 1.0)
+    threshold = TOLERANCES["conformality/threshold"]
+    return [CompatibilityEntry(p, a, b, r <= threshold, r)
+            for p, a, b, r in zip(block, r1.tolist(), r2.tolist(), residual.tolist())]
+
+
+def _stacked_factor_data(cws: ConformalWarpedSubmersion, block) -> Array:
+    """The rows lambda1, lambda2, f and rho o phi1 at the points of ``block``,
+    unchecked."""
+    coords = np.asarray(block, dtype=float)
+    c1, c2 = coords[:, cws.source.block("first")], coords[:, cws.source.block("second")]
+    return np.array([[cws.lambda1(c) for c in c1], [cws.lambda2(c) for c in c2],
+                     [cws.source.warp(c) for c in c1],
+                     [cws.target.warp(y) for y in cws.ctx1.map.images(c1)]])
 
 
 def _conformal_points(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> list:
     """The points at which the two candidate dilations agree."""
-    return [p for p in points if compatibility(cws, p).conformal_here]
+    return [e.coords for e in compatibility_report(cws, points) if e.conformal_here]
 
 
 def verify_first_factor_a_identity(

@@ -45,6 +45,14 @@ def _room(x: float, lower, upper) -> float:
     return min(x - float(lower), float(upper) - x)
 
 
+def _rooms(x: np.ndarray, lower, upper) -> np.ndarray:
+    """``_room`` of each coordinate of ``x``, whose last axis runs over the
+    axes of ``lower`` and ``upper``."""
+    with np.errstate(invalid="ignore"):  # inf - inf, at a room that is NaN anyway
+        room = np.minimum(x - lower, upper - x)
+    return np.where(np.isfinite(x), room, np.nan)
+
+
 @dataclass(frozen=True)
 class DiffEngine:
     """Central differences with automatic step shrinking near box edges.
@@ -80,6 +88,13 @@ class DiffEngine:
             )
         return h
 
+    def _require_fit(self, room: np.ndarray, h: np.ndarray) -> None:
+        """Raises the StencilError of ``_fit_step`` for the first stencil, in
+        C order, whose step ``h`` (from ``room``) is below ``min_step`` or NaN."""
+        fits = h >= self.min_step
+        if not fits.all():
+            self._fit_step(float(room.flat[np.argmin(fits)]))  # raises its message
+
     def partial(self, fn, coords, axis: int, lower, upper):
         """d(fn)/d(coords[axis]). fn may return a float or an ndarray."""
         coords = np.asarray(coords, dtype=float)
@@ -93,31 +108,76 @@ class DiffEngine:
 
         return STENCILS[self.scheme][1](at, h)
 
-    def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
-        """The points ``partial(fn, coords, axis, lower, upper)`` passes to
-        ``fn`` for each axis of ``axes``, in call order, as rows of one array.
+    def _stencils(self, coords: np.ndarray, lower, upper, axes) -> tuple:
+        """The stencils of ``partial`` along each of ``axes`` at each row of
+        the (N, dim) array ``coords``: their points, shape
+        (N, len(axes), S, dim) with the S points of a stencil in call order,
+        their steps and the rooms the steps come from, each of shape
+        (N, len(axes)).
 
         The offsets come from running the scheme's own combine with an
-        ``at`` that records them, and each row is built as in ``partial``,
-        so the rows equal its points bit for bit. Raises StencilError where
+        ``at`` that records them, on the array of steps, and each point is
+        built as in ``partial``, so points and steps equal its own bit for
+        bit. A stencil whose step is below ``min_step`` or NaN does not fit:
+        ``partial`` raises there (``_require_fit``), and its points mean
+        nothing.
+        """
+        axes = list(axes)
+        x = coords[:, axes]
+        room = _rooms(x, np.asarray(lower, dtype=float)[axes], np.asarray(upper, dtype=float)[axes])
+        h = np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step)  # keeps a NaN
+        offsets = []
+
+        def at(t):
+            offsets.append(t)
+            return 0.0
+
+        STENCILS[self.scheme][1](at, h)
+        points = np.empty((len(coords), len(axes), len(offsets), coords.shape[1]))
+        points[...] = coords[:, None, None, :]
+        for k, t in enumerate(offsets):
+            points[:, range(len(axes)), k, axes] = x + t
+        return points, h, room
+
+    def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
+        """The points ``partial(fn, coords, axis, lower, upper)`` passes to
+        ``fn`` for each axis of ``axes``, in call order, as rows of one array,
+        equal to its points bit for bit. Raises StencilError where
         ``partial`` would.
         """
         coords = np.asarray(coords, dtype=float)
-        rows = []
-        for axis in axes:
-            x = float(coords[axis])
-            offsets = []
+        points, h, room = self._stencils(coords[None], lower, upper, axes)
+        self._require_fit(room, h)
+        return points.reshape(-1, len(coords))
 
-            def at(t: float):
-                offsets.append(t)
-                return 0.0
+    def fitting_stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
+        """``stencil_points(c, lower, upper, (axis,))`` for each row c of the
+        (N, dim) array ``coords`` and each axis of ``axes``, in that order,
+        as rows of one array; a stencil that does not fit is left out."""
+        coords = np.asarray(coords, dtype=float).reshape(-1, len(lower))
+        points, h, _ = self._stencils(coords, lower, upper, axes)
+        return points[h >= self.min_step].reshape(-1, coords.shape[1])
 
-            STENCILS[self.scheme][1](at, self._fit_step(_room(x, lower[axis], upper[axis])))
-            for t in offsets:
-                shifted = coords.copy()
-                shifted[axis] = x + t
-                rows.append(shifted)
-        return np.array(rows).reshape(-1, len(coords))
+    def jacobian(self, fn, coords, lower, upper) -> np.ndarray:
+        """``np.stack([self.partials(fn, c, lower, upper).T for c in coords])``
+        for the rows c of the (N, dim) array ``coords``: the Jacobian of a
+        vector fn (the gradient of a scalar one) at each point of a set.
+
+        ``fn`` is evaluated once per stencil point, in that loop's order, and
+        the values are combined by the scheme's own combine with an (N, dim)
+        array of steps, so each Jacobian equals its loop's bit for bit.
+        Raises the StencilError of the loop's first failing stencil, before
+        any evaluation.
+        """
+        coords = np.asarray(coords, dtype=float)
+        points, h, room = self._stencils(coords, lower, upper, range(coords.shape[1]))
+        self._require_fit(room, h)
+        values = np.array([fn(p) for p in points.reshape(-1, coords.shape[1])], dtype=float)
+        values = values.reshape(points.shape[:3] + values.shape[1:])
+        calls = iter(range(values.shape[2]))
+        h = h.reshape(h.shape + (1,) * (values.ndim - 3))
+        d = STENCILS[self.scheme][1](lambda t: values[:, :, next(calls)], h)
+        return d.transpose((0,) + tuple(range(d.ndim - 1, 0, -1)))  # each point's .T
 
     def partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
         """All coordinate partials of fn stacked along axis 0: out[i] = d_i fn.

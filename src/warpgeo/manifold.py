@@ -136,6 +136,35 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
     return [cache[key] for key in keys]
 
 
+def _with_stack(one, stack):
+    """``one``, a callable of one point, carrying ``stack``: a callable of a
+    float (N, dim) array of points that returns ``one``'s values there as
+    one float array, bit for bit. ``_point_set`` calls it in place of
+    ``one``. Builders attach it to the callables they assemble from their
+    parts; a callable put in the place of ``one`` comes without it."""
+    one._stack = stack
+    return one
+
+
+def _point_set(one, coords_seq, stack=None) -> Array:
+    """``np.array([one(c) for c in coords], dtype=float)`` at the rows of
+    ``coords = np.asarray(coords_seq, dtype=float)``, as one call of
+    ``stack`` (by default the one ``_with_stack`` attached to ``one``) where
+    there is one.
+
+    A ``stack`` that raises is redone point by point, so that the first
+    failing point raises its own error.
+    """
+    coords = np.asarray(coords_seq, dtype=float)
+    stack = stack or getattr(one, "_stack", None)
+    if stack is not None:
+        try:
+            return stack(coords)
+        except Exception:
+            pass  # the loop below raises the first failing point's error
+    return np.array([one(c) for c in coords], dtype=float)
+
+
 def _finite(stack: Array, coords_seq, error, what: str) -> Array:
     """``stack``, values at ``coords_seq``; raises ``error`` naming the first non-finite one."""
     finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
@@ -228,10 +257,15 @@ class ChartManifold:
     def _stacked_metrics(self, coords_list: list) -> list[Array]:
         """The unchecked metric at every point, as views of one symmetrized
         stack."""
-        g = np.array([self.metric(c) for c in coords_list], dtype=float)
+        return list(_symmetrized(self._raw_metrics(coords_list)))
+
+    def _raw_metrics(self, coords_seq) -> Array:
+        """``np.stack([self._raw_metric(c) for c in coords_seq])``, the metric
+        field's values converted and shaped once for the set."""
+        g = _point_set(self.metric, coords_seq)
         if g.shape[1:] != (self.dim, self.dim):  # one shape: the first point fails first
-            raise DegenerateMetricError(f"metric returned shape {g.shape[1:]} at {coords_list[0]}")
-        return list(_symmetrized(g))
+            raise DegenerateMetricError(f"metric returned shape {g.shape[1:]} at {coords_seq[0]}")
+        return g
 
     def _raw_metric(self, coords: Array) -> Array:
         """The metric field's value as a float (dim, dim) array, neither

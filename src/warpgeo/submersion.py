@@ -19,9 +19,17 @@ point set (``splittings_at``, ``dilations``). Their inputs are point sets
 too: the kernels read a set's Jacobians (``SmoothMap.jacobians_at``),
 images (``SmoothMap.images``) and metrics (``ChartManifold.metrics_at``),
 which call the user's callables once per point but convert, shape, check
-and symmetrize the results once per stack. FD Jacobians, the warped ambient
-metric and the product map's Jacobian are still assembled point by point,
-inside their callables. A single point (``splitting_at``, ``dilation``)
+and symmetrize the results once per stack. A callable that a builder
+assembles from its parts carries a point-set form (``manifold._with_stack``)
+that assembles the parts' stacks instead: the warped ambient metric from
+the factors' metric stacks and one warp value per point, the product map's
+images and Jacobian from the factor maps' point-set calls. An FD Jacobian
+stack comes from one ``DiffEngine.jacobian`` call over every stencil point
+of the set, combined with an array of per-point steps. Each structure is
+built by one helper over leading axes, which the single-point callable
+calls too, so a point's value does not depend on the path. A point-set
+form that raises is redone point by point, so the first failing point
+raises its own error. A single point (``splitting_at``, ``dilation``)
 is a stack of one. The splitting kernel copies the set's
 coordinates once and makes each of its stacked arrays read-only once; a
 ``Splitting``'s arrays are views of them. numpy's stacked ``svd``,
@@ -53,7 +61,7 @@ from .connection import (
     lie_bracket,
     metric_orthogonal_projector,
 )
-from .errors import ConformalityError, DegenerateMetricError, DomainError, RankError, StencilError
+from .errors import ConformalityError, DegenerateMetricError, DomainError, RankError
 from .fd import DiffEngine
 from .manifold import (
     _MEMO,
@@ -65,6 +73,7 @@ from .manifold import (
     _finite,
     _memoized,
     _memoized_many,
+    _point_set,
     analytic_fd_gap,
     gradient,
 )
@@ -101,18 +110,23 @@ class SmoothMap:
     def images(self, coords_seq) -> Array:
         """``np.stack([self(c) for c in coords_seq])``, converted once; raises
         DomainError naming the first point whose image is not in the target box."""
-        values = [self.fn(np.asarray(c, dtype=float)) for c in coords_seq]
+        images = self._image_values(coords_seq)
+        inside = self.target.contains(images)
+        if np.count_nonzero(inside) < len(inside):
+            i = np.argmin(inside)
+            raise DomainError(f"image {images[i]} of {coords_seq[i]} outside target domain")
+        return images
+
+    def _image_values(self, coords_seq) -> Array:
+        """``np.stack([self(c) for c in coords_seq])``, converted and shaped once
+        for the set: ``images`` without the target chart check."""
         try:
-            images = np.array(values, dtype=float)
+            images = _point_set(self.fn, coords_seq)
         except ValueError:  # images of different shapes: the first wrong one raises
             images = np.stack([self(c) for c in coords_seq])
         images = images[:, None] if images.ndim == 1 else images
         if images.shape[1:] != (self.target.dim,):  # one shape: the first point fails first
             raise DomainError(f"image of shape {images.shape[1:]} at {coords_seq[0]}")
-        inside = self.target.contains(images)
-        if np.count_nonzero(inside) < len(inside):
-            i = np.argmin(inside)
-            raise DomainError(f"image {images[i]} of {coords_seq[i]} outside target domain")
         return images
 
     def jacobian_at(self, coords, engine: DiffEngine) -> Array:
@@ -127,14 +141,31 @@ class SmoothMap:
         return J if J.shape == shape else _jacobian_stack([J], (coords,), shape)[0]
 
     def jacobians_at(self, coords_seq, engine: DiffEngine) -> Array:
-        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``, analytic
-        ones shaped once for the set; raises RankError naming the first non-finite one."""
+        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``, shaped
+        once for the set; raises RankError naming the first non-finite one.
+
+        FD Jacobians come from one ``DiffEngine.jacobian`` call over all
+        stencil points of the set."""
+        return _finite(self._jacobian_values(coords_seq, engine), coords_seq, RankError,
+                       "Jacobian")
+
+    def _jacobian_values(self, coords_seq, engine: DiffEngine) -> Array:
+        """``jacobians_at`` without the finiteness check."""
+        shape = (self.target.dim, self.source.dim)
         if self.jac is None:
-            J = np.stack([self.jacobian_at(c, engine) for c in coords_seq])
-        else:
-            J = _jacobian_stack([self.jac(np.asarray(c, dtype=float)) for c in coords_seq],
-                                coords_seq, (self.target.dim, self.source.dim))
-        return _finite(J, coords_seq, RankError, "Jacobian")
+            return _point_set(lambda c: self.jacobian_at(c, engine), coords_seq,
+                              lambda coords: self._fd_jacobians(coords, engine))
+        try:
+            values = _point_set(self.jac, coords_seq)
+        except ValueError:  # values of different shapes: each is shaped alone
+            values = [self.jac(np.asarray(c, dtype=float)) for c in coords_seq]
+        return _jacobian_stack(values, coords_seq, shape)
+
+    def _fd_jacobians(self, coords: Array, engine: DiffEngine) -> Array:
+        """The FD ``jacobian_at`` of each row of ``coords``, from one
+        ``DiffEngine.jacobian`` call over the stencil points of the set."""
+        J = engine.jacobian(self.fn, coords, self.source.lower, self.source.upper)
+        return _jacobian_stack(J, coords, (self.target.dim, self.source.dim))
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
         """Max scaled gap between analytic and FD ``jacobians_at``; 0.0 if numeric."""
@@ -367,14 +398,7 @@ class SubmersionContext:
         if _MEMO.get() is None:
             return
         M = self.map.source
-        axes = tuple(axes)
-        stencils = []
-        for p in points:
-            for axis in axes:
-                try:
-                    stencils.extend(self.engine.stencil_points(p, M.lower, M.upper, (axis,)))
-                except StencilError:
-                    continue
+        stencils = self.engine.fitting_stencil_points(points, M.lower, M.upper, axes)
         fetch = self.dilations if dilations else self.splittings_at
         for block in _blocks(stencils):
             try:

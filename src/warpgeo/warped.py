@@ -27,6 +27,7 @@ from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
+    _with_stack,
     gradient,
     scalar_partials,
 )
@@ -91,30 +92,50 @@ def build_warped_product(
 
     The warp is validated lazily: any evaluation with f <= 0, NaN or inf raises
     WarpPositivityError, so sampling suites surface violations with the
-    offending point.
+    offending point. The ambient metric of a point set (``metrics_at``) is
+    assembled from the factors' metric stacks and one warp value per point.
     """
     m1 = first.dim
     dim = m1 + second.dim
     first_block, second_block = slice(0, m1), slice(m1, dim)
+
+    blocks = (first_block, second_block)
 
     def metric(coords):
         c1, c2 = coords[first_block], coords[second_block]
         f = warp(c1)
         if not 0.0 < f < np.inf:  # NaN fails every comparison
             raise WarpPositivityError(f"warp {f} is not in (0, inf) at first-factor point {c1}")
-        g = np.zeros((dim, dim))
-        g[first_block, first_block] = first._raw_metric(c1)
-        g[second_block, second_block] = (f * f) * second._raw_metric(c2)
-        return g
+        return _warped_metric(np.zeros((dim, dim)), blocks, first._raw_metric(c1), f,
+                              second._raw_metric(c2))
+
+    def metrics(coords):
+        c1, c2 = coords[:, first_block], coords[:, second_block]
+        f = np.array([warp(c) for c in c1])
+        if not np.all((f > 0.0) & (f < np.inf)):
+            # _point_set redoes the set point by point: the first one raises
+            raise WarpPositivityError("warp not in (0, inf)")
+        return _warped_metric(np.zeros((len(coords), dim, dim)), blocks, first._raw_metrics(c1),
+                              f[:, None, None], second._raw_metrics(c2))
 
     ambient = ChartManifold(
         dim,
         np.concatenate([first.lower, second.lower]),
         np.concatenate([first.upper, second.upper]),
-        metric,
+        _with_stack(metric, metrics),
         name=name or f"({first.name})x_warp({second.name})",
     )
     return WarpedProduct(first, second, warp, ambient)
+
+
+def _warped_metric(g: Array, blocks: tuple, g1: Array, f, g2: Array) -> Array:
+    """diag(g1, f^2 g2), written into the zeros ``g`` along the first and
+    second factor ``blocks``: at one point, or at each point of stacks g1
+    (N, m1, m1), f (N, 1, 1) and g2 (N, m2, m2). Returns ``g``."""
+    first, second = blocks
+    g[..., first, first] = g1
+    g[..., second, second] = (f * f) * g2
+    return g
 
 
 def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField]:

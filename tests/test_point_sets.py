@@ -3,12 +3,16 @@ bit-identical to the single-point calls, which compute a stack of one, on
 every catalog context; the same first error in input order; and one memo
 entry per point shared with ``splitting_at`` and ``dilation``; the kernels'
 point-set inputs (``metrics_at``, ``jacobians_at``, ``images``) against
-their single-point calls; the block residuals of ``splitting_records``
-against a point-by-point walk; plus the numpy property the one stacked
-kernel rests on."""
+their single-point calls, including the point-set forms the builders
+assemble (the warped ambient metric, the product map's images and
+Jacobian) and FD Jacobians, with the same errors and as many evaluations
+of each user callable; the block residuals of ``splitting_records`` and
+the block entries of ``compatibility_report`` against a point-by-point
+walk; plus the numpy property the one stacked kernel rests on."""
 
+from collections import Counter
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,15 +23,23 @@ from warpgeo import (
     DegenerateMetricError,
     DiffEngine,
     RankError,
+    RunConfig,
+    ScalarField,
     SmoothMap,
+    StencilError,
     SubmersionContext,
+    build_product_submersion,
+    build_warped_product,
+    compatibility,
+    compatibility_report,
     evaluation_scope,
+    identity_map,
 )
 from warpgeo import manifold, suites
-from warpgeo.fd import SCHEMES
+from warpgeo.fd import SCHEMES, STENCILS
 from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
 from warpgeo.sampling import sample_points
-from warpgeo.scenarios import build_objects, list_scenarios
+from warpgeo.scenarios import _compatibility_records, build_objects, list_scenarios
 from warpgeo.submersion import Splitting, _in_blocks
 
 SIZES = (0, 1, 64, 65)
@@ -36,7 +48,8 @@ ENGINE = DiffEngine()
 STACKED_KERNEL = (
     "the stacked kernel of SubmersionContext.splittings_at/dilations is only "
     "bit-identical to splitting_at/dilation, its point-set metrics and "
-    "Jacobians to metric_at/jacobian_at, and the block residuals of "
+    "Jacobians (warped ambient, product and FD ones included) to "
+    "metric_at/jacobian_at, and the block residuals of "
     "suites.splitting_records to a point-by-point walk, while numpy's stacked "
     "calls equal its per-matrix calls"
 )
@@ -365,6 +378,209 @@ def test_a_target_metric_error_precedes_a_later_failing_image(scoped):
     assert got == want == (ValueError, "target metric undefined at [0.25]", None, None)
 
 
+# -- the assembled point-set forms: warped ambient metric, product map, FD Jacobians
+
+
+def _asymmetric_warped_product():
+    """A warped product whose factor metrics are not symmetric (each point's
+    metric is symmetrized once, by ``metric_at``) and whose warp is not 1."""
+    first = ChartManifold(2, -1.0, 1.0,
+                          lambda c: np.array([[2.0 + c[0], 0.3 * c[1]], [0.1 * c[0], 1.5]]))
+    second = ChartManifold(2, -1.0, 1.0,
+                           lambda c: np.array([[1.0, 0.2 * c[0] ** 2], [-0.1, 1.0 + c[1] ** 2]]))
+    return build_warped_product(first, second, ScalarField(lambda c: np.exp(0.4 * c[0] - c[1])))
+
+
+def _ambient_charts():
+    """(warped ambient chart, points in it): the asymmetric product and every
+    warped product of the catalog, the targets at the images of the sources."""
+    W = _asymmetric_warped_product()
+    coords = sample_points(W.ambient.lower, W.ambient.upper, max(SIZES), 9, 1e-3)
+    out = {id(W.ambient): (W.ambient, [W.ambient.point(c) for c in coords])}
+    for scenario in list_scenarios():
+        objs = build_objects(scenario.scenario_id, ENGINE)
+        coords = sample_points(objs["sample_lower"], objs["sample_upper"], max(SIZES), 9, 4e-5)
+        if "cws" in objs:
+            F = objs["cws"].ctx.map
+            points = [F.source.point(c) for c in coords]
+            out[id(F.source)] = (F.source, points)
+            out[id(F.target)] = (F.target, list(F.images(points)))
+        elif "warped" in objs:
+            M = objs["warped"].ambient
+            out[id(M)] = (M, [M.point(c) for c in coords])
+    return list(out.values())
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+def test_warped_ambient_metrics_bit_identical_to_single_points(scoped):
+    charts = _ambient_charts()
+    assert len(charts) == 1 + 3 + 2 * 5  # the asymmetric product, 3 warped and 5 cws scenarios
+    for M, points in charts:
+        assert M.metric._stack is not None
+        want = [M.metric_at(c, check=False) for c in points]
+        for n in SIZES[1:]:
+            with evaluation_scope() if scoped else nullcontext():
+                got = M.metrics_at(points[:n])
+            assert len(got) == n and all(_same_bits(w, g) for w, g in zip(want, got)), M.name
+    # the warp reaches the second block, the asymmetry both
+    M, points = charts[0]
+    g = M.metrics_at(points[:1])[0]
+    assert g[2, 3] == g[3, 2] != 0.0 and g[0, 1] == g[1, 0] != 0.0
+
+
+def _fd_factor_product():
+    """A product of factor maps without analytic Jacobians."""
+    M1 = ChartManifold.euclidean(2, [-2, -2], [2, 2])
+    phi1 = SmoothMap(M1, ChartManifold.euclidean(1, [-9], [9]),
+                     lambda c: np.array([np.sin(c[0]) + c[1]]))
+    M2 = ChartManifold.euclidean(1, [-2], [2])
+    phi2 = SmoothMap(M2, M2, lambda c: 0.5 * c)
+    unit = ScalarField.constant(1.0)
+    return build_product_submersion(phi1, unit, phi2, unit, unit, unit, ENGINE), (-1.5, 1.5)
+
+
+def _product_maps():
+    """(product map, points): every catalog product and one of FD factors."""
+    out = []
+    for scenario in list_scenarios():
+        objs = build_objects(scenario.scenario_id, ENGINE)
+        if "cws" in objs:
+            F = objs["cws"].ctx.map
+            coords = sample_points(objs["sample_lower"], objs["sample_upper"], max(SIZES), 13,
+                                   4e-5)
+            out.append((F, [F.source.point(c) for c in coords]))
+    cws, (low, high) = _fd_factor_product()
+    F = cws.ctx.map
+    coords = sample_points(np.full(3, low), np.full(3, high), max(SIZES), 13, 4e-5)
+    return out + [(F, [F.source.point(c) for c in coords])]
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+def test_product_images_and_jacobians_bit_identical_to_single_points(scoped):
+    for F, points in _product_maps():
+        assert F.fn._stack is not None and F.jac._stack is not None
+        want_images = np.stack([F.fn(p) for p in points])
+        want_jacobians = np.stack([F.jac(p) for p in points])
+        for n in SIZES[1:]:
+            with evaluation_scope() if scoped else nullcontext():
+                assert _same_bits(F.images(points[:n]), want_images[:n])
+                assert _same_bits(F.jacobians_at(points[:n], ENGINE), want_jacobians[:n])
+
+
+def _fd_maps():
+    """(FD map, points), each set with points whose steps shrink at an edge
+    of the box: the catalog's FD map, a map into the plane and a scalar one."""
+    objs = build_objects("exp-spiral-r4", ENGINE)
+    spiral = objs["ctx_fd"].map
+    M = ChartManifold.euclidean(3, -1.0, 1.0)
+    plane = SmoothMap(M, ChartManifold.euclidean(2),
+                      lambda c: np.array([np.sin(c[0]) * c[1], c[2] ** 3 - c[0]]))
+    line = SmoothMap(M, ChartManifold.euclidean(1), lambda c: float(c[0] * np.exp(c[1] + c[2])))
+    rng = np.random.default_rng(17)
+    out = []
+    for F, low, high in ((spiral, objs["sample_lower"], objs["sample_upper"]),
+                         (plane, M.lower, M.upper), (line, M.lower, M.upper)):
+        coords = sample_points(low, high, max(SIZES), 17, 1e-3)
+        # every third point sits 3e-6 (a third of that step) from a wall
+        for i in range(0, len(coords), 3):
+            axis = rng.integers(F.source.dim)
+            wall = F.source.upper[axis] if i % 2 else F.source.lower[axis]
+            coords[i, axis] = wall - np.sign(wall) * 3e-6
+        out.append((F, [F.source.point(c) for c in coords]))
+    return out
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fd_jacobians_bit_identical_to_single_points(scheme, scoped, monkeypatch):
+    engine = DiffEngine(scheme=scheme)
+    maps = [(F, points, np.stack([F.jacobian_at(p, engine) for p in points]))
+            for F, points in _fd_maps()]
+    # one evaluation over the set's stencils, not a loop of single points
+    monkeypatch.setattr(DiffEngine, "partial", None)
+    for F, points, want in maps:
+        assert F.jac is None
+        for n in SIZES[1:]:
+            with evaluation_scope() if scoped else nullcontext():
+                assert _same_bits(F.jacobians_at(points[:n], engine), want[:n])
+
+
+def test_fd_jacobians_raise_the_single_point_stencil_error():
+    M = ChartManifold.euclidean(2, -1.0, 1.0)
+    F = SmoothMap(M, ChartManifold.euclidean(1), lambda c: c[:1] * c[1])
+    good, tight = M.point([0.1, 0.2]), M.point([0.3, 1.0 - 1e-11])
+    want = _outcome(lambda: F.jacobian_at(tight, ENGINE))
+    assert want[0] is StencilError and "room to boundary 1.000e-11" in want[1]
+    for points in ([tight], [good, tight], [good, tight, tight, good]):
+        assert _outcome(lambda: F.jacobians_at(points, ENGINE)) == want
+
+
+def _with_single_point_callables(F: SmoothMap) -> SmoothMap:
+    """``F`` with its callables and its charts' metrics behind plain
+    functions, which carry no point-set form."""
+    def plain(fn):
+        return None if fn is None else (lambda c: fn(c))
+
+    def chart(M):
+        return replace(M, metric=plain(M.metric))
+
+    return replace(F, source=chart(F.source), target=chart(F.target), fn=plain(F.fn),
+                   jac=plain(F.jac))
+
+
+def _product_bad_from_second_point(datum: str, fault) -> SubmersionContext:
+    """The product of (x, y) |-> x on (-1, 1)^2 and the identity of (-1, 1),
+    with warps e^{x/4} and e^{u/4}, whose first factor's ``datum`` ("metric",
+    "jac", "fn" or the warp "f") is ``fault`` of its good value from
+    x = 0.2 on."""
+    def good_then(name, good):
+        return good if name != datum else (lambda c: good(c) if c[0] < 0.2 else fault(good(c)))
+
+    M1 = ChartManifold(2, -1.0, 1.0, good_then("metric", lambda c: np.eye(2)))
+    N1 = ChartManifold.euclidean(1, -1.0, 1.0)
+    phi1 = SmoothMap(M1, N1, good_then("fn", lambda c: c[:1]),
+                     good_then("jac", lambda c: np.array([[1.0, 0.0]])))
+    M2 = ChartManifold.euclidean(1, -1.0, 1.0)
+    unit = ScalarField.constant(1.0)
+    f = ScalarField(good_then("f", lambda c: float(np.exp(c[0] / 4.0))))
+    rho = ScalarField(lambda y: float(np.exp(y[0] / 4.0)))
+    return build_product_submersion(phi1, unit, identity_map(M2), unit, f, rho, ENGINE).ctx
+
+
+PRODUCT_POINTS = [np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.4, 0.5]),
+                  np.array([0.5, 0.6, -0.2])]
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+@pytest.mark.parametrize("datum, fault, error", [
+    ("metric", lambda g: np.stack([g, g]), "metric returned shape (2, 2, 2) at [0.3 0.4]"),
+    ("jac", lambda J: J.T, "Jacobian of shape (2, 1) at [0.3 0.4], expected (1, 2)"),
+    ("f", lambda v: np.nan, "warp nan is not in (0, inf) at first-factor point [0.3 0.4]"),
+    ("f", lambda v: np.inf, "warp inf is not in (0, inf) at first-factor point [0.3 0.4]"),
+    ("fn", lambda y: np.array([np.nan]),
+     "image [nan 0.5] of [0.3 0.4 0.5] outside target domain"),
+], ids=["metric-shape", "jacobian-shape", "nan-warp", "inf-warp", "nan-image"])
+def test_a_bad_factor_datum_raises_the_single_point_error(datum, fault, error, scoped):
+    ctx = _product_bad_from_second_point(datum, fault)
+    plain = SubmersionContext(_with_single_point_callables(ctx.map), ENGINE)
+    for points in (PRODUCT_POINTS, PRODUCT_POINTS[1:]):
+        calls = [
+            lambda c: c.map.source.metrics_at(points), lambda c: c.map.jacobians_at(points, ENGINE),
+            lambda c: c.map.images(points), lambda c: c.splittings_at(points),
+            lambda c: c.dilations(points),
+        ]
+        outcomes = []
+        for call in calls:
+            with evaluation_scope() if scoped else nullcontext():
+                want = _outcome(lambda: call(plain))
+            with evaluation_scope() if scoped else nullcontext():
+                got = _outcome(lambda: call(ctx))
+            if isinstance(want, tuple):
+                assert got == want
+                outcomes.append(want[1])
+        assert error in outcomes
+
+
 def _splitting_records_per_point(ctx, points, rng):
     """The split-decomposition check of ``suites.splitting_records`` walked
     point by point: one draw, ten small products and a Python ``max`` per
@@ -422,6 +638,66 @@ def test_splitting_records_equal_the_point_by_point_walk(scenario, scoped, monke
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _entries(entries) -> tuple:
+    """The fields of compatibility entries, floats as bits."""
+    return ([id(e.coords) for e in entries], [e.conformal_here for e in entries],
+            np.array([[e.r1, e.r2, e.residual] for e in entries]).tobytes())
+
+
+@pytest.mark.parametrize("scenario", ["cws-variable-dilation", "cws-incompatible",
+                                      "cws-mixed-local"])
+def test_compatibility_report_equals_the_point_by_point_walk(scenario):
+    objs = build_objects(scenario, ENGINE)
+    cws = objs["cws"]
+    coords = sample_points(objs["sample_lower"], objs["sample_upper"], 130, 3, 4e-5)
+    points = [cws.source.ambient.point(c) for c in coords]
+    for n in (1, 64, 65, 130):
+        want = [compatibility(cws, p) for p in points[:n]]
+        assert _entries(compatibility_report(cws, points[:n])) == _entries(want)
+    verdicts = {"cws-variable-dilation": {True}, "cws-incompatible": {False},
+                "cws-mixed-local": {False}}  # conformal on a slice only
+    assert {e.conformal_here for e in compatibility_report(cws, points)} == verdicts[scenario]
+
+
+def _failing_factor_data():
+    """A product of the identities of (-1, 1)^2 and (-1, 1), except that
+    phi1's target is (-0.65, 1) x (-1, 1), whose data fail in these regions
+    of (x, y, z): lambda1 = 0 at x > 0.6, lambda2 = -1 at z > 0.6, f = NaN at
+    y > 0.6, phi1 leaves its target at x < -0.65, rho = 0 at y < -0.6, and
+    f = 1e-170 at 0.4 < y < 0.5, so that f^2 is zero; lambda1 = 1e200 at
+    0.4 < x < 0.5 and lambda2 = 1e200 at 0.4 < z < 0.5 overflow r1 and r2
+    to a NaN residual."""
+    M1 = ChartManifold.euclidean(2, -1.0, 1.0)
+    N1 = ChartManifold.euclidean(2, [-0.65, -1.0], [1.0, 1.0])
+    phi1 = SmoothMap(M1, N1, lambda c: c, lambda c: np.eye(2))
+    M2 = ChartManifold.euclidean(1, -1.0, 1.0)
+    lambda1 = ScalarField(lambda c: 0.0 if c[0] > 0.6 else 1e200 if 0.4 < c[0] < 0.5 else 1.0)
+    lambda2 = ScalarField(lambda c: -1.0 if c[0] > 0.6 else 1e200 if 0.4 < c[0] < 0.5 else 1.0)
+    f = ScalarField(lambda c: np.nan if c[1] > 0.6 else 1e-170 if 0.4 < c[1] < 0.5 else 1.0)
+    rho = ScalarField(lambda y: 0.0 if y[1] < -0.6 else 1.0)
+    return build_product_submersion(phi1, lambda1, identity_map(M2), lambda2, f, rho, ENGINE)
+
+
+@pytest.mark.parametrize("order", [
+    [[0.1, 0.1, 0.1], [0.7, 0.1, 0.7], [0.1, 0.7, 0.7]],  # lambda1 before lambda2
+    [[0.1, 0.1, 0.1], [0.1, 0.7, 0.7], [0.7, 0.1, 0.7]],  # lambda2 before f
+    [[0.1, 0.7, 0.1], [-0.7, -0.7, 0.1]],  # f first
+    [[-0.7, -0.7, 0.1], [0.1, 0.7, 0.1]],  # the image before rho
+    [[0.1, -0.7, 0.1], [0.7, 0.1, 0.1]],  # rho first
+    [[0.1, 0.1, 0.1], [0.1, 0.45, 0.1], [0.2, 0.2, 0.2]],  # f^2 = 0 divides by zero
+    [[0.1, 0.1, 0.1], [0.45, 0.1, 0.45], [0.2, 0.2, 0.2]],  # a NaN residual
+], ids=["lambda1", "lambda2", "warp", "image", "rho", "zero-warp-squared", "nan-residual"])
+def test_a_failing_compatibility_block_raises_as_the_point_by_point_walk(order):
+    cws = _failing_factor_data()
+    points = [cws.source.ambient.point(c) for c in order]
+    want = _outcome(lambda: _entries([compatibility(cws, p) for p in points]))
+    assert _outcome(lambda: _entries(compatibility_report(cws, points))) == want
+    if order[1] == [0.45, 0.1, 0.45]:
+        assert np.isnan(compatibility_report(cws, points)[1].residual)
+    else:
+        assert isinstance(want, tuple) and len(want) == 4  # an error
+
+
 def _hand_built_splitting(x, jacobian_xy=0.0, metric_yx=0.0):
     """The splitting at (x, 0) of (x, y) -> x on the Euclidean plane, with
     the Jacobian entry that acts on the vertical part and a metric entry
@@ -455,6 +731,13 @@ def test_a_nan_in_any_term_fails_split_decomposition(bad):
     assert not record.passed and not np.isfinite(record.max_residual)
 
 
+def _combined(scheme, values, h):
+    """The scheme's combine of the stencil values ``values[k]``, in call
+    order, at step ``h``: a float, or an array that broadcasts over them."""
+    calls = iter(values)
+    return STENCILS[scheme][1](lambda t: next(calls), h)
+
+
 def test_numpy_stacked_calls_equal_per_matrix_calls():
     rng = np.random.default_rng(20261018)
     for m, n in ((1, 1), (1, 2), (2, 4), (3, 5), (5, 5)):
@@ -471,6 +754,10 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
         draws = [one_by_one.uniform(-1.0, 1.0, size=n) for _ in range(N)]
         # the values a user's metric or Jacobian returns: arrays and lists
         items = [J[i].tolist() if i % 2 else J[i] for i in range(N)]
+        # four stencil values per point, a step and a warp per point
+        V = rng.standard_normal((4, N, n))
+        h = rng.uniform(1e-7, 1e-4, size=N)
+        f = rng.uniform(0.5, 2.0, size=N)
         cases = {
             "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
             "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
@@ -499,6 +786,18 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
             "array of a list": (
                 lambda: np.array(items, dtype=float), lambda i: np.asarray(items[i], dtype=float),
             ),
+            "central2 combine": (
+                lambda: _combined("central2", V, h[:, None]),
+                lambda i: _combined("central2", V[:, i], float(h[i])),
+            ),
+            "central4 combine": (
+                lambda: _combined("central4", V, h[:, None]),
+                lambda i: _combined("central4", V[:, i], float(h[i])),
+            ),
+            "warp squared": (
+                lambda: (f * f)[:, None, None] * Gt,
+                lambda i: (float(f[i]) * float(f[i])) * Gt[i],
+            ),
         }
         for name, (stacked, single) in cases.items():
             whole = stacked()
@@ -507,3 +806,120 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                 same = all(np.array_equal(a[i], b) for a, b in zip(whole, one)) \
                     if isinstance(one, tuple) else np.array_equal(whole[i], one)
                 assert same, f"{name} on ({m}, {n}) matrices, matrix {i}: {STACKED_KERNEL}"
+
+
+# -- user callables are evaluated as often as at one point at a time -------
+
+SURVEY_POINTS = 65  # one full block of POINT_BLOCK points and one of a single point
+
+
+def _user_callables(obj, path: str, seen: set):
+    """``(label, holder, attribute)`` of every chart metric, map ``fn`` and
+    ``jac`` and ``ScalarField.fn`` reachable from ``obj`` through dicts and
+    dataclass fields, each holder once, labelled by its first path."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    attrs = {ChartManifold: ("metric",), SmoothMap: ("fn", "jac"), ScalarField: ("fn",)}
+    for cls, names in attrs.items():
+        if isinstance(obj, cls):
+            for name in names:
+                if getattr(obj, name) is not None:
+                    yield f"{path}.{name}", obj, name
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        children = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+    else:
+        return
+    for name, child in children:
+        yield from _user_callables(child, f"{path}.{name}", seen)
+
+
+def _counted(fn, counts: Counter, label: str, stacked: set):
+    """``fn``, counting its evaluations under ``label``; where ``fn`` has a
+    point-set form, a call of it counts one evaluation per point, and adds
+    ``label`` to ``stacked``."""
+    def counted(coords):
+        counts[label] += 1
+        return fn(coords)
+
+    stack = getattr(fn, "_stack", None)
+    if stack is not None:
+        def counted_stack(coords):
+            counts[label] += len(coords)
+            stacked.add(label)
+            return stack(coords)
+
+        counted._stack = counted_stack
+    return counted
+
+
+def _dilation_survey_counts(scenario: str) -> tuple[dict, set]:
+    """The evaluations of each user callable in one pass of the benchmark's
+    dilation-survey calls on ``scenario``, at ``SURVEY_POINTS`` points, and
+    the callables whose point-set form was called."""
+    engine = DiffEngine()
+    objs = build_objects(scenario, engine)
+    counts, stacked = Counter(), set()
+    with pytest.MonkeyPatch.context() as patch:
+        for label, holder, name in list(_user_callables(objs, "objs", set())):
+            patch.setitem(vars(holder), name,
+                          _counted(getattr(holder, name), counts, label, stacked))
+        cws = objs.get("cws")
+        M = cws.source.ambient if cws is not None else objs["ctx"].map.source
+        coords = sample_points(objs["sample_lower"], objs["sample_upper"], SURVEY_POINTS, 7,
+                               4.0 * engine.step)
+        points = [M.point(c) for c in coords]
+        rng = np.random.default_rng(7)
+        lam = objs["expected_lambda_sq"]
+        if cws is None:
+            suites.splitting_records(objs["ctx"], points, rng)
+            suites.dilation_records(objs["ctx"], points, lam)
+            suites.dilation_records(objs["ctx_fd"], points, lam, check_prefix="fd-")
+        else:
+            suites.splitting_records(cws.ctx, points, rng)
+            suites.dilation_records(cws.ctx, points, lam, expect_conformal=lam is not None)
+            _compatibility_records(cws, points, RunConfig(), lam is not None)
+    return dict(counts), stacked
+
+
+# evaluations per user callable in one dilation-survey pass, measured when
+# the warped ambient metric, the product map and FD Jacobians were still
+# evaluated one point at a time inside the point-set calls
+SURVEY_COUNTS = {
+    "exp-spiral-r4": {
+        "objs.ctx.map.fn": 65, "objs.ctx.map.jac": 130, "objs.ctx.map.source.metric": 195,
+        "objs.ctx.map.target.metric": 130, "objs.ctx_fd.map.fn": 585,
+    },
+    "cws-variable-dilation": {
+        "objs.ctx.map.fn": 130, "objs.ctx.map.jac": 195, "objs.ctx.map.source.metric": 195,
+        "objs.ctx.map.target.metric": 130, "objs.cws.ctx1.map.fn": 195,
+        "objs.cws.ctx1.map.jac": 195, "objs.cws.ctx2.map.fn": 130, "objs.cws.ctx2.map.jac": 195,
+        "objs.cws.lambda1.fn": 65, "objs.cws.lambda2.fn": 260,
+        "objs.cws.source.first.metric": 195, "objs.cws.source.second.metric": 195,
+        "objs.cws.source.warp.fn": 260, "objs.cws.target.first.metric": 130,
+        "objs.cws.target.second.metric": 130,
+    },
+    "cws-incompatible": {
+        "objs.ctx.map.fn": 65, "objs.ctx.map.jac": 130, "objs.ctx.map.source.metric": 130,
+        "objs.ctx.map.target.metric": 65, "objs.cws.ctx1.map.fn": 130,
+        "objs.cws.ctx1.map.jac": 130, "objs.cws.ctx2.map.fn": 65, "objs.cws.ctx2.map.jac": 130,
+        "objs.cws.lambda1.fn": 130, "objs.cws.source.first.metric": 130,
+        "objs.cws.source.second.metric": 130, "objs.cws.source.warp.fn": 195,
+        "objs.cws.target.first.metric": 65, "objs.cws.target.second.metric": 65,
+        "objs.cws.target.warp.fn": 130,
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", INPUT_SCENARIOS)
+def test_point_sets_evaluate_each_user_callable_as_often_as_single_points(scenario):
+    # a point-set form that evaluated more often, or raised and was redone
+    # point by point, would count more; the catalog product's ambient
+    # metrics, images and Jacobians are each read through their point-set form
+    counts, stacked = _dilation_survey_counts(scenario)
+    assert counts == SURVEY_COUNTS[scenario]
+    product = {"objs.ctx.map.fn", "objs.ctx.map.jac", "objs.ctx.map.source.metric",
+               "objs.ctx.map.target.metric"}
+    assert stacked == (set() if scenario == "exp-spiral-r4" else product)
