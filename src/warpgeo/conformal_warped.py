@@ -9,10 +9,11 @@ conformal exactly where the two candidate squared dilations agree:
     r2 = rho(phi1(p1))^2 lambda2(p2)^2 / f(p1)^2
 
 When they agree, the product's squared dilation is r1; the verifiers below
-measure this compatibility instead of assuming it, cross-check the product's
-A tensor against the per-factor formulas (both denominator conventions), and
-exercise the Riemannian reduction and the conformal rescaling that turns the
-product into a Riemannian submersion.
+measure this compatibility instead of assuming it (``compatibility_report``,
+on the stacked factor data of each block of points), cross-check the
+product's A tensor against the per-factor formulas (both denominator
+conventions), and exercise the Riemannian reduction and the conformal
+rescaling that turns the product into a Riemannian submersion.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .connection import christoffel, lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
-from .manifold import ChartManifold, ScalarField, VectorField, _with_stack
+from .manifold import ChartManifold, ScalarField, VectorField, _point_set, _with_stack
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
@@ -88,7 +89,10 @@ def build_product_submersion(
     """Assemble the product map with block-diagonal Jacobian.
 
     The product's images and Jacobians of a point set (``images``,
-    ``jacobians_at``) are assembled from the factor maps' stacks."""
+    ``jacobians_at``) are assembled from the factor maps' checked
+    ``images`` and ``jacobians_at``. A factor failure raises there, and
+    ``_point_set`` redoes the set with the per-point ``fn`` and ``jac``, so
+    the product's own first failing point raises."""
     source = build_warped_product(phi1.source, phi2.source, f)
     target = build_warped_product(phi1.target, phi2.target, rho)
     m1, m2 = source.block("first"), source.block("second")
@@ -106,7 +110,7 @@ def build_product_submersion(
         return joined(phi1(coords[m1]), phi2(coords[m2]))
 
     def images(coords):
-        return joined(phi1._image_values(coords[:, m1]), phi2._image_values(coords[:, m2]))
+        return joined(phi1.images(coords[:, m1]), phi2.images(coords[:, m2]))
 
     def jac(coords):
         return _block_diagonal(np.zeros(shape), blocks, phi1.jacobian_at(coords[m1], engine),
@@ -114,8 +118,8 @@ def build_product_submersion(
 
     def jacobians(coords):
         return _block_diagonal(np.zeros((len(coords),) + shape), blocks,
-                               phi1._jacobian_values(coords[:, m1], engine),
-                               phi2._jacobian_values(coords[:, m2], engine))
+                               phi1.jacobians_at(coords[:, m1], engine),
+                               phi2.jacobians_at(coords[:, m2], engine))
 
     product = SmoothMap(source.ambient, target.ambient, _with_stack(fn, images),
                         _with_stack(jac, jacobians),
@@ -140,7 +144,8 @@ def _block_diagonal(J: Array, blocks: tuple, J1: Array, J2: Array) -> Array:
 def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
     """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises DomainError
     where phi1's image leaves the target chart, then WarpPositivityError
-    naming the first value that is not positive, NaN included, or not finite."""
+    naming the first value that is not positive, NaN included, or not
+    finite, then where f^2 underflows to zero."""
     c1, c2 = cws.source.split_coords(coords)
     values = (cws.lambda1(c1), cws.lambda2(c2), cws.source.warp(c1),
               cws.target.warp(cws.ctx1.map.image_point(c1)))
@@ -149,56 +154,44 @@ def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
             raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")
         if not math.isfinite(value):
             raise WarpPositivityError(f"{label} = {value} is not finite at {coords}")
+    if not values[2] * values[2] > 0.0:
+        raise WarpPositivityError(f"source warp = {values[2]} squares to 0 at {coords}")
     return values
 
 
+def _factor_data_of_set(cws: ConformalWarpedSubmersion, coords: Array) -> Array:
+    """The ``_positive_factor_data`` rows at the rows of ``coords``, with
+    phi1's images in one ``images`` call; raises where any datum fails."""
+    c1, c2 = coords[:, cws.source.block("first")], coords[:, cws.source.block("second")]
+    data = np.array([(cws.lambda1(a), cws.lambda2(b), cws.source.warp(a), cws.target.warp(y))
+                     for a, b, y in zip(c1, c2, cws.ctx1.map.images(c1))])
+    if not (np.all((data > 0.0) & (data < np.inf)) and np.all(data[:, 2] * data[:, 2] > 0.0)):
+        raise WarpPositivityError("a dilation or a warp fails in the set")
+    return data
+
+
 def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
-    """r1 vs r2 at one point; conformal iff |r1/r2 - 1| is at most the
-    unscaled ``TOLERANCES["conformality/threshold"]``. Raises
-    WarpPositivityError where a dilation or a warp is not positive."""
-    l1, l2, fv, rv = _positive_factor_data(cws, coords)
-    r1 = l1 * l1
-    r2 = (rv * rv) * (l2 * l2) / (fv * fv)
-    residual = abs(r1 / r2 - 1.0)
-    return CompatibilityEntry(coords, r1, r2, residual <= TOLERANCES["conformality/threshold"],
-                              residual)
+    """r1 vs r2 at one point, a ``compatibility_report`` of one point."""
+    return compatibility_report(cws, [coords])[0]
 
 
 def compatibility_report(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> tuple:
-    """``compatibility`` at each point, in order, one block of ``POINT_BLOCK``
-    points at a time: one ``images`` call of phi1 and the same arithmetic,
-    in the same operand order, on stacked values. A block in which a value
-    fails, or f^2 is zero (where the single-point call divides by zero),
-    is walked point by point, so that its first failing point raises its
-    own error."""
-    return tuple(entry for block in _blocks(points) for entry in _compatibility_block(cws, block))
-
-
-def _compatibility_block(cws: ConformalWarpedSubmersion, block) -> list:
-    """The entries of one block of ``compatibility_report``."""
-    try:
-        l1, l2, fv, rv = data = _stacked_factor_data(cws, block)
-    except Exception:  # the walk below raises the first failing point's error
-        data = None
-    if data is None or not np.all((data > 0.0) & (data < np.inf)) or not np.all(fv * fv > 0.0):
-        return [compatibility(cws, p) for p in block]
-    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
-        r1 = l1 * l1
-        r2 = (rv * rv) * (l2 * l2) / (fv * fv)
-        residual = np.abs(r1 / r2 - 1.0)
+    """r1 vs r2 at each point, in order; conformal iff |r1/r2 - 1| is at most
+    the unscaled ``TOLERANCES["conformality/threshold"]``. A block of
+    ``POINT_BLOCK`` points reads its factor data through ``_point_set``, so
+    the first point where ``_positive_factor_data`` fails raises its error."""
     threshold = TOLERANCES["conformality/threshold"]
-    return [CompatibilityEntry(p, a, b, r <= threshold, r)
-            for p, a, b, r in zip(block, r1.tolist(), r2.tolist(), residual.tolist())]
-
-
-def _stacked_factor_data(cws: ConformalWarpedSubmersion, block) -> Array:
-    """The rows lambda1, lambda2, f and rho o phi1 at the points of ``block``,
-    unchecked."""
-    coords = np.asarray(block, dtype=float)
-    c1, c2 = coords[:, cws.source.block("first")], coords[:, cws.source.block("second")]
-    return np.array([[cws.lambda1(c) for c in c1], [cws.lambda2(c) for c in c2],
-                     [cws.source.warp(c) for c in c1],
-                     [cws.target.warp(y) for y in cws.ctx1.map.images(c1)]])
+    entries = []
+    for block in _blocks(points):
+        l1, l2, fv, rv = _point_set(lambda c: _positive_factor_data(cws, c), block,
+                                    lambda coords: _factor_data_of_set(cws, coords)).T
+        with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
+            r1 = l1 * l1
+            r2 = (rv * rv) * (l2 * l2) / (fv * fv)
+            residual = np.abs(r1 / r2 - 1.0)
+        entries += [CompatibilityEntry(p, a, b, r <= threshold, r)
+                    for p, a, b, r in zip(block, r1.tolist(), r2.tolist(), residual.tolist())]
+    return tuple(entries)
 
 
 def _conformal_points(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> list:

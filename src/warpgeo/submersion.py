@@ -23,14 +23,15 @@ and symmetrize the results once per stack. A callable that a builder
 assembles from its parts carries a point-set form (``manifold._with_stack``)
 that assembles the parts' stacks instead: the warped ambient metric from
 the factors' metric stacks and one warp value per point, the product map's
-images and Jacobian from the factor maps' point-set calls. An FD Jacobian
-stack comes from one ``DiffEngine.jacobian`` call over every stencil point
-of the set, combined with an array of per-point steps. Each structure is
-built by one helper over leading axes, which the single-point callable
-calls too, so a point's value does not depend on the path. A point-set
-form that raises is redone point by point, so the first failing point
-raises its own error. A single point (``splitting_at``, ``dilation``)
-is a stack of one. The splitting kernel copies the set's
+images and Jacobian from the factor maps' checked ``images`` and
+``jacobians_at``. An FD Jacobian stack comes from one ``DiffEngine.jacobian``
+call over every stencil point of the set, combined with an array of
+per-point steps. Each structure is built by one helper over leading axes,
+which the single-point callable calls too, so a point's value does not
+depend on the path. A point-set form that raises, a part's check included,
+is redone point by point in one place, ``manifold._point_set``, so the
+first failing point raises its own error. A single point (``splitting_at``,
+``dilation``) is a stack of one. The splitting kernel copies the set's
 coordinates once and makes each of its stacked arrays read-only once; a
 ``Splitting``'s arrays are views of them. numpy's stacked ``svd``,
 ``solve``, ``eigvalsh`` and ``matmul`` give each matrix the bits of its own
@@ -108,18 +109,9 @@ class SmoothMap:
         return self.images([coords])[0]
 
     def images(self, coords_seq) -> Array:
-        """``np.stack([self(c) for c in coords_seq])``, converted once; raises
-        DomainError naming the first point whose image is not in the target box."""
-        images = self._image_values(coords_seq)
-        inside = self.target.contains(images)
-        if np.count_nonzero(inside) < len(inside):
-            i = np.argmin(inside)
-            raise DomainError(f"image {images[i]} of {coords_seq[i]} outside target domain")
-        return images
-
-    def _image_values(self, coords_seq) -> Array:
         """``np.stack([self(c) for c in coords_seq])``, converted and shaped once
-        for the set: ``images`` without the target chart check."""
+        for the set; raises DomainError naming the first point whose image is
+        not in the target box."""
         try:
             images = _point_set(self.fn, coords_seq)
         except ValueError:  # images of different shapes: the first wrong one raises
@@ -127,6 +119,10 @@ class SmoothMap:
         images = images[:, None] if images.ndim == 1 else images
         if images.shape[1:] != (self.target.dim,):  # one shape: the first point fails first
             raise DomainError(f"image of shape {images.shape[1:]} at {coords_seq[0]}")
+        inside = self.target.contains(images)
+        if np.count_nonzero(inside) < len(inside):
+            i = np.argmin(inside)
+            raise DomainError(f"image {images[i]} of {coords_seq[i]} outside target domain")
         return images
 
     def jacobian_at(self, coords, engine: DiffEngine) -> Array:
@@ -146,26 +142,17 @@ class SmoothMap:
 
         FD Jacobians come from one ``DiffEngine.jacobian`` call over all
         stencil points of the set."""
-        return _finite(self._jacobian_values(coords_seq, engine), coords_seq, RankError,
-                       "Jacobian")
-
-    def _jacobian_values(self, coords_seq, engine: DiffEngine) -> Array:
-        """``jacobians_at`` without the finiteness check."""
-        shape = (self.target.dim, self.source.dim)
         if self.jac is None:
-            return _point_set(lambda c: self.jacobian_at(c, engine), coords_seq,
-                              lambda coords: self._fd_jacobians(coords, engine))
-        try:
-            values = _point_set(self.jac, coords_seq)
-        except ValueError:  # values of different shapes: each is shaped alone
-            values = [self.jac(np.asarray(c, dtype=float)) for c in coords_seq]
-        return _jacobian_stack(values, coords_seq, shape)
-
-    def _fd_jacobians(self, coords: Array, engine: DiffEngine) -> Array:
-        """The FD ``jacobian_at`` of each row of ``coords``, from one
-        ``DiffEngine.jacobian`` call over the stencil points of the set."""
-        J = engine.jacobian(self.fn, coords, self.source.lower, self.source.upper)
-        return _jacobian_stack(J, coords, (self.target.dim, self.source.dim))
+            M = self.source
+            values = _point_set(lambda c: self.jacobian_at(c, engine), coords_seq,
+                                lambda coords: engine.jacobian(self.fn, coords, M.lower, M.upper))
+        else:
+            try:
+                values = _point_set(self.jac, coords_seq)
+            except ValueError:  # values of different shapes: each is shaped alone
+                values = [self.jac(np.asarray(c, dtype=float)) for c in coords_seq]
+        J = _jacobian_stack(values, coords_seq, (self.target.dim, self.source.dim))
+        return _finite(J, coords_seq, RankError, "Jacobian")
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
         """Max scaled gap between analytic and FD ``jacobians_at``; 0.0 if numeric."""

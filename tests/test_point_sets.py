@@ -7,8 +7,9 @@ their single-point calls, including the point-set forms the builders
 assemble (the warped ambient metric, the product map's images and
 Jacobian) and FD Jacobians, with the same errors and as many evaluations
 of each user callable; the block residuals of ``splitting_records`` and
-the block entries of ``compatibility_report`` against a point-by-point
-walk; plus the numpy property the one stacked kernel rests on."""
+the block entries of ``compatibility_report`` against point-by-point
+references on Python floats; plus the numpy property the one stacked
+kernel rests on."""
 
 from collections import Counter
 from contextlib import nullcontext
@@ -28,6 +29,7 @@ from warpgeo import (
     SmoothMap,
     StencilError,
     SubmersionContext,
+    WarpPositivityError,
     build_product_submersion,
     build_warped_product,
     compatibility,
@@ -36,6 +38,7 @@ from warpgeo import (
     identity_map,
 )
 from warpgeo import manifold, suites
+from warpgeo.conformal_warped import _positive_factor_data
 from warpgeo.fd import SCHEMES, STENCILS
 from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
 from warpgeo.sampling import sample_points
@@ -559,7 +562,10 @@ PRODUCT_POINTS = [np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.4, 0.5]),
     ("f", lambda v: np.inf, "warp inf is not in (0, inf) at first-factor point [0.3 0.4]"),
     ("fn", lambda y: np.array([np.nan]),
      "image [nan 0.5] of [0.3 0.4 0.5] outside target domain"),
-], ids=["metric-shape", "jacobian-shape", "nan-warp", "inf-warp", "nan-image"])
+    ("jac", lambda J: J * np.nan, "Jacobian not finite at [0.3 0.4 0.5]"),
+    ("fn", lambda y: y + 5.0, "image [5.3 0.5] of [0.3 0.4 0.5] outside target domain"),
+], ids=["metric-shape", "jacobian-shape", "nan-warp", "inf-warp", "nan-image", "nan-jacobian",
+        "image-outside-box"])
 def test_a_bad_factor_datum_raises_the_single_point_error(datum, fault, error, scoped):
     ctx = _product_bad_from_second_point(datum, fault)
     plain = SubmersionContext(_with_single_point_callables(ctx.map), ENGINE)
@@ -638,6 +644,18 @@ def test_splitting_records_equal_the_point_by_point_walk(scenario, scoped, monke
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _compatibility_per_point(cws, p):
+    """``compatibility`` at one point on Python floats: the factor data of
+    ``_positive_factor_data``, then r1, r2 and the residual in the same
+    operand order. The reference for the entries of ``compatibility_report``."""
+    l1, l2, fv, rv = _positive_factor_data(cws, p)
+    r1 = l1 * l1
+    r2 = (rv * rv) * (l2 * l2) / (fv * fv)
+    residual = abs(r1 / r2 - 1.0)
+    return SimpleNamespace(coords=p, r1=r1, r2=r2, residual=residual,
+                           conformal_here=residual <= TOLERANCES["conformality/threshold"])
+
+
 def _entries(entries) -> tuple:
     """The fields of compatibility entries, floats as bits."""
     return ([id(e.coords) for e in entries], [e.conformal_here for e in entries],
@@ -652,8 +670,9 @@ def test_compatibility_report_equals_the_point_by_point_walk(scenario):
     coords = sample_points(objs["sample_lower"], objs["sample_upper"], 130, 3, 4e-5)
     points = [cws.source.ambient.point(c) for c in coords]
     for n in (1, 64, 65, 130):
-        want = [compatibility(cws, p) for p in points[:n]]
+        want = [_compatibility_per_point(cws, p) for p in points[:n]]
         assert _entries(compatibility_report(cws, points[:n])) == _entries(want)
+        assert _entries([compatibility(cws, p) for p in points[:n]]) == _entries(want)
     verdicts = {"cws-variable-dilation": {True}, "cws-incompatible": {False},
                 "cws-mixed-local": {False}}  # conformal on a slice only
     assert {e.conformal_here for e in compatibility_report(cws, points)} == verdicts[scenario]
@@ -690,12 +709,15 @@ def _failing_factor_data():
 def test_a_failing_compatibility_block_raises_as_the_point_by_point_walk(order):
     cws = _failing_factor_data()
     points = [cws.source.ambient.point(c) for c in order]
-    want = _outcome(lambda: _entries([compatibility(cws, p) for p in points]))
+    want = _outcome(lambda: _entries([_compatibility_per_point(cws, p) for p in points]))
     assert _outcome(lambda: _entries(compatibility_report(cws, points))) == want
     if order[1] == [0.45, 0.1, 0.45]:
         assert np.isnan(compatibility_report(cws, points)[1].residual)
     else:
         assert isinstance(want, tuple) and len(want) == 4  # an error
+    if order[1] == [0.1, 0.45, 0.1]:  # not a ZeroDivisionError
+        message = f"source warp = 1e-170 squares to 0 at {points[1]}"
+        assert want[:2] == (WarpPositivityError, message)
 
 
 def _hand_built_splitting(x, jacobian_xy=0.0, metric_yx=0.0):
