@@ -144,8 +144,8 @@ def _block_diagonal(J: Array, blocks: tuple, J1: Array, J2: Array) -> Array:
 def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
     """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises DomainError
     where phi1's image leaves the target chart, then WarpPositivityError
-    naming the first value that is not positive, NaN included, or not
-    finite, then where f^2 underflows to zero."""
+    naming the first value that is not positive, NaN included, not finite,
+    or whose square, a factor of r1 or r2, underflows to zero."""
     c1, c2 = cws.source.split_coords(coords)
     values = (cws.lambda1(c1), cws.lambda2(c2), cws.source.warp(c1),
               cws.target.warp(cws.ctx1.map.image_point(c1)))
@@ -154,8 +154,8 @@ def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
             raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")
         if not math.isfinite(value):
             raise WarpPositivityError(f"{label} = {value} is not finite at {coords}")
-    if not values[2] * values[2] > 0.0:
-        raise WarpPositivityError(f"source warp = {values[2]} squares to 0 at {coords}")
+        if not value * value > 0.0:
+            raise WarpPositivityError(f"{label} = {value} squares to 0 at {coords}")
     return values
 
 
@@ -165,8 +165,9 @@ def _factor_data_of_set(cws: ConformalWarpedSubmersion, coords: Array) -> Array:
     c1, c2 = coords[:, cws.source.block("first")], coords[:, cws.source.block("second")]
     data = np.array([(cws.lambda1(a), cws.lambda2(b), cws.source.warp(a), cws.target.warp(y))
                      for a, b, y in zip(c1, c2, cws.ctx1.map.images(c1))])
-    if not (np.all((data > 0.0) & (data < np.inf)) and np.all(data[:, 2] * data[:, 2] > 0.0)):
-        raise WarpPositivityError("a dilation or a warp fails in the set")
+    with np.errstate(over="ignore"):  # a square that overflows is inf, as on Python floats
+        if not np.all((data > 0.0) & (data < np.inf) & (data * data > 0.0)):
+            raise WarpPositivityError("a dilation or a warp fails in the set")
     return data
 
 
@@ -183,8 +184,8 @@ def compatibility_report(cws: ConformalWarpedSubmersion, points: Sequence[Array]
     threshold = TOLERANCES["conformality/threshold"]
     entries = []
     for block in _blocks(points):
-        l1, l2, fv, rv = _point_set(lambda c: _positive_factor_data(cws, c), block,
-                                    lambda coords: _factor_data_of_set(cws, coords)).T
+        l1, l2, fv, rv = _point_set(lambda c: _positive_factor_data(cws, c),
+                                    lambda coords: _factor_data_of_set(cws, coords), block, (4,)).T
         with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
             r1 = l1 * l1
             r2 = (rv * rv) * (l2 * l2) / (fv * fv)

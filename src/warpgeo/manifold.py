@@ -139,29 +139,37 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
 def _with_stack(one, stack):
     """``one``, a callable of one point, carrying ``stack``: a callable of a
     float (N, dim) array of points that returns ``one``'s values there as
-    one float array, bit for bit. ``_point_set`` calls it in place of
-    ``one``. Builders attach it to the callables they assemble from their
-    parts; a callable put in the place of ``one`` comes without it."""
+    one float array, bit for bit. ``_stack_of`` reads it. Builders attach
+    it to the callables they assemble from their parts; a callable put in
+    the place of ``one`` comes without it."""
     one._stack = stack
     return one
 
 
-def _point_set(one, coords_seq, stack=None) -> Array:
-    """``np.array([one(c) for c in coords], dtype=float)`` at the rows of
-    ``coords = np.asarray(coords_seq, dtype=float)``, as one call of
-    ``stack`` (by default the one ``_with_stack`` attached to ``one``) where
-    there is one.
+def _stack_of(fn):
+    """The point-set form of ``fn``: the one ``_with_stack`` attached to it,
+    else ``fn``'s values at the rows of an (N, dim) array as one float array."""
+    stack = getattr(fn, "_stack", None)
+    return stack or (lambda coords: np.array([fn(c) for c in coords], dtype=float))
 
-    A ``stack`` that raises is redone point by point, so that the first
-    failing point raises its own error.
+
+def _point_set(one, stack, coords_seq, shape: tuple) -> Array:
+    """``np.array([one(c) for c in coords], dtype=float)`` at the rows of
+    ``coords = np.asarray(coords_seq, dtype=float)``, where ``one`` is the
+    checked conversion of a value of ``shape`` at one point, taken as the
+    one call ``stack(coords)`` when that returns an (N,) + ``shape`` array.
+
+    A ``stack`` that raises, or whose values have different shapes or
+    another shape, is redone point by point with ``one``, so that the
+    first failing point raises its own error.
     """
     coords = np.asarray(coords_seq, dtype=float)
-    stack = stack or getattr(one, "_stack", None)
-    if stack is not None:
-        try:
-            return stack(coords)
-        except Exception:
-            pass  # the loop below raises the first failing point's error
+    try:
+        values = stack(coords)
+    except Exception:
+        values = None  # the loop below raises the first failing point's error
+    if values is not None and values.shape == (len(coords),) + shape:
+        return values
     return np.array([one(c) for c in coords], dtype=float)
 
 
@@ -261,11 +269,8 @@ class ChartManifold:
 
     def _raw_metrics(self, coords_seq) -> Array:
         """``np.stack([self._raw_metric(c) for c in coords_seq])``, the metric
-        field's values converted and shaped once for the set."""
-        g = _point_set(self.metric, coords_seq)
-        if g.shape[1:] != (self.dim, self.dim):  # one shape: the first point fails first
-            raise DegenerateMetricError(f"metric returned shape {g.shape[1:]} at {coords_seq[0]}")
-        return g
+        field's values converted once for the set."""
+        return _point_set(self._raw_metric, _stack_of(self.metric), coords_seq, (self.dim,) * 2)
 
     def _raw_metric(self, coords: Array) -> Array:
         """The metric field's value as a float (dim, dim) array, neither

@@ -16,28 +16,28 @@ stencil point.
 Splittings and dilations have one kernel each, which runs each LAPACK and
 matrix-product step as one call on the stacked ``(N, ., .)`` arrays of a
 point set (``splittings_at``, ``dilations``). Their inputs are point sets
-too: the kernels read a set's Jacobians (``SmoothMap.jacobians_at``),
-images (``SmoothMap.images``) and metrics (``ChartManifold.metrics_at``),
-which call the user's callables once per point but convert, shape, check
-and symmetrize the results once per stack. A callable that a builder
-assembles from its parts carries a point-set form (``manifold._with_stack``)
-that assembles the parts' stacks instead: the warped ambient metric from
-the factors' metric stacks and one warp value per point, the product map's
-images and Jacobian from the factor maps' checked ``images`` and
-``jacobians_at``. An FD Jacobian stack comes from one ``DiffEngine.jacobian``
-call over every stencil point of the set, combined with an array of
-per-point steps. Each structure is built by one helper over leading axes,
-which the single-point callable calls too, so a point's value does not
-depend on the path. A point-set form that raises, a part's check included,
-is redone point by point in one place, ``manifold._point_set``, so the
-first failing point raises its own error. A single point (``splitting_at``,
-``dilation``) is a stack of one. The splitting kernel copies the set's
-coordinates once and makes each of its stacked arrays read-only once; a
-``Splitting``'s arrays are views of them. numpy's stacked ``svd``,
-``solve``, ``eigvalsh`` and ``matmul`` give each matrix the bits of its own
-call, so a point's result does not depend on the set it is computed in.
-The suites fetch point sets in blocks of ``POINT_BLOCK`` points, which
-bounds the memory held at once.
+too: the kernels read a set's Jacobians (``SmoothMap.jacobians_at``), images
+(``SmoothMap.images``) and metrics (``ChartManifold.metrics_at``), which
+call the user's callables once per point but convert, check and symmetrize
+the results once per stack. Each output rule (shape, padding, message) is
+written once, in the single-point conversion (``SmoothMap.__call__``,
+``jacobian_at``, ``ChartManifold._raw_metric``). ``manifold._point_set``
+keeps a set's values from one call of its point-set form only in that shape,
+and otherwise redoes the set point by point, so the first failing point
+raises its own error. A builder's callable carries a point-set form
+(``manifold._with_stack``) that assembles its parts' stacks: the warped
+ambient metric's, and the product map's images and Jacobians from the factor
+maps' checked calls. An FD Jacobian stack is one ``DiffEngine.jacobian``
+call over the set's stencil points; a single FD Jacobian differentiates the
+checked image. Each structure has one helper over leading axes, which the
+single-point callable calls too, so a point's value does not depend on the
+path. A single point (``splitting_at``, ``dilation``) is a stack of one. The
+splitting kernel copies the set's coordinates once and makes each of its
+stacked arrays read-only once; a ``Splitting``'s arrays are views of them.
+numpy's stacked ``svd``, ``solve``, ``eigvalsh`` and ``matmul`` give each
+matrix the bits of its own call, so a point's result does not depend on the
+set it is computed in. The suites fetch point sets in blocks of
+``POINT_BLOCK`` points, which bounds the memory held at once.
 
 Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
@@ -75,6 +75,7 @@ from .manifold import (
     _memoized,
     _memoized_many,
     _point_set,
+    _stack_of,
     analytic_fd_gap,
     gradient,
 )
@@ -99,8 +100,8 @@ class SmoothMap:
     name: str = ""
 
     def __call__(self, coords) -> Array:
-        """The image, of shape (target.dim,); ``images`` also checks the chart."""
-        image = np.atleast_1d(np.asarray(self.fn(np.asarray(coords, dtype=float)), dtype=float))
+        """The image, of shape (target.dim,), a scalar as (1,); ``images`` checks the chart."""
+        image = _rows(np.asarray(self.fn(np.asarray(coords, dtype=float)), dtype=float)[None], 1)[0]
         if image.shape != (self.target.dim,):
             raise DomainError(f"image of shape {image.shape} at {coords}")
         return image
@@ -109,16 +110,11 @@ class SmoothMap:
         return self.images([coords])[0]
 
     def images(self, coords_seq) -> Array:
-        """``np.stack([self(c) for c in coords_seq])``, converted and shaped once
-        for the set; raises DomainError naming the first point whose image is
-        not in the target box."""
-        try:
-            images = _point_set(self.fn, coords_seq)
-        except ValueError:  # images of different shapes: the first wrong one raises
-            images = np.stack([self(c) for c in coords_seq])
-        images = images[:, None] if images.ndim == 1 else images
-        if images.shape[1:] != (self.target.dim,):  # one shape: the first point fails first
-            raise DomainError(f"image of shape {images.shape[1:]} at {coords_seq[0]}")
+        """``np.stack([self(c) for c in coords_seq])``, converted once for the
+        set; raises DomainError naming the first point whose image is not in
+        the target box."""
+        images = _point_set(self, lambda coords: _rows(_stack_of(self.fn)(coords), 1), coords_seq,
+                            (self.target.dim,))
         inside = self.target.contains(images)
         if np.count_nonzero(inside) < len(inside):
             i = np.argmin(inside)
@@ -126,32 +122,29 @@ class SmoothMap:
         return images
 
     def jacobian_at(self, coords, engine: DiffEngine) -> Array:
-        if self.jac is not None:
-            J = np.asarray(self.jac(np.asarray(coords, dtype=float)), dtype=float)
-        else:  # through the checked call only when stencil images differ in shape
-            try:
-                J = engine.partials(self.fn, coords, self.source.lower, self.source.upper).T
-            except ValueError:
-                J = engine.partials(self, coords, self.source.lower, self.source.upper).T
+        """The Jacobian, of shape (target.dim, source.dim), a scalar as (1, 1) and an
+        (m,) row as (1, m); without ``jac``, the FD partials of the checked image."""
+        coords = np.asarray(coords, dtype=float)
+        if self.jac is None:
+            J = engine.partials(self, coords, self.source.lower, self.source.upper).T
+        else:
+            J = _rows(np.asarray(self.jac(coords), dtype=float)[None], 2)[0]
         shape = (self.target.dim, self.source.dim)
-        return J if J.shape == shape else _jacobian_stack([J], (coords,), shape)[0]
+        if J.shape != shape:
+            raise RankError(f"Jacobian of shape {J.shape} at {coords}, expected {shape}")
+        return J
 
     def jacobians_at(self, coords_seq, engine: DiffEngine) -> Array:
-        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``, shaped
+        """``np.stack([self.jacobian_at(c, engine) for c in coords_seq])``, converted
         once for the set; raises RankError naming the first non-finite one.
 
         FD Jacobians come from one ``DiffEngine.jacobian`` call over all
         stencil points of the set."""
-        if self.jac is None:
-            M = self.source
-            values = _point_set(lambda c: self.jacobian_at(c, engine), coords_seq,
-                                lambda coords: engine.jacobian(self.fn, coords, M.lower, M.upper))
-        else:
-            try:
-                values = _point_set(self.jac, coords_seq)
-            except ValueError:  # values of different shapes: each is shaped alone
-                values = [self.jac(np.asarray(c, dtype=float)) for c in coords_seq]
-        J = _jacobian_stack(values, coords_seq, (self.target.dim, self.source.dim))
+        M = self.source
+        jac = _stack_of(self.jac) if self.jac is not None else (
+            lambda coords: engine.jacobian(self.fn, coords, M.lower, M.upper))
+        J = _point_set(lambda c: self.jacobian_at(c, engine), lambda coords: _rows(jac(coords), 2),
+                       coords_seq, (self.target.dim, M.dim))
         return _finite(J, coords_seq, RankError, "Jacobian")
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
@@ -162,20 +155,12 @@ class SmoothMap:
                                replace(self, jac=None).jacobians_at(points, engine))
 
 
-def _jacobian_stack(values: list, coords_seq, shape: tuple) -> Array:
-    """Jacobian values at ``coords_seq`` as a float ``(N, rows, columns)`` stack,
-    a scalar as (1, 1) and an (m,) row as (1, m), like ``np.atleast_2d``;
-    raises RankError naming the first point whose value has not ``shape``."""
-    try:
-        J = np.array(values, dtype=float)
-    except ValueError:  # values of different shapes: each is shaped alone
-        return np.stack([_jacobian_stack([np.asarray(v, dtype=float)], (c,), shape)[0]
-                         for c, v in zip(coords_seq, values)])
-    if J.ndim < 3:
-        J = J.reshape(J.shape[:1] + (1,) * (3 - J.ndim) + J.shape[1:])
-    if J.shape[1:] != shape:  # one shape: the first point fails first
-        raise RankError(f"Jacobian of shape {J.shape[1:]} at {coords_seq[0]}, expected {shape}")
-    return J
+def _rows(values: Array, ndim: int) -> Array:
+    """A stack of values (axis 0) with each value of fewer than ``ndim`` axes
+    shaped as ``np.atleast_1d`` (``ndim`` 1) or ``np.atleast_2d`` (2) shapes
+    it: a scalar as (1,) or (1, 1), an (m,) row as (1, m)."""
+    missing = (1,) * (ndim + 1 - values.ndim)  # () for a value of ndim axes or more
+    return values.reshape(values.shape[:1] + missing + values.shape[1:]) if missing else values
 
 
 def pushforward(F: SmoothMap, engine: DiffEngine, coords, v) -> Array:

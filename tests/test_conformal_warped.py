@@ -371,15 +371,18 @@ def test_a_nan_residual_reaches_the_non_conformal_record():
     assert np.isnan(record.max_residual)
 
 
-def test_a_warp_whose_square_underflows_raises_warp_positivity():
-    # f = 1e-170 on x > 0.5 is positive and finite, but f * f is 0.0; r2
-    # divided by it, and compatibility raised ZeroDivisionError, which is
-    # not a GeometryError and escaped run_scenario as a traceback
+@pytest.mark.parametrize("slot, label", enumerate(["lambda1", "lambda2", "source warp",
+                                                   "target warp"]))
+def test_a_warp_whose_square_underflows_raises_warp_positivity(slot, label):
+    # 1e-170 on x > 0.5 of its own factor is positive and finite, but its
+    # square is 0.0; r2 divided by f^2, and by a zero r2 where the target
+    # warp or lambda2 underflowed, which numpy warned about
     unit = ScalarField.constant(1.0)
-    tiny = ScalarField(lambda c: 1e-170 if c[0] > 0.5 else 1.0)
-    cws = _identity_factors(unit, unit, tiny, unit)
+    data = [unit] * 4
+    data[slot] = ScalarField(lambda c: 1e-170 if c[0] > 0.5 else 1.0)
+    cws = _identity_factors(*data)
     points = [cws.source.ambient.point(c) for c in ([0.2, 0.1, 0.2], [0.7, 0.1, 0.8])]
-    message = f"source warp = 1e-170 squares to 0 at {points[1]}"
+    message = f"{label} = 1e-170 squares to 0 at {points[1]}"
     calls = [lambda: compatibility(cws, points[1]), lambda: compatibility_report(cws, points),
              lambda: scenarios._compatibility_records(cws, points, RunConfig(), True)]
     for call in calls:

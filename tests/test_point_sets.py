@@ -23,6 +23,7 @@ from warpgeo import (
     ChartManifold,
     DegenerateMetricError,
     DiffEngine,
+    DomainError,
     RankError,
     RunConfig,
     ScalarField,
@@ -325,14 +326,51 @@ def test_point_set_metrics_share_read_only_scope_entries(scenario):
     (lambda c: [[1, c[0]], [0, 2]], (2, 2)),
 ], ids=["scalar", "row", "matrix"])
 def test_point_set_jacobians_keep_the_single_point_shape_rule(value, shape):
+    # a float image and a scalar or row Jacobian are padded on the point-set
+    # fast path, so a scalar-valued map's set is read once per point, not
+    # redone point by point
+    calls = Counter()
+
+    def fn(c):
+        calls["fn"] += 1
+        return float(np.sum(c)) if shape[0] == 1 else c[:shape[0]]
+
+    def jac(c):
+        calls["jac"] += 1
+        return value(c)
+
     dim = shape[1]
     M = ChartManifold.euclidean(dim, -1.0, 1.0)
-    F = SmoothMap(M, ChartManifold.euclidean(shape[0]), lambda c: c[:shape[0]], value)
+    F = SmoothMap(M, ChartManifold.euclidean(shape[0]), fn, jac)
     points = [M.point(np.full(dim, x)) for x in (0.1, -0.3, 0.7)]
     for n in (1, 3):
+        want_images = np.stack([F(p) for p in points[:n]])
+        want_jacobians = np.stack([F.jacobian_at(p, ENGINE) for p in points[:n]])
+        calls.clear()
+        got_images = F.images(points[:n])
         got = F.jacobians_at(points[:n], ENGINE)
-        assert got.shape == (n,) + shape
-        assert _same_bits(got, np.stack([F.jacobian_at(p, ENGINE) for p in points[:n]]))
+        assert calls == {"fn": n, "jac": n}
+        assert got_images.shape == (n, shape[0]) and _same_bits(got_images, want_images)
+        assert got.shape == (n,) + shape and _same_bits(got, want_jacobians)
+
+
+def test_an_fd_jacobian_raises_the_image_rule_at_a_stencil_point():
+    # the images have shape (2,), not (1,), from x = 0.2 on; an FD Jacobian
+    # differentiates the checked image, so the first stencil point of
+    # [0.3 0.4] raises the image's DomainError, not a Jacobian shape error
+    M = ChartManifold.euclidean(2, -1.0, 1.0)
+    F = SmoothMap(M, ChartManifold.euclidean(1), lambda c: c[:1] if c[0] < 0.2 else c,
+                  lambda c: np.array([[1.0, 0.0]]))
+    fd = replace(F, jac=None)
+    points = [M.point(c) for c in ([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])]
+    stencil = ENGINE.stencil_points(points[1], M.lower, M.upper, (0, 1))
+    want = _outcome(lambda: fd.jacobian_at(points[1], ENGINE))
+    assert want == (DomainError, f"image of shape (2,) at {stencil[0]}", None, None)
+    calls = [lambda: fd.jacobians_at(points, ENGINE), lambda: fd.jacobians_at(points[1:], ENGINE),
+             lambda: SubmersionContext(fd, ENGINE).splittings_at(points),
+             lambda: F.check_jacobian(ENGINE, points)]
+    for call in calls:
+        assert _outcome(call) == want
 
 
 def test_point_set_metrics_are_symmetrized_as_the_single_point_call():
