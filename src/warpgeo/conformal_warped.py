@@ -10,15 +10,14 @@ conformal exactly where the two candidate squared dilations agree:
 
 When they agree, the product's squared dilation is r1; the verifiers below
 measure this compatibility instead of assuming it (``compatibility_report``,
-on the stacked factor data of each block of points), cross-check the
-product's A tensor against the per-factor formulas (both denominator
-conventions), and exercise the Riemannian reduction and the conformal
-rescaling that turns the product into a Riemannian submersion.
+from one kernel of a point set's factor data; a point is a set of one),
+cross-check the product's A tensor against the per-factor formulas (both
+denominator conventions), and exercise the Riemannian reduction and the
+conformal rescaling that turns the product into a Riemannian submersion.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,7 +31,6 @@ from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
     SubmersionContext,
-    _blocks,
     _gram_schmidt,
     _in_blocks,
     _warm_parts,
@@ -141,34 +139,40 @@ def _block_diagonal(J: Array, blocks: tuple, J1: Array, J2: Array) -> Array:
     return J
 
 
-def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
-    """``(lambda1, lambda2, f, rho o phi1)`` at coords. Raises DomainError
-    where phi1's image leaves the target chart, then WarpPositivityError
-    naming the first value that is not positive, NaN included, not finite,
-    or whose square, a factor of r1 or r2, underflows to zero."""
-    c1, c2 = cws.source.split_coords(coords)
-    values = (cws.lambda1(c1), cws.lambda2(c2), cws.source.warp(c1),
-              cws.target.warp(cws.ctx1.map.image_point(c1)))
-    for value, label in zip(values, ("lambda1", "lambda2", "source warp", "target warp")):
-        if not value > 0.0:  # NaN fails every comparison
-            raise WarpPositivityError(f"{label} = {value} <= 0 at {coords}")
-        if not math.isfinite(value):
-            raise WarpPositivityError(f"{label} = {value} is not finite at {coords}")
-        if not value * value > 0.0:
-            raise WarpPositivityError(f"{label} = {value} squares to 0 at {coords}")
-    return values
+# the data of a kernel row, and the faults each is checked for, in order
+_FACTOR_DATA = ("lambda1", "lambda2", "source warp", "target warp")
+_FAULTS = ("<= 0", "is not finite", "squares to 0")  # NaN fails the first
 
 
-def _factor_data_of_set(cws: ConformalWarpedSubmersion, coords: Array) -> Array:
-    """The ``_positive_factor_data`` rows at the rows of ``coords``, with
-    phi1's images in one ``images`` call; raises where any datum fails."""
+def _factor_data(cws: ConformalWarpedSubmersion, coords: Array) -> Array:
+    """The rows ``(lambda1, lambda2, f, rho o phi1, r1, r2)`` at the rows of
+    the (N, dim) array ``coords``. phi1's images come from one ``images``
+    call, so a DomainError comes first; then WarpPositivityError names the
+    first point where a datum fails (its first fault) or r2 is 0 (inf is kept)."""
     c1, c2 = coords[:, cws.source.block("first")], coords[:, cws.source.block("second")]
-    data = np.array([(cws.lambda1(a), cws.lambda2(b), cws.source.warp(a), cws.target.warp(y))
-                     for a, b, y in zip(c1, c2, cws.ctx1.map.images(c1))])
-    with np.errstate(over="ignore"):  # a square that overflows is inf, as on Python floats
-        if not np.all((data > 0.0) & (data < np.inf) & (data * data > 0.0)):
-            raise WarpPositivityError("a dilation or a warp fails in the set")
-    return data
+    values = (v for a, b, y in zip(c1, c2, cws.ctx1.map.images(c1))
+              for v in (cws.lambda1(a), cws.lambda2(b), cws.source.warp(a), cws.target.warp(y)))
+    data = np.fromiter(values, float, 4 * len(coords)).reshape(-1, 4)  # no list of the set
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        squares = data * data
+        r2 = squares[:, 3] * squares[:, 1] / squares[:, 2]
+    passes = np.array([data > 0.0, data < np.inf, squares > 0.0])  # (fault, point, datum)
+    failing = ~passes.all(axis=(0, 2)) | (r2 == 0.0)
+    if failing.any():
+        i = np.argmax(failing)
+        faults = np.argwhere(~passes[:, i].T)  # (datum, fault), first datum first
+        if len(faults):
+            datum, fault = faults[0]
+            raise WarpPositivityError(f"{_FACTOR_DATA[datum]} = {float(data[i, datum])} "
+                                      f"{_FAULTS[fault]} at {coords[i]}")
+        raise WarpPositivityError(f"r2 = (rho o phi1)^2 lambda2^2 / f^2 is 0 at {coords[i]}")
+    return np.concatenate([data, squares[:, :1], r2[:, None]], axis=1)
+
+
+def _positive_factor_data(cws: ConformalWarpedSubmersion, coords) -> tuple:
+    """``(lambda1, lambda2, f, rho o phi1)`` at coords as Python floats:
+    ``_factor_data`` on a stack of one, raising its errors."""
+    return tuple(_factor_data(cws, np.asarray(coords, dtype=float)[None])[0, :4].tolist())
 
 
 def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
@@ -178,21 +182,17 @@ def compatibility(cws: ConformalWarpedSubmersion, coords) -> CompatibilityEntry:
 
 def compatibility_report(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> tuple:
     """r1 vs r2 at each point, in order; conformal iff |r1/r2 - 1| is at most
-    the unscaled ``TOLERANCES["conformality/threshold"]``. A block of
-    ``POINT_BLOCK`` points reads its factor data through ``_point_set``, so
-    the first point where ``_positive_factor_data`` fails raises its error."""
+    the unscaled ``TOLERANCES["conformality/threshold"]``. The factor data
+    of the set come from one ``_factor_data`` call through ``_point_set``,
+    so the first point where the data fail raises its own error."""
     threshold = TOLERANCES["conformality/threshold"]
-    entries = []
-    for block in _blocks(points):
-        l1, l2, fv, rv = _point_set(lambda c: _positive_factor_data(cws, c),
-                                    lambda coords: _factor_data_of_set(cws, coords), block, (4,)).T
-        with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
-            r1 = l1 * l1
-            r2 = (rv * rv) * (l2 * l2) / (fv * fv)
-            residual = np.abs(r1 / r2 - 1.0)
-        entries += [CompatibilityEntry(p, a, b, r <= threshold, r)
-                    for p, a, b, r in zip(block, r1.tolist(), r2.tolist(), residual.tolist())]
-    return tuple(entries)
+    data = _point_set(lambda c: _factor_data(cws, c[None])[0],
+                      lambda coords: _factor_data(cws, coords), points, (6,))
+    r1, r2 = data[:, 4], data[:, 5]
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
+        residual = np.abs(r1 / r2 - 1.0)
+    return tuple(CompatibilityEntry(p, a, b, r <= threshold, r)
+                 for p, a, b, r in zip(points, r1.tolist(), r2.tolist(), residual.tolist()))
 
 
 def _conformal_points(cws: ConformalWarpedSubmersion, points: Sequence[Array]) -> list:

@@ -170,12 +170,12 @@ def _point_set(one, stack, coords_seq, shape: tuple) -> Array:
         values = None  # the loop below raises the first failing point's error
     if values is not None and values.shape == (len(coords),) + shape:
         return values
-    return np.array([one(c) for c in coords], dtype=float)
+    return np.array([one(c) for c in coords], dtype=float).reshape((len(coords),) + shape)
 
 
 def _finite(stack: Array, coords_seq, error, what: str) -> Array:
     """``stack``, values at ``coords_seq``; raises ``error`` naming the first non-finite one."""
-    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
     if not finite.all():
         raise error(f"{what} not finite at {coords_seq[np.argmin(finite)]}")
     return stack

@@ -391,6 +391,28 @@ def test_a_warp_whose_square_underflows_raises_warp_positivity(slot, label):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("bad", [{1: 1e-100, 3: 1e-100}, {2: 1e200}],
+                         ids=["rho-lambda2-underflows", "warp-square-overflows"])
+def test_a_zero_r2_raises_warp_positivity(bad):
+    # on x > 0.5 of their own factors every datum is positive, finite and
+    # squares to a positive number, but r2 = (rho o phi1)^2 lambda2^2 / f^2
+    # is 0.0: 1e-200 * 1e-200 underflows, or 1 / inf where f^2 overflows;
+    # r1 / r2 divided by that zero, which numpy warned about
+    data = [ScalarField.constant(1.0)] * 4
+    for slot, value in bad.items():
+        data[slot] = ScalarField(lambda c, v=value: v if c[0] > 0.5 else 1.0)
+    cws = _identity_factors(*data)
+    points = [cws.source.ambient.point(c) for c in ([0.2, 0.1, 0.2], [0.7, 0.1, 0.8])]
+    assert compatibility(cws, points[0]).conformal_here
+    message = f"r2 = (rho o phi1)^2 lambda2^2 / f^2 is 0 at {points[1]}"
+    calls = [lambda: compatibility(cws, points[1]), lambda: compatibility_report(cws, points),
+             lambda: scenarios._compatibility_records(cws, points, RunConfig(), True)]
+    for call in calls:
+        with pytest.raises(WarpPositivityError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_jacobian_block_structure_with_fd_factors():
     # factor maps without analytic Jacobians still give exact zero cross blocks
     M1 = ChartManifold.euclidean(2, [-2, -2], [2, 2])

@@ -6,10 +6,10 @@ point-set inputs (``metrics_at``, ``jacobians_at``, ``images``) against
 their single-point calls, including the point-set forms the builders
 assemble (the warped ambient metric, the product map's images and
 Jacobian) and FD Jacobians, with the same errors and as many evaluations
-of each user callable; the block residuals of ``splitting_records`` and
-the block entries of ``compatibility_report`` against point-by-point
-references on Python floats; plus the numpy property the one stacked
-kernel rests on."""
+of each user callable; empty point sets; the block residuals of
+``splitting_records`` and the entries of ``compatibility_report`` against
+point-by-point references on Python floats; plus the numpy property the
+one stacked kernel rests on."""
 
 from collections import Counter
 from contextlib import nullcontext
@@ -756,6 +756,48 @@ def test_a_failing_compatibility_block_raises_as_the_point_by_point_walk(order):
     if order[1] == [0.1, 0.45, 0.1]:  # not a ZeroDivisionError
         message = f"source warp = 1e-170 squares to 0 at {points[1]}"
         assert want[:2] == (WarpPositivityError, message)
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda cws: cws.ctx1.map.images([]), (0, 2)),
+    (lambda cws: cws.ctx1.map.jacobians_at([], ENGINE), (0, 2, 2)),
+    (lambda cws: replace(cws.ctx1.map, jac=None).jacobians_at([], ENGINE), (0, 2, 2)),
+    (lambda cws: cws.ctx.map.images([]), (0, 3)),
+    (lambda cws: cws.ctx.map.jacobians_at([], ENGINE), (0, 3, 3)),
+    (lambda cws: compatibility_report(cws, []), None),
+], ids=["images", "jacobians", "fd-jacobians", "product-images", "product-jacobians",
+        "compatibility"])
+def test_an_empty_point_set_returns_an_empty_stack(call, shape):
+    # a 2-dimensional factor target and a 3-dimensional product, where an
+    # empty stack was once numpy's (0,) and failed to broadcast or reshape
+    value = call(_failing_factor_data())
+    if shape is None:
+        assert value == ()
+    else:
+        assert isinstance(value, np.ndarray) and value.shape == shape
+
+
+def test_compatibility_evaluates_each_factor_datum_once_per_point():
+    # each datum behind its own counter, even where the scenario shares one
+    # field between two of them
+    objs = build_objects("cws-variable-dilation", ENGINE)
+    cws, counts = objs["cws"], Counter()
+
+    def spied(field, label):
+        return ScalarField(_counted(field.fn, counts, label, set()), field.partials)
+
+    phi1 = replace(cws.ctx1.map, fn=_counted(cws.ctx1.map.fn, counts, "phi1", set()))
+    cws = replace(cws, lambda1=spied(cws.lambda1, "lambda1"), lambda2=spied(cws.lambda2, "lambda2"),
+                  source=replace(cws.source, warp=spied(cws.source.warp, "f")),
+                  target=replace(cws.target, warp=spied(cws.target.warp, "rho")),
+                  ctx1=replace(cws.ctx1, map=phi1))
+    coords = sample_points(objs["sample_lower"], objs["sample_upper"], 65, 3, 4e-5)
+    points = [cws.source.ambient.point(c) for c in coords]
+    for call, n in ((lambda: compatibility_report(cws, points), 65),
+                    (lambda: compatibility(cws, points[0]), 1)):
+        counts.clear()
+        call()
+        assert counts == dict.fromkeys(["lambda1", "lambda2", "f", "rho", "phi1"], n)
 
 
 def _hand_built_splitting(x, jacobian_xy=0.0, metric_yx=0.0):
