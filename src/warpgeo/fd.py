@@ -177,7 +177,8 @@ class DiffEngine:
         calls = iter(range(values.shape[2]))
         h = h.reshape(h.shape + (1,) * (values.ndim - 3))
         d = STENCILS[self.scheme][1](lambda t: values[:, :, next(calls)], h)
-        return d.transpose((0,) + tuple(range(d.ndim - 1, 0, -1)))  # each point's .T
+        # each point's .T, C-ordered as the checked single-point conversion
+        return np.ascontiguousarray(d.transpose((0,) + tuple(range(d.ndim - 1, 0, -1))))
 
     def partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
         """All coordinate partials of fn stacked along axis 0: out[i] = d_i fn.

@@ -161,11 +161,12 @@ def _point_set(one, stack, coords_seq, shape: tuple) -> Array:
 
     A ``stack`` that raises, or whose values have different shapes or
     another shape, is redone point by point with ``one``, so that the
-    first failing point raises its own error.
+    first failing point raises its own error. A set of one point is
+    ``one`` alone, so a failing lone point is evaluated once.
     """
     coords = np.asarray(coords_seq, dtype=float)
     try:
-        values = stack(coords)
+        values = stack(coords) if len(coords) != 1 else None
     except Exception:
         values = None  # the loop below raises the first failing point's error
     if values is not None and values.shape == (len(coords),) + shape:

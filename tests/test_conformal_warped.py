@@ -371,6 +371,7 @@ def test_a_nan_residual_reaches_the_non_conformal_record():
     assert np.isnan(record.max_residual)
 
 
+@pytest.mark.boundary
 @pytest.mark.parametrize("slot, label", enumerate(["lambda1", "lambda2", "source warp",
                                                    "target warp"]))
 def test_a_warp_whose_square_underflows_raises_warp_positivity(slot, label):
@@ -391,6 +392,7 @@ def test_a_warp_whose_square_underflows_raises_warp_positivity(slot, label):
         assert str(exc.value) == message
 
 
+@pytest.mark.boundary
 @pytest.mark.parametrize("bad", [{1: 1e-100, 3: 1e-100}, {2: 1e200}],
                          ids=["rho-lambda2-underflows", "warp-square-overflows"])
 def test_a_zero_r2_raises_warp_positivity(bad):

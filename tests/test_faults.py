@@ -6,8 +6,9 @@ catalog hands it) returns NaN, inf or a wrong shape (two stacked copies of
 its value) at about one evaluated point in five, chosen by a hash of the
 point's coordinates. Every run must still return a report, must not pass
 overall and must name a point in its notes. The named cases are faults that
-once escaped ``run_scenario`` or passed it; the last tests check each call
-of the input boundary on its own.
+once escaped ``run_scenario`` or passed it; the last tests check calls of
+the input boundary on their own, on the map of ``tests/boundary_maps.py``
+whose datum is bad from the second point on.
 """
 
 import re
@@ -17,6 +18,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from boundary_maps import BOUNDARY_FAULTS, POINTS, bad_from_second_point
 from warpgeo import (
     ChartManifold,
     DegenerateMetricError,
@@ -37,6 +39,8 @@ from warpgeo import (
 from warpgeo import scenarios
 from warpgeo.manifold import check_scalar_field
 from warpgeo.scenarios import list_scenarios, run_scenario
+
+pytestmark = pytest.mark.boundary
 
 CONFIG = RunConfig(samples=3)
 ENGINE = DiffEngine()
@@ -196,84 +200,45 @@ def test_nan_first_factor_images_abort_cws_variable_dilation(monkeypatch):
     assert "image [nan] of" in note and "outside target domain" in note
 
 
-# the input boundary, call by call: a map (x, y) |-> x from the square
-# (-1, 1)^2 into the line (-1, 1) whose datum is bad from the second point on
-
-POINTS = [np.array([0.1, 0.2]), np.array([0.3, 0.4]), np.array([0.5, 0.6])]
+# the input boundary, call by call
 
 
-def _bad_from_second_point(fn=None, jac=None, metric=None) -> SubmersionContext:
-    """The map's ``fn``, ``jac`` or source ``metric``, where given, replaces
-    the good one from x = 0.2 on."""
-
-    def good_then(bad, good):
-        return good if bad is None else (lambda c: good(c) if c[0] < 0.2 else bad(c))
-
-    M = ChartManifold(2, -1.0, 1.0, good_then(metric, lambda c: np.eye(2)))
-    N = ChartManifold.euclidean(1, -1.0, 1.0)
-    smap = SmoothMap(M, N, good_then(fn, lambda c: c[:1]),
-                     good_then(jac, lambda c: np.array([[1.0, 0.0]])))
-    return SubmersionContext(smap, ENGINE)
-
-
-@pytest.mark.parametrize("image, message", [
-    (lambda c: [np.nan], "image [nan] of [0.3 0.4] outside target domain"),
-    (lambda c: [np.inf], "image [inf] of [0.3 0.4] outside target domain"),
-    (lambda c: [2.0], "image [2.] of [0.3 0.4] outside target domain"),
-    (lambda c: c, "image of shape (2,) at [0.3 0.4]"),
-], ids=["nan", "inf", "outside", "shape"])
-def test_images_name_the_first_point_whose_image_is_off_the_target(image, message):
-    ctx = _bad_from_second_point(fn=image)
-    F = ctx.map
-    calls = [lambda: F.images(POINTS), lambda: F.images(POINTS[1:]),
-             lambda: F.image_point(POINTS[1]), lambda: ctx.dilations(POINTS)]
-    for call in calls:
-        with pytest.raises(DomainError) as exc:
-            call()
-        assert str(exc.value) == message
-    # the single-point call checks the shape only
-    if "shape" in message:
-        with pytest.raises(DomainError, match=re.escape(message)):
-            F(POINTS[1])
+@pytest.mark.parametrize("fault", BOUNDARY_FAULTS)
+def test_a_single_point_conversion_checks_the_shape_only(fault):
+    # finiteness and the target box are checked on the stack that the
+    # point-set calls read
+    datum, bad, error = BOUNDARY_FAULTS[fault]
+    F = bad_from_second_point(**{datum: bad}).map
+    convert = F if datum == "fn" else (lambda c: F.jacobian_at(c, ENGINE))
+    if "of shape" in error[1]:
+        with pytest.raises(error[0]) as exc:
+            convert(POINTS[1])
+        assert str(exc.value) == error[1]
     else:
-        np.testing.assert_array_equal(F(POINTS[1]), np.asarray(image(POINTS[1]), dtype=float))
-
-
-@pytest.mark.parametrize("jac, message", [
-    (lambda c: [[np.nan, 0.0]], "Jacobian not finite at [0.3 0.4]"),
-    (lambda c: [[np.inf, 0.0]], "Jacobian not finite at [0.3 0.4]"),
-    (lambda c: [[1.0], [0.0]], "Jacobian of shape (2, 1) at [0.3 0.4], expected (1, 2)"),
-], ids=["nan", "inf", "transposed"])
-def test_jacobians_name_the_first_point_whose_jacobian_is_bad(jac, message):
-    ctx = _bad_from_second_point(jac=jac)
-    F = ctx.map
-    calls = [lambda: F.jacobians_at(POINTS, ENGINE), lambda: F.jacobians_at(POINTS[1:], ENGINE),
-             lambda: ctx.splitting_at(POINTS[1]), lambda: ctx.splittings_at(POINTS),
-             lambda: F.check_jacobian(ENGINE, POINTS)]
-    for call in calls:
-        with pytest.raises(RankError) as exc:
-            call()
-        assert str(exc.value) == message
-    # the single-point conversion checks the shape only
-    if "shape" in message:
-        with pytest.raises(RankError, match=re.escape(message)):
-            F.jacobian_at(POINTS[1], ENGINE)
-    else:
-        assert not np.isfinite(F.jacobian_at(POINTS[1], ENGINE)).all()
+        np.testing.assert_array_equal(convert(POINTS[1]), np.asarray(bad(POINTS[1]), dtype=float))
 
 
 def test_a_non_finite_fd_jacobian_is_named_by_the_fd_consistency_check():
     # FD through a NaN image; the analytic Jacobian is fine. Taking the
     # larger of 0.0 and a NaN gap read 0.0, so fd-consistency passed
-    ctx = _bad_from_second_point(fn=lambda c: [np.nan])
+    ctx = bad_from_second_point(fn=lambda c: [np.nan])
     with pytest.raises(RankError, match=re.escape("Jacobian not finite at [0.3 0.4]")):
         ctx.map.check_jacobian(ENGINE, POINTS)
+
+
+@pytest.mark.parametrize("fault", [f for f, (datum, _, _) in BOUNDARY_FAULTS.items()
+                                   if datum == "jac"])
+def test_the_fd_consistency_check_names_the_first_bad_analytic_jacobian(fault):
+    _, bad, (error, message) = BOUNDARY_FAULTS[fault]
+    with pytest.raises(error) as exc:
+        bad_from_second_point(jac=bad).map.check_jacobian(ENGINE, POINTS)
+    assert str(exc.value) == message
 
 
 def test_the_splitting_kernel_checks_a_memoized_unchecked_metric():
     # metrics_at shares its memo entries with metric_at(c, check=False), so
     # the finiteness test runs on the stack the kernel reads, hits included
-    ctx = _bad_from_second_point(metric=lambda c: np.full((2, 2), np.nan))
+    ctx = bad_from_second_point(metric=lambda c: np.full((2, 2), np.nan))
     M = ctx.map.source
     message = re.escape("metric not finite at [0.3 0.4]")
     with evaluation_scope():
