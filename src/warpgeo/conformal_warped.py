@@ -23,10 +23,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .connection import christoffel, lie_bracket
+from .connection import lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
-from .manifold import ChartManifold, ScalarField, VectorField, _point_set, _with_stack
+from .manifold import (
+    ChartManifold,
+    ScalarField,
+    VectorField,
+    _point_set,
+    _with_stack,
+    evaluation_scope,
+)
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
@@ -224,37 +231,37 @@ def verify_first_factor_a_identity(
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
     inv_l1_lifted = lift(cws.source, "first", inv_l1)
     engine = cws.ctx.engine
-    used = _conformal_points(cws, points)
-    skipped = len(points) - len(used)
-    _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
+    with evaluation_scope():
+        used = _conformal_points(cws, points)
+        skipped = len(points) - len(used)
+        _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
 
-    for p in used:
-        c1, _ = cws.source.split_coords(p)
-        g1 = cws.source.first.metric_at(c1)
-        lam1_sq = cws.lambda1(c1) ** 2
-        s1 = cws.ctx1.splitting_at(c1)
-        s = cws.ctx.splitting_at(p)
-        gamma = christoffel(cws.source.ambient, engine, p)
+        for p in used:
+            c1, _ = cws.source.split_coords(p)
+            g1 = cws.source.first.metric_at(c1)
+            lam1_sq = cws.lambda1(c1) ** 2
+            s1 = cws.ctx1.splitting_at(c1)
+            s = cws.ctx.splitting_at(p)
 
-        for X1, Y1 in pairs1:
-            Xl = lift(cws.source, "first", X1)
-            Yl = lift(cws.source, "first", Y1)
-            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma)
+            for X1, Y1 in pairs1:
+                Xl = lift(cws.source, "first", X1)
+                Yl = lift(cws.source, "first", Y1)
+                lhs = oneill_a(cws.ctx, Xl, Yl, p)
 
-            inner = float(X1(c1) @ g1 @ Y1(c1))
-            # convention A: everything on the first factor, then lifted
-            br1 = lie_bracket(cws.source.first, engine, X1, Y1, c1)
-            grad1 = vertical_gradient(cws.ctx1, inv_l1, c1)
-            rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
-            rhs_a = cws.source.pad("first", rhs_factor)
-            # convention B: bracket and vertical gradient on the product
-            br = lie_bracket(cws.source.ambient, engine, Xl, Yl, p)
-            grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p)
-            rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
+                inner = float(X1(c1) @ g1 @ Y1(c1))
+                # convention A: everything on the first factor, then lifted
+                br1 = lie_bracket(cws.source.first, engine, X1, Y1, c1)
+                grad1 = vertical_gradient(cws.ctx1, inv_l1, c1)
+                rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
+                rhs_a = cws.source.pad("first", rhs_factor)
+                # convention B: bracket and vertical gradient on the product
+                br = lie_bracket(cws.source.ambient, engine, Xl, Yl, p)
+                grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p)
+                rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
 
-            scale = residual_scale(lhs, rhs_a, rhs_b)
-            check.add(max(np.linalg.norm(lhs - rhs_a), np.linalg.norm(lhs - rhs_b)), scale)
-            convention_gap = max(convention_gap, np.linalg.norm(rhs_a - rhs_b) / scale)
+                scale = residual_scale(lhs, rhs_a, rhs_b)
+                check.add(max(np.linalg.norm(lhs - rhs_a), np.linalg.norm(lhs - rhs_b)), scale)
+                convention_gap = max(convention_gap, np.linalg.norm(rhs_a - rhs_b) / scale)
 
     if skipped:
         check.note(f"skipped {skipped} non-conformal points")
@@ -316,36 +323,34 @@ def verify_second_factor_a_identity(
     """
     check = ResidualCheck("product-a-second-factor", tolerance)
     variants = second_factor_variant_fields(cws)
-    engine = cws.ctx.engine
     worst = {name: 0.0 for name in variants}
-    used = _conformal_points(cws, points)
-    skipped = len(points) - len(used)
-    _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.second_axes())
-    _warm_parts(cws.ctx2, [cws.source.split_coords(p)[1] for p in used], vertical=False)
+    with evaluation_scope():
+        used = _conformal_points(cws, points)
+        skipped = len(points) - len(used)
+        _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.second_axes())
+        _warm_parts(cws.ctx2, [cws.source.split_coords(p)[1] for p in used], vertical=False)
 
-    for p in used:
-        c1, c2 = cws.source.split_coords(p)
-        g2 = cws.source.second.metric_at(c2)
-        lam2_sq = cws.lambda2(c2) ** 2
-        gamma = christoffel(cws.source.ambient, engine, p)
-        gamma2 = christoffel(cws.source.second, engine, c2)
+        for p in used:
+            c1, c2 = cws.source.split_coords(p)
+            g2 = cws.source.second.metric_at(c2)
+            lam2_sq = cws.lambda2(c2) ** 2
 
-        for X2, Y2 in pairs2:
-            Xl = lift(cws.source, "second", X2)
-            Yl = lift(cws.source, "second", Y2)
-            lhs = oneill_a(cws.ctx, Xl, Yl, p, gamma)
+            for X2, Y2 in pairs2:
+                Xl = lift(cws.source, "second", X2)
+                Yl = lift(cws.source, "second", Y2)
+                lhs = oneill_a(cws.ctx, Xl, Yl, p)
 
-            a2_xy = oneill_a(cws.ctx2, X2, Y2, c2, gamma2)
-            a2_yx = oneill_a(cws.ctx2, Y2, X2, c2, gamma2)
-            skew = cws.source.pad("second", a2_xy - a2_yx)
-            inner = float(X2(c2) @ g2 @ Y2(c2))
+                a2_xy = oneill_a(cws.ctx2, X2, Y2, c2)
+                a2_yx = oneill_a(cws.ctx2, Y2, X2, c2)
+                skew = cws.source.pad("second", a2_xy - a2_yx)
+                inner = float(X2(c2) @ g2 @ Y2(c2))
 
-            for name, field in variants.items():
-                grad_v = vertical_gradient(cws.ctx, field, p)
-                rhs = 0.5 * (skew - lam2_sq * inner * grad_v)
-                worst[name] = max(
-                    worst[name], np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs)
-                )
+                for name, field in variants.items():
+                    grad_v = vertical_gradient(cws.ctx, field, p)
+                    rhs = 0.5 * (skew - lam2_sq * inner * grad_v)
+                    worst[name] = max(
+                        worst[name], np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs)
+                    )
 
     # the check passes iff the best variant passes
     for _ in used:
@@ -481,22 +486,21 @@ def fiber_geometry_report(
     h1_check = ResidualCheck("fiber-minimality-first", tolerance)
     h2_check = ResidualCheck("fiber-minimality-second", tolerance)
     mixed_check = ResidualCheck("mixed-fiber-geodesic", tolerance)
-    _warm_parts(cws.ctx, points, vertical=True)
+    with evaluation_scope():
+        _warm_parts(cws.ctx, points, vertical=True)
+        for p in points:
+            v1, v2 = factor_vertical_bases(cws, p)
+            h1 = fiber_mean_curvature(cws.ctx, v1, p)
+            h2 = fiber_mean_curvature(cws.ctx, v2, p)
+            h1_check.add(np.linalg.norm(h1), residual_scale(h1))
+            h2_check.add(np.linalg.norm(h2), residual_scale(h2))
 
-    for p in points:
-        v1, v2 = factor_vertical_bases(cws, p)
-        gamma = christoffel(cws.source.ambient, cws.ctx.engine, p)
-        h1 = fiber_mean_curvature(cws.ctx, v1, p, gamma)
-        h2 = fiber_mean_curvature(cws.ctx, v2, p, gamma)
-        h1_check.add(np.linalg.norm(h1), residual_scale(h1))
-        h2_check.add(np.linalg.norm(h2), residual_scale(h2))
-
-        for a in range(v1.shape[1]):
-            for b in range(v2.shape[1]):
-                e1 = VectorField.constant(v1[:, a])
-                e2 = VectorField.constant(v2[:, b])
-                t_mixed = oneill_t(cws.ctx, e1, e2, p, gamma)
-                mixed_check.add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
+            for a in range(v1.shape[1]):
+                for b in range(v2.shape[1]):
+                    e1 = VectorField.constant(v1[:, a])
+                    e2 = VectorField.constant(v2[:, b])
+                    t_mixed = oneill_t(cws.ctx, e1, e2, p)
+                    mixed_check.add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
 
     records = []
     for check, expect in ((h1_check, expect_first_minimal), (h2_check, expect_second_minimal)):

@@ -26,7 +26,8 @@ def christoffel(M: ChartManifold, engine: DiffEngine, coords, g: Optional[Array]
     ``g`` is the checked ``M.metric_at(coords)``, evaluated when not given;
     never pass an unchecked metric, which would skip the SPD check. Inside an
     evaluation scope the array is memoized by chart, exact coordinates and
-    engine, and is read-only."""
+    engine, and is read-only: the value computed from a passed ``g`` is
+    stored for every later call at that point, with or without ``g``."""
     coords = np.asarray(coords, dtype=float)
     return _memoized(M, coords, engine, _christoffel, M, engine, coords, g)
 

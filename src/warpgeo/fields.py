@@ -49,6 +49,14 @@ def vector_field_library(M: ChartManifold, rng: np.random.Generator, n: int) -> 
     return fields
 
 
+def field_pairs(
+    M: ChartManifold, rng: np.random.Generator, n: int
+) -> list[tuple[VectorField, VectorField]]:
+    """n pairs of consecutive fields of ``vector_field_library(M, rng, 2 n)``."""
+    fields = vector_field_library(M, rng, 2 * n)
+    return [(fields[2 * i], fields[2 * i + 1]) for i in range(n)]
+
+
 def modulated(field: VectorField, axis: int, anchor: np.ndarray, slope: float = 0.7) -> VectorField:
     """Rescale a field by an affine factor equal to 1 at the anchor point.
 

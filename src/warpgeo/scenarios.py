@@ -39,7 +39,7 @@ from .conformal_warped import (
 )
 from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
-from .fields import vector_field_library
+from .fields import field_pairs
 from .manifold import ChartManifold, ScalarField, evaluation_scope
 from .report import TOLERANCES, CheckRecord, ResidualCheck, RunConfig, VerificationReport
 from .sampling import sample_points
@@ -290,11 +290,6 @@ def _points(objs: dict, config: RunConfig):
     return [objs["ctx"].map.source.point(c) for c in coords]
 
 
-def _factor_pairs(M: ChartManifold, rng, n_pairs: int):
-    fields = vector_field_library(M, rng, 2 * n_pairs)
-    return [(fields[2 * i], fields[2 * i + 1]) for i in range(n_pairs)]
-
-
 def _points_by_manifold(objs: dict, points) -> dict:
     """Spot-check points for fd-consistency, keyed by manifold identity.
 
@@ -376,8 +371,8 @@ _CONN_SHARED = ("warped-conn-mixed", "warped-conn-fiber-normal", "warped-conn-fi
         gates=_shared("warped-conn-first-pair", *_CONN_SHARED))
 def _warped_connection(objs, config, engine, points, rng):
     W = objs["warped"]
-    pairs1 = _factor_pairs(W.first, rng, 3)
-    pairs2 = _factor_pairs(W.second, rng, 3)
+    pairs1 = field_pairs(W.first, rng, 3)
+    pairs2 = field_pairs(W.second, rng, 3)
     return verify_warped_connection(W, engine, points, pairs1, pairs2,
                                     config.tolerance("warped-conn-first-pair"))
 

@@ -42,11 +42,15 @@ set it is computed in. The suites fetch point sets in blocks of
 Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
 single-point and point-set calls; stencil points still get their own
-splittings, so nothing is frozen at the base point. Before an O'Neill
-suite walks its sample points, ``warm_stencils`` stores the splittings (or
-dilations) at all their stencil points, along the axes the suite's
-directions use, through the point-set calls; the O'Neill tensors then find
-them in the memo.
+splittings, so nothing is frozen at the base point. The O'Neill tensors
+read the Christoffel symbols at their base point through ``christoffel``,
+which the scope memoizes too. Each O'Neill suite, and
+``fiber_mean_curvature``, opens its own scope, which shares an enclosing
+one (``run_scenario``'s), so a suite called on its own takes the same
+cached path. Before an O'Neill suite walks its sample points,
+``warm_stencils`` stores the splittings (or dilations) at all their
+stencil points, along the axes the suite's directions use, through the
+point-set calls; the O'Neill tensors then find them in the memo.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ from .manifold import (
     _point_set,
     _stack_of,
     analytic_fd_gap,
+    evaluation_scope,
     gradient,
 )
 from .report import TOLERANCES
@@ -410,10 +415,8 @@ def _part_axes(splittings, vertical: bool, columns=None) -> list[int]:
 def _warm_parts(ctx: SubmersionContext, points, vertical: bool, columns=None) -> None:
     """``ctx.warm_stencils`` at ``points`` along the ``_part_axes`` of their
     splittings: for a suite that differentiates along the vertical (else
-    horizontal) parts of vectors that are zero outside ``columns``. A no-op
-    outside a scope; never raises."""
-    if _MEMO.get() is None:
-        return
+    horizontal) parts of vectors that are zero outside ``columns``. Called
+    inside the suite's scope; never raises."""
     try:
         splittings = [s for _, s in _in_blocks(ctx.splittings_at, points)]
     except Exception:  # the suite's own call at that point raises it
@@ -427,7 +430,6 @@ def _oneill(
     E: VectorField,
     F: VectorField,
     coords,
-    gamma: Optional[Array],
 ) -> Array:
     """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at coords.
 
@@ -438,8 +440,7 @@ def _oneill(
     M, engine = ctx.map.source, ctx.engine
     s = ctx.splitting_at(coords)
     direction = part(s, E(coords))
-    if gamma is None:
-        gamma = christoffel(M, engine, coords)
+    gamma = christoffel(M, engine, coords)
 
     def split(c):
         f = F(c)
@@ -454,41 +455,26 @@ def _oneill(
     return s.horizontal_part(d_vert) + s.vertical_part(d_horiz)
 
 
-def oneill_a(
-    ctx: SubmersionContext,
-    E: VectorField,
-    F: VectorField,
-    coords,
-    gamma: Optional[Array] = None,
-) -> Array:
+def oneill_a(ctx: SubmersionContext, E: VectorField, F: VectorField, coords) -> Array:
     """A_E F at coords, with projections recomputed along the stencil."""
-    return _oneill(ctx, Splitting.horizontal_part, E, F, coords, gamma)
+    return _oneill(ctx, Splitting.horizontal_part, E, F, coords)
 
 
-def oneill_t(
-    ctx: SubmersionContext,
-    E: VectorField,
-    F: VectorField,
-    coords,
-    gamma: Optional[Array] = None,
-) -> Array:
+def oneill_t(ctx: SubmersionContext, E: VectorField, F: VectorField, coords) -> Array:
     """T_E F at coords, with projections recomputed along the stencil."""
-    return _oneill(ctx, Splitting.vertical_part, E, F, coords, gamma)
+    return _oneill(ctx, Splitting.vertical_part, E, F, coords)
 
 
-def fiber_mean_curvature(
-    ctx: SubmersionContext,
-    basis: Array,
-    coords,
-    gamma: Optional[Array] = None,
-) -> Array:
+def fiber_mean_curvature(ctx: SubmersionContext, basis: Array, coords) -> Array:
     """Mean curvature at coords of the fibers spanned by the columns of basis:
-    T_u u averaged over the g-orthonormal columns u (zero for no columns)."""
-    acc = np.zeros(basis.shape[0])
-    for column in basis.T:
-        u = VectorField.constant(column)
-        acc += oneill_t(ctx, u, u, coords, gamma)
-    return acc / max(basis.shape[1], 1)
+    T_u u averaged over the g-orthonormal columns u (zero for no columns).
+    The columns share one evaluation scope."""
+    with evaluation_scope():
+        acc = np.zeros(basis.shape[0])
+        for column in basis.T:
+            u = VectorField.constant(column)
+            acc += oneill_t(ctx, u, u, coords)
+        return acc / max(basis.shape[1], 1)
 
 
 def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, coords) -> Array:

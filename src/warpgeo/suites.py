@@ -5,6 +5,10 @@ seeded fields and returns CheckRecords. Only ``engine_health_records``
 records a bad sample (a ``GeometryError``) as a failure with a note and goes
 on; the other suites let the error propagate, and ``run_scenario`` turns it
 into a failed report for the whole scenario.
+
+The O'Neill suites open their own evaluation scope, which shares
+``run_scenario``'s when nested; ``engine_health_records`` opens none and
+hands each point's metric and Christoffel symbols on as ``g`` and ``gamma``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 from .connection import christoffel, covariant_derivative, lie_bracket
 from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
-from .fields import modulated, vector_field_library
-from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_field
+from .fields import field_pairs, modulated, vector_field_library
+from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_field, evaluation_scope
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
@@ -149,10 +153,9 @@ def dilation_records(
 def horizontal_pairs(
     ctx: SubmersionContext, rng: np.random.Generator, n_pairs: int
 ) -> list[tuple[VectorField, VectorField]]:
-    """Seeded library fields projected pointwise onto the horizontal space."""
-    fields = vector_field_library(ctx.map.source, rng, 2 * n_pairs)
-    projected = [ctx.horizontal_field(F) for F in fields]
-    return [(projected[2 * i], projected[2 * i + 1]) for i in range(n_pairs)]
+    """Seeded library field pairs projected pointwise onto the horizontal space."""
+    return [(ctx.horizontal_field(X), ctx.horizontal_field(Y))
+            for X, Y in field_pairs(ctx.map.source, rng, n_pairs)]
 
 
 def a_crossval_records(
@@ -167,25 +170,26 @@ def a_crossval_records(
     extension = ResidualCheck("a-extension-independence", tolerance)
     pairs = horizontal_pairs(ctx, rng, 2)
     M = ctx.map.source
-    # the formula differentiates the context's own dilation along every axis
-    ctx.warm_stencils(points, range(M.dim), dilations=True)
+    with evaluation_scope():
+        # the formula differentiates the context's own dilation along every axis
+        ctx.warm_stencils(points, range(M.dim), dilations=True)
+        for p in points:
+            for X, Y in pairs:
+                a_direct = oneill_a(ctx, X, Y, p)
+                a_formula = conformal_a_formula(ctx, X, Y, p)
+                crossval.add(np.linalg.norm(a_direct - a_formula),
+                             residual_scale(a_direct, a_formula))
 
-    for p in points:
-        gamma = christoffel(M, ctx.engine, p)
-        for X, Y in pairs:
-            a_direct = oneill_a(ctx, X, Y, p, gamma)
-            a_formula = conformal_a_formula(ctx, X, Y, p)
-            crossval.add(np.linalg.norm(a_direct - a_formula), residual_scale(a_direct, a_formula))
-
-            # same horizontal vectors at p, different extensions
-            x_const = ctx.horizontal_field(VectorField.constant(X(p)))
-            y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
-            x_mod = ctx.horizontal_field(modulated(VectorField.constant(X(p)), 0, p))
-            y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
-            a_ext1 = oneill_a(ctx, x_const, y_const, p, gamma)
-            a_ext2 = oneill_a(ctx, x_mod, y_mod, p, gamma)
-            extension.add(np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2))
-            extension.add(np.linalg.norm(a_ext1 - a_direct), residual_scale(a_ext1, a_direct))
+                # same horizontal vectors at p, different extensions
+                x_const = ctx.horizontal_field(VectorField.constant(X(p)))
+                y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
+                x_mod = ctx.horizontal_field(modulated(VectorField.constant(X(p)), 0, p))
+                y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
+                a_ext1 = oneill_a(ctx, x_const, y_const, p)
+                a_ext2 = oneill_a(ctx, x_mod, y_mod, p)
+                extension.add(np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2))
+                extension.add(np.linalg.norm(a_ext1 - a_direct),
+                              residual_scale(a_ext1, a_direct))
     return [crossval.record(), extension.record()]
 
 
@@ -198,25 +202,24 @@ def t_umbilicity_records(
     """T restricted to vertical pairs is g(U, W) H with H the fiber mean
     curvature obtained by tracing T over an orthonormal vertical basis."""
     check = ResidualCheck("t-umbilical", tolerance)
-    M = ctx.map.source
-    _warm_parts(ctx, points, vertical=True)
-    for p in points:
-        s = ctx.splitting_at(p)
-        nv = s.vertical.shape[1]
-        if nv == 0:
-            check.add(0.0)
-            continue
-        gamma = christoffel(M, ctx.engine, p)
-        # ambient-metric-orthonormal vertical basis
-        basis = _gram_schmidt(s.vertical, s.metric)
-        mean = fiber_mean_curvature(ctx, basis, p, gamma)
+    with evaluation_scope():
+        _warm_parts(ctx, points, vertical=True)
+        for p in points:
+            s = ctx.splitting_at(p)
+            nv = s.vertical.shape[1]
+            if nv == 0:
+                check.add(0.0)
+                continue
+            # ambient-metric-orthonormal vertical basis
+            basis = _gram_schmidt(s.vertical, s.metric)
+            mean = fiber_mean_curvature(ctx, basis, p)
 
-        for _ in range(2):
-            cu = basis @ rng.uniform(-1.0, 1.0, size=nv)
-            cw = basis @ rng.uniform(-1.0, 1.0, size=nv)
-            t_val = oneill_t(ctx, VectorField.constant(cu), VectorField.constant(cw), p, gamma)
-            expected = float(cu @ s.metric @ cw) * mean
-            check.add(np.linalg.norm(t_val - expected), residual_scale(t_val, expected))
+            for _ in range(2):
+                cu = basis @ rng.uniform(-1.0, 1.0, size=nv)
+                cw = basis @ rng.uniform(-1.0, 1.0, size=nv)
+                t_val = oneill_t(ctx, VectorField.constant(cu), VectorField.constant(cw), p)
+                expected = float(cu @ s.metric @ cw) * mean
+                check.add(np.linalg.norm(t_val - expected), residual_scale(t_val, expected))
     return check.record()
 
 

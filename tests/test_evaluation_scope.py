@@ -1,9 +1,10 @@
-"""The pointwise memo of evaluation_scope: same numbers, per-point splittings,
-metrics and Christoffel symbols, nesting, lifetime, errors, read-only
-entries and Jacobian reuse; dilations; the one-pass O'Neill tensors;
-derivatives contracted with a direction skip its zero components."""
+"""The pointwise memo of evaluation_scope: one table of its promises over
+the memoized calls; tensors, stencil points, read-only point sets and
+Jacobian reuse in a scope; the one-pass O'Neill tensors; derivatives
+contracted with a direction skip its zero components."""
 
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,6 +45,165 @@ def cws():
     return build_objects("cws-variable-dilation", ENGINE)["cws"]
 
 
+# -- the memo's promises: one row per memoized call --------------------------
+
+ROWS = ("metric_at", "metric_at(check=False)", "christoffel", "splitting_at", "dilation")
+
+
+@pytest.fixture(scope="module")
+def rows(cws):
+    """row -> (the memoized call at a point of the product, the same call for
+    another owner: the check flag, a chart, an engine or a context)."""
+    M = cws.source.ambient
+    plain, offset = rescaled_context(cws, 0.0), rescaled_context(cws, 0.1)
+    return {
+        "metric_at": (M.metric_at, partial(M.metric_at, check=False)),
+        "metric_at(check=False)": (partial(M.metric_at, check=False),
+                                   partial(offset.map.source.metric_at, check=False)),
+        "christoffel": (partial(christoffel, M, ENGINE),
+                        partial(christoffel, M, DiffEngine(scheme="central4"))),
+        "splitting_at": (cws.ctx.splitting_at, offset.splitting_at),
+        "dilation": (plain.dilation, offset.dilation),
+    }
+
+
+def _counted(calls: list, fn):
+    """``fn``, appending to ``calls`` each time it is called."""
+    def counted(c):
+        calls.append(1)
+        return fn(c)
+    return counted
+
+
+def _checked_non_spd_metric(calls):
+    """The checked metric diag(1, x), not positive definite at x = -0.5,
+    after its unchecked entry there is stored."""
+    M = ChartManifold(2, None, None, _counted(calls, lambda c: np.diag([1.0, c[0]])))
+    assert M.metric_at([-0.5, 0.0], check=False)[1, 1] == -0.5
+    return partial(M.metric_at, [-0.5, 0.0]), DegenerateMetricError, "not positive definite"
+
+
+def _negative_warp(calls) -> ChartManifold:
+    """The warped product of two lines with warp x, which is negative at x = -0.5."""
+    line = ChartManifold.euclidean(1, [-2.0], [2.0])
+    return build_warped_product(line, line, ScalarField(_counted(calls, lambda c: float(c[0])))
+                                ).ambient
+
+
+def _critical_point_splitting(calls):
+    """The splitting of x^2 + y^2 at its critical point, of rank 0."""
+    M = ChartManifold.euclidean(2, [-1, -1], [1, 1])
+    radius = SmoothMap(M, ChartManifold.euclidean(1, [-9], [9]), lambda c: np.array([c @ c]),
+                       _counted(calls, lambda c: np.array([2.0 * c])))
+    return partial(SubmersionContext(radius, ENGINE).splitting_at, [0.0, 0.0]), RankError, "rank 0"
+
+
+def _degenerate_pullback(calls):
+    """A dilation under a target metric that vanishes, so that the pullback
+    on the horizontal line is zero."""
+    M = ChartManifold.euclidean(2, [-1, -1], [1, 1])
+    N = ChartManifold(1, [-2.0], [2.0], lambda c: np.zeros((1, 1)))
+    smap = SmoothMap(M, N, _counted(calls, lambda c: np.array([c[0]])),
+                     lambda c: np.array([[1.0, 0.0]]))
+    return (partial(SubmersionContext(smap, ENGINE).dilation, [0.2, 0.3]), RankError,
+            "pullback metric degenerate")
+
+
+# row -> a builder of a call that raises, given the list its user callable
+# appends to: (the call, its error, the error's message)
+FAILING = {
+    "metric_at": _checked_non_spd_metric,
+    "metric_at(check=False)": lambda calls: (
+        partial(_negative_warp(calls).metric_at, [-0.5, 0.0], check=False),
+        WarpPositivityError, "warp"),
+    "christoffel": lambda calls: (
+        partial(christoffel, _negative_warp(calls), ENGINE, np.array([-0.5, 0.0])),
+        WarpPositivityError, "warp"),
+    "splitting_at": _critical_point_splitting,
+    "dilation": _degenerate_pullback,
+}
+
+
+def _arrays(value) -> list:
+    """The arrays of a memoized value: the value, or its dataclass's array fields."""
+    fields = [value] if isinstance(value, np.ndarray) else vars(value).values()
+    return [a for a in fields if isinstance(a, np.ndarray)]
+
+
+def _bits(value) -> list:
+    """The bytes of the value, or of each field of its dataclass."""
+    fields = [value] if isinstance(value, np.ndarray) else vars(value).values()
+    return [np.asarray(v).tobytes() for v in fields]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_a_scoped_value_is_bit_identical_to_the_unscoped_one(rows, row):
+    want = [_bits(call(COORDS)) for call in rows[row]]
+    with evaluation_scope():
+        for _ in range(2):  # the second round is served from the memo
+            assert [_bits(call(COORDS)) for call in rows[row]] == want
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_a_memoized_value_is_shared_and_read_only(rows, row):
+    call = rows[row][0]
+    coords = COORDS.copy()
+    with evaluation_scope():
+        value = call(coords)
+        assert call(COORDS.copy()) is value
+    want = _bits(value)
+    for a in _arrays(value):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert coords.flags.writeable
+    coords[0] = 0.0  # the caller's array stays its own
+    assert _bits(value) == want
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_each_owner_gets_its_own_entry_and_a_nested_scope_shares_the_memo(rows, row):
+    call, other = rows[row]
+    # only the check flag leaves the numbers as they are
+    assert (_bits(call(COORDS)) == _bits(other(COORDS))) == (row == "metric_at")
+    with evaluation_scope():
+        outer = call(COORDS)
+        assert other(COORDS) is not outer
+        with evaluation_scope():
+            assert call(COORDS) is outer
+            inner = call(COORDS + 0.1)
+        assert call(COORDS + 0.1) is inner
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_a_failing_call_raises_on_every_call(row):
+    calls = []
+    with evaluation_scope():
+        fail, error, message = FAILING[row](calls)
+        before = len(calls)
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                fail()
+    assert len(calls) == before + 3  # the error was never stored
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_the_memo_is_dropped_on_exit(rows, row):
+    call = rows[row][0]
+    assert call(COORDS) is not call(COORDS)
+    with evaluation_scope():
+        kept = call(COORDS)
+    with pytest.raises(RuntimeError), evaluation_scope():
+        aborted = call(COORDS)
+        assert aborted is not kept
+        raise RuntimeError("abort")
+    assert call(COORDS) is not kept and call(COORDS) is not aborted
+    with evaluation_scope():
+        assert call(COORDS) is not kept and call(COORDS) is not aborted
+
+
+# -- tensors, stencil points, point sets and Jacobians in a scope -------------
+
+
 def _tensor_components(cws):
     ctx, ctx1 = cws.ctx, cws.ctx1
     p = ctx.map.source.point(COORDS)
@@ -81,87 +241,23 @@ def test_stencil_points_get_their_own_splittings(cws):
         assert np.array_equal(s.projector_v, ctx.splitting_at(c).projector_v)
 
 
-def test_nested_scope_shares_the_outer_memo(cws):
-    ctx = cws.ctx
-    other = COORDS + 0.1
-    with evaluation_scope():
-        outer = ctx.splitting_at(COORDS)
-        with evaluation_scope():
-            assert ctx.splitting_at(COORDS) is outer
-            inner = ctx.splitting_at(other)
-        assert ctx.splitting_at(other) is inner
-
-
-def test_memo_is_dropped_on_exit(cws):
-    ctx = cws.ctx
-    assert ctx.splitting_at(COORDS) is not ctx.splitting_at(COORDS)
-    with evaluation_scope():
-        kept = ctx.splitting_at(COORDS)
-    assert ctx.splitting_at(COORDS) is not kept
-    with evaluation_scope():
-        assert ctx.splitting_at(COORDS) is not kept
-
-
-def test_memo_is_dropped_on_exit_by_exception(cws):
-    ctx = cws.ctx
-    with pytest.raises(RuntimeError):
-        with evaluation_scope():
-            kept = ctx.splitting_at(COORDS)
-            raise RuntimeError("abort")
-    assert ctx.splitting_at(COORDS) is not kept
-    with evaluation_scope():
-        assert ctx.splitting_at(COORDS) is not kept
-
-
-def test_rank_error_is_raised_on_every_call(cws):
-    jac_calls = []
-
-    def jac(c):
-        jac_calls.append(1)
-        return np.array([[2.0 * c[0], 2.0 * c[1]]])
-
-    M1 = cws.ctx1.map.source
-    radius = SmoothMap(M1, cws.ctx1.map.target, lambda c: np.array([c[0] ** 2 + c[1] ** 2]), jac)
-    ctx = SubmersionContext(radius, ENGINE)
-    with evaluation_scope():
-        for _ in range(3):
-            with pytest.raises(RankError):
-                ctx.splitting_at([0.0, 0.0])
-    assert len(jac_calls) == 3
-
-
-SPLITTING_ARRAYS = ("coords", "vertical", "horizontal", "projector_v", "singular_values",
-                    "jacobian", "metric")
-
-
-def test_memoized_splitting_is_read_only(cws):
-    coords = COORDS.copy()
-    with evaluation_scope():
-        s = cws.ctx.splitting_at(coords)
-        for name in SPLITTING_ARRAYS:
-            with pytest.raises(ValueError):
-                getattr(s, name)[0] = 1.0
-        assert cws.ctx.splitting_at(coords) is s
-    coords[0] = 0.0  # the caller's array stays its own
-    assert s.coords[0] == COORDS[0]
-
-
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("n", [1, 65])
-def test_point_set_splittings_are_read_only(cws, n, scoped):
+@pytest.mark.parametrize("kind", ["splittings_at", "dilations"])
+def test_point_set_splittings_and_dilations_are_read_only(cws, kind, n, scoped):
     M = cws.ctx.map.source
     coords = [M.point(COORDS * (1.0 - 0.01 * k)) for k in range(n)]
     want = [c.copy() for c in coords]
     with evaluation_scope() if scoped else nullcontext():
-        splittings = cws.ctx.splittings_at(coords)
-    for s in splittings:
-        for name in SPLITTING_ARRAYS:
+        values = getattr(cws.ctx, kind)(coords)
+    for value in values:
+        for a in _arrays(value):
             with pytest.raises(ValueError):
-                getattr(s, name)[0] = 1.0
-    for c, w, s in zip(coords, want, splittings):
+                a[0] = 1.0
+    for c, w, value in zip(coords, want, values):
         assert c.flags.writeable
         c[0] = 0.0  # the caller's array stays its own
-        assert np.array_equal(s.coords, w)
+        assert np.array_equal(value.coords, w)
 
 
 def test_dilation_and_splitting_records_reuse_the_splitting_jacobian():
@@ -190,88 +286,6 @@ def test_projection_jacobian_stays_writable_after_splitting(cws):
     assert np.array_equal(s.jacobian, J)
 
 
-# -- metrics and Christoffel symbols ---------------------------------------
-
-
-def test_metric_and_christoffel_bit_identical_inside_and_outside_scope(cws):
-    charts = (cws.source.ambient, cws.source.first, cws.target.ambient)
-    points = [M.point(COORDS[: M.dim] * 0.5) for M in charts]
-    outside = [(M.metric_at(p), christoffel(M, ENGINE, p))
-               for M, p in zip(charts, points)]
-    with evaluation_scope():
-        for _ in range(2):  # the second round is served from the memo
-            for (g, gamma), M, p in zip(outside, charts, points):
-                assert np.array_equal(M.metric_at(p), g)
-                assert np.array_equal(M.metric_at(p, check=False), g)
-                assert np.array_equal(christoffel(M, ENGINE, p), gamma)
-
-
-def test_check_true_request_after_unchecked_entry_still_raises():
-    # g = diag(1, x) is not positive definite for x <= 0
-    M = ChartManifold(2, None, None, lambda c: np.diag([1.0, c[0]]))
-    coords = np.array([-0.5, 0.0])
-    with evaluation_scope():
-        assert M.metric_at(coords, check=False)[1, 1] == -0.5
-        for _ in range(2):
-            with pytest.raises(DegenerateMetricError):
-                M.metric_at(coords)
-
-
-def test_warp_positivity_error_is_raised_on_every_call():
-    warp_calls = []
-
-    def warp(c):
-        warp_calls.append(1)
-        return float(c[0])
-
-    line = ChartManifold.euclidean(1, [-2.0], [2.0])
-    W = build_warped_product(line, line, ScalarField(warp))
-    with evaluation_scope():
-        for _ in range(3):
-            with pytest.raises(WarpPositivityError):
-                W.ambient.metric_at([-0.5, 0.0])
-    assert len(warp_calls) == 3
-
-
-def test_each_engine_gets_its_own_christoffel_symbols(cws):
-    M = cws.source.ambient
-    p = M.point(COORDS)
-    engines = (DiffEngine(scheme="central2"), DiffEngine(scheme="central4"))
-    outside = [christoffel(M, e, p) for e in engines]
-    assert not np.array_equal(*outside)
-    with evaluation_scope():
-        for _ in range(2):
-            for e, gamma in zip(engines, outside):
-                assert np.array_equal(christoffel(M, e, p), gamma)
-
-
-def test_memoized_metric_and_christoffel_are_read_only(cws):
-    M = cws.source.ambient
-    p = M.point(COORDS)
-    with evaluation_scope():
-        g = M.metric_at(COORDS)
-        gamma = christoffel(M, ENGINE, p)
-        for a in (g, M.metric_at(COORDS, check=False), gamma):
-            with pytest.raises(ValueError):
-                a[0, 0] = 1.0
-        assert M.metric_at(COORDS) is g
-        assert christoffel(M, ENGINE, p) is gamma
-
-
-def test_metric_and_christoffel_memo_is_dropped_on_exit(cws):
-    M = cws.source.ambient
-    p = M.point(COORDS)
-    assert M.metric_at(COORDS) is not M.metric_at(COORDS)
-    with evaluation_scope():
-        g = M.metric_at(COORDS)
-        gamma = christoffel(M, ENGINE, p)
-    assert M.metric_at(COORDS) is not g
-    assert christoffel(M, ENGINE, p) is not gamma
-    with evaluation_scope():
-        assert M.metric_at(COORDS) is not g
-        assert christoffel(M, ENGINE, p) is not gamma
-
-
 # -- O'Neill tensors: one stencil pass for VF and HF -----------------------
 
 
@@ -289,13 +303,11 @@ def _two_pass_oneill(ctx, part, E, F, p, gamma):
 def _oneill_outputs(ctx, p, stacked):
     """A, T and the fiber mean curvature at p, stacked or from the reference."""
     M = ctx.map.source
-    gamma = christoffel(M, ctx.engine, p)
     E, F = vector_field_library(M, np.random.default_rng(11), 2)
     basis = ctx.splitting_at(p).vertical
     if stacked:
-        return [oneill_a(ctx, E, F, p, gamma),
-                oneill_t(ctx, E, F, p, gamma),
-                fiber_mean_curvature(ctx, basis, p, gamma)]
+        return [oneill_a(ctx, E, F, p), oneill_t(ctx, E, F, p), fiber_mean_curvature(ctx, basis, p)]
+    gamma = christoffel(M, ctx.engine, p)
     acc = np.zeros(basis.shape[0])
     for column in basis.T:
         u = VectorField.constant(column)
@@ -325,7 +337,6 @@ def test_oneill_makes_one_partials_call(monkeypatch):
     ctx = objs["ctx"]
     M = ctx.map.source
     p = M.point([0.2, -0.1, 0.3, 0.4])
-    gamma = christoffel(M, ENGINE, p)
     E, F = vector_field_library(M, np.random.default_rng(3), 2)
     basis = ctx.splitting_at(p).vertical
     calls = []
@@ -335,13 +346,15 @@ def test_oneill_makes_one_partials_call(monkeypatch):
         calls.append(1)
         return partials(self, *args, **kwargs)
 
-    monkeypatch.setattr(DiffEngine, "partials", counting)
-    oneill_a(ctx, E, F, p, gamma)
-    assert len(calls) == 1
-    oneill_t(ctx, E, F, p, gamma)
-    assert len(calls) == 2
-    fiber_mean_curvature(ctx, basis, p, gamma)
-    assert len(calls) == 2 + basis.shape[1]
+    with evaluation_scope():
+        christoffel(M, ENGINE, p)  # the tensors read it from the memo
+        monkeypatch.setattr(DiffEngine, "partials", counting)
+        oneill_a(ctx, E, F, p)
+        assert len(calls) == 1
+        oneill_t(ctx, E, F, p)
+        assert len(calls) == 2
+        fiber_mean_curvature(ctx, basis, p)
+        assert len(calls) == 2 + basis.shape[1]
 
 
 # -- direction-contracted derivatives skip the zero components ---------------
@@ -359,8 +372,8 @@ def _contracted_outputs(objs, p):
         for Y in fields:
             out.append(covariant_derivative_dir(M, engine, X(p), Y, p, gamma))
             out.append(lie_bracket(M, engine, X, Y, p))
-            out.append(oneill_a(ctx, X, Y, p, gamma))
-            out.append(oneill_t(ctx, X, Y, p, gamma))
+            out.append(oneill_a(ctx, X, Y, p))
+            out.append(oneill_t(ctx, X, Y, p))
     return out
 
 
@@ -390,78 +403,3 @@ def test_contracted_derivatives_bit_identical_to_full_partials(scenario, monkeyp
     assert any(np.any(r != 0.0) for r in reference)
     for want, have in zip(reference, got):
         assert np.array_equal(want, have)
-
-
-# -- dilations ---------------------------------------------------------------
-
-
-def _dilations(ctx, points):
-    return [(d.coords, d.lambda_sq, d.anisotropy) for d in (ctx.dilation(p) for p in points)]
-
-
-def test_dilation_bit_identical_inside_and_outside_scope(cws):
-    contexts = (cws.ctx, cws.ctx1, cws.ctx2)
-    points = [[ctx.map.source.point(COORDS[: ctx.map.source.dim] * t) for t in (0.5, 1.0)]
-              for ctx in contexts]
-    outside = [_dilations(ctx, pts) for ctx, pts in zip(contexts, points)]
-    with evaluation_scope():
-        for _ in range(2):  # the second round is served from the memo
-            inside = [_dilations(ctx, pts) for ctx, pts in zip(contexts, points)]
-            for want, got in zip(outside, inside):
-                for (c0, l0, a0), (c1, l1, a1) in zip(want, got):
-                    assert np.array_equal(c0, c1) and l0 == l1 and a0 == a1
-
-
-def test_degenerate_pullback_rank_error_is_raised_on_every_call():
-    map_calls = []
-
-    def fn(c):
-        map_calls.append(1)
-        return np.array([c[0]])
-
-    M = ChartManifold.euclidean(2, [-1, -1], [1, 1])
-    # a target metric that vanishes: the pullback on the horizontal line is zero
-    N = ChartManifold(1, [-2.0], [2.0], lambda c: np.zeros((1, 1)))
-    ctx = SubmersionContext(SmoothMap(M, N, fn, lambda c: np.array([[1.0, 0.0]])), ENGINE)
-    p = M.point([0.2, 0.3])
-    with evaluation_scope():
-        for _ in range(3):
-            with pytest.raises(RankError, match="pullback metric degenerate"):
-                ctx.dilation(p)
-    assert len(map_calls) == 3
-
-
-def test_dilation_memo_is_keyed_by_context(cws):
-    p = cws.source.ambient.point(COORDS)
-    plain, offset = rescaled_context(cws, 0.0), rescaled_context(cws, 0.1)
-    want = [ctx.dilation(p).lambda_sq for ctx in (plain, offset)]
-    assert want[0] != want[1]
-    with evaluation_scope():
-        assert [ctx.dilation(p).lambda_sq for ctx in (plain, offset)] == want
-
-
-def test_dilation_memo_is_dropped_on_exit(cws):
-    ctx = cws.ctx
-    p = ctx.map.source.point(COORDS)
-    assert ctx.dilation(p) is not ctx.dilation(p)
-    with evaluation_scope():
-        kept = ctx.dilation(p)
-        assert ctx.dilation(p) is kept
-        assert ctx.dilation(ctx.map.source.point(COORDS.copy())) is kept
-    assert ctx.dilation(p) is not kept
-    with evaluation_scope():
-        assert ctx.dilation(p) is not kept
-
-
-@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
-def test_dilation_coords_read_only_and_caller_coords_writable(cws, scoped):
-    ctx = cws.ctx
-    p = ctx.map.source.point(COORDS.copy())
-    with evaluation_scope() if scoped else nullcontext():
-        d = ctx.dilation(p)
-    assert np.array_equal(d.coords, COORDS)
-    with pytest.raises(ValueError):
-        d.coords[0] = 1.0
-    assert p.flags.writeable
-    p[0] = 0.0  # the caller's array stays its own
-    assert d.coords[0] == COORDS[0]

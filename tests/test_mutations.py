@@ -1,10 +1,12 @@
 """Detection power: each injected defect must fail at least one gated check
-of ``run_scenario`` at default settings.
+of ``run_scenario``, or of a detector built here, at default settings.
 
 A defect is applied to the one helper that both the single-point and the
 point-set path of its structure call, so every path carries it. Each defect
-runs only on the scenarios that catch it, and the test checks that each of
-them does; a defect caught by a single scenario is a weak spot.
+runs only on the scenarios and detectors that catch it, and the test checks
+that each of them does; a defect caught by a single one is a weak spot. A
+detector lives in this module, not in the catalogue, so that the catalogue's
+pinned report digests stay as they are.
 """
 
 from dataclasses import replace
@@ -14,17 +16,22 @@ import numpy as np
 import pytest
 
 from warpgeo import (
+    ChartManifold,
     DiffEngine,
     RunConfig,
     ScalarField,
+    SmoothMap,
     SubmersionContext,
     conformal_warped,
     connection,
+    sample_points,
     submersion,
     suites,
     warped,
 )
 from warpgeo.scenarios import build_objects, list_scenarios, run_scenario
+
+pytestmark = pytest.mark.mutation
 
 
 def _first_block_columns_swapped(J, blocks, J1, J2):
@@ -47,12 +54,12 @@ def _warp_to_the_power_1_9(g, blocks, g1, f, g2):
 _ONEILL = submersion._oneill
 
 
-def _frozen_projections(ctx, part, E, F, coords, gamma):
+def _frozen_projections(ctx, part, E, F, coords):
     """``submersion._oneill`` whose fields VF and HF are split at every
     stencil point with the splitting of ``coords``."""
     s = ctx.splitting_at(coords)
     frozen = SimpleNamespace(map=ctx.map, engine=ctx.engine, splitting_at=lambda c: s)
-    return _ONEILL(frozen, part, E, F, coords, gamma)
+    return _ONEILL(frozen, part, E, F, coords)
 
 
 def _without_christoffel_term(direction, dY, y, gamma):
@@ -104,49 +111,75 @@ def _bracket_dropped(M, engine, X, Y, coords):
     return np.zeros(M.dim)
 
 
+def heisenberg(config: RunConfig) -> list:
+    """``a_crossval_records`` of the projection (x, y, z) -> (x, y) of the
+    Heisenberg metric dx^2 + dy^2 + (dz - x dy)^2 on (-1, 1)^3 onto the
+    Euclidean square: a Riemannian submersion whose horizontal distribution
+    is not integrable, [dx, dy + x dz] = dz, so A has a bracket term."""
+    def metric(c):
+        x = c[0]
+        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0 + x * x, -x], [0.0, -x, 1.0]])
+
+    M = ChartManifold(3, [-1.0] * 3, [1.0] * 3, metric, name="heisenberg")
+    N = ChartManifold.euclidean(2, [-1.0] * 2, [1.0] * 2)
+    ctx = SubmersionContext(SmoothMap(M, N, lambda c: c[:2], lambda c: np.eye(2, 3)),
+                            config.engine())
+    coords = sample_points([-0.8] * 3, [0.8] * 3, config.samples, config.seed,
+                           4.0 * config.fd_step)
+    return suites.a_crossval_records(ctx, [M.point(c) for c in coords],
+                                     np.random.default_rng(config.seed),
+                                     config.tolerance("a-vs-bracket-formula"))
+
+
+DETECTORS = {"heisenberg": heisenberg}
 SCENARIOS = tuple(s.scenario_id for s in list_scenarios())
 WARPED = ("warped-line", "sphere-warped")
 CWS = ("cws-constant-dilation", "cws-incompatible", "cws-variable-dilation", "cws-riemannian",
        "cws-mixed-local")
 
 # name -> (the holders of the helper, its name, the mutant, the scenarios
-# that catch it)
+# and the detectors that catch it)
 MUTANTS = {
     "product-jacobian-columns-swapped": (
-        (conformal_warped,), "_block_diagonal", _first_block_columns_swapped, CWS,
+        (conformal_warped,), "_block_diagonal", _first_block_columns_swapped, CWS, (),
     ),
     # on cws-variable-dilation the product is then no longer conformal, and a
     # ConformalityError aborts the scenario
     "warp-power-1.9": (
         (warped,), "_warped_metric", _warp_to_the_power_1_9, WARPED + ("cws-variable-dilation",),
+        (),
     ),
-    # a weak spot: only cws-variable-dilation catches it
+    # of the scenarios, only cws-variable-dilation catches it
     "frozen-projections": (
         (submersion,), "_oneill", _frozen_projections, ("cws-variable-dilation",),
+        ("heisenberg",),
     ),
     "christoffel-term-dropped": (
         (connection, submersion), "_covariant_from_partials", _without_christoffel_term,
-        WARPED + CWS[:4],
+        WARPED + CWS[:4], ("heisenberg",),
     ),
     "log-warp-sign-flipped": (
-        (warped.WarpedProduct,), "log_warp", _log_warp_sign_flipped, WARPED,
+        (warped.WarpedProduct,), "log_warp", _log_warp_sign_flipped, WARPED, (),
     ),
     # a weak spot: only cws-variable-dilation catches it
     "second-factor-variant-is-the-first": (
         (conformal_warped,), "second_factor_variant_fields", _first_factor_field_twice,
-        ("cws-variable-dilation",),
+        ("cws-variable-dilation",), (),
     ),
     # every scenario with a dilation oracle
     "dilation-times-1.01": (
         (SubmersionContext,), "_stacked_dilations", _dilations_times_1_01,
-        tuple(s for s in SCENARIOS if s not in ("cws-incompatible", "cws-mixed-local")),
+        tuple(s for s in SCENARIOS if s not in ("cws-incompatible", "cws-mixed-local")), (),
     ),
-    # a weak spot: only cws-variable-dilation catches it
+    # of the scenarios, only cws-variable-dilation catches it
     "a-formula-0.6-for-one-half": (
         (suites,), "conformal_a_formula", _a_formula_with_0_6, ("cws-variable-dilation",),
+        ("heisenberg",),
     ),
+    # every catalogue submersion has an integrable horizontal distribution, so
+    # V[X, Y] = 0 there, and only the Heisenberg detector sees the bracket term
     "bracket-dropped": (
-        (submersion,), "lie_bracket", _bracket_dropped, SCENARIOS,
+        (submersion,), "lie_bracket", _bracket_dropped, (), ("heisenberg",),
     ),
 }
 
@@ -167,27 +200,31 @@ def _paths(name: str) -> list:
     return []
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: every catalog submersion has an integrable horizontal "
-        "distribution, so V[X, Y] = 0 and no scenario sees the bracket term")))
-    if name == "bracket-dropped" else name
-    for name in MUTANTS
-])
+def _gated_failures(records) -> list:
+    return [c for c in records if not c.passed and not c.informational]
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_each_detector_passes_unmutated(detector):
+    assert not _gated_failures(DETECTORS[detector](RunConfig()))
+
+
+@pytest.mark.parametrize("name", MUTANTS)
 def test_each_mutant_fails_a_gated_check_on_every_scenario_that_runs_it(name, monkeypatch):
-    holders, helper, mutant, scenario_ids = MUTANTS[name]
+    holders, helper, mutant, scenario_ids, detectors = MUTANTS[name]
     clean = _paths(name)
     for holder in holders:
         monkeypatch.setattr(holder, helper, mutant)
     # both paths carry the defect
     assert all(not np.array_equal(a, b) for a, b in zip(clean, _paths(name)))
+    runs = {s: lambda s=s: run_scenario(s, RunConfig()).checks for s in scenario_ids}
+    runs.update({d: lambda d=d: DETECTORS[d](RunConfig()) for d in detectors})
     margin = 0.0
-    for scenario_id in scenario_ids:
-        report = run_scenario(scenario_id, RunConfig())
-        failed = [c for c in report.checks if not c.passed and not c.informational]
-        assert failed, f"{name} survives {scenario_id}"
+    for where, run in runs.items():
+        failed = _gated_failures(run())
+        assert failed, f"{name} survives {where}"
         ratios = [c.max_residual / c.tolerance for c in failed if c.tolerance > 0]
         margin = max([margin] + [r for r in ratios if np.isfinite(r)])
     # the detection margin: the largest residual-to-tolerance ratio
-    print(f"{name}: worst ratio {margin:.3g} over {', '.join(scenario_ids)}")
+    print(f"{name}: worst ratio {margin:.3g} over {', '.join(runs)}")
     assert margin > 1.0

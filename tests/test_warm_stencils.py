@@ -1,5 +1,6 @@
 """The stencil warm-up of the O'Neill suites: each case is compared with the
-same run whose ``warm_stencils`` does nothing."""
+same run whose ``warm_stencils`` does nothing. Outside a scope the warm-up
+computes nothing, and each O'Neill suite opens a scope of its own."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from warpgeo.errors import StencilError
 from warpgeo.fd import DiffEngine
 from warpgeo.manifold import _MEMO
 from warpgeo.scenarios import _points, build_objects, list_scenarios, run_scenario
-from warpgeo.suites import a_crossval_records, t_umbilicity_records
+from warpgeo.conformal_warped import (
+    factor_vertical_bases,
+    fiber_geometry_report,
+    verify_first_factor_a_identity,
+    verify_second_factor_a_identity,
+)
+from warpgeo.submersion import fiber_mean_curvature
+from warpgeo.suites import a_crossval_records, horizontal_pairs, t_umbilicity_records
 
 ENGINE = DiffEngine()
 # single-point misses (keyed by memo tag), then point-set kernel calls
@@ -82,16 +90,44 @@ def test_outside_a_scope_the_warm_up_computes_nothing(monkeypatch):
     ctx.warm_stencils(points, range(2))
     assert set(counts.values()) == {0}
 
+
+# each O'Neill suite, and fiber_mean_curvature, at the points of a cws
+ONEILL_CALLS = {
+    "a_crossval_records": lambda cws, pts: a_crossval_records(
+        cws.ctx, pts, np.random.default_rng(1)),
+    "t_umbilicity_records": lambda cws, pts: t_umbilicity_records(
+        cws.ctx, pts, np.random.default_rng(2)),
+    "verify_first_factor_a_identity": lambda cws, pts: verify_first_factor_a_identity(
+        cws, pts, horizontal_pairs(cws.ctx1, np.random.default_rng(3), 2)),
+    "verify_second_factor_a_identity": lambda cws, pts: verify_second_factor_a_identity(
+        cws, pts, horizontal_pairs(cws.ctx2, np.random.default_rng(4), 2)),
+    "fiber_geometry_report": lambda cws, pts: fiber_geometry_report(cws, pts, True, False),
+    "fiber_mean_curvature": lambda cws, pts: fiber_mean_curvature(
+        cws.ctx, factor_vertical_bases(cws, pts[0])[1], pts[0]).tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", ONEILL_CALLS)
+def test_outside_a_scope_an_oneill_call_opens_its_own(name, monkeypatch):
+    config = RunConfig(samples=3)
+    objs = build_objects("cws-variable-dilation", config.engine())
+    points = _points(objs, config)
+    counts = _count_kernels(monkeypatch)
+
     def run():
         before = dict(counts)
-        records = (
-            a_crossval_records(ctx, points, np.random.default_rng(1))
-            + [t_umbilicity_records(ctx, points, np.random.default_rng(2))]
-        )
-        return records, {k: counts[k] - before[k] for k in KERNELS}
+        value = repr(ONEILL_CALLS[name](objs["cws"], points))
+        return value, {k: counts[k] - before[k] for k in KERNELS}
 
-    warm, plain = _with_and_without_warm_up(run, monkeypatch)
-    assert warm == plain
+    def scoped():
+        with evaluation_scope():
+            return run()
+
+    (outside, outside_counts), (inside, inside_counts) = run(), scoped()
+    assert outside == inside
+    assert outside_counts == inside_counts
+    # each suite warms its stencils up; fiber_mean_curvature has no warm-up
+    assert (outside_counts["_stacked_splittings"] > 0) == (name != "fiber_mean_curvature")
 
 
 def _inject_rank_error(monkeypatch, bad: np.ndarray):
@@ -140,23 +176,25 @@ def test_a_rank_error_at_one_stencil_point_changes_nothing(
 
 def test_a_stencil_that_does_not_fit_on_a_skipped_axis_changes_nothing(monkeypatch):
     # christoffel symbols need every axis at a suite's base point, so the
-    # skipped axis is exercised on the tensor: T along the vertical axis 1
+    # skipped axis is exercised on the tensor, with zero symbols: T along the
+    # vertical axis 1
     ctx, _ = _warped_line(0)
     M = ctx.map.source
     p = M.point([float(M.lower[0]) + 1e-10, 0.3])  # no room along axis 0
     with pytest.raises(StencilError):
         ENGINE.stencil_points(p, M.lower, M.upper, (0,))
     u = VectorField.constant([0.0, 1.0])
-    gamma = np.zeros((2, 2, 2))
     counts = _count_kernels(monkeypatch)
 
     def run():
         with evaluation_scope():
             ctx.warm_stencils([p], (0, 1))
             before = counts["splitting"]
-            return oneill_t(ctx, u, u, p, gamma).tobytes(), counts["splitting"] - before
+            return oneill_t(ctx, u, u, p).tobytes(), counts["splitting"] - before
 
-    (warm, warm_singles), (plain, plain_singles) = _with_and_without_warm_up(run, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(submersion, "christoffel", lambda M, engine, coords: np.zeros((2, 2, 2)))
+        (warm, warm_singles), (plain, plain_singles) = _with_and_without_warm_up(run, m)
     assert warm == plain
     # axis 1 was still warmed: only the base point is computed on its own
     assert (warm_singles, plain_singles) == (1, 3)
