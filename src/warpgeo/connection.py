@@ -5,6 +5,14 @@ Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) with metric partials
 taken by the finite-difference engine, as the array gamma[k, i, j].
 Covariant derivatives, Lie brackets and second fundamental forms of
 coordinate-aligned submanifolds build on it and return component arrays.
+
+The Christoffel symbols have one kernel over a point set (``christoffels``);
+a single point is a stack of one. Covariant derivatives and Lie brackets
+have a single-point form (``partials``) and a point-set form
+(``DiffEngine.stacked_partials``), which share their contraction helpers
+and differ only in the walk. numpy's stacked ``inv``, ``einsum`` and
+``matmul`` give each point the bits of its own call, so a point's value
+does not depend on the set it is computed in.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fd import DiffEngine
-from .manifold import ChartManifold, VectorField, _memoized
+from .fd import DiffEngine, _with_stack
+from .manifold import ChartManifold, VectorField, _compute_one, _memoized, _memoized_many
 
 Array = np.ndarray
 
@@ -29,18 +37,51 @@ def christoffel(M: ChartManifold, engine: DiffEngine, coords, g: Optional[Array]
     engine, and is read-only: the value computed from a passed ``g`` is
     stored for every later call at that point, with or without ``g``."""
     coords = np.asarray(coords, dtype=float)
-    return _memoized(M, coords, engine, _christoffel, M, engine, coords, g)
+    return _memoized(M, coords, engine, _compute_one,
+                     lambda coords_list: _christoffels(M, engine, coords_list, [g]), coords)
 
 
-def _christoffel(M: ChartManifold, engine: DiffEngine, coords: Array, g: Optional[Array]) -> Array:
-    if g is None:
-        g = M.metric_at(coords)  # SPD check happens here
-    ginv = np.linalg.inv(g)
-    # dg[l, i, j] = d_l g_ij
-    dg = engine.partials(lambda c: M.metric_at(c, check=False), coords, M.lower, M.upper)
-    # c[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    c = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, c)
+def christoffels(M: ChartManifold, engine: DiffEngine, coords_seq, metrics=None) -> list[Array]:
+    """``[christoffel(M, engine, c, g) for c, g in zip(coords_seq, metrics)]``,
+    with ``metrics`` all None when not given, computed by one kernel for the
+    points not yet stored: one stacked walk over their stencils, whose
+    metrics come from ``M.metrics_at``. Memo entries are shared with
+    ``christoffel``."""
+    coords = [np.asarray(c, dtype=float) for c in coords_seq]
+    given = {} if metrics is None else {c.tobytes(): g for c, g in zip(coords, metrics)}
+    return _memoized_many(M, coords, engine, lambda missing: _christoffels(
+        M, engine, missing, [given.get(c.tobytes()) for c in missing]))
+
+
+def _christoffels(M: ChartManifold, engine: DiffEngine, coords_list: list, metrics: list) -> list:
+    """The Christoffel symbols at each point, as views of one stack; a
+    metric that is None is evaluated and checked here, first."""
+    G = np.array([M.metric_at(c) if g is None else g for c, g in zip(coords_list, metrics)])
+    ginv = np.linalg.inv(G)
+    unchecked = _with_stack(lambda c: M.metric_at(c, check=False),
+                            lambda coords: np.array(M.metrics_at(coords)))
+    # dg[n, l, i, j] = d_l g_ij at point n
+    dg = engine.stacked_partials(unchecked, np.array(coords_list), M.lower, M.upper)
+    # c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    c = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return list(0.5 * np.einsum("nkl,nijl->nkij", ginv, c))
+
+
+def _along(direction: Array, d: Array) -> Array:
+    """v^i d[i, k] at one point, or at each point of stacks."""
+    return (direction[..., None, :] @ d)[..., 0, :]
+
+
+def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: Array) -> Array:
+    """v^i d_i Y^k + Gamma^k_ij v^i Y^j from dY[i, k] = d_i Y^k and y = Y(p),
+    at one point or at each point of stacks."""
+    return _along(direction, dY) + np.einsum("...kij,...i,...j->...k", gamma, direction, y)
+
+
+def _bracket_from_partials(x: Array, dY: Array, y: Array, dX: Array) -> Array:
+    """X^i d_i Y^k - Y^i d_i X^k from x = X(p), y = Y(p) and the partials
+    dY[i, k], dX[i, k], at one point or at each point of stacks."""
+    return _along(x, dY) - _along(y, dX)
 
 
 def covariant_derivative_dir(
@@ -59,11 +100,6 @@ def covariant_derivative_dir(
     return _covariant_from_partials(direction, dY, Y(coords), gamma)
 
 
-def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: Array) -> Array:
-    """v^i d_i Y^k + Gamma^k_ij v^i Y^j from dY[i, k] = d_i Y^k and y = Y(p)."""
-    return direction @ dY + np.einsum("kij,i,j->k", gamma, direction, y)
-
-
 def covariant_derivative(
     M: ChartManifold,
     engine: DiffEngine,
@@ -76,6 +112,17 @@ def covariant_derivative(
     return covariant_derivative_dir(M, engine, X(coords), Y, coords, gamma)
 
 
+def covariant_derivatives(
+    M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField, coords, gammas
+) -> Array:
+    """``np.stack([covariant_derivative(M, engine, X, Y, c, gamma) for c, gamma
+    in zip(coords, gammas)])`` at the rows of the (N, dim) array ``coords``,
+    bit for bit: one stacked walk differentiates Y along each X(c)."""
+    x = np.array([X(c) for c in coords])
+    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x)
+    return _covariant_from_partials(x, dY, np.array([Y(c) for c in coords]), np.array(gammas))
+
+
 def lie_bracket(
     M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField, coords
 ) -> Array:
@@ -83,7 +130,18 @@ def lie_bracket(
     x, y = X(coords), Y(coords)
     dY = engine.partials(Y.fn, coords, M.lower, M.upper, along=x)
     dX = engine.partials(X.fn, coords, M.lower, M.upper, along=y)
-    return x @ dY - y @ dX
+    return _bracket_from_partials(x, dY, y, dX)
+
+
+def lie_brackets(M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField,
+                 coords) -> Array:
+    """``np.stack([lie_bracket(M, engine, X, Y, c) for c in coords])`` at the
+    rows of the (N, dim) array ``coords``, bit for bit: one stacked walk per
+    field."""
+    x, y = np.array([X(c) for c in coords]), np.array([Y(c) for c in coords])
+    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x)
+    dX = engine.stacked_partials(X.fn, coords, M.lower, M.upper, along=y)
+    return _bracket_from_partials(x, dY, y, dX)
 
 
 def metric_orthogonal_projector(g: Array, basis: Array) -> Array:

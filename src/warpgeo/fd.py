@@ -53,6 +53,23 @@ def _rooms(x: np.ndarray, lower, upper) -> np.ndarray:
     return np.where(np.isfinite(x), room, np.nan)
 
 
+def _with_stack(one, stack):
+    """``one``, a callable of one point, carrying ``stack``: a callable of a
+    float (N, dim) array of points that returns ``one``'s values there as
+    one float array, bit for bit. ``_stack_of`` reads it. Builders attach
+    it to the callables they assemble from their parts; a callable put in
+    the place of ``one`` comes without it."""
+    one._stack = stack
+    return one
+
+
+def _stack_of(fn):
+    """The point-set form of ``fn``: the one ``_with_stack`` attached to it,
+    else ``fn``'s values at the rows of an (N, dim) array as one float array."""
+    stack = getattr(fn, "_stack", None)
+    return stack or (lambda coords: np.array([fn(c) for c in coords], dtype=float))
+
+
 @dataclass(frozen=True)
 class DiffEngine:
     """Central differences with automatic step shrinking near box edges.
@@ -158,25 +175,48 @@ class DiffEngine:
         points, h, _ = self._stencils(coords, lower, upper, axes)
         return points[h >= self.min_step].reshape(-1, coords.shape[1])
 
+    def stacked_partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
+        """``np.stack([self.partials(fn, c, lower, upper, along=a) for c, a in
+        zip(coords, along)])`` for the rows c of the (N, dim) array ``coords``
+        and a of the (N, dim) array ``along`` (every axis when None), as one
+        walk over the set's stencils.
+
+        A lone point is that loop, which evaluates ``fn`` one stencil point
+        at a time. For a set of two or more, only the stencils of axes where
+        along[n, i] != 0.0 are checked and evaluated, in the loop's order, by
+        one call of ``fn``'s point-set form (``_stack_of``); a point with no
+        such axis evaluates ``fn`` once, at the point, for the value's shape,
+        as ``partials`` does, and the StencilError of the loop's first
+        failing stencil is raised before any evaluation. The values are
+        combined by the scheme's own combine with an array of steps, so each
+        point's partials equal its loop's bit for bit.
+        """
+        coords = np.asarray(coords, dtype=float)
+        if len(coords) == 1:
+            return self.partials(fn, coords[0], lower, upper, None if along is None else along[0])[None]
+        n, dim = coords.shape
+        points, h, room = self._stencils(coords, lower, upper, range(dim))
+        used = np.ones((n, dim), dtype=bool) if along is None else np.asarray(along) != 0.0
+        self._require_fit(room[used], h[used])
+        shapes = [np.shape(fn(c)) for c in coords[~used.any(axis=1)]]
+        if not used.any():
+            return np.zeros((n, dim) + (shapes[0] if shapes else ()))
+        stencil = points[used].reshape(-1, dim)
+        values = _stack_of(fn)(stencil)
+        values = values.reshape((-1, points.shape[2]) + values.shape[1:])
+        calls = iter(range(points.shape[2]))
+        steps = h[used].reshape((-1,) + (1,) * (values.ndim - 2))
+        out = np.zeros((n, dim) + values.shape[2:])
+        out[used] = STENCILS[self.scheme][1](lambda t: values[:, next(calls)], steps)
+        return out
+
     def jacobian(self, fn, coords, lower, upper) -> np.ndarray:
         """``np.stack([self.partials(fn, c, lower, upper).T for c in coords])``
         for the rows c of the (N, dim) array ``coords``: the Jacobian of a
-        vector fn (the gradient of a scalar one) at each point of a set.
-
-        ``fn`` is evaluated once per stencil point, in that loop's order, and
-        the values are combined by the scheme's own combine with an (N, dim)
-        array of steps, so each Jacobian equals its loop's bit for bit.
-        Raises the StencilError of the loop's first failing stencil, before
-        any evaluation.
+        vector fn (the gradient of a scalar one) at each point of a set, as
+        ``stacked_partials`` transposed, bit for bit.
         """
-        coords = np.asarray(coords, dtype=float)
-        points, h, room = self._stencils(coords, lower, upper, range(coords.shape[1]))
-        self._require_fit(room, h)
-        values = np.array([fn(p) for p in points.reshape(-1, coords.shape[1])], dtype=float)
-        values = values.reshape(points.shape[:3] + values.shape[1:])
-        calls = iter(range(values.shape[2]))
-        h = h.reshape(h.shape + (1,) * (values.ndim - 3))
-        d = STENCILS[self.scheme][1](lambda t: values[:, :, next(calls)], h)
+        d = self.stacked_partials(fn, coords, lower, upper)
         # each point's .T, C-ordered as the checked single-point conversion
         return np.ascontiguousarray(d.transpose((0,) + tuple(range(d.ndim - 1, 0, -1))))
 

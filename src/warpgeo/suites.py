@@ -7,8 +7,10 @@ on; the other suites let the error propagate, and ``run_scenario`` turns it
 into a failed report for the whole scenario.
 
 The O'Neill suites open their own evaluation scope, which shares
-``run_scenario``'s when nested; ``engine_health_records`` opens none and
-hands each point's metric and Christoffel symbols on as ``g`` and ``gamma``.
+``run_scenario``'s when nested. ``engine_health_records`` opens none: it
+walks its points in blocks of ``POINT_BLOCK``, each one stacked pass that
+hands the block's checked metrics to one ``christoffels`` call and its
+Christoffel symbols to the point-set covariant derivatives.
 """
 
 from __future__ import annotations
@@ -17,12 +19,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .connection import christoffel, covariant_derivative, lie_bracket
+from .connection import christoffels, covariant_derivatives, lie_brackets
 from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
 from .fields import field_pairs, modulated, vector_field_library
-from .manifold import ChartManifold, ScalarField, VectorField, check_scalar_field, evaluation_scope
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .manifold import (
+    ChartManifold,
+    ScalarField,
+    VectorField,
+    _point_set,
+    check_scalar_field,
+    evaluation_scope,
+)
+from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
 from .submersion import (
     SubmersionContext,
     _blocks,
@@ -48,35 +57,62 @@ def engine_health_records(
     compat_tol: float = TOLERANCES["metric-compatibility"],
 ) -> list[CheckRecord]:
     """Torsion-free and metric-compatibility residuals of the connection; the
-    metric is evaluated and checked once per point."""
+    metric is evaluated and checked once per point. Each block of
+    ``POINT_BLOCK`` points is one stacked pass (``_health_rows``), whose
+    residuals, and their order, are those of a point-by-point walk; a
+    point that raises a ``GeometryError`` counts once against each check,
+    with a note."""
     torsion = ResidualCheck("torsion-free", torsion_tol)
     compat = ResidualCheck("metric-compatibility", compat_tol)
     fields = vector_field_library(M, rng, 3)
+    for block in _blocks(points):
+        notes: list = []
+        _add_rows([torsion, compat], _health_rows(M, engine, fields, block, notes))
+        for text in notes:
+            torsion.note(text)
+            compat.note(text)
+    return [torsion.record(), compat.record()]
+
+
+# the row of a failed sample: an infinite residual in both checks
+_FAILED_SAMPLE = np.array([[np.inf, 1.0], [np.inf, 1.0]])
+
+
+def _health_rows(M: ChartManifold, engine: DiffEngine, fields, points, notes: list) -> Array:
+    """The (residual, scale) of the torsion and compatibility checks at each
+    point, as an (N, 2, 2) array: one stacked pass over the set, redone
+    point by point (a stack of one) when it raises. A point whose own pass
+    raises a ``GeometryError`` gets ``_FAILED_SAMPLE``, and its note is
+    appended to ``notes``."""
     X, Y, Z = fields
 
     def g_inner_field(c):
         g = M.metric_at(c, check=False)
         return float(Y(c) @ g @ Z(c))
 
-    for p in points:
+    def rows(coords):
+        G = [M.metric_at(p) for p in coords]
+        gammas = christoffels(M, engine, coords, G)
+        dxy = covariant_derivatives(M, engine, X, Y, coords, gammas)
+        dyx = covariant_derivatives(M, engine, Y, X, coords, gammas)
+        br = lie_brackets(M, engine, X, Y, coords)
+        dxz = covariant_derivatives(M, engine, X, Z, coords, gammas)
+        lhs = [engine.directional(g_inner_field, p, X(p), M.lower, M.upper) for p in coords]
+        out = []
+        for p, g, a, b, c, d, left in zip(coords, G, dxy, dyx, br, dxz, lhs):
+            rhs = float(a @ g @ Z(p)) + float(Y(p) @ g @ d)
+            out.append([(np.max(np.abs(a - b - c)), residual_scale(a, b, c)),
+                        (abs(left - rhs), 1.0 + max(abs(left), abs(rhs)))])
+        return np.array(out, dtype=float).reshape(len(coords), 2, 2)
+
+    def one(c):
         try:
-            g = M.metric_at(p)
-            gamma = christoffel(M, engine, p, g)
-            dxy = covariant_derivative(M, engine, X, Y, p, gamma)
-            dyx = covariant_derivative(M, engine, Y, X, p, gamma)
-            br = lie_bracket(M, engine, X, Y, p)
-            dxz = covariant_derivative(M, engine, X, Z, p, gamma)
-            lhs = engine.directional(g_inner_field, p, X(p), M.lower, M.upper)
+            return rows(c[None])[0]
         except GeometryError as exc:
-            # a failed sample counts once against each check
-            for check in (torsion, compat):
-                check.add(np.inf)
-                check.note(f"error at {p}: {exc}")
-            continue
-        torsion.add(np.max(np.abs(dxy - dyx - br)), residual_scale(dxy, dyx, br))
-        rhs = float(dxy @ g @ Z(p)) + float(Y(p) @ g @ dxz)
-        compat.add(abs(lhs - rhs), 1.0 + max(abs(lhs), abs(rhs)))
-    return [torsion.record(), compat.record()]
+            notes.append(f"error at {c}: {exc}")
+            return _FAILED_SAMPLE
+
+    return _point_set(one, rows, points, (2, 2))
 
 
 def splitting_records(

@@ -16,22 +16,23 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .connection import (
-    coordinate_submanifold_form,
-    covariant_derivative,
-    christoffel,
     SecondFundamentalFormAt,
+    christoffels,
+    coordinate_submanifold_form,
+    covariant_derivatives,
 )
 from .errors import WarpPositivityError
-from .fd import DiffEngine
+from .fd import DiffEngine, _with_stack
 from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
-    _with_stack,
+    _point_set,
     gradient,
     scalar_partials,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
+from .submersion import _blocks
 
 Array = np.ndarray
 
@@ -200,61 +201,79 @@ def verify_warped_connection(
       2. nabla_{E1} E2 = nabla_{E2} E1 = (E1 f / f) E2.
       3. normal part of nabla_{E2} F2 = -g(E2, F2) grad(ln f).
       4. tangent part of nabla_{E2} F2 is the lift of the second factor's nabla.
-    Residuals are scaled by 1 + max |entry| per sample. The ambient and the
-    two factor Christoffel symbols are built once per point, and each of the
-    three metrics is evaluated and checked once per point.
+    Residuals are scaled by 1 + max |entry| per sample. Each block of
+    ``POINT_BLOCK`` points is one stacked pass (``_connection_rows``): the
+    ambient and the two factor Christoffel symbols of the block come from
+    one ``christoffels`` call per chart and each covariant derivative from
+    one ``covariant_derivatives`` call; each of the three metrics is
+    evaluated and checked once per point. Every residual, and its order, is
+    that of a point-by-point walk.
     """
-    first, second = W.block("first"), W.block("second")
     checks = [
         ResidualCheck("warped-conn-first-pair", tolerance),
         ResidualCheck("warped-conn-mixed", tolerance),
         ResidualCheck("warped-conn-fiber-normal", tolerance),
         ResidualCheck("warped-conn-fiber-tangent", tolerance),
     ]
-    log_warp = W.log_warp()
-
-    for p in points:
-        c1, c2 = W.split_coords(p)
-        g = W.ambient.metric_at(p)
-        gamma = christoffel(W.ambient, engine, p, g)
-        gamma1 = christoffel(W.first, engine, c1)
-        gamma2 = christoffel(W.second, engine, c2)
-
-        for E1, F1 in pairs1:
-            E1l = lift(W, "first", E1)
-            F1l = lift(W, "first", F1)
-            lhs = covariant_derivative(W.ambient, engine, E1l, F1l, p, gamma)
-            factor = covariant_derivative(W.first, engine, E1, F1, c1, gamma1)
-            rhs = W.pad("first", factor)
-            checks[0].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
-
-        for (E1, _), (E2, _) in zip(pairs1, pairs2):
-            E1l = lift(W, "first", E1)
-            E2l = lift(W, "second", E2)
-            lhs_a = covariant_derivative(W.ambient, engine, E1l, E2l, p, gamma)
-            lhs_b = covariant_derivative(W.ambient, engine, E2l, E1l, p, gamma)
-            df_along = float(
-                np.dot(scalar_partials(W.first, engine, W.warp, c1), E1(c1))
-            )
-            rhs = (df_along / W.warp(c1)) * E2l(p)
-            res = max(np.linalg.norm(lhs_a - rhs), np.linalg.norm(lhs_b - rhs))
-            checks[1].add(res, residual_scale(lhs_a, lhs_b, rhs))
-
-        grad_log = gradient(W.ambient, engine, log_warp, p, g)  # checks p is in the box
-        for E2, F2 in pairs2:
-            E2l = lift(W, "second", E2)
-            F2l = lift(W, "second", F2)
-            full = covariant_derivative(W.ambient, engine, E2l, F2l, p, gamma)
-            inner = float(E2l(p) @ g @ F2l(p))
-            normal = W.pad("first", full[first])
-            rhs3 = -inner * grad_log
-            checks[2].add(np.linalg.norm(normal - rhs3), residual_scale(normal, rhs3))
-
-            tangent = full[second]
-            rhs4 = covariant_derivative(W.second, engine, E2, F2, c2, gamma2)
-            checks[3].add(np.linalg.norm(tangent - rhs4), residual_scale(tangent, rhs4))
-
+    columns = ([checks[0]] * len(pairs1) + [checks[1]] * min(len(pairs1), len(pairs2))
+               + [checks[2], checks[3]] * len(pairs2))
+    for block in _blocks(points):
+        _add_rows(columns, _connection_rows(W, engine, pairs1, pairs2, block))
     return [c.record() for c in checks]
+
+
+def _distance(a: Array, b: Array) -> float:
+    return np.linalg.norm(a - b)
+
+
+def _scaled(residual_of, *terms) -> Array:
+    """``(residual_of(*t), residual_scale(*t))`` for the terms t at each point
+    of the stacks or lists ``terms``, one point at a time, as an (N, 2) array."""
+    return np.array([(residual_of(*t), residual_scale(*t)) for t in zip(*terms)], dtype=float)
+
+
+def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2, points) -> Array:
+    """The (residual, scale) of each sample of ``verify_warped_connection``
+    at each point, in its order, as an (N, samples, 2) array: one stacked
+    pass over the set, redone point by point (a stack of one) when it
+    raises, so that the first failing point raises its own error."""
+    first, second = W.block("first"), W.block("second")
+    log_warp = W.log_warp()
+    lifts1 = [(lift(W, "first", E1), lift(W, "first", F1)) for E1, F1 in pairs1]
+    lifts2 = [(lift(W, "second", E2), lift(W, "second", F2)) for E2, F2 in pairs2]
+
+    def rows(coords):
+        c1, c2 = coords[:, first], coords[:, second]
+        G = [W.ambient.metric_at(p) for p in coords]
+        gammas = christoffels(W.ambient, engine, coords, G)
+        gammas1 = christoffels(W.first, engine, c1)
+        gammas2 = christoffels(W.second, engine, c2)
+        samples = []
+        for (E1, F1), (E1l, F1l) in zip(pairs1, lifts1):
+            lhs = covariant_derivatives(W.ambient, engine, E1l, F1l, coords, gammas)
+            factor = covariant_derivatives(W.first, engine, E1, F1, c1, gammas1)
+            samples.append(_scaled(_distance, lhs, [W.pad("first", f) for f in factor]))
+
+        for (E1, _), (E1l, _), (E2l, _) in zip(pairs1, lifts1, lifts2):
+            lhs_a = covariant_derivatives(W.ambient, engine, E1l, E2l, coords, gammas)
+            lhs_b = covariant_derivatives(W.ambient, engine, E2l, E1l, coords, gammas)
+            rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), E1(a))) / W.warp(a))
+                   * E2l(p) for p, a in zip(coords, c1)]
+            samples.append(_scaled(lambda a, b, r: max(_distance(a, r), _distance(b, r)),
+                                   lhs_a, lhs_b, rhs))
+
+        # gradient checks that each point is in the box
+        grad_log = [gradient(W.ambient, engine, log_warp, p, g) for p, g in zip(coords, G)]
+        for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
+            full = covariant_derivatives(W.ambient, engine, E2l, F2l, coords, gammas)
+            rhs3 = [-float(E2l(p) @ g @ F2l(p)) * grad for p, g, grad in zip(coords, G, grad_log)]
+            samples.append(_scaled(_distance, [W.pad("first", v[first]) for v in full], rhs3))
+            rhs4 = covariant_derivatives(W.second, engine, E2, F2, c2, gammas2)
+            samples.append(_scaled(_distance, full[:, second], rhs4))
+        return np.stack(samples, axis=1) if samples else np.zeros((len(coords), 0, 2))
+
+    return _point_set(lambda c: rows(c[None])[0], rows, points,
+                      (len(pairs1) + min(len(pairs1), len(pairs2)) + 2 * len(pairs2), 2))
 
 
 def verify_leaf_fiber_geometry(
@@ -266,33 +285,41 @@ def verify_leaf_fiber_geometry(
 ) -> list[CheckRecord]:
     """Leaves are totally geodesic; fibers are totally umbilical with
     mean curvature -grad(ln f). Leaf and fiber share one ambient Christoffel
-    and one checked ambient metric per point."""
-    leaf_check = ResidualCheck("leaf-totally-geodesic", leaf_tolerance)
-    umb_check = ResidualCheck("fiber-umbilical", fiber_tolerance)
-    mean_check = ResidualCheck("fiber-mean-curvature-warp", fiber_tolerance)
+    and one checked ambient metric per point; the Christoffel symbols of a
+    block of ``POINT_BLOCK`` points come from one ``christoffels`` call
+    (``_leaf_fiber_rows``)."""
+    checks = [ResidualCheck("leaf-totally-geodesic", leaf_tolerance),
+              ResidualCheck("fiber-umbilical", fiber_tolerance),
+              ResidualCheck("fiber-mean-curvature-warp", fiber_tolerance)]
+    for block in _blocks(points):
+        _add_rows(checks, _leaf_fiber_rows(W, engine, block))
+    return [c.record() for c in checks]
+
+
+def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, points) -> Array:
+    """The (residual, scale) of the three checks of
+    ``verify_leaf_fiber_geometry`` at each point, as an (N, 3, 2) array,
+    computed and redone as ``_connection_rows``'."""
     log_warp = W.log_warp()
     second = W.block("second")
 
-    for p in points:
-        g = W.ambient.metric_at(p)
-        gamma = christoffel(W.ambient, engine, p, g)
-        leaf = second_fundamental_form(W, engine, "leaf", p, gamma, g)
-        leaf_check.add(np.max(np.abs(leaf.values)), residual_scale(leaf.values))
+    def rows(coords):
+        G = [W.ambient.metric_at(p) for p in coords]
+        out = []
+        for p, g, gamma in zip(coords, G, christoffels(W.ambient, engine, coords, G)):
+            leaf = second_fundamental_form(W, engine, "leaf", p, gamma, g)
+            fiber = second_fundamental_form(W, engine, "fiber", p, gamma, g)
+            expected = np.einsum("ab,k->abk", g[second, second], fiber.mean_curvature)
+            grad_log = gradient(W.ambient, engine, log_warp, p, g)
+            out.append([
+                (np.max(np.abs(leaf.values)), residual_scale(leaf.values)),
+                (np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)),
+                (np.linalg.norm(fiber.mean_curvature + grad_log),
+                 residual_scale(fiber.mean_curvature, grad_log)),
+            ])
+        return np.array(out, dtype=float).reshape(len(coords), 3, 2)
 
-        fiber = second_fundamental_form(W, engine, "fiber", p, gamma, g)
-        induced = g[second, second]
-        expected = np.einsum("ab,k->abk", induced, fiber.mean_curvature)
-        umb_check.add(
-            np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)
-        )
-
-        grad_log = gradient(W.ambient, engine, log_warp, p, g)
-        mean_check.add(
-            np.linalg.norm(fiber.mean_curvature + grad_log),
-            residual_scale(fiber.mean_curvature, grad_log),
-        )
-
-    return [leaf_check.record(), umb_check.record(), mean_check.record()]
+    return _point_set(lambda c: rows(c[None])[0], rows, points, (3, 2))
 
 
 def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:

@@ -63,8 +63,18 @@ def _frozen_projections(ctx, part, E, F, coords):
 
 
 def _without_christoffel_term(direction, dY, y, gamma):
-    """``connection._covariant_from_partials`` without its Christoffel term."""
-    return direction @ dY
+    """``connection._covariant_from_partials`` without its Christoffel term,
+    at one point or at each point of stacks."""
+    return connection._along(direction, dY)
+
+
+_STACKED_PARTIALS = DiffEngine.stacked_partials
+
+
+def _set_rolled_by_one_point(engine, fn, coords, lower, upper, along=None):
+    """``DiffEngine.stacked_partials`` with the values of the set rolled by one
+    point along the set axis: each point gets its predecessor's partials."""
+    return np.roll(_STACKED_PARTIALS(engine, fn, coords, lower, upper, along), 1, axis=0)
 
 
 _LOG_WARP = warped.WarpedProduct.log_warp
@@ -176,6 +186,12 @@ MUTANTS = {
         (suites,), "conformal_a_formula", _a_formula_with_0_6, ("cws-variable-dilation",),
         ("heisenberg",),
     ),
+    # the set walk alone, which the connection verifiers and FD Jacobian
+    # stacks run: a stack of one, as a single point is, is not moved; every
+    # scenario's metric-compatibility check catches it
+    "stacked-walk-rolled-by-one-point": (
+        (DiffEngine,), "stacked_partials", _set_rolled_by_one_point, SCENARIOS, (),
+    ),
     # every catalogue submersion has an integrable horizontal distribution, so
     # V[X, Y] = 0 there, and only the Heisenberg detector sees the bracket term
     "bracket-dropped": (
@@ -187,7 +203,8 @@ MUTANTS = {
 def _paths(name: str) -> list:
     """The single-point value of the mutated structure at a point of
     ``cws-variable-dilation``'s product, and its value in a point set of two,
-    for the defects in a structure with a point-set path."""
+    for the defects in a structure with a point-set path; for the rolled set
+    walk, which a single point never takes, the value in a set of two."""
     ctx = build_objects("cws-variable-dilation", DiffEngine())["cws"].ctx
     M = ctx.map.source
     p, q = (M.point(M.lower + t * (M.upper - M.lower)) for t in (0.3, 0.6))
@@ -195,6 +212,8 @@ def _paths(name: str) -> list:
         return [M.metric(p), M.metrics_at([p, q])[0]]
     if name == "dilation-times-1.01":
         return [ctx.dilation(p).lambda_sq, ctx.dilations([p, q])[0].lambda_sq]
+    if name == "stacked-walk-rolled-by-one-point":
+        return [connection.christoffels(M, DiffEngine(), [p, q])[0]]
     if name == "product-jacobian-columns-swapped":
         return [ctx.map.jac(p), ctx.map.jacobians_at([p, q], DiffEngine())[0]]
     return []

@@ -10,8 +10,9 @@ often as by the loop, and by a failing lone point once; an empty set returns
 an empty stack of the rule's shape. A completeness test names each caller of
 ``manifold._point_set`` or ``manifold._memoized_many`` without a row. The
 other tests cover memo sharing, the stacked kernels' own errors,
-``splitting_records``' block residuals, a dilation-survey pass's evaluations
-and the numpy property the stacked kernels rest on."""
+``splitting_records``' and the connection verifiers' block residuals, the
+evaluations of a dilation-survey pass and of a connection pass, and the
+numpy property the stacked kernels rest on."""
 
 import functools
 import sys
@@ -30,23 +31,34 @@ from warpgeo import (
     DegenerateMetricError,
     DiffEngine,
     DomainError,
+    GeometryError,
     RankError,
     RunConfig,
     ScalarField,
     SmoothMap,
     StencilError,
     SubmersionContext,
+    VectorField,
     WarpPositivityError,
     build_product_submersion,
     build_warped_product,
+    christoffel,
     compatibility,
     compatibility_report,
+    covariant_derivative,
     evaluation_scope,
+    gradient,
     identity_map,
+    lie_bracket,
+    lift,
+    second_fundamental_form,
 )
-from warpgeo import conformal_warped, manifold, suites
+from warpgeo import conformal_warped, manifold, suites, warped
+from warpgeo.connection import christoffels
 from warpgeo.conformal_warped import _factor_data, _positive_factor_data
 from warpgeo.fd import SCHEMES, STENCILS
+from warpgeo.fields import field_pairs, vector_field_library
+from warpgeo.manifold import scalar_partials
 from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
 from warpgeo.sampling import sample_points
 from warpgeo.scenarios import _compatibility_records, build_objects, list_scenarios, run_scenario
@@ -57,9 +69,9 @@ N = max(SIZES)
 ENGINE = DiffEngine()
 
 STACKED_KERNEL = (
-    "the point-set calls and the block residuals of suites.splitting_records are "
-    "only bit-identical to their single-point calls and walks while numpy's "
-    "stacked calls equal its per-matrix calls"
+    "the point-set calls and the block residuals of suites.splitting_records and "
+    "of the connection verifiers are only bit-identical to their single-point "
+    "calls and walks while numpy's stacked calls equal its per-matrix calls"
 )
 
 
@@ -234,7 +246,7 @@ def _boundary_fault(fault: str) -> tuple:
     return bad_from_second_point(**{datum: bad}), [POINTS, POINTS[1:], POINTS[1:2]]
 
 
-def _product_bad_from_second_point(datum: str, fault) -> SubmersionContext:
+def _product_bad_from_second_point(datum: str, fault):
     """The product of (x, y) |-> x on (-1, 1)^2 and the identity of (-1, 1),
     with warps e^{x/4} and e^{u/4}, whose first factor's ``datum`` ("metric",
     "jac", "fn" or the warp "f") is ``fault`` of its good value from
@@ -250,7 +262,7 @@ def _product_bad_from_second_point(datum: str, fault) -> SubmersionContext:
     unit = ScalarField.constant(1.0)
     f = ScalarField(good_then("f", lambda c: float(np.exp(c[0] / 4.0))))
     rho = ScalarField(lambda y: float(np.exp(y[0] / 4.0)))
-    return build_product_submersion(phi1, unit, identity_map(M2), unit, f, rho, ENGINE).ctx
+    return build_product_submersion(phi1, unit, identity_map(M2), unit, f, rho, ENGINE)
 
 
 # fault -> (datum, its value from x = 0.2 on, the error at [0.3 0.4 0.5])
@@ -275,7 +287,7 @@ PRODUCT_POINTS = [np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.4, 0.5]),
 
 
 def _product_fault(fault: str) -> tuple:
-    ctx = _product_bad_from_second_point(*PRODUCT_FAULTS[fault][:2])
+    ctx = _product_bad_from_second_point(*PRODUCT_FAULTS[fault][:2]).ctx
     return ctx, [PRODUCT_POINTS, PRODUCT_POINTS[1:]]
 
 
@@ -399,6 +411,110 @@ def _factor_row(cws, p) -> np.ndarray:
     return np.array([l1, l2, f, rho, l1 * l1, (rho * rho) * (l2 * l2) / (f * f)])
 
 
+# -- connection inputs: the catalog's warped products with seeded fields
+
+
+@dataclass(frozen=True)
+class Fields:
+    """The inputs of a connection verifier besides its points: a warped
+    product ``W`` with field pairs on its factors, or a chart ``M`` with the
+    three fields of the engine-health checks."""
+
+    engine: DiffEngine
+    W: object = None
+    pairs1: tuple = ()
+    pairs2: tuple = ()
+    M: object = None
+    fields: tuple = ()
+
+
+WARPED_SCENARIOS = ("warped-line", "sphere-warped", "product-plain")
+
+
+def _warped_fields(W, engine) -> Fields:
+    rng = np.random.default_rng(5)
+    return Fields(engine, W, tuple(field_pairs(W.first, rng, 3)),
+                  tuple(field_pairs(W.second, rng, 3)))
+
+
+def _chart_fields(M, engine) -> Fields:
+    return Fields(engine, M=M, fields=tuple(vector_field_library(M, np.random.default_rng(5), 3)))
+
+
+@functools.lru_cache(maxsize=None)
+def _warped_inputs(engine: DiffEngine) -> list:
+    """``(fields, points)`` of the catalog's warped products, at N points each."""
+    out = []
+    for scenario in WARPED_SCENARIOS:
+        objs = build_objects(scenario, engine)
+        W = objs["warped"]
+        coords = sample_points(objs["sample_lower"], objs["sample_upper"], N, 11,
+                               4.0 * engine.step)
+        out.append((_warped_fields(W, engine), [W.ambient.point(c) for c in coords]))
+    return out
+
+
+def _chart_inputs(engine: DiffEngine) -> list:
+    """``(fields, points)`` of the warped ambient charts and of the sources of
+    exp-spiral-r4 and cws-variable-dilation, at N points each."""
+    out = [(_chart_fields(f.W.ambient, engine), points) for f, points in _warped_inputs(engine)]
+    for scenario in ("exp-spiral-r4", "cws-variable-dilation"):
+        objs = build_objects(scenario, engine)
+        M = objs["ctx"].map.source
+        coords = sample_points(objs["sample_lower"], objs["sample_upper"], N, 11,
+                               4.0 * engine.step)
+        out.append((_chart_fields(M, engine), [M.point(c) for c in coords]))
+    return out
+
+
+# fault -> its value of a chart metric from x = 0.2 on, and the error at
+# [0.3 0.4] of a checked metric
+METRIC_FAULTS = {
+    "non-finite-metric": (lambda c: np.eye(2) * np.nan,
+                          (DegenerateMetricError, "metric not finite at [0.3 0.4]")),
+    "non-spd-metric": (lambda c: -np.eye(2), (
+        DegenerateMetricError, "metric not positive definite at [0.3 0.4]: min eigenvalue "
+                               "-1.000e+00")),
+    "metric-shape": (lambda c: np.eye(3),
+                     (DegenerateMetricError, "metric returned shape (3, 3) at [0.3 0.4]")),
+}
+
+
+def _metric_fault(fault: str) -> tuple:
+    """``bad_from_second_point`` with the source metric ``fault``, at POINTS,
+    from the bad point, at it alone."""
+    return bad_from_second_point(metric=METRIC_FAULTS[fault][0]), [POINTS, POINTS[1:], POINTS[1:2]]
+
+
+def _warped_fault(fault: str) -> tuple:
+    """The source of ``_product_bad_from_second_point`` with ``fault``, and
+    its field pairs, at PRODUCT_POINTS and from the bad point."""
+    W = _product_bad_from_second_point(*PRODUCT_FAULTS[fault][:2]).source
+    return _warped_fields(W, ENGINE), [PRODUCT_POINTS, PRODUCT_POINTS[1:]]
+
+
+def _warped_stencil_off_the_box() -> tuple:
+    """The plane as the product of two lines, at a point 1e-11 from a wall of
+    its first axis. (A lone point's loop differentiates axis by axis, and
+    each stencil point along the first axis reads the second factor's metric
+    at the same point, so a wall of the second axis would count that
+    metric once per stencil point before the error.)"""
+    line = ChartManifold.euclidean(1, -1.0, 1.0)
+    W = build_warped_product(line, line, ScalarField.constant(1.0))
+    good, tight = W.ambient.point([0.1, 0.2]), W.ambient.point([1.0 - 1e-11, 0.3])
+    return _warped_fields(W, ENGINE), [[tight], [good, tight, good]]
+
+
+def _chart_fault(fault: str) -> tuple:
+    """``_metric_fault``'s chart and sets, with the engine-health fields."""
+    ctx, sets = _metric_fault(fault) if fault in METRIC_FAULTS else _stencil_off_the_box()
+    return _chart_fields(ctx.map.source, ENGINE), sets
+
+
+def _connection_rule(f: Fields) -> tuple:
+    return (len(f.pairs1) + min(len(f.pairs1), len(f.pairs2)) + 2 * len(f.pairs2), 2)
+
+
 # -- the table
 
 
@@ -410,7 +526,9 @@ class Row:
     ``_point_set`` or ``_memoized_many`` that the row covers; ``failing`` maps
     an id to ``(build, error)``: ``build()`` returns ``(obj, point sets)`` and
     ``error`` is the loop of single-point calls' ``(type, message)``, or None;
-    ``holds`` names the field of each value that is the point passed in."""
+    ``holds`` names the field of each value that is the point passed in;
+    ``per_point`` lists the single-point conversions of ``SINGLE_POINT`` that
+    the set call makes once per point by design."""
 
     point_set: Callable
     single: Callable
@@ -420,6 +538,7 @@ class Row:
     failing: dict
     schemes: tuple = ("central2",)
     holds: str = ""
+    per_point: tuple = ()
 
 
 RANK_DEFICIENT = (RankError, "rank 0 below target dimension 1 at [0. 0.]")
@@ -439,6 +558,10 @@ SINGLE_POINT = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"),
                 (SubmersionContext, "splitting_at"), (SubmersionContext, "dilation"),
                 (conformal_warped, "compatibility"), (conformal_warped, "_positive_factor_data"),
                 (manifold, "_one_at_a_time"))
+# a checked metric has no point-set form: the connection layer checks each
+# point's own metric, and the engine-health checks' directional stencil
+# reads the unchecked metric one point at a time
+CHECKED_METRIC = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"))
 STENCIL_ERROR = (StencilError, "stencil does not fit: room to boundary 1.000e-11 allows step "
                  "5.000e-12 < min_step 1.000e-10")
 # at the first stencil point of [0.3 0.4]; the image at [0.3 0.4] itself
@@ -515,6 +638,38 @@ ROWS = {
         lambda engine: _catalog(engine)[1], lambda cws: (6,), ("compatibility_report",),
         _each(_factor_fault, {k: e for k, e in FACTOR_ERRORS.items() if k != "warp-before-image"}),
     ),
+    "christoffels": Row(
+        lambda ctx, points: christoffels(ctx.map.source, ctx.engine, points),
+        lambda ctx, p: christoffel(ctx.map.source, ctx.engine, p),
+        lambda engine: _catalog(engine)[0], lambda ctx: list, ("christoffels",),
+        {**_each(_metric_fault, {k: e for k, (_, e) in METRIC_FAULTS.items()}),
+         "stencil-off-the-box": (_stencil_off_the_box, STENCIL_ERROR)},
+        SCHEMES, per_point=CHECKED_METRIC,
+    ),
+    "_connection_rows": Row(
+        lambda f, points: warped._connection_rows(f.W, f.engine, f.pairs1, f.pairs2, points),
+        lambda f, p: warped._connection_rows(f.W, f.engine, f.pairs1, f.pairs2, [p])[0],
+        _warped_inputs, _connection_rule, ("_connection_rows",),
+        {**_each(_warped_fault, _errors(PRODUCT_FAULTS, "metric", "f")),
+         "stencil-off-the-box": (_warped_stencil_off_the_box, STENCIL_ERROR)},
+        SCHEMES, per_point=CHECKED_METRIC,
+    ),
+    "_leaf_fiber_rows": Row(
+        lambda f, points: warped._leaf_fiber_rows(f.W, f.engine, points),
+        lambda f, p: warped._leaf_fiber_rows(f.W, f.engine, [p])[0],
+        _warped_inputs, lambda f: (3, 2), ("_leaf_fiber_rows",),
+        {**_each(_warped_fault, _errors(PRODUCT_FAULTS, "metric", "f")),
+         "stencil-off-the-box": (_warped_stencil_off_the_box, STENCIL_ERROR)},
+        SCHEMES, per_point=CHECKED_METRIC,
+    ),
+    # a failing point's sample is recorded as failed, so no failing set raises
+    "_health_rows": Row(
+        lambda f, points: suites._health_rows(f.M, f.engine, f.fields, points, []),
+        lambda f, p: suites._health_rows(f.M, f.engine, f.fields, [p], [])[0],
+        _chart_inputs, lambda f: (2, 2), ("_health_rows",),
+        _each(_chart_fault, dict.fromkeys([*METRIC_FAULTS, "stencil-off-the-box"])),
+        SCHEMES, per_point=CHECKED_METRIC,
+    ),
 }
 
 
@@ -556,13 +711,15 @@ def _spy_on_redos(monkeypatch) -> list:
 
 def _user_callables(obj, path: str, seen: set, closures: bool):
     """``(label, holder, attribute)`` of every chart metric, map ``fn`` and
-    ``jac`` and ``ScalarField.fn`` reachable from ``obj`` through dicts,
-    dataclass fields and, with ``closures``, a builder's closure variables;
-    each holder once, labelled by its first path."""
+    ``jac``, ``ScalarField.fn`` and ``VectorField.fn`` reachable from ``obj``
+    through dicts, tuples, dataclass fields and, with ``closures``, a
+    builder's closure variables; each holder once, labelled by its first
+    path."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    attrs = {ChartManifold: ("metric",), SmoothMap: ("fn", "jac"), ScalarField: ("fn",)}
+    attrs = {ChartManifold: ("metric",), SmoothMap: ("fn", "jac"), ScalarField: ("fn",),
+             VectorField: ("fn",)}
     for cls, names in attrs.items():
         if isinstance(obj, cls):
             for name in names:
@@ -570,6 +727,8 @@ def _user_callables(obj, path: str, seen: set, closures: bool):
                     yield f"{path}.{name}", obj, name
     if isinstance(obj, dict):
         children = obj.items()
+    elif isinstance(obj, tuple):
+        children = enumerate(obj)
     elif is_dataclass(obj) and not isinstance(obj, type):
         children = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
     elif closures and getattr(obj, "__closure__", None):
@@ -626,7 +785,8 @@ def test_values_equal_the_single_point_calls_bit_for_bit(name, scheme, scoped, m
             with _scope(scoped), pytest.MonkeyPatch.context() as patch:
                 if n != 1:  # a lone point is its single-point conversion
                     for owner, attr in SINGLE_POINT:
-                        patch.setattr(owner, attr, None)
+                        if (owner, attr) not in row.per_point:
+                            patch.setattr(owner, attr, None)
                 got = row.point_set(obj, points[:n])
             _assert_as_loop(row, obj, got, want[:n], points[:n])
     # a clean set of two or more points is never computed one point at a time:
@@ -841,6 +1001,159 @@ def test_splitting_records_equal_the_point_by_point_walk(scenario, scoped, monke
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+# -- the block residuals of the connection verifiers against point-by-point walks
+
+
+def _connection_per_point(W, engine, points, pairs1, pairs2) -> list:
+    """``warped.verify_warped_connection``'s checks walked point by point
+    with the single-point calls. The reference for its block residuals."""
+    first, second = W.block("first"), W.block("second")
+    checks = [ResidualCheck(check_id, 1e-6) for check_id in (
+        "warped-conn-first-pair", "warped-conn-mixed", "warped-conn-fiber-normal",
+        "warped-conn-fiber-tangent")]
+    log_warp = W.log_warp()
+    for p in points:
+        c1, c2 = W.split_coords(p)
+        g = W.ambient.metric_at(p)
+        gamma = christoffel(W.ambient, engine, p, g)
+        gamma1 = christoffel(W.first, engine, c1)
+        gamma2 = christoffel(W.second, engine, c2)
+        for E1, F1 in pairs1:
+            lhs = covariant_derivative(W.ambient, engine, lift(W, "first", E1),
+                                       lift(W, "first", F1), p, gamma)
+            rhs = W.pad("first", covariant_derivative(W.first, engine, E1, F1, c1, gamma1))
+            checks[0].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
+        for (E1, _), (E2, _) in zip(pairs1, pairs2):
+            E1l, E2l = lift(W, "first", E1), lift(W, "second", E2)
+            lhs_a = covariant_derivative(W.ambient, engine, E1l, E2l, p, gamma)
+            lhs_b = covariant_derivative(W.ambient, engine, E2l, E1l, p, gamma)
+            df_along = float(np.dot(scalar_partials(W.first, engine, W.warp, c1), E1(c1)))
+            rhs = (df_along / W.warp(c1)) * E2l(p)
+            checks[1].add(max(np.linalg.norm(lhs_a - rhs), np.linalg.norm(lhs_b - rhs)),
+                          residual_scale(lhs_a, lhs_b, rhs))
+        grad_log = gradient(W.ambient, engine, log_warp, p, g)
+        for E2, F2 in pairs2:
+            E2l, F2l = lift(W, "second", E2), lift(W, "second", F2)
+            full = covariant_derivative(W.ambient, engine, E2l, F2l, p, gamma)
+            normal = W.pad("first", full[first])
+            rhs3 = -float(E2l(p) @ g @ F2l(p)) * grad_log
+            checks[2].add(np.linalg.norm(normal - rhs3), residual_scale(normal, rhs3))
+            rhs4 = covariant_derivative(W.second, engine, E2, F2, c2, gamma2)
+            checks[3].add(np.linalg.norm(full[second] - rhs4), residual_scale(full[second], rhs4))
+    return checks
+
+
+def _leaf_fiber_per_point(W, engine, points) -> list:
+    """``warped.verify_leaf_fiber_geometry``'s checks walked point by point."""
+    checks = [ResidualCheck(check_id, 1e-6) for check_id in (
+        "leaf-totally-geodesic", "fiber-umbilical", "fiber-mean-curvature-warp")]
+    second = W.block("second")
+    for p in points:
+        g = W.ambient.metric_at(p)
+        gamma = christoffel(W.ambient, engine, p, g)
+        leaf = second_fundamental_form(W, engine, "leaf", p, gamma, g)
+        checks[0].add(np.max(np.abs(leaf.values)), residual_scale(leaf.values))
+        fiber = second_fundamental_form(W, engine, "fiber", p, gamma, g)
+        expected = np.einsum("ab,k->abk", g[second, second], fiber.mean_curvature)
+        checks[1].add(np.max(np.abs(fiber.values - expected)),
+                      residual_scale(fiber.values, expected))
+        grad_log = gradient(W.ambient, engine, W.log_warp(), p, g)
+        checks[2].add(np.linalg.norm(fiber.mean_curvature + grad_log),
+                      residual_scale(fiber.mean_curvature, grad_log))
+    return checks
+
+
+def _health_per_point(M, engine, points, rng) -> list:
+    """``suites.engine_health_records``' checks walked point by point; a
+    point that raises a GeometryError counts once against each check."""
+    checks = [ResidualCheck("torsion-free", 1e-6), ResidualCheck("metric-compatibility", 1e-5)]
+    X, Y, Z = vector_field_library(M, rng, 3)
+
+    def g_inner_field(c):
+        return float(Y(c) @ M.metric_at(c, check=False) @ Z(c))
+
+    for p in points:
+        try:
+            g = M.metric_at(p)
+            gamma = christoffel(M, engine, p, g)
+            dxy = covariant_derivative(M, engine, X, Y, p, gamma)
+            dyx = covariant_derivative(M, engine, Y, X, p, gamma)
+            br = lie_bracket(M, engine, X, Y, p)
+            dxz = covariant_derivative(M, engine, X, Z, p, gamma)
+            lhs = engine.directional(g_inner_field, p, X(p), M.lower, M.upper)
+        except GeometryError as exc:
+            for check in checks:
+                check.add(np.inf)
+                check.note(f"error at {p}: {exc}")
+            continue
+        checks[0].add(np.max(np.abs(dxy - dyx - br)), residual_scale(dxy, dyx, br))
+        rhs = float(dxy @ g @ Z(p)) + float(Y(p) @ g @ dxz)
+        checks[1].add(abs(lhs - rhs), 1.0 + max(abs(lhs), abs(rhs)))
+    return checks
+
+
+def _checks_made(module, monkeypatch, verify) -> list:
+    """The ResidualChecks that ``module`` makes while ``verify()`` runs."""
+    checks = []
+
+    class Spy(ResidualCheck):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            checks.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "ResidualCheck", Spy)
+        verify()
+    return checks
+
+
+def _walks(verifier: str, scenario: str, engine):
+    """``(module, verify(points, rng), per_point(points, rng), points)`` of a
+    connection verifier on ``scenario``'s objects; engine health also runs on
+    a chart whose metric is not positive definite at x > 0.5."""
+    if scenario == "spd-below-0.5":
+        M = ChartManifold(2, -1.0, 1.0, lambda c: np.eye(2) * (0.75 - c[0]))
+        coords = sample_points(M.lower, M.upper, 130, 3, 1e-3)
+    else:
+        objs = build_objects(scenario, engine)
+        W = objs["warped"]
+        M = W.ambient
+        coords = sample_points(objs["sample_lower"], objs["sample_upper"], 130, 3, 4e-5)
+    points = [M.point(c) for c in coords]
+    if verifier == "engine-health":
+        return (suites, lambda pts, rng: suites.engine_health_records(M, engine, pts, rng),
+                lambda pts, rng: _health_per_point(M, engine, pts, rng), points)
+    pairs = lambda rng: (field_pairs(W.first, rng, 3), field_pairs(W.second, rng, 3))
+    if verifier == "warped-connection":
+        return (warped, lambda pts, rng: warped.verify_warped_connection(W, engine, pts, *pairs(rng)),
+                lambda pts, rng: _connection_per_point(W, engine, pts, *pairs(rng)), points)
+    return (warped, lambda pts, rng: warped.verify_leaf_fiber_geometry(W, engine, pts),
+            lambda pts, rng: _leaf_fiber_per_point(W, engine, pts), points)
+
+
+WALKS = [(v, s) for v in ("warped-connection", "leaf-fiber", "engine-health")
+         for s in WARPED_SCENARIOS + (("spd-below-0.5",) if v == "engine-health" else ())]
+
+
+@pytest.mark.parametrize("verifier, scenario", WALKS, ids=[f"{v}-{s}" for v, s in WALKS])
+def test_connection_verifiers_equal_the_point_by_point_walk(verifier, scenario, monkeypatch):
+    module, verify, per_point, points = _walks(verifier, scenario, DiffEngine())
+    for n in (1, 64, 65, 130):
+        want = per_point(points[:n], np.random.default_rng(n))
+        for scoped in (False, True):
+            with _scope(scoped):
+                got = _checks_made(module, monkeypatch,
+                                   lambda: verify(points[:n], np.random.default_rng(n)))
+            assert [c.check_id for c in got] == [c.check_id for c in want]
+            for a, b in zip(got, want):
+                assert len(a.residuals) == len(b.residuals)
+                assert np.array(a.residuals).tobytes() == np.array(b.residuals).tobytes(), \
+                    (a.check_id, n, scoped)
+                assert a.notes == b.notes
+    # the chart's failing points are recorded, not raised
+    assert scenario != "spd-below-0.5" or any(c.notes for c in want)
+
+
 def _hand_built_splitting(x, jacobian_xy=0.0, metric_yx=0.0):
     """The splitting at (x, 0) of (x, y) -> x on the Euclidean plane, with
     the Jacobian entry that acts on the vertical part and a metric entry
@@ -901,6 +1214,7 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
         V = rng.standard_normal((4, N, n))
         h = rng.uniform(1e-7, 1e-4, size=N)
         f = rng.uniform(0.5, 2.0, size=N)
+        T = rng.standard_normal((N, n, n, n))  # Christoffel symbols, or metric partials
         cases = {
             "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
             "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
@@ -941,6 +1255,15 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                 lambda: (f * f)[:, None, None] * Gt,
                 lambda i: (float(f[i]) * float(f[i])) * Gt[i],
             ),
+            "inv": (lambda: np.linalg.inv(G), lambda i: np.linalg.inv(G[i])),
+            "Christoffel contraction": (
+                lambda: np.einsum("nkl,nijl->nkij", G, T), lambda i: np.einsum("kl,ijl->kij", G[i], T[i]),
+            ),
+            "Christoffel term": (
+                lambda: np.einsum("...kij,...i,...j->...k", T, u, v),
+                lambda i: np.einsum("kij,i,j->k", T[i], u[i], v[i]),
+            ),
+            "(1 x n)(n x n)": (lambda: (u[:, None, :] @ A)[:, 0], lambda i: u[i] @ A[i]),
         }
         for name, (stacked, single) in cases.items():
             whole = stacked()
@@ -1021,3 +1344,85 @@ def test_point_sets_evaluate_each_user_callable_as_often_as_single_points(scenar
     product = {"objs.ctx.map.fn", "objs.ctx.map.jac", "objs.ctx.map.source.metric",
                "objs.ctx.map.target.metric"}
     assert stacked == (set() if scenario == "exp-spiral-r4" else product)
+
+
+# -- the evaluations of a connection pass
+
+
+def _connection_pass_counts(scenario: str) -> tuple[dict, set]:
+    """The evaluations of each user callable in one pass of the benchmark's
+    connection-central4 calls on ``scenario``, at ``SURVEY_POINTS`` points,
+    as ``{label: (at sample points, at stencil points)}``, where the sample
+    points include their factor parts; and the callables whose point-set
+    form was called. The engine-health fields are counted as they are made."""
+    engine = DiffEngine(scheme="central4")
+    objs = build_objects(scenario, engine)
+    W = objs["warped"]
+    coords = sample_points(objs["sample_lower"], objs["sample_upper"], SURVEY_POINTS, 7,
+                           4.0 * engine.step)
+    points = [W.ambient.point(c) for c in coords]
+    rng = np.random.default_rng(7)
+    pairs1, pairs2 = field_pairs(W.first, rng, 3), field_pairs(W.second, rng, 3)
+    counts, stacked = Counter(), set()
+    holders = {"first.metric": (W.first, "metric"), "second.metric": (W.second, "metric"),
+               "ambient.metric": (W.ambient, "metric"), "warp": (W.warp, "fn")}
+    for name, pairs in (("pairs1", pairs1), ("pairs2", pairs2)):
+        for i, (E, F) in enumerate(pairs):
+            holders.update({f"{name}.{i}.E": (E, "fn"), f"{name}.{i}.F": (F, "fn")})
+    with pytest.MonkeyPatch.context() as patch:
+        for label, (holder, name) in holders.items():
+            patch.setitem(vars(holder), name, _counted(getattr(holder, name), counts, label, stacked))
+
+        def library(M, rng, n):
+            fields = vector_field_library(M, rng, n)
+            for i, field in enumerate(fields):
+                patch.setitem(vars(field), "fn", _counted(field.fn, counts, f"health.{i}", stacked))
+            return fields
+
+        patch.setattr(suites, "vector_field_library", library)
+        warped.verify_warped_connection(W, engine, points, pairs1, pairs2)
+        warped.verify_leaf_fiber_geometry(W, engine, points)
+        suites.engine_health_records(W.ambient, engine, points, rng)
+    samples = {tuple(p[block].tolist()) for p in points
+               for block in (slice(None), W.block("first"), W.block("second"))}
+    split = {}
+    for (label, point), k in counts.items():
+        split.setdefault(label, [0, 0])[point not in samples] += k
+    return {label: tuple(n) for label, n in sorted(split.items())}, stacked
+
+
+# evaluations per user callable in one connection pass, as (at sample points,
+# at stencil points), measured when the verifiers still walked one point and
+# one axis at a time
+_LINE_COUNTS = {
+    "ambient.metric": (195, 1820), "first.metric": (1040, 1300),
+    "health.0": (325, 1040), "health.1": (260, 780), "health.2": (130, 520),
+    **{f"pairs1.{i}.E": (585, 0) for i in range(3)},
+    **{f"pairs1.{i}.F": (130, 520) for i in range(3)},
+    **{f"pairs2.{i}.E": (650, 0) for i in range(3)},
+    **{f"pairs2.{i}.F": (195, 520) for i in range(3)},
+    "second.metric": (1300, 1040), "warp": (1300, 1040),
+}
+CONNECTION_COUNTS = {
+    "warped-line": _LINE_COUNTS,
+    "sphere-warped": _LINE_COUNTS,
+    "product-plain": {
+        "ambient.metric": (195, 2600), "first.metric": (1040, 2340),
+        "health.0": (325, 1560), "health.1": (260, 780), "health.2": (130, 520),
+        **{f"pairs1.{i}.E": (585, 0) for i in range(3)},
+        "pairs1.0.F": (130, 520), "pairs1.1.F": (130, 1040), "pairs1.2.F": (130, 1040),
+        "pairs2.0.E": (650, 0), "pairs2.1.E": (910, 0), "pairs2.2.E": (910, 0),
+        **{f"pairs2.{i}.F": (195, 520) for i in range(3)},
+        "second.metric": (2080, 1040), "warp": (1300, 1820),
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", WARPED_SCENARIOS)
+def test_a_connection_pass_evaluates_each_user_callable_as_often_as_single_points(scenario):
+    # chart metrics, the warp and the vector fields, at the sample points and
+    # on the FD stencils; the Christoffel walk reads the ambient metric of
+    # the stencil points through its point-set form
+    counts, stacked = _connection_pass_counts(scenario)
+    assert counts == CONNECTION_COUNTS[scenario]
+    assert stacked == {"ambient.metric"}

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -300,24 +301,28 @@ def test_constant_warp_fiber_form_vanishes():
 
 
 def test_verifiers_build_each_christoffel_once_per_point(monkeypatch):
-    # no evaluation scope: the sharing comes from the verifiers themselves
+    # no evaluation scope: the sharing comes from the verifiers themselves;
+    # counts the points that the Christoffel kernel computes, per chart
     import warpgeo.connection as connection
+    from warpgeo.suites import engine_health_records
 
-    built = []
-    original = connection._christoffel
+    built = Counter()
+    original = connection._christoffels
 
-    def counting(M, engine, coords, g):
-        built.append(M)
-        return original(M, engine, coords, g)
+    def counting(M, engine, coords_list, metrics):
+        built[id(M)] += len(coords_list)
+        return original(M, engine, coords_list, metrics)
 
-    monkeypatch.setattr(connection, "_christoffel", counting)
+    monkeypatch.setattr(connection, "_christoffels", counting)
     W = make_warped_line()
     pts = _sample_points(W, [-0.8, -0.8], [0.8, 0.8], n=3)
     verify_warped_connection(W, ENGINE, pts, _pairs(W.first, 1, 3), _pairs(W.second, 2, 3))
-    assert sorted(map(id, built)) == sorted(map(id, [W.ambient, W.first, W.second] * len(pts)))
-    built.clear()
-    verify_leaf_fiber_geometry(W, ENGINE, pts)
-    assert list(map(id, built)) == [id(W.ambient)] * len(pts)
+    assert built == {id(M): len(pts) for M in (W.ambient, W.first, W.second)}
+    for verify in (lambda: verify_leaf_fiber_geometry(W, ENGINE, pts),
+                   lambda: engine_health_records(W.ambient, ENGINE, pts, np.random.default_rng(0))):
+        built.clear()
+        verify()
+        assert built == {id(W.ambient): len(pts)}
 
 
 def test_shared_gamma_gives_the_same_forms():
