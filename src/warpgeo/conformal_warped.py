@@ -25,12 +25,13 @@ import numpy as np
 
 from .connection import lie_bracket
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
-from .fd import DiffEngine, _with_stack
+from .fd import DiffEngine
 from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
     _point_set,
+    _with_stack,
     evaluation_scope,
 )
 from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale

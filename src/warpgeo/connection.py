@@ -6,13 +6,12 @@ taken by the finite-difference engine, as the array gamma[k, i, j].
 Covariant derivatives, Lie brackets and second fundamental forms of
 coordinate-aligned submanifolds build on it and return component arrays.
 
-The Christoffel symbols have one kernel over a point set (``christoffels``);
-a single point is a stack of one. Covariant derivatives and Lie brackets
-have a single-point form (``partials``) and a point-set form
-(``DiffEngine.stacked_partials``), which share their contraction helpers
-and differ only in the walk. numpy's stacked ``inv``, ``einsum`` and
-``matmul`` give each point the bits of its own call, so a point's value
-does not depend on the set it is computed in.
+The Christoffel symbols, covariant derivatives and Lie brackets each have
+one kernel over a point set, on ``DiffEngine.stacked_partials``; a single
+point is a stack of one, which that walk differentiates by ``partials``'
+own loop. numpy's stacked ``inv``, ``einsum`` and ``matmul`` give each
+point the bits of its own call, so a point's value does not depend on the
+set it is computed in.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fd import DiffEngine, _with_stack
+from .fd import DiffEngine
 from .manifold import ChartManifold, VectorField, _compute_one, _memoized, _memoized_many
 
 Array = np.ndarray
@@ -44,9 +43,8 @@ def christoffel(M: ChartManifold, engine: DiffEngine, coords, g: Optional[Array]
 def christoffels(M: ChartManifold, engine: DiffEngine, coords_seq, metrics=None) -> list[Array]:
     """``[christoffel(M, engine, c, g) for c, g in zip(coords_seq, metrics)]``,
     with ``metrics`` all None when not given, computed by one kernel for the
-    points not yet stored: one stacked walk over their stencils, whose
-    metrics come from ``M.metrics_at``. Memo entries are shared with
-    ``christoffel``."""
+    points not yet stored: one stacked walk over their stencils. Memo
+    entries are shared with ``christoffel``."""
     coords = [np.asarray(c, dtype=float) for c in coords_seq]
     given = {} if metrics is None else {c.tobytes(): g for c, g in zip(coords, metrics)}
     return _memoized_many(M, coords, engine, lambda missing: _christoffels(
@@ -58,10 +56,9 @@ def _christoffels(M: ChartManifold, engine: DiffEngine, coords_list: list, metri
     metric that is None is evaluated and checked here, first."""
     G = np.array([M.metric_at(c) if g is None else g for c, g in zip(coords_list, metrics)])
     ginv = np.linalg.inv(G)
-    unchecked = _with_stack(lambda c: M.metric_at(c, check=False),
-                            lambda coords: np.array(M.metrics_at(coords)))
     # dg[n, l, i, j] = d_l g_ij at point n
-    dg = engine.stacked_partials(unchecked, np.array(coords_list), M.lower, M.upper)
+    dg = engine.stacked_partials(lambda c: M.metric_at(c, check=False), np.array(coords_list),
+                                 M.lower, M.upper)
     # c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     return list(0.5 * np.einsum("nkl,nijl->nkij", ginv, c))
@@ -78,12 +75,6 @@ def _covariant_from_partials(direction: Array, dY: Array, y: Array, gamma: Array
     return _along(direction, dY) + np.einsum("...kij,...i,...j->...k", gamma, direction, y)
 
 
-def _bracket_from_partials(x: Array, dY: Array, y: Array, dX: Array) -> Array:
-    """X^i d_i Y^k - Y^i d_i X^k from x = X(p), y = Y(p) and the partials
-    dY[i, k], dX[i, k], at one point or at each point of stacks."""
-    return _along(x, dY) - _along(y, dX)
-
-
 def covariant_derivative_dir(
     M: ChartManifold,
     engine: DiffEngine,
@@ -93,11 +84,11 @@ def covariant_derivative_dir(
     gamma: Optional[Array] = None,
 ) -> Array:
     """nabla_v Y at coords for a fixed direction v (tensorial slot)."""
+    coords = np.asarray(coords, dtype=float)
     if gamma is None:
         gamma = christoffel(M, engine, coords)
-    direction = np.asarray(direction, dtype=float)
-    dY = engine.partials(Y.fn, coords, M.lower, M.upper, along=direction)
-    return _covariant_from_partials(direction, dY, Y(coords), gamma)
+    return _covariant_derivatives(M, engine, np.asarray(direction, dtype=float)[None], Y,
+                                  coords[None], np.asarray(gamma)[None])[0]
 
 
 def covariant_derivative(
@@ -112,36 +103,34 @@ def covariant_derivative(
     return covariant_derivative_dir(M, engine, X(coords), Y, coords, gamma)
 
 
-def covariant_derivatives(
-    M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField, coords, gammas
-) -> Array:
-    """``np.stack([covariant_derivative(M, engine, X, Y, c, gamma) for c, gamma
-    in zip(coords, gammas)])`` at the rows of the (N, dim) array ``coords``,
-    bit for bit: one stacked walk differentiates Y along each X(c)."""
-    x = np.array([X(c) for c in coords])
-    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x)
-    return _covariant_from_partials(x, dY, np.array([Y(c) for c in coords]), np.array(gammas))
+def _covariant_derivatives(M: ChartManifold, engine: DiffEngine, directions: Array,
+                           Y: VectorField, coords: Array, gammas) -> Array:
+    """nabla_v Y at each row of the (N, dim) array ``coords``, along the same
+    row v of ``directions`` and with the Christoffel symbols of the same
+    entry of ``gammas``: one stacked walk differentiates Y. Each value
+    equals ``covariant_derivative_dir``'s at its point bit for bit; a set
+    that fails raises the walk's first error, which need not be the first
+    failing point's."""
+    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=directions)
+    return _covariant_from_partials(directions, dY, np.array([Y(c) for c in coords]),
+                                    np.asarray(gammas))
 
 
 def lie_bracket(
     M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField, coords
 ) -> Array:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at coords."""
-    x, y = X(coords), Y(coords)
-    dY = engine.partials(Y.fn, coords, M.lower, M.upper, along=x)
-    dX = engine.partials(X.fn, coords, M.lower, M.upper, along=y)
-    return _bracket_from_partials(x, dY, y, dX)
+    return _lie_brackets(M, engine, X, Y, np.asarray(coords, dtype=float)[None])[0]
 
 
-def lie_brackets(M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField,
-                 coords) -> Array:
-    """``np.stack([lie_bracket(M, engine, X, Y, c) for c in coords])`` at the
-    rows of the (N, dim) array ``coords``, bit for bit: one stacked walk per
-    field."""
+def _lie_brackets(M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField,
+                  coords: Array) -> Array:
+    """[X, Y] at each row of the (N, dim) array ``coords``, one stacked walk
+    per field; values and errors as ``_covariant_derivatives``'."""
     x, y = np.array([X(c) for c in coords]), np.array([Y(c) for c in coords])
     dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x)
     dX = engine.stacked_partials(X.fn, coords, M.lower, M.upper, along=y)
-    return _bracket_from_partials(x, dY, y, dX)
+    return _along(x, dY) - _along(y, dX)
 
 
 def metric_orthogonal_projector(g: Array, basis: Array) -> Array:

@@ -53,23 +53,6 @@ def _rooms(x: np.ndarray, lower, upper) -> np.ndarray:
     return np.where(np.isfinite(x), room, np.nan)
 
 
-def _with_stack(one, stack):
-    """``one``, a callable of one point, carrying ``stack``: a callable of a
-    float (N, dim) array of points that returns ``one``'s values there as
-    one float array, bit for bit. ``_stack_of`` reads it. Builders attach
-    it to the callables they assemble from their parts; a callable put in
-    the place of ``one`` comes without it."""
-    one._stack = stack
-    return one
-
-
-def _stack_of(fn):
-    """The point-set form of ``fn``: the one ``_with_stack`` attached to it,
-    else ``fn``'s values at the rows of an (N, dim) array as one float array."""
-    stack = getattr(fn, "_stack", None)
-    return stack or (lambda coords: np.array([fn(c) for c in coords], dtype=float))
-
-
 @dataclass(frozen=True)
 class DiffEngine:
     """Central differences with automatic step shrinking near box edges.
@@ -113,8 +96,15 @@ class DiffEngine:
             self._fit_step(float(room.flat[np.argmin(fits)]))  # raises its message
 
     def partial(self, fn, coords, axis: int, lower, upper):
-        """d(fn)/d(coords[axis]). fn may return a float or an ndarray."""
+        """d(fn)/d(coords[axis]). fn may return a float or an ndarray.
+
+        ``coords`` may also be an (N, dim) array of points: the result is
+        then ``np.stack([self.partial(fn, c, axis, lower, upper) for c in
+        coords])``, bit for bit, by one ``_walk`` over the set's stencils.
+        """
         coords = np.asarray(coords, dtype=float)
+        if coords.ndim == 2:
+            return self._walk(fn, coords, lower, upper, (axis,))[:, 0]
         x = float(coords[axis])
         h = self._fit_step(_room(x, lower[axis], upper[axis]))
 
@@ -156,6 +146,26 @@ class DiffEngine:
             points[:, range(len(axes)), k, axes] = x + t
         return points, h, room
 
+    def _walk(self, fn, coords: np.ndarray, lower, upper, axes) -> np.ndarray:
+        """The partials of ``fn`` along each of ``axes`` at each row of the
+        (N, dim) array ``coords``, as an (N, len(axes)) + value-shape array:
+        the engine's one walk over a point set's stencils.
+
+        ``fn`` is evaluated once per stencil point, in the order of the loop
+        of ``partial`` calls over points and then axes, and the values are
+        combined by the scheme's own combine with an (N, len(axes)) array of
+        steps, so each partial equals ``partial``'s at its point bit for
+        bit. Raises the StencilError of that loop's first failing stencil,
+        before any evaluation.
+        """
+        points, h, room = self._stencils(coords, lower, upper, axes)
+        self._require_fit(room, h)
+        values = np.array([fn(p) for p in points.reshape(-1, coords.shape[1])], dtype=float)
+        values = values.reshape(points.shape[:3] + values.shape[1:])
+        calls = iter(range(values.shape[2]))
+        h = h.reshape(h.shape + (1,) * (values.ndim - 3))
+        return STENCILS[self.scheme][1](lambda t: values[:, :, next(calls)], h)
+
     def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
         """The points ``partial(fn, coords, axis, lower, upper)`` passes to
         ``fn`` for each axis of ``axes``, in call order, as rows of one array,
@@ -178,45 +188,42 @@ class DiffEngine:
     def stacked_partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
         """``np.stack([self.partials(fn, c, lower, upper, along=a) for c, a in
         zip(coords, along)])`` for the rows c of the (N, dim) array ``coords``
-        and a of the (N, dim) array ``along`` (every axis when None), as one
-        walk over the set's stencils.
+        and a of the (N, dim) array ``along`` (every axis when None), bit for
+        bit: one ``partial`` walk per axis over the points where
+        along[n, i] != 0.0.
 
-        A lone point is that loop, which evaluates ``fn`` one stencil point
-        at a time. For a set of two or more, only the stencils of axes where
-        along[n, i] != 0.0 are checked and evaluated, in the loop's order, by
-        one call of ``fn``'s point-set form (``_stack_of``); a point with no
-        such axis evaluates ``fn`` once, at the point, for the value's shape,
-        as ``partials`` does, and the StencilError of the loop's first
-        failing stencil is raised before any evaluation. The values are
-        combined by the scheme's own combine with an array of steps, so each
-        point's partials equal its loop's bit for bit.
+        A lone point is that loop. For a set of two or more, each used
+        stencil is evaluated once, one point at a time, and the StencilError
+        of the loop's first failing stencil is raised before any evaluation;
+        a point with no used axis evaluates ``fn`` once, at the point, for
+        the value's shape, as ``partials`` does.
         """
         coords = np.asarray(coords, dtype=float)
         if len(coords) == 1:
-            return self.partials(fn, coords[0], lower, upper, None if along is None else along[0])[None]
+            one = None if along is None else along[0]
+            return self.partials(fn, coords[0], lower, upper, along=one)[None]
         n, dim = coords.shape
-        points, h, room = self._stencils(coords, lower, upper, range(dim))
         used = np.ones((n, dim), dtype=bool) if along is None else np.asarray(along) != 0.0
+        _, h, room = self._stencils(coords, lower, upper, range(dim))
         self._require_fit(room[used], h[used])
         shapes = [np.shape(fn(c)) for c in coords[~used.any(axis=1)]]
-        if not used.any():
-            return np.zeros((n, dim) + (shapes[0] if shapes else ()))
-        stencil = points[used].reshape(-1, dim)
-        values = _stack_of(fn)(stencil)
-        values = values.reshape((-1, points.shape[2]) + values.shape[1:])
-        calls = iter(range(points.shape[2]))
-        steps = h[used].reshape((-1,) + (1,) * (values.ndim - 2))
-        out = np.zeros((n, dim) + values.shape[2:])
-        out[used] = STENCILS[self.scheme][1](lambda t: values[:, next(calls)], steps)
-        return out
+        out = None
+        for i in np.flatnonzero(used.any(axis=0)):
+            rows = slice(None) if along is None else used[:, i]
+            d = self.partial(fn, coords[rows], i, lower, upper)
+            if out is None:
+                out = np.zeros((n, dim) + d.shape[1:])
+            out[rows, i] = d
+        return np.zeros((n, dim) + (shapes[0] if shapes else ())) if out is None else out
 
     def jacobian(self, fn, coords, lower, upper) -> np.ndarray:
         """``np.stack([self.partials(fn, c, lower, upper).T for c in coords])``
         for the rows c of the (N, dim) array ``coords``: the Jacobian of a
-        vector fn (the gradient of a scalar one) at each point of a set, as
-        ``stacked_partials`` transposed, bit for bit.
+        vector fn (the gradient of a scalar one) at each point of a set: one
+        ``_walk`` along every axis, transposed.
         """
-        d = self.stacked_partials(fn, coords, lower, upper)
+        coords = np.asarray(coords, dtype=float)
+        d = self._walk(fn, coords, lower, upper, range(coords.shape[1]))
         # each point's .T, C-ordered as the checked single-point conversion
         return np.ascontiguousarray(d.transpose((0,) + tuple(range(d.ndim - 1, 0, -1))))
 

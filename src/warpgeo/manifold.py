@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, GeometryError
-from .fd import DiffEngine, _stack_of
+from .fd import DiffEngine
 from .report import residual_scale
 
 Array = np.ndarray
@@ -134,6 +134,23 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
     for key, value in zip(missing, values):
         _store(cache, key, value)
     return [cache[key] for key in keys]
+
+
+def _with_stack(one, stack):
+    """``one``, a callable of one point, carrying ``stack``: a callable of a
+    float (N, dim) array of points that returns ``one``'s values there as
+    one float array, bit for bit. ``_stack_of`` reads it. Builders attach
+    it to the callables they assemble from their parts; a callable put in
+    the place of ``one`` comes without it."""
+    one._stack = stack
+    return one
+
+
+def _stack_of(fn):
+    """The point-set form of ``fn``: the one ``_with_stack`` attached to it,
+    else ``fn``'s values at the rows of an (N, dim) array as one float array."""
+    stack = getattr(fn, "_stack", None)
+    return stack or (lambda coords: np.array([fn(c) for c in coords], dtype=float))
 
 
 def _point_set(one, stack, coords_seq, shape: tuple) -> Array:

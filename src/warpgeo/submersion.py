@@ -25,7 +25,7 @@ written once, in the single-point conversion (``SmoothMap.__call__``,
 keeps a set's values from one call of its point-set form only in that shape,
 and otherwise redoes the set point by point, so the first failing point
 raises its own error. A builder's callable carries a point-set form
-(``fd._with_stack``) that assembles its parts' stacks: the warped
+(``manifold._with_stack``) that assembles its parts' stacks: the warped
 ambient metric's, and the product map's images and Jacobians from the factor
 maps' checked calls. An FD Jacobian stack is one ``DiffEngine.jacobian``
 call over the set's stencil points; a single FD Jacobian differentiates the
@@ -67,7 +67,7 @@ from .connection import (
     metric_orthogonal_projector,
 )
 from .errors import ConformalityError, DegenerateMetricError, DomainError, RankError
-from .fd import DiffEngine, _stack_of
+from .fd import DiffEngine
 from .manifold import (
     _MEMO,
     ChartManifold,
@@ -79,6 +79,7 @@ from .manifold import (
     _memoized,
     _memoized_many,
     _point_set,
+    _stack_of,
     analytic_fd_gap,
     evaluation_scope,
     gradient,

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .connection import christoffels, covariant_derivatives, lie_brackets
+from .connection import _covariant_derivatives, _lie_brackets, christoffels
 from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
 from .fields import field_pairs, modulated, vector_field_library
@@ -93,10 +93,14 @@ def _health_rows(M: ChartManifold, engine: DiffEngine, fields, points, notes: li
     def rows(coords):
         G = [M.metric_at(p) for p in coords]
         gammas = christoffels(M, engine, coords, G)
-        dxy = covariant_derivatives(M, engine, X, Y, coords, gammas)
-        dyx = covariant_derivatives(M, engine, Y, X, coords, gammas)
-        br = lie_brackets(M, engine, X, Y, coords)
-        dxz = covariant_derivatives(M, engine, X, Z, coords, gammas)
+
+        def nabla(A, B):
+            a = np.array([A(c) for c in coords])
+            return _covariant_derivatives(M, engine, a, B, coords, gammas)
+
+        dxy, dyx = nabla(X, Y), nabla(Y, X)
+        br = _lie_brackets(M, engine, X, Y, coords)
+        dxz = nabla(X, Z)
         lhs = [engine.directional(g_inner_field, p, X(p), M.lower, M.upper) for p in coords]
         out = []
         for p, g, a, b, c, d, left in zip(coords, G, dxy, dyx, br, dxz, lhs):

@@ -17,17 +17,18 @@ import numpy as np
 
 from .connection import (
     SecondFundamentalFormAt,
+    _covariant_derivatives,
     christoffels,
     coordinate_submanifold_form,
-    covariant_derivatives,
 )
 from .errors import WarpPositivityError
-from .fd import DiffEngine, _with_stack
+from .fd import DiffEngine
 from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
     _point_set,
+    _with_stack,
     gradient,
     scalar_partials,
 )
@@ -205,7 +206,7 @@ def verify_warped_connection(
     ``POINT_BLOCK`` points is one stacked pass (``_connection_rows``): the
     ambient and the two factor Christoffel symbols of the block come from
     one ``christoffels`` call per chart and each covariant derivative from
-    one ``covariant_derivatives`` call; each of the three metrics is
+    one stacked walk; each of the three metrics is
     evaluated and checked once per point. Every residual, and its order, is
     that of a point-by-point walk.
     """
@@ -220,10 +221,6 @@ def verify_warped_connection(
     for block in _blocks(points):
         _add_rows(columns, _connection_rows(W, engine, pairs1, pairs2, block))
     return [c.record() for c in checks]
-
-
-def _distance(a: Array, b: Array) -> float:
-    return np.linalg.norm(a - b)
 
 
 def _scaled(residual_of, *terms) -> Array:
@@ -248,28 +245,36 @@ def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2, point
         gammas = christoffels(W.ambient, engine, coords, G)
         gammas1 = christoffels(W.first, engine, c1)
         gammas2 = christoffels(W.second, engine, c2)
+
+        def nabla(M, X, Y, coords, gammas):
+            x = np.array([X(c) for c in coords])
+            return _covariant_derivatives(M, engine, x, Y, coords, gammas)
+
         samples = []
         for (E1, F1), (E1l, F1l) in zip(pairs1, lifts1):
-            lhs = covariant_derivatives(W.ambient, engine, E1l, F1l, coords, gammas)
-            factor = covariant_derivatives(W.first, engine, E1, F1, c1, gammas1)
-            samples.append(_scaled(_distance, lhs, [W.pad("first", f) for f in factor]))
+            lhs = nabla(W.ambient, E1l, F1l, coords, gammas)
+            factor = nabla(W.first, E1, F1, c1, gammas1)
+            samples.append(_scaled(lambda a, b: np.linalg.norm(a - b),
+                                   lhs, [W.pad("first", f) for f in factor]))
 
         for (E1, _), (E1l, _), (E2l, _) in zip(pairs1, lifts1, lifts2):
-            lhs_a = covariant_derivatives(W.ambient, engine, E1l, E2l, coords, gammas)
-            lhs_b = covariant_derivatives(W.ambient, engine, E2l, E1l, coords, gammas)
+            lhs_a = nabla(W.ambient, E1l, E2l, coords, gammas)
+            lhs_b = nabla(W.ambient, E2l, E1l, coords, gammas)
             rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), E1(a))) / W.warp(a))
                    * E2l(p) for p, a in zip(coords, c1)]
-            samples.append(_scaled(lambda a, b, r: max(_distance(a, r), _distance(b, r)),
-                                   lhs_a, lhs_b, rhs))
+            samples.append(_scaled(
+                lambda a, b, r: max(np.linalg.norm(a - r), np.linalg.norm(b - r)),
+                lhs_a, lhs_b, rhs))
 
         # gradient checks that each point is in the box
         grad_log = [gradient(W.ambient, engine, log_warp, p, g) for p, g in zip(coords, G)]
         for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
-            full = covariant_derivatives(W.ambient, engine, E2l, F2l, coords, gammas)
+            full = nabla(W.ambient, E2l, F2l, coords, gammas)
             rhs3 = [-float(E2l(p) @ g @ F2l(p)) * grad for p, g, grad in zip(coords, G, grad_log)]
-            samples.append(_scaled(_distance, [W.pad("first", v[first]) for v in full], rhs3))
-            rhs4 = covariant_derivatives(W.second, engine, E2, F2, c2, gammas2)
-            samples.append(_scaled(_distance, full[:, second], rhs4))
+            samples.append(_scaled(lambda a, b: np.linalg.norm(a - b),
+                                   [W.pad("first", v[first]) for v in full], rhs3))
+            rhs4 = nabla(W.second, E2, F2, c2, gammas2)
+            samples.append(_scaled(lambda a, b: np.linalg.norm(a - b), full[:, second], rhs4))
         return np.stack(samples, axis=1) if samples else np.zeros((len(coords), 0, 2))
 
     return _point_set(lambda c: rows(c[None])[0], rows, points,

@@ -228,6 +228,81 @@ def test_along_skipped_axis_may_sit_at_the_boundary():
         engine.partials(fn, coords, lower, upper)
 
 
+# -- point sets: partial at an (N, dim) array, stacked_partials ---------------
+
+# the second point sits 1e-5 from a wall of axis 0, so its step shrinks there
+SET_POINTS = np.array([ALONG_POINT, [2.0 - 1e-5, 0.1, -0.5], [-0.4, 1.2, 0.0],
+                       [0.0, 0.0, 0.0], [1.5, -1.9, 0.25], [-1.0, 0.5, 1.75]])
+SET_ALONG = np.array(ALONG_DIRECTIONS)  # row 4 uses no axis
+
+
+def _counting(fn):
+    calls = []
+
+    def counted(c):
+        calls.append(1)
+        return fn(c)
+
+    return counted, calls
+
+
+def _same(got, want) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", list(ALONG_FNS))
+def test_point_sets_equal_the_loop_of_single_points_bit_for_bit(scheme, kind):
+    engine = DiffEngine(scheme=scheme)
+    fn, calls = _counting(ALONG_FNS[kind])
+    for axis in range(3):
+        want = np.stack([engine.partial(fn, c, axis, *BOX) for c in SET_POINTS])
+        looped = len(calls)
+        assert _same(engine.partial(fn, SET_POINTS, axis, *BOX), want)
+        assert len(calls) == 2 * looped
+        calls.clear()
+    for along in (None, SET_ALONG):
+        for n in (1, 2, len(SET_POINTS)):
+            rows = [None] * n if along is None else along[:n]
+            want = np.stack([engine.partials(fn, c, *BOX, along=a)
+                             for c, a in zip(SET_POINTS[:n], rows)])
+            looped = len(calls)
+            got = engine.stacked_partials(fn, SET_POINTS[:n], *BOX,
+                                          along=None if along is None else along[:n])
+            assert _same(got, want)
+            assert len(calls) == 2 * looped
+            calls.clear()
+
+
+def test_a_point_set_raises_the_loops_first_stencil_error_before_evaluating():
+    engine = DiffEngine()
+    lower, upper = np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0])
+    points = np.array([[0.2, 0.5, 0.1], [0.3, 5e-13, 0.0], [1.0 - 1e-12, 0.5, 0.0]])
+    fn, calls = _counting(ALONG_FNS["vector"])
+
+    def loop_error(call):
+        with pytest.raises(StencilError) as info:
+            call()
+        return str(info.value)
+
+    for along in (None, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])):
+        rows = [None] * 3 if along is None else along
+        want = loop_error(lambda: [engine.partials(fn, c, lower, upper, along=a)
+                                   for c, a in zip(points, rows)])
+        calls.clear()
+        assert loop_error(lambda: engine.stacked_partials(fn, points, lower, upper, along)) == want
+        assert calls == []
+    want = loop_error(lambda: [engine.partial(fn, c, 0, lower, upper) for c in points])
+    calls.clear()
+    assert loop_error(lambda: engine.partial(fn, points, 0, lower, upper)) == want
+    assert calls == []
+    # a point whose tight axis is not used does not raise
+    along = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    got = engine.stacked_partials(fn, points, lower, upper, along)
+    assert _same(got, np.stack([engine.partials(fn, c, lower, upper, along=a)
+                                for c, a in zip(points, along)]))
+
+
 def _recorded_stencil(engine, coords, lower, upper, along):
     """The coordinates ``partials`` passes to fn, in call order, as rows."""
     seen = []

@@ -551,16 +551,30 @@ GUARDED_ERRORS = {  # of the splittings; a dilation's differs at a degenerate pu
     "non-finite-jacobian-first": GUARDED_JACOBIAN,
 }
 # the single-point conversions and the point-by-point redo of _memoized_many,
-# which no clean point-set call of two or more points calls
+# which no clean point-set call of two or more points calls; DiffEngine.partial
+# has a set form too, and only that is allowed (SET_FORMS)
 SINGLE_POINT = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"),
                 (SmoothMap, "__call__"), (SmoothMap, "image_point"), (SmoothMap, "jacobian_at"),
                 (DiffEngine, "partial"), (DiffEngine, "partials"),
                 (SubmersionContext, "splitting_at"), (SubmersionContext, "dilation"),
                 (conformal_warped, "compatibility"), (conformal_warped, "_positive_factor_data"),
                 (manifold, "_one_at_a_time"))
+
+
+def _sets_only(method):
+    """``method(self, fn, coords, ...)`` that fails at a lone point."""
+    def on_sets(self, fn, coords, *args):
+        assert np.ndim(coords) == 2, f"a point computed on its own: {coords}"
+        return method(self, fn, coords, *args)
+    return on_sets
+
+
+SET_FORMS = {(DiffEngine, "partial"): _sets_only(DiffEngine.partial)}
+
 # a checked metric has no point-set form: the connection layer checks each
-# point's own metric, and the engine-health checks' directional stencil
-# reads the unchecked metric one point at a time
+# point's own metric, and its stencil walks (the Christoffel symbols' and
+# the engine-health checks' directional one) read the unchecked metric one
+# stencil point at a time
 CHECKED_METRIC = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"))
 STENCIL_ERROR = (StencilError, "stencil does not fit: room to boundary 1.000e-11 allows step "
                  "5.000e-12 < min_step 1.000e-10")
@@ -786,7 +800,7 @@ def test_values_equal_the_single_point_calls_bit_for_bit(name, scheme, scoped, m
                 if n != 1:  # a lone point is its single-point conversion
                     for owner, attr in SINGLE_POINT:
                         if (owner, attr) not in row.per_point:
-                            patch.setattr(owner, attr, None)
+                            patch.setattr(owner, attr, SET_FORMS.get((owner, attr)))
                 got = row.point_set(obj, points[:n])
             _assert_as_loop(row, obj, got, want[:n], points[:n])
     # a clean set of two or more points is never computed one point at a time:
@@ -1125,7 +1139,8 @@ def _walks(verifier: str, scenario: str, engine):
                 lambda pts, rng: _health_per_point(M, engine, pts, rng), points)
     pairs = lambda rng: (field_pairs(W.first, rng, 3), field_pairs(W.second, rng, 3))
     if verifier == "warped-connection":
-        return (warped, lambda pts, rng: warped.verify_warped_connection(W, engine, pts, *pairs(rng)),
+        return (warped,
+                lambda pts, rng: warped.verify_warped_connection(W, engine, pts, *pairs(rng)),
                 lambda pts, rng: _connection_per_point(W, engine, pts, *pairs(rng)), points)
     return (warped, lambda pts, rng: warped.verify_leaf_fiber_geometry(W, engine, pts),
             lambda pts, rng: _leaf_fiber_per_point(W, engine, pts), points)
@@ -1257,7 +1272,8 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
             ),
             "inv": (lambda: np.linalg.inv(G), lambda i: np.linalg.inv(G[i])),
             "Christoffel contraction": (
-                lambda: np.einsum("nkl,nijl->nkij", G, T), lambda i: np.einsum("kl,ijl->kij", G[i], T[i]),
+                lambda: np.einsum("nkl,nijl->nkij", G, T),
+                lambda i: np.einsum("kl,ijl->kij", G[i], T[i]),
             ),
             "Christoffel term": (
                 lambda: np.einsum("...kij,...i,...j->...k", T, u, v),
@@ -1371,7 +1387,8 @@ def _connection_pass_counts(scenario: str) -> tuple[dict, set]:
             holders.update({f"{name}.{i}.E": (E, "fn"), f"{name}.{i}.F": (F, "fn")})
     with pytest.MonkeyPatch.context() as patch:
         for label, (holder, name) in holders.items():
-            patch.setitem(vars(holder), name, _counted(getattr(holder, name), counts, label, stacked))
+            counted = _counted(getattr(holder, name), counts, label, stacked)
+            patch.setitem(vars(holder), name, counted)
 
         def library(M, rng, n):
             fields = vector_field_library(M, rng, n)
@@ -1421,8 +1438,8 @@ CONNECTION_COUNTS = {
 @pytest.mark.parametrize("scenario", WARPED_SCENARIOS)
 def test_a_connection_pass_evaluates_each_user_callable_as_often_as_single_points(scenario):
     # chart metrics, the warp and the vector fields, at the sample points and
-    # on the FD stencils; the Christoffel walk reads the ambient metric of
-    # the stencil points through its point-set form
+    # on the FD stencils; every stencil walk evaluates its callable one point
+    # at a time, so no point-set form is read
     counts, stacked = _connection_pass_counts(scenario)
     assert counts == CONNECTION_COUNTS[scenario]
-    assert stacked == {"ambient.metric"}
+    assert stacked == set()
