@@ -12,7 +12,8 @@ When they agree, the product's squared dilation is r1; the verifiers below
 measure this compatibility instead of assuming it (``compatibility_report``,
 from one kernel of a point set's factor data; a point is a set of one),
 cross-check the product's A tensor against the per-factor formulas (both
-denominator conventions), and exercise the Riemannian reduction and the
+denominator conventions; each block of ``POINT_BLOCK`` points one stacked
+pass of the O'Neill kernels), and exercise the Riemannian reduction and the
 conformal rescaling that turns the product into a Riemannian submersion.
 """
 
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .connection import lie_bracket
+from .connection import _lie_brackets
 from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
 from .manifold import (
@@ -34,17 +35,21 @@ from .manifold import (
     _with_stack,
     evaluation_scope,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
 from .submersion import (
     SmoothMap,
     SubmersionContext,
+    _blocks,
     _gram_schmidt,
+    _horizontal,
     _in_blocks,
+    _oneills,
+    _projectors,
+    _vertical,
+    _vertical_gradients,
     _warm_parts,
     fiber_mean_curvature,
-    oneill_a,
     oneill_t,
-    vertical_gradient,
 )
 from .warped import WarpedProduct, build_warped_product, lift
 
@@ -219,54 +224,74 @@ def verify_first_factor_a_identity(
     The gradient term is computed in both conventions (vertical gradient of
     1/lambda1^2 taken on the factor and lifted, and taken on the product);
     the reported residual is the worse of the two, and the convention gap is
-    noted.
+    noted. Each block of ``POINT_BLOCK`` points is one stacked pass
+    (``_first_factor_rows``), whose residuals and gaps, and their order, are
+    those of a point-by-point walk.
     """
     check = ResidualCheck("product-a-first-factor", tolerance)
     convention_gap = 0.0
+    with evaluation_scope():
+        used = _conformal_points(cws, points)
+        skipped = len(points) - len(used)
+        _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
+        _warm_parts(cws.ctx1, [cws.source.split_coords(p)[0] for p in used], vertical=False)
+        for block in _blocks(used):
+            rows = _first_factor_rows(cws, pairs1, block)
+            _add_rows([check] * len(pairs1), rows[:, :, 0])
+            for gap, scale in rows[:, :, 1].reshape(-1, 2):
+                convention_gap = max(convention_gap, gap / scale)
+
+    if skipped:
+        check.note(f"skipped {skipped} non-conformal points")
+    check.note(f"gradient-convention gap {convention_gap:.2e}")
+    return check.record()
+
+
+def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, points) -> Array:
+    """The (residual, scale) and the (convention gap, scale) of each pair of
+    ``verify_first_factor_a_identity`` at each point, as an
+    (N, pairs, 2, 2) array: one stacked pass over the set (``_oneills``,
+    ``_lie_brackets`` and ``_vertical_gradients`` per pair, on the product
+    and on the first factor), redone point by point (a stack of one) when
+    it raises, so that the first failing point raises its own error."""
+    W, engine = cws.source, cws.ctx.engine
     inv_l1_partials = None
     if cws.lambda1.partials is not None:
         def inv_l1_partials(c):
             v = cws.lambda1(c)
             return -2.0 * np.asarray(cws.lambda1.partials(c), float) / v**3
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
-    inv_l1_lifted = lift(cws.source, "first", inv_l1)
-    engine = cws.ctx.engine
-    with evaluation_scope():
-        used = _conformal_points(cws, points)
-        skipped = len(points) - len(used)
-        _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
+    inv_l1_lifted = lift(W, "first", inv_l1)
+    lifts = [(lift(W, "first", X1), lift(W, "first", Y1)) for X1, Y1 in pairs1]
 
-        for p in used:
-            c1, _ = cws.source.split_coords(p)
-            g1 = cws.source.first.metric_at(c1)
-            lam1_sq = cws.lambda1(c1) ** 2
-            s1 = cws.ctx1.splitting_at(c1)
-            s = cws.ctx.splitting_at(p)
+    def rows(coords):
+        c1 = coords[:, W.block("first")]
+        G1 = [W.first.metric_at(c) for c in c1]
+        lam1_sq = np.array([cws.lambda1(c) ** 2 for c in c1])
+        P1 = _projectors(cws.ctx1, c1)
+        P = _projectors(cws.ctx, coords)
+        samples = []
+        for (X1, Y1), (Xl, Yl) in zip(pairs1, lifts):
+            lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
+            inner = np.array([float(X1(c) @ g1 @ Y1(c)) for c, g1 in zip(c1, G1)])
+            # convention A: everything on the first factor, then lifted
+            br1 = _lie_brackets(W.first, engine, X1, Y1, c1)
+            grad1 = _vertical_gradients(cws.ctx1, inv_l1, c1)
+            rhs_factor = 0.5 * (_vertical(P1, br1) - (lam1_sq * inner)[:, None] * grad1)
+            # convention B: bracket and vertical gradient on the product
+            br = _lie_brackets(W.ambient, engine, Xl, Yl, coords)
+            grad_m = _vertical_gradients(cws.ctx, inv_l1_lifted, coords)
+            rhs_b = 0.5 * (_vertical(P, br) - (lam1_sq * inner)[:, None] * grad_m)
+            out = []
+            for a, factor, b in zip(lhs, rhs_factor, rhs_b):
+                rhs_a = W.pad("first", factor)
+                scale = residual_scale(a, rhs_a, b)
+                out.append([(max(np.linalg.norm(a - rhs_a), np.linalg.norm(a - b)), scale),
+                            (np.linalg.norm(rhs_a - b), scale)])
+            samples.append(np.array(out, dtype=float).reshape(len(coords), 2, 2))
+        return np.stack(samples, axis=1) if samples else np.zeros((len(coords), 0, 2, 2))
 
-            for X1, Y1 in pairs1:
-                Xl = lift(cws.source, "first", X1)
-                Yl = lift(cws.source, "first", Y1)
-                lhs = oneill_a(cws.ctx, Xl, Yl, p)
-
-                inner = float(X1(c1) @ g1 @ Y1(c1))
-                # convention A: everything on the first factor, then lifted
-                br1 = lie_bracket(cws.source.first, engine, X1, Y1, c1)
-                grad1 = vertical_gradient(cws.ctx1, inv_l1, c1)
-                rhs_factor = 0.5 * (s1.vertical_part(br1) - lam1_sq * inner * grad1)
-                rhs_a = cws.source.pad("first", rhs_factor)
-                # convention B: bracket and vertical gradient on the product
-                br = lie_bracket(cws.source.ambient, engine, Xl, Yl, p)
-                grad_m = vertical_gradient(cws.ctx, inv_l1_lifted, p)
-                rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
-
-                scale = residual_scale(lhs, rhs_a, rhs_b)
-                check.add(max(np.linalg.norm(lhs - rhs_a), np.linalg.norm(lhs - rhs_b)), scale)
-                convention_gap = max(convention_gap, np.linalg.norm(rhs_a - rhs_b) / scale)
-
-    if skipped:
-        check.note(f"skipped {skipped} non-conformal points")
-    check.note(f"gradient-convention gap {convention_gap:.2e}")
-    return check.record()
+    return _point_set(lambda c: rows(c[None])[0], rows, points, (len(pairs1), 2, 2))
 
 
 def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, ScalarField]:
@@ -319,7 +344,9 @@ def verify_second_factor_a_identity(
       1/2 { A2(X2, Y2) - A2(Y2, X2) - lambda2^2 g2(X2, Y2) grad_V(f^2/den) }
     with den = lambda1^2 or lambda2^2; both are computed and the record names
     every variant whose residual passes. Returns the record plus the
-    per-variant residuals for programmatic adjudication.
+    per-variant residuals for programmatic adjudication. Each block of
+    ``POINT_BLOCK`` points is one stacked pass (``_second_factor_rows``),
+    whose residuals, and their order, are those of a point-by-point walk.
     """
     check = ResidualCheck("product-a-second-factor", tolerance)
     variants = second_factor_variant_fields(cws)
@@ -329,28 +356,11 @@ def verify_second_factor_a_identity(
         skipped = len(points) - len(used)
         _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.second_axes())
         _warm_parts(cws.ctx2, [cws.source.split_coords(p)[1] for p in used], vertical=False)
-
-        for p in used:
-            c1, c2 = cws.source.split_coords(p)
-            g2 = cws.source.second.metric_at(c2)
-            lam2_sq = cws.lambda2(c2) ** 2
-
-            for X2, Y2 in pairs2:
-                Xl = lift(cws.source, "second", X2)
-                Yl = lift(cws.source, "second", Y2)
-                lhs = oneill_a(cws.ctx, Xl, Yl, p)
-
-                a2_xy = oneill_a(cws.ctx2, X2, Y2, c2)
-                a2_yx = oneill_a(cws.ctx2, Y2, X2, c2)
-                skew = cws.source.pad("second", a2_xy - a2_yx)
-                inner = float(X2(c2) @ g2 @ Y2(c2))
-
-                for name, field in variants.items():
-                    grad_v = vertical_gradient(cws.ctx, field, p)
-                    rhs = 0.5 * (skew - lam2_sq * inner * grad_v)
-                    worst[name] = max(
-                        worst[name], np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs)
-                    )
+        for block in _blocks(used):
+            for ratios in _second_factor_rows(cws, pairs2, variants, block).reshape(
+                    -1, len(variants)):
+                for name, ratio in zip(variants, ratios):
+                    worst[name] = max(worst[name], ratio)
 
     # the check passes iff the best variant passes
     for _ in used:
@@ -362,6 +372,40 @@ def verify_second_factor_a_identity(
     if skipped:
         check.note(f"skipped {skipped} non-conformal points")
     return check.record(), worst
+
+
+def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
+                        points) -> Array:
+    """The scaled residual of each pair and variant of
+    ``verify_second_factor_a_identity`` at each point, as an
+    (N, pairs, variants) array: one stacked pass over the set (``_oneills``
+    on the product and on the second factor, ``_vertical_gradients`` per
+    variant), redone point by point (a stack of one) when it raises, so
+    that the first failing point raises its own error."""
+    W = cws.source
+    lifts = [(lift(W, "second", X2), lift(W, "second", Y2)) for X2, Y2 in pairs2]
+
+    def rows(coords):
+        c2 = coords[:, W.block("second")]
+        G2 = [W.second.metric_at(c) for c in c2]
+        lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
+        samples = []
+        for (X2, Y2), (Xl, Yl) in zip(pairs2, lifts):
+            lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
+            a2_xy = _oneills(cws.ctx2, _horizontal, X2, Y2, c2)
+            a2_yx = _oneills(cws.ctx2, _horizontal, Y2, X2, c2)
+            skew = np.array([W.pad("second", v) for v in a2_xy - a2_yx])
+            inner = np.array([float(X2(c) @ g2 @ Y2(c)) for c, g2 in zip(c2, G2)])
+            rhs = [0.5 * (skew - (lam2_sq * inner)[:, None]
+                          * _vertical_gradients(cws.ctx, field, coords))
+                   for field in variants.values()]
+            samples.append(np.array([[np.linalg.norm(a - r[i]) / residual_scale(a, r[i])
+                                      for r in rhs] for i, a in enumerate(lhs)],
+                                    dtype=float).reshape(len(coords), len(variants)))
+        return (np.stack(samples, axis=1) if samples
+                else np.zeros((len(coords), 0, len(variants))))
+
+    return _point_set(lambda c: rows(c[None])[0], rows, points, (len(pairs2), len(variants)))
 
 
 def verify_riemannian_reduction(

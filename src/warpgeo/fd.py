@@ -195,8 +195,8 @@ class DiffEngine:
         A lone point is that loop. For a set of two or more, each used
         stencil is evaluated once, one point at a time, and the StencilError
         of the loop's first failing stencil is raised before any evaluation;
-        a point with no used axis evaluates ``fn`` once, at the point, for
-        the value's shape, as ``partials`` does.
+        a point with no used axis is its own ``partials`` call, which
+        evaluates ``fn`` once, at the point, for the value's shape.
         """
         coords = np.asarray(coords, dtype=float)
         if len(coords) == 1:
@@ -206,7 +206,9 @@ class DiffEngine:
         used = np.ones((n, dim), dtype=bool) if along is None else np.asarray(along) != 0.0
         _, h, room = self._stencils(coords, lower, upper, range(dim))
         self._require_fit(room[used], h[used])
-        shapes = [np.shape(fn(c)) for c in coords[~used.any(axis=1)]]
+        idle = ~used.any(axis=1)
+        shapes = [self.partials(fn, c, lower, upper, along=a).shape[1:]
+                  for c, a in zip(coords[idle], np.asarray(along)[idle])] if idle.any() else []
         out = None
         for i in np.flatnonzero(used.any(axis=0)):
             rows = slice(None) if along is None else used[:, i]

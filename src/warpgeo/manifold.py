@@ -114,8 +114,10 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
 
     If ``compute_many`` raises on more than one missing point, that loop
     itself is run (``_one_at_a_time``), so the first failing point raises
-    its own error.
+    its own error. A lone point is ``_memoized``'s own call.
     """
+    if len(coords_seq) == 1:
+        return [_memoized(owner, coords_seq[0], tag, _compute_one, compute_many, coords_seq[0])]
     memo = _MEMO.get()
     if memo is None:
         missing = dict(enumerate(coords_seq))
@@ -368,17 +370,37 @@ def scalar_partials(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coor
     return engine.partials(phi, coords, M.lower, M.upper)
 
 
-def gradient(
-    M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords, g: Optional[Array] = None
-) -> Array:
-    """Metric gradient: components g^{kl} d_l(phi).
+def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords) -> Array:
+    """Metric gradient: components g^{kl} d_l(phi), with the checked
+    ``M.metric_at(coords)``; ``gradients`` on a stack of one."""
+    return gradients(M, engine, phi, [coords])[0]
 
-    ``g``, the checked ``M.metric_at(coords)``, is evaluated when not given."""
-    coords = M.point(coords)
-    dphi = scalar_partials(M, engine, phi, coords)
-    if g is None:
-        g = M.metric_at(coords)
-    return np.linalg.solve(g, dphi)
+
+def gradients(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords_seq,
+              metrics=None) -> Array:
+    """``np.stack([gradient(M, engine, phi, c) for c in coords_seq])``: the
+    partials of the set from one stacked walk (or phi's analytic partials,
+    point by point) and one stacked ``solve``; a set that raises is redone
+    point by point (``_point_set``), so the first failing point raises its
+    own error.
+
+    ``metrics``, when given, are the checked ``M.metric_at(c)`` a caller has
+    just evaluated at the same points, as for ``connection.christoffels``;
+    any other array would skip the SPD check."""
+    given = {} if metrics is None else {
+        np.asarray(c, dtype=float).tobytes(): g for c, g in zip(coords_seq, metrics)}
+
+    def stack(coords):
+        points = np.array([M.point(c) for c in coords]).reshape(len(coords), M.dim)
+        if phi.partials is None:
+            dphi = engine.stacked_partials(phi, points, M.lower, M.upper)
+        else:
+            dphi = np.array([np.asarray(phi.partials(c), dtype=float) for c in points])
+        known = [given.get(c.tobytes()) for c in points]
+        G = np.array([M.metric_at(c) if g is None else g for c, g in zip(points, known)])
+        return np.linalg.solve(G, dphi[..., None])[..., 0]
+
+    return _point_set(lambda c: stack(c[None])[0], stack, coords_seq, (M.dim,))
 
 
 def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, points) -> float:

@@ -11,7 +11,18 @@ metric. The O'Neill tensors evaluate
 literally: VF and HF are genuine fields whose projections are recomputed at
 every stencil point. Both are differentiated in one stencil pass over the
 stacked field [VF, HF], so F and its splitting are evaluated once per
-stencil point.
+stencil point. The O'Neill tensors have one kernel over a point set, for
+fields fixed across the set (``_oneills``): the base-point splittings and
+Christoffel symbols of the set come from one ``splittings_at`` and one
+``christoffels`` call, the fields are differentiated by one stacked walk
+(``DiffEngine.stacked_partials``) and contracted and projected as stacks.
+The walk evaluates the field one stencil point at a time, each split with
+its own splitting, so a field that belongs to one point (a constant
+extension of that point's vector) cannot share it: such a tensor is a
+stack of one. ``oneill_a`` and ``oneill_t`` are the kernel on a stack of
+one, and so are ``conformal_a_formula`` and ``vertical_gradient`` of
+their point-set kernels (``_conformal_a_formulas``,
+``_vertical_gradients``, on ``manifold.gradients``).
 
 Splittings and dilations have one kernel each, which runs each LAPACK and
 matrix-product step as one call on the stacked ``(N, ., .)`` arrays of a
@@ -43,7 +54,7 @@ Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
 single-point and point-set calls; stencil points still get their own
 splittings, so nothing is frozen at the base point. The O'Neill tensors
-read the Christoffel symbols at their base point through ``christoffel``,
+read the Christoffel symbols at their base points through ``christoffels``,
 which the scope memoizes too. Each O'Neill suite, and
 ``fiber_mean_curvature``, opens its own scope, which shares an enclosing
 one (``run_scenario``'s), so a suite called on its own takes the same
@@ -62,8 +73,8 @@ import numpy as np
 
 from .connection import (
     _covariant_from_partials,
-    christoffel,
-    lie_bracket,
+    _lie_brackets,
+    christoffels,
     metric_orthogonal_projector,
 )
 from .errors import ConformalityError, DegenerateMetricError, DomainError, RankError
@@ -82,7 +93,7 @@ from .manifold import (
     _stack_of,
     analytic_fd_gap,
     evaluation_scope,
-    gradient,
+    gradients,
 )
 from .report import TOLERANCES
 
@@ -424,45 +435,82 @@ def _warm_parts(ctx: SubmersionContext, points, vertical: bool, columns=None) ->
     ctx.warm_stencils(points, _part_axes(splittings, vertical, columns))
 
 
-def _oneill(
+def _vertical(P: Array, x: Array) -> Array:
+    """P x for each projector and vector of two stacks: the vertical parts,
+    each the same product as ``Splitting.vertical_part``."""
+    return (P @ x[..., None])[..., 0]
+
+
+def _horizontal(P: Array, x: Array) -> Array:
+    """x - P x for each projector and vector of two stacks: the horizontal parts."""
+    return x - _vertical(P, x)
+
+
+def _projectors(ctx: SubmersionContext, coords) -> Array:
+    """The stacked vertical projectors of the splittings at ``coords``."""
+    return np.array([s.projector_v for s in ctx.splittings_at(coords)])
+
+
+def _oneills(
     ctx: SubmersionContext,
-    part: Callable[[Splitting, Array], Array],
+    part: Callable[[Array, Array], Array],
     E: VectorField,
     F: VectorField,
-    coords,
+    coords_seq,
 ) -> Array:
-    """H nabla_D (VF) + V nabla_D (HF) with D = part(E) at coords.
+    """H nabla_D (VF) + V nabla_D (HF) with D = part(P, E) at each point of
+    ``coords_seq``, for fields E and F fixed across the set, as an (N, dim)
+    array (``_oneill_kernel``); ``part`` is ``_vertical`` or ``_horizontal``.
+    A set that raises is redone point by point (``_point_set``), so the
+    first failing point raises its own error."""
+    return _point_set(lambda c: _oneill_kernel(ctx, part, E, F, c[None])[0],
+                      lambda coords: _oneill_kernel(ctx, part, E, F, coords), coords_seq,
+                      (ctx.map.source.dim,))
 
-    VF and HF are differentiated in one stencil pass over c -> [VF(c), HF(c)];
-    the stencils act elementwise, so each slice equals its own pass bit for bit.
-    Only the axes where D has a nonzero component are differentiated.
+
+def _oneill_kernel(ctx: SubmersionContext, part, E: VectorField, F: VectorField,
+                   coords: Array) -> Array:
+    """``_oneills`` at the rows of the (N, dim) array ``coords``.
+
+    The base-point splittings come from one ``splittings_at`` call and the
+    Christoffel symbols from one ``christoffels`` call. VF and HF are
+    differentiated in one stacked walk over c -> [VF(c), HF(c)] along the
+    directions; the walk evaluates that function one stencil point at a
+    time, each split with its own splitting. The stencils act elementwise
+    and numpy's stacked products give each point the bits of its own call,
+    so each value equals that of a stack of one; a set that fails raises
+    the walk's first error, which need not be the first failing point's.
     """
     M, engine = ctx.map.source, ctx.engine
-    s = ctx.splitting_at(coords)
-    direction = part(s, E(coords))
-    gamma = christoffel(M, engine, coords)
 
     def split(c):
         f = F(c)
         v = ctx.splitting_at(c).vertical_part(f)
-        return v, f - v
+        return np.array((v, f - v))
 
-    d = engine.partials(lambda c: np.array(split(c)), coords, M.lower, M.upper, along=direction)
-    v, h = split(coords)
+    P = _projectors(ctx, coords)
+    directions = part(P, np.array([E(c) for c in coords]))
+    gammas = np.array(christoffels(M, engine, coords))
+    d = engine.stacked_partials(split, coords, M.lower, M.upper, along=directions)
+    f = np.array([F(c) for c in coords])
+    v = _vertical(P, f)
     # contiguous slices, so each product is the same call as for a lone field
-    d_vert = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 0]), v, gamma)
-    d_horiz = _covariant_from_partials(direction, np.ascontiguousarray(d[:, 1]), h, gamma)
-    return s.horizontal_part(d_vert) + s.vertical_part(d_horiz)
+    d_vert = _covariant_from_partials(directions, np.ascontiguousarray(d[:, :, 0]), v, gammas)
+    d_horiz = _covariant_from_partials(directions, np.ascontiguousarray(d[:, :, 1]), f - v,
+                                       gammas)
+    return _horizontal(P, d_vert) + _vertical(P, d_horiz)
 
 
 def oneill_a(ctx: SubmersionContext, E: VectorField, F: VectorField, coords) -> Array:
-    """A_E F at coords, with projections recomputed along the stencil."""
-    return _oneill(ctx, Splitting.horizontal_part, E, F, coords)
+    """A_E F at coords, with projections recomputed along the stencil:
+    ``_oneill_kernel`` on a stack of one."""
+    return _oneill_kernel(ctx, _horizontal, E, F, np.asarray(coords, dtype=float)[None])[0]
 
 
 def oneill_t(ctx: SubmersionContext, E: VectorField, F: VectorField, coords) -> Array:
-    """T_E F at coords, with projections recomputed along the stencil."""
-    return _oneill(ctx, Splitting.vertical_part, E, F, coords)
+    """T_E F at coords, with projections recomputed along the stencil:
+    ``_oneill_kernel`` on a stack of one."""
+    return _oneill_kernel(ctx, _vertical, E, F, np.asarray(coords, dtype=float)[None])[0]
 
 
 def fiber_mean_curvature(ctx: SubmersionContext, basis: Array, coords) -> Array:
@@ -477,10 +525,51 @@ def fiber_mean_curvature(ctx: SubmersionContext, basis: Array, coords) -> Array:
         return acc / max(basis.shape[1], 1)
 
 
+def _vertical_gradients(ctx: SubmersionContext, phi: ScalarField, coords) -> Array:
+    """The vertical parts of the metric gradients of phi at ``coords``: one
+    ``gradients`` call, then the stacked projections."""
+    grads = gradients(ctx.map.source, ctx.engine, phi, coords)
+    return _vertical(_projectors(ctx, coords), grads)
+
+
 def vertical_gradient(ctx: SubmersionContext, phi: ScalarField, coords) -> Array:
-    """Vertical part of the metric gradient of phi at coords."""
-    grad = gradient(ctx.map.source, ctx.engine, phi, coords)
-    return ctx.splitting_at(coords).vertical_part(grad)
+    """Vertical part of the metric gradient of phi at coords:
+    ``_vertical_gradients`` on a stack of one."""
+    return _vertical_gradients(ctx, phi, [coords])[0]
+
+
+def _conformal_a_formulas(ctx: SubmersionContext, X: VectorField, Y: VectorField,
+                          coords_seq) -> Array:
+    """``conformal_a_formula`` at each point of ``coords_seq``, for fields X
+    and Y fixed across the set, as an (N, dim) array: one ``dilations``
+    call, one stacked walk per field for the brackets (``_lie_brackets``),
+    one ``gradients`` call and stacked projections and inner products. A
+    set that raises is redone point by point (``_point_set``), so the first
+    failing point raises its own error."""
+    M = ctx.map.source
+    Xh = ctx.horizontal_field(X)
+    Yh = ctx.horizontal_field(Y)
+    lam_field = ctx.lambda_sq_field()
+    inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c))
+
+    def stack(coords):
+        dilations = ctx.dilations(coords)
+        for c, d in zip(coords, dilations):
+            if not d.is_conformal(TOLERANCES["conformality/threshold"]):
+                raise ConformalityError(
+                    f"map not conformal at {c}: anisotropy {d.anisotropy:.6e}",
+                    anisotropy=d.anisotropy,
+                )
+        bracket = _lie_brackets(M, ctx.engine, Xh, Yh, coords)
+        splittings = ctx.splittings_at(coords)
+        v_bracket = _vertical(np.stack([s.projector_v for s in splittings]), bracket)
+        grad_v = _vertical_gradients(ctx, inv_lambda_sq, coords)
+        x, y = np.array([Xh(c) for c in coords]), np.array([Yh(c) for c in coords])
+        inner = _inner(x, np.stack([s.metric for s in splittings]), y)
+        lambda_sq = np.array([d.lambda_sq for d in dilations])[:, None]
+        return 0.5 * (v_bracket - lambda_sq * inner * grad_v)
+
+    return _point_set(lambda c: stack(c[None])[0], stack, coords_seq, (M.dim,))
 
 
 def conformal_a_formula(
@@ -495,23 +584,6 @@ def conformal_a_formula(
     conformality at coords, judged by ``TOLERANCES["conformality/threshold"]``;
     raises ConformalityError carrying the anisotropy otherwise. lambda^2 is
     the context's own dilation estimate, so the formula is entirely
-    self-contained.
+    self-contained. ``_conformal_a_formulas`` on a stack of one.
     """
-    d = ctx.dilation(coords)
-    if not d.is_conformal(TOLERANCES["conformality/threshold"]):
-        raise ConformalityError(
-            f"map not conformal at {coords}: anisotropy {d.anisotropy:.6e}",
-            anisotropy=d.anisotropy,
-        )
-    Xh = ctx.horizontal_field(X)
-    Yh = ctx.horizontal_field(Y)
-    bracket = lie_bracket(ctx.map.source, ctx.engine, Xh, Yh, coords)
-    s = ctx.splitting_at(coords)
-    v_bracket = s.vertical_part(bracket)
-
-    lam_field = ctx.lambda_sq_field()
-    inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c))
-
-    grad_v = vertical_gradient(ctx, inv_lambda_sq, coords)
-    inner = float(Xh(coords) @ s.metric @ Yh(coords))
-    return 0.5 * (v_bracket - d.lambda_sq * inner * grad_v)
+    return _conformal_a_formulas(ctx, X, Y, [coords])[0]

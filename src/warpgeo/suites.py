@@ -7,7 +7,10 @@ on; the other suites let the error propagate, and ``run_scenario`` turns it
 into a failed report for the whole scenario.
 
 The O'Neill suites open their own evaluation scope, which shares
-``run_scenario``'s when nested. ``engine_health_records`` opens none: it
+``run_scenario``'s when nested. ``a_crossval_records`` walks its points in
+blocks of ``POINT_BLOCK``, each one stacked pass (``_crossval_rows``) for
+its fixed field pairs, with the extensions of a point's own vectors as
+single-point calls inside it. ``engine_health_records`` opens none: it
 walks its points in blocks of ``POINT_BLOCK``, each one stacked pass that
 hands the block's checked metrics to one ``christoffels`` call and its
 Christoffel symbols to the point-set covariant derivatives.
@@ -35,11 +38,13 @@ from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_
 from .submersion import (
     SubmersionContext,
     _blocks,
+    _conformal_a_formulas,
     _gram_schmidt,
+    _horizontal,
     _in_blocks,
     _inner,
+    _oneills,
     _warm_parts,
-    conformal_a_formula,
     fiber_mean_curvature,
     oneill_a,
     oneill_t,
@@ -205,21 +210,40 @@ def a_crossval_records(
     tolerance: float = TOLERANCES["a-vs-bracket-formula"],
 ) -> list[CheckRecord]:
     """O'Neill A evaluated literally agrees with the bracket/dilation-gradient
-    formula, and is insensitive to how horizontal vectors are extended."""
+    formula, and is insensitive to how horizontal vectors are extended.
+
+    Each block of ``POINT_BLOCK`` points is one stacked pass
+    (``_crossval_rows``), whose residuals, and their order, are those of a
+    point-by-point walk."""
     crossval = ResidualCheck("a-vs-bracket-formula", tolerance)
     extension = ResidualCheck("a-extension-independence", tolerance)
     pairs = horizontal_pairs(ctx, rng, 2)
-    M = ctx.map.source
     with evaluation_scope():
         # the formula differentiates the context's own dilation along every axis
-        ctx.warm_stencils(points, range(M.dim), dilations=True)
-        for p in points:
-            for X, Y in pairs:
-                a_direct = oneill_a(ctx, X, Y, p)
-                a_formula = conformal_a_formula(ctx, X, Y, p)
-                crossval.add(np.linalg.norm(a_direct - a_formula),
-                             residual_scale(a_direct, a_formula))
+        ctx.warm_stencils(points, range(ctx.map.source.dim), dilations=True)
+        for block in _blocks(points):
+            _add_rows([crossval, extension, extension] * len(pairs),
+                      _crossval_rows(ctx, pairs, block))
+    return [crossval.record(), extension.record()]
 
+
+def _crossval_rows(ctx: SubmersionContext, pairs, points) -> Array:
+    """The (residual, scale) of the three samples of ``a_crossval_records``
+    per pair at each point, as an (N, 3 * pairs, 2) array: A and the
+    formula of each fixed pair from one ``_oneills`` and one
+    ``_conformal_a_formulas`` call over the set; the extensions of a
+    point's own vectors are fields of that point, so each is a stack of
+    one. The pass is redone point by point (a stack of one) when it
+    raises, so that the first failing point raises its own error."""
+    M = ctx.map.source
+
+    def rows(coords):
+        samples = []
+        for X, Y in pairs:
+            a_direct = _oneills(ctx, _horizontal, X, Y, coords)
+            a_formula = _conformal_a_formulas(ctx, X, Y, coords)
+            out = []
+            for p, direct, formula in zip(coords, a_direct, a_formula):
                 # same horizontal vectors at p, different extensions
                 x_const = ctx.horizontal_field(VectorField.constant(X(p)))
                 y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
@@ -227,10 +251,13 @@ def a_crossval_records(
                 y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
                 a_ext1 = oneill_a(ctx, x_const, y_const, p)
                 a_ext2 = oneill_a(ctx, x_mod, y_mod, p)
-                extension.add(np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2))
-                extension.add(np.linalg.norm(a_ext1 - a_direct),
-                              residual_scale(a_ext1, a_direct))
-    return [crossval.record(), extension.record()]
+                out.append([(np.linalg.norm(direct - formula), residual_scale(direct, formula)),
+                            (np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2)),
+                            (np.linalg.norm(a_ext1 - direct), residual_scale(a_ext1, direct))])
+            samples.append(np.array(out, dtype=float).reshape(len(coords), 3, 2))
+        return np.concatenate(samples, axis=1) if samples else np.zeros((len(coords), 0, 2))
+
+    return _point_set(lambda c: rows(c[None])[0], rows, points, (3 * len(pairs), 2))
 
 
 def t_umbilicity_records(

@@ -34,7 +34,7 @@ from .manifold import (
     VectorField,
     _point_set,
     _with_stack,
-    gradient,
+    gradients,
     scalar_partials,
 )
 from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
@@ -262,8 +262,8 @@ def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2, point
                 lambda a, b, r: max(np.linalg.norm(a - r), np.linalg.norm(b - r)),
                 lhs_a, lhs_b, rhs))
 
-        # gradient checks that each point is in the box
-        grad_log = [gradient(W.ambient, engine, log_warp, p, g) for p, g in zip(coords, G)]
+        # gradients checks that each point is in the box
+        grad_log = gradients(W.ambient, engine, log_warp, coords, G)
         for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
             full = nabla(W.ambient, E2l, F2l, coords, gammas)
             rhs3 = [-float(E2l(p) @ g @ F2l(p)) * grad for p, g, grad in zip(coords, G, grad_log)]
@@ -306,12 +306,13 @@ def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, points) -> Array:
 
     def rows(coords):
         G = [W.ambient.metric_at(p) for p in coords]
+        gammas = christoffels(W.ambient, engine, coords, G)
         out = []
-        for p, g, gamma in zip(coords, G, christoffels(W.ambient, engine, coords, G)):
+        for p, g, gamma, grad_log in zip(coords, G, gammas,
+                                         gradients(W.ambient, engine, log_warp, coords, G)):
             leaf = _submanifold_form(g, gamma, W.first_axes(), p)
             fiber = _submanifold_form(g, gamma, W.second_axes(), p)
             expected = np.einsum("ab,k->abk", g[second, second], fiber.mean_curvature)
-            grad_log = gradient(W.ambient, engine, log_warp, p, g)
             out.append([
                 (np.max(np.abs(leaf.values)), residual_scale(leaf.values)),
                 (np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)),

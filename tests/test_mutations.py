@@ -29,6 +29,7 @@ from warpgeo import (
     suites,
     warped,
 )
+from warpgeo.fields import field_pairs
 from warpgeo.scenarios import build_objects, list_scenarios, run_scenario
 
 pytestmark = pytest.mark.mutation
@@ -51,15 +52,29 @@ def _warp_to_the_power_1_9(g, blocks, g1, f, g2):
     return g
 
 
-_ONEILL = submersion._oneill
+_ONEILL_KERNEL = submersion._oneill_kernel
 
 
 def _frozen_projections(ctx, part, E, F, coords):
-    """``submersion._oneill`` whose fields VF and HF are split at every
-    stencil point with the splitting of ``coords``."""
-    s = ctx.splitting_at(coords)
-    frozen = SimpleNamespace(map=ctx.map, engine=ctx.engine, splitting_at=lambda c: s)
-    return _ONEILL(frozen, part, E, F, coords)
+    """``submersion._oneill_kernel`` whose fields VF and HF are split, at
+    every stencil point of a point, with the splitting of that point: each
+    point is a stack of one under a context whose every splitting is its own."""
+    out = []
+    for c in coords:
+        s = ctx.splitting_at(c)
+        frozen = SimpleNamespace(map=ctx.map, engine=ctx.engine, splitting_at=lambda _: s,
+                                 splittings_at=lambda points: [s] * len(points))
+        out.append(_ONEILL_KERNEL(frozen, part, E, F, c[None])[0])
+    return np.array(out).reshape(len(coords), ctx.map.source.dim)
+
+
+_PROJECTORS = submersion._projectors
+
+
+def _projectors_rolled_by_one_point(ctx, coords):
+    """``submersion._projectors`` rolled by one point along the set axis: each
+    point of a set gets its predecessor's vertical projector."""
+    return np.roll(_PROJECTORS(ctx, coords), 1, axis=0)
 
 
 def _without_christoffel_term(direction, dY, y, gamma):
@@ -107,18 +122,18 @@ def _dilations_times_1_01(ctx, coords_list):
             for d in _STACKED_DILATIONS(ctx, coords_list)]
 
 
-_A_FORMULA = submersion.conformal_a_formula
+_A_FORMULAS = submersion._conformal_a_formulas
 
 
-def _a_formula_with_0_6(ctx, X, Y, coords):
-    """``conformal_a_formula`` with 0.6 in place of 1/2: 1.2 times its value."""
-    return 1.2 * _A_FORMULA(ctx, X, Y, coords)
+def _a_formula_with_0_6(ctx, X, Y, coords_seq):
+    """``conformal_a_formula``'s kernel with 0.6 in place of 1/2: 1.2 times its value."""
+    return 1.2 * _A_FORMULAS(ctx, X, Y, coords_seq)
 
 
 def _bracket_dropped(M, engine, X, Y, coords):
-    """``lie_bracket`` as ``conformal_a_formula`` calls it, dropped: its
-    V[X, Y] term is then 0."""
-    return np.zeros(M.dim)
+    """``_lie_brackets`` as ``conformal_a_formula``'s kernel calls it,
+    dropped: its V[X, Y] term is then 0."""
+    return np.zeros((len(coords), M.dim))
 
 
 def heisenberg(config: RunConfig) -> list:
@@ -161,7 +176,7 @@ MUTANTS = {
     ),
     # of the scenarios, only cws-variable-dilation catches it
     "frozen-projections": (
-        (submersion,), "_oneill", _frozen_projections, ("cws-variable-dilation",),
+        (submersion,), "_oneill_kernel", _frozen_projections, ("cws-variable-dilation",),
         ("heisenberg",),
     ),
     "christoffel-term-dropped": (
@@ -183,8 +198,8 @@ MUTANTS = {
     ),
     # of the scenarios, only cws-variable-dilation catches it
     "a-formula-0.6-for-one-half": (
-        (suites,), "conformal_a_formula", _a_formula_with_0_6, ("cws-variable-dilation",),
-        ("heisenberg",),
+        (submersion, suites), "_conformal_a_formulas", _a_formula_with_0_6,
+        ("cws-variable-dilation",), ("heisenberg",),
     ),
     # the set walk alone, which the connection verifiers and FD Jacobian
     # stacks run: a stack of one, as a single point is, is not moved; every
@@ -195,7 +210,15 @@ MUTANTS = {
     # every catalogue submersion has an integrable horizontal distribution, so
     # V[X, Y] = 0 there, and only the Heisenberg detector sees the bracket term
     "bracket-dropped": (
-        (submersion,), "lie_bracket", _bracket_dropped, (), ("heisenberg",),
+        (submersion,), "_lie_brackets", _bracket_dropped, (), ("heisenberg",),
+    ),
+    # the O'Neill kernels' set path alone (``_oneill_kernel`` and
+    # ``_vertical_gradients``): a stack of one is not moved; every other
+    # scenario's vertical projector is the same at every point, so only
+    # cws-variable-dilation catches it
+    "oneill-set-projectors-rolled-by-one-point": (
+        (submersion,), "_projectors", _projectors_rolled_by_one_point,
+        ("cws-variable-dilation",), ("heisenberg",),
     ),
 }
 
@@ -203,8 +226,8 @@ MUTANTS = {
 def _paths(name: str) -> list:
     """The single-point value of the mutated structure at a point of
     ``cws-variable-dilation``'s product, and its value in a point set of two,
-    for the defects in a structure with a point-set path; for the rolled set
-    walk, which a single point never takes, the value in a set of two."""
+    for the defects in a structure with a point-set path; for a rolled set,
+    which a single point never takes, the value in a set of two."""
     ctx = build_objects("cws-variable-dilation", DiffEngine())["cws"].ctx
     M = ctx.map.source
     p, q = (M.point(M.lower + t * (M.upper - M.lower)) for t in (0.3, 0.6))
@@ -216,6 +239,12 @@ def _paths(name: str) -> list:
         return [connection.christoffels(M, DiffEngine(), [p, q])[0]]
     if name == "product-jacobian-columns-swapped":
         return [ctx.map.jac(p), ctx.map.jacobians_at([p, q], DiffEngine())[0]]
+    E, F = field_pairs(M, np.random.default_rng(3), 1)[0]
+    if name == "frozen-projections":
+        return [submersion.oneill_a(ctx, E, F, p),
+                submersion._oneills(ctx, submersion._horizontal, E, F, [p, q])[0]]
+    if name == "oneill-set-projectors-rolled-by-one-point":
+        return [submersion._oneills(ctx, submersion._horizontal, E, F, [p, q])[0]]
     return []
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from warpgeo import RunConfig, SmoothMap, SubmersionContext, VectorField
-from warpgeo import evaluation_scope, oneill_t, submersion
+from warpgeo import evaluation_scope, manifold, oneill_t, submersion
 from warpgeo.errors import StencilError
 from warpgeo.fd import DiffEngine
 from warpgeo.manifold import _MEMO
@@ -31,14 +31,17 @@ def _no_warm_up(monkeypatch):
 
 def _count_kernels(monkeypatch) -> dict:
     """Counts from now on the splittings and dilations that ``splitting_at``
-    and ``dilation`` compute on a memo miss, and the other calls of the
-    stacked kernels; a single-point miss is a stack of one, and it counts
-    only as a miss."""
+    and ``dilation``, or a point-set call of one point, compute on a memo
+    miss, and the other calls of the stacked kernels; a single-point miss is
+    a stack of one, and it counts only as a miss."""
     counts = dict.fromkeys(KERNELS, 0)
     single = [0]  # > 0 while a single-point miss is computed
-    memoized = submersion._memoized  # only splitting_at and dilation use it
+    memoized = manifold._memoized
 
     def spy(owner, coords, tag, compute, *args):
+        if tag not in KERNELS:  # a metric or a Christoffel entry
+            return memoized(owner, coords, tag, compute, *args)
+
         def counted(*a):
             counts[tag] += 1
             single[0] += 1
@@ -49,7 +52,10 @@ def _count_kernels(monkeypatch) -> dict:
 
         return memoized(owner, coords, tag, counted, *args)
 
-    monkeypatch.setattr(submersion, "_memoized", spy)
+    # splitting_at and dilation call submersion's binding, a set of one
+    # point manifold's own
+    for module in (submersion, manifold):
+        monkeypatch.setattr(module, "_memoized", spy)
     for name in KERNELS[2:]:
         kernel = getattr(SubmersionContext, name)
 
@@ -193,7 +199,8 @@ def test_a_stencil_that_does_not_fit_on_a_skipped_axis_changes_nothing(monkeypat
             return oneill_t(ctx, u, u, p).tobytes(), counts["splitting"] - before
 
     with monkeypatch.context() as m:
-        m.setattr(submersion, "christoffel", lambda M, engine, coords: np.zeros((2, 2, 2)))
+        m.setattr(submersion, "christoffels",
+                  lambda M, engine, coords: [np.zeros((2, 2, 2)) for _ in coords])
         (warm, warm_singles), (plain, plain_singles) = _with_and_without_warm_up(run, m)
     assert warm == plain
     # axis 1 was still warmed: only the base point is computed on its own
@@ -233,7 +240,8 @@ def test_the_catalog_computes_few_single_point_kernels(monkeypatch):
     warm, plain = _with_and_without_warm_up(
         lambda: _catalog_kernel_counts(monkeypatch), monkeypatch
     )
-    assert warm["splitting"] <= 600 and warm["dilation"] <= 50
+    # every stencil point of the catalog's O'Neill suites is warmed as a set
+    assert warm["splitting"] == 0 and warm["dilation"] == 0
     # without it, the stencil points of the O'Neill suites are computed one by one
     assert plain["splitting"] > 1500 and plain["dilation"] > 1000
     assert warm["_stacked_splittings"] > plain["_stacked_splittings"]

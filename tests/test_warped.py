@@ -431,10 +431,23 @@ def test_verifiers_reject_a_non_finite_ambient_metric(entry):
 
 def test_shared_metric_gives_the_same_gradient():
     from warpgeo import gradient
+    from warpgeo.manifold import gradients
 
     W = make_sphere()
     M = W.ambient
     p = W.point([0.7], [1.3])
     g = M.metric_at(p)
     log_warp = W.log_warp()
-    assert np.array_equal(gradient(M, ENGINE, log_warp, p, g), gradient(M, ENGINE, log_warp, p))
+    assert np.array_equal(gradients(M, ENGINE, log_warp, [p], [g])[0],
+                          gradient(M, ENGINE, log_warp, p))
+
+
+def test_gradient_takes_no_metric():
+    # a metric enters only through gradients(..., metrics), as a checked one:
+    # a negated metric passed to gradient returned -grad without an error
+    from warpgeo import gradient
+
+    W = make_sphere()
+    p = W.point([0.7], [1.3])
+    with pytest.raises(TypeError):
+        gradient(W.ambient, ENGINE, W.log_warp(), p, -W.ambient.metric_at(p))
