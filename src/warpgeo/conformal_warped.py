@@ -12,14 +12,17 @@ When they agree, the product's squared dilation is r1; the verifiers below
 measure this compatibility instead of assuming it (``compatibility_report``,
 from one kernel of a point set's factor data; a point is a set of one),
 cross-check the product's A tensor against the per-factor formulas (both
-denominator conventions; each block of ``POINT_BLOCK`` points one stacked
-pass of the O'Neill kernels), and exercise the Riemannian reduction and the
-conformal rescaling that turns the product into a Riemannian submersion.
+denominator conventions; each identity one rows kernel of the O'Neill
+kernels, ``_first_factor_rows`` and ``_second_factor_rows``, handed to the
+block pass ``submersion._add_in_blocks``), and exercise the Riemannian
+reduction and the conformal rescaling that turns the product into a
+Riemannian submersion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -35,11 +38,11 @@ from .manifold import (
     _with_stack,
     evaluation_scope,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SmoothMap,
     SubmersionContext,
-    _blocks,
+    _add_in_blocks,
     _gram_schmidt,
     _horizontal,
     _in_blocks,
@@ -198,8 +201,7 @@ def compatibility_report(cws: ConformalWarpedSubmersion, points: Sequence[Array]
     of the set come from one ``_factor_data`` call through ``_point_set``,
     so the first point where the data fail raises its own error."""
     threshold = TOLERANCES["conformality/threshold"]
-    data = _point_set(lambda c: _factor_data(cws, c[None])[0],
-                      lambda coords: _factor_data(cws, coords), points, (6,))
+    data = _point_set(lambda coords: _factor_data(cws, coords), points, (6,))
     r1, r2 = data[:, 4], data[:, 5]
     with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats: inf, NaN
         residual = np.abs(r1 / r2 - 1.0)
@@ -223,37 +225,33 @@ def verify_first_factor_a_identity(
 
     The gradient term is computed in both conventions (vertical gradient of
     1/lambda1^2 taken on the factor and lifted, and taken on the product);
-    the reported residual is the worse of the two, and the convention gap is
-    noted. Each block of ``POINT_BLOCK`` points is one stacked pass
-    (``_first_factor_rows``), whose residuals and gaps, and their order, are
-    those of a point-by-point walk.
+    the reported residual is the worse of the two (NaN when either is), and
+    the largest convention gap is noted. The samples are one block pass of
+    ``_first_factor_rows`` (``_add_in_blocks``), whose residuals and gaps,
+    and their order, are those of a point-by-point walk.
     """
     check = ResidualCheck("product-a-first-factor", tolerance)
-    convention_gap = 0.0
+    # never recorded: its largest gap is a note of the check
+    gap = ResidualCheck("gradient-convention-gap", tolerance)
     with evaluation_scope():
         used = _conformal_points(cws, points)
         skipped = len(points) - len(used)
         _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
         _warm_parts(cws.ctx1, [cws.source.split_coords(p)[0] for p in used], vertical=False)
-        for block in _blocks(used):
-            rows = _first_factor_rows(cws, pairs1, block)
-            _add_rows([check] * len(pairs1), rows[:, :, 0])
-            for gap, scale in rows[:, :, 1].reshape(-1, 2):
-                convention_gap = max(convention_gap, gap / scale)
+        _add_in_blocks([check, gap] * len(pairs1), partial(_first_factor_rows, cws, pairs1), used)
 
     if skipped:
         check.note(f"skipped {skipped} non-conformal points")
-    check.note(f"gradient-convention gap {convention_gap:.2e}")
+    check.note(f"gradient-convention gap {gap.max_residual:.2e}")
     return check.record()
 
 
-def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, points) -> Array:
+def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, coords: Array) -> Array:
     """The (residual, scale) and the (convention gap, scale) of each pair of
-    ``verify_first_factor_a_identity`` at each point, as an
-    (N, pairs, 2, 2) array: one stacked pass over the set (``_oneills``,
-    ``_lie_brackets`` and ``_vertical_gradients`` per pair, on the product
-    and on the first factor), redone point by point (a stack of one) when
-    it raises, so that the first failing point raises its own error."""
+    ``verify_first_factor_a_identity`` at each row of the (N, dim) array
+    ``coords``, as an (N, 2 * pairs, 2) array: ``_oneills``,
+    ``_lie_brackets`` and ``_vertical_gradients`` per pair over the set, on
+    the product and on the first factor."""
     W, engine = cws.source, cws.ctx.engine
     inv_l1_partials = None
     if cws.lambda1.partials is not None:
@@ -262,36 +260,30 @@ def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, points) -> Array:
             return -2.0 * np.asarray(cws.lambda1.partials(c), float) / v**3
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
     inv_l1_lifted = lift(W, "first", inv_l1)
-    lifts = [(lift(W, "first", X1), lift(W, "first", Y1)) for X1, Y1 in pairs1]
-
-    def rows(coords):
-        c1 = coords[:, W.block("first")]
-        G1 = [W.first.metric_at(c) for c in c1]
-        lam1_sq = np.array([cws.lambda1(c) ** 2 for c in c1])
-        P1 = _projectors(cws.ctx1, c1)
-        P = _projectors(cws.ctx, coords)
-        samples = []
-        for (X1, Y1), (Xl, Yl) in zip(pairs1, lifts):
-            lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
-            inner = np.array([float(X1(c) @ g1 @ Y1(c)) for c, g1 in zip(c1, G1)])
-            # convention A: everything on the first factor, then lifted
-            br1 = _lie_brackets(W.first, engine, X1, Y1, c1)
-            grad1 = _vertical_gradients(cws.ctx1, inv_l1, c1)
-            rhs_factor = 0.5 * (_vertical(P1, br1) - (lam1_sq * inner)[:, None] * grad1)
-            # convention B: bracket and vertical gradient on the product
-            br = _lie_brackets(W.ambient, engine, Xl, Yl, coords)
-            grad_m = _vertical_gradients(cws.ctx, inv_l1_lifted, coords)
-            rhs_b = 0.5 * (_vertical(P, br) - (lam1_sq * inner)[:, None] * grad_m)
-            out = []
-            for a, factor, b in zip(lhs, rhs_factor, rhs_b):
-                rhs_a = W.pad("first", factor)
-                scale = residual_scale(a, rhs_a, b)
-                out.append([(max(np.linalg.norm(a - rhs_a), np.linalg.norm(a - b)), scale),
-                            (np.linalg.norm(rhs_a - b), scale)])
-            samples.append(np.array(out, dtype=float).reshape(len(coords), 2, 2))
-        return np.stack(samples, axis=1) if samples else np.zeros((len(coords), 0, 2, 2))
-
-    return _point_set(lambda c: rows(c[None])[0], rows, points, (len(pairs1), 2, 2))
+    c1 = coords[:, W.block("first")]
+    G1 = [W.first.metric_at(c) for c in c1]
+    lam1_sq = np.array([cws.lambda1(c) ** 2 for c in c1])
+    P1 = _projectors(cws.ctx1, c1)
+    P = _projectors(cws.ctx, coords)
+    rows = [[] for _ in coords]
+    for X1, Y1 in pairs1:
+        Xl, Yl = lift(W, "first", X1), lift(W, "first", Y1)
+        lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
+        inner = np.array([float(X1(c) @ g1 @ Y1(c)) for c, g1 in zip(c1, G1)])
+        # convention A: everything on the first factor, then lifted
+        br1 = _lie_brackets(W.first, engine, X1, Y1, c1)
+        grad1 = _vertical_gradients(cws.ctx1, inv_l1, c1)
+        rhs_factor = 0.5 * (_vertical(P1, br1) - (lam1_sq * inner)[:, None] * grad1)
+        # convention B: bracket and vertical gradient on the product
+        br = _lie_brackets(W.ambient, engine, Xl, Yl, coords)
+        grad_m = _vertical_gradients(cws.ctx, inv_l1_lifted, coords)
+        rhs_b = 0.5 * (_vertical(P, br) - (lam1_sq * inner)[:, None] * grad_m)
+        for row, a, factor, b in zip(rows, lhs, rhs_factor, rhs_b):
+            rhs_a = W.pad("first", factor)
+            scale = residual_scale(a, rhs_a, b)
+            row += [(np.maximum(np.linalg.norm(a - rhs_a), np.linalg.norm(a - b)), scale),
+                    (np.linalg.norm(rhs_a - b), scale)]
+    return np.array(rows, dtype=float)
 
 
 def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, ScalarField]:
@@ -344,28 +336,30 @@ def verify_second_factor_a_identity(
       1/2 { A2(X2, Y2) - A2(Y2, X2) - lambda2^2 g2(X2, Y2) grad_V(f^2/den) }
     with den = lambda1^2 or lambda2^2; both are computed and the record names
     every variant whose residual passes. Returns the record plus the
-    per-variant residuals for programmatic adjudication. Each block of
-    ``POINT_BLOCK`` points is one stacked pass (``_second_factor_rows``),
-    whose residuals, and their order, are those of a point-by-point walk.
+    per-variant residuals for programmatic adjudication; the record's
+    residual is the best finite variant's, and non-finite when no variant
+    is finite. The samples are one block pass of ``_second_factor_rows``
+    (``_add_in_blocks``), whose residuals, and their order, are those of a
+    point-by-point walk.
     """
     check = ResidualCheck("product-a-second-factor", tolerance)
     variants = second_factor_variant_fields(cws)
-    worst = {name: 0.0 for name in variants}
+    # never recorded: each variant's largest residual
+    per_variant = {name: ResidualCheck(name, tolerance) for name in variants}
     with evaluation_scope():
         used = _conformal_points(cws, points)
         skipped = len(points) - len(used)
         _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.second_axes())
         _warm_parts(cws.ctx2, [cws.source.split_coords(p)[1] for p in used], vertical=False)
-        for block in _blocks(used):
-            for ratios in _second_factor_rows(cws, pairs2, variants, block).reshape(
-                    -1, len(variants)):
-                for name, ratio in zip(variants, ratios):
-                    worst[name] = max(worst[name], ratio)
+        _add_in_blocks(list(per_variant.values()) * len(pairs2),
+                       partial(_second_factor_rows, cws, pairs2, variants), used)
 
-    # the check passes iff the best variant passes
+    worst = {name: c.max_residual for name, c in per_variant.items()}
+    # the check passes iff the best variant passes; fmin skips a NaN variant
+    best = float(np.fmin.reduce(list(worst.values())))
     for _ in used:
-        check.add(min(worst.values()))
-    passing = sorted(name for name, r in worst.items() if r <= tolerance)
+        check.add(best)
+    passing = sorted(name for name, r in worst.items() if r <= tolerance)  # NaN never passes
     check.note("passing variant(s): " + (", ".join(passing) if passing else "none"))
     for name in sorted(worst):
         check.note(f"{name} residual {worst[name]:.3e}")
@@ -375,37 +369,30 @@ def verify_second_factor_a_identity(
 
 
 def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
-                        points) -> Array:
-    """The scaled residual of each pair and variant of
-    ``verify_second_factor_a_identity`` at each point, as an
-    (N, pairs, variants) array: one stacked pass over the set (``_oneills``
-    on the product and on the second factor, ``_vertical_gradients`` per
-    variant), redone point by point (a stack of one) when it raises, so
-    that the first failing point raises its own error."""
+                        coords: Array) -> Array:
+    """The (residual, scale) of each pair and variant of
+    ``verify_second_factor_a_identity`` at each row of the (N, dim) array
+    ``coords``, as an (N, pairs * variants, 2) array: ``_oneills`` on the
+    product and on the second factor and ``_vertical_gradients`` per
+    variant, over the set."""
     W = cws.source
-    lifts = [(lift(W, "second", X2), lift(W, "second", Y2)) for X2, Y2 in pairs2]
-
-    def rows(coords):
-        c2 = coords[:, W.block("second")]
-        G2 = [W.second.metric_at(c) for c in c2]
-        lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
-        samples = []
-        for (X2, Y2), (Xl, Yl) in zip(pairs2, lifts):
-            lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
-            a2_xy = _oneills(cws.ctx2, _horizontal, X2, Y2, c2)
-            a2_yx = _oneills(cws.ctx2, _horizontal, Y2, X2, c2)
-            skew = np.array([W.pad("second", v) for v in a2_xy - a2_yx])
-            inner = np.array([float(X2(c) @ g2 @ Y2(c)) for c, g2 in zip(c2, G2)])
-            rhs = [0.5 * (skew - (lam2_sq * inner)[:, None]
-                          * _vertical_gradients(cws.ctx, field, coords))
-                   for field in variants.values()]
-            samples.append(np.array([[np.linalg.norm(a - r[i]) / residual_scale(a, r[i])
-                                      for r in rhs] for i, a in enumerate(lhs)],
-                                    dtype=float).reshape(len(coords), len(variants)))
-        return (np.stack(samples, axis=1) if samples
-                else np.zeros((len(coords), 0, len(variants))))
-
-    return _point_set(lambda c: rows(c[None])[0], rows, points, (len(pairs2), len(variants)))
+    c2 = coords[:, W.block("second")]
+    G2 = [W.second.metric_at(c) for c in c2]
+    lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
+    rows = [[] for _ in coords]
+    for X2, Y2 in pairs2:
+        Xl, Yl = lift(W, "second", X2), lift(W, "second", Y2)
+        lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
+        a2_xy = _oneills(cws.ctx2, _horizontal, X2, Y2, c2)
+        a2_yx = _oneills(cws.ctx2, _horizontal, Y2, X2, c2)
+        skew = np.array([W.pad("second", v) for v in a2_xy - a2_yx])
+        inner = np.array([float(X2(c) @ g2 @ Y2(c)) for c, g2 in zip(c2, G2)])
+        rhs = [0.5 * (skew - (lam2_sq * inner)[:, None]
+                      * _vertical_gradients(cws.ctx, field, coords))
+               for field in variants.values()]
+        for row, a, *r in zip(rows, lhs, *rhs):
+            row += [(np.linalg.norm(a - v), residual_scale(a, v)) for v in r]
+    return np.array(rows, dtype=float)
 
 
 def verify_riemannian_reduction(

@@ -155,11 +155,12 @@ def _stack_of(fn):
     return stack or (lambda coords: np.array([fn(c) for c in coords], dtype=float))
 
 
-def _point_set(one, stack, coords_seq, shape: tuple) -> Array:
+def _point_set(stack, coords_seq, shape: tuple, one=None) -> Array:
     """``np.array([one(c) for c in coords], dtype=float)`` at the rows of
     ``coords = np.asarray(coords_seq, dtype=float)``, where ``one`` is the
     checked conversion of a value of ``shape`` at one point, taken as the
     one call ``stack(coords)`` when that returns an (N,) + ``shape`` array.
+    A ``None`` ``one`` is ``stack`` on a stack of one.
 
     A ``stack`` that raises, or whose values have different shapes or
     another shape, is redone point by point with ``one``, so that the
@@ -173,7 +174,8 @@ def _point_set(one, stack, coords_seq, shape: tuple) -> Array:
         values = None  # the loop below raises the first failing point's error
     if values is not None and values.shape == (len(coords),) + shape:
         return values
-    return np.array([one(c) for c in coords], dtype=float).reshape((len(coords),) + shape)
+    values = [stack(c[None])[0] if one is None else one(c) for c in coords]
+    return np.array(values, dtype=float).reshape((len(coords),) + shape)
 
 
 def _finite(stack: Array, coords_seq, error, what: str) -> Array:
@@ -182,6 +184,21 @@ def _finite(stack: Array, coords_seq, error, what: str) -> Array:
     if not finite.all():
         raise error(f"{what} not finite at {coords_seq[np.argmin(finite)]}")
     return stack
+
+
+def _positive_definite(G: Array, coords) -> Array:
+    """``G``, a symmetrized metric at the point ``coords`` or a stack of them
+    at the rows of ``coords``; raises DegenerateMetricError naming the first
+    whose lowest eigenvalue is at most ``SPD_FLOOR``, one stacked ``eigvalsh``
+    for the set."""
+    lowest = np.linalg.eigvalsh(G)[..., 0].reshape(-1).tolist()  # a list: cheap at one point
+    for i, value in enumerate(lowest):
+        if value <= SPD_FLOOR:
+            raise DegenerateMetricError(
+                f"metric not positive definite at {np.reshape(coords, (len(lowest), -1))[i]}: "
+                f"min eigenvalue {value:.3e}"
+            )
+    return G
 
 
 def _symmetrized(g: Array) -> Array:
@@ -273,7 +290,7 @@ class ChartManifold:
     def _raw_metrics(self, coords_seq) -> Array:
         """``np.stack([self._raw_metric(c) for c in coords_seq])``, the metric
         field's values converted once for the set."""
-        return _point_set(self._raw_metric, _stack_of(self.metric), coords_seq, (self.dim,) * 2)
+        return _point_set(_stack_of(self.metric), coords_seq, (self.dim,) * 2, self._raw_metric)
 
     def _raw_metric(self, coords: Array) -> Array:
         """The metric field's value as a float (dim, dim) array, neither
@@ -292,13 +309,7 @@ class ChartManifold:
             raise DegenerateMetricError(f"metric not finite at {coords}")
         if float(np.abs(g - g.T).max()) > SYM_TOL * scale:
             raise DegenerateMetricError(f"metric not symmetric at {coords}")
-        sym = _symmetrized(g)
-        lowest = float(np.linalg.eigvalsh(sym)[0])
-        if lowest <= SPD_FLOOR:
-            raise DegenerateMetricError(
-                f"metric not positive definite at {coords}: min eigenvalue {lowest:.3e}"
-            )
-        return sym
+        return _positive_definite(_symmetrized(g), coords)
 
 
 @dataclass(frozen=True)
@@ -400,7 +411,7 @@ def gradients(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords_seq
         G = np.array([M.metric_at(c) if g is None else g for c, g in zip(points, known)])
         return np.linalg.solve(G, dphi[..., None])[..., 0]
 
-    return _point_set(lambda c: stack(c[None])[0], stack, coords_seq, (M.dim,))
+    return _point_set(stack, coords_seq, (M.dim,))
 
 
 def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, points) -> float:

@@ -187,14 +187,6 @@ class ResidualCheck:
         )
 
 
-def _add_rows(columns: list, rows: np.ndarray) -> None:
-    """Adds the (residual, scale) pairs of an (N, len(columns), 2) array to
-    the check of their column, point by point."""
-    for row in rows:
-        for check, (residual, scale) in zip(columns, row):
-            check.add(residual, scale)
-
-
 @dataclass
 class VerificationReport:
     """All check records of one scenario run, plus the config echo."""

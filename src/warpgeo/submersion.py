@@ -48,7 +48,9 @@ stacked arrays read-only once; a ``Splitting``'s arrays are views of them.
 numpy's stacked ``svd``, ``solve``, ``eigvalsh`` and ``matmul`` give each
 matrix the bits of its own call, so a point's result does not depend on the
 set it is computed in. The suites fetch point sets in blocks of
-``POINT_BLOCK`` points, which bounds the memory held at once.
+``POINT_BLOCK`` points, which bounds the memory held at once. A verifier
+that adds per-point (residual, scale) samples is one rows kernel of a
+block's coordinates handed to ``_add_in_blocks``, the one block pass.
 
 Inside an ``evaluation_scope()`` each splitting and each dilation is
 computed once per context and exact coordinates, then shared by the
@@ -90,6 +92,7 @@ from .manifold import (
     _memoized,
     _memoized_many,
     _point_set,
+    _positive_definite,
     _stack_of,
     analytic_fd_gap,
     evaluation_scope,
@@ -129,8 +132,8 @@ class SmoothMap:
         """``np.stack([self(c) for c in coords_seq])``, converted once for the
         set; raises DomainError naming the first point whose image is not in
         the target box."""
-        images = _point_set(self, lambda coords: _rows(_stack_of(self.fn)(coords), 1), coords_seq,
-                            (self.target.dim,))
+        images = _point_set(lambda coords: _rows(_stack_of(self.fn)(coords), 1), coords_seq,
+                            (self.target.dim,), self)
         inside = self.target.contains(images)
         if np.count_nonzero(inside) < len(inside):
             i = np.argmin(inside)
@@ -159,8 +162,8 @@ class SmoothMap:
         M = self.source
         jac = _stack_of(self.jac) if self.jac is not None else (
             lambda coords: engine.jacobian(self.fn, coords, M.lower, M.upper))
-        J = _point_set(lambda c: self.jacobian_at(c, engine), lambda coords: _rows(jac(coords), 2),
-                       coords_seq, (self.target.dim, M.dim))
+        J = _point_set(lambda coords: _rows(jac(coords), 2), coords_seq, (self.target.dim, M.dim),
+                       lambda c: self.jacobian_at(c, engine))
         return _finite(J, coords_seq, RankError, "Jacobian")
 
     def check_jacobian(self, engine: DiffEngine, points) -> float:
@@ -198,6 +201,21 @@ def _blocks(points):
     """The consecutive slices of ``POINT_BLOCK`` points of ``points``."""
     for start in range(0, len(points), POINT_BLOCK):
         yield points[start:start + POINT_BLOCK]
+
+
+def _add_in_blocks(columns: list, rows, points, one=None) -> None:
+    """Adds the (residual, scale) pairs of ``rows`` to the ``ResidualCheck``
+    of their column, point by point in the order of ``points``.
+
+    ``rows`` maps the (N, dim) coordinates of a block of ``POINT_BLOCK``
+    points to an (N, len(columns), 2) array, one stacked pass over the
+    block through ``_point_set``: a block that raises is redone point by
+    point with ``one`` (``rows`` on a stack of one when None), so that the
+    first failing point raises its own error."""
+    for block in _blocks(points):
+        for row in _point_set(rows, block, (len(columns), 2), one):
+            for check, (residual, scale) in zip(columns, row):
+                check.add(residual, scale)
 
 
 def _in_blocks(fetch, points):
@@ -297,12 +315,12 @@ class SubmersionContext:
     def _stacked_splittings(self, coords_list: list) -> list[Splitting]:
         """The splitting at every point, each step one call on the stack.
         Raises the error of the first point whose Jacobian or source metric
-        is not finite, or whose Jacobian has a rank below the target
-        dimension."""
+        is not finite, whose source metric is not positive definite, or
+        whose Jacobian has a rank below the target dimension."""
         coords = np.array(coords_list)  # a copy: a Splitting is read-only
         J = self.map.jacobians_at(coords, self.engine)
-        G = _finite(np.stack(self.map.source.metrics_at(coords)), coords, DegenerateMetricError,
-                    "metric")
+        G = _positive_definite(_finite(np.stack(self.map.source.metrics_at(coords)), coords,
+                                       DegenerateMetricError, "metric"), coords)
         _, S, VT = np.linalg.svd(J)
         m = self.map.target.dim
         smax = S[:, 0]
@@ -463,8 +481,7 @@ def _oneills(
     array (``_oneill_kernel``); ``part`` is ``_vertical`` or ``_horizontal``.
     A set that raises is redone point by point (``_point_set``), so the
     first failing point raises its own error."""
-    return _point_set(lambda c: _oneill_kernel(ctx, part, E, F, c[None])[0],
-                      lambda coords: _oneill_kernel(ctx, part, E, F, coords), coords_seq,
+    return _point_set(lambda coords: _oneill_kernel(ctx, part, E, F, coords), coords_seq,
                       (ctx.map.source.dim,))
 
 
@@ -569,7 +586,7 @@ def _conformal_a_formulas(ctx: SubmersionContext, X: VectorField, Y: VectorField
         lambda_sq = np.array([d.lambda_sq for d in dilations])[:, None]
         return 0.5 * (v_bracket - lambda_sq * inner * grad_v)
 
-    return _point_set(lambda c: stack(c[None])[0], stack, coords_seq, (M.dim,))
+    return _point_set(stack, coords_seq, (M.dim,))
 
 
 def conformal_a_formula(

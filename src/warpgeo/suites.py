@@ -7,17 +7,19 @@ on; the other suites let the error propagate, and ``run_scenario`` turns it
 into a failed report for the whole scenario.
 
 The O'Neill suites open their own evaluation scope, which shares
-``run_scenario``'s when nested. ``a_crossval_records`` walks its points in
-blocks of ``POINT_BLOCK``, each one stacked pass (``_crossval_rows``) for
-its fixed field pairs, with the extensions of a point's own vectors as
-single-point calls inside it. ``engine_health_records`` opens none: it
-walks its points in blocks of ``POINT_BLOCK``, each one stacked pass that
-hands the block's checked metrics to one ``christoffels`` call and its
-Christoffel symbols to the point-set covariant derivatives.
+``run_scenario``'s when nested. ``a_crossval_records`` and
+``engine_health_records`` are each one rows kernel (``_crossval_rows``,
+``_health_rows``) handed to the block pass ``submersion._add_in_blocks``.
+The crossval kernel computes A and the formula of its fixed field pairs
+over the block, with the extensions of a point's own vectors as
+single-point calls inside it. ``engine_health_records`` opens no scope:
+its kernel hands the block's checked metrics to one ``christoffels`` call
+and its Christoffel symbols to the point-set covariant derivatives.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,13 +32,13 @@ from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
-    _point_set,
     check_scalar_field,
     evaluation_scope,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
 from .submersion import (
     SubmersionContext,
+    _add_in_blocks,
     _blocks,
     _conformal_a_formulas,
     _gram_schmidt,
@@ -62,66 +64,62 @@ def engine_health_records(
     compat_tol: float = TOLERANCES["metric-compatibility"],
 ) -> list[CheckRecord]:
     """Torsion-free and metric-compatibility residuals of the connection; the
-    metric is evaluated and checked once per point. Each block of
-    ``POINT_BLOCK`` points is one stacked pass (``_health_rows``), whose
-    residuals, and their order, are those of a point-by-point walk; a
-    point that raises a ``GeometryError`` counts once against each check,
-    with a note."""
-    torsion = ResidualCheck("torsion-free", torsion_tol)
-    compat = ResidualCheck("metric-compatibility", compat_tol)
-    fields = vector_field_library(M, rng, 3)
-    for block in _blocks(points):
-        notes: list = []
-        _add_rows([torsion, compat], _health_rows(M, engine, fields, block, notes))
-        for text in notes:
-            torsion.note(text)
-            compat.note(text)
-    return [torsion.record(), compat.record()]
+    metric is evaluated and checked once per point. The samples are one
+    block pass of ``_health_rows`` (``_add_in_blocks``), whose residuals,
+    and their order, are those of a point-by-point walk; a point that
+    raises a ``GeometryError`` counts once against each check, with a note
+    (``_health_row``)."""
+    checks = [ResidualCheck("torsion-free", torsion_tol),
+              ResidualCheck("metric-compatibility", compat_tol)]
+    rows = partial(_health_rows, M, engine, vector_field_library(M, rng, 3))
+    _add_in_blocks(checks, rows, points, partial(_health_row, rows, checks))
+    return [check.record() for check in checks]
 
 
 # the row of a failed sample: an infinite residual in both checks
 _FAILED_SAMPLE = np.array([[np.inf, 1.0], [np.inf, 1.0]])
 
 
-def _health_rows(M: ChartManifold, engine: DiffEngine, fields, points, notes: list) -> Array:
+def _health_row(rows, checks: list, c: Array) -> Array:
+    """``rows`` at the point ``c`` alone; a point that raises a
+    ``GeometryError`` gets ``_FAILED_SAMPLE``, and its note goes to each
+    check of ``checks``."""
+    try:
+        return rows(c[None])[0]
+    except GeometryError as exc:
+        for check in checks:
+            check.note(f"error at {c}: {exc}")
+        return _FAILED_SAMPLE
+
+
+def _health_rows(M: ChartManifold, engine: DiffEngine, fields, coords: Array) -> Array:
     """The (residual, scale) of the torsion and compatibility checks at each
-    point, as an (N, 2, 2) array: one stacked pass over the set, redone
-    point by point (a stack of one) when it raises. A point whose own pass
-    raises a ``GeometryError`` gets ``_FAILED_SAMPLE``, and its note is
-    appended to ``notes``."""
+    row of the (N, dim) array ``coords``, as an (N, 2, 2) array: the
+    block's checked metrics go to one ``christoffels`` call, and its
+    Christoffel symbols to the point-set covariant derivatives."""
     X, Y, Z = fields
 
     def g_inner_field(c):
         g = M.metric_at(c, check=False)
         return float(Y(c) @ g @ Z(c))
 
-    def rows(coords):
-        G = [M.metric_at(p) for p in coords]
-        gammas = christoffels(M, engine, coords, G)
+    G = [M.metric_at(p) for p in coords]
+    gammas = christoffels(M, engine, coords, G)
 
-        def nabla(A, B):
-            a = np.array([A(c) for c in coords])
-            return _covariant_derivatives(M, engine, a, B, coords, gammas)
+    def nabla(A, B):
+        a = np.array([A(c) for c in coords])
+        return _covariant_derivatives(M, engine, a, B, coords, gammas)
 
-        dxy, dyx = nabla(X, Y), nabla(Y, X)
-        br = _lie_brackets(M, engine, X, Y, coords)
-        dxz = nabla(X, Z)
-        lhs = [engine.directional(g_inner_field, p, X(p), M.lower, M.upper) for p in coords]
-        out = []
-        for p, g, a, b, c, d, left in zip(coords, G, dxy, dyx, br, dxz, lhs):
-            rhs = float(a @ g @ Z(p)) + float(Y(p) @ g @ d)
-            out.append([(np.max(np.abs(a - b - c)), residual_scale(a, b, c)),
-                        (abs(left - rhs), 1.0 + max(abs(left), abs(rhs)))])
-        return np.array(out, dtype=float).reshape(len(coords), 2, 2)
-
-    def one(c):
-        try:
-            return rows(c[None])[0]
-        except GeometryError as exc:
-            notes.append(f"error at {c}: {exc}")
-            return _FAILED_SAMPLE
-
-    return _point_set(one, rows, points, (2, 2))
+    dxy, dyx = nabla(X, Y), nabla(Y, X)
+    br = _lie_brackets(M, engine, X, Y, coords)
+    dxz = nabla(X, Z)
+    lhs = [engine.directional(g_inner_field, p, X(p), M.lower, M.upper) for p in coords]
+    out = []
+    for p, g, a, b, c, d, left in zip(coords, G, dxy, dyx, br, dxz, lhs):
+        rhs = float(a @ g @ Z(p)) + float(Y(p) @ g @ d)
+        out.append([(np.max(np.abs(a - b - c)), residual_scale(a, b, c)),
+                    (abs(left - rhs), 1.0 + max(abs(left), abs(rhs)))])
+    return np.array(out, dtype=float)
 
 
 def splitting_records(
@@ -212,8 +210,8 @@ def a_crossval_records(
     """O'Neill A evaluated literally agrees with the bracket/dilation-gradient
     formula, and is insensitive to how horizontal vectors are extended.
 
-    Each block of ``POINT_BLOCK`` points is one stacked pass
-    (``_crossval_rows``), whose residuals, and their order, are those of a
+    The samples are one block pass of ``_crossval_rows``
+    (``_add_in_blocks``), whose residuals, and their order, are those of a
     point-by-point walk."""
     crossval = ResidualCheck("a-vs-bracket-formula", tolerance)
     extension = ResidualCheck("a-extension-independence", tolerance)
@@ -221,43 +219,35 @@ def a_crossval_records(
     with evaluation_scope():
         # the formula differentiates the context's own dilation along every axis
         ctx.warm_stencils(points, range(ctx.map.source.dim), dilations=True)
-        for block in _blocks(points):
-            _add_rows([crossval, extension, extension] * len(pairs),
-                      _crossval_rows(ctx, pairs, block))
+        _add_in_blocks([crossval, extension, extension] * len(pairs),
+                       partial(_crossval_rows, ctx, pairs), points)
     return [crossval.record(), extension.record()]
 
 
-def _crossval_rows(ctx: SubmersionContext, pairs, points) -> Array:
+def _crossval_rows(ctx: SubmersionContext, pairs, coords: Array) -> Array:
     """The (residual, scale) of the three samples of ``a_crossval_records``
-    per pair at each point, as an (N, 3 * pairs, 2) array: A and the
-    formula of each fixed pair from one ``_oneills`` and one
-    ``_conformal_a_formulas`` call over the set; the extensions of a
-    point's own vectors are fields of that point, so each is a stack of
-    one. The pass is redone point by point (a stack of one) when it
-    raises, so that the first failing point raises its own error."""
+    per pair at each row of the (N, dim) array ``coords``, as an
+    (N, 3 * pairs, 2) array: A and the formula of each fixed pair from one
+    ``_oneills`` and one ``_conformal_a_formulas`` call over the set; the
+    extensions of a point's own vectors are fields of that point, so each
+    is a stack of one."""
     M = ctx.map.source
-
-    def rows(coords):
-        samples = []
-        for X, Y in pairs:
-            a_direct = _oneills(ctx, _horizontal, X, Y, coords)
-            a_formula = _conformal_a_formulas(ctx, X, Y, coords)
-            out = []
-            for p, direct, formula in zip(coords, a_direct, a_formula):
-                # same horizontal vectors at p, different extensions
-                x_const = ctx.horizontal_field(VectorField.constant(X(p)))
-                y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
-                x_mod = ctx.horizontal_field(modulated(VectorField.constant(X(p)), 0, p))
-                y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
-                a_ext1 = oneill_a(ctx, x_const, y_const, p)
-                a_ext2 = oneill_a(ctx, x_mod, y_mod, p)
-                out.append([(np.linalg.norm(direct - formula), residual_scale(direct, formula)),
-                            (np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2)),
-                            (np.linalg.norm(a_ext1 - direct), residual_scale(a_ext1, direct))])
-            samples.append(np.array(out, dtype=float).reshape(len(coords), 3, 2))
-        return np.concatenate(samples, axis=1) if samples else np.zeros((len(coords), 0, 2))
-
-    return _point_set(lambda c: rows(c[None])[0], rows, points, (3 * len(pairs), 2))
+    rows = [[] for _ in coords]
+    for X, Y in pairs:
+        a_direct = _oneills(ctx, _horizontal, X, Y, coords)
+        a_formula = _conformal_a_formulas(ctx, X, Y, coords)
+        for row, p, direct, formula in zip(rows, coords, a_direct, a_formula):
+            # same horizontal vectors at p, different extensions
+            x_const = ctx.horizontal_field(VectorField.constant(X(p)))
+            y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
+            x_mod = ctx.horizontal_field(modulated(VectorField.constant(X(p)), 0, p))
+            y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
+            a_ext1 = oneill_a(ctx, x_const, y_const, p)
+            a_ext2 = oneill_a(ctx, x_mod, y_mod, p)
+            row += [(np.linalg.norm(direct - formula), residual_scale(direct, formula)),
+                    (np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2)),
+                    (np.linalg.norm(a_ext1 - direct), residual_scale(a_ext1, direct))]
+    return np.array(rows, dtype=float)
 
 
 def t_umbilicity_records(

@@ -10,11 +10,14 @@ it, ``pad`` (which zero-pads factor rows into the ambient dimension),
 ``second_fundamental_form`` evaluates its own metric and Christoffel
 symbols; ``verify_leaf_fiber_geometry`` hands each point's checked metric
 and Christoffel symbols to the same arithmetic (``connection._submanifold_form``).
+Both connection verifiers are one rows kernel (``_connection_rows``,
+``_leaf_fiber_rows``) handed to the block pass ``submersion._add_in_blocks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,13 +35,12 @@ from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
-    _point_set,
     _with_stack,
     gradients,
     scalar_partials,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, _add_rows, residual_scale
-from .submersion import _blocks
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .submersion import _add_in_blocks
 
 Array = np.ndarray
 
@@ -198,13 +200,13 @@ def verify_warped_connection(
       2. nabla_{E1} E2 = nabla_{E2} E1 = (E1 f / f) E2.
       3. normal part of nabla_{E2} F2 = -g(E2, F2) grad(ln f).
       4. tangent part of nabla_{E2} F2 is the lift of the second factor's nabla.
-    Residuals are scaled by 1 + max |entry| per sample. Each block of
-    ``POINT_BLOCK`` points is one stacked pass (``_connection_rows``): the
-    ambient and the two factor Christoffel symbols of the block come from
-    one ``christoffels`` call per chart and each covariant derivative from
-    one stacked walk; each of the three metrics is
-    evaluated and checked once per point. Every residual, and its order, is
-    that of a point-by-point walk.
+    Residuals are scaled by 1 + max |entry| per sample. The samples are one
+    block pass of ``_connection_rows`` (``_add_in_blocks``): the ambient and
+    the two factor Christoffel symbols of a block come from one
+    ``christoffels`` call per chart and each covariant derivative from one
+    stacked walk; each of the three metrics is evaluated and checked once
+    per point. Every residual, and its order, is that of a point-by-point
+    walk.
     """
     checks = [
         ResidualCheck("warped-conn-first-pair", tolerance),
@@ -214,67 +216,60 @@ def verify_warped_connection(
     ]
     columns = ([checks[0]] * len(pairs1) + [checks[1]] * min(len(pairs1), len(pairs2))
                + [checks[2], checks[3]] * len(pairs2))
-    for block in _blocks(points):
-        _add_rows(columns, _connection_rows(W, engine, pairs1, pairs2, block))
+    _add_in_blocks(columns, partial(_connection_rows, W, engine, pairs1, pairs2), points)
     return [c.record() for c in checks]
 
 
-def _scaled(residual_of, *terms) -> Array:
-    """``(residual_of(*t), residual_scale(*t))`` for the terms t at each point
-    of the stacks or lists ``terms``, one point at a time, as an (N, 2) array."""
-    return np.array([(residual_of(*t), residual_scale(*t)) for t in zip(*terms)], dtype=float)
+def _scaled(rows: list, residual_of, *terms) -> None:
+    """Appends ``(residual_of(*t), residual_scale(*t))`` for the terms t at
+    each point of the stacks or lists ``terms`` to that point's list of
+    ``rows``."""
+    for row, t in zip(rows, zip(*terms)):
+        row.append((residual_of(*t), residual_scale(*t)))
 
 
-def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2, points) -> Array:
+def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2,
+                     coords: Array) -> Array:
     """The (residual, scale) of each sample of ``verify_warped_connection``
-    at each point, in its order, as an (N, samples, 2) array: one stacked
-    pass over the set, redone point by point (a stack of one) when it
-    raises, so that the first failing point raises its own error."""
+    at each row of the (N, dim) array ``coords``, in its order, as an
+    (N, samples, 2) array."""
     first, second = W.block("first"), W.block("second")
-    log_warp = W.log_warp()
     lifts1 = [(lift(W, "first", E1), lift(W, "first", F1)) for E1, F1 in pairs1]
     lifts2 = [(lift(W, "second", E2), lift(W, "second", F2)) for E2, F2 in pairs2]
+    c1, c2 = coords[:, first], coords[:, second]
+    G = [W.ambient.metric_at(p) for p in coords]
+    gammas = christoffels(W.ambient, engine, coords, G)
+    gammas1 = christoffels(W.first, engine, c1)
+    gammas2 = christoffels(W.second, engine, c2)
 
-    def rows(coords):
-        c1, c2 = coords[:, first], coords[:, second]
-        G = [W.ambient.metric_at(p) for p in coords]
-        gammas = christoffels(W.ambient, engine, coords, G)
-        gammas1 = christoffels(W.first, engine, c1)
-        gammas2 = christoffels(W.second, engine, c2)
+    def nabla(M, X, Y, coords, gammas):
+        x = np.array([X(c) for c in coords])
+        return _covariant_derivatives(M, engine, x, Y, coords, gammas)
 
-        def nabla(M, X, Y, coords, gammas):
-            x = np.array([X(c) for c in coords])
-            return _covariant_derivatives(M, engine, x, Y, coords, gammas)
+    rows = [[] for _ in coords]
+    for (E1, F1), (E1l, F1l) in zip(pairs1, lifts1):
+        lhs = nabla(W.ambient, E1l, F1l, coords, gammas)
+        factor = nabla(W.first, E1, F1, c1, gammas1)
+        _scaled(rows, lambda a, b: np.linalg.norm(a - b), lhs, [W.pad("first", f) for f in factor])
 
-        samples = []
-        for (E1, F1), (E1l, F1l) in zip(pairs1, lifts1):
-            lhs = nabla(W.ambient, E1l, F1l, coords, gammas)
-            factor = nabla(W.first, E1, F1, c1, gammas1)
-            samples.append(_scaled(lambda a, b: np.linalg.norm(a - b),
-                                   lhs, [W.pad("first", f) for f in factor]))
+    for (E1, _), (E1l, _), (E2l, _) in zip(pairs1, lifts1, lifts2):
+        lhs_a = nabla(W.ambient, E1l, E2l, coords, gammas)
+        lhs_b = nabla(W.ambient, E2l, E1l, coords, gammas)
+        rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), E1(a))) / W.warp(a))
+               * E2l(p) for p, a in zip(coords, c1)]
+        _scaled(rows, lambda a, b, r: np.maximum(np.linalg.norm(a - r), np.linalg.norm(b - r)),
+                lhs_a, lhs_b, rhs)
 
-        for (E1, _), (E1l, _), (E2l, _) in zip(pairs1, lifts1, lifts2):
-            lhs_a = nabla(W.ambient, E1l, E2l, coords, gammas)
-            lhs_b = nabla(W.ambient, E2l, E1l, coords, gammas)
-            rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), E1(a))) / W.warp(a))
-                   * E2l(p) for p, a in zip(coords, c1)]
-            samples.append(_scaled(
-                lambda a, b, r: max(np.linalg.norm(a - r), np.linalg.norm(b - r)),
-                lhs_a, lhs_b, rhs))
-
-        # gradients checks that each point is in the box
-        grad_log = gradients(W.ambient, engine, log_warp, coords, G)
-        for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
-            full = nabla(W.ambient, E2l, F2l, coords, gammas)
-            rhs3 = [-float(E2l(p) @ g @ F2l(p)) * grad for p, g, grad in zip(coords, G, grad_log)]
-            samples.append(_scaled(lambda a, b: np.linalg.norm(a - b),
-                                   [W.pad("first", v[first]) for v in full], rhs3))
-            rhs4 = nabla(W.second, E2, F2, c2, gammas2)
-            samples.append(_scaled(lambda a, b: np.linalg.norm(a - b), full[:, second], rhs4))
-        return np.stack(samples, axis=1) if samples else np.zeros((len(coords), 0, 2))
-
-    return _point_set(lambda c: rows(c[None])[0], rows, points,
-                      (len(pairs1) + min(len(pairs1), len(pairs2)) + 2 * len(pairs2), 2))
+    # gradients checks that each point is in the box
+    grad_log = gradients(W.ambient, engine, W.log_warp(), coords, G)
+    for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
+        full = nabla(W.ambient, E2l, F2l, coords, gammas)
+        rhs3 = [-float(E2l(p) @ g @ F2l(p)) * grad for p, g, grad in zip(coords, G, grad_log)]
+        _scaled(rows, lambda a, b: np.linalg.norm(a - b),
+                [W.pad("first", v[first]) for v in full], rhs3)
+        rhs4 = nabla(W.second, E2, F2, c2, gammas2)
+        _scaled(rows, lambda a, b: np.linalg.norm(a - b), full[:, second], rhs4)
+    return np.array(rows, dtype=float)
 
 
 def verify_leaf_fiber_geometry(
@@ -286,42 +281,36 @@ def verify_leaf_fiber_geometry(
 ) -> list[CheckRecord]:
     """Leaves are totally geodesic; fibers are totally umbilical with
     mean curvature -grad(ln f). Leaf and fiber share one ambient Christoffel
-    and one checked ambient metric per point; the Christoffel symbols of a
-    block of ``POINT_BLOCK`` points come from one ``christoffels`` call
-    (``_leaf_fiber_rows``)."""
+    and one checked ambient metric per point; the samples are one block
+    pass of ``_leaf_fiber_rows`` (``_add_in_blocks``), so the Christoffel
+    symbols of a block come from one ``christoffels`` call."""
     checks = [ResidualCheck("leaf-totally-geodesic", leaf_tolerance),
               ResidualCheck("fiber-umbilical", fiber_tolerance),
               ResidualCheck("fiber-mean-curvature-warp", fiber_tolerance)]
-    for block in _blocks(points):
-        _add_rows(checks, _leaf_fiber_rows(W, engine, block))
+    _add_in_blocks(checks, partial(_leaf_fiber_rows, W, engine), points)
     return [c.record() for c in checks]
 
 
-def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, points) -> Array:
+def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, coords: Array) -> Array:
     """The (residual, scale) of the three checks of
-    ``verify_leaf_fiber_geometry`` at each point, as an (N, 3, 2) array,
-    computed and redone as ``_connection_rows``'."""
-    log_warp = W.log_warp()
+    ``verify_leaf_fiber_geometry`` at each row of the (N, dim) array
+    ``coords``, as an (N, 3, 2) array."""
     second = W.block("second")
-
-    def rows(coords):
-        G = [W.ambient.metric_at(p) for p in coords]
-        gammas = christoffels(W.ambient, engine, coords, G)
-        out = []
-        for p, g, gamma, grad_log in zip(coords, G, gammas,
-                                         gradients(W.ambient, engine, log_warp, coords, G)):
-            leaf = _submanifold_form(g, gamma, W.first_axes(), p)
-            fiber = _submanifold_form(g, gamma, W.second_axes(), p)
-            expected = np.einsum("ab,k->abk", g[second, second], fiber.mean_curvature)
-            out.append([
-                (np.max(np.abs(leaf.values)), residual_scale(leaf.values)),
-                (np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)),
-                (np.linalg.norm(fiber.mean_curvature + grad_log),
-                 residual_scale(fiber.mean_curvature, grad_log)),
-            ])
-        return np.array(out, dtype=float).reshape(len(coords), 3, 2)
-
-    return _point_set(lambda c: rows(c[None])[0], rows, points, (3, 2))
+    G = [W.ambient.metric_at(p) for p in coords]
+    gammas = christoffels(W.ambient, engine, coords, G)
+    out = []
+    for p, g, gamma, grad_log in zip(coords, G, gammas,
+                                     gradients(W.ambient, engine, W.log_warp(), coords, G)):
+        leaf = _submanifold_form(g, gamma, W.first_axes(), p)
+        fiber = _submanifold_form(g, gamma, W.second_axes(), p)
+        expected = np.einsum("ab,k->abk", g[second, second], fiber.mean_curvature)
+        out.append([
+            (np.max(np.abs(leaf.values)), residual_scale(leaf.values)),
+            (np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)),
+            (np.linalg.norm(fiber.mean_curvature + grad_log),
+             residual_scale(fiber.mean_curvature, grad_log)),
+        ])
+    return np.array(out, dtype=float)
 
 
 def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:

@@ -31,7 +31,7 @@ from warpgeo.conformal_warped import (
 )
 from warpgeo.fields import vector_field_library
 from warpgeo.report import TOLERANCES
-from warpgeo import scenarios
+from warpgeo import conformal_warped, scenarios
 from warpgeo.scenarios import build_objects
 
 ENGINE = DiffEngine()
@@ -199,6 +199,37 @@ def test_second_factor_identity_adjudication(cws_constant, cws_variable):
     assert worst_v["second-factor-denominator"] <= 1e-5
     assert worst_v["first-factor-denominator"] > 10 * 1e-5
     assert "passing variant(s): second-factor-denominator" in rec_v.notes
+
+
+def _nan_on_the_product(real, cws):
+    """``real``, a kernel that takes a context first, with NaN values on the
+    product's context."""
+    def kernel(ctx, *args):
+        values = real(ctx, *args)
+        return np.full_like(values, np.nan) if ctx is cws.ctx else values
+    return kernel
+
+
+@pytest.mark.parametrize("kernel", ["_vertical_gradients", "_oneills"])
+def test_a_nan_on_the_product_fails_both_product_a_checks(kernel, cws_variable, monkeypatch):
+    # the worse of two residuals, the largest gap and each variant's worst
+    # residual were taken with Python's max, which keeps 0.0 over a NaN: with
+    # NaN vertical gradients on the product both checks passed, and with NaN
+    # tensors the second-factor check passed with 0.0
+    monkeypatch.setattr(conformal_warped, kernel,
+                        _nan_on_the_product(getattr(conformal_warped, kernel), cws_variable))
+    points = pts(cws_variable, [[0.3, 0.4, 0.1, -0.2], [0.2, 0.5, -0.3, 0.2]])
+    first = verify_first_factor_a_identity(
+        cws_variable, points, horizontal_pairs(cws_variable.ctx1, 2)
+    )
+    second, worst = verify_second_factor_a_identity(
+        cws_variable, points, horizontal_pairs(cws_variable.ctx2, 4)
+    )
+    for record in (first, second):
+        assert not record.passed and record.to_dict()["max_residual"] is None
+    assert kernel != "_vertical_gradients" or "gradient-convention gap nan" in first.notes
+    assert all(np.isnan(r) for r in worst.values())
+    assert "passing variant(s): none" in second.notes
 
 
 def test_second_factor_variant_fields_values(cws_variable):

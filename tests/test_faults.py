@@ -248,6 +248,16 @@ def test_the_splitting_kernel_checks_a_memoized_unchecked_metric():
                 call()
 
 
+def test_the_splitting_kernel_checks_that_the_metric_is_positive_definite():
+    # the orthonormalization took the square root of a negative number, and
+    # numpy's warning was what a non-SPD metric raised
+    ctx = bad_from_second_point(metric=lambda c: -np.eye(2))
+    message = re.escape("metric not positive definite at [0.3 0.4]: min eigenvalue -1.000e+00")
+    for call in (lambda: ctx.splitting_at(POINTS[1]), lambda: ctx.splittings_at(POINTS)):
+        with pytest.raises(DegenerateMetricError, match=message):
+            call()
+
+
 def test_a_scalar_field_is_checked_on_every_path_that_evaluates_it():
     M = ChartManifold.euclidean(2, -1.0, 1.0)
     vector = ScalarField(lambda c: c)

@@ -7,8 +7,9 @@ written once over every row: values and layouts equal the single-point
 calls bit for bit, and a clean set of two or more is computed as a set; a
 failing set raises the loop's error; each user callable is evaluated as
 often as by the loop, and by a failing lone point once; an empty set returns
-an empty stack of the rule's shape. A completeness test names each caller of
-``manifold._point_set`` or ``manifold._memoized_many`` without a row. The
+an empty stack of the rule's shape. A completeness test names each kernel
+handed to ``manifold._point_set`` or ``manifold._memoized_many`` without a
+row. The
 other tests cover memo sharing, the stacked kernels' own errors,
 ``splitting_records``', the connection verifiers' and the O'Neill
 verifiers' block residuals, the evaluations of a dilation-survey pass, of a
@@ -666,11 +667,6 @@ def _product_cws_fault(fault: str) -> tuple:
             [PRODUCT_POINTS, PRODUCT_POINTS[1:]])
 
 
-def _second_factor_rows(t: Tensor, points):
-    return conformal_warped._second_factor_rows(t.cws, t.pairs,
-                                                second_factor_variant_fields(t.cws), points)
-
-
 # -- the table
 
 
@@ -678,8 +674,9 @@ def _second_factor_rows(t: Tensor, points):
 class Row:
     """``point_set(obj, points)`` and its ``single(obj, p)``; ``clean(engine)``
     lists ``(obj, points)`` of N points; ``rule(obj)`` is one value's shape,
-    or the type of the list or tuple returned; ``sites`` are the callers of
-    ``_point_set`` or ``_memoized_many`` that the row covers; ``failing`` maps
+    or the type of the list or tuple returned; ``sites`` name the kernels
+    handed to ``_point_set`` or ``_memoized_many`` that the row covers
+    (``_kernel_name``); ``failing`` maps
     an id to ``(build, error)``: ``build()`` returns ``(obj, point sets)`` and
     ``error`` is the loop of single-point calls' ``(type, message)``, or None;
     ``holds`` names the field of each value that is the point passed in;
@@ -699,6 +696,24 @@ class Row:
     holds: str = ""
     per_point: tuple = ()
     reads_once: bool = True
+
+
+def _block_pass(kernel, args, rule, clean, failing, one_of=lambda rows: None, **kwargs) -> Row:
+    """The row of a verifier's rows ``kernel``, over all schemes: its set
+    call is the block pass's per-block call (``submersion._add_in_blocks``)
+    of ``_point_set`` on ``rows = partial(kernel, *args(obj))``, of the shape
+    ``rule(obj)`` and with ``one_of(rows)``, and its single-point call is
+    that ``one``, or ``rows`` on a stack of one when None."""
+    def point_set(obj, points):
+        rows = functools.partial(kernel, *args(obj))
+        return manifold._point_set(rows, points, rule(obj), one_of(rows))
+
+    def single(obj, p):
+        rows, p = functools.partial(kernel, *args(obj)), np.asarray(p, dtype=float)
+        one = one_of(rows)
+        return rows(p[None])[0] if one is None else one(p)
+
+    return Row(point_set, single, clean, rule, (kernel.__name__,), failing, SCHEMES, **kwargs)
 
 
 RANK_DEFICIENT = (RankError, "rank 0 below target dimension 1 at [0. 0.]")
@@ -769,7 +784,9 @@ ROWS = {
     "metrics_at": Row(
         lambda M, points: M.metrics_at(points),
         lambda M, p: M.metric_at(p, check=False),
-        _charts, lambda M: list, ("metrics_at", "_raw_metrics"),
+        # _raw_metrics hands _point_set the metric's point-set form: a warped
+        # ambient metric's, else _stack_of's loop over the plain callable
+        _charts, lambda M: list, ("_stacked_metrics", "_stack_of", "build_warped_product"),
         {"metric-of-the-wrong-shape": (_metric_of_the_wrong_shape, (
             DegenerateMetricError, "metric returned shape (1,) at [2.]")),
          **_each(_product_source_fault, _errors(PRODUCT_FAULTS, "metric", "f"))},
@@ -802,8 +819,9 @@ ROWS = {
     "splittings_at": Row(
         lambda ctx, points: ctx.splittings_at(points),
         lambda ctx, p: ctx.splitting_at(p),
-        lambda engine: _catalog(engine)[0], lambda ctx: list, ("splittings_at",),
+        lambda engine: _catalog(engine)[0], lambda ctx: list, ("_stacked_splittings",),
         {**_each(_guarded, GUARDED_ERRORS),
+         **_each(_metric_fault, {"non-spd-metric": METRIC_FAULTS["non-spd-metric"][1]}),
          "image-rule-at-a-stencil-point": (_image_rule_at_a_stencil_point, STENCIL_IMAGE_SHAPE),
          **_each(_boundary_fault, _errors(BOUNDARY_FAULTS, "jac")),
          **_each(_product_fault, SPLITTING_FAULTS)},
@@ -812,7 +830,7 @@ ROWS = {
     "dilations": Row(
         lambda ctx, points: ctx.dilations(points),
         lambda ctx, p: ctx.dilation(p),
-        lambda engine: _catalog(engine)[0], lambda ctx: list, ("dilations", "_stacked_dilations"),
+        lambda engine: _catalog(engine)[0], lambda ctx: list, ("_stacked_dilations",),
         {**_each(_guarded, DILATION_ERRORS),
          "target-metric-before-a-failing-image": (_target_metric_before_a_failing_image, (
              ValueError, "target metric undefined at [0.25]")),
@@ -843,21 +861,18 @@ ROWS = {
          "stencil-off-the-box": (_stencil_off_the_box, STENCIL_ERROR)},
         SCHEMES, per_point=CHECKED_METRIC,
     ),
-    "_connection_rows": Row(
-        lambda f, points: warped._connection_rows(f.W, f.engine, f.pairs1, f.pairs2, points),
-        lambda f, p: warped._connection_rows(f.W, f.engine, f.pairs1, f.pairs2, [p])[0],
-        _warped_inputs, _connection_rule, ("_connection_rows",),
+    "_connection_rows": _block_pass(
+        warped._connection_rows, lambda f: (f.W, f.engine, f.pairs1, f.pairs2), _connection_rule,
+        _warped_inputs,
         {**_each(_warped_fault, _errors(PRODUCT_FAULTS, "metric", "f")),
          "stencil-off-the-box": (_warped_stencil_off_the_box, STENCIL_ERROR)},
-        SCHEMES, per_point=CHECKED_METRIC,
+        per_point=CHECKED_METRIC,
     ),
-    "_leaf_fiber_rows": Row(
-        lambda f, points: warped._leaf_fiber_rows(f.W, f.engine, points),
-        lambda f, p: warped._leaf_fiber_rows(f.W, f.engine, [p])[0],
-        _warped_inputs, lambda f: (3, 2), ("_leaf_fiber_rows",),
+    "_leaf_fiber_rows": _block_pass(
+        warped._leaf_fiber_rows, lambda f: (f.W, f.engine), lambda f: (3, 2), _warped_inputs,
         {**_each(_warped_fault, _errors(PRODUCT_FAULTS, "metric", "f")),
          "stencil-off-the-box": (_warped_stencil_off_the_box, STENCIL_ERROR)},
-        SCHEMES, per_point=CHECKED_METRIC,
+        per_point=CHECKED_METRIC,
     ),
     "gradients": Row(
         lambda f, points: gradients(f.M, f.engine, f.fields[0], points),
@@ -867,16 +882,13 @@ ROWS = {
                                 "stencil-off-the-box": STENCIL_ERROR}),
         SCHEMES, per_point=CHECKED_METRIC,
     ),
-    # a non-SPD metric fails the splitting's orthonormalization, where numpy
-    # warns of the square root of a negative number
     "_oneills": Row(
         lambda t, points: _oneills(t.ctx, t.part, t.E, t.F, points), _oneill,
         _tensors, lambda t: (t.ctx.map.source.dim,), ("_oneills",),
         {**_each(_as(_with_fields, _guarded), GUARDED_ERRORS),
          **_each(_as(_with_fields, _boundary_fault), _errors(BOUNDARY_FAULTS, "jac")),
          **_each(_as(_with_fields, _product_fault), SPLITTING_FAULTS),
-         **_each(_as(_with_fields, _metric_fault), {k: e for k, (_, e) in METRIC_FAULTS.items()
-                                        if k != "non-spd-metric"}),
+         **_each(_as(_with_fields, _metric_fault), {k: e for k, (_, e) in METRIC_FAULTS.items()}),
          "stencil-off-the-box": (_as(_with_fields, _stencil_off_the_box), STENCIL_ERROR)},
         SCHEMES, per_point=ONEILL_WALK,
     ),
@@ -890,39 +902,36 @@ ROWS = {
          **_each(_as(_with_fields, _product_fault), DILATION_FAULTS)},
         SCHEMES, per_point=FORMULA_WALK,
     ),
-    "_crossval_rows": Row(
-        lambda t, points: suites._crossval_rows(t.ctx, t.pairs, points),
-        lambda t, p: suites._crossval_rows(t.ctx, t.pairs, [p])[0],
-        lambda engine: _conformal_inputs(engine, _with_pairs, 2), lambda t: (3 * len(t.pairs), 2),
-        ("_crossval_rows",),
+    "_crossval_rows": _block_pass(
+        suites._crossval_rows, lambda t: (t.ctx, t.pairs), lambda t: (3 * len(t.pairs), 2),
+        lambda engine: _conformal_inputs(engine, _with_pairs, 2),
         {**_each(_as(_with_pairs, _guarded), DILATION_ERRORS),
          **_each(_as(_with_pairs, _product_fault), DILATION_FAULTS)},
-        SCHEMES, per_point=CROSSVAL_WALK, reads_once=False,
+        per_point=CROSSVAL_WALK, reads_once=False,
     ),
-    "_first_factor_rows": Row(
-        lambda t, points: conformal_warped._first_factor_rows(t.cws, t.pairs, points),
-        lambda t, p: conformal_warped._first_factor_rows(t.cws, t.pairs, [p])[0],
-        lambda engine: _product_inputs(engine, _first_pairs), lambda t: (len(t.pairs), 2, 2),
-        ("_first_factor_rows",),
+    # columns [check, gap] per pair
+    "_first_factor_rows": _block_pass(
+        conformal_warped._first_factor_rows, lambda t: (t.cws, t.pairs),
+        lambda t: (2 * len(t.pairs), 2), lambda engine: _product_inputs(engine, _first_pairs),
         # the first factor's splitting fails before the product's
         _each(_as(_first_pairs, _product_cws_fault), SPLITTING_FAULTS | {
             "nan-jacobian": (RankError, "Jacobian not finite at [0.3 0.4]")}),
-        SCHEMES, per_point=ONEILL_WALK, reads_once=False,
+        per_point=ONEILL_WALK, reads_once=False,
     ),
-    "_second_factor_rows": Row(
-        _second_factor_rows, lambda t, p: _second_factor_rows(t, [p])[0],
-        lambda engine: _product_inputs(engine, _second_pairs), lambda t: (len(t.pairs), 2),
-        ("_second_factor_rows",),
+    # one column per variant, two variants per pair
+    "_second_factor_rows": _block_pass(
+        conformal_warped._second_factor_rows,
+        lambda t: (t.cws, t.pairs, second_factor_variant_fields(t.cws)),
+        lambda t: (2 * len(t.pairs), 2), lambda engine: _product_inputs(engine, _second_pairs),
         _each(_as(_second_pairs, _product_cws_fault), SPLITTING_FAULTS),
-        SCHEMES, per_point=ONEILL_WALK,
+        per_point=ONEILL_WALK,
     ),
     # a failing point's sample is recorded as failed, so no failing set raises
-    "_health_rows": Row(
-        lambda f, points: suites._health_rows(f.M, f.engine, f.fields, points, []),
-        lambda f, p: suites._health_rows(f.M, f.engine, f.fields, [p], [])[0],
-        _chart_inputs, lambda f: (2, 2), ("_health_rows",),
+    "_health_rows": _block_pass(
+        suites._health_rows, lambda f: (f.M, f.engine, f.fields), lambda f: (2, 2), _chart_inputs,
         _each(_chart_fault, dict.fromkeys([*METRIC_FAULTS, "stencil-off-the-box"])),
-        SCHEMES, per_point=CHECKED_METRIC,
+        one_of=lambda rows: functools.partial(suites._health_row, rows, []),
+        per_point=CHECKED_METRIC,
     ),
 }
 
@@ -954,9 +963,14 @@ def _spy_on_redos(monkeypatch) -> list:
     redos = []
 
     def spy(real):
-        def point_set(one, stack, coords_seq, shape):
-            redo = one if len(coords_seq) < 2 else (lambda c: redos.append(shape) or one(c))
-            return real(redo, stack, coords_seq, shape)
+        def point_set(stack, coords_seq, shape, one=None):
+            single = (lambda c: stack(c[None])[0]) if one is None else one
+
+            def redo(c):
+                redos.append(shape)
+                return single(c)
+
+            return real(stack, coords_seq, shape, one if len(coords_seq) < 2 else redo)
         return point_set
 
     _patch_everywhere(monkeypatch, "_point_set", spy)
@@ -1027,14 +1041,24 @@ VALUE_CASES = [(name, scheme) for name, row in ROWS.items() for scheme in row.sc
 ERROR_CASES = [(name, case) for name, row in ROWS.items() for case in row.failing]
 
 
+@pytest.fixture(scope="module")
+def references() -> dict:
+    """(row, scheme) -> the single-point values at each clean case's points,
+    in order: the unscoped and the scoped case compute them alike, outside
+    any scope, so they share them."""
+    return {}
+
+
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("name, scheme", VALUE_CASES, ids=[f"{n}-{s}" for n, s in VALUE_CASES])
-def test_values_equal_the_single_point_calls_bit_for_bit(name, scheme, scoped, monkeypatch):
+def test_values_equal_the_single_point_calls_bit_for_bit(name, scheme, scoped, references,
+                                                          monkeypatch):
     row = ROWS[name]
-    cases = [(obj, points, [row.single(obj, p) for p in points])
-             for obj, points in row.clean(DiffEngine(scheme=scheme))]
+    cases = row.clean(DiffEngine(scheme=scheme))  # per case: only the values are shared
+    if (name, scheme) not in references:
+        references[name, scheme] = [[row.single(obj, p) for p in points] for obj, points in cases]
     redos = _spy_on_redos(monkeypatch)
-    for obj, points, want in cases:
+    for (obj, points), want in zip(cases, references[name, scheme]):
         for n in dict.fromkeys(min(n, len(points)) for n in SIZES):
             with _scope(scoped), pytest.MonkeyPatch.context() as patch:
                 if n != 1:  # a lone point is its single-point conversion
@@ -1101,22 +1125,31 @@ def test_an_empty_set_returns_an_empty_stack_of_the_rule(name):
         _assert_as_loop(row, obj, row.point_set(obj, []), [], [])
 
 
-def test_every_caller_of_the_point_set_helpers_has_a_row(monkeypatch):
-    callers = set()
+def _kernel_name(kernel) -> str:
+    """The name of a point-set kernel: a partial's function's, a function's
+    or method's own, and a local function's (a lambda's) enclosing one."""
+    kernel = getattr(kernel, "func", kernel)
+    return kernel.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
 
-    def spy(real):
+
+def test_every_caller_of_the_point_set_helpers_has_a_row(monkeypatch):
+    # keyed on the kernel, not on the calling frame: every verifier's block
+    # pass calls _point_set from submersion._add_in_blocks
+    kernels = set()
+
+    def spy(real, position):
         def spied(*args):
-            callers.add(sys._getframe(1).f_code.co_name)
+            kernels.add(_kernel_name(args[position]))
             return real(*args)
         return spied
 
-    for helper in ("_point_set", "_memoized_many"):
-        _patch_everywhere(monkeypatch, helper, spy)
+    _patch_everywhere(monkeypatch, "_point_set", lambda real: spy(real, 0))
+    _patch_everywhere(monkeypatch, "_memoized_many", lambda real: spy(real, 3))
     for scenario in list_scenarios():
         run_scenario(scenario.scenario_id, RunConfig(samples=3))
     covered = {site for row in ROWS.values() for site in row.sites}
-    assert sorted(callers - covered) == [], "callers of _point_set or _memoized_many without a row"
-    assert sorted(covered - callers) == [], "row sites that a catalog pass never calls"
+    assert sorted(kernels - covered) == [], "kernels of _point_set or _memoized_many without a row"
+    assert sorted(covered - kernels) == [], "row sites that a catalog pass never calls"
 
 
 # -- memo entries shared by the point-set and single-point calls
@@ -1432,11 +1465,11 @@ def _crossval_per_point(ctx, points, rng) -> list:
 
 
 def _first_factor_per_point(cws, points, pairs1) -> list:
-    """``verify_first_factor_a_identity``'s check walked point by point, at
-    conformal points, with the single-point calls; the convention gap is
-    its note."""
+    """``verify_first_factor_a_identity``'s check and its unrecorded
+    convention gaps walked point by point, at conformal points, with the
+    single-point calls; the largest gap is the check's note."""
     check = ResidualCheck("product-a-first-factor", TOLERANCES["product-a-first-factor"])
-    gap = 0.0
+    gap = ResidualCheck("gradient-convention-gap", check.tolerance)
     inv_l1_partials = None
     if cws.lambda1.partials is not None:
         def inv_l1_partials(c):
@@ -1462,19 +1495,20 @@ def _first_factor_per_point(cws, points, pairs1) -> list:
             rhs_b = 0.5 * (s.vertical_part(br) - lam1_sq * inner * grad_m)
             scale = residual_scale(lhs, rhs_a, rhs_b)
             check.add(max(np.linalg.norm(lhs - rhs_a), np.linalg.norm(lhs - rhs_b)), scale)
-            gap = max(gap, np.linalg.norm(rhs_a - rhs_b) / scale)
+            gap.add(np.linalg.norm(rhs_a - rhs_b), scale)
     if len(used) < len(points):
         check.note(f"skipped {len(points) - len(used)} non-conformal points")
-    check.note(f"gradient-convention gap {gap:.2e}")
-    return [check]
+    check.note(f"gradient-convention gap {max(gap.residuals, default=0.0):.2e}")
+    return [check, gap]
 
 
 def _second_factor_per_point(cws, points, pairs2) -> list:
-    """``verify_second_factor_a_identity``'s check walked point by point, at
-    conformal points, with the single-point calls."""
+    """``verify_second_factor_a_identity``'s check and its unrecorded
+    per-variant residuals walked point by point, at conformal points, with
+    the single-point calls."""
     check = ResidualCheck("product-a-second-factor", TOLERANCES["product-a-second-factor"])
     variants = second_factor_variant_fields(cws)
-    worst = {name: 0.0 for name in variants}
+    per_variant = {name: ResidualCheck(name, check.tolerance) for name in variants}
     used = [e.coords for e in compatibility_report(cws, points) if e.conformal_here]
     for p in used:
         _, c2 = cws.source.split_coords(p)
@@ -1488,8 +1522,8 @@ def _second_factor_per_point(cws, points, pairs2) -> list:
             inner = float(X2(c2) @ g2 @ Y2(c2))
             for name, field in variants.items():
                 rhs = 0.5 * (skew - lam2_sq * inner * vertical_gradient(cws.ctx, field, p))
-                worst[name] = max(worst[name],
-                                  np.linalg.norm(lhs - rhs) / residual_scale(lhs, rhs))
+                per_variant[name].add(np.linalg.norm(lhs - rhs), residual_scale(lhs, rhs))
+    worst = {name: max(c.residuals, default=0.0) for name, c in per_variant.items()}
     for _ in used:
         check.add(min(worst.values()))
     passing = sorted(name for name, r in worst.items() if r <= check.tolerance)
@@ -1498,7 +1532,7 @@ def _second_factor_per_point(cws, points, pairs2) -> list:
         check.note(f"{name} residual {worst[name]:.3e}")
     if len(used) < len(points):
         check.note(f"skipped {len(points) - len(used)} non-conformal points")
-    return [check]
+    return [check, *per_variant.values()]
 
 
 def _failing_above_half(verifier: str):
