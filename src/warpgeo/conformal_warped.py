@@ -373,12 +373,14 @@ def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
     """The (residual, scale) of each pair and variant of
     ``verify_second_factor_a_identity`` at each row of the (N, dim) array
     ``coords``, as an (N, pairs * variants, 2) array: ``_oneills`` on the
-    product and on the second factor and ``_vertical_gradients`` per
-    variant, over the set."""
+    product and on the second factor over the set, and ``_vertical_gradients``
+    once per variant, at the first pair, where the point-by-point walk
+    first needs them."""
     W = cws.source
     c2 = coords[:, W.block("second")]
     G2 = [W.second.metric_at(c) for c in c2]
     lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
+    grads = None  # each variant's vertical gradients at coords
     rows = [[] for _ in coords]
     for X2, Y2 in pairs2:
         Xl, Yl = lift(W, "second", X2), lift(W, "second", Y2)
@@ -387,9 +389,9 @@ def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
         a2_yx = _oneills(cws.ctx2, _horizontal, Y2, X2, c2)
         skew = np.array([W.pad("second", v) for v in a2_xy - a2_yx])
         inner = np.array([float(X2(c) @ g2 @ Y2(c)) for c, g2 in zip(c2, G2)])
-        rhs = [0.5 * (skew - (lam2_sq * inner)[:, None]
-                      * _vertical_gradients(cws.ctx, field, coords))
-               for field in variants.values()]
+        if grads is None:
+            grads = [_vertical_gradients(cws.ctx, field, coords) for field in variants.values()]
+        rhs = [0.5 * (skew - (lam2_sq * inner)[:, None] * g) for g in grads]
         for row, a, *r in zip(rows, lhs, *rhs):
             row += [(np.linalg.norm(a - v), residual_scale(a, v)) for v in r]
     return np.array(rows, dtype=float)

@@ -9,9 +9,12 @@ coordinate-aligned submanifolds build on it and return component arrays.
 The Christoffel symbols, covariant derivatives and Lie brackets each have
 one kernel over a point set, on ``DiffEngine.stacked_partials``; a single
 point is a stack of one, which that walk differentiates by ``partials``'
-own loop. numpy's stacked ``inv``, ``einsum`` and ``matmul`` give each
-point the bits of its own call, so a point's value does not depend on the
-set it is computed in.
+own loop. The kernels hand the walk the point-set forms they own: the
+Christoffel kernel the chart's ``metrics_at``, the other two a field's form
+when a builder attached one (``manifold._with_stack``, as ``warped.lift``
+does), so a set's stencil points are evaluated in one call. numpy's stacked
+``inv``, ``einsum`` and ``matmul`` give each point the bits of its own call,
+so a point's value does not depend on the set it is computed in.
 
 The single-point calls evaluate their own checked metric and Christoffel
 symbols; only the set entry ``christoffels`` takes metrics, ones its caller
@@ -62,12 +65,20 @@ def _christoffels(M: ChartManifold, engine: DiffEngine, coords_list: list, metri
     metric that is None is evaluated and checked here, first."""
     G = np.array([M.metric_at(c) if g is None else g for c, g in zip(coords_list, metrics)])
     ginv = np.linalg.inv(G)
-    # dg[n, l, i, j] = d_l g_ij at point n
+    # dg[n, l, i, j] = d_l g_ij at point n; a set's walk reads the metrics at
+    # all its stencil points in one metrics_at call, whose memo entries are
+    # those of metric_at(c, check=False)
     dg = engine.stacked_partials(lambda c: M.metric_at(c, check=False), np.array(coords_list),
-                                 M.lower, M.upper)
+                                 M.lower, M.upper, stack=lambda c: np.array(M.metrics_at(c)))
     # c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     return list(0.5 * np.einsum("nkl,nijl->nkij", ginv, c))
+
+
+def _stack(field: VectorField):
+    """The point-set form a builder attached to ``field.fn``
+    (``manifold._with_stack``), else None."""
+    return getattr(field.fn, "_stack", None)
 
 
 def _along(direction: Array, d: Array) -> Array:
@@ -98,7 +109,8 @@ def _covariant_derivatives(M: ChartManifold, engine: DiffEngine, directions: Arr
     equals ``covariant_derivative``'s at its point for an X equal to v
     there, bit for bit; a set that fails raises the walk's first error,
     which need not be the first failing point's."""
-    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=directions)
+    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=directions,
+                                 stack=_stack(Y))
     return _covariant_from_partials(directions, dY, np.array([Y(c) for c in coords]),
                                     np.asarray(gammas))
 
@@ -115,8 +127,8 @@ def _lie_brackets(M: ChartManifold, engine: DiffEngine, X: VectorField, Y: Vecto
     """[X, Y] at each row of the (N, dim) array ``coords``, one stacked walk
     per field; values and errors as ``_covariant_derivatives``'."""
     x, y = np.array([X(c) for c in coords]), np.array([Y(c) for c in coords])
-    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x)
-    dX = engine.stacked_partials(X.fn, coords, M.lower, M.upper, along=y)
+    dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x, stack=_stack(Y))
+    dX = engine.stacked_partials(X.fn, coords, M.lower, M.upper, along=y, stack=_stack(X))
     return _along(x, dY) - _along(y, dX)
 
 

@@ -4,6 +4,14 @@ All derivatives in the package flow through :class:`DiffEngine`, which
 evaluates central-difference stencils on scalar-, vector- or matrix-valued
 functions of coordinates and shrinks its step automatically when a stencil
 would leave the chart's coordinate box.
+
+The partials at a point set are one walk over the set's stencils
+(``_walk``). A function is evaluated one stencil point at a time, except
+that a kernel owning a point-set form of its function may hand it to
+``stacked_partials`` (``stack=``), which then evaluates every used stencil
+point of a set in one call of the form. The engine never reads a form off
+the function it is handed, so a wrapper around that function (a tracer's)
+leaves the program as it is.
 """
 
 from __future__ import annotations
@@ -146,25 +154,39 @@ class DiffEngine:
             points[:, range(len(axes)), k, axes] = x + t
         return points, h, room
 
-    def _walk(self, fn, coords: np.ndarray, lower, upper, axes) -> np.ndarray:
+    def _walk(self, fn, coords: np.ndarray, lower, upper, axes, used=None,
+              stack=None) -> np.ndarray:
         """The partials of ``fn`` along each of ``axes`` at each row of the
         (N, dim) array ``coords``, as an (N, len(axes)) + value-shape array:
         the engine's one walk over a point set's stencils.
 
-        ``fn`` is evaluated once per stencil point, in the order of the loop
-        of ``partial`` calls over points and then axes, and the values are
-        combined by the scheme's own combine with an (N, len(axes)) array of
-        steps, so each partial equals ``partial``'s at its point bit for
-        bit. Raises the StencilError of that loop's first failing stencil,
-        before any evaluation.
+        Only the stencils where the (N, len(axes)) mask ``used`` holds are
+        evaluated (every one when None); the others are exact zeros. ``fn``
+        is evaluated once per used stencil point, in the order of the loop
+        of ``partial`` calls over points and then axes, or, when given,
+        ``stack``, a point-set form of ``fn``, once on all of them in that
+        order. The values are combined by the scheme's own combine with the
+        array of their stencils' steps, so each partial equals ``partial``'s
+        at its point bit for bit. Raises the StencilError of that loop's
+        first failing used stencil, before any evaluation.
         """
         points, h, room = self._stencils(coords, lower, upper, axes)
+        if used is not None:
+            points, h, room = points[used], h[used], room[used]
         self._require_fit(room, h)
-        values = np.array([fn(p) for p in points.reshape(-1, coords.shape[1])], dtype=float)
-        values = values.reshape(points.shape[:3] + values.shape[1:])
-        calls = iter(range(values.shape[2]))
-        h = h.reshape(h.shape + (1,) * (values.ndim - 3))
-        return STENCILS[self.scheme][1](lambda t: values[:, :, next(calls)], h)
+        flat = points.reshape(-1, coords.shape[1])
+        values = (np.array([fn(p) for p in flat], dtype=float) if stack is None
+                  else np.asarray(stack(flat), dtype=float))
+        values = values.reshape(points.shape[:-1] + values.shape[1:])
+        calls = iter(range(points.shape[-2]))
+        lead = (slice(None),) * h.ndim
+        h = h.reshape(h.shape + (1,) * (values.ndim - h.ndim - 1))
+        d = STENCILS[self.scheme][1](lambda t: values[lead + (next(calls),)], h)
+        if used is None:
+            return d
+        out = np.zeros(used.shape + d.shape[1:])
+        out[used] = d
+        return out
 
     def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
         """The points ``partial(fn, coords, axis, lower, upper)`` passes to
@@ -185,15 +207,18 @@ class DiffEngine:
         points, h, _ = self._stencils(coords, lower, upper, axes)
         return points[h >= self.min_step].reshape(-1, coords.shape[1])
 
-    def stacked_partials(self, fn, coords, lower, upper, along=None) -> np.ndarray:
+    def stacked_partials(self, fn, coords, lower, upper, along=None, stack=None) -> np.ndarray:
         """``np.stack([self.partials(fn, c, lower, upper, along=a) for c, a in
         zip(coords, along)])`` for the rows c of the (N, dim) array ``coords``
         and a of the (N, dim) array ``along`` (every axis when None), bit for
         bit: one ``partial`` walk per axis over the points where
-        along[n, i] != 0.0.
+        along[n, i] != 0.0, or, with ``stack``, a point-set form of ``fn``
+        that its caller hands over, one ``_walk`` over every used stencil of
+        the set that evaluates ``stack`` once. The form is never read off
+        ``fn``.
 
-        A lone point is that loop. For a set of two or more, each used
-        stencil is evaluated once, one point at a time, and the StencilError
+        A lone point is that loop, which evaluates ``fn``. For a set of two
+        or more, each used stencil is evaluated once, and the StencilError
         of the loop's first failing stencil is raised before any evaluation;
         a point with no used axis is its own ``partials`` call, which
         evaluates ``fn`` once, at the point, for the value's shape.
@@ -209,6 +234,8 @@ class DiffEngine:
         idle = ~used.any(axis=1)
         shapes = [self.partials(fn, c, lower, upper, along=a).shape[1:]
                   for c, a in zip(coords[idle], np.asarray(along)[idle])] if idle.any() else []
+        if stack is not None and not idle.all():
+            return self._walk(fn, coords, lower, upper, range(dim), used, stack)
         out = None
         for i in np.flatnonzero(used.any(axis=0)):
             rows = slice(None) if along is None else used[:, i]

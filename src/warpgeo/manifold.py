@@ -141,7 +141,8 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
 def _with_stack(one, stack):
     """``one``, a callable of one point, carrying ``stack``: a callable of a
     float (N, dim) array of points that returns ``one``'s values there as
-    one float array, bit for bit. ``_stack_of`` reads it. Builders attach
+    one float array, bit for bit. ``_stack_of`` reads it, and so do the
+    connection kernels, which hand it to their stencil walks. Builders attach
     it to the callables they assemble from their parts; a callable put in
     the place of ``one`` comes without it."""
     one._stack = stack

@@ -149,7 +149,9 @@ def _warped_metric(g: Array, blocks: tuple, g1: Array, f, g2: Array) -> Array:
 
 def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField]:
     """Lift a factor ScalarField or VectorField to the ambient chart,
-    zero-padding the other factor's block."""
+    zero-padding the other factor's block. A lifted VectorField carries a
+    point-set form (``manifold._with_stack``): the factor field evaluated
+    point by point, written into the zero-padded rows of one array."""
     block = W.block(origin)
     if isinstance(field, ScalarField):
         partials = None
@@ -157,7 +159,13 @@ def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField
             partials = lambda c: W.pad(origin, field.partials(c[block]))
         return ScalarField(lambda c: field(c[block]), partials)
     if isinstance(field, VectorField):
-        return VectorField(lambda c: W.pad(origin, field(c[block])))
+        def rows(coords):
+            out = np.zeros((len(coords), W.ambient.dim))
+            for row, c in zip(out, coords):
+                row[block] = field(c[block])
+            return out
+
+        return VectorField(_with_stack(lambda c: W.pad(origin, field(c[block])), rows))
     raise TypeError(f"cannot lift object of type {type(field).__name__}")
 
 

@@ -261,16 +261,21 @@ def test_point_sets_equal_the_loop_of_single_points_bit_for_bit(scheme, kind):
         assert _same(engine.partial(fn, SET_POINTS, axis, *BOX), want)
         assert len(calls) == 2 * looped
         calls.clear()
+    def form(points):  # handed over, evaluated as often as fn by the loop
+        return np.array([fn(c) for c in points], dtype=float)
+
     for along in (None, SET_ALONG):
         for n in (1, 2, len(SET_POINTS)):
             rows = [None] * n if along is None else along[:n]
             want = np.stack([engine.partials(fn, c, *BOX, along=a)
                              for c, a in zip(SET_POINTS[:n], rows)])
             looped = len(calls)
-            got = engine.stacked_partials(fn, SET_POINTS[:n], *BOX,
-                                          along=None if along is None else along[:n])
-            assert _same(got, want)
-            assert len(calls) == 2 * looped
+            for stack in (None, form):
+                got = engine.stacked_partials(fn, SET_POINTS[:n], *BOX,
+                                              along=None if along is None else along[:n],
+                                              stack=stack)
+                assert _same(got, want)
+            assert len(calls) == 3 * looped
             calls.clear()
 
 
@@ -291,6 +296,8 @@ def test_a_point_set_raises_the_loops_first_stencil_error_before_evaluating():
                                    for c, a in zip(points, rows)])
         calls.clear()
         assert loop_error(lambda: engine.stacked_partials(fn, points, lower, upper, along)) == want
+        assert loop_error(lambda: engine.stacked_partials(
+            fn, points, lower, upper, along, stack=lambda c: calls.append(c))) == want
         assert calls == []
     want = loop_error(lambda: [engine.partial(fn, c, 0, lower, upper) for c in points])
     calls.clear()

@@ -86,10 +86,11 @@ def _without_christoffel_term(direction, dY, y, gamma):
 _STACKED_PARTIALS = DiffEngine.stacked_partials
 
 
-def _set_rolled_by_one_point(engine, fn, coords, lower, upper, along=None):
+def _set_rolled_by_one_point(engine, fn, coords, lower, upper, along=None, stack=None):
     """``DiffEngine.stacked_partials`` with the values of the set rolled by one
-    point along the set axis: each point gets its predecessor's partials."""
-    return np.roll(_STACKED_PARTIALS(engine, fn, coords, lower, upper, along), 1, axis=0)
+    point along the set axis: each point gets its predecessor's partials,
+    on the walk of ``fn`` and on that of a point-set form alike."""
+    return np.roll(_STACKED_PARTIALS(engine, fn, coords, lower, upper, along, stack), 1, axis=0)
 
 
 _LOG_WARP = warped.WarpedProduct.log_warp

@@ -13,8 +13,9 @@ row. The
 other tests cover memo sharing, the stacked kernels' own errors,
 ``splitting_records``', the connection verifiers' and the O'Neill
 verifiers' block residuals, the evaluations of a dilation-survey pass, of a
-connection pass and of an O'Neill pass, and the numpy property the stacked
-kernels rest on."""
+connection pass and of an O'Neill pass, that a stencil walk reads a
+point-set form only when its kernel hands one over, and the numpy property
+the stacked kernels rest on."""
 
 import functools
 import sys
@@ -667,6 +668,131 @@ def _product_cws_fault(fault: str) -> tuple:
             [PRODUCT_POINTS, PRODUCT_POINTS[1:]])
 
 
+# -- walk inputs: stencil walks handed a point-set form, and lifted fields
+
+
+@dataclass(frozen=True)
+class Walk:
+    """The inputs of a stencil walk besides its points: ``fn`` on the chart
+    ``M``, with the point-set form ``stack`` that its kernel hands over,
+    differentiated along ``direction``'s value at each point (every axis
+    when None)."""
+
+    engine: DiffEngine
+    M: ChartManifold
+    fn: Callable
+    stack: Callable
+    direction: object = None
+
+
+def _metric_walk(M: ChartManifold, engine: DiffEngine) -> Walk:
+    """The Christoffel kernel's walk: the unchecked metric, whose form is
+    ``metrics_at``."""
+    return Walk(engine, M, lambda c: M.metric_at(c, check=False),
+                lambda coords: np.array(M.metrics_at(coords)))
+
+
+def _field_walk(M: ChartManifold, engine: DiffEngine, Y: VectorField, X=None) -> Walk:
+    """The covariant-derivative kernel's walk of a lifted field ``Y``, whose
+    form the lift attached, along ``X`` (every axis when None)."""
+    return Walk(engine, M, Y.fn, Y.fn._stack, X)
+
+
+def _walk_set(w: Walk, points: list) -> list:
+    """``stacked_partials`` at ``points`` with ``w``'s form, as a list: an
+    empty set has no value shape to stack."""
+    coords = np.array(points, dtype=float).reshape(len(points), w.M.dim)
+    along = None if w.direction is None else np.array(
+        [w.direction(c) for c in coords]).reshape(coords.shape)
+    return list(w.engine.stacked_partials(w.fn, coords, w.M.lower, w.M.upper, along,
+                                          stack=w.stack))
+
+
+def _walk_one(w: Walk, p) -> np.ndarray:
+    along = None if w.direction is None else w.direction(p)
+    return w.engine.partials(w.fn, p, w.M.lower, w.M.upper, along=along)
+
+
+def _half_idle(points: list) -> VectorField:
+    """A direction that uses no axis at the points whose first coordinate is
+    below the median of ``points``'."""
+    median = float(np.median([p[0] for p in points]))
+    return VectorField(lambda c: np.linspace(1.0, 2.0, len(c)) * float(c[0] >= median))
+
+
+def _walk_inputs(engine: DiffEngine) -> list:
+    """``(walk, points)``: the metric walks of each catalog warped ambient
+    chart (a form of its own) and of its first factor (``metrics_at``'s
+    loop over a plain callable), and walks of its lifted fields along a
+    lifted field, along every axis and along a direction that uses no axis
+    at some points."""
+    out = []
+    for f, points in _warped_inputs(engine):
+        W, M = f.W, f.W.ambient
+        (E1, F1), (E2, F2) = f.pairs1[0], f.pairs2[0]
+        out += [(_metric_walk(M, engine), points),
+                (_metric_walk(W.first, engine), [p[W.block("first")] for p in points]),
+                (_field_walk(M, engine, lift(W, "first", F1), lift(W, "first", E1)), points),
+                (_field_walk(M, engine, lift(W, "second", F2), lift(W, "second", E2)), points),
+                (_field_walk(M, engine, lift(W, "second", F2)), points),
+                (_field_walk(M, engine, lift(W, "first", F1), _half_idle(points)), points)]
+    return out
+
+
+@dataclass(frozen=True)
+class Lifted:
+    """A lifted vector field ``Y`` on the ambient chart ``M``."""
+
+    M: ChartManifold
+    Y: VectorField
+
+
+def _lifted_inputs(engine: DiffEngine) -> list:
+    """``(lifted, points)``: a lift of each factor field of the catalog warped
+    products' first pairs."""
+    return [(Lifted(f.W.ambient, lift(f.W, which, field)), points)
+            for f, points in _warped_inputs(engine)
+            for which, pairs in (("first", f.pairs1), ("second", f.pairs2))
+            for field in pairs[0]]
+
+
+def _raising_factor_field():
+    """A line times a line, and a field of the first line that raises from
+    x = 0.2 on."""
+    line = ChartManifold.euclidean(1, -1.0, 1.0)
+    W = build_warped_product(line, line, ScalarField(lambda c: float(np.exp(c[0] / 4.0))))
+
+    def fn(c):
+        if c[0] >= 0.2:
+            raise ValueError(f"field undefined at {c}")
+        return np.array([1.0 + c[0] ** 2])
+
+    points = [W.ambient.point(c) for c in ([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])]
+    return W, VectorField(fn), points
+
+
+def _lifted_raising() -> tuple:
+    W, field, points = _raising_factor_field()
+    return Lifted(W.ambient, lift(W, "first", field)), [points, points[1:]]
+
+
+def _walk_raising() -> tuple:
+    W, field, points = _raising_factor_field()
+    return _field_walk(W.ambient, ENGINE, lift(W, "first", field)), [points, points[1:]]
+
+
+def _walk_metric_fault(fault: str) -> tuple:
+    """The metric walk of ``_warped_fault``'s ambient chart and its sets."""
+    f, sets = _warped_fault(fault)
+    return _metric_walk(f.W.ambient, ENGINE), sets
+
+
+def _walk_chart_fault(fault: str) -> tuple:
+    """The metric walk of ``_metric_fault``'s chart and its sets."""
+    ctx, sets = _metric_fault(fault)
+    return _metric_walk(ctx.map.source, ENGINE), sets
+
+
 # -- the table
 
 
@@ -925,6 +1051,34 @@ ROWS = {
         lambda t: (2 * len(t.pairs), 2), lambda engine: _product_inputs(engine, _second_pairs),
         _each(_as(_second_pairs, _product_cws_fault), SPLITTING_FAULTS),
         per_point=ONEILL_WALK,
+    ),
+    # a stencil walk handed a point-set form: a set's used stencil points in
+    # one call of the form, in the per-point loop's order; a lone point is
+    # partials' loop over fn. Each failing set raises at a stencil point of
+    # its first bad point, where the loop does. (A walk's StencilError comes
+    # before any evaluation: tests/test_fd.py.)
+    "stacked_partials-with-a-form": Row(
+        _walk_set, _walk_one, _walk_inputs, lambda w: list, (),
+        {"raising-lifted-field": (_walk_raising, (
+            ValueError, "field undefined at [0.30001]")),
+         **_each(_walk_metric_fault, {
+             "metric-shape": (DegenerateMetricError, "metric returned shape (2, 2, 2) at "
+                                                     "[0.30001 0.4    ]"),
+             "nan-warp": (WarpPositivityError, "warp nan is not in (0, inf) at first-factor "
+                                               "point [0.30001 0.4    ]")}),
+         **_each(_walk_chart_fault, {
+             "metric-shape": (DegenerateMetricError, "metric returned shape (3, 3) at "
+                                                     "[0.30001 0.4    ]")})},
+        SCHEMES,
+    ),
+    # a lifted vector field's form: the factor field point by point, written
+    # into the zero-padded rows of one array
+    "lifted-field-form": Row(
+        lambda l, points: l.Y.fn._stack(np.array(points, dtype=float).reshape(len(points),
+                                                                             l.M.dim)),
+        lambda l, p: l.Y(p), _lifted_inputs, lambda l: (l.M.dim,), (),
+        {"raising-factor-field": (_lifted_raising, (
+            ValueError, "field undefined at [0.3]"))},
     ),
     # a failing point's sample is recorded as failed, so no failing set raises
     "_health_rows": _block_pass(
@@ -1878,11 +2032,52 @@ CONNECTION_COUNTS = {
 @pytest.mark.parametrize("scenario", WARPED_SCENARIOS)
 def test_a_connection_pass_evaluates_each_user_callable_as_often_as_single_points(scenario):
     # chart metrics, the warp and the vector fields, at the sample points and
-    # on the FD stencils; every stencil walk evaluates its callable one point
-    # at a time, so no point-set form is read
+    # on the FD stencils; a stencil walk reads only the point-set form its
+    # kernel hands it: the Christoffel kernel's metrics_at, which reads the
+    # warped ambient metric's form (a factor chart's metric has none), and a
+    # lifted field's form, which evaluates its factor field point by point
     counts, stacked = _connection_pass_counts(scenario)
     assert counts == CONNECTION_COUNTS[scenario]
-    assert stacked == set()
+    assert stacked == {"ambient.metric"}
+
+
+def test_the_walk_reads_a_form_only_when_its_kernel_hands_it_over():
+    # the form rides on fn as a builder attaches it; handed to partial,
+    # partials, jacobian, directional or stacked_partials without stack=,
+    # fn is evaluated point by point and the form is never called
+    engine = DiffEngine(scheme="central4")
+    lower, upper = np.full(3, -1.0), np.full(3, 1.0)
+    coords = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6], [-0.7, 0.2, 0.05]])
+    along = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 3.0, 3.0]])
+    seen, forms = [], []
+
+    def one(c):
+        seen.append(c.copy())
+        return np.array([c[0] * c[1], np.sin(c[2])])
+
+    def form(points):
+        forms.append(points.copy())
+        return np.array([one(c) for c in points])
+
+    fn = manifold._with_stack(one, form)
+    engine.partial(fn, coords, 0, lower, upper)
+    engine.partials(fn, coords[0], lower, upper)
+    engine.jacobian(fn, coords, lower, upper)
+    engine.directional(lambda c: float(fn(c)[0]), coords[0], along[0], lower, upper)
+    engine.stacked_partials(fn, coords, lower, upper, along)
+    assert forms == [] and seen
+    # handed over, a set's used stencil points go to the form in one call, in
+    # the per-point loop's order; a lone point is partials' loop over fn
+    seen.clear()
+    want = np.stack([engine.partials(one, c, lower, upper, along=a) for c, a in zip(coords, along)])
+    loop = np.array(seen)
+    seen.clear()
+    got = engine.stacked_partials(fn, coords, lower, upper, along, stack=form)
+    assert got.tobytes() == want.tobytes() and len(forms) == 1
+    assert forms[0].tobytes() == loop.tobytes()
+    forms.clear()
+    engine.stacked_partials(fn, coords[:1], lower, upper, along[:1], stack=form)
+    assert forms == []
 
 
 # -- the evaluations of an O'Neill pass
@@ -1927,7 +2122,10 @@ def _oneill_pass_counts(scenario: str) -> tuple[dict, set]:
 
 
 # evaluations per user callable in one O'Neill pass, measured when the O'Neill
-# suites still walked one point at a time
+# suites still walked one point at a time; since the second-factor identity
+# computes each variant's vertical gradients once per block, not once per
+# field pair, cws-variable-dilation's lambda1, lambda2 and source warp are
+# evaluated 65, 65 and 130 times fewer (585, 910 and 3640 before)
 ONEILL_COUNTS = {
     "warped-line": {
         "field.0": 477, "field.1": 585, "field.2": 401, "field.3": 629,
@@ -1947,9 +2145,9 @@ ONEILL_COUNTS = {
         "objs.ctx.map.fn": 585, "objs.ctx.map.jac": 2145, "objs.ctx.map.source.metric": 3250,
         "objs.ctx.map.target.metric": 455, "objs.cws.ctx1.map.fn": 715,
         "objs.cws.ctx1.map.jac": 2535, "objs.cws.ctx2.map.fn": 585,
-        "objs.cws.ctx2.map.jac": 2405, "objs.cws.lambda1.fn": 585, "objs.cws.lambda2.fn": 910,
+        "objs.cws.ctx2.map.jac": 2405, "objs.cws.lambda1.fn": 520, "objs.cws.lambda2.fn": 845,
         "objs.cws.source.first.metric": 3705, "objs.cws.source.second.metric": 3705,
-        "objs.cws.source.warp.fn": 3640, "objs.cws.target.first.metric": 455,
+        "objs.cws.source.warp.fn": 3510, "objs.cws.target.first.metric": 455,
         "objs.cws.target.second.metric": 455,
     },
 }
