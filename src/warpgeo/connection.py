@@ -11,8 +11,10 @@ one kernel over a point set, on ``DiffEngine.stacked_partials``; a single
 point is a stack of one, which that walk differentiates by ``partials``'
 own loop. The kernels hand the walk the point-set forms they own: the
 Christoffel kernel the chart's ``metrics_at``, the other two a field's form
-when a builder attached one (``manifold._with_stack``, as ``warped.lift``
-does), so a set's stencil points are evaluated in one call. numpy's stacked
+when a builder attached one (``manifold._with_stack``, as the seeded affine
+and trigonometric fields and ``warped.lift`` do), so a set's stencil points
+are evaluated in one call; they read a field's values at the set's points
+through ``VectorField.values_at``, one call of the same form. numpy's stacked
 ``inv``, ``einsum`` and ``matmul`` give each point the bits of its own call,
 so a point's value does not depend on the set it is computed in.
 
@@ -111,8 +113,7 @@ def _covariant_derivatives(M: ChartManifold, engine: DiffEngine, directions: Arr
     which need not be the first failing point's."""
     dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=directions,
                                  stack=_stack(Y))
-    return _covariant_from_partials(directions, dY, np.array([Y(c) for c in coords]),
-                                    np.asarray(gammas))
+    return _covariant_from_partials(directions, dY, Y.values_at(coords), np.asarray(gammas))
 
 
 def lie_bracket(
@@ -126,7 +127,7 @@ def _lie_brackets(M: ChartManifold, engine: DiffEngine, X: VectorField, Y: Vecto
                   coords: Array) -> Array:
     """[X, Y] at each row of the (N, dim) array ``coords``, one stacked walk
     per field; values and errors as ``_covariant_derivatives``'."""
-    x, y = np.array([X(c) for c in coords]), np.array([Y(c) for c in coords])
+    x, y = X.values_at(coords), Y.values_at(coords)
     dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x, stack=_stack(Y))
     dX = engine.stacked_partials(X.fn, coords, M.lower, M.upper, along=y, stack=_stack(X))
     return _along(x, dY) - _along(y, dX)

@@ -123,24 +123,31 @@ class DiffEngine:
 
         return STENCILS[self.scheme][1](at, h)
 
+    def _steps(self, coords: np.ndarray, lower, upper, axes) -> tuple:
+        """The steps of ``partial``'s stencils along each of ``axes`` at each
+        row of the (N, dim) array ``coords`` and the rooms they come from,
+        each of shape (N, len(axes)), equal to its own bit for bit. A
+        stencil whose step is below ``min_step`` or NaN does not fit:
+        ``partial`` raises there (``_require_fit``)."""
+        axes = list(axes)
+        room = _rooms(coords[:, axes], np.asarray(lower, dtype=float)[axes],
+                      np.asarray(upper, dtype=float)[axes])
+        return np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step), room  # keeps a NaN
+
     def _stencils(self, coords: np.ndarray, lower, upper, axes) -> tuple:
         """The stencils of ``partial`` along each of ``axes`` at each row of
         the (N, dim) array ``coords``: their points, shape
         (N, len(axes), S, dim) with the S points of a stencil in call order,
-        their steps and the rooms the steps come from, each of shape
-        (N, len(axes)).
+        and their steps and rooms (``_steps``).
 
         The offsets come from running the scheme's own combine with an
         ``at`` that records them, on the array of steps, and each point is
-        built as in ``partial``, so points and steps equal its own bit for
-        bit. A stencil whose step is below ``min_step`` or NaN does not fit:
-        ``partial`` raises there (``_require_fit``), and its points mean
-        nothing.
+        built as in ``partial``, so points equal its own bit for bit. The
+        points of a stencil that does not fit mean nothing.
         """
         axes = list(axes)
         x = coords[:, axes]
-        room = _rooms(x, np.asarray(lower, dtype=float)[axes], np.asarray(upper, dtype=float)[axes])
-        h = np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step)  # keeps a NaN
+        h, room = self._steps(coords, lower, upper, axes)
         offsets = []
 
         def at(t):
@@ -229,7 +236,7 @@ class DiffEngine:
             return self.partials(fn, coords[0], lower, upper, along=one)[None]
         n, dim = coords.shape
         used = np.ones((n, dim), dtype=bool) if along is None else np.asarray(along) != 0.0
-        _, h, room = self._stencils(coords, lower, upper, range(dim))
+        h, room = self._steps(coords, lower, upper, range(dim))
         self._require_fit(room[used], h[used])
         idle = ~used.any(axis=1)
         shapes = [self.partials(fn, c, lower, upper, along=a).shape[1:]

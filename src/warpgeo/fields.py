@@ -4,13 +4,19 @@ Verification suites never accept arbitrary user closures; they draw vector
 fields from fixed families (coordinate, affine, trigonometric) with
 coefficients generated from a seeded RNG, so residual reports are
 reproducible run to run.
+
+The affine and trigonometric fields carry a point-set form
+(``manifold._with_stack``) that gives every row the bits of the field's own
+call, so ``VectorField.values_at`` and the connection kernels' stencil walks
+evaluate a point set in one call. Coordinate fields are constants and carry
+none.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ChartManifold, VectorField
+from .manifold import ChartManifold, VectorField, _with_stack
 
 
 def _center(M: ChartManifold, fallback: float = 0.0) -> np.ndarray:
@@ -24,7 +30,8 @@ def affine_vector_field(M: ChartManifold, rng: np.random.Generator) -> VectorFie
     a = rng.uniform(-1.0, 1.0, size=M.dim)
     b = rng.uniform(-1.0, 1.0, size=(M.dim, M.dim))
     c = _center(M)
-    return VectorField(lambda x: a + b @ (x - c))
+    return VectorField(_with_stack(lambda x: a + b @ (x - c),
+                                   lambda X: a + (b @ (X - c)[..., None])[..., 0]))
 
 
 def trig_vector_field(M: ChartManifold, rng: np.random.Generator) -> VectorField:
@@ -32,7 +39,8 @@ def trig_vector_field(M: ChartManifold, rng: np.random.Generator) -> VectorField
     a = rng.uniform(-1.0, 1.0, size=M.dim)
     w = rng.uniform(0.3, 1.2, size=(M.dim, M.dim))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=M.dim)
-    return VectorField(lambda x: a * np.sin(w @ x + phase))
+    return VectorField(_with_stack(lambda x: a * np.sin(w @ x + phase),
+                                   lambda X: a * np.sin((w @ X[..., None])[..., 0] + phase)))
 
 
 def vector_field_library(M: ChartManifold, rng: np.random.Generator, n: int) -> list[VectorField]:

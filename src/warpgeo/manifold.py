@@ -141,10 +141,12 @@ def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
 def _with_stack(one, stack):
     """``one``, a callable of one point, carrying ``stack``: a callable of a
     float (N, dim) array of points that returns ``one``'s values there as
-    one float array, bit for bit. ``_stack_of`` reads it, and so do the
-    connection kernels, which hand it to their stencil walks. Builders attach
-    it to the callables they assemble from their parts; a callable put in
-    the place of ``one`` comes without it."""
+    one float array, bit for bit. ``_stack_of`` reads it (for a chart's
+    ``metrics_at`` and ``VectorField.values_at``), and so do the connection
+    kernels, which hand it to their stencil walks. Builders attach it to the
+    callables they assemble from their parts, and the seeded fields of
+    ``fields`` carry one; a callable put in the place of ``one`` comes
+    without it."""
     one._stack = stack
     return one
 
@@ -345,6 +347,16 @@ class VectorField:
 
     def __call__(self, coords) -> Array:
         return np.asarray(self.fn(np.asarray(coords, dtype=float)), dtype=float)
+
+    def values_at(self, coords) -> Array:
+        """``np.array([self(c) for c in coords])`` at the rows of the (N, dim)
+        array ``coords``, bit for bit: one call of the point-set form a
+        builder attached to ``fn`` (``_with_stack``), else ``fn`` point by
+        point. An empty set gives shape (0, dim)."""
+        coords = np.asarray(coords, dtype=float)
+        if not len(coords):
+            return np.zeros(coords.shape)
+        return _stack_of(self.fn)(coords)
 
     @staticmethod
     def constant(components) -> "VectorField":

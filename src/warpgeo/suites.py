@@ -107,16 +107,17 @@ def _health_rows(M: ChartManifold, engine: DiffEngine, fields, coords: Array) ->
     gammas = christoffels(M, engine, coords, G)
 
     def nabla(A, B):
-        a = np.array([A(c) for c in coords])
-        return _covariant_derivatives(M, engine, a, B, coords, gammas)
+        return _covariant_derivatives(M, engine, A.values_at(coords), B, coords, gammas)
 
     dxy, dyx = nabla(X, Y), nabla(Y, X)
     br = _lie_brackets(M, engine, X, Y, coords)
     dxz = nabla(X, Z)
-    lhs = [engine.directional(g_inner_field, p, X(p), M.lower, M.upper) for p in coords]
+    lhs = [engine.directional(g_inner_field, p, x, M.lower, M.upper)
+           for p, x in zip(coords, X.values_at(coords))]
     out = []
-    for p, g, a, b, c, d, left in zip(coords, G, dxy, dyx, br, dxz, lhs):
-        rhs = float(a @ g @ Z(p)) + float(Y(p) @ g @ d)
+    for g, a, b, c, d, left, y, z in zip(G, dxy, dyx, br, dxz, lhs, Y.values_at(coords),
+                                         Z.values_at(coords)):
+        rhs = float(a @ g @ z) + float(y @ g @ d)
         out.append([(np.max(np.abs(a - b - c)), residual_scale(a, b, c)),
                     (abs(left - rhs), 1.0 + max(abs(left), abs(rhs)))])
     return np.array(out, dtype=float)

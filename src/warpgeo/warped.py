@@ -150,8 +150,10 @@ def _warped_metric(g: Array, blocks: tuple, g1: Array, f, g2: Array) -> Array:
 def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField]:
     """Lift a factor ScalarField or VectorField to the ambient chart,
     zero-padding the other factor's block. A lifted VectorField carries a
-    point-set form (``manifold._with_stack``): the factor field evaluated
-    point by point, written into the zero-padded rows of one array."""
+    point-set form (``manifold._with_stack``): the factor field's values at
+    the set's factor coordinates (``VectorField.values_at``, one call of the
+    factor field's own form where it has one), written into the zero-padded
+    rows of one array."""
     block = W.block(origin)
     if isinstance(field, ScalarField):
         partials = None
@@ -161,8 +163,7 @@ def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField
     if isinstance(field, VectorField):
         def rows(coords):
             out = np.zeros((len(coords), W.ambient.dim))
-            for row, c in zip(out, coords):
-                row[block] = field(c[block])
+            out[:, block] = field.values_at(coords[:, block])
             return out
 
         return VectorField(_with_stack(lambda c: W.pad(origin, field(c[block])), rows))
@@ -251,8 +252,7 @@ def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2,
     gammas2 = christoffels(W.second, engine, c2)
 
     def nabla(M, X, Y, coords, gammas):
-        x = np.array([X(c) for c in coords])
-        return _covariant_derivatives(M, engine, x, Y, coords, gammas)
+        return _covariant_derivatives(M, engine, X.values_at(coords), Y, coords, gammas)
 
     rows = [[] for _ in coords]
     for (E1, F1), (E1l, F1l) in zip(pairs1, lifts1):
@@ -263,8 +263,8 @@ def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2,
     for (E1, _), (E1l, _), (E2l, _) in zip(pairs1, lifts1, lifts2):
         lhs_a = nabla(W.ambient, E1l, E2l, coords, gammas)
         lhs_b = nabla(W.ambient, E2l, E1l, coords, gammas)
-        rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), E1(a))) / W.warp(a))
-               * E2l(p) for p, a in zip(coords, c1)]
+        rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), e1)) / W.warp(a)) * e2
+               for a, e1, e2 in zip(c1, E1.values_at(c1), E2l.values_at(coords))]
         _scaled(rows, lambda a, b, r: np.maximum(np.linalg.norm(a - r), np.linalg.norm(b - r)),
                 lhs_a, lhs_b, rhs)
 
@@ -272,7 +272,8 @@ def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2,
     grad_log = gradients(W.ambient, engine, W.log_warp(), coords, G)
     for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
         full = nabla(W.ambient, E2l, F2l, coords, gammas)
-        rhs3 = [-float(E2l(p) @ g @ F2l(p)) * grad for p, g, grad in zip(coords, G, grad_log)]
+        rhs3 = [-float(e @ g @ f) * grad for e, g, f, grad in
+                zip(E2l.values_at(coords), G, F2l.values_at(coords), grad_log)]
         _scaled(rows, lambda a, b: np.linalg.norm(a - b),
                 [W.pad("first", v[first]) for v in full], rhs3)
         rhs4 = nabla(W.second, E2, F2, c2, gammas2)

@@ -740,17 +740,17 @@ def _walk_inputs(engine: DiffEngine) -> list:
 
 
 @dataclass(frozen=True)
-class Lifted:
-    """A lifted vector field ``Y`` on the ambient chart ``M``."""
+class ChartField:
+    """A vector field ``Y`` on the chart ``M``."""
 
     M: ChartManifold
     Y: VectorField
 
 
 def _lifted_inputs(engine: DiffEngine) -> list:
-    """``(lifted, points)``: a lift of each factor field of the catalog warped
-    products' first pairs."""
-    return [(Lifted(f.W.ambient, lift(f.W, which, field)), points)
+    """``(field, points)``: a lift of each factor field of the catalog warped
+    products' first pairs, on the ambient chart."""
+    return [(ChartField(f.W.ambient, lift(f.W, which, field)), points)
             for f, points in _warped_inputs(engine)
             for which, pairs in (("first", f.pairs1), ("second", f.pairs2))
             for field in pairs[0]]
@@ -773,7 +773,24 @@ def _raising_factor_field():
 
 def _lifted_raising() -> tuple:
     W, field, points = _raising_factor_field()
-    return Lifted(W.ambient, lift(W, "first", field)), [points, points[1:]]
+    return ChartField(W.ambient, lift(W, "first", field)), [points, points[1:]]
+
+
+def _field_raising() -> tuple:
+    """The raising field of ``_raising_factor_field`` on its own line."""
+    W, field, points = _raising_factor_field()
+    points = [p[W.block("first")] for p in points]
+    return ChartField(W.first, field), [points, points[1:]]
+
+
+def _field_inputs(engine: DiffEngine) -> list:
+    """``(field, points)`` for ``values_at``: the engine-health fields of each
+    chart of ``_chart_inputs`` (coordinate, affine and trigonometric), a
+    user field with no point-set form on each of those charts, and the
+    lifted fields of ``_lifted_inputs``."""
+    user = VectorField(lambda c: np.cos(c) * c[0])
+    return [(ChartField(f.M, Y), points) for f, points in _chart_inputs(engine)
+            for Y in f.fields + (user,)] + _lifted_inputs(engine)
 
 
 def _walk_raising() -> tuple:
@@ -1079,6 +1096,15 @@ ROWS = {
         lambda l, p: l.Y(p), _lifted_inputs, lambda l: (l.M.dim,), (),
         {"raising-factor-field": (_lifted_raising, (
             ValueError, "field undefined at [0.3]"))},
+    ),
+    # a field's values at a set: one call of the form a builder attached (the
+    # affine, trigonometric and lifted fields'), else the field point by point
+    "values_at": Row(
+        lambda l, points: l.Y.values_at(np.array(points, dtype=float).reshape(len(points),
+                                                                              l.M.dim)),
+        lambda l, p: l.Y(p), _field_inputs, lambda l: (l.M.dim,), (),
+        {"raising-field": (_field_raising, (ValueError, "field undefined at [0.3]")),
+         "raising-lifted-field": (_lifted_raising, (ValueError, "field undefined at [0.3]"))},
     ),
     # a failing point's sample is recorded as failed, so no failing set raises
     "_health_rows": _block_pass(
@@ -1874,6 +1900,11 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                 lambda i: np.einsum("kij,i,j->k", T[i], u[i], v[i]),
             ),
             "(1 x n)(n x n)": (lambda: (u[:, None, :] @ A)[:, 0], lambda i: u[i] @ A[i]),
+            # the affine and trigonometric fields' forms: one shared matrix
+            "shared (n x n)(n x 1)": (
+                lambda: (A[0] @ u[..., None])[..., 0], lambda i: A[0] @ u[i],
+            ),
+            "sin": (lambda: np.sin(u), lambda i: np.sin(u[i])),
         }
         for name, (stacked, single) in cases.items():
             whole = stacked()
@@ -2035,10 +2066,14 @@ def test_a_connection_pass_evaluates_each_user_callable_as_often_as_single_point
     # on the FD stencils; a stencil walk reads only the point-set form its
     # kernel hands it: the Christoffel kernel's metrics_at, which reads the
     # warped ambient metric's form (a factor chart's metric has none), and a
-    # lifted field's form, which evaluates its factor field point by point
+    # field's form, which the kernels also read at the sample points
+    # (values_at): the affine and trigonometric fields' own, and a lifted
+    # field's, which reads its factor field's; coordinate fields have none
     counts, stacked = _connection_pass_counts(scenario)
     assert counts == CONNECTION_COUNTS[scenario]
-    assert stacked == {"ambient.metric"}
+    assert stacked == {"ambient.metric", "health.1", "health.2", "pairs1.0.F", "pairs1.1.E",
+                       "pairs1.2.E", "pairs1.2.F", "pairs2.0.F", "pairs2.1.E", "pairs2.2.E",
+                       "pairs2.2.F"}
 
 
 def test_the_walk_reads_a_form_only_when_its_kernel_hands_it_over():
