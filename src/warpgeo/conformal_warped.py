@@ -14,9 +14,10 @@ from one kernel of a point set's factor data; a point is a set of one),
 cross-check the product's A tensor against the per-factor formulas (both
 denominator conventions; each identity one rows kernel of the O'Neill
 kernels, ``_first_factor_rows`` and ``_second_factor_rows``, handed to the
-block pass ``submersion._add_in_blocks``), and exercise the Riemannian
-reduction and the conformal rescaling that turns the product into a
-Riemannian submersion.
+block pass ``submersion._add_in_blocks``), measure the fibers' mean
+curvatures and mixed T values (``_fiber_rows``, a block pass too), and
+exercise the Riemannian reduction and the conformal rescaling that turns
+the product into a Riemannian submersion.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import ConfigurationError, ConformalityError, WarpPositivityError
 from .fd import DiffEngine
 from .manifold import (
     ChartManifold,
+    PointFields,
     ScalarField,
     VectorField,
     _point_set,
@@ -43,6 +45,7 @@ from .submersion import (
     SmoothMap,
     SubmersionContext,
     _add_in_blocks,
+    _fiber_mean_curvatures,
     _gram_schmidt,
     _horizontal,
     _in_blocks,
@@ -51,8 +54,6 @@ from .submersion import (
     _vertical,
     _vertical_gradients,
     _warm_parts,
-    fiber_mean_curvature,
-    oneill_t,
 )
 from .warped import WarpedProduct, build_warped_product, lift
 
@@ -490,15 +491,25 @@ def verify_rescaled_riemannian(
 def factor_vertical_bases(
     cws: ConformalWarpedSubmersion, coords
 ) -> tuple[Array, Array]:
-    """Lifted, ambient-metric-orthonormal bases of the two vertical blocks at coords."""
+    """Lifted, ambient-metric-orthonormal bases of the two vertical blocks at
+    coords: ``_factor_vertical_bases`` on a stack of one."""
+    v1, v2 = _factor_vertical_bases(cws, np.asarray(coords, dtype=float)[None])
+    return v1[0], v2[0]
+
+
+def _factor_vertical_bases(cws: ConformalWarpedSubmersion, coords: Array) -> tuple[Array, Array]:
+    """The bases of ``factor_vertical_bases`` at each row of the (N, dim)
+    array ``coords``, as two (N, dim, k) stacks: one ``splittings_at`` call
+    per factor, each point's checked ambient metric and one stacked
+    Gram-Schmidt per block."""
     W = cws.source
-    c1, c2 = W.split_coords(coords)
-    s1 = cws.ctx1.splitting_at(c1)
-    s2 = cws.ctx2.splitting_at(c2)
-    g = W.ambient.metric_at(coords)
-    v1 = _gram_schmidt(W.pad("first", s1.vertical), g)
-    v2 = _gram_schmidt(W.pad("second", s2.vertical), g)
-    return v1, v2
+    padded = []
+    for which, ctx in (("first", cws.ctx1), ("second", cws.ctx2)):
+        vertical = np.stack([s.vertical for s in ctx.splittings_at(coords[:, W.block(which)])])
+        padded.append(np.zeros((len(coords), W.ambient.dim, vertical.shape[2])))
+        padded[-1][:, W.block(which)] = vertical
+    g = np.array([W.ambient.metric_at(c) for c in coords])
+    return _gram_schmidt(padded[0], g), _gram_schmidt(padded[1], g)
 
 
 def fiber_geometry_report(
@@ -514,26 +525,19 @@ def fiber_geometry_report(
     second-factor vertical block; each block's mean curvature comes from
     averaging T over an orthonormal basis, and the minimality verdicts are
     compared against the scenario's expectations. T on mixed pairs measures
-    whether the fibers are mixed totally geodesic.
+    whether the fibers are mixed totally geodesic. The samples are one
+    block pass of ``_fiber_rows`` (``_add_in_blocks``), whose residuals,
+    and their order, are those of a point-by-point walk.
     """
     h1_check = ResidualCheck("fiber-minimality-first", tolerance)
     h2_check = ResidualCheck("fiber-minimality-second", tolerance)
     mixed_check = ResidualCheck("mixed-fiber-geodesic", tolerance)
+    # the vertical dimension of every splitting of each factor
+    k1, k2 = (max(c.map.source.dim - c.map.target.dim, 0) for c in (cws.ctx1, cws.ctx2))
     with evaluation_scope():
         _warm_parts(cws.ctx, points, vertical=True)
-        for p in points:
-            v1, v2 = factor_vertical_bases(cws, p)
-            h1 = fiber_mean_curvature(cws.ctx, v1, p)
-            h2 = fiber_mean_curvature(cws.ctx, v2, p)
-            h1_check.add(np.linalg.norm(h1), residual_scale(h1))
-            h2_check.add(np.linalg.norm(h2), residual_scale(h2))
-
-            for a in range(v1.shape[1]):
-                for b in range(v2.shape[1]):
-                    e1 = VectorField.constant(v1[:, a])
-                    e2 = VectorField.constant(v2[:, b])
-                    t_mixed = oneill_t(cws.ctx, e1, e2, p)
-                    mixed_check.add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
+        _add_in_blocks([h1_check, h2_check] + [mixed_check] * (k1 * k2),
+                       partial(_fiber_rows, cws), points)
 
     records = []
     for check, expect in ((h1_check, expect_first_minimal), (h2_check, expect_second_minimal)):
@@ -542,6 +546,27 @@ def fiber_geometry_report(
         records.append(check.record())
     records.append(mixed_check.record())
     return records
+
+
+def _fiber_rows(cws: ConformalWarpedSubmersion, coords: Array) -> Array:
+    """The (residual, scale) of the mean curvature of each vertical block and
+    of T on each mixed pair of basis vectors at each row of the (N, dim)
+    array ``coords``, as an (N, 2 + k1 k2, 2) array: the block's factor
+    vertical bases (``_factor_vertical_bases``), their mean curvatures
+    (``_fiber_mean_curvatures``) and T of each mixed pair's constant
+    extensions (``PointFields``) from one ``_oneills`` call over the set."""
+    v1, v2 = _factor_vertical_bases(cws, coords)
+    h1 = _fiber_mean_curvatures(cws.ctx, v1, coords)
+    h2 = _fiber_mean_curvatures(cws.ctx, v2, coords)
+    rows = [[(np.linalg.norm(a), residual_scale(a)), (np.linalg.norm(b), residual_scale(b))]
+            for a, b in zip(h1, h2)]
+    for a in range(v1.shape[2]):
+        for b in range(v2.shape[2]):
+            t_mixed = _oneills(cws.ctx, _vertical, PointFields.constant(v1[:, :, a]),
+                               PointFields.constant(v2[:, :, b]), coords)
+            for row, t in zip(rows, t_mixed):
+                row.append((np.linalg.norm(t), residual_scale(t)))
+    return np.array(rows, dtype=float)
 
 
 def verify_kernel_product(

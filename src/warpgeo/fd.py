@@ -9,7 +9,11 @@ The partials at a point set are one walk over the set's stencils
 (``_walk``). A function is evaluated one stencil point at a time, except
 that a kernel owning a point-set form of its function may hand it to
 ``stacked_partials`` (``stack=``), which then evaluates every used stencil
-point of a set in one call of the form. The engine never reads a form off
+point of a set in one call of the form. A kernel whose function differs
+from point to point of the set (a field that belongs to one point) hands
+over a form that takes owners (``owned=True``): the walk then also passes
+the row in the set of each stencil point's base point, so that stencil
+points of two base points may coincide. The engine never reads a form off
 the function it is handed, so a wrapper around that function (a tracer's)
 leaves the program as it is.
 """
@@ -162,7 +166,7 @@ class DiffEngine:
         return points, h, room
 
     def _walk(self, fn, coords: np.ndarray, lower, upper, axes, used=None,
-              stack=None) -> np.ndarray:
+              stack=None, owned: bool = False) -> np.ndarray:
         """The partials of ``fn`` along each of ``axes`` at each row of the
         (N, dim) array ``coords``, as an (N, len(axes)) + value-shape array:
         the engine's one walk over a point set's stencils.
@@ -172,18 +176,27 @@ class DiffEngine:
         is evaluated once per used stencil point, in the order of the loop
         of ``partial`` calls over points and then axes, or, when given,
         ``stack``, a point-set form of ``fn``, once on all of them in that
-        order. The values are combined by the scheme's own combine with the
-        array of their stencils' steps, so each partial equals ``partial``'s
-        at its point bit for bit. Raises the StencilError of that loop's
-        first failing used stencil, before any evaluation.
+        order. With ``owned``, the form is called as ``stack(points,
+        owners)``: ``owners[k]``, the row in ``coords`` of the base point of
+        the k-th used stencil point, is built for such a form only. The
+        values are combined by the scheme's own combine with the array of
+        their stencils' steps, so each partial equals ``partial``'s at its
+        point bit for bit. Raises the StencilError of that loop's first
+        failing used stencil, before any evaluation.
         """
         points, h, room = self._stencils(coords, lower, upper, axes)
+        owners = (np.broadcast_to(np.arange(len(coords))[:, None, None], points.shape[:-1])
+                  if owned else None)
         if used is not None:
             points, h, room = points[used], h[used], room[used]
+            owners = None if owners is None else owners[used]
         self._require_fit(room, h)
         flat = points.reshape(-1, coords.shape[1])
-        values = (np.array([fn(p) for p in flat], dtype=float) if stack is None
-                  else np.asarray(stack(flat), dtype=float))
+        if stack is None:
+            values = np.array([fn(p) for p in flat], dtype=float)
+        else:
+            values = np.asarray(stack(flat) if owners is None else stack(flat, owners.reshape(-1)),
+                                dtype=float)
         values = values.reshape(points.shape[:-1] + values.shape[1:])
         calls = iter(range(points.shape[-2]))
         lead = (slice(None),) * h.ndim
@@ -214,7 +227,8 @@ class DiffEngine:
         points, h, _ = self._stencils(coords, lower, upper, axes)
         return points[h >= self.min_step].reshape(-1, coords.shape[1])
 
-    def stacked_partials(self, fn, coords, lower, upper, along=None, stack=None) -> np.ndarray:
+    def stacked_partials(self, fn, coords, lower, upper, along=None, stack=None,
+                         owned: bool = False) -> np.ndarray:
         """``np.stack([self.partials(fn, c, lower, upper, along=a) for c, a in
         zip(coords, along)])`` for the rows c of the (N, dim) array ``coords``
         and a of the (N, dim) array ``along`` (every axis when None), bit for
@@ -224,6 +238,11 @@ class DiffEngine:
         the set that evaluates ``stack`` once. The form is never read off
         ``fn``.
 
+        With ``owned``, each row has its own function, a field that belongs
+        to its point: ``fn(c, n)`` is row n's at the coordinates c, in the
+        place of ``fn`` in the loop above, and the walk hands ``stack`` the
+        owners of the stencil points (``_walk``), which it then requires.
+
         A lone point is that loop, which evaluates ``fn``. For a set of two
         or more, each used stencil is evaluated once, and the StencilError
         of the loop's first failing stencil is raised before any evaluation;
@@ -231,18 +250,19 @@ class DiffEngine:
         evaluates ``fn`` once, at the point, for the value's shape.
         """
         coords = np.asarray(coords, dtype=float)
+        row = (lambda n: lambda c: fn(c, n)) if owned else (lambda n: fn)
         if len(coords) == 1:
             one = None if along is None else along[0]
-            return self.partials(fn, coords[0], lower, upper, along=one)[None]
+            return self.partials(row(0), coords[0], lower, upper, along=one)[None]
         n, dim = coords.shape
         used = np.ones((n, dim), dtype=bool) if along is None else np.asarray(along) != 0.0
         h, room = self._steps(coords, lower, upper, range(dim))
         self._require_fit(room[used], h[used])
-        idle = ~used.any(axis=1)
-        shapes = [self.partials(fn, c, lower, upper, along=a).shape[1:]
-                  for c, a in zip(coords[idle], np.asarray(along)[idle])] if idle.any() else []
-        if stack is not None and not idle.all():
-            return self._walk(fn, coords, lower, upper, range(dim), used, stack)
+        idle = np.flatnonzero(~used.any(axis=1))
+        shapes = [self.partials(row(k), coords[k], lower, upper, along=along[k]).shape[1:]
+                  for k in idle]
+        if stack is not None and len(idle) < n:
+            return self._walk(fn, coords, lower, upper, range(dim), used, stack, owned)
         out = None
         for i in np.flatnonzero(used.any(axis=0)):
             rows = slice(None) if along is None else used[:, i]

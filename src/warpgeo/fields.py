@@ -9,14 +9,15 @@ The affine and trigonometric fields carry a point-set form
 (``manifold._with_stack``) that gives every row the bits of the field's own
 call, so ``VectorField.values_at`` and the connection kernels' stencil walks
 evaluate a point set in one call. Coordinate fields are constants and carry
-none.
+none. ``modulated_constants`` is ``modulated`` of each point's own constant
+field at once (``manifold.PointFields``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ChartManifold, VectorField, _with_stack
+from .manifold import ChartManifold, PointFields, VectorField, _with_stack
 
 
 def _center(M: ChartManifold, fallback: float = 0.0) -> np.ndarray:
@@ -77,3 +78,15 @@ def modulated(field: VectorField, axis: int, anchor: np.ndarray, slope: float = 
         return (1.0 + slope * (x[axis] - anchor[axis])) * field(x)
 
     return VectorField(fn)
+
+
+def modulated_constants(vectors, axis: int, anchors, slope: float = 0.7) -> PointFields:
+    """Row n: ``modulated(VectorField.constant(vectors[n]), axis, anchors[n],
+    slope)``, bit for bit, as fields of the points ``anchors``, whose form
+    rescales the rows of one array."""
+    V, anchors = np.asarray(vectors, dtype=float), np.asarray(anchors, dtype=float)
+
+    def stack(X, owners):
+        return (1.0 + slope * (X[:, axis] - anchors[owners, axis]))[:, None] * V[owners]
+
+    return PointFields(lambda x, n: (1.0 + slope * (x[axis] - anchors[n, axis])) * V[n], stack)

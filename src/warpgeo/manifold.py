@@ -370,6 +370,44 @@ class VectorField:
         return VectorField(lambda c: comps)
 
 
+@dataclass(frozen=True)
+class PointFields:
+    """A vector field for each row of a point set, which belongs to that
+    row's point, as the extensions of vectors given at the points do.
+
+    ``fn(c, n)`` is row n's field at the coordinates c. ``stack(points,
+    owners)`` is the field of row ``owners[k]`` at each row k of the (K,
+    dim) array ``points``, as one float array, each row with the bits of
+    ``fn``'s call: a form that takes owners, which a kernel hands to
+    ``DiffEngine.stacked_partials`` (``owned=True``)."""
+
+    fn: Callable[[Array, int], Array]
+    stack: Callable[[Array, Array], Array]
+
+    def __call__(self, coords, n: int) -> Array:
+        return np.asarray(self.fn(np.asarray(coords, dtype=float), n), dtype=float)
+
+    def field(self, n: int) -> VectorField:
+        """Row n's field alone, without a point-set form."""
+        return VectorField(lambda c: self.fn(c, n))
+
+    def values_at(self, coords, owners=None) -> Array:
+        """``np.array([self(c, n) for c, n in zip(coords, owners)])`` at the
+        rows of the (N, dim) array ``coords``, bit for bit, in one call of
+        the form; each row's own field at its own point when ``owners`` is
+        None. An empty set gives shape (0, dim)."""
+        coords = np.asarray(coords, dtype=float)
+        if not len(coords):
+            return np.zeros(coords.shape)
+        return self.stack(coords, np.arange(len(coords)) if owners is None else owners)
+
+    @staticmethod
+    def constant(vectors) -> "PointFields":
+        """Row n: ``VectorField.constant(vectors[n])``."""
+        V = np.asarray(vectors, dtype=float)
+        return PointFields(lambda c, n: V[n], lambda points, owners: V[owners])
+
+
 def metric_inner(M: ChartManifold, coords, u, v) -> float:
     """g(u, v) = u^T g(coords) v for component vectors u and v."""
     u, v = _as_vector(u, M.dim), _as_vector(v, M.dim)

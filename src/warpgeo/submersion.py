@@ -11,17 +11,20 @@ metric. The O'Neill tensors evaluate
 literally: VF and HF are genuine fields whose projections are recomputed at
 every stencil point. Both are differentiated in one stencil pass over the
 stacked field [VF, HF], so F and its splitting are evaluated once per
-stencil point. The O'Neill tensors have one kernel over a point set, for
-fields fixed across the set (``_oneills``): the base-point splittings and
-Christoffel symbols of the set come from one ``splittings_at`` and one
-``christoffels`` call, the fields are differentiated by one stacked walk
-(``DiffEngine.stacked_partials``) and contracted and projected as stacks.
-The walk evaluates the field one stencil point at a time, each split with
-its own splitting, so a field that belongs to one point (a constant
-extension of that point's vector) cannot share it: such a tensor is a
-stack of one. ``oneill_a`` and ``oneill_t`` are the kernel on a stack of
-one, and so are ``conformal_a_formula`` and ``vertical_gradient`` of
-their point-set kernels (``_conformal_a_formulas``,
+stencil point. The O'Neill tensors have one kernel over a point set
+(``_oneills``): the base-point splittings and Christoffel symbols of the
+set come from one ``splittings_at`` and one ``christoffels`` call, and the
+fields are differentiated by one stacked walk
+(``DiffEngine.stacked_partials``), to which the kernel hands the point-set
+form of its split: one ``splittings_at`` and one ``values_at`` call on the
+walk's stencil points. The fields are fixed across the set, or belong to
+its points (``manifold.PointFields``, such as the constant extensions of
+each point's own vectors); then the walk also hands the form the owner of
+each stencil point. The projected fields ``vertical_field`` and
+``horizontal_field`` carry forms too. ``oneill_a`` and ``oneill_t`` are the
+kernel on a stack of one, and so are ``fiber_mean_curvature``,
+``conformal_a_formula`` and ``vertical_gradient`` of their point-set
+kernels (``_fiber_mean_curvatures``, ``_conformal_a_formulas``,
 ``_vertical_gradients``, on ``manifold.gradients``).
 
 Splittings and dilations have one kernel each, which runs each LAPACK and
@@ -63,7 +66,8 @@ one (``run_scenario``'s), so a suite called on its own takes the same
 cached path. Before an O'Neill suite walks its sample points,
 ``warm_stencils`` stores the splittings (or dilations) at all their
 stencil points, along the axes the suite's directions use, through the
-point-set calls; the O'Neill tensors then find them in the memo.
+point-set calls; the O'Neill kernels' split forms then find them in the
+memo.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ from .fd import DiffEngine
 from .manifold import (
     _MEMO,
     ChartManifold,
+    PointFields,
     ScalarField,
     VectorField,
     _as_vector,
@@ -94,6 +99,7 @@ from .manifold import (
     _point_set,
     _positive_definite,
     _stack_of,
+    _with_stack,
     analytic_fd_gap,
     evaluation_scope,
     gradients,
@@ -415,15 +421,41 @@ class SubmersionContext:
     def __call__(self, coords) -> Array:
         return self.map(coords)
 
-    def vertical_field(self, F: VectorField) -> VectorField:
-        return VectorField(lambda c: self.splitting_at(c).vertical_part(F(c)))
+    def vertical_field(self, F):
+        """VF, the vertical part of F at every point (``_projected``)."""
+        return _projected(self, F, vertical=True)
 
-    def horizontal_field(self, F: VectorField) -> VectorField:
-        return VectorField(lambda c: self.splitting_at(c).horizontal_part(F(c)))
+    def horizontal_field(self, F):
+        """HF, the horizontal part of F at every point (``_projected``)."""
+        return _projected(self, F, vertical=False)
 
     def lambda_sq_field(self) -> ScalarField:
         source = self.map.source
         return ScalarField(lambda c: self.dilation(source.point(c)).lambda_sq)
+
+
+def _projected(ctx: SubmersionContext, F, vertical: bool):
+    """The vertical (else horizontal) part of F at every point, projected with
+    the splitting there: of a VectorField a VectorField whose point-set form
+    (``manifold._with_stack``) reads the set's splittings (``_projectors``)
+    and then F's values (``values_at``) in one call each, and of
+    PointFields PointFields whose form does so at the points and owners it
+    is handed. Each value has the bits of the single-point projection,
+    which also reads the splitting first."""
+    part = _vertical if vertical else _horizontal
+
+    def one(c, *row):
+        s = ctx.splitting_at(c)
+        f = F(c, *row)
+        return s.vertical_part(f) if vertical else s.horizontal_part(f)
+
+    def rows(points, *owners):
+        P = _projectors(ctx, points)
+        return part(P, F.values_at(points, *owners))
+
+    if isinstance(F, PointFields):
+        return PointFields(one, rows)
+    return VectorField(_with_stack(one, rows))
 
 
 def _part_axes(splittings, vertical: bool, columns=None) -> list[int]:
@@ -472,44 +504,68 @@ def _projectors(ctx: SubmersionContext, coords) -> Array:
 def _oneills(
     ctx: SubmersionContext,
     part: Callable[[Array, Array], Array],
-    E: VectorField,
-    F: VectorField,
+    E,
+    F,
     coords_seq,
 ) -> Array:
     """H nabla_D (VF) + V nabla_D (HF) with D = part(P, E) at each point of
-    ``coords_seq``, for fields E and F fixed across the set, as an (N, dim)
-    array (``_oneill_kernel``); ``part`` is ``_vertical`` or ``_horizontal``.
-    A set that raises is redone point by point (``_point_set``), so the
-    first failing point raises its own error."""
+    ``coords_seq``, as an (N, dim) array (``_oneill_kernel``); ``part`` is
+    ``_vertical`` or ``_horizontal``. E and F are each a VectorField fixed
+    across the set or PointFields, one field per point. A set that raises
+    is redone point by point (``_point_set``), each point with its own
+    fields, ``oneill_a`` or ``oneill_t`` on a stack of one, so the first
+    failing point raises its own error."""
+    rows = iter(range(len(coords_seq)))  # _point_set redoes each point once, in order
+
+    def one(c):
+        n = next(rows)
+        return _oneill_kernel(ctx, part, _row(E, n), _row(F, n), c[None])[0]
+
     return _point_set(lambda coords: _oneill_kernel(ctx, part, E, F, coords), coords_seq,
-                      (ctx.map.source.dim,))
+                      (ctx.map.source.dim,), one)
 
 
-def _oneill_kernel(ctx: SubmersionContext, part, E: VectorField, F: VectorField,
-                   coords: Array) -> Array:
+def _row(field, n: int) -> VectorField:
+    """Row n's field of PointFields; a VectorField is every row's."""
+    return field.field(n) if isinstance(field, PointFields) else field
+
+
+def _oneill_kernel(ctx: SubmersionContext, part, E, F, coords: Array) -> Array:
     """``_oneills`` at the rows of the (N, dim) array ``coords``.
 
     The base-point splittings come from one ``splittings_at`` call and the
     Christoffel symbols from one ``christoffels`` call. VF and HF are
     differentiated in one stacked walk over c -> [VF(c), HF(c)] along the
-    directions; the walk evaluates that function one stencil point at a
-    time, each split with its own splitting. The stencils act elementwise
-    and numpy's stacked products give each point the bits of its own call,
-    so each value equals that of a stack of one; a set that fails raises
-    the walk's first error, which need not be the first failing point's.
+    directions, to which the kernel hands that function's point-set form:
+    one ``_projectors`` call and one ``values_at`` call of F on the walk's
+    stencil points, with, for PointFields, the owner of each stencil point
+    (``DiffEngine.stacked_partials(..., owned=True)``), since the stencil
+    points of two base points may coincide. A lone point is the walk's loop,
+    which splits F at each stencil point with that point's own splitting.
+    The stencils act elementwise and numpy's stacked products give each
+    point the bits of its own call, so each value equals that of a stack of
+    one; a set that fails raises the walk's first error, which need not be
+    the first failing point's.
     """
     M, engine = ctx.map.source, ctx.engine
+    owned = isinstance(F, PointFields)
 
-    def split(c):
-        f = F(c)
+    def split(c, *row):
+        f = F(c, *row)
         v = ctx.splitting_at(c).vertical_part(f)
         return np.array((v, f - v))
 
+    def splits(points, *owners):
+        f = F.values_at(points, *owners)
+        v = _vertical(_projectors(ctx, points), f)
+        return np.stack((v, f - v), axis=1)
+
     P = _projectors(ctx, coords)
-    directions = part(P, np.array([E(c) for c in coords]))
+    directions = part(P, E.values_at(coords))
     gammas = np.array(christoffels(M, engine, coords))
-    d = engine.stacked_partials(split, coords, M.lower, M.upper, along=directions)
-    f = np.array([F(c) for c in coords])
+    d = engine.stacked_partials(split, coords, M.lower, M.upper, along=directions, stack=splits,
+                                owned=owned)
+    f = F.values_at(coords)
     v = _vertical(P, f)
     # contiguous slices, so each product is the same call as for a lone field
     d_vert = _covariant_from_partials(directions, np.ascontiguousarray(d[:, :, 0]), v, gammas)
@@ -530,16 +586,25 @@ def oneill_t(ctx: SubmersionContext, E: VectorField, F: VectorField, coords) -> 
     return _oneill_kernel(ctx, _vertical, E, F, np.asarray(coords, dtype=float)[None])[0]
 
 
+def _fiber_mean_curvatures(ctx: SubmersionContext, bases: Array, coords_seq) -> Array:
+    """``fiber_mean_curvature`` at each point of ``coords_seq``, of the basis
+    of the same entry of the (N, dim, k) array ``bases``, as an (N, dim)
+    array: one ``_oneills`` call per column, on the constant extensions of
+    each point's own column (``PointFields``). The columns share one
+    evaluation scope."""
+    with evaluation_scope():
+        acc = np.zeros(bases.shape[:2])
+        for k in range(bases.shape[2]):
+            u = PointFields.constant(bases[:, :, k])
+            acc += _oneills(ctx, _vertical, u, u, coords_seq)
+        return acc / max(bases.shape[2], 1)
+
+
 def fiber_mean_curvature(ctx: SubmersionContext, basis: Array, coords) -> Array:
     """Mean curvature at coords of the fibers spanned by the columns of basis:
     T_u u averaged over the g-orthonormal columns u (zero for no columns).
-    The columns share one evaluation scope."""
-    with evaluation_scope():
-        acc = np.zeros(basis.shape[0])
-        for column in basis.T:
-            u = VectorField.constant(column)
-            acc += oneill_t(ctx, u, u, coords)
-        return acc / max(basis.shape[1], 1)
+    ``_fiber_mean_curvatures`` on a stack of one."""
+    return _fiber_mean_curvatures(ctx, np.asarray(basis, dtype=float)[None], [coords])[0]
 
 
 def _vertical_gradients(ctx: SubmersionContext, phi: ScalarField, coords) -> Array:
@@ -581,7 +646,7 @@ def _conformal_a_formulas(ctx: SubmersionContext, X: VectorField, Y: VectorField
         splittings = ctx.splittings_at(coords)
         v_bracket = _vertical(np.stack([s.projector_v for s in splittings]), bracket)
         grad_v = _vertical_gradients(ctx, inv_lambda_sq, coords)
-        x, y = np.array([Xh(c) for c in coords]), np.array([Yh(c) for c in coords])
+        x, y = Xh.values_at(coords), Yh.values_at(coords)
         inner = _inner(x, np.stack([s.metric for s in splittings]), y)
         lambda_sq = np.array([d.lambda_sq for d in dilations])[:, None]
         return 0.5 * (v_bracket - lambda_sq * inner * grad_v)

@@ -7,12 +7,14 @@ on; the other suites let the error propagate, and ``run_scenario`` turns it
 into a failed report for the whole scenario.
 
 The O'Neill suites open their own evaluation scope, which shares
-``run_scenario``'s when nested. ``a_crossval_records`` and
-``engine_health_records`` are each one rows kernel (``_crossval_rows``,
-``_health_rows``) handed to the block pass ``submersion._add_in_blocks``.
-The crossval kernel computes A and the formula of its fixed field pairs
-over the block, with the extensions of a point's own vectors as
-single-point calls inside it. ``engine_health_records`` opens no scope:
+``run_scenario``'s when nested. ``a_crossval_records``,
+``t_umbilicity_records`` and ``engine_health_records`` are each one rows
+kernel (``_crossval_rows``, ``_umbilicity_rows``, ``_health_rows``) handed
+to the block pass ``submersion._add_in_blocks``. The O'Neill kernels
+compute A or T over the block, on fixed field pairs and on the fields that
+belong to each point (``manifold.PointFields``): the extensions of a
+point's own vectors, and its vertical basis vectors, with one set call per
+field pair and block. ``engine_health_records`` opens no scope:
 its kernel hands the block's checked metrics to one ``christoffels`` call
 and its Christoffel symbols to the point-set covariant derivatives.
 """
@@ -27,9 +29,10 @@ import numpy as np
 from .connection import _covariant_derivatives, _lie_brackets, christoffels
 from .errors import ConfigurationError, GeometryError
 from .fd import DiffEngine
-from .fields import field_pairs, modulated, vector_field_library
+from .fields import field_pairs, modulated_constants, vector_field_library
 from .manifold import (
     ChartManifold,
+    PointFields,
     ScalarField,
     VectorField,
     check_scalar_field,
@@ -41,15 +44,14 @@ from .submersion import (
     _add_in_blocks,
     _blocks,
     _conformal_a_formulas,
+    _fiber_mean_curvatures,
     _gram_schmidt,
     _horizontal,
     _in_blocks,
     _inner,
     _oneills,
+    _vertical,
     _warm_parts,
-    fiber_mean_curvature,
-    oneill_a,
-    oneill_t,
 )
 
 Array = np.ndarray
@@ -229,25 +231,25 @@ def _crossval_rows(ctx: SubmersionContext, pairs, coords: Array) -> Array:
     """The (residual, scale) of the three samples of ``a_crossval_records``
     per pair at each row of the (N, dim) array ``coords``, as an
     (N, 3 * pairs, 2) array: A and the formula of each fixed pair from one
-    ``_oneills`` and one ``_conformal_a_formulas`` call over the set; the
-    extensions of a point's own vectors are fields of that point, so each
-    is a stack of one."""
+    ``_oneills`` and one ``_conformal_a_formulas`` call over the set, and A
+    of each extension of the points' own vectors, fields of their points
+    (``PointFields``), from one ``_oneills`` call over the set."""
     M = ctx.map.source
     rows = [[] for _ in coords]
     for X, Y in pairs:
         a_direct = _oneills(ctx, _horizontal, X, Y, coords)
         a_formula = _conformal_a_formulas(ctx, X, Y, coords)
-        for row, p, direct, formula in zip(rows, coords, a_direct, a_formula):
-            # same horizontal vectors at p, different extensions
-            x_const = ctx.horizontal_field(VectorField.constant(X(p)))
-            y_const = ctx.horizontal_field(VectorField.constant(Y(p)))
-            x_mod = ctx.horizontal_field(modulated(VectorField.constant(X(p)), 0, p))
-            y_mod = ctx.horizontal_field(modulated(VectorField.constant(Y(p)), M.dim - 1, p))
-            a_ext1 = oneill_a(ctx, x_const, y_const, p)
-            a_ext2 = oneill_a(ctx, x_mod, y_mod, p)
+        # same horizontal vectors at each point, different extensions
+        x_const = ctx.horizontal_field(PointFields.constant(X.values_at(coords)))
+        y_const = ctx.horizontal_field(PointFields.constant(Y.values_at(coords)))
+        x_mod = ctx.horizontal_field(modulated_constants(X.values_at(coords), 0, coords))
+        y_mod = ctx.horizontal_field(modulated_constants(Y.values_at(coords), M.dim - 1, coords))
+        a_ext1 = _oneills(ctx, _horizontal, x_const, y_const, coords)
+        a_ext2 = _oneills(ctx, _horizontal, x_mod, y_mod, coords)
+        for row, direct, formula, ext1, ext2 in zip(rows, a_direct, a_formula, a_ext1, a_ext2):
             row += [(np.linalg.norm(direct - formula), residual_scale(direct, formula)),
-                    (np.linalg.norm(a_ext1 - a_ext2), residual_scale(a_ext1, a_ext2)),
-                    (np.linalg.norm(a_ext1 - direct), residual_scale(a_ext1, direct))]
+                    (np.linalg.norm(ext1 - ext2), residual_scale(ext1, ext2)),
+                    (np.linalg.norm(ext1 - direct), residual_scale(ext1, direct))]
     return np.array(rows, dtype=float)
 
 
@@ -258,27 +260,53 @@ def t_umbilicity_records(
     tolerance: float = TOLERANCES["t-umbilical"],
 ) -> CheckRecord:
     """T restricted to vertical pairs is g(U, W) H with H the fiber mean
-    curvature obtained by tracing T over an orthonormal vertical basis."""
+    curvature obtained by tracing T over an orthonormal vertical basis.
+
+    Each point draws two pairs of coefficient vectors U, W, from one
+    ``rng.uniform`` call for all points: the same stream as the draws of a
+    point-by-point walk, point after point. The samples are one block pass
+    of ``_umbilicity_rows`` (``_add_in_blocks``) over the points with their
+    draws, whose residuals, and their order, are that walk's; a point whose
+    fibers are points adds one zero sample and draws nothing."""
     check = ResidualCheck("t-umbilical", tolerance)
+    nv = ctx.map.source.dim - ctx.map.target.dim  # the vertical dimension of every splitting
+    draws = rng.uniform(-1.0, 1.0, size=(len(points), 4 * max(nv, 0)))
     with evaluation_scope():
         _warm_parts(ctx, points, vertical=True)
-        for p in points:
-            s = ctx.splitting_at(p)
-            nv = s.vertical.shape[1]
-            if nv == 0:
-                check.add(0.0)
-                continue
-            # ambient-metric-orthonormal vertical basis
-            basis = _gram_schmidt(s.vertical, s.metric)
-            mean = fiber_mean_curvature(ctx, basis, p)
-
-            for _ in range(2):
-                cu = basis @ rng.uniform(-1.0, 1.0, size=nv)
-                cw = basis @ rng.uniform(-1.0, 1.0, size=nv)
-                t_val = oneill_t(ctx, VectorField.constant(cu), VectorField.constant(cw), p)
-                expected = float(cu @ s.metric @ cw) * mean
-                check.add(np.linalg.norm(t_val - expected), residual_scale(t_val, expected))
+        samples = np.hstack([np.reshape(points, (len(points), ctx.map.source.dim)), draws])
+        _add_in_blocks([check] * (2 if nv > 0 else 1), partial(_umbilicity_rows, ctx), samples)
     return check.record()
+
+
+def _umbilicity_rows(ctx: SubmersionContext, samples: Array) -> Array:
+    """The (residual, scale) of the two samples of ``t_umbilicity_records`` at
+    each row of ``samples``, a point's coordinates followed by its draws
+    (U, W, U, W), as an (N, 2, 2) array, or a zero sample per point when the
+    fibers are points: the block's vertical bases, their mean curvatures
+    (``_fiber_mean_curvatures``), and T of each pair's constant extensions
+    (``PointFields``) from one ``_oneills`` call over the set."""
+    dim = ctx.map.source.dim
+    nv = (samples.shape[1] - dim) // 4
+    coords = np.ascontiguousarray(samples[:, :dim])
+    splittings = ctx.splittings_at(coords)
+    if nv == 0:
+        return np.tile([[[0.0, 1.0]]], (len(coords), 1, 1))
+    G = np.stack([s.metric for s in splittings])
+    # ambient-metric-orthonormal vertical bases
+    bases = _gram_schmidt(np.stack([s.vertical for s in splittings]), G)
+    mean = _fiber_mean_curvatures(ctx, bases, coords)
+    draws = samples[:, dim:].reshape(len(coords), 4, nv)
+    rows = [[] for _ in coords]
+    for k in (0, 2):
+        # contiguous draws, as each point's own draw is, for the stacked product
+        cu = (bases @ np.ascontiguousarray(draws[:, k])[:, :, None])[:, :, 0]
+        cw = (bases @ np.ascontiguousarray(draws[:, k + 1])[:, :, None])[:, :, 0]
+        t_val = _oneills(ctx, _vertical, PointFields.constant(cu), PointFields.constant(cw),
+                         coords)
+        expected = _inner(cu, G, cw) * mean
+        for row, t, e in zip(rows, t_val, expected):
+            row.append((np.linalg.norm(t - e), residual_scale(t, e)))
+    return np.array(rows, dtype=float)
 
 
 def fd_consistency_record(

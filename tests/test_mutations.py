@@ -29,7 +29,7 @@ from warpgeo import (
     suites,
     warped,
 )
-from warpgeo.fields import field_pairs
+from warpgeo.fields import field_pairs, modulated_constants
 from warpgeo.scenarios import build_objects, list_scenarios, run_scenario
 
 pytestmark = pytest.mark.mutation
@@ -58,13 +58,15 @@ _ONEILL_KERNEL = submersion._oneill_kernel
 def _frozen_projections(ctx, part, E, F, coords):
     """``submersion._oneill_kernel`` whose fields VF and HF are split, at
     every stencil point of a point, with the splitting of that point: each
-    point is a stack of one under a context whose every splitting is its own."""
+    point is a stack of one, with its own row's fields where they belong to
+    the points, under a context whose every splitting is its own."""
     out = []
-    for c in coords:
+    for n, c in enumerate(coords):
         s = ctx.splitting_at(c)
         frozen = SimpleNamespace(map=ctx.map, engine=ctx.engine, splitting_at=lambda _: s,
                                  splittings_at=lambda points: [s] * len(points))
-        out.append(_ONEILL_KERNEL(frozen, part, E, F, c[None])[0])
+        out.append(_ONEILL_KERNEL(frozen, part, submersion._row(E, n), submersion._row(F, n),
+                                  c[None])[0])
     return np.array(out).reshape(len(coords), ctx.map.source.dim)
 
 
@@ -86,11 +88,27 @@ def _without_christoffel_term(direction, dY, y, gamma):
 _STACKED_PARTIALS = DiffEngine.stacked_partials
 
 
-def _set_rolled_by_one_point(engine, fn, coords, lower, upper, along=None, stack=None):
+def _set_rolled_by_one_point(engine, fn, coords, lower, upper, along=None, stack=None,
+                             owned=False):
     """``DiffEngine.stacked_partials`` with the values of the set rolled by one
     point along the set axis: each point gets its predecessor's partials,
     on the walk of ``fn`` and on that of a point-set form alike."""
-    return np.roll(_STACKED_PARTIALS(engine, fn, coords, lower, upper, along, stack), 1, axis=0)
+    return np.roll(_STACKED_PARTIALS(engine, fn, coords, lower, upper, along, stack, owned), 1,
+                   axis=0)
+
+
+_WALK = DiffEngine._walk
+
+
+def _owners_rolled_by_one_point(engine, fn, coords, lower, upper, axes, used=None, stack=None,
+                                owned=False):
+    """``DiffEngine._walk`` that hands a form that takes owners the row of the
+    point before each stencil point's own base point in the set: each
+    point's stencil points are evaluated with its predecessor's field."""
+    if owned:
+        form, n = stack, len(coords)
+        stack = lambda points, owners: form(points, (owners - 1) % n)  # noqa: E731
+    return _WALK(engine, fn, coords, lower, upper, axes, used, stack, owned)
 
 
 _LOG_WARP = warped.WarpedProduct.log_warp
@@ -221,6 +239,17 @@ MUTANTS = {
         (submersion,), "_projectors", _projectors_rolled_by_one_point,
         ("cws-variable-dilation",), ("heisenberg",),
     ),
+    # the set walk of fields that belong to their points (the extensions of
+    # a_crossval_records, the umbilicity and fiber suites' basis fields): a
+    # weak spot, since only cws-variable-dilation of the scenarios catches
+    # it; elsewhere the projector of each scenario is the same at every
+    # point, or, along the vertical directions T takes, the same along them,
+    # so a field's projected derivative does not depend on whose vector it
+    # extends
+    "walk-owners-rolled-by-one-point": (
+        (DiffEngine,), "_walk", _owners_rolled_by_one_point, ("cws-variable-dilation",),
+        ("heisenberg",),
+    ),
 }
 
 
@@ -228,7 +257,8 @@ def _paths(name: str) -> list:
     """The single-point value of the mutated structure at a point of
     ``cws-variable-dilation``'s product, and its value in a point set of two,
     for the defects in a structure with a point-set path; for a rolled set,
-    which a single point never takes, the value in a set of two."""
+    which a single point never takes, the value in a set of two (of fields
+    that belong to the points, for rolled owners)."""
     ctx = build_objects("cws-variable-dilation", DiffEngine())["cws"].ctx
     M = ctx.map.source
     p, q = (M.point(M.lower + t * (M.upper - M.lower)) for t in (0.3, 0.6))
@@ -246,6 +276,11 @@ def _paths(name: str) -> list:
                 submersion._oneills(ctx, submersion._horizontal, E, F, [p, q])[0]]
     if name == "oneill-set-projectors-rolled-by-one-point":
         return [submersion._oneills(ctx, submersion._horizontal, E, F, [p, q])[0]]
+    if name == "walk-owners-rolled-by-one-point":
+        coords = np.array([p, q])
+        x = ctx.horizontal_field(modulated_constants(E.values_at(coords), 0, coords))
+        y = ctx.horizontal_field(modulated_constants(F.values_at(coords), M.dim - 1, coords))
+        return [submersion._oneills(ctx, submersion._horizontal, x, y, coords)[0]]
     return []
 
 

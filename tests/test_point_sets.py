@@ -14,14 +14,15 @@ other tests cover memo sharing, the stacked kernels' own errors,
 ``splitting_records``', the connection verifiers' and the O'Neill
 verifiers' block residuals, the evaluations of a dilation-survey pass, of a
 connection pass and of an O'Neill pass, that a stencil walk reads a
-point-set form only when its kernel hands one over, and the numpy property
+point-set form only when its kernel hands one over and hands a form that
+takes owners the base point of each stencil point, and the numpy property
 the stacked kernels rest on."""
 
 import functools
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -64,14 +65,15 @@ from warpgeo.conformal_warped import (
     second_factor_variant_fields,
 )
 from warpgeo.fd import SCHEMES, STENCILS
-from warpgeo.fields import field_pairs, modulated, vector_field_library
-from warpgeo.manifold import gradients, scalar_partials
+from warpgeo.fields import field_pairs, modulated, modulated_constants, vector_field_library
+from warpgeo.manifold import PointFields, gradients, scalar_partials
 from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
 from warpgeo.sampling import sample_points
 from warpgeo.scenarios import _compatibility_records, build_objects, list_scenarios, run_scenario
 from warpgeo.submersion import (
     Splitting,
     _conformal_a_formulas,
+    _gram_schmidt,
     _horizontal,
     _in_blocks,
     _oneills,
@@ -544,7 +546,9 @@ class Tensor:
     with fields ``E`` and ``F`` and the ``part`` of E to differentiate
     along (``_horizontal`` for A, ``_vertical`` for T), or with horizontal
     field ``pairs``; or a conformal product ``cws`` with one factor's
-    horizontal field ``pairs``."""
+    horizontal field ``pairs``. An ``extension`` (``EXTENSIONS``) puts in
+    the place of E and F the fields of each point that extend their values
+    there."""
 
     ctx: object = None
     part: object = None
@@ -552,6 +556,7 @@ class Tensor:
     F: object = None
     pairs: tuple = ()
     cws: object = None
+    extension: str = ""
 
 
 def _oneill(t: Tensor, p):
@@ -666,6 +671,90 @@ def _product_cws_fault(fault: str) -> tuple:
     """``_product_fault``'s product itself, and its sets."""
     return (_product_bad_from_second_point(*PRODUCT_FAULTS[fault][:2]),
             [PRODUCT_POINTS, PRODUCT_POINTS[1:]])
+
+
+# -- per-point fields: the extensions of each point's own vectors
+
+# name -> (the fields of a set from the vectors V at its coordinates, the
+# field of one point p from its vector v), each modulated along ``axis``
+EXTENSIONS = {
+    "constant": (lambda ctx, V, coords, axis: PointFields.constant(V),
+                 lambda ctx, v, p, axis: VectorField.constant(v)),
+    "horizontal-constant": (
+        lambda ctx, V, coords, axis: ctx.horizontal_field(PointFields.constant(V)),
+        lambda ctx, v, p, axis: ctx.horizontal_field(VectorField.constant(v))),
+    "horizontal-modulated": (
+        lambda ctx, V, coords, axis: ctx.horizontal_field(modulated_constants(V, axis, coords)),
+        lambda ctx, v, p, axis: ctx.horizontal_field(modulated(VectorField.constant(v), axis, p))),
+}
+
+
+def _extended_set(t: Tensor, points):
+    """``_oneills`` at ``points`` on the fields of each point that extend E's
+    and F's values there, E's modulated along the first axis and F's along
+    the last, as ``a_crossval_records``' are."""
+    dim = t.ctx.map.source.dim
+    coords = np.array(points, dtype=float).reshape(len(points), dim)
+    extend = EXTENSIONS[t.extension][0]
+    return _oneills(t.ctx, t.part, extend(t.ctx, t.E.values_at(coords), coords, 0),
+                    extend(t.ctx, t.F.values_at(coords), coords, dim - 1), points)
+
+
+def _extended_one(t: Tensor, p):
+    """``oneill_a`` or ``oneill_t`` at p on the fields of p alone that extend
+    E's and F's values there."""
+    extend = EXTENSIONS[t.extension][1]
+    return _oneill(replace(t, E=extend(t.ctx, t.E(p), p, 0),
+                           F=extend(t.ctx, t.F(p), p, t.ctx.map.source.dim - 1)), p)
+
+
+def _extended(extension: str, part=_horizontal):
+    """A builder of the tensor of ``extension`` on a context."""
+    def build(ctx) -> Tensor:
+        return replace(_with_fields(ctx, part), extension=extension)
+    return build
+
+
+def _extended_tensors(engine) -> list:
+    """``(tensor, points)``: on each O'Neill context, T of constant
+    extensions, as the umbilicity and fiber suites take it, and A of
+    horizontal constant and modulated extensions, as the A
+    cross-validation does."""
+    kinds = ((_vertical, "constant"), (_horizontal, "horizontal-constant"),
+             (_horizontal, "horizontal-modulated"))
+    return [(_extended(extension, part)(ctx), points)
+            for ctx, points in _oneill_inputs(engine)[0] for part, extension in kinds]
+
+
+def _with_draws(ctx, points: list) -> list:
+    """Each point followed by its draws of ``t_umbilicity_records``, from a
+    seeded generator: the samples of ``suites._umbilicity_rows``."""
+    nv = max(ctx.map.source.dim - ctx.map.target.dim, 0)
+    draws = np.random.default_rng(5).uniform(-1.0, 1.0, size=(len(points), 4 * nv))
+    return [np.concatenate([p, d]) for p, d in zip(points, draws)]
+
+
+def _umbilicity_samples(engine) -> list:
+    return [(Tensor(ctx), _with_draws(ctx, points)) for ctx, points in _oneill_inputs(engine)[0]]
+
+
+def _umbilicity_fault(order: str) -> tuple:
+    """``_guarded``'s context and sets, with their draws."""
+    ctx, sets = _guarded(order)
+    return Tensor(ctx), [_with_draws(ctx, points) for points in sets]
+
+
+def _umbilicity_rule(t: Tensor) -> tuple:
+    return (2 if t.ctx.map.source.dim > t.ctx.map.target.dim else 1, 2)
+
+
+def _product(cws) -> Tensor:
+    return Tensor(cws=cws)
+
+
+def _fiber_rule(t: Tensor) -> tuple:
+    k1, k2 = (c.map.source.dim - c.map.target.dim for c in (t.cws.ctx1, t.cws.ctx2))
+    return (2 + k1 * k2, 2)
 
 
 # -- walk inputs: stencil walks handed a point-set form, and lifted fields
@@ -783,14 +872,31 @@ def _field_raising() -> tuple:
     return ChartField(W.first, field), [points, points[1:]]
 
 
+def _projected_inputs(engine: DiffEngine) -> list:
+    """``(field, points)``: the vertical and horizontal parts of a seeded
+    coordinate and affine field on each O'Neill context
+    (``SubmersionContext.vertical_field``, ``horizontal_field``)."""
+    return [(ChartField(ctx.map.source, project(Y)), points)
+            for ctx, points in _oneill_inputs(engine)[0]
+            for Y in vector_field_library(ctx.map.source, np.random.default_rng(5), 2)
+            for project in (ctx.vertical_field, ctx.horizontal_field)]
+
+
+def _projected_fault(order: str) -> tuple:
+    """The horizontal part of a constant field on ``_guarded``'s context."""
+    ctx, sets = _guarded(order)
+    return ChartField(ctx.map.source, ctx.horizontal_field(VectorField.constant([0.3, -0.2]))), sets
+
+
 def _field_inputs(engine: DiffEngine) -> list:
     """``(field, points)`` for ``values_at``: the engine-health fields of each
     chart of ``_chart_inputs`` (coordinate, affine and trigonometric), a
-    user field with no point-set form on each of those charts, and the
-    lifted fields of ``_lifted_inputs``."""
+    user field with no point-set form on each of those charts, the lifted
+    fields of ``_lifted_inputs`` and the projected ones of
+    ``_projected_inputs``."""
     user = VectorField(lambda c: np.cos(c) * c[0])
     return [(ChartField(f.M, Y), points) for f, points in _chart_inputs(engine)
-            for Y in f.fields + (user,)] + _lifted_inputs(engine)
+            for Y in f.fields + (user,)] + _lifted_inputs(engine) + _projected_inputs(engine)
 
 
 def _walk_raising() -> tuple:
@@ -912,8 +1018,9 @@ STENCIL_ERROR = (StencilError, "stencil does not fit: room to boundary 1.000e-11
 # the product faults that a splitting reads, and those that a dilation reads
 SPLITTING_FAULTS = _errors(PRODUCT_FAULTS, "metric", "f", "jac")
 DILATION_FAULTS = _errors(PRODUCT_FAULTS, "metric", "f", "fn", "jac")
-# the O'Neill kernels evaluate their fields one stencil point at a time and
-# split each with that point's own splitting, a single-point call
+# the O'Neill kernels split a field at a point whose direction uses no axis
+# with that point's own splitting, a single-point call (the walk's one
+# evaluation there, for the value's shape)
 ONEILL_WALK = CHECKED_METRIC + ((SubmersionContext, "splitting_at"), (SmoothMap, "jacobian_at"))
 # the formula also differentiates the dilation, point by point
 FORMULA_WALK = ONEILL_WALK + ((SubmersionContext, "dilation"), (SmoothMap, "__call__"))
@@ -1035,6 +1142,19 @@ ROWS = {
          "stencil-off-the-box": (_as(_with_fields, _stencil_off_the_box), STENCIL_ERROR)},
         SCHEMES, per_point=ONEILL_WALK,
     ),
+    # the O'Neill set call on fields that belong to their points (PointFields):
+    # the extensions of each point's own vectors, in one walk whose split form
+    # takes the owners of the stencil points; a point's single-point call, and
+    # a failing set's redo, is oneill_a or oneill_t on that point's own fields
+    "_oneills-per-point": Row(
+        _extended_set, _extended_one, _extended_tensors, lambda t: (t.ctx.map.source.dim,),
+        ("_oneills",),
+        {**_each(_as(_extended("horizontal-modulated"), _guarded), GUARDED_ERRORS),
+         **_each(_as(_extended("horizontal-constant"), _product_fault), SPLITTING_FAULTS),
+         "stencil-off-the-box": (_as(_extended("constant", _vertical), _stencil_off_the_box),
+                                 STENCIL_ERROR)},
+        SCHEMES, per_point=ONEILL_WALK,
+    ),
     "_conformal_a_formulas": Row(
         lambda t, points: _conformal_a_formulas(t.ctx, t.E, t.F, points),
         lambda t, p: conformal_a_formula(t.ctx, t.E, t.F, p),
@@ -1069,6 +1189,20 @@ ROWS = {
         _each(_as(_second_pairs, _product_cws_fault), SPLITTING_FAULTS),
         per_point=ONEILL_WALK,
     ),
+    # the samples are points followed by their draws
+    "_umbilicity_rows": _block_pass(
+        suites._umbilicity_rows, lambda t: (t.ctx,), _umbilicity_rule, _umbilicity_samples,
+        _each(_umbilicity_fault, GUARDED_ERRORS), per_point=ONEILL_WALK,
+    ),
+    # columns: each block's mean curvature, then each mixed pair
+    "_fiber_rows": _block_pass(
+        conformal_warped._fiber_rows, lambda t: (t.cws,), _fiber_rule,
+        lambda engine: _product_inputs(engine, _product),
+        # the first factor's splitting fails before the product's metric
+        _each(_as(_product, _product_cws_fault), SPLITTING_FAULTS | {
+            "nan-jacobian": (RankError, "Jacobian not finite at [0.3 0.4]")}),
+        per_point=ONEILL_WALK,
+    ),
     # a stencil walk handed a point-set form: a set's used stencil points in
     # one call of the form, in the per-point loop's order; a lone point is
     # partials' loop over fn. Each failing set raises at a stencil point of
@@ -1098,13 +1232,16 @@ ROWS = {
             ValueError, "field undefined at [0.3]"))},
     ),
     # a field's values at a set: one call of the form a builder attached (the
-    # affine, trigonometric and lifted fields'), else the field point by point
+    # affine, trigonometric, lifted and projected fields'), else the field
+    # point by point; a projected field's form reads the set's splittings in
+    # one splittings_at call
     "values_at": Row(
         lambda l, points: l.Y.values_at(np.array(points, dtype=float).reshape(len(points),
                                                                               l.M.dim)),
         lambda l, p: l.Y(p), _field_inputs, lambda l: (l.M.dim,), (),
         {"raising-field": (_field_raising, (ValueError, "field undefined at [0.3]")),
-         "raising-lifted-field": (_lifted_raising, (ValueError, "field undefined at [0.3]"))},
+         "raising-lifted-field": (_lifted_raising, (ValueError, "field undefined at [0.3]")),
+         **_each(_projected_fault, GUARDED_ERRORS)},
     ),
     # a failing point's sample is recorded as failed, so no failing set raises
     "_health_rows": _block_pass(
@@ -1644,6 +1781,63 @@ def _crossval_per_point(ctx, points, rng) -> list:
     return [crossval, extension]
 
 
+def _mean_curvature_per_point(ctx, basis, p):
+    """``fiber_mean_curvature`` as the loop of single-point T calls it was."""
+    acc = np.zeros(basis.shape[0])
+    for column in basis.T:
+        u = VectorField.constant(column)
+        acc += oneill_t(ctx, u, u, p)
+    return acc / max(basis.shape[1], 1)
+
+
+def _umbilicity_per_point(ctx, points, rng) -> list:
+    """``suites.t_umbilicity_records``' check walked point by point with the
+    single-point calls, drawing each point's pairs in turn."""
+    check = ResidualCheck("t-umbilical", TOLERANCES["t-umbilical"])
+    for p in points:
+        s = ctx.splitting_at(p)
+        nv = s.vertical.shape[1]
+        if nv == 0:
+            check.add(0.0)
+            continue
+        basis = _gram_schmidt(s.vertical, s.metric)
+        mean = _mean_curvature_per_point(ctx, basis, p)
+        for _ in range(2):
+            cu = basis @ rng.uniform(-1.0, 1.0, size=nv)
+            cw = basis @ rng.uniform(-1.0, 1.0, size=nv)
+            t_val = oneill_t(ctx, VectorField.constant(cu), VectorField.constant(cw), p)
+            expected = float(cu @ s.metric @ cw) * mean
+            check.add(np.linalg.norm(t_val - expected), residual_scale(t_val, expected))
+    return [check]
+
+
+def _fiber_geometry_per_point(cws, points) -> list:
+    """``conformal_warped.fiber_geometry_report``'s checks, expecting the
+    first block minimal and the second not, walked point by point with the
+    single-point calls."""
+    tolerance = TOLERANCES["fiber-minimality-first"]
+    checks = [ResidualCheck(name, tolerance) for name in (
+        "fiber-minimality-first", "fiber-minimality-second", "mixed-fiber-geodesic")]
+    W = cws.source
+    for p in points:
+        c1, c2 = W.split_coords(p)
+        s1, s2 = cws.ctx1.splitting_at(c1), cws.ctx2.splitting_at(c2)
+        g = W.ambient.metric_at(p)
+        v1 = _gram_schmidt(W.pad("first", s1.vertical), g)
+        v2 = _gram_schmidt(W.pad("second", s2.vertical), g)
+        for check, basis in zip(checks, (v1, v2)):
+            h = _mean_curvature_per_point(cws.ctx, basis, p)
+            check.add(np.linalg.norm(h), residual_scale(h))
+        for a in range(v1.shape[1]):
+            for b in range(v2.shape[1]):
+                t_mixed = oneill_t(cws.ctx, VectorField.constant(v1[:, a]),
+                                   VectorField.constant(v2[:, b]), p)
+                checks[2].add(np.linalg.norm(t_mixed), residual_scale(t_mixed))
+    checks[0].note("expected minimal")
+    checks[1].note("expected non-minimal")
+    return checks
+
+
 def _first_factor_per_point(cws, points, pairs1) -> list:
     """``verify_first_factor_a_identity``'s check and its unrecorded
     convention gaps walked point by point, at conformal points, with the
@@ -1715,10 +1909,10 @@ def _second_factor_per_point(cws, points, pairs2) -> list:
     return [check, *per_variant.values()]
 
 
-def _failing_above_half(verifier: str):
+def _failing_above_half(on_context: bool):
     """A context, or a product, whose (first factor's) source metric is not
     finite at x > 0.5, with points on (-0.9, 0.9)^2 (x (-0.9, 0.9))."""
-    if verifier == "a-crossval":
+    if on_context:
         M = ChartManifold(2, -1.0, 1.0, lambda c: np.eye(2) * (np.nan if c[0] > 0.5 else 1.0))
         ctx = SubmersionContext(SmoothMap(M, ChartManifold.euclidean(1, -1.0, 1.0),
                                           lambda c: c[:1], lambda c: np.array([[1.0, 0.0]])),
@@ -1732,17 +1926,25 @@ def _failing_above_half(verifier: str):
 def _oneill_walks(verifier: str, scenario: str, engine):
     """``(module, verify(points, rng), per_point(points, rng), points)`` of an
     O'Neill verifier on ``scenario``'s objects, or on ``_failing_above_half``'s."""
+    on_context = verifier in ("a-crossval", "t-umbilicity")
     if scenario == "failing-above-0.5":
-        obj, points = _failing_above_half(verifier)
+        obj, points = _failing_above_half(on_context)
     else:
         objs = build_objects(scenario, engine)
-        obj = objs["ctx"] if verifier == "a-crossval" else objs["cws"]
-        M = obj.map.source if verifier == "a-crossval" else obj.source.ambient
+        obj = objs["ctx"] if on_context else objs["cws"]
+        M = obj.map.source if on_context else obj.source.ambient
         coords = sample_points(objs["sample_lower"], objs["sample_upper"], 65, 3, 4e-5)
         points = [M.point(c) for c in coords]
     if verifier == "a-crossval":
         return (suites, lambda pts, rng: suites.a_crossval_records(obj, pts, rng),
                 lambda pts, rng: _crossval_per_point(obj, pts, rng), points)
+    if verifier == "t-umbilicity":
+        return (suites, lambda pts, rng: suites.t_umbilicity_records(obj, pts, rng),
+                lambda pts, rng: _umbilicity_per_point(obj, pts, rng), points)
+    if verifier == "fiber-geometry":
+        return (conformal_warped,
+                lambda pts, rng: conformal_warped.fiber_geometry_report(obj, pts, True, False),
+                lambda pts, rng: _fiber_geometry_per_point(obj, pts), points)
     if verifier == "first-factor":
         pairs = lambda rng: horizontal_pairs(obj.ctx1, rng, 2)
         return (conformal_warped,
@@ -1755,8 +1957,9 @@ def _oneill_walks(verifier: str, scenario: str, engine):
             lambda pts, rng: _second_factor_per_point(obj, pts, pairs(rng)), points)
 
 
-ONEILL_WALKS = [(v, s) for v in ("a-crossval", "first-factor", "second-factor")
-                for s in (("exp-spiral-r4",) if v == "a-crossval" else ())
+ONEILL_WALKS = [(v, s) for v in ("a-crossval", "t-umbilicity", "first-factor", "second-factor",
+                                 "fiber-geometry")
+                for s in (("exp-spiral-r4",) if v in ("a-crossval", "t-umbilicity") else ())
                 + ("cws-variable-dilation", "failing-above-0.5")]
 
 
@@ -2115,6 +2318,47 @@ def test_the_walk_reads_a_form_only_when_its_kernel_hands_it_over():
     assert forms == []
 
 
+def test_a_form_that_takes_owners_gets_the_base_point_of_each_stencil_point():
+    # row n's function is c -> (n + 1) [c0 c1, sin c2]; the first and last
+    # points coincide, so only the owners tell their stencil points apart
+    engine = DiffEngine(scheme="central4")
+    lower, upper = np.full(3, -1.0), np.full(3, 1.0)
+    coords = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6], [-0.7, 0.2, 0.05], [0.1, -0.2, 0.3]])
+    along = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
+    seen, forms = [], []
+
+    def fn(c, n):
+        seen.append((c.copy(), n))
+        return (n + 1.0) * np.array([c[0] * c[1], np.sin(c[2])])
+
+    def form(points, owners):
+        forms.append((points.copy(), owners.copy()))
+        return (owners + 1.0)[:, None] * np.stack([points[:, 0] * points[:, 1],
+                                                   np.sin(points[:, 2])], axis=1)
+
+    want = np.stack([engine.partials(lambda c, n=n: fn(c, n), c, lower, upper, along=a)
+                     for n, (c, a) in enumerate(zip(coords, along))])
+    idle = [(c, n) for c, n in seen if n == 2]  # one evaluation, for the shape
+    loop = [(c, n) for c, n in seen if n != 2]
+    seen.clear()
+    got = engine.stacked_partials(fn, coords, lower, upper, along, stack=form, owned=True)
+    assert got.tobytes() == want.tobytes() and len(forms) == 1
+    points, owners = forms[0]
+    assert points.tobytes() == np.array([c for c, _ in loop]).tobytes()
+    assert owners.tolist() == [n for _, n in loop]
+    # the point with no used axis is its own partials call, which evaluates
+    # its own function once; no other row's function is called
+    assert len(idle) == 1 and [(c.tobytes(), n) for c, n in seen] == [(coords[2].tobytes(), 2)]
+    # a lone point is partials' loop over its own function
+    forms.clear()
+    seen.clear()
+    lone = engine.stacked_partials(fn, coords[1:2], lower, upper, along[1:2], stack=form,
+                                   owned=True)
+    assert forms == [] and {n for _, n in seen} == {0}
+    assert lone.tobytes() == engine.partials(lambda c: fn(c, 0), coords[1], lower, upper,
+                                             along=along[1])[None].tobytes()
+
+
 # -- the evaluations of an O'Neill pass
 
 
@@ -2187,12 +2431,18 @@ ONEILL_COUNTS = {
     },
 }
 # the point-set forms an O'Neill pass reads: the warm-ups' and the kernels'
-# stacked splittings and dilations of the warped and the product ambients
+# stacked splittings and dilations of the warped and the product ambients,
+# and the seeded affine and trigonometric fields' own forms, which the
+# projected fields' forms (``horizontal_field``) read at a set's points and,
+# through the O'Neill kernels' split forms, at its stencil points; the
+# coordinate fields (field.0, field.3, ...) have none
+_SEEDED_FORMS = {"field.1", "field.2"}
 ONEILL_STACKED = {
-    "warped-line": {"objs.ctx.map.source.metric"},
-    "exp-spiral-r4": set(),
+    "warped-line": {"objs.ctx.map.source.metric"} | _SEEDED_FORMS,
+    "exp-spiral-r4": _SEEDED_FORMS,
     "cws-variable-dilation": {"objs.ctx.map.fn", "objs.ctx.map.jac",
-                              "objs.ctx.map.source.metric", "objs.ctx.map.target.metric"},
+                              "objs.ctx.map.source.metric", "objs.ctx.map.target.metric",
+                              "field.5", "field.6", "field.9", "field.10"} | _SEEDED_FORMS,
 }
 
 
