@@ -53,7 +53,6 @@ from .submersion import (
     _projectors,
     _vertical,
     _vertical_gradients,
-    _warm_parts,
 )
 from .warped import WarpedProduct, build_warped_product, lift
 
@@ -237,8 +236,6 @@ def verify_first_factor_a_identity(
     with evaluation_scope():
         used = _conformal_points(cws, points)
         skipped = len(points) - len(used)
-        _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.first_axes())
-        _warm_parts(cws.ctx1, [cws.source.split_coords(p)[0] for p in used], vertical=False)
         _add_in_blocks([check, gap] * len(pairs1), partial(_first_factor_rows, cws, pairs1), used)
 
     if skipped:
@@ -350,8 +347,6 @@ def verify_second_factor_a_identity(
     with evaluation_scope():
         used = _conformal_points(cws, points)
         skipped = len(points) - len(used)
-        _warm_parts(cws.ctx, used, vertical=False, columns=cws.source.second_axes())
-        _warm_parts(cws.ctx2, [cws.source.split_coords(p)[1] for p in used], vertical=False)
         _add_in_blocks(list(per_variant.values()) * len(pairs2),
                        partial(_second_factor_rows, cws, pairs2, variants), used)
 
@@ -535,7 +530,6 @@ def fiber_geometry_report(
     # the vertical dimension of every splitting of each factor
     k1, k2 = (max(c.map.source.dim - c.map.target.dim, 0) for c in (cws.ctx1, cws.ctx2))
     with evaluation_scope():
-        _warm_parts(cws.ctx, points, vertical=True)
         _add_in_blocks([h1_check, h2_check] + [mixed_check] * (k1 * k2),
                        partial(_fiber_rows, cws), points)
 

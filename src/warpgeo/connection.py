@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .fd import DiffEngine
-from .manifold import ChartManifold, VectorField, _compute_one, _memoized, _memoized_many
+from .manifold import ChartManifold, VectorField, _compute_one, _memoized, _memoized_many, _stack
 
 Array = np.ndarray
 
@@ -75,12 +75,6 @@ def _christoffels(M: ChartManifold, engine: DiffEngine, coords_list: list, metri
     # c[n, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     c = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     return list(0.5 * np.einsum("nkl,nijl->nkij", ginv, c))
-
-
-def _stack(field: VectorField):
-    """The point-set form a builder attached to ``field.fn``
-    (``manifold._with_stack``), else None."""
-    return getattr(field.fn, "_stack", None)
 
 
 def _along(direction: Array, d: Array) -> Array:

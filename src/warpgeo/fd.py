@@ -219,14 +219,6 @@ class DiffEngine:
         self._require_fit(room, h)
         return points.reshape(-1, len(coords))
 
-    def fitting_stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
-        """``stencil_points(c, lower, upper, (axis,))`` for each row c of the
-        (N, dim) array ``coords`` and each axis of ``axes``, in that order,
-        as rows of one array; a stencil that does not fit is left out."""
-        coords = np.asarray(coords, dtype=float).reshape(-1, len(lower))
-        points, h, _ = self._stencils(coords, lower, upper, axes)
-        return points[h >= self.min_step].reshape(-1, coords.shape[1])
-
     def stacked_partials(self, fn, coords, lower, upper, along=None, stack=None,
                          owned: bool = False) -> np.ndarray:
         """``np.stack([self.partials(fn, c, lower, upper, along=a) for c, a in

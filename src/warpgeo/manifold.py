@@ -142,10 +142,11 @@ def _with_stack(one, stack):
     """``one``, a callable of one point, carrying ``stack``: a callable of a
     float (N, dim) array of points that returns ``one``'s values there as
     one float array, bit for bit. ``_stack_of`` reads it (for a chart's
-    ``metrics_at`` and ``VectorField.values_at``), and so do the connection
-    kernels, which hand it to their stencil walks. Builders attach it to the
-    callables they assemble from their parts, and the seeded fields of
-    ``fields`` carry one; a callable put in the place of ``one`` comes
+    ``metrics_at`` and ``VectorField.values_at``), and ``_stack`` for the
+    kernels that hand it to their stencil walks (the connection kernels and
+    ``gradients``). Builders attach it to the callables they assemble from
+    their parts, the seeded fields of ``fields`` and the dilation fields of
+    ``submersion`` carry one; a callable put in the place of ``one`` comes
     without it."""
     one._stack = stack
     return one
@@ -156,6 +157,12 @@ def _stack_of(fn):
     else ``fn``'s values at the rows of an (N, dim) array as one float array."""
     stack = getattr(fn, "_stack", None)
     return stack or (lambda coords: np.array([fn(c) for c in coords], dtype=float))
+
+
+def _stack(field):
+    """The point-set form a builder attached to ``field.fn`` (``_with_stack``),
+    else None: the form a kernel hands to its stencil walk."""
+    return getattr(field.fn, "_stack", None)
 
 
 def _point_set(stack, coords_seq, shape: tuple, one=None) -> Array:
@@ -441,10 +448,10 @@ def gradient(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords) -> 
 def gradients(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords_seq,
               metrics=None) -> Array:
     """``np.stack([gradient(M, engine, phi, c) for c in coords_seq])``: the
-    partials of the set from one stacked walk (or phi's analytic partials,
-    point by point) and one stacked ``solve``; a set that raises is redone
-    point by point (``_point_set``), so the first failing point raises its
-    own error.
+    partials of the set from one stacked walk, handed phi's point-set form
+    where it carries one (or phi's analytic partials, point by point), and
+    one stacked ``solve``; a set that raises is redone point by point
+    (``_point_set``), so the first failing point raises its own error.
 
     ``metrics``, when given, are the checked ``M.metric_at(c)`` a caller has
     just evaluated at the same points, as for ``connection.christoffels``;
@@ -455,7 +462,7 @@ def gradients(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords_seq
     def stack(coords):
         points = np.array([M.point(c) for c in coords]).reshape(len(coords), M.dim)
         if phi.partials is None:
-            dphi = engine.stacked_partials(phi, points, M.lower, M.upper)
+            dphi = engine.stacked_partials(phi, points, M.lower, M.upper, stack=_stack(phi))
         else:
             dphi = np.array([np.asarray(phi.partials(c), dtype=float) for c in points])
         known = [given.get(c.tobytes()) for c in points]

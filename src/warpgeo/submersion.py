@@ -21,8 +21,12 @@ walk's stencil points. The fields are fixed across the set, or belong to
 its points (``manifold.PointFields``, such as the constant extensions of
 each point's own vectors); then the walk also hands the form the owner of
 each stencil point. The projected fields ``vertical_field`` and
-``horizontal_field`` carry forms too. ``oneill_a`` and ``oneill_t`` are the
-kernel on a stack of one, and so are ``fiber_mean_curvature``,
+``horizontal_field`` carry forms too, and so does ``lambda_sq_field``,
+whose form reads a set's ``dilations`` in one call: the bracket formula
+hands the form of 1/lambda^2 to the walk of its gradient
+(``manifold.gradients``), so every walk fetches the splittings and
+dilations at its stencil points as one set. ``oneill_a`` and ``oneill_t``
+are the kernel on a stack of one, and so are ``fiber_mean_curvature``,
 ``conformal_a_formula`` and ``vertical_gradient`` of their point-set
 kernels (``_fiber_mean_curvatures``, ``_conformal_a_formulas``,
 ``_vertical_gradients``, on ``manifold.gradients``).
@@ -56,18 +60,13 @@ that adds per-point (residual, scale) samples is one rows kernel of a
 block's coordinates handed to ``_add_in_blocks``, the one block pass.
 
 Inside an ``evaluation_scope()`` each splitting and each dilation is
-computed once per context and exact coordinates, then shared by the
-single-point and point-set calls; stencil points still get their own
-splittings, so nothing is frozen at the base point. The O'Neill tensors
-read the Christoffel symbols at their base points through ``christoffels``,
-which the scope memoizes too. Each O'Neill suite, and
+computed once per context and exact coordinates, a stencil point's too,
+then shared by the single-point and point-set calls. The O'Neill tensors
+read the Christoffel symbols at their base points through
+``christoffels``, which the scope memoizes too. Each O'Neill suite, and
 ``fiber_mean_curvature``, opens its own scope, which shares an enclosing
 one (``run_scenario``'s), so a suite called on its own takes the same
-cached path. Before an O'Neill suite walks its sample points,
-``warm_stencils`` stores the splittings (or dilations) at all their
-stencil points, along the axes the suite's directions use, through the
-point-set calls; the O'Neill kernels' split forms then find them in the
-memo.
+cached path.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ from .connection import (
 from .errors import ConformalityError, DegenerateMetricError, DomainError, RankError
 from .fd import DiffEngine
 from .manifold import (
-    _MEMO,
     ChartManifold,
     PointFields,
     ScalarField,
@@ -98,6 +96,7 @@ from .manifold import (
     _memoized_many,
     _point_set,
     _positive_definite,
+    _stack,
     _stack_of,
     _with_stack,
     analytic_fd_gap,
@@ -396,28 +395,6 @@ class SubmersionContext:
             for s, lam, a in zip(splittings, lam_sq, anisotropy)
         ]
 
-    def warm_stencils(self, points, axes, dilations: bool = False) -> None:
-        """Store in the evaluation scope the splittings (with ``dilations``,
-        the dilations) at every stencil point of ``points`` along ``axes``,
-        fetched through ``splittings_at`` (``dilations``) in blocks of
-        ``POINT_BLOCK`` stencil points.
-
-        The entries equal those the single-point calls at those points
-        would store. A no-op outside a scope. Never raises: a stencil that
-        does not fit and a block that fails are skipped, so the caller's own
-        call there raises what it would raise anyway.
-        """
-        if _MEMO.get() is None:
-            return
-        M = self.map.source
-        stencils = self.engine.fitting_stencil_points(points, M.lower, M.upper, axes)
-        fetch = self.dilations if dilations else self.splittings_at
-        for block in _blocks(stencils):
-            try:
-                fetch(block)
-            except Exception:  # the caller's own call at that point raises it
-                continue
-
     def __call__(self, coords) -> Array:
         return self.map(coords)
 
@@ -430,8 +407,24 @@ class SubmersionContext:
         return _projected(self, F, vertical=False)
 
     def lambda_sq_field(self) -> ScalarField:
+        """The squared dilation as a field, whose point-set form checks a set
+        against the source box once, then reads its ``dilations`` in one call."""
         source = self.map.source
-        return ScalarField(lambda c: self.dilation(source.point(c)).lambda_sq)
+
+        def stack(points):
+            for p in points[~source.contains(points)][:1]:
+                source.point(p)  # raises its DomainError
+            return np.array([d.lambda_sq for d in self.dilations(points)])
+
+        return ScalarField(_with_stack(lambda c: self.dilation(source.point(c)).lambda_sq, stack))
+
+
+def _inverse_lambda_sq_field(ctx: SubmersionContext) -> ScalarField:
+    """1 / lambda^2 as a field, whose point-set form divides that of
+    ``lambda_sq_field``."""
+    lam = ctx.lambda_sq_field()
+    return ScalarField(_with_stack(lambda c: 1.0 / lam(c),
+                                   lambda points: 1.0 / _stack(lam)(points)))
 
 
 def _projected(ctx: SubmersionContext, F, vertical: bool):
@@ -456,33 +449,6 @@ def _projected(ctx: SubmersionContext, F, vertical: bool):
     if isinstance(F, PointFields):
         return PointFields(one, rows)
     return VectorField(_with_stack(one, rows))
-
-
-def _part_axes(splittings, vertical: bool, columns=None) -> list[int]:
-    """The axes along which the vertical (else horizontal) part of a vector
-    that is zero outside ``columns`` can be nonzero at one of the
-    splittings: the rows of the projector, restricted to those columns, that
-    have a nonzero entry. A derivative along such a part is taken along no
-    other axis."""
-    used: set = set()
-    for s in splittings:
-        P = s.projector_v if vertical else np.eye(len(s.coords)) - s.projector_v
-        if columns is not None:
-            P = P[:, list(columns)]
-        used.update(np.flatnonzero(np.any(P != 0.0, axis=1)).tolist())
-    return sorted(used)
-
-
-def _warm_parts(ctx: SubmersionContext, points, vertical: bool, columns=None) -> None:
-    """``ctx.warm_stencils`` at ``points`` along the ``_part_axes`` of their
-    splittings: for a suite that differentiates along the vertical (else
-    horizontal) parts of vectors that are zero outside ``columns``. Called
-    inside the suite's scope; never raises."""
-    try:
-        splittings = [s for _, s in _in_blocks(ctx.splittings_at, points)]
-    except Exception:  # the suite's own call at that point raises it
-        return
-    ctx.warm_stencils(points, _part_axes(splittings, vertical, columns))
 
 
 def _vertical(P: Array, x: Array) -> Array:
@@ -631,8 +597,7 @@ def _conformal_a_formulas(ctx: SubmersionContext, X: VectorField, Y: VectorField
     M = ctx.map.source
     Xh = ctx.horizontal_field(X)
     Yh = ctx.horizontal_field(Y)
-    lam_field = ctx.lambda_sq_field()
-    inv_lambda_sq = ScalarField(lambda c: 1.0 / lam_field(c))
+    inv_lambda_sq = _inverse_lambda_sq_field(ctx)
 
     def stack(coords):
         dilations = ctx.dilations(coords)

@@ -14,9 +14,10 @@ to the block pass ``submersion._add_in_blocks``. The O'Neill kernels
 compute A or T over the block, on fixed field pairs and on the fields that
 belong to each point (``manifold.PointFields``): the extensions of a
 point's own vectors, and its vertical basis vectors, with one set call per
-field pair and block. ``engine_health_records`` opens no scope:
-its kernel hands the block's checked metrics to one ``christoffels`` call
-and its Christoffel symbols to the point-set covariant derivatives.
+field pair and block, whose walks fetch the splittings and dilations at
+their stencil points as sets. ``engine_health_records`` opens no scope: its
+kernel hands the block's checked metrics to one ``christoffels`` call and
+its Christoffel symbols to the point-set covariant derivatives.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .submersion import (
     _inner,
     _oneills,
     _vertical,
-    _warm_parts,
 )
 
 Array = np.ndarray
@@ -220,8 +220,6 @@ def a_crossval_records(
     extension = ResidualCheck("a-extension-independence", tolerance)
     pairs = horizontal_pairs(ctx, rng, 2)
     with evaluation_scope():
-        # the formula differentiates the context's own dilation along every axis
-        ctx.warm_stencils(points, range(ctx.map.source.dim), dilations=True)
         _add_in_blocks([crossval, extension, extension] * len(pairs),
                        partial(_crossval_rows, ctx, pairs), points)
     return [crossval.record(), extension.record()]
@@ -240,10 +238,11 @@ def _crossval_rows(ctx: SubmersionContext, pairs, coords: Array) -> Array:
         a_direct = _oneills(ctx, _horizontal, X, Y, coords)
         a_formula = _conformal_a_formulas(ctx, X, Y, coords)
         # same horizontal vectors at each point, different extensions
-        x_const = ctx.horizontal_field(PointFields.constant(X.values_at(coords)))
-        y_const = ctx.horizontal_field(PointFields.constant(Y.values_at(coords)))
-        x_mod = ctx.horizontal_field(modulated_constants(X.values_at(coords), 0, coords))
-        y_mod = ctx.horizontal_field(modulated_constants(Y.values_at(coords), M.dim - 1, coords))
+        x, y = X.values_at(coords), Y.values_at(coords)
+        x_const = ctx.horizontal_field(PointFields.constant(x))
+        y_const = ctx.horizontal_field(PointFields.constant(y))
+        x_mod = ctx.horizontal_field(modulated_constants(x, 0, coords))
+        y_mod = ctx.horizontal_field(modulated_constants(y, M.dim - 1, coords))
         a_ext1 = _oneills(ctx, _horizontal, x_const, y_const, coords)
         a_ext2 = _oneills(ctx, _horizontal, x_mod, y_mod, coords)
         for row, direct, formula, ext1, ext2 in zip(rows, a_direct, a_formula, a_ext1, a_ext2):
@@ -272,7 +271,6 @@ def t_umbilicity_records(
     nv = ctx.map.source.dim - ctx.map.target.dim  # the vertical dimension of every splitting
     draws = rng.uniform(-1.0, 1.0, size=(len(points), 4 * max(nv, 0)))
     with evaluation_scope():
-        _warm_parts(ctx, points, vertical=True)
         samples = np.hstack([np.reshape(points, (len(points), ctx.map.source.dim)), draws])
         _add_in_blocks([check] * (2 if nv > 0 else 1), partial(_umbilicity_rows, ctx), samples)
     return check.record()

@@ -1,7 +1,10 @@
 """The pointwise memo of evaluation_scope: one table of its promises over
 the memoized calls; tensors, stencil points, read-only point sets and
 Jacobian reuse in a scope; the one-pass O'Neill tensors; derivatives
-contracted with a direction skip its zero components."""
+contracted with a direction skip its zero components; each O'Neill suite
+opens a scope of its own, reads a stencil point's splitting only where it
+differentiates, and the catalog computes no splitting or dilation one point
+at a time."""
 
 from contextlib import nullcontext
 from functools import partial
@@ -14,8 +17,10 @@ from warpgeo import (
     DegenerateMetricError,
     DiffEngine,
     RankError,
+    RunConfig,
     ScalarField,
     SmoothMap,
+    StencilError,
     SubmersionContext,
     VectorField,
     WarpPositivityError,
@@ -28,12 +33,24 @@ from warpgeo import (
     oneill_a,
     oneill_t,
 )
-from warpgeo.conformal_warped import rescaled_context
+from warpgeo import manifold, submersion
+from warpgeo.conformal_warped import (
+    factor_vertical_bases,
+    fiber_geometry_report,
+    rescaled_context,
+    verify_first_factor_a_identity,
+    verify_second_factor_a_identity,
+)
 from warpgeo.fd import SCHEMES
 from warpgeo.fields import vector_field_library
-from warpgeo.scenarios import build_objects
+from warpgeo.scenarios import _points, build_objects, list_scenarios, run_scenario
 from warpgeo.submersion import Splitting, fiber_mean_curvature
-from warpgeo.suites import splitting_records
+from warpgeo.suites import (
+    a_crossval_records,
+    horizontal_pairs,
+    splitting_records,
+    t_umbilicity_records,
+)
 from warpgeo.warped import projection_map
 
 ENGINE = DiffEngine()
@@ -400,3 +417,179 @@ def test_contracted_derivatives_bit_identical_to_full_partials(scenario, monkeyp
     assert any(np.any(r != 0.0) for r in reference)
     for want, have in zip(reference, got):
         assert np.array_equal(want, have)
+
+
+# -- the stencil points of the O'Neill suites --------------------------------
+
+# single-point misses (keyed by memo tag), then point-set kernel calls
+KERNELS = ("splitting", "dilation", "_stacked_splittings", "_stacked_dilations")
+
+
+def _count_kernels(monkeypatch) -> dict:
+    """Counts from now on the splittings and dilations that ``splitting_at``
+    and ``dilation``, or a point-set call of one point, compute on a memo
+    miss, and the other calls of the stacked kernels; a single-point miss is
+    a stack of one, and it counts only as a miss."""
+    counts = dict.fromkeys(KERNELS, 0)
+    single = [0]  # > 0 while a single-point miss is computed
+    memoized = manifold._memoized
+
+    def spy(owner, coords, tag, compute, *args):
+        if tag not in KERNELS:  # a metric or a Christoffel entry
+            return memoized(owner, coords, tag, compute, *args)
+
+        def counted(*a):
+            counts[tag] += 1
+            single[0] += 1
+            try:
+                return compute(*a)
+            finally:
+                single[0] -= 1
+
+        return memoized(owner, coords, tag, counted, *args)
+
+    # splitting_at and dilation call submersion's binding, a set of one
+    # point manifold's own
+    for module in (submersion, manifold):
+        monkeypatch.setattr(module, "_memoized", spy)
+    for name in KERNELS[2:]:
+        kernel = getattr(SubmersionContext, name)
+
+        def stacked(self, coords_list, name=name, kernel=kernel):
+            counts[name] += not single[0]
+            return kernel(self, coords_list)
+
+        monkeypatch.setattr(SubmersionContext, name, stacked)
+    return counts
+
+
+def _warped_line(n):
+    objs = build_objects("warped-line", ENGINE)
+    rng = np.random.default_rng(3)
+    coords = rng.uniform(objs["sample_lower"], objs["sample_upper"], size=(n, 2))
+    return objs["ctx"], [objs["ctx"].map.source.point(c) for c in coords]
+
+
+# each O'Neill suite, and fiber_mean_curvature, at the points of a cws
+ONEILL_CALLS = {
+    "a_crossval_records": lambda cws, pts: a_crossval_records(
+        cws.ctx, pts, np.random.default_rng(1)),
+    "t_umbilicity_records": lambda cws, pts: t_umbilicity_records(
+        cws.ctx, pts, np.random.default_rng(2)),
+    "verify_first_factor_a_identity": lambda cws, pts: verify_first_factor_a_identity(
+        cws, pts, horizontal_pairs(cws.ctx1, np.random.default_rng(3), 2)),
+    "verify_second_factor_a_identity": lambda cws, pts: verify_second_factor_a_identity(
+        cws, pts, horizontal_pairs(cws.ctx2, np.random.default_rng(4), 2)),
+    "fiber_geometry_report": lambda cws, pts: fiber_geometry_report(cws, pts, True, False),
+    "fiber_mean_curvature": lambda cws, pts: fiber_mean_curvature(
+        cws.ctx, factor_vertical_bases(cws, pts[0])[1], pts[0]).tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", ONEILL_CALLS)
+def test_outside_a_scope_an_oneill_call_opens_its_own(name, monkeypatch):
+    config = RunConfig(samples=3)
+    objs = build_objects("cws-variable-dilation", config.engine())
+    points = _points(objs, config)
+    counts = _count_kernels(monkeypatch)
+
+    def run():
+        before = dict(counts)
+        value = repr(ONEILL_CALLS[name](objs["cws"], points))
+        return value, {k: counts[k] - before[k] for k in KERNELS}
+
+    def scoped():
+        with evaluation_scope():
+            return run()
+
+    (outside, outside_counts), (inside, inside_counts) = run(), scoped()
+    assert outside == inside
+    assert outside_counts == inside_counts
+    # a suite walks its three points as a set, and fetches the splittings
+    # and dilations of their stencil points as sets; fiber_mean_curvature
+    # is a stack of one
+    singles = outside_counts["splitting"] + outside_counts["dilation"]
+    assert (singles == 0) == (name != "fiber_mean_curvature")
+
+
+def _inject_rank_error(monkeypatch, bad: np.ndarray):
+    """The Jacobian of every map is zero at the coordinates ``bad``, as the
+    splitting kernel reads it: through ``SmoothMap.jacobians_at``."""
+    jacobians_at = SmoothMap.jacobians_at
+
+    def patched(self, coords_seq, engine):
+        J = jacobians_at(self, coords_seq, engine)
+        for i, c in enumerate(coords_seq):
+            c = np.asarray(c, dtype=float)
+            if c.shape == bad.shape and np.array_equal(c, bad):
+                J[i] = 0.0
+        return J
+
+    monkeypatch.setattr(SmoothMap, "jacobians_at", patched)
+
+
+# (scenario, sample, axis, the scenario aborts): a stencil point that the
+# O'Neill suites use, and one on an axis that none of them differentiates
+INJECTIONS = [
+    ("warped-line", 3, 0, True),
+    ("warped-line", 5, 1, True),
+    ("cws-variable-dilation", 2, 3, True),
+    ("cws-incompatible", 1, 3, True),
+    ("cws-mixed-local", 4, 4, False),
+]
+
+
+@pytest.mark.parametrize("scenario, sample, axis, aborts", INJECTIONS)
+def test_a_rank_error_at_one_stencil_point_aborts_only_a_scenario_that_reads_it(
+    scenario, sample, axis, aborts, monkeypatch
+):
+    config = RunConfig(samples=6)
+    objs = build_objects(scenario, config.engine())
+    M = objs["ctx"].map.source
+    point = _points(objs, config)[sample]
+    bad = config.engine().stencil_points(point, M.lower, M.upper, (axis,))[0]
+    _inject_rank_error(monkeypatch, bad)
+    report = run_scenario(scenario, config).to_json()
+    assert ("scenario aborted by RankError" in report) == aborts
+
+
+def test_a_stencil_that_does_not_fit_on_a_skipped_axis_is_never_built(monkeypatch):
+    # christoffel symbols need every axis at a suite's base point, so the
+    # skipped axis is exercised on the tensor, with zero symbols: T along the
+    # vertical axis 1
+    ctx, _ = _warped_line(0)
+    M = ctx.map.source
+    p = M.point([float(M.lower[0]) + 1e-10, 0.3])  # no room along axis 0
+    with pytest.raises(StencilError):
+        ENGINE.stencil_points(p, M.lower, M.upper, (0,))
+    u = VectorField.constant([0.0, 1.0])
+    counts = _count_kernels(monkeypatch)
+    with monkeypatch.context() as m, evaluation_scope():
+        m.setattr(submersion, "christoffels",
+                  lambda M, engine, coords: [np.zeros((2, 2, 2)) for _ in coords])
+        t = oneill_t(ctx, u, u, p)
+    # the base point and the two stencil points of axis 1 only
+    assert np.isfinite(t).all() and counts["splitting"] == 3
+    with evaluation_scope(), pytest.raises(StencilError):
+        a_crossval_records(ctx, [p], np.random.default_rng(0))
+
+
+def test_a_rank_error_on_an_axis_the_tensor_skips_is_never_read(monkeypatch):
+    ctx, (p,) = _warped_line(1)
+    M = ctx.map.source
+    u = VectorField.constant([0.0, 1.0])  # T along the vertical axis 1 only
+    want = oneill_t(ctx, u, u, p)
+    _inject_rank_error(monkeypatch, ENGINE.stencil_points(p, M.lower, M.upper, (0,))[0])
+    with evaluation_scope():
+        assert oneill_t(ctx, u, u, p).tobytes() == want.tobytes()
+
+
+def test_the_catalog_computes_no_single_point_splitting_or_dilation(monkeypatch):
+    counts = _count_kernels(monkeypatch)
+    for s in list_scenarios():
+        run_scenario(s.scenario_id, RunConfig())
+    # the O'Neill kernels' split forms fetch their stencil points' splittings
+    # as sets, and the A formula's reciprocal dilation field's form the
+    # dilations it differentiates
+    assert counts["splitting"] == 0 and counts["dilation"] == 0
+    assert counts["_stacked_splittings"] > 0 and counts["_stacked_dilations"] > 0

@@ -404,24 +404,3 @@ def test_unbounded_axis_uses_the_full_step(scheme):
     shifts = engine.stencil_points(coords, *UNBOUNDED_BOX, (0,))[:, 0] - coords[0]
     assert np.max(np.abs(shifts)) == pytest.approx(STENCILS[scheme][0] * engine.step)
 
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_fitting_stencil_points_leave_out_the_stencils_that_do_not_fit(scheme):
-    # each point's stencil along each axis, in that order, as stencil_points
-    # gives it, except where stencil_points raises: at a wall, a NaN coordinate
-    engine = DiffEngine(scheme=scheme)
-    lower, upper = np.array([-1.0, 0.0, -np.inf]), np.array([1.0, 1.0, np.inf])
-    coords = np.array([[0.2, 3e-6, 5.0], [0.5, 1.0 - 1e-12, -2.0], [np.nan, 0.5, 0.1],
-                       [-1.0 + 1e-6, 0.5, np.inf]])
-    axes = (2, 0, 1)
-    want = []
-    for c in coords:
-        for axis in axes:
-            try:
-                want.extend(engine.stencil_points(c, lower, upper, (axis,)))
-            except StencilError:
-                continue
-    got = engine.fitting_stencil_points(coords, lower, upper, axes)
-    per_stencil = len(engine.stencil_points(coords[0], lower, upper, (0,)))
-    assert len(want) == len(got) == 9 * per_stencil  # 3 of 12 stencils do not fit
-    assert got.tobytes() == np.array(want).tobytes()

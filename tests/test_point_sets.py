@@ -66,7 +66,7 @@ from warpgeo.conformal_warped import (
 )
 from warpgeo.fd import SCHEMES, STENCILS
 from warpgeo.fields import field_pairs, modulated, modulated_constants, vector_field_library
-from warpgeo.manifold import PointFields, gradients, scalar_partials
+from warpgeo.manifold import PointFields, _stack, gradients, scalar_partials
 from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
 from warpgeo.sampling import sample_points
 from warpgeo.scenarios import _compatibility_records, build_objects, list_scenarios, run_scenario
@@ -76,6 +76,7 @@ from warpgeo.submersion import (
     _gram_schmidt,
     _horizontal,
     _in_blocks,
+    _inverse_lambda_sq_field,
     _oneills,
     _vertical,
     conformal_a_formula,
@@ -634,8 +635,9 @@ def _product_inputs(engine, tensor) -> list:
 
 def _gradient_inputs(engine) -> list:
     """``(fields, points)`` for ``gradients``: the log-warp, with analytic
-    partials, on each warped ambient chart, and an FD field on each of
-    them and on the spiral's source."""
+    partials, on each warped ambient chart, an FD field on each of them and
+    on the spiral's source, and the reciprocal dilation field of each
+    conformal O'Neill context, whose point-set form the walk is handed."""
     def wave(M):
         w = np.linspace(0.3, 0.9, M.dim)
         return ScalarField(lambda c: float(np.sin(w @ c)))
@@ -646,7 +648,16 @@ def _gradient_inputs(engine) -> list:
         out += [(Fields(engine, M=M, fields=(f.W.log_warp(),)), points),
                 (Fields(engine, M=M, fields=(wave(M),)), points)]
     ctx, points = _oneill_inputs(engine)[0][1]  # exp-spiral-r4
-    return out + [(Fields(engine, M=ctx.map.source, fields=(wave(ctx.map.source),)), points)]
+    out.append((Fields(engine, M=ctx.map.source, fields=(wave(ctx.map.source),)), points))
+    return out + [(Fields(engine, M=ctx.map.source, fields=(_inverse_lambda_sq_field(ctx),)),
+                   points) for ctx, points in _conformal_inputs(engine, lambda ctx: ctx)]
+
+
+def _off_the_box() -> tuple:
+    """``_guarded_map``'s context at a point off its box, after a good point."""
+    M, ctx = _guarded_map([])
+    good, off = M.point([0.2, 0.1]), np.array([0.3, 1.5])
+    return ctx, [[good, off], [off], [good, off, good]]
 
 
 def _gradient_fault(fault: str) -> tuple:
@@ -1022,11 +1033,6 @@ DILATION_FAULTS = _errors(PRODUCT_FAULTS, "metric", "f", "fn", "jac")
 # with that point's own splitting, a single-point call (the walk's one
 # evaluation there, for the value's shape)
 ONEILL_WALK = CHECKED_METRIC + ((SubmersionContext, "splitting_at"), (SmoothMap, "jacobian_at"))
-# the formula also differentiates the dilation, point by point
-FORMULA_WALK = ONEILL_WALK + ((SubmersionContext, "dilation"), (SmoothMap, "__call__"))
-# and the cross-validation's extensions of a point's own vectors are fields of
-# that point, each A a stack of one
-CROSSVAL_WALK = FORMULA_WALK + ((DiffEngine, "partials"), (DiffEngine, "partial"))
 # at the first stencil point of [0.3 0.4]; the image at [0.3 0.4] itself
 STENCIL_IMAGE_SHAPE = (DomainError, "image of shape (2,) at [0.30001 0.4    ]")
 
@@ -1087,6 +1093,20 @@ ROWS = {
          **_each(_boundary_fault, _errors(BOUNDARY_FAULTS, "fn", "jac")),
          **_each(_product_fault, DILATION_FAULTS)},
         SCHEMES,
+    ),
+    # the squared dilation field's form: one box check for the set, then one
+    # dilations call; a point off the box raises before any dilation is read,
+    # so a failing lone point reads nothing. A single value is a float, and
+    # a stack's item a numpy float
+    "lambda_sq_field-form": Row(
+        lambda ctx, points: _stack(ctx.lambda_sq_field())(
+            np.array(points, dtype=float).reshape(len(points), ctx.map.source.dim)),
+        lambda ctx, p: np.float64(ctx.lambda_sq_field()(p)),
+        lambda engine: _catalog(engine)[0], lambda ctx: (), (),
+        {**_each(_guarded, DILATION_ERRORS),
+         "point-off-the-box": (_off_the_box, (
+             DomainError, "point [0.3 1.5] outside domain of chart"))},
+        reads_once=False,
     ),
     "compatibility_report": Row(
         compatibility_report, compatibility,
@@ -1163,14 +1183,14 @@ ROWS = {
         {**_each(_as(_with_fields, _guarded), DILATION_ERRORS),
          **_each(_as(_with_fields, _boundary_fault), _errors(BOUNDARY_FAULTS, "fn", "jac")),
          **_each(_as(_with_fields, _product_fault), DILATION_FAULTS)},
-        SCHEMES, per_point=FORMULA_WALK,
+        SCHEMES, per_point=ONEILL_WALK,
     ),
     "_crossval_rows": _block_pass(
         suites._crossval_rows, lambda t: (t.ctx, t.pairs), lambda t: (3 * len(t.pairs), 2),
         lambda engine: _conformal_inputs(engine, _with_pairs, 2),
         {**_each(_as(_with_pairs, _guarded), DILATION_ERRORS),
          **_each(_as(_with_pairs, _product_fault), DILATION_FAULTS)},
-        per_point=CROSSVAL_WALK, reads_once=False,
+        per_point=ONEILL_WALK, reads_once=False,
     ),
     # columns [check, gap] per pair
     "_first_factor_rows": _block_pass(
@@ -2404,35 +2424,42 @@ def _oneill_pass_counts(scenario: str) -> tuple[dict, set]:
 # suites still walked one point at a time; since the second-factor identity
 # computes each variant's vertical gradients once per block, not once per
 # field pair, cws-variable-dilation's lambda1, lambda2 and source warp are
-# evaluated 65, 65 and 130 times fewer (585, 910 and 3640 before)
+# evaluated 65, 65 and 130 times fewer (585, 910 and 3640 before); since the
+# A cross-validation reads each pair field's values at a block's points once
+# for both extensions, not once each, field.0 to field.3 are evaluated 65
+# times fewer; and since no suite warms its stencil points up, the second-
+# factor identity no longer fetches splittings at stencil points that no
+# kernel reads, so cws-variable-dilation's three maps' Jacobians are
+# evaluated 130 times fewer (2145, 2535 and 2405 before)
 ONEILL_COUNTS = {
     "warped-line": {
-        "field.0": 477, "field.1": 585, "field.2": 401, "field.3": 629,
+        "field.0": 412, "field.1": 520, "field.2": 336, "field.3": 564,
         "objs.ctx.map.fn": 325, "objs.ctx.map.jac": 520, "objs.ctx.map.source.metric": 780,
         "objs.ctx.map.target.metric": 975, "objs.warped.second.metric": 780,
         "objs.warped.warp.fn": 780,
     },
     "exp-spiral-r4": {
-        "field.0": 845, "field.1": 1269, "field.2": 793, "field.3": 1365,
+        "field.0": 780, "field.1": 1204, "field.2": 728, "field.3": 1300,
         "objs.ctx.map.fn": 585, "objs.ctx.map.jac": 1170, "objs.ctx.map.source.metric": 1300,
         "objs.ctx.map.target.metric": 325,
     },
     "cws-variable-dilation": {
-        "field.0": 743, "field.1": 845, "field.2": 585, "field.3": 1161, "field.4": 780,
+        "field.0": 678, "field.1": 780, "field.2": 520, "field.3": 1096, "field.4": 780,
         "field.5": 1040, "field.6": 780, "field.7": 1040, "field.8": 390, "field.9": 520,
         "field.10": 325, "field.11": 520,
-        "objs.ctx.map.fn": 585, "objs.ctx.map.jac": 2145, "objs.ctx.map.source.metric": 3250,
+        "objs.ctx.map.fn": 585, "objs.ctx.map.jac": 2015, "objs.ctx.map.source.metric": 3250,
         "objs.ctx.map.target.metric": 455, "objs.cws.ctx1.map.fn": 715,
-        "objs.cws.ctx1.map.jac": 2535, "objs.cws.ctx2.map.fn": 585,
-        "objs.cws.ctx2.map.jac": 2405, "objs.cws.lambda1.fn": 520, "objs.cws.lambda2.fn": 845,
+        "objs.cws.ctx1.map.jac": 2405, "objs.cws.ctx2.map.fn": 585,
+        "objs.cws.ctx2.map.jac": 2275, "objs.cws.lambda1.fn": 520, "objs.cws.lambda2.fn": 845,
         "objs.cws.source.first.metric": 3705, "objs.cws.source.second.metric": 3705,
         "objs.cws.source.warp.fn": 3510, "objs.cws.target.first.metric": 455,
         "objs.cws.target.second.metric": 455,
     },
 }
-# the point-set forms an O'Neill pass reads: the warm-ups' and the kernels'
-# stacked splittings and dilations of the warped and the product ambients,
-# and the seeded affine and trigonometric fields' own forms, which the
+# the point-set forms an O'Neill pass reads: the kernels' stacked splittings
+# and dilations of the warped and the product ambients, the dilations also
+# at stencil points, through the form of the A formula's reciprocal dilation
+# field, and the seeded affine and trigonometric fields' own forms, which the
 # projected fields' forms (``horizontal_field``) read at a set's points and,
 # through the O'Neill kernels' split forms, at its stencil points; the
 # coordinate fields (field.0, field.3, ...) have none
