@@ -49,6 +49,7 @@ from .submersion import (
     _gram_schmidt,
     _horizontal,
     _in_blocks,
+    _inner,
     _oneills,
     _projectors,
     _vertical,
@@ -259,7 +260,7 @@ def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, coords: Array) ->
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
     inv_l1_lifted = lift(W, "first", inv_l1)
     c1 = coords[:, W.block("first")]
-    G1 = [W.first.metric_at(c) for c in c1]
+    G1 = np.array([W.first.metric_at(c) for c in c1])
     lam1_sq = np.array([cws.lambda1(c) ** 2 for c in c1])
     P1 = _projectors(cws.ctx1, c1)
     P = _projectors(cws.ctx, coords)
@@ -267,7 +268,7 @@ def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, coords: Array) ->
     for X1, Y1 in pairs1:
         Xl, Yl = lift(W, "first", X1), lift(W, "first", Y1)
         lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
-        inner = np.array([float(X1(c) @ g1 @ Y1(c)) for c, g1 in zip(c1, G1)])
+        inner = _inner(X1.values_at(c1), G1, Y1.values_at(c1))[:, 0]
         # convention A: everything on the first factor, then lifted
         br1 = _lie_brackets(W.first, engine, X1, Y1, c1)
         grad1 = _vertical_gradients(cws.ctx1, inv_l1, c1)
@@ -374,7 +375,7 @@ def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
     first needs them."""
     W = cws.source
     c2 = coords[:, W.block("second")]
-    G2 = [W.second.metric_at(c) for c in c2]
+    G2 = np.array([W.second.metric_at(c) for c in c2])
     lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
     grads = None  # each variant's vertical gradients at coords
     rows = [[] for _ in coords]
@@ -384,7 +385,7 @@ def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
         a2_xy = _oneills(cws.ctx2, _horizontal, X2, Y2, c2)
         a2_yx = _oneills(cws.ctx2, _horizontal, Y2, X2, c2)
         skew = np.array([W.pad("second", v) for v in a2_xy - a2_yx])
-        inner = np.array([float(X2(c) @ g2 @ Y2(c)) for c, g2 in zip(c2, G2)])
+        inner = _inner(X2.values_at(c2), G2, Y2.values_at(c2))[:, 0]
         if grads is None:
             grads = [_vertical_gradients(cws.ctx, field, coords) for field in variants.values()]
         rhs = [0.5 * (skew - (lam2_sq * inner)[:, None] * g) for g in grads]

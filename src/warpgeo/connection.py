@@ -11,10 +11,10 @@ one kernel over a point set, on ``DiffEngine.stacked_partials``; a single
 point is a stack of one, which that walk differentiates by ``partials``'
 own loop. The kernels hand the walk the point-set forms they own: the
 Christoffel kernel the chart's ``metrics_at``, the other two a field's form
-when a builder attached one (``manifold._with_stack``, as the seeded affine
-and trigonometric fields and ``warped.lift`` do), so a set's stencil points
-are evaluated in one call; they read a field's values at the set's points
-through ``VectorField.values_at``, one call of the same form. numpy's stacked
+where it has one (``manifold._with_stack``: the seeded affine and
+trigonometric fields, the projected and lifted fields), so a set's stencil
+points are evaluated in one call; they read a field's values at the set's
+points through ``VectorField.values_at``, one call of the same form. numpy's stacked
 ``inv``, ``einsum`` and ``matmul`` give each point the bits of its own call,
 so a point's value does not depend on the set it is computed in.
 
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .fd import DiffEngine
-from .manifold import ChartManifold, VectorField, _compute_one, _memoized, _memoized_many, _stack
+from .manifold import ChartManifold, VectorField, _memoized_many, _stack
 
 Array = np.ndarray
 
@@ -39,18 +39,16 @@ Array = np.ndarray
 def christoffel(M: ChartManifold, engine: DiffEngine, coords) -> Array:
     """Christoffel symbols of M at coords as gamma[k, i, j] = Gamma^k_ij.
 
-    The metric is evaluated and checked here. Inside an evaluation scope the
-    array is memoized by chart, exact coordinates and engine, and is
-    read-only."""
-    coords = np.asarray(coords, dtype=float)
-    return _memoized(M, coords, engine, _compute_one,
-                     lambda coords_list: _christoffels(M, engine, coords_list, [None]), coords)
+    The metric is evaluated and checked here: ``christoffels`` on a stack
+    of one."""
+    return christoffels(M, engine, [coords])[0]
 
 
 def christoffels(M: ChartManifold, engine: DiffEngine, coords_seq, metrics=None) -> list[Array]:
-    """``[christoffel(M, engine, c) for c in coords_seq]``, computed by one
-    kernel for the points not yet stored: one stacked walk over their
-    stencils. Memo entries are shared with ``christoffel``.
+    """The Christoffel symbols at each point of ``coords_seq``, computed by
+    one kernel for the points not yet stored: one stacked walk over their
+    stencils. Inside an evaluation scope each array is memoized by chart,
+    exact coordinates and engine, and is read-only.
 
     ``metrics``, when given, are the checked ``M.metric_at(c)`` a caller has
     just evaluated at the same points, so that each is evaluated once; any

@@ -8,9 +8,10 @@ reproducible run to run.
 The affine and trigonometric fields carry a point-set form
 (``manifold._with_stack``) that gives every row the bits of the field's own
 call, so ``VectorField.values_at`` and the connection kernels' stencil walks
-evaluate a point set in one call. Coordinate fields are constants and carry
-none. ``modulated_constants`` is ``modulated`` of each point's own constant
-field at once (``manifold.PointFields``).
+evaluate a point set in one call; the single-point call is kept as the
+reference that the form is tested against. Coordinate fields are constants
+and carry none. ``modulated_constants`` is ``modulated`` of each point's own
+constant field at once (``manifold.PointFields``), a form alone.
 """
 
 from __future__ import annotations
@@ -89,4 +90,4 @@ def modulated_constants(vectors, axis: int, anchors, slope: float = 0.7) -> Poin
     def stack(X, owners):
         return (1.0 + slope * (X[:, axis] - anchors[owners, axis]))[:, None] * V[owners]
 
-    return PointFields(lambda x, n: (1.0 + slope * (x[axis] - anchors[n, axis])) * V[n], stack)
+    return PointFields(stack)

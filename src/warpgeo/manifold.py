@@ -144,12 +144,24 @@ def _with_stack(one, stack):
     one float array, bit for bit. ``_stack_of`` reads it (for a chart's
     ``metrics_at`` and ``VectorField.values_at``), and ``_stack`` for the
     kernels that hand it to their stencil walks (the connection kernels and
-    ``gradients``). Builders attach it to the callables they assemble from
-    their parts, the seeded fields of ``fields`` and the dilation fields of
-    ``submersion`` carry one; a callable put in the place of ``one`` comes
-    without it."""
+    ``gradients``). A builder keeps a ``one`` of its own only where that is
+    a checked program (the warped ambient metric, the product map) or the
+    form's reference (the seeded fields of ``fields``); the other fields it
+    assembles are their form (``_single``). A callable put in the place of
+    ``one`` comes without a form."""
     one._stack = stack
     return one
+
+
+def _single(stack):
+    """The callable of one point whose point-set form is ``stack``: ``stack``
+    on a stack of one, carrying ``stack`` (``_with_stack``). For a form that
+    takes owners (``PointFields``) the callable is ``one(c, n)``, which
+    hands the form the owners ``[n]``."""
+    def one(coords, *owner):
+        return stack(np.asarray(coords, dtype=float)[None], *(np.array([n]) for n in owner))[0]
+
+    return _with_stack(one, stack)
 
 
 def _stack_of(fn):
@@ -382,21 +394,20 @@ class PointFields:
     """A vector field for each row of a point set, which belongs to that
     row's point, as the extensions of vectors given at the points do.
 
-    ``fn(c, n)`` is row n's field at the coordinates c. ``stack(points,
-    owners)`` is the field of row ``owners[k]`` at each row k of the (K,
-    dim) array ``points``, as one float array, each row with the bits of
-    ``fn``'s call: a form that takes owners, which a kernel hands to
-    ``DiffEngine.stacked_partials`` (``owned=True``)."""
+    ``stack(points, owners)`` is the field of row ``owners[k]`` at each row
+    k of the (K, dim) array ``points``, as one float array: a form that
+    takes owners, which a kernel hands to ``DiffEngine.stacked_partials``
+    (``owned=True``). Row n's field at the coordinates c is that form on a
+    stack of one (``_single``)."""
 
-    fn: Callable[[Array, int], Array]
     stack: Callable[[Array, Array], Array]
 
     def __call__(self, coords, n: int) -> Array:
-        return np.asarray(self.fn(np.asarray(coords, dtype=float), n), dtype=float)
+        return np.asarray(_single(self.stack)(coords, n), dtype=float)
 
     def field(self, n: int) -> VectorField:
         """Row n's field alone, without a point-set form."""
-        return VectorField(lambda c: self.fn(c, n))
+        return VectorField(lambda c: self(c, n))
 
     def values_at(self, coords, owners=None) -> Array:
         """``np.array([self(c, n) for c, n in zip(coords, owners)])`` at the
@@ -412,7 +423,7 @@ class PointFields:
     def constant(vectors) -> "PointFields":
         """Row n: ``VectorField.constant(vectors[n])``."""
         V = np.asarray(vectors, dtype=float)
-        return PointFields(lambda c, n: V[n], lambda points, owners: V[owners])
+        return PointFields(lambda points, owners: V[owners])
 
 
 def metric_inner(M: ChartManifold, coords, u, v) -> float:

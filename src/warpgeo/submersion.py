@@ -21,9 +21,10 @@ walk's stencil points. The fields are fixed across the set, or belong to
 its points (``manifold.PointFields``, such as the constant extensions of
 each point's own vectors); then the walk also hands the form the owner of
 each stencil point. The projected fields ``vertical_field`` and
-``horizontal_field`` carry forms too, and so does ``lambda_sq_field``,
-whose form reads a set's ``dilations`` in one call: the bracket formula
-hands the form of 1/lambda^2 to the walk of its gradient
+``horizontal_field``, the kernels' split and ``lambda_sq_field`` are each
+their form, a single point a stack of one (``manifold._single``). The
+form of ``lambda_sq_field`` reads a set's ``dilations`` in one call: the
+bracket formula hands the form of 1/lambda^2 to the walk of its gradient
 (``manifold.gradients``), so every walk fetches the splittings and
 dilations at its stencil points as one set. ``oneill_a`` and ``oneill_t``
 are the kernel on a stack of one, and so are ``fiber_mean_curvature``,
@@ -90,15 +91,13 @@ from .manifold import (
     ScalarField,
     VectorField,
     _as_vector,
-    _compute_one,
     _finite,
-    _memoized,
     _memoized_many,
     _point_set,
     _positive_definite,
+    _single,
     _stack,
     _stack_of,
-    _with_stack,
     analytic_fd_gap,
     evaluation_scope,
     gradients,
@@ -305,15 +304,13 @@ class SubmersionContext:
     engine: DiffEngine
 
     def splitting_at(self, coords) -> Splitting:
-        """Inside an evaluation scope, memoized by context and exact coordinates."""
-        coords = np.asarray(coords, dtype=float)
-        return _memoized(self, coords, "splitting", _compute_one, self._stacked_splittings,
-                         coords)
+        """``splittings_at`` on a stack of one."""
+        return self.splittings_at([coords])[0]
 
     def splittings_at(self, coords_seq) -> list[Splitting]:
-        """``[self.splitting_at(c) for c in coords_seq]``, with one stacked
-        LAPACK call per step for the whole set; memo entries are shared with
-        ``splitting_at``."""
+        """The splitting at each point of ``coords_seq``, with one stacked
+        LAPACK call per step for the whole set. Inside an evaluation scope,
+        memoized by context and exact coordinates."""
         coords = [np.asarray(c, dtype=float) for c in coords_seq]
         return _memoized_many(self, coords, "splitting", self._stacked_splittings)
 
@@ -357,14 +354,12 @@ class SubmersionContext:
         return vert, v - vert
 
     def dilation(self, coords) -> DilationEstimate:
-        """Inside an evaluation scope, memoized by context and exact coordinates."""
-        coords = np.asarray(coords, dtype=float)
-        return _memoized(self, coords, "dilation", _compute_one, self._stacked_dilations, coords)
+        """``dilations`` on a stack of one."""
+        return self.dilations([coords])[0]
 
     def dilations(self, coords_seq) -> list[DilationEstimate]:
-        """``[self.dilation(c) for c in coords_seq]``, with one stacked call
-        per step for the whole set; memo entries are shared with ``dilation``
-        and, for the splittings, with ``splitting_at``."""
+        """The dilation at each point of ``coords_seq``, with one stacked call
+        per step for the whole set; memoized as ``splittings_at`` is."""
         coords = [np.asarray(c, dtype=float) for c in coords_seq]
         return _memoized_many(self, coords, "dilation", self._stacked_dilations)
 
@@ -407,48 +402,42 @@ class SubmersionContext:
         return _projected(self, F, vertical=False)
 
     def lambda_sq_field(self) -> ScalarField:
-        """The squared dilation as a field, whose point-set form checks a set
-        against the source box once, then reads its ``dilations`` in one call."""
+        """The squared dilation as a field, whose point-set form checks a set's
+        shape and box once (the first bad point raises ``ChartManifold.point``'s
+        error), then reads its ``dilations`` in one call."""
         source = self.map.source
 
         def stack(points):
-            for p in points[~source.contains(points)][:1]:
-                source.point(p)  # raises its DomainError
+            # the shape first: ``contains`` would broadcast a wrong one
+            if points.shape[1:] != (source.dim,) or not source.contains(points).all():
+                points = np.array([source.point(p) for p in points])
             return np.array([d.lambda_sq for d in self.dilations(points)])
 
-        return ScalarField(_with_stack(lambda c: self.dilation(source.point(c)).lambda_sq, stack))
+        return ScalarField(_single(stack))
 
 
 def _inverse_lambda_sq_field(ctx: SubmersionContext) -> ScalarField:
     """1 / lambda^2 as a field, whose point-set form divides that of
     ``lambda_sq_field``."""
-    lam = ctx.lambda_sq_field()
-    return ScalarField(_with_stack(lambda c: 1.0 / lam(c),
-                                   lambda points: 1.0 / _stack(lam)(points)))
+    lam = _stack(ctx.lambda_sq_field())
+    return ScalarField(_single(lambda points: 1.0 / lam(points)))
 
 
 def _projected(ctx: SubmersionContext, F, vertical: bool):
     """The vertical (else horizontal) part of F at every point, projected with
-    the splitting there: of a VectorField a VectorField whose point-set form
-    (``manifold._with_stack``) reads the set's splittings (``_projectors``)
-    and then F's values (``values_at``) in one call each, and of
-    PointFields PointFields whose form does so at the points and owners it
-    is handed. Each value has the bits of the single-point projection,
-    which also reads the splitting first."""
+    the splitting there: of a VectorField the VectorField of a point-set
+    form (``manifold._single``) that reads the set's splittings
+    (``_projectors``) and then F's values (``values_at``) in one call each,
+    and of PointFields the PointFields of a form that does so at the points
+    and owners it is handed."""
     part = _vertical if vertical else _horizontal
 
-    def one(c, *row):
-        s = ctx.splitting_at(c)
-        f = F(c, *row)
-        return s.vertical_part(f) if vertical else s.horizontal_part(f)
-
     def rows(points, *owners):
-        P = _projectors(ctx, points)
-        return part(P, F.values_at(points, *owners))
+        return part(_projectors(ctx, points), F.values_at(points, *owners))
 
     if isinstance(F, PointFields):
-        return PointFields(one, rows)
-    return VectorField(_with_stack(one, rows))
+        return PointFields(rows)
+    return VectorField(_single(rows))
 
 
 def _vertical(P: Array, x: Array) -> Array:
@@ -507,7 +496,7 @@ def _oneill_kernel(ctx: SubmersionContext, part, E, F, coords: Array) -> Array:
     stencil points, with, for PointFields, the owner of each stencil point
     (``DiffEngine.stacked_partials(..., owned=True)``), since the stencil
     points of two base points may coincide. A lone point is the walk's loop,
-    which splits F at each stencil point with that point's own splitting.
+    which evaluates that form on a stack of one at each stencil point.
     The stencils act elementwise and numpy's stacked products give each
     point the bits of its own call, so each value equals that of a stack of
     one; a set that fails raises the walk's first error, which need not be
@@ -515,11 +504,6 @@ def _oneill_kernel(ctx: SubmersionContext, part, E, F, coords: Array) -> Array:
     """
     M, engine = ctx.map.source, ctx.engine
     owned = isinstance(F, PointFields)
-
-    def split(c, *row):
-        f = F(c, *row)
-        v = ctx.splitting_at(c).vertical_part(f)
-        return np.array((v, f - v))
 
     def splits(points, *owners):
         f = F.values_at(points, *owners)
@@ -529,8 +513,8 @@ def _oneill_kernel(ctx: SubmersionContext, part, E, F, coords: Array) -> Array:
     P = _projectors(ctx, coords)
     directions = part(P, E.values_at(coords))
     gammas = np.array(christoffels(M, engine, coords))
-    d = engine.stacked_partials(split, coords, M.lower, M.upper, along=directions, stack=splits,
-                                owned=owned)
+    d = engine.stacked_partials(_single(splits), coords, M.lower, M.upper, along=directions,
+                                stack=splits, owned=owned)
     f = F.values_at(coords)
     v = _vertical(P, f)
     # contiguous slices, so each product is the same call as for a lone field

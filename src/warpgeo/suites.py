@@ -151,13 +151,13 @@ def splitting_records(
         J = np.stack([s.jacobian for s in splittings])
         G = np.stack([s.metric for s in splittings])
         smax = np.array([s.singular_values[0] for s in splittings])
-        vert = (P @ v[:, :, None])[:, :, 0]
+        vert = _vertical(P, v)
         horiz = v - vert
         terms = np.stack([
             np.max(np.abs(v - vert - horiz), axis=1),
             np.max(np.abs(J @ vert[:, :, None]), axis=(1, 2)) / (1.0 + smax),
             np.abs(_inner(vert, G, horiz)[:, 0]),
-            np.max(np.abs(P @ horiz[:, :, None]), axis=(1, 2)),  # idempotence
+            np.max(np.abs(_vertical(P, horiz)), axis=1),  # idempotence
         ], axis=1)
         for residual, scale in zip(np.max(terms, axis=1), 1.0 + np.max(np.abs(v), axis=1)):
             check.add(residual, scale)

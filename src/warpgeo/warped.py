@@ -35,6 +35,7 @@ from .manifold import (
     ChartManifold,
     ScalarField,
     VectorField,
+    _single,
     _with_stack,
     gradients,
     scalar_partials,
@@ -149,9 +150,9 @@ def _warped_metric(g: Array, blocks: tuple, g1: Array, f, g2: Array) -> Array:
 
 def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField]:
     """Lift a factor ScalarField or VectorField to the ambient chart,
-    zero-padding the other factor's block. A lifted VectorField carries a
-    point-set form (``manifold._with_stack``): the factor field's values at
-    the set's factor coordinates (``VectorField.values_at``, one call of the
+    zero-padding the other factor's block. A lifted VectorField is its
+    point-set form (``manifold._single``): the factor field's values at the
+    set's factor coordinates (``VectorField.values_at``, one call of the
     factor field's own form where it has one), written into the zero-padded
     rows of one array."""
     block = W.block(origin)
@@ -166,7 +167,7 @@ def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField
             out[:, block] = field.values_at(coords[:, block])
             return out
 
-        return VectorField(_with_stack(lambda c: W.pad(origin, field(c[block])), rows))
+        return VectorField(_single(rows))
     raise TypeError(f"cannot lift object of type {type(field).__name__}")
 
 

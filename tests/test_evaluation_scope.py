@@ -448,10 +448,8 @@ def _count_kernels(monkeypatch) -> dict:
 
         return memoized(owner, coords, tag, counted, *args)
 
-    # splitting_at and dilation call submersion's binding, a set of one
-    # point manifold's own
-    for module in (submersion, manifold):
-        monkeypatch.setattr(module, "_memoized", spy)
+    # a set of one point, as splitting_at and dilation are, calls manifold's
+    monkeypatch.setattr(manifold, "_memoized", spy)
     for name in KERNELS[2:]:
         kernel = getattr(SubmersionContext, name)
 

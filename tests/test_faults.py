@@ -38,6 +38,7 @@ from warpgeo import (
 )
 from warpgeo import scenarios
 from warpgeo.manifold import check_scalar_field
+from warpgeo.submersion import _inverse_lambda_sq_field
 from warpgeo.scenarios import list_scenarios, run_scenario
 
 pytestmark = pytest.mark.boundary
@@ -270,6 +271,23 @@ def test_a_scalar_field_is_checked_on_every_path_that_evaluates_it():
     # an FD partial evaluates the field at its stencil points
     with pytest.raises(GeometryError, match=re.escape("scalar field of shape (2,) at [0.3")):
         gradient(M, ENGINE, vector, POINTS[1])
+
+
+@pytest.mark.parametrize("coords, error, message", [
+    (0.3, ValueError, "coords have shape (1,), expected (2,)"),
+    ([0.3, 0.4, 0.5], ValueError, "coords have shape (3,), expected (2,)"),
+    ([0.3, 1.5], DomainError, "point [0.3 1.5] outside domain of chart"),
+    ([np.nan, 0.4], DomainError, "point [nan 0.4] outside domain of chart"),
+])
+def test_a_dilation_field_at_a_bad_point_raises_the_charts_error(coords, error, message):
+    # the field at one point is its form on a stack of one, which must check
+    # the stack's shape before its box: a (1, 1) stack broadcasts against
+    # the box of the plane
+    ctx = bad_from_second_point()
+    for field in (ctx.lambda_sq_field(), _inverse_lambda_sq_field(ctx)):
+        with pytest.raises(error) as exc:
+            field(coords)
+        assert str(exc.value) == message
 
 
 def test_a_nan_fd_gap_is_not_dropped():

@@ -1030,9 +1030,9 @@ STENCIL_ERROR = (StencilError, "stencil does not fit: room to boundary 1.000e-11
 SPLITTING_FAULTS = _errors(PRODUCT_FAULTS, "metric", "f", "jac")
 DILATION_FAULTS = _errors(PRODUCT_FAULTS, "metric", "f", "fn", "jac")
 # the O'Neill kernels split a field at a point whose direction uses no axis
-# with that point's own splitting, a single-point call (the walk's one
-# evaluation there, for the value's shape)
-ONEILL_WALK = CHECKED_METRIC + ((SubmersionContext, "splitting_at"), (SmoothMap, "jacobian_at"))
+# on a stack of one (the walk's one evaluation there, for the value's
+# shape), whose splitting reads that point's Jacobian alone
+ONEILL_WALK = CHECKED_METRIC + ((SmoothMap, "jacobian_at"),)
 # at the first stencil point of [0.3 0.4]; the image at [0.3 0.4] itself
 STENCIL_IMAGE_SHAPE = (DomainError, "image of shape (2,) at [0.30001 0.4    ]")
 
@@ -2049,93 +2049,97 @@ def _combined(scheme, values, h):
 
 
 def test_numpy_stacked_calls_equal_per_matrix_calls():
-    rng = np.random.default_rng(20261018)
-    for m, n in ((1, 1), (1, 2), (2, 4), (3, 5), (5, 5)):
-        N = 17
-        J = rng.standard_normal((N, m, n))
-        A = rng.standard_normal((N, n, n))
-        G = A @ A.transpose(0, 2, 1) + np.eye(n)
-        B = rng.standard_normal((N, n, m))
-        u, v = rng.standard_normal((2, N, n))
-        Gt = G[:, :m, :m]
-        W = A[:, m:]  # a row block, as the kernel slices its right singular vectors
-        seed = int(rng.integers(2**32))
-        one_by_one = np.random.default_rng(seed)
-        draws = [one_by_one.uniform(-1.0, 1.0, size=n) for _ in range(N)]
-        # the values a user's metric or Jacobian returns: arrays and lists
-        items = [J[i].tolist() if i % 2 else J[i] for i in range(N)]
-        # four stencil values per point, a step and a warp per point
-        V = rng.standard_normal((4, N, n))
-        h = rng.uniform(1e-7, 1e-4, size=N)
-        f = rng.uniform(0.5, 2.0, size=N)
-        T = rng.standard_normal((N, n, n, n))  # Christoffel symbols, or metric partials
-        cases = {
-            "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
-            "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
-            "solve, a vector right-hand side": (
-                lambda: np.linalg.solve(G, u[..., None])[..., 0],
-                lambda i: np.linalg.solve(G[i], u[i]),
-            ),
-            "eigvalsh": (lambda: np.linalg.eigvalsh(G), lambda i: np.linalg.eigvalsh(G[i])),
-            "(m x n)(n x m)": (lambda: J @ B, lambda i: J[i] @ B[i]),
-            "(n x n)(n x 1)": (lambda: (G @ v[:, :, None])[:, :, 0], lambda i: G[i] @ v[i]),
-            "(m x n)(n x 1)": (lambda: (J @ u[:, :, None])[:, :, 0], lambda i: J[i] @ u[i]),
-            "uniform": (
-                lambda: np.random.default_rng(seed).uniform(-1.0, 1.0, size=(N, n)),
-                lambda i: draws[i],
-            ),
-            "B^T G B": (lambda: B.transpose(0, 2, 1) @ G @ B, lambda i: B[i].T @ G[i] @ B[i]),
-            "W G W^T": (
-                lambda: W @ G @ W.transpose(0, 2, 1), lambda i: W[i] @ G[i] @ W[i].T,
-            ),
-            "(1 x n)(n x n)(n x 1)": (
-                lambda: (u[:, None, :] @ G @ v[:, :, None])[:, 0, 0],
-                lambda i: u[i] @ G[i] @ v[i],
-            ),
-            "(J B)^T Gt (J B)": (
-                lambda: (J @ B).transpose(0, 2, 1) @ Gt @ (J @ B),
-                lambda i: (J[i] @ B[i]).T @ Gt[i] @ (J[i] @ B[i]),
-            ),
-            "trace": (lambda: np.trace(G, axis1=1, axis2=2), lambda i: np.trace(G[i])),
-            "symmetrize": (lambda: manifold._symmetrized(A), lambda i: 0.5 * (A[i] + A[i].T)),
-            "array of a list": (
-                lambda: np.array(items, dtype=float), lambda i: np.asarray(items[i], dtype=float),
-            ),
-            "central2 combine": (
-                lambda: _combined("central2", V, h[:, None]),
-                lambda i: _combined("central2", V[:, i], float(h[i])),
-            ),
-            "central4 combine": (
-                lambda: _combined("central4", V, h[:, None]),
-                lambda i: _combined("central4", V[:, i], float(h[i])),
-            ),
-            "warp squared": (
-                lambda: (f * f)[:, None, None] * Gt,
-                lambda i: (float(f[i]) * float(f[i])) * Gt[i],
-            ),
-            "inv": (lambda: np.linalg.inv(G), lambda i: np.linalg.inv(G[i])),
-            "Christoffel contraction": (
-                lambda: np.einsum("nkl,nijl->nkij", G, T),
-                lambda i: np.einsum("kl,ijl->kij", G[i], T[i]),
-            ),
-            "Christoffel term": (
-                lambda: np.einsum("...kij,...i,...j->...k", T, u, v),
-                lambda i: np.einsum("kij,i,j->k", T[i], u[i], v[i]),
-            ),
-            "(1 x n)(n x n)": (lambda: (u[:, None, :] @ A)[:, 0], lambda i: u[i] @ A[i]),
-            # the affine and trigonometric fields' forms: one shared matrix
-            "shared (n x n)(n x 1)": (
-                lambda: (A[0] @ u[..., None])[..., 0], lambda i: A[0] @ u[i],
-            ),
-            "sin": (lambda: np.sin(u), lambda i: np.sin(u[i])),
-        }
-        for name, (stacked, single) in cases.items():
-            whole = stacked()
-            for i in range(N):
-                one = single(i)
-                same = all(np.array_equal(a[i], b) for a, b in zip(whole, one)) \
-                    if isinstance(one, tuple) else np.array_equal(whole[i], one)
-                assert same, f"{name} on ({m}, {n}) matrices, matrix {i}: {STACKED_KERNEL}"
+    # a stack of 17 points, and a stack of one: a single point of a derived
+    # field is its point-set form on a stack of one (manifold._single)
+    for N, seed in ((17, 20261018), (1, 20261020)):
+        rng = np.random.default_rng(seed)
+        for m, n in ((1, 1), (1, 2), (2, 4), (3, 5), (5, 5)):
+            J = rng.standard_normal((N, m, n))
+            A = rng.standard_normal((N, n, n))
+            G = A @ A.transpose(0, 2, 1) + np.eye(n)
+            B = rng.standard_normal((N, n, m))
+            u, v = rng.standard_normal((2, N, n))
+            Gt = G[:, :m, :m]
+            W = A[:, m:]  # a row block, as the kernel slices its right singular vectors
+            seed = int(rng.integers(2**32))
+            one_by_one = np.random.default_rng(seed)
+            draws = [one_by_one.uniform(-1.0, 1.0, size=n) for _ in range(N)]
+            # the values a user's metric or Jacobian returns: arrays and lists
+            items = [J[i].tolist() if i % 2 else J[i] for i in range(N)]
+            # four stencil values per point, a step and a warp per point
+            V = rng.standard_normal((4, N, n))
+            h = rng.uniform(1e-7, 1e-4, size=N)
+            f = rng.uniform(0.5, 2.0, size=N)
+            T = rng.standard_normal((N, n, n, n))  # Christoffel symbols, or metric partials
+            cases = {
+                "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
+                "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
+                "solve, a vector right-hand side": (
+                    lambda: np.linalg.solve(G, u[..., None])[..., 0],
+                    lambda i: np.linalg.solve(G[i], u[i]),
+                ),
+                "eigvalsh": (lambda: np.linalg.eigvalsh(G), lambda i: np.linalg.eigvalsh(G[i])),
+                "(m x n)(n x m)": (lambda: J @ B, lambda i: J[i] @ B[i]),
+                "(n x n)(n x 1)": (lambda: (G @ v[:, :, None])[:, :, 0], lambda i: G[i] @ v[i]),
+                "(m x n)(n x 1)": (lambda: (J @ u[:, :, None])[:, :, 0], lambda i: J[i] @ u[i]),
+                "uniform": (
+                    lambda: np.random.default_rng(seed).uniform(-1.0, 1.0, size=(N, n)),
+                    lambda i: draws[i],
+                ),
+                "B^T G B": (lambda: B.transpose(0, 2, 1) @ G @ B, lambda i: B[i].T @ G[i] @ B[i]),
+                "W G W^T": (
+                    lambda: W @ G @ W.transpose(0, 2, 1), lambda i: W[i] @ G[i] @ W[i].T,
+                ),
+                "(1 x n)(n x n)(n x 1)": (
+                    lambda: (u[:, None, :] @ G @ v[:, :, None])[:, 0, 0],
+                    lambda i: u[i] @ G[i] @ v[i],
+                ),
+                "(J B)^T Gt (J B)": (
+                    lambda: (J @ B).transpose(0, 2, 1) @ Gt @ (J @ B),
+                    lambda i: (J[i] @ B[i]).T @ Gt[i] @ (J[i] @ B[i]),
+                ),
+                "trace": (lambda: np.trace(G, axis1=1, axis2=2), lambda i: np.trace(G[i])),
+                "symmetrize": (lambda: manifold._symmetrized(A), lambda i: 0.5 * (A[i] + A[i].T)),
+                "array of a list": (
+                    lambda: np.array(items, dtype=float),
+                    lambda i: np.asarray(items[i], dtype=float),
+                ),
+                "central2 combine": (
+                    lambda: _combined("central2", V, h[:, None]),
+                    lambda i: _combined("central2", V[:, i], float(h[i])),
+                ),
+                "central4 combine": (
+                    lambda: _combined("central4", V, h[:, None]),
+                    lambda i: _combined("central4", V[:, i], float(h[i])),
+                ),
+                "warp squared": (
+                    lambda: (f * f)[:, None, None] * Gt,
+                    lambda i: (float(f[i]) * float(f[i])) * Gt[i],
+                ),
+                "inv": (lambda: np.linalg.inv(G), lambda i: np.linalg.inv(G[i])),
+                "Christoffel contraction": (
+                    lambda: np.einsum("nkl,nijl->nkij", G, T),
+                    lambda i: np.einsum("kl,ijl->kij", G[i], T[i]),
+                ),
+                "Christoffel term": (
+                    lambda: np.einsum("...kij,...i,...j->...k", T, u, v),
+                    lambda i: np.einsum("kij,i,j->k", T[i], u[i], v[i]),
+                ),
+                "(1 x n)(n x n)": (lambda: (u[:, None, :] @ A)[:, 0], lambda i: u[i] @ A[i]),
+                # the affine and trigonometric fields' forms: one shared matrix
+                "shared (n x n)(n x 1)": (
+                    lambda: (A[0] @ u[..., None])[..., 0], lambda i: A[0] @ u[i],
+                ),
+                "sin": (lambda: np.sin(u), lambda i: np.sin(u[i])),
+            }
+            for name, (stacked, single) in cases.items():
+                whole = stacked()
+                for i in range(N):
+                    one = single(i)
+                    same = all(np.array_equal(a[i], b) for a, b in zip(whole, one)) \
+                        if isinstance(one, tuple) else np.array_equal(whole[i], one)
+                    assert same, (f"{name} on a stack of {N} ({m}, {n}) matrices, matrix {i}: "
+                                  f"{STACKED_KERNEL}")
 
 
 # -- the evaluations of a dilation-survey pass

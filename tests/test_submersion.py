@@ -22,6 +22,8 @@ from warpgeo import (
     vertical_gradient,
 )
 from warpgeo.fields import vector_field_library
+from warpgeo.manifold import PointFields
+from warpgeo.submersion import _inverse_lambda_sq_field
 from warpgeo.scenarios import spiral_map
 from warpgeo.warped import projection_map
 
@@ -350,3 +352,50 @@ def test_image_point_outside_target_domain():
     big = SmoothMap(M, N, lambda c: 10 * c, lambda c: np.array([[10.0]]))
     with pytest.raises(DomainError):
         big.image_point(M.point([0.5]))
+
+
+# a field that the package derives at one point is its point-set form on a
+# stack of one: no single-point splitting or dilation, and a lifted field
+# reads its factor field as a set
+DERIVED_AT_ONE_POINT = {
+    "vertical_field": lambda ctx, W, X, p: ctx.vertical_field(X)(p),
+    "horizontal_field": lambda ctx, W, X, p: ctx.horizontal_field(X)(p),
+    "horizontal_field-of-point-fields": lambda ctx, W, X, p: ctx.horizontal_field(
+        PointFields.constant([X(p), -X(p)]))(p, 1),
+    "lambda_sq_field": lambda ctx, W, X, p: ctx.lambda_sq_field()(p),
+    "inverse-lambda_sq_field": lambda ctx, W, X, p: _inverse_lambda_sq_field(ctx)(p),
+    "oneill-split": lambda ctx, W, X, p: oneill_t(ctx, X, X, p),  # the lone point's walk
+    "lift": lambda ctx, W, X, p: lift(W, "second", VectorField(lambda c: np.exp(c)))(p[:2]),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_AT_ONE_POINT)
+def test_a_derived_field_at_one_point_runs_its_form(name, spiral, warped_line, monkeypatch):
+    X = vector_field_library(spiral.map.source, np.random.default_rng(5), 3)[2]
+    p = spiral.map.source.point([0.3, -0.2, 0.5, 0.1])
+    sizes = []
+    for owner, attr in ((SubmersionContext, "splittings_at"), (SubmersionContext, "dilations"),
+                        (VectorField, "values_at")):
+        def spy(self, coords, *args, real=getattr(owner, attr)):
+            sizes.append(np.shape(coords)[:1])
+            return real(self, coords, *args)
+
+        monkeypatch.setattr(owner, attr, spy)
+    for attr in ("splitting_at", "dilation"):
+        monkeypatch.setattr(SubmersionContext, attr,
+                            lambda self, coords, attr=attr: pytest.fail(f"{attr} at {coords}"))
+    value = DERIVED_AT_ONE_POINT[name](spiral, warped_line, X, p)
+    assert np.isfinite(value).all()
+    assert sizes and set(sizes) == {(1,)}
+
+
+def test_point_fields_at_one_point_hand_their_form_the_owner():
+    calls = []
+    form = PointFields.constant(np.arange(6.0).reshape(3, 2)).stack
+
+    def spy(points, owners):
+        calls.append((points.tolist(), owners.tolist()))
+        return form(points, owners)
+
+    assert PointFields(spy)([0.5, 0.25], 2).tolist() == [4.0, 5.0]
+    assert calls == [([[0.5, 0.25]], [2])]
