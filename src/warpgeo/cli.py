@@ -69,9 +69,12 @@ def _emit(text: str, out: Optional[str]) -> None:
         text += "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ConfigurationError(f"cannot write the report to {out}: {exc.strerror}") from None
 
 
 def _cmd_list() -> int:

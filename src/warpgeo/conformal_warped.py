@@ -260,7 +260,7 @@ def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, coords: Array) ->
     inv_l1 = ScalarField(lambda c: 1.0 / cws.lambda1(c) ** 2, inv_l1_partials)
     inv_l1_lifted = lift(W, "first", inv_l1)
     c1 = coords[:, W.block("first")]
-    G1 = np.array([W.first.metric_at(c) for c in c1])
+    G1 = np.array(W.first.metrics_at(c1, check=True))
     lam1_sq = np.array([cws.lambda1(c) ** 2 for c in c1])
     P1 = _projectors(cws.ctx1, c1)
     P = _projectors(cws.ctx, coords)
@@ -375,7 +375,7 @@ def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
     first needs them."""
     W = cws.source
     c2 = coords[:, W.block("second")]
-    G2 = np.array([W.second.metric_at(c) for c in c2])
+    G2 = np.array(W.second.metrics_at(c2, check=True))
     lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
     grads = None  # each variant's vertical gradients at coords
     rows = [[] for _ in coords]
@@ -415,8 +415,7 @@ def verify_riemannian_reduction(
                 f"got {rv} vs {fv} at {p}"
             )
     check = ResidualCheck("riemannian-reduction", tolerance)
-    for p in points:
-        d = cws.ctx.dilation(p)
+    for _, d in _in_blocks(cws.ctx.dilations, points):
         # length preservation over the horizontal basis is |Q - I| in disguise
         check.add(max(abs(d.lambda_sq - 1.0), d.anisotropy - 1.0))
     return check.record()
@@ -504,7 +503,7 @@ def _factor_vertical_bases(cws: ConformalWarpedSubmersion, coords: Array) -> tup
         vertical = np.stack([s.vertical for s in ctx.splittings_at(coords[:, W.block(which)])])
         padded.append(np.zeros((len(coords), W.ambient.dim, vertical.shape[2])))
         padded[-1][:, W.block(which)] = vertical
-    g = np.array([W.ambient.metric_at(c) for c in coords])
+    g = np.array(W.ambient.metrics_at(coords, check=True))
     return _gram_schmidt(padded[0], g), _gram_schmidt(padded[1], g)
 
 

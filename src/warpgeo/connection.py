@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .fd import DiffEngine
-from .manifold import ChartManifold, VectorField, _memoized_many, _stack
+from .manifold import ChartManifold, VectorField, _given_or_checked, _memoized_many, _stack
 
 Array = np.ndarray
 
@@ -61,10 +61,10 @@ def christoffels(M: ChartManifold, engine: DiffEngine, coords_seq, metrics=None)
 
 
 def _christoffels(M: ChartManifold, engine: DiffEngine, coords_list: list, metrics: list) -> list:
-    """The Christoffel symbols at each point, as views of one stack; a
-    metric that is None is evaluated and checked here, first."""
-    G = np.array([M.metric_at(c) if g is None else g for c, g in zip(coords_list, metrics)])
-    ginv = np.linalg.inv(G)
+    """The Christoffel symbols at each point, as views of one stack; the
+    metrics that are None are evaluated and checked here first, in one
+    ``metrics_at`` call."""
+    ginv = np.linalg.inv(_given_or_checked(M, coords_list, metrics))
     # dg[n, l, i, j] = d_l g_ij at point n; a set's walk reads the metrics at
     # all its stencil points in one metrics_at call, whose memo entries are
     # those of metric_at(c, check=False)

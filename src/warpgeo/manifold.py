@@ -8,17 +8,20 @@ its coordinates, as ``ChartManifold.point`` checks and returns it, and a
 tangent vector is the plain array of its chart components. Functions that
 need the chart take it as their first argument.
 
-Inside an ``evaluation_scope()`` pointwise results (metrics, Christoffel
+The metric has one kernel over a point set, ``ChartManifold.metrics_at``,
+checked or not; a single point's ``metric_at`` is that kernel on a stack of
+one. Inside an ``evaluation_scope()`` pointwise results (metrics, Christoffel
 symbols, splittings, dilations) are computed once per owner and exact
-coordinates, then shared until the scope exits.
+coordinates, then shared until the scope exits; ``_memoized_many`` is the
+memo's one entry point.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,48 +79,25 @@ def _store(cache: dict, key: tuple, value):
     return value
 
 
-def _memoized(owner, coords: Array, tag, compute, *args):
-    """``compute(*args)``; inside an evaluation scope, computed once per
-    ``owner``, exact ``coords`` and ``tag`` and then shared.
-
-    Outside a scope this is a plain call and builds no key. Array results
-    of a scope are made read-only, because they are shared.
-    """
-    memo = _MEMO.get()
-    if memo is None:
-        return compute(*args)
-    cache = _owner_cache(memo, owner)
-    key = _memo_key(coords, tag)
-    value = cache.get(key)
-    if value is None:
-        value = _store(cache, key, compute(*args))
-    return value
-
-
-def _compute_one(compute_many, coords: Array):
-    """The value at one point of a point-set kernel: ``compute_many`` on a
-    stack of one."""
-    return compute_many([coords])[0]
-
-
 def _one_at_a_time(owner, coords_seq, tag, compute_many) -> list:
     """``_memoized_many`` point by point: stores the values before the first
     failing point and raises that point's error."""
-    return [_memoized(owner, c, tag, _compute_one, compute_many, c) for c in coords_seq]
+    return [_memoized_many(owner, [c], tag, compute_many)[0] for c in coords_seq]
 
 
 def _memoized_many(owner, coords_seq, tag, compute_many) -> list:
-    """``[_memoized(owner, c, tag, _compute_one, compute_many, c) for c in
-    coords_seq]``, with the values not yet stored computed by one
-    ``compute_many`` call on the list of their coordinates (each once, in
-    input order).
+    """``compute_many(coords_seq)``, a value per point of the list of float
+    arrays ``coords_seq``; inside an evaluation scope each value is computed
+    once per ``owner``, exact coordinates and ``tag`` and then shared, and
+    the values not yet stored come from one ``compute_many`` call on the
+    list of their coordinates (each once, in input order). Outside a scope
+    this is a plain call and builds no key. Array values of a scope are made
+    read-only, because they are shared.
 
-    If ``compute_many`` raises on more than one missing point, that loop
-    itself is run (``_one_at_a_time``), so the first failing point raises
-    its own error. A lone point is ``_memoized``'s own call.
+    If ``compute_many`` raises on more than one missing point, the set is
+    redone point by point (``_one_at_a_time``), so the first failing point
+    raises its own error.
     """
-    if len(coords_seq) == 1:
-        return [_memoized(owner, coords_seq[0], tag, _compute_one, compute_many, coords_seq[0])]
     memo = _MEMO.get()
     if memo is None:
         missing = dict(enumerate(coords_seq))
@@ -288,26 +268,35 @@ class ChartManifold:
         return coords
 
     def metric_at(self, coords, check: bool = True) -> Array:
-        """Evaluate the metric; symmetrize, optionally check that it is
-        finite, symmetric and positive definite.
+        """The symmetrized metric, optionally checked to be finite, symmetric
+        and positive definite: ``metrics_at`` on a stack of one.
 
         Inside an evaluation scope the result is memoized by chart, exact
         coordinates and ``check`` (so a hit never skips a requested check).
         """
-        coords = np.asarray(coords, dtype=float)
-        return _memoized(self, coords, check, self._metric, coords, check)
+        return self.metrics_at([coords], check)[0]
 
-    def metrics_at(self, coords_seq) -> list[Array]:
-        """``[self.metric_at(c, check=False) for c in coords_seq]``, with the
-        metrics of the set converted and symmetrized as one stack; memo
-        entries are shared with ``metric_at(c, check=False)``."""
+    def metrics_at(self, coords_seq, check: bool = False) -> list[Array]:
+        """``[self.metric_at(c, check) for c in coords_seq]``, with the metrics
+        of the set converted as one stack, and checked and symmetrized as
+        one; memo entries are shared with ``metric_at(c, check)``."""
         coords = [np.asarray(c, dtype=float) for c in coords_seq]
-        return _memoized_many(self, coords, False, self._stacked_metrics)
+        return _memoized_many(self, coords, check, partial(self._stacked_metrics, check=check))
 
-    def _stacked_metrics(self, coords_list: list) -> list[Array]:
-        """The unchecked metric at every point, as views of one symmetrized
-        stack."""
-        return list(_symmetrized(self._raw_metrics(coords_list)))
+    def _stacked_metrics(self, coords_list: list, check: bool) -> list[Array]:
+        """The metric at every point, as views of one symmetrized stack; with
+        ``check``, raises the error of the first point whose metric is not
+        finite, then of the first whose metric is not symmetric, then of the
+        first that is not positive definite, one stacked test each."""
+        g = self._raw_metrics(coords_list)
+        if not check:
+            return list(_symmetrized(g))
+        scale = 1.0 + np.abs(g).max(axis=(1, 2))  # a NaN fails both tests below
+        _finite(scale, coords_list, DegenerateMetricError, "metric")
+        asymmetric = np.flatnonzero(np.abs(g - g.swapaxes(1, 2)).max(axis=(1, 2)) > SYM_TOL * scale)
+        if asymmetric.size:
+            raise DegenerateMetricError(f"metric not symmetric at {coords_list[asymmetric[0]]}")
+        return list(_positive_definite(_symmetrized(g), coords_list))
 
     def _raw_metrics(self, coords_seq) -> Array:
         """``np.stack([self._raw_metric(c) for c in coords_seq])``, the metric
@@ -321,17 +310,6 @@ class ChartManifold:
         if g.shape != (self.dim, self.dim):
             raise DegenerateMetricError(f"metric returned shape {g.shape} at {coords}")
         return g
-
-    def _metric(self, coords: Array, check: bool) -> Array:
-        g = self._raw_metric(coords)
-        if not check:
-            return _symmetrized(g)
-        scale = 1.0 + float(np.abs(g).max())
-        if not math.isfinite(scale):  # a NaN fails both tests below
-            raise DegenerateMetricError(f"metric not finite at {coords}")
-        if float(np.abs(g - g.T).max()) > SYM_TOL * scale:
-            raise DegenerateMetricError(f"metric not symmetric at {coords}")
-        return _positive_definite(_symmetrized(g), coords)
 
 
 @dataclass(frozen=True)
@@ -476,11 +454,18 @@ def gradients(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords_seq
             dphi = engine.stacked_partials(phi, points, M.lower, M.upper, stack=_stack(phi))
         else:
             dphi = np.array([np.asarray(phi.partials(c), dtype=float) for c in points])
-        known = [given.get(c.tobytes()) for c in points]
-        G = np.array([M.metric_at(c) if g is None else g for c, g in zip(points, known)])
+        G = _given_or_checked(M, points, [given.get(c.tobytes()) for c in points])
         return np.linalg.solve(G, dphi[..., None])[..., 0]
 
     return _point_set(stack, coords_seq, (M.dim,))
+
+
+def _given_or_checked(M: ChartManifold, coords_seq, given: list) -> Array:
+    """The stack of the metrics ``given`` at the points of ``coords_seq``,
+    where each None is the checked ``M.metric_at`` there: those points read
+    in one ``metrics_at`` call."""
+    checked = iter(M.metrics_at([c for c, g in zip(coords_seq, given) if g is None], check=True))
+    return np.array([next(checked) if g is None else g for g in given])
 
 
 def check_scalar_field(M: ChartManifold, engine: DiffEngine, phi: ScalarField, points) -> float:

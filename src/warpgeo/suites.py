@@ -105,7 +105,7 @@ def _health_rows(M: ChartManifold, engine: DiffEngine, fields, coords: Array) ->
         g = M.metric_at(c, check=False)
         return float(Y(c) @ g @ Z(c))
 
-    G = [M.metric_at(p) for p in coords]
+    G = M.metrics_at(coords, check=True)
     gammas = christoffels(M, engine, coords, G)
 
     def nabla(A, B):

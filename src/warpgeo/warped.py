@@ -247,7 +247,7 @@ def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2,
     lifts1 = [(lift(W, "first", E1), lift(W, "first", F1)) for E1, F1 in pairs1]
     lifts2 = [(lift(W, "second", E2), lift(W, "second", F2)) for E2, F2 in pairs2]
     c1, c2 = coords[:, first], coords[:, second]
-    G = [W.ambient.metric_at(p) for p in coords]
+    G = W.ambient.metrics_at(coords, check=True)
     gammas = christoffels(W.ambient, engine, coords, G)
     gammas1 = christoffels(W.first, engine, c1)
     gammas2 = christoffels(W.second, engine, c2)
@@ -306,7 +306,7 @@ def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, coords: Array) -> Arr
     ``verify_leaf_fiber_geometry`` at each row of the (N, dim) array
     ``coords``, as an (N, 3, 2) array."""
     second = W.block("second")
-    G = [W.ambient.metric_at(p) for p in coords]
+    G = W.ambient.metrics_at(coords, check=True)
     gammas = christoffels(W.ambient, engine, coords, G)
     out = []
     for p, g, gamma, grad_log in zip(coords, G, gammas,
@@ -327,7 +327,6 @@ def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckReco
     """Cross blocks of the ambient metric are identically zero (exact)."""
     check = ResidualCheck("metric-blocks", TOLERANCES["metric-blocks"])
     first, second = W.block("first"), W.block("second")
-    for p in points:
-        g = W.ambient.metric_at(p)
+    for g in W.ambient.metrics_at(points, check=True):
         check.add(float(np.max(np.abs(g[first, second]))) + float(np.max(np.abs(g[second, first]))))
     return check.record()

@@ -201,6 +201,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert doc["reports"][0]["scenario"] == "warped-line"
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    path = tmp_path / "no-such-dir" / "r.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "verify", "warped-line", "--samples", "2", "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write the report to {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_seed_and_step_flags_echoed(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "warped-line", "--samples", "3", "--seed", "9",

@@ -432,24 +432,26 @@ def _count_kernels(monkeypatch) -> dict:
     a stack of one, and it counts only as a miss."""
     counts = dict.fromkeys(KERNELS, 0)
     single = [0]  # > 0 while a single-point miss is computed
-    memoized = manifold._memoized
+    memoized_many = manifold._memoized_many
 
-    def spy(owner, coords, tag, compute, *args):
-        if tag not in KERNELS:  # a metric or a Christoffel entry
-            return memoized(owner, coords, tag, compute, *args)
+    def spy(owner, coords_seq, tag, compute_many):
+        if tag not in KERNELS or len(coords_seq) != 1:  # a metric or a Christoffel entry, or a set
+            return memoized_many(owner, coords_seq, tag, compute_many)
 
-        def counted(*a):
+        def counted(missing):
             counts[tag] += 1
             single[0] += 1
             try:
-                return compute(*a)
+                return compute_many(missing)
             finally:
                 single[0] -= 1
 
-        return memoized(owner, coords, tag, counted, *args)
+        return memoized_many(owner, coords_seq, tag, counted)
 
-    # a set of one point, as splitting_at and dilation are, calls manifold's
-    monkeypatch.setattr(manifold, "_memoized", spy)
+    # a set of one point, as splitting_at and dilation are, and the redo of a
+    # failing set's points one at a time
+    for module in (manifold, submersion):
+        monkeypatch.setattr(module, "_memoized_many", spy)
     for name in KERNELS[2:]:
         kernel = getattr(SubmersionContext, name)
 
@@ -591,3 +593,20 @@ def test_the_catalog_computes_no_single_point_splitting_or_dilation(monkeypatch)
     # dilations it differentiates
     assert counts["splitting"] == 0 and counts["dilation"] == 0
     assert counts["_stacked_splittings"] > 0 and counts["_stacked_dilations"] > 0
+
+
+def test_the_catalog_computes_every_checked_metric_in_a_set(monkeypatch):
+    # the verifiers read a block's checked metrics in one metrics_at call,
+    # and the Christoffel and gradient kernels the ones they are not handed
+    sizes = []
+    stacked = ChartManifold._stacked_metrics
+
+    def spy(self, coords_list, check):
+        if check:
+            sizes.append(len(coords_list))
+        return stacked(self, coords_list, check)
+
+    monkeypatch.setattr(ChartManifold, "_stacked_metrics", spy)
+    for s in list_scenarios():
+        run_scenario(s.scenario_id, RunConfig(seed=42))
+    assert sizes and min(sizes) >= 2, sorted(sizes)

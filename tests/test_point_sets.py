@@ -186,6 +186,17 @@ def _charts(engine) -> list:
     return out
 
 
+def _checked_charts(engine) -> list:
+    """``(chart, points)`` for ``metrics_at(check=True)``: the catalog charts
+    of ``_charts``, whose metrics are positive definite, a chart whose
+    metric is not symmetric by less than ``SYM_TOL``, and the ambient chart
+    of its warped product with a warp that is not 1."""
+    near = ChartManifold(2, -1.0, 1.0, lambda c: np.array([[2.0 + c[0], 0.3 + 1e-12 * c[1]],
+                                                           [0.3, 1.5 + c[1] ** 2]]))
+    W = build_warped_product(near, near, ScalarField(lambda c: np.exp(0.4 * c[0] - c[1])))
+    return _charts(engine)[:-2] + [(M, _sampled(M, 9)) for M in (near, W.ambient)]
+
+
 def _maps(engine) -> list:
     """``(context, points)`` for ``images`` and ``jacobians_at``: the
     catalog's; FD maps with each third point 3e-6 from a wall, where the
@@ -323,6 +334,53 @@ def _metric_of_the_wrong_shape() -> tuple:
     N1 = ChartManifold(1, [-5], [5], lambda y: np.eye(1) if y[0] < 1.0 else np.ones(1))
     good, bad = N1.point([0.5]), N1.point([2.0])
     return N1, [[bad, bad], [good, bad, good], [bad]]
+
+
+def _checked_metric_faults() -> ChartManifold:
+    """The ambient chart of a product of (-1, 1)^2 and (-1, 1) whose first
+    factor's metric is not positive definite at x > 0.6, not finite at
+    x < -0.6 and not symmetric at 0.3 < x < 0.4, and whose warp is NaN at
+    y > 0.6."""
+    def metric(c):
+        if c[0] > 0.6:
+            return -np.eye(2)
+        if c[0] < -0.6:
+            return np.eye(2) * np.nan
+        return np.array([[1.0, 0.5], [0.0, 1.0]]) if 0.3 < c[0] < 0.4 else np.eye(2)
+
+    warp = ScalarField(lambda c: np.nan if c[1] > 0.6 else float(np.exp(c[0] / 4.0)))
+    return build_warped_product(ChartManifold(2, -1.0, 1.0, metric),
+                                ChartManifold.euclidean(1, -1.0, 1.0), warp).ambient
+
+
+NON_PD, BAD_WARP = [0.7, 0.1, 0.1], [0.1, 0.7, 0.1]
+NON_FINITE, ASYMMETRIC = [-0.7, 0.1, 0.1], [0.35, 0.1, 0.1]
+# order -> (points after a good one, the error the loop of checked metrics raises)
+CHECKED_ORDERS = {
+    "non-pd-before-bad-warp": ([NON_PD, BAD_WARP], (
+        DegenerateMetricError, "metric not positive definite at [0.7 0.1 0.1]: min eigenvalue "
+                               "-1.000e+00")),
+    "bad-warp-before-non-pd": ([BAD_WARP, NON_PD], (
+        WarpPositivityError, "warp nan is not in (0, inf) at first-factor point [0.1 0.7]")),
+    "non-pd-before-non-finite": ([NON_PD, NON_FINITE], (
+        DegenerateMetricError, "metric not positive definite at [0.7 0.1 0.1]: min eigenvalue "
+                               "-1.000e+00")),
+    "non-finite-before-non-pd": ([NON_FINITE, NON_PD], (
+        DegenerateMetricError, "metric not finite at [-0.7  0.1  0.1]")),
+    "non-pd-before-asymmetric": ([NON_PD, ASYMMETRIC], (
+        DegenerateMetricError, "metric not positive definite at [0.7 0.1 0.1]: min eigenvalue "
+                               "-1.000e+00")),
+    "asymmetric-before-non-pd": ([ASYMMETRIC, NON_PD], (
+        DegenerateMetricError, "metric not symmetric at [0.35 0.1  0.1 ]")),
+}
+
+
+def _checked_order(order: str) -> tuple:
+    """``_checked_metric_faults``' chart at a good point and the two of
+    ``order``, and from the first of them."""
+    M = _checked_metric_faults()
+    points = [M.point(c) for c in [[0.1, 0.1, 0.1]] + CHECKED_ORDERS[order][0]]
+    return M, [points, points[1:]]
 
 
 def _stencil_off_the_box() -> tuple:
@@ -998,6 +1056,12 @@ SINGLE_POINT = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"),
                 (manifold, "_one_at_a_time"))
 
 
+def _alone(*args, **kwargs):
+    """A single-point conversion that fails when called: a ``None`` would
+    read as no conversion where one is optional (``_point_set``'s ``one``)."""
+    raise AssertionError(f"a point computed on its own: {args[1:]}")
+
+
 def _sets_only(method):
     """``method(self, fn, coords, ...)`` that fails at a lone point."""
     def on_sets(self, fn, coords, *args):
@@ -1019,11 +1083,11 @@ def _idle_only(method):
 SET_FORMS = {(DiffEngine, "partial"): _sets_only(DiffEngine.partial),
              (DiffEngine, "partials"): _idle_only(DiffEngine.partials)}
 
-# a checked metric has no point-set form: the connection layer checks each
-# point's own metric, and its stencil walks (the Christoffel symbols' and
-# the engine-health checks' directional one) read the unchecked metric one
-# stencil point at a time
-CHECKED_METRIC = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"))
+# every checked metric of a set is read in one metrics_at(check=True) call,
+# and the Christoffel symbols' stencil walk reads the unchecked metrics of a
+# set's stencils in one metrics_at call; only the engine-health checks'
+# directional walk reads the unchecked metric one stencil point at a time
+STENCIL_METRIC = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"))
 STENCIL_ERROR = (StencilError, "stencil does not fit: room to boundary 1.000e-11 allows step "
                  "5.000e-12 < min_step 1.000e-10")
 # the product faults that a splitting reads, and those that a dilation reads
@@ -1032,7 +1096,7 @@ DILATION_FAULTS = _errors(PRODUCT_FAULTS, "metric", "f", "fn", "jac")
 # the O'Neill kernels split a field at a point whose direction uses no axis
 # on a stack of one (the walk's one evaluation there, for the value's
 # shape), whose splitting reads that point's Jacobian alone
-ONEILL_WALK = CHECKED_METRIC + ((SmoothMap, "jacobian_at"),)
+ONEILL_WALK = ((ChartManifold, "_raw_metric"), (SmoothMap, "jacobian_at"))
 # at the first stencil point of [0.3 0.4]; the image at [0.3 0.4] itself
 STENCIL_IMAGE_SHAPE = (DomainError, "image of shape (2,) at [0.30001 0.4    ]")
 
@@ -1045,6 +1109,19 @@ ROWS = {
         _charts, lambda M: list, ("_stacked_metrics", "_stack_of", "build_warped_product"),
         {"metric-of-the-wrong-shape": (_metric_of_the_wrong_shape, (
             DegenerateMetricError, "metric returned shape (1,) at [2.]")),
+         **_each(_product_source_fault, _errors(PRODUCT_FAULTS, "metric", "f"))},
+    ),
+    # the checked metric: one stacked test per check over the set, so a set
+    # whose points fail different checks is redone point by point
+    "metrics_at-checked": Row(
+        lambda M, points: M.metrics_at(points, check=True),
+        lambda M, p: M.metric_at(p),
+        _checked_charts, lambda M: list, ("_stacked_metrics", "_stack_of", "build_warped_product"),
+        {**_each(_checked_order, {k: e for k, (_, e) in CHECKED_ORDERS.items()}),
+         "metric-of-the-wrong-shape": (_metric_of_the_wrong_shape, (
+             DegenerateMetricError, "metric returned shape (1,) at [2.]")),
+         **_each(_as(lambda ctx: ctx.map.source, _metric_fault),
+                 {k: e for k, (_, e) in METRIC_FAULTS.items()}),
          **_each(_product_source_fault, _errors(PRODUCT_FAULTS, "metric", "f"))},
     ),
     "images": Row(
@@ -1129,20 +1206,18 @@ ROWS = {
         lambda engine: _catalog(engine)[0], lambda ctx: list, ("christoffels",),
         {**_each(_metric_fault, {k: e for k, (_, e) in METRIC_FAULTS.items()}),
          "stencil-off-the-box": (_stencil_off_the_box, STENCIL_ERROR)},
-        SCHEMES, per_point=CHECKED_METRIC,
+        SCHEMES,
     ),
     "_connection_rows": _block_pass(
         warped._connection_rows, lambda f: (f.W, f.engine, f.pairs1, f.pairs2), _connection_rule,
         _warped_inputs,
         {**_each(_warped_fault, _errors(PRODUCT_FAULTS, "metric", "f")),
          "stencil-off-the-box": (_warped_stencil_off_the_box, STENCIL_ERROR)},
-        per_point=CHECKED_METRIC,
     ),
     "_leaf_fiber_rows": _block_pass(
         warped._leaf_fiber_rows, lambda f: (f.W, f.engine), lambda f: (3, 2), _warped_inputs,
         {**_each(_warped_fault, _errors(PRODUCT_FAULTS, "metric", "f")),
          "stencil-off-the-box": (_warped_stencil_off_the_box, STENCIL_ERROR)},
-        per_point=CHECKED_METRIC,
     ),
     "gradients": Row(
         lambda f, points: gradients(f.M, f.engine, f.fields[0], points),
@@ -1150,7 +1225,7 @@ ROWS = {
         _gradient_inputs, lambda f: (f.M.dim,), ("gradients",),
         _each(_gradient_fault, {**{k: e for k, (_, e) in METRIC_FAULTS.items()},
                                 "stencil-off-the-box": STENCIL_ERROR}),
-        SCHEMES, per_point=CHECKED_METRIC,
+        SCHEMES,
     ),
     "_oneills": Row(
         lambda t, points: _oneills(t.ctx, t.part, t.E, t.F, points), _oneill,
@@ -1268,7 +1343,7 @@ ROWS = {
         suites._health_rows, lambda f: (f.M, f.engine, f.fields), lambda f: (2, 2), _chart_inputs,
         _each(_chart_fault, dict.fromkeys([*METRIC_FAULTS, "stencil-off-the-box"])),
         one_of=lambda rows: functools.partial(suites._health_row, rows, []),
-        per_point=CHECKED_METRIC,
+        per_point=STENCIL_METRIC,
     ),
 }
 
@@ -1401,7 +1476,7 @@ def test_values_equal_the_single_point_calls_bit_for_bit(name, scheme, scoped, r
                 if n != 1:  # a lone point is its single-point conversion
                     for owner, attr in SINGLE_POINT:
                         if (owner, attr) not in row.per_point:
-                            patch.setattr(owner, attr, SET_FORMS.get((owner, attr)))
+                            patch.setattr(owner, attr, SET_FORMS.get((owner, attr), _alone))
                 got = row.point_set(obj, points[:n])
             _assert_as_loop(row, obj, got, want[:n], points[:n])
     # a clean set of two or more points is never computed one point at a time:
@@ -2100,6 +2175,12 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                 ),
                 "trace": (lambda: np.trace(G, axis1=1, axis2=2), lambda i: np.trace(G[i])),
                 "symmetrize": (lambda: manifold._symmetrized(A), lambda i: 0.5 * (A[i] + A[i].T)),
+                # the checked metric's scale and asymmetry
+                "max |g|": (lambda: np.abs(A).max(axis=(1, 2)), lambda i: np.abs(A[i]).max()),
+                "max |g - g^T|": (
+                    lambda: np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)),
+                    lambda i: np.abs(A[i] - A[i].T).max(),
+                ),
                 "array of a list": (
                     lambda: np.array(items, dtype=float),
                     lambda i: np.asarray(items[i], dtype=float),

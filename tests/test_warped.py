@@ -363,14 +363,14 @@ def test_a_lone_form_checks_one_metric_and_builds_one_christoffel(monkeypatch):
 def _count_checked_metrics(monkeypatch):
     """A list that records the chart of every checked ``metric_at`` evaluation."""
     checked = []
-    original = ChartManifold._metric
+    original = ChartManifold._stacked_metrics
 
-    def counting(self, coords, check):
+    def counting(self, coords_list, check):
         if check:
-            checked.append(id(self))
-        return original(self, coords, check)
+            checked.extend([id(self)] * len(coords_list))
+        return original(self, coords_list, check)
 
-    monkeypatch.setattr(ChartManifold, "_metric", counting)
+    monkeypatch.setattr(ChartManifold, "_stacked_metrics", counting)
     return checked
 
 
