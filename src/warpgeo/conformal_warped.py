@@ -427,7 +427,9 @@ def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) 
     ConformalityError elsewhere.
 
     With offset 0 the rescaled map is a Riemannian submersion; a nonzero
-    offset multiplies every squared dilation by e^{2 offset}.
+    offset multiplies every squared dilation by e^{2 offset}. The metric of
+    a point set reads r1 in one ``compatibility_report`` call and the
+    unchecked source metrics in one ``metrics_at`` call.
     """
     factor = float(np.exp(-2.0 * sigma_offset))
     base = cws.source.ambient
@@ -440,7 +442,15 @@ def rescaled_context(cws: ConformalWarpedSubmersion, sigma_offset: float = 0.0) 
             )
         return (factor * entry.r1) * base.metric_at(coords, check=False)
 
-    rescaled = ChartManifold(base.dim, base.lower, base.upper, metric,
+    def metrics(coords):
+        entries = compatibility_report(cws, [base.point(c) for c in coords])
+        if not all(e.conformal_here for e in entries):
+            # _point_set redoes the set point by point: the first one raises
+            raise ConformalityError("product not conformal")
+        r1 = np.array([e.r1 for e in entries])
+        return (factor * r1)[:, None, None] * np.array(base.metrics_at(coords))
+
+    rescaled = ChartManifold(base.dim, base.lower, base.upper, _with_stack(metric, metrics),
                              name=f"{base.name}-rescaled")
     return replace(cws.ctx, map=replace(cws.ctx.map, source=rescaled))
 

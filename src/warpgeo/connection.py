@@ -6,17 +6,21 @@ taken by the finite-difference engine, as the array gamma[k, i, j].
 Covariant derivatives, Lie brackets and second fundamental forms of
 coordinate-aligned submanifolds build on it and return component arrays.
 
-The Christoffel symbols, covariant derivatives and Lie brackets each have
-one kernel over a point set, on ``DiffEngine.stacked_partials``; a single
-point is a stack of one, which that walk differentiates by ``partials``'
-own loop. The kernels hand the walk the point-set forms they own: the
-Christoffel kernel the chart's ``metrics_at``, the other two a field's form
-where it has one (``manifold._with_stack``: the seeded affine and
-trigonometric fields, the projected and lifted fields), so a set's stencil
-points are evaluated in one call; they read a field's values at the set's
-points through ``VectorField.values_at``, one call of the same form. numpy's stacked
-``inv``, ``einsum`` and ``matmul`` give each point the bits of its own call,
-so a point's value does not depend on the set it is computed in.
+The Christoffel symbols, covariant derivatives, Lie brackets and second
+fundamental forms each have one kernel over a point set, and a single
+point is a stack of one. The first three walk ``DiffEngine.stacked_partials``,
+which differentiates a lone point by ``partials``' own loop. The kernels
+hand the walk the point-set forms they own: the Christoffel kernel the
+chart's ``metrics_at``, the other two a field's form where it has one
+(``manifold._with_stack``: the seeded affine and trigonometric fields, the
+projected and lifted fields), so a set's stencil points are evaluated in
+one call; they read a field's values at the set's points through
+``VectorField.values_at``, one call of the same form, unless the caller
+hands over the values it has read. The second fundamental form kernel
+(``_submanifold_form``) takes the stacks of a set's checked metrics and
+Christoffel symbols. numpy's stacked ``inv``, ``solve``, ``einsum`` and
+``matmul`` give each point the bits of its own call, so a point's value
+does not depend on the set it is computed in.
 
 The single-point calls evaluate their own checked metric and Christoffel
 symbols; only the set entry ``christoffels`` takes metrics, ones its caller
@@ -96,16 +100,19 @@ def covariant_derivative(
 
 
 def _covariant_derivatives(M: ChartManifold, engine: DiffEngine, directions: Array,
-                           Y: VectorField, coords: Array, gammas) -> Array:
+                           Y: VectorField, coords: Array, gammas, y=None) -> Array:
     """nabla_v Y at each row of the (N, dim) array ``coords``, along the same
     row v of ``directions`` and with the Christoffel symbols of the same
-    entry of ``gammas``: one stacked walk differentiates Y. Each value
-    equals ``covariant_derivative``'s at its point for an X equal to v
-    there, bit for bit; a set that fails raises the walk's first error,
-    which need not be the first failing point's."""
+    entry of ``gammas``: one stacked walk differentiates Y, whose values
+    at ``coords`` are ``y`` when the caller has read them
+    (``Y.values_at(coords)``). Each value equals ``covariant_derivative``'s
+    at its point for an X equal to v there, bit for bit; a set that fails
+    raises the walk's first error, which need not be the first failing
+    point's."""
     dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=directions,
                                  stack=_stack(Y))
-    return _covariant_from_partials(directions, dY, Y.values_at(coords), np.asarray(gammas))
+    y = Y.values_at(coords) if y is None else y
+    return _covariant_from_partials(directions, dY, y, np.asarray(gammas))
 
 
 def lie_bracket(
@@ -116,10 +123,12 @@ def lie_bracket(
 
 
 def _lie_brackets(M: ChartManifold, engine: DiffEngine, X: VectorField, Y: VectorField,
-                  coords: Array) -> Array:
+                  coords: Array, values=None) -> Array:
     """[X, Y] at each row of the (N, dim) array ``coords``, one stacked walk
-    per field; values and errors as ``_covariant_derivatives``'."""
-    x, y = X.values_at(coords), Y.values_at(coords)
+    per field; ``values``, when given, are ``(X.values_at(coords),
+    Y.values_at(coords))`` as the caller has read them. Values and errors
+    as ``_covariant_derivatives``'."""
+    x, y = (X.values_at(coords), Y.values_at(coords)) if values is None else values
     dY = engine.stacked_partials(Y.fn, coords, M.lower, M.upper, along=x, stack=_stack(Y))
     dX = engine.stacked_partials(X.fn, coords, M.lower, M.upper, along=y, stack=_stack(X))
     return _along(x, dY) - _along(y, dX)
@@ -159,26 +168,33 @@ def coordinate_submanifold_form(
     The normal projection is the g-orthogonal projection onto the complement
     of the tangent coordinate subspace. ``tangent_axes`` are distinct axes of
     the chart, at least one. The checked metric is evaluated once and shared
-    with the Christoffel kernel.
+    with the Christoffel kernel; the form is ``_submanifold_form`` on a
+    stack of one.
     """
     axes = tuple(tangent_axes)
     if not axes or len(set(axes)) < len(axes) or not all(a in range(M.dim) for a in axes):
         raise ValueError(f"tangent_axes must be distinct axes in range({M.dim}), got {axes}")
     coords = np.asarray(coords, dtype=float)
     g = M.metric_at(coords)
-    return _submanifold_form(g, christoffels(M, engine, [coords], [g])[0], axes, coords)
+    gamma = christoffels(M, engine, [coords], [g])[0]
+    values, mean = _submanifold_form(g[None], gamma[None], axes)
+    return SecondFundamentalFormAt(coords, axes, values[0], mean[0])
 
 
-def _submanifold_form(g: Array, gamma: Array, axes: tuple, coords) -> SecondFundamentalFormAt:
-    """II and H at coords of the coordinate submanifold along ``axes``, from
-    the checked metric ``g`` and the Christoffel symbols ``gamma`` there."""
-    dim = len(g)
-    normal_proj = np.eye(dim) - metric_orthogonal_projector(g, np.eye(dim)[:, list(axes)])
-    # coordinate fields have no derivative term: nabla_{e_a} e_b = Gamma^k_ab
-    values = np.empty((len(axes), len(axes), dim))
-    for a, i in enumerate(axes):
-        for b, j in enumerate(axes):
-            values[a, b] = normal_proj @ gamma[:, i, j]
-    induced = g[np.ix_(list(axes), list(axes))]
-    mean = np.einsum("ab,abk->k", np.linalg.inv(induced), values) / len(axes)
-    return SecondFundamentalFormAt(coords, axes, values, mean)
+def _submanifold_form(G: Array, gammas: Array, axes: tuple) -> tuple[Array, Array]:
+    """II and H of the coordinate submanifold along ``axes`` at each point of
+    a set, from the stacks of its checked metrics ``G`` (N, dim, dim) and
+    Christoffel symbols ``gammas`` (N, dim, dim, dim): the values
+    (N, k, k, dim) and the mean curvatures (N, dim), k = len(axes), each
+    point's equal to its own stack of one bit for bit."""
+    dim = G.shape[-1]
+    axes = list(axes)
+    tangent = np.broadcast_to(np.eye(dim)[:, axes], G.shape[:-1] + (len(axes),))
+    normal_proj = np.eye(dim) - metric_orthogonal_projector(G, tangent)
+    # coordinate fields have no derivative term: nabla_{e_a} e_b = Gamma^k_ab;
+    # values[n, a, b] = normal_proj[n] @ gammas[n, :, a, b], one product each
+    tangential = np.moveaxis(gammas[:, :, axes][:, :, :, axes], 1, -1)
+    values = np.ascontiguousarray((normal_proj[:, None, None] @ tangential[..., None])[..., 0])
+    induced = G[:, axes][:, :, axes]
+    mean = np.einsum("nab,nabk->nk", np.linalg.inv(induced), values) / len(axes)
+    return values, mean

@@ -13,9 +13,12 @@ point of a set in one call of the form. A kernel whose function differs
 from point to point of the set (a field that belongs to one point) hands
 over a form that takes owners (``owned=True``): the walk then also passes
 the row in the set of each stencil point's base point, so that stencil
-points of two base points may coincide. The engine never reads a form off
-the function it is handed, so a wrapper around that function (a tracer's)
-leaves the program as it is.
+points of two base points may coincide. The directional derivative of a
+point set (``directional`` at (N, dim) arrays) evaluates the stencil
+points along each row's direction the same way, through ``fn`` or a form
+its kernel hands over. The engine never reads a form off the function it
+is handed, so a wrapper around that function (a tracer's) leaves the
+program as it is.
 """
 
 from __future__ import annotations
@@ -138,20 +141,10 @@ class DiffEngine:
                       np.asarray(upper, dtype=float)[axes])
         return np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step), room  # keeps a NaN
 
-    def _stencils(self, coords: np.ndarray, lower, upper, axes) -> tuple:
-        """The stencils of ``partial`` along each of ``axes`` at each row of
-        the (N, dim) array ``coords``: their points, shape
-        (N, len(axes), S, dim) with the S points of a stencil in call order,
-        and their steps and rooms (``_steps``).
-
-        The offsets come from running the scheme's own combine with an
-        ``at`` that records them, on the array of steps, and each point is
-        built as in ``partial``, so points equal its own bit for bit. The
-        points of a stencil that does not fit mean nothing.
-        """
-        axes = list(axes)
-        x = coords[:, axes]
-        h, room = self._steps(coords, lower, upper, axes)
+    def _offsets(self, h) -> list:
+        """The offsets from its base point at which a stencil of step ``h``
+        (a float, or an array of steps) is evaluated, in call order: the
+        scheme's own combine run with an ``at`` that records them."""
         offsets = []
 
         def at(t):
@@ -159,6 +152,22 @@ class DiffEngine:
             return 0.0
 
         STENCILS[self.scheme][1](at, h)
+        return offsets
+
+    def _stencils(self, coords: np.ndarray, lower, upper, axes) -> tuple:
+        """The stencils of ``partial`` along each of ``axes`` at each row of
+        the (N, dim) array ``coords``: their points, shape
+        (N, len(axes), S, dim) with the S points of a stencil in call order,
+        and their steps and rooms (``_steps``).
+
+        The offsets are ``_offsets``, and each point is built as in
+        ``partial``, so points equal its own bit for bit. The points of a
+        stencil that does not fit mean nothing.
+        """
+        axes = list(axes)
+        x = coords[:, axes]
+        h, room = self._steps(coords, lower, upper, axes)
+        offsets = self._offsets(h)
         points = np.empty((len(coords), len(axes), len(offsets), coords.shape[1]))
         points[...] = coords[:, None, None, :]
         for k, t in enumerate(offsets):
@@ -191,7 +200,21 @@ class DiffEngine:
             points, h, room = points[used], h[used], room[used]
             owners = None if owners is None else owners[used]
         self._require_fit(room, h)
-        flat = points.reshape(-1, coords.shape[1])
+        d = self._combined(fn, points, h, stack, owners)
+        if used is None:
+            return d
+        out = np.zeros(used.shape + d.shape[1:])
+        out[used] = d
+        return out
+
+    def _combined(self, fn, points: np.ndarray, h: np.ndarray, stack=None, owners=None):
+        """The scheme's combine of the values at ``points``, an h.shape +
+        (S, dim) array of stencils whose S points are in call order, with
+        the array of their steps ``h``: ``fn`` is evaluated at each point in
+        C order, or ``stack``, a point-set form of ``fn``, once on all of
+        them, called with the owners of the points (h.shape + (S,)) where
+        given."""
+        flat = points.reshape(-1, points.shape[-1])
         if stack is None:
             values = np.array([fn(p) for p in flat], dtype=float)
         else:
@@ -201,12 +224,7 @@ class DiffEngine:
         calls = iter(range(points.shape[-2]))
         lead = (slice(None),) * h.ndim
         h = h.reshape(h.shape + (1,) * (values.ndim - h.ndim - 1))
-        d = STENCILS[self.scheme][1](lambda t: values[lead + (next(calls),)], h)
-        if used is None:
-            return d
-        out = np.zeros(used.shape + d.shape[1:])
-        out[used] = d
-        return out
+        return STENCILS[self.scheme][1](lambda t: values[lead + (next(calls),)], h)
 
     def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
         """The points ``partial(fn, coords, axis, lower, upper)`` passes to
@@ -299,20 +317,57 @@ class DiffEngine:
             out[i] = self.partial(fn, coords, i, lower, upper)
         return out
 
-    def directional(self, fn, coords, direction, lower, upper) -> float:
-        """Derivative of a scalar fn along a straight line through coords."""
+    def directional(self, fn, coords, direction, lower, upper, stack=None):
+        """Derivative of a scalar fn along a straight line through coords.
+
+        ``coords`` and ``direction`` may also be (N, dim) arrays of points and
+        directions: the result is then ``np.array([self.directional(fn, c, d,
+        lower, upper) for c, d in zip(coords, direction)])``, bit for bit. A
+        row whose direction is zero is an exact 0.0 and is not evaluated. A
+        lone point is that loop, which evaluates ``fn``. For two or more,
+        the stencil points of the set are evaluated in the loop's order, by
+        ``fn`` one at a time or, when given, by ``stack``, a point-set form
+        of ``fn``, in one call, and combined by the scheme's own combine with
+        the array of their steps; the StencilError of the loop's first
+        failing row is raised before any evaluation.
+        """
         coords = np.asarray(coords, dtype=float)
         d = np.asarray(direction, dtype=float)
+        if coords.ndim == 2:
+            return self._directionals(fn, coords, d, lower, upper, stack)
         moving = d != 0.0
         if not np.any(moving):
             return 0.0
-        # a subnormal component gives an infinite room along its axis, and a
-        # non-finite coordinate a NaN or negative one, which _fit_step rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = np.minimum(upper - coords, coords - lower)[moving] / np.abs(d[moving])
-        h = self._fit_step(float(np.min(gaps)))
+        h = self._fit_step(float(np.min(self._gaps(coords, d, lower, upper)[moving])))
 
         def at(t: float):
             return np.asarray(fn(coords + t * d), dtype=float)
 
         return float(STENCILS[self.scheme][1](at, h))
+
+    @staticmethod
+    def _gaps(coords: np.ndarray, d: np.ndarray, lower, upper) -> np.ndarray:
+        """The room to the box along each component of the directions ``d``,
+        in units of that component: inf along a zero or subnormal component,
+        NaN or negative at a coordinate that is not finite or lies outside
+        the box, which ``_fit_step`` rejects."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.minimum(upper - coords, coords - lower) / np.abs(d)
+
+    def _directionals(self, fn, coords: np.ndarray, d: np.ndarray, lower, upper,
+                      stack) -> np.ndarray:
+        """``directional`` at each row of the (N, dim) arrays ``coords`` and
+        ``d``, as an (N,) array."""
+        if len(coords) == 1:
+            return np.array([self.directional(fn, coords[0], d[0], lower, upper)])
+        moving = d != 0.0
+        rows = moving.any(axis=1)
+        room = np.where(moving, self._gaps(coords, d, lower, upper), np.inf)[rows].min(axis=1)
+        h = np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step)  # keeps a NaN
+        self._require_fit(room, h)
+        out = np.zeros(len(coords))
+        if rows.any():
+            t = np.stack(self._offsets(h), axis=1)
+            points = coords[rows, None, :] + t[:, :, None] * d[rows, None, :]
+            out[rows] = self._combined(fn, points, h, stack)
+        return out

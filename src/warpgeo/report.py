@@ -100,8 +100,17 @@ NON_FINITE_NOTE = "non-finite max_residual, written as null"
 
 
 def residual_scale(*arrays) -> float:
-    """1 + the largest absolute entry of the arrays: the scale of a residual."""
-    return 1.0 + max(float(np.abs(a).max()) if np.size(a) else 0.0 for a in arrays)
+    """1 + the largest absolute entry of the arrays: the scale of a residual;
+    NaN when any entry is NaN."""
+    tops = [float(np.abs(a).max()) if np.size(a) else 0.0 for a in arrays]
+    return 1.0 + (math.nan if any(map(math.isnan, tops)) else max(tops))
+
+
+def residual_scales(*stacks) -> np.ndarray:
+    """``residual_scale`` at each point of stacks whose first axis runs over
+    the points, as one array."""
+    tops = [np.abs(s).max(axis=tuple(range(1, np.ndim(s))), initial=0.0) for s in stacks]
+    return 1.0 + np.max(tops, axis=0)
 
 
 # The base tolerance of every gate the catalog reads, before

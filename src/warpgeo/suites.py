@@ -16,8 +16,9 @@ belong to each point (``manifold.PointFields``): the extensions of a
 point's own vectors, and its vertical basis vectors, with one set call per
 field pair and block, whose walks fetch the splittings and dilations at
 their stencil points as sets. ``engine_health_records`` opens no scope: its
-kernel hands the block's checked metrics to one ``christoffels`` call and
-its Christoffel symbols to the point-set covariant derivatives.
+kernel hands the block's checked metrics to one ``christoffels`` call, its
+Christoffel symbols to the point-set covariant derivatives, and the form
+of g(Y, Z) to one set ``directional``.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .manifold import (
     PointFields,
     ScalarField,
     VectorField,
+    _single,
     check_scalar_field,
     evaluation_scope,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale, residual_scales
 from .submersion import (
     SubmersionContext,
     _add_in_blocks,
@@ -66,11 +68,13 @@ def engine_health_records(
     compat_tol: float = TOLERANCES["metric-compatibility"],
 ) -> list[CheckRecord]:
     """Torsion-free and metric-compatibility residuals of the connection; the
-    metric is evaluated and checked once per point. The samples are one
-    block pass of ``_health_rows`` (``_add_in_blocks``), whose residuals,
-    and their order, are those of a point-by-point walk; a point that
-    raises a ``GeometryError`` counts once against each check, with a note
-    (``_health_row``)."""
+    metric is evaluated and checked once per point, and each field is read
+    once per point. The samples are one block pass of ``_health_rows``
+    (``_add_in_blocks``), whose residuals, and their order, are those of a
+    point-by-point walk; X g(Y, Z) is one set ``directional`` per block,
+    which evaluates g(Y, Z) at the block's stencil points in one call of
+    its point-set form. A point that raises a ``GeometryError`` counts once
+    against each check, with a note (``_health_row``)."""
     checks = [ResidualCheck("torsion-free", torsion_tol),
               ResidualCheck("metric-compatibility", compat_tol)]
     rows = partial(_health_rows, M, engine, vector_field_library(M, rng, 3))
@@ -96,33 +100,38 @@ def _health_row(rows, checks: list, c: Array) -> Array:
 
 def _health_rows(M: ChartManifold, engine: DiffEngine, fields, coords: Array) -> Array:
     """The (residual, scale) of the torsion and compatibility checks at each
-    row of the (N, dim) array ``coords``, as an (N, 2, 2) array: the
-    block's checked metrics go to one ``christoffels`` call, and its
-    Christoffel symbols to the point-set covariant derivatives."""
+    row of the (N, dim) array ``coords``, as an (N, 2, 2) array: each field
+    is read at the block's points once, the block's checked metrics go to
+    one ``christoffels`` call, and its Christoffel symbols to the point-set
+    covariant derivatives; X g(Y, Z) is one set ``directional`` handed the
+    point-set form of g(Y, Z) (``_metric_inner_form``)."""
     X, Y, Z = fields
-
-    def g_inner_field(c):
-        g = M.metric_at(c, check=False)
-        return float(Y(c) @ g @ Z(c))
-
-    G = M.metrics_at(coords, check=True)
+    x, y, z = (F.values_at(coords) for F in fields)
+    G = np.array(M.metrics_at(coords, check=True))
     gammas = christoffels(M, engine, coords, G)
 
-    def nabla(A, B):
-        return _covariant_derivatives(M, engine, A.values_at(coords), B, coords, gammas)
+    def nabla(v, B, b):
+        return _covariant_derivatives(M, engine, v, B, coords, gammas, b)
 
-    dxy, dyx = nabla(X, Y), nabla(Y, X)
-    br = _lie_brackets(M, engine, X, Y, coords)
-    dxz = nabla(X, Z)
-    lhs = [engine.directional(g_inner_field, p, x, M.lower, M.upper)
-           for p, x in zip(coords, X.values_at(coords))]
-    out = []
-    for g, a, b, c, d, left, y, z in zip(G, dxy, dyx, br, dxz, lhs, Y.values_at(coords),
-                                         Z.values_at(coords)):
-        rhs = float(a @ g @ z) + float(y @ g @ d)
-        out.append([(np.max(np.abs(a - b - c)), residual_scale(a, b, c)),
-                    (abs(left - rhs), 1.0 + max(abs(left), abs(rhs)))])
-    return np.array(out, dtype=float)
+    dxy, dyx = nabla(x, Y, y), nabla(y, X, x)
+    br = _lie_brackets(M, engine, X, Y, coords, (x, y))
+    dxz = nabla(x, Z, z)
+    form = _metric_inner_form(M, Y, Z)
+    lhs = engine.directional(_single(form), coords, x, M.lower, M.upper, stack=form)
+    rhs = _inner(dxy, G, z)[:, 0] + _inner(y, G, dxz)[:, 0]
+    torsion = dxy - dyx - br
+    return np.stack([
+        np.stack([np.abs(torsion).max(axis=1), residual_scales(dxy, dyx, br)], axis=1),
+        np.stack([np.abs(lhs - rhs), 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))], axis=1),
+    ], axis=1)
+
+
+def _metric_inner_form(M: ChartManifold, Y: VectorField, Z: VectorField):
+    """The point-set form of c -> g(Y(c), Z(c)) with the unchecked metric of
+    ``M``: the fields' values and the metrics of a set, each read in one
+    call, and one stacked product."""
+    return lambda coords: _inner(Y.values_at(coords), np.array(M.metrics_at(coords)),
+                                 Z.values_at(coords))[:, 0]
 
 
 def splitting_records(

@@ -8,8 +8,9 @@ it, ``pad`` (which zero-pads factor rows into the ambient dimension),
 ``split_coords`` or ``lift``.
 
 ``second_fundamental_form`` evaluates its own metric and Christoffel
-symbols; ``verify_leaf_fiber_geometry`` hands each point's checked metric
-and Christoffel symbols to the same arithmetic (``connection._submanifold_form``).
+symbols; ``verify_leaf_fiber_geometry`` hands a block's checked metrics
+and Christoffel symbols to the same kernel (``connection._submanifold_form``),
+which a single point calls on a stack of one.
 Both connection verifiers are one rows kernel (``_connection_rows``,
 ``_leaf_fiber_rows``) handed to the block pass ``submersion._add_in_blocks``.
 """
@@ -40,7 +41,7 @@ from .manifold import (
     gradients,
     scalar_partials,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale, residual_scales
 from .submersion import _add_in_blocks
 
 Array = np.ndarray
@@ -293,7 +294,8 @@ def verify_leaf_fiber_geometry(
     mean curvature -grad(ln f). Leaf and fiber share one ambient Christoffel
     and one checked ambient metric per point; the samples are one block
     pass of ``_leaf_fiber_rows`` (``_add_in_blocks``), so the Christoffel
-    symbols of a block come from one ``christoffels`` call."""
+    symbols of a block come from one ``christoffels`` call, and its leaves'
+    and fibers' second fundamental forms from one kernel call each."""
     checks = [ResidualCheck("leaf-totally-geodesic", leaf_tolerance),
               ResidualCheck("fiber-umbilical", fiber_tolerance),
               ResidualCheck("fiber-mean-curvature-warp", fiber_tolerance)]
@@ -304,23 +306,25 @@ def verify_leaf_fiber_geometry(
 def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, coords: Array) -> Array:
     """The (residual, scale) of the three checks of
     ``verify_leaf_fiber_geometry`` at each row of the (N, dim) array
-    ``coords``, as an (N, 3, 2) array."""
+    ``coords``, as an (N, 3, 2) array: the block's checked metrics and
+    Christoffel symbols go to one second fundamental form kernel call per
+    submanifold (``connection._submanifold_form``)."""
     second = W.block("second")
-    G = W.ambient.metrics_at(coords, check=True)
-    gammas = christoffels(W.ambient, engine, coords, G)
-    out = []
-    for p, g, gamma, grad_log in zip(coords, G, gammas,
-                                     gradients(W.ambient, engine, W.log_warp(), coords, G)):
-        leaf = _submanifold_form(g, gamma, W.first_axes(), p)
-        fiber = _submanifold_form(g, gamma, W.second_axes(), p)
-        expected = np.einsum("ab,k->abk", g[second, second], fiber.mean_curvature)
-        out.append([
-            (np.max(np.abs(leaf.values)), residual_scale(leaf.values)),
-            (np.max(np.abs(fiber.values - expected)), residual_scale(fiber.values, expected)),
-            (np.linalg.norm(fiber.mean_curvature + grad_log),
-             residual_scale(fiber.mean_curvature, grad_log)),
-        ])
-    return np.array(out, dtype=float)
+    G = np.array(W.ambient.metrics_at(coords, check=True))
+    gammas = np.array(christoffels(W.ambient, engine, coords, G))
+    grad_log = gradients(W.ambient, engine, W.log_warp(), coords, G)
+    leaf, _ = _submanifold_form(G, gammas, W.first_axes())
+    fiber, mean = _submanifold_form(G, gammas, W.second_axes())
+    expected = np.einsum("nab,nk->nabk", G[:, second, second], mean)
+    leaf_top = np.abs(leaf).max(axis=(1, 2, 3))
+    return np.stack([
+        np.stack([leaf_top, 1.0 + leaf_top], axis=1),
+        np.stack([np.abs(fiber - expected).max(axis=(1, 2, 3)), residual_scales(fiber, expected)],
+                 axis=1),
+        # per vector: a stacked norm sums in another order
+        np.stack([[np.linalg.norm(v) for v in mean + grad_log], residual_scales(mean, grad_log)],
+                 axis=1),
+    ], axis=1)
 
 
 def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:

@@ -3,8 +3,8 @@ the memoized calls; tensors, stencil points, read-only point sets and
 Jacobian reuse in a scope; the one-pass O'Neill tensors; derivatives
 contracted with a direction skip its zero components; each O'Neill suite
 opens a scope of its own, reads a stencil point's splitting only where it
-differentiates, and the catalog computes no splitting or dilation one point
-at a time."""
+differentiates, and the catalog computes no splitting, dilation or metric
+one point at a time."""
 
 from contextlib import nullcontext
 from functools import partial
@@ -593,6 +593,23 @@ def test_the_catalog_computes_no_single_point_splitting_or_dilation(monkeypatch)
     # dilations it differentiates
     assert counts["splitting"] == 0 and counts["dilation"] == 0
     assert counts["_stacked_splittings"] > 0 and counts["_stacked_dilations"] > 0
+
+
+def test_the_catalog_computes_no_single_point_metric(monkeypatch):
+    # the engine-health kernel's directional walk reads the metrics of its
+    # stencil points through the point-set form of g(Y, Z), and a rescaled
+    # chart reads r1 and its source metrics as sets
+    calls = []
+    metric_at = ChartManifold.metric_at
+
+    def spy(self, coords, check=True):
+        calls.append((self.name, check))
+        return metric_at(self, coords, check)
+
+    monkeypatch.setattr(ChartManifold, "metric_at", spy)
+    for s in list_scenarios():
+        run_scenario(s.scenario_id, RunConfig())
+    assert calls == []
 
 
 def test_the_catalog_computes_every_checked_metric_in_a_set(monkeypatch):

@@ -404,3 +404,85 @@ def test_unbounded_axis_uses_the_full_step(scheme):
     shifts = engine.stencil_points(coords, *UNBOUNDED_BOX, (0,))[:, 0] - coords[0]
     assert np.max(np.abs(shifts)) == pytest.approx(STENCILS[scheme][0] * engine.step)
 
+
+
+# -- the directional derivative of a point set --------------------------------
+
+DIRECTIONAL_BOX = (np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0]))
+# a zero direction, a subnormal component, a step that the wall of the second
+# axis shrinks (3e-6 away, along it), and a direction along one axis
+DIRECTIONAL_POINTS = np.array([[0.2, 0.5, 0.1], [0.3, 0.4, -0.2], [0.1, 0.3, 0.5],
+                               [0.2, 3e-6, -0.1], [-0.4, 0.6, 0.0]])
+DIRECTIONS = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [5e-324, 1.0, 0.0],
+                       [0.3, 1.0, 0.0], [0.0, 0.0, -1.5]])
+
+
+def _recording(seen: list):
+    """A scalar fn of three coordinates that appends each point it is given
+    to ``seen``, and its point-set form, which appends each of its calls."""
+    def fn(c):
+        seen.append(np.array(c, dtype=float))
+        return np.sin(c[0]) * c[1] + np.exp(c[2])
+
+    forms = []
+
+    def form(points):
+        forms.append(points.copy())
+        return np.sin(points[:, 0]) * points[:, 1] + np.exp(points[:, 2])
+
+    return fn, form, forms
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_set_directional_equals_the_loop_of_single_points_bit_for_bit(scheme):
+    engine = DiffEngine(scheme=scheme)
+    seen = []
+    fn, form, forms = _recording(seen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the subnormal component is quiet
+        want = np.array([engine.directional(fn, c, d, *DIRECTIONAL_BOX)
+                         for c, d in zip(DIRECTIONAL_POINTS, DIRECTIONS)])
+        loop = np.array(seen)
+        seen.clear()
+        got = engine.directional(fn, DIRECTIONAL_POINTS, DIRECTIONS, *DIRECTIONAL_BOX)
+        assert _same(got, want) and np.array(seen).tobytes() == loop.tobytes()
+        seen.clear()
+        got = engine.directional(fn, DIRECTIONAL_POINTS, DIRECTIONS, *DIRECTIONAL_BOX, stack=form)
+    # handed over, the form is called once, on the loop's points in its order
+    assert _same(got, want) and seen == [] and len(forms) == 1
+    assert forms[0].tobytes() == loop.tobytes()
+    # the zero direction is an exact 0.0, and its point is never evaluated
+    assert got[1] == 0.0 and not np.signbit(got[1])
+    stencil = len(loop) // 4
+    assert len(loop) == 4 * stencil and not any((p == DIRECTIONAL_POINTS[1]).all() for p in loop)
+    # the wall shrinks the step of the fourth point: its stencil stays in the box
+    shifts = loop[2 * stencil:3 * stencil, 1] - DIRECTIONAL_POINTS[3, 1]
+    assert 0.0 < np.max(np.abs(shifts)) < DIRECTIONAL_POINTS[3, 1] < engine.step
+    # a lone point is the loop over fn, which evaluates fn
+    forms.clear()
+    lone = engine.directional(fn, DIRECTIONAL_POINTS[:1], DIRECTIONS[:1], *DIRECTIONAL_BOX,
+                              stack=form)
+    assert _same(lone, want[:1]) and forms == []
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_set_directional_raises_the_loops_first_stencil_error_before_evaluating(scheme, bad):
+    engine = DiffEngine(scheme=scheme)
+    lower, upper = DIRECTIONAL_BOX
+    # the second point lies 1e-12 from a wall along its direction; the third
+    # has a non-finite coordinate
+    points = np.array([[0.2, 0.5, 0.1], [0.3, 1.0 - 1e-12, 0.0], [bad, 0.5, 0.0]])
+    directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    seen = []
+    fn, form, forms = _recording(seen)
+    for rows in ([0, 1, 2], [2, 0]):
+        with pytest.raises(StencilError) as loop:
+            [engine.directional(fn, c, d, lower, upper)
+             for c, d in zip(points[rows], directions[rows])]
+        seen.clear()
+        for stack in (None, form):
+            with pytest.raises(StencilError) as info:
+                engine.directional(fn, points[rows], directions[rows], lower, upper, stack=stack)
+            assert str(info.value) == str(loop.value)
+        assert seen == [] and forms == []

@@ -32,6 +32,7 @@ import pytest
 from boundary_maps import BOUNDARY_FAULTS, POINTS, bad_from_second_point
 from warpgeo import (
     ChartManifold,
+    ConformalityError,
     DegenerateMetricError,
     DiffEngine,
     DomainError,
@@ -49,6 +50,7 @@ from warpgeo import (
     christoffel,
     compatibility,
     compatibility_report,
+    coordinate_submanifold_form,
     covariant_derivative,
     evaluation_scope,
     gradient,
@@ -57,8 +59,8 @@ from warpgeo import (
     lift,
     second_fundamental_form,
 )
-from warpgeo import conformal_warped, manifold, suites, warped
-from warpgeo.connection import christoffels
+from warpgeo import conformal_warped, connection, manifold, suites, warped
+from warpgeo.connection import christoffels, metric_orthogonal_projector
 from warpgeo.conformal_warped import (
     _factor_data,
     _positive_factor_data,
@@ -76,6 +78,7 @@ from warpgeo.submersion import (
     _gram_schmidt,
     _horizontal,
     _in_blocks,
+    _inner,
     _inverse_lambda_sq_field,
     _oneills,
     _vertical,
@@ -985,6 +988,129 @@ def _walk_chart_fault(fault: str) -> tuple:
     return _metric_walk(ctx.map.source, ENGINE), sets
 
 
+def _directional_walks(M: ChartManifold, engine: DiffEngine, fields, points: list) -> list:
+    """The engine-health kernel's set ``directional`` of g(Y, Z), handed the
+    form ``suites._metric_inner_form``, along X and along a direction that
+    is zero at some of ``points``."""
+    X, Y, Z = fields
+    form = suites._metric_inner_form(M, Y, Z)
+    fn = manifold._single(form)
+    return [Walk(engine, M, fn, form, X), Walk(engine, M, fn, form, _half_idle(points))]
+
+
+def _directional_inputs(engine: DiffEngine) -> list:
+    """``(walk, points)``: ``_directional_walks`` on each chart of
+    ``_chart_inputs``."""
+    return [(w, points) for f, points in _chart_inputs(engine)
+            for w in _directional_walks(f.M, engine, f.fields, points)]
+
+
+def _directional_set(w: Walk, points: list) -> np.ndarray:
+    coords = np.array(points, dtype=float).reshape(len(points), w.M.dim)
+    along = np.array([w.direction(c) for c in coords]).reshape(coords.shape)
+    return w.engine.directional(w.fn, coords, along, w.M.lower, w.M.upper, stack=w.stack)
+
+
+def _directional_one(w: Walk, p) -> np.float64:
+    """A lone point's ``directional``, a float, as the item of a stack."""
+    return np.float64(w.engine.directional(w.fn, p, w.direction(p), w.M.lower, w.M.upper))
+
+
+def _directional_fault(fault: str) -> tuple:
+    """The walk along X on ``_metric_fault``'s chart, with the engine-health
+    fields, at its sets."""
+    ctx, sets = _metric_fault(fault)
+    f = _chart_fields(ctx.map.source, ENGINE)
+    return _directional_walks(f.M, ENGINE, f.fields, sets[0])[0], sets
+
+
+def _directional_off_the_box() -> tuple:
+    """The walk along (1, 1) on ``_stencil_off_the_box``'s chart, whose tight
+    point is 1e-11 from the wall of its second axis."""
+    ctx, sets = _stencil_off_the_box()
+    X, Y, Z = _chart_fields(ctx.map.source, ENGINE).fields
+    return replace(_directional_walks(ctx.map.source, ENGINE, (X, Y, Z), sets[0])[0],
+                   direction=VectorField.constant([1.0, 1.0])), sets
+
+
+def _directional_raising() -> tuple:
+    """The walk along (1, 0.5) on the square, of g(Y, Z) with a Y that raises
+    from x = 0.2 on, at ``POINTS``."""
+    def fn(c):
+        if c[0] >= 0.2:
+            raise ValueError(f"field undefined at {c}")
+        return np.array([1.0 + c[1], c[0]])
+
+    M = ChartManifold.euclidean(2, -1.0, 1.0)
+    Y, Z = VectorField(fn), VectorField.constant([0.5, 2.0])
+    walk = _directional_walks(M, ENGINE, (VectorField.constant([1.0, 0.5]), Y, Z), POINTS)[0]
+    return walk, [POINTS, POINTS[1:]]
+
+
+@dataclass(frozen=True)
+class Submanifold:
+    """The coordinate submanifold along ``axes`` of the chart ``M``."""
+
+    engine: DiffEngine
+    M: ChartManifold
+    axes: tuple
+
+
+def _submanifold_inputs(engine: DiffEngine) -> list:
+    """``(submanifold, points)``: the first axis and the other axes of each
+    chart of ``_chart_inputs``; on a warped ambient chart, its leaf and
+    fiber."""
+    return [(Submanifold(engine, f.M, axes), points) for f, points in _chart_inputs(engine)
+            for axes in ((0,), tuple(range(1, f.M.dim)))]
+
+
+def _submanifold_set(s: Submanifold, points: list) -> list:
+    """The set kernel's II and H at ``points``, from their checked metrics and
+    Christoffel symbols, as ``(values, mean_curvature)`` per point."""
+    coords = np.array(points, dtype=float).reshape(len(points), s.M.dim)
+    G = np.reshape(s.M.metrics_at(coords, check=True), (len(coords),) + (s.M.dim,) * 2)
+    gammas = np.reshape(christoffels(s.M, s.engine, coords, G), (len(coords),) + (s.M.dim,) * 3)
+    return list(zip(*connection._submanifold_form(G, gammas, s.axes)))
+
+
+def _submanifold_one(s: Submanifold, p) -> tuple:
+    form = coordinate_submanifold_form(s.M, s.engine, s.axes, p)
+    return form.values, form.mean_curvature
+
+
+def _submanifold_fault(fault: str) -> tuple:
+    ctx, sets = _metric_fault(fault) if fault in METRIC_FAULTS else _stencil_off_the_box()
+    return Submanifold(ENGINE, ctx.map.source, (0,)), sets
+
+
+def _rescaled_charts(engine: DiffEngine) -> list:
+    """``(chart, points)``: the rescaled source chart of each conformal
+    product of the catalog, with no offset and with the probe's, at the
+    points where the product is conformal."""
+    out = []
+    for cws, points in _catalog(engine)[1]:
+        conformal = conformal_warped._conformal_points(cws, points)
+        if len(conformal) > 1:
+            out += [(conformal_warped.rescaled_context(cws, offset).map.source, conformal)
+                    for offset in (0.0, conformal_warped.PROBE_OFFSET)]
+    return out
+
+
+def _rescaled_fault(order: str) -> tuple:
+    """The rescaled source chart of ``_factor_fault``'s product, at its set."""
+    cws, sets = _factor_fault(order)
+    return conformal_warped.rescaled_context(cws).map.source, sets
+
+
+def _rescaled_non_conformal() -> tuple:
+    """The rescaled source chart of cws-mixed-local, which is conformal only
+    where x3 = 0, at a point off that slice between two on it."""
+    cws = build_objects("cws-mixed-local", ENGINE)["cws"]
+    points = [cws.source.ambient.point(c) for c in (
+        [0.3, 0.4, 0.0, 0.1, 0.2], [0.3, 0.4, 0.2, 0.1, 0.3], [0.2, -0.1, 0.0, 0.2, 0.0])]
+    return conformal_warped.rescaled_context(cws).map.source, [points, points[1:]]
+
+
 # -- the table
 
 
@@ -1047,10 +1173,11 @@ DILATION_ERRORS = GUARDED_ERRORS | {"degenerate-pullback-first": (
     RankError, "pullback metric degenerate on horizontal space at [0.  0.5]")}
 # the single-point conversions and the point-by-point redo of _memoized_many,
 # which no clean point-set call of two or more points calls; DiffEngine.partial
-# has a set form too, and only that is allowed (SET_FORMS)
+# and DiffEngine.directional have a set form too, and only that is allowed
+# (SET_FORMS)
 SINGLE_POINT = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"),
                 (SmoothMap, "__call__"), (SmoothMap, "image_point"), (SmoothMap, "jacobian_at"),
-                (DiffEngine, "partial"), (DiffEngine, "partials"),
+                (DiffEngine, "partial"), (DiffEngine, "partials"), (DiffEngine, "directional"),
                 (SubmersionContext, "splitting_at"), (SubmersionContext, "dilation"),
                 (conformal_warped, "compatibility"), (conformal_warped, "_positive_factor_data"),
                 (manifold, "_one_at_a_time"))
@@ -1064,9 +1191,9 @@ def _alone(*args, **kwargs):
 
 def _sets_only(method):
     """``method(self, fn, coords, ...)`` that fails at a lone point."""
-    def on_sets(self, fn, coords, *args):
+    def on_sets(self, fn, coords, *args, **kwargs):
         assert np.ndim(coords) == 2, f"a point computed on its own: {coords}"
-        return method(self, fn, coords, *args)
+        return method(self, fn, coords, *args, **kwargs)
     return on_sets
 
 
@@ -1081,13 +1208,9 @@ def _idle_only(method):
 
 
 SET_FORMS = {(DiffEngine, "partial"): _sets_only(DiffEngine.partial),
+             (DiffEngine, "directional"): _sets_only(DiffEngine.directional),
              (DiffEngine, "partials"): _idle_only(DiffEngine.partials)}
 
-# every checked metric of a set is read in one metrics_at(check=True) call,
-# and the Christoffel symbols' stencil walk reads the unchecked metrics of a
-# set's stencils in one metrics_at call; only the engine-health checks'
-# directional walk reads the unchecked metric one stencil point at a time
-STENCIL_METRIC = ((ChartManifold, "metric_at"), (ChartManifold, "_raw_metric"))
 STENCIL_ERROR = (StencilError, "stencil does not fit: room to boundary 1.000e-11 allows step "
                  "5.000e-12 < min_step 1.000e-10")
 # the product faults that a splitting reads, and those that a dilation reads
@@ -1317,6 +1440,42 @@ ROWS = {
                                                      "[0.30001 0.4    ]")})},
         SCHEMES,
     ),
+    # the set directional derivative handed a point-set form: a set's stencil
+    # points in one call of the form, in the per-point loop's order, a zero
+    # direction an exact 0.0 that is not evaluated; a lone point is the loop
+    # over fn. (Its StencilError comes before any evaluation: tests/test_fd.py.)
+    "directional-with-a-form": Row(
+        _directional_set, _directional_one, _directional_inputs, lambda w: (), (),
+        {"raising-field": (_directional_raising, (
+            ValueError, "field undefined at [0.30001  0.400005]")),
+         "stencil-off-the-box": (_directional_off_the_box, STENCIL_ERROR),
+         **_each(_directional_fault, {
+             "non-finite-metric": None, "non-spd-metric": None,
+             "metric-shape": (DegenerateMetricError, "metric returned shape (3, 3) at "
+                                                     "[0.30001 0.4    ]")})},
+        SCHEMES,
+    ),
+    # the second fundamental form of a set's coordinate submanifolds, from
+    # its checked metrics and Christoffel symbols; a single point's is the
+    # kernel on a stack of one
+    "_submanifold_form": Row(
+        _submanifold_set, _submanifold_one, _submanifold_inputs, lambda s: list, (),
+        _each(_submanifold_fault, {**{k: e for k, (_, e) in METRIC_FAULTS.items()},
+                                   "stencil-off-the-box": STENCIL_ERROR}),
+        SCHEMES,
+    ),
+    # a rescaled chart's metrics (conformal_warped.rescaled_context): r1 from
+    # one compatibility_report call and the source metrics from one
+    # metrics_at call; a set with a point where the product is not conformal
+    # is redone point by point
+    "rescaled-metrics": Row(
+        lambda M, points: M.metrics_at(points), lambda M, p: M.metric_at(p, check=False),
+        _rescaled_charts, lambda M: list, ("rescaled_context",),
+        {"non-conformal": (_rescaled_non_conformal, (
+            ConformalityError, "product not conformal at [0.3 0.4 0.2 0.1 0.3]: "
+                               "r1=1.491825e+00, r2=1.000000e+00")),
+         **_each(_rescaled_fault, {k: e for k, e in FACTOR_ERRORS.items() if e is not None})},
+    ),
     # a lifted vector field's form: the factor field point by point, written
     # into the zero-padded rows of one array
     "lifted-field-form": Row(
@@ -1343,7 +1502,6 @@ ROWS = {
         suites._health_rows, lambda f: (f.M, f.engine, f.fields), lambda f: (2, 2), _chart_inputs,
         _each(_chart_fault, dict.fromkeys([*METRIC_FAULTS, "stencil-off-the-box"])),
         one_of=lambda rows: functools.partial(suites._health_row, rows, []),
-        per_point=STENCIL_METRIC,
     ),
 }
 
@@ -2146,6 +2304,11 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
             h = rng.uniform(1e-7, 1e-4, size=N)
             f = rng.uniform(0.5, 2.0, size=N)
             T = rng.standard_normal((N, n, n, n))  # Christoffel symbols, or metric partials
+            # a coordinate submanifold along the first m axes: its tangent
+            # basis, the ambient part of its Christoffel symbols, and II
+            E = np.eye(n)[:, :m]
+            tangential = np.moveaxis(T[:, :, :m, :m], 1, -1)
+            II = rng.standard_normal((N, m, m, n))
             cases = {
                 "svd": (lambda: np.linalg.svd(J), lambda i: np.linalg.svd(J[i])),
                 "solve": (lambda: np.linalg.solve(G, B), lambda i: np.linalg.solve(G[i], B[i])),
@@ -2212,6 +2375,26 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                     lambda: (A[0] @ u[..., None])[..., 0], lambda i: A[0] @ u[i],
                 ),
                 "sin": (lambda: np.sin(u), lambda i: np.sin(u[i])),
+                # the engine-health kernel's g(Y, Z) and its right-hand side
+                "_inner, against 1-D y @ g @ z": (
+                    lambda: _inner(u, G, v)[:, 0], lambda i: u[i] @ G[i] @ v[i],
+                ),
+                # the second fundamental form kernel: the tangent projector of a
+                # basis shared by the stack, the normal part of each
+                # Christoffel column, and the mean curvature
+                "projector, a shared basis": (
+                    lambda: metric_orthogonal_projector(G, np.broadcast_to(E, (N, n, m))),
+                    lambda i: metric_orthogonal_projector(G[i], E),
+                ),
+                "normal_proj @ gamma[:, i, j]": (
+                    lambda: (A[:, None, None] @ tangential[..., None])[..., 0],
+                    lambda i: np.array([[A[i] @ T[i][:, a, b] for b in range(m)]
+                                        for a in range(m)]),
+                ),
+                "mean curvature, stacked inv": (
+                    lambda: np.einsum("nab,nabk->nk", np.linalg.inv(Gt), II) / m,
+                    lambda i: np.einsum("ab,abk->k", np.linalg.inv(Gt[i]), II[i]) / m,
+                ),
             }
             for name, (stacked, single) in cases.items():
                 whole = stacked()
@@ -2343,10 +2526,11 @@ def _connection_pass_counts(scenario: str) -> tuple[dict, set]:
 
 # evaluations per user callable in one connection pass, as (at sample points,
 # at stencil points), measured when the verifiers still walked one point and
-# one axis at a time
+# one axis at a time; the engine-health kernel then read X five times at each
+# sample point, Y four times and Z twice, and now reads each field once
 _LINE_COUNTS = {
     "ambient.metric": (195, 1820), "first.metric": (1040, 1300),
-    "health.0": (325, 1040), "health.1": (260, 780), "health.2": (130, 520),
+    "health.0": (65, 1040), "health.1": (65, 780), "health.2": (65, 520),
     **{f"pairs1.{i}.E": (585, 0) for i in range(3)},
     **{f"pairs1.{i}.F": (130, 520) for i in range(3)},
     **{f"pairs2.{i}.E": (650, 0) for i in range(3)},
@@ -2358,7 +2542,7 @@ CONNECTION_COUNTS = {
     "sphere-warped": _LINE_COUNTS,
     "product-plain": {
         "ambient.metric": (195, 2600), "first.metric": (1040, 2340),
-        "health.0": (325, 1560), "health.1": (260, 780), "health.2": (130, 520),
+        "health.0": (65, 1560), "health.1": (65, 780), "health.2": (65, 520),
         **{f"pairs1.{i}.E": (585, 0) for i in range(3)},
         "pairs1.0.F": (130, 520), "pairs1.1.F": (130, 1040), "pairs1.2.F": (130, 1040),
         "pairs2.0.E": (650, 0), "pairs2.1.E": (910, 0), "pairs2.2.E": (910, 0),
@@ -2386,8 +2570,9 @@ def test_a_connection_pass_evaluates_each_user_callable_as_often_as_single_point
 
 def test_the_walk_reads_a_form_only_when_its_kernel_hands_it_over():
     # the form rides on fn as a builder attaches it; handed to partial,
-    # partials, jacobian, directional or stacked_partials without stack=,
-    # fn is evaluated point by point and the form is never called
+    # partials, jacobian, directional (at a point or a set) or
+    # stacked_partials without stack=, fn is evaluated point by point and the
+    # form is never called
     engine = DiffEngine(scheme="central4")
     lower, upper = np.full(3, -1.0), np.full(3, 1.0)
     coords = np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6], [-0.7, 0.2, 0.05]])
@@ -2403,10 +2588,12 @@ def test_the_walk_reads_a_form_only_when_its_kernel_hands_it_over():
         return np.array([one(c) for c in points])
 
     fn = manifold._with_stack(one, form)
+    scalar = manifold._with_stack(lambda c: float(one(c)[0]), lambda points: form(points)[:, 0])
     engine.partial(fn, coords, 0, lower, upper)
     engine.partials(fn, coords[0], lower, upper)
     engine.jacobian(fn, coords, lower, upper)
-    engine.directional(lambda c: float(fn(c)[0]), coords[0], along[0], lower, upper)
+    engine.directional(scalar, coords[0], along[0], lower, upper)
+    engine.directional(scalar, coords, along, lower, upper)
     engine.stacked_partials(fn, coords, lower, upper, along)
     assert forms == [] and seen
     # handed over, a set's used stencil points go to the form in one call, in

@@ -19,6 +19,8 @@ from warpgeo.report import (
     ResidualCheck,
     reports_to_json,
     reports_to_text,
+    residual_scale,
+    residual_scales,
 )
 from warpgeo.suites import engine_health_records
 
@@ -162,6 +164,24 @@ def test_nan_residual_fails_the_check(residuals, expected_fail):
     assert record.passed is False
     assert NON_FINITE_NOTE in record.notes
     assert record.to_dict()["max_residual"] is None
+
+
+@pytest.mark.parametrize("arrays", [(np.ones(2), np.array([np.nan])),
+                                    (np.array([np.nan]), np.ones(2)),
+                                    (np.ones(2), np.array([1.0, np.nan]), np.zeros(0))],
+                         ids=["nan-after-finite", "nan-first", "nan-entry"])
+def test_a_nan_entry_makes_the_residual_scale_nan(arrays):
+    # Python's max keeps a NaN only when it comes first
+    assert np.isnan(residual_scale(*arrays))
+    assert residual_scale(np.array([-3.0, 2.0]), np.zeros(0)) == 4.0
+
+
+def test_the_stacked_residual_scales_are_the_per_point_ones():
+    a = np.array([[1.0, -5.0], [np.nan, 0.0], [0.5, 0.25]])
+    b = np.array([[[2.0]], [[1.0]], [[-0.75]]])
+    got = residual_scales(a, b)
+    want = [residual_scale(x, y) for x, y in zip(a, b)]
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[1])
 
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "warpgeo"
