@@ -5,20 +5,22 @@ evaluates central-difference stencils on scalar-, vector- or matrix-valued
 functions of coordinates and shrinks its step automatically when a stencil
 would leave the chart's coordinate box.
 
-The partials at a point set are one walk over the set's stencils
-(``_walk``). A function is evaluated one stencil point at a time, except
-that a kernel owning a point-set form of its function may hand it to
-``stacked_partials`` (``stack=``), which then evaluates every used stencil
-point of a set in one call of the form. A kernel whose function differs
-from point to point of the set (a field that belongs to one point) hands
-over a form that takes owners (``owned=True``): the walk then also passes
-the row in the set of each stencil point's base point, so that stencil
-points of two base points may coincide. The directional derivative of a
-point set (``directional`` at (N, dim) arrays) evaluates the stencil
-points along each row's direction the same way, through ``fn`` or a form
-its kernel hands over. The engine never reads a form off the function it
-is handed, so a wrapper around that function (a tracer's) leaves the
-program as it is.
+A point set has one walk over its stencils, ``_along``: the derivative at
+each row along that row's direction. A coordinate partial is the
+directional derivative along its unit axis, so the partials of a set
+(``_walk``) and its directional derivatives (``directional`` at (N, dim)
+arrays) are both ``_along``, and each equals its single-point call bit for
+bit. A function is evaluated one stencil point at a time, except that a
+kernel owning a point-set form of its function may hand it over
+(``stack=``), which then evaluates every stencil point of a set in one
+call. A kernel whose function differs from point to point of the set (a
+field that belongs to one point) hands over a form that takes owners
+(``owned=True``): the walk then also passes the row in the set of each
+stencil point's base point, so that stencil points of two base points may
+coincide. The engine never reads a form off the function it is handed, so
+a wrapper around that function (a tracer's) leaves the program as it is.
+``stacked_partials`` of a function without a form keeps one ``partial``
+walk per axis, which is the call a tracer of ``DiffEngine.partial`` sees.
 """
 
 from __future__ import annotations
@@ -60,14 +62,6 @@ def _room(x: float, lower, upper) -> float:
     return min(x - float(lower), float(upper) - x)
 
 
-def _rooms(x: np.ndarray, lower, upper) -> np.ndarray:
-    """``_room`` of each coordinate of ``x``, whose last axis runs over the
-    axes of ``lower`` and ``upper``."""
-    with np.errstate(invalid="ignore"):  # inf - inf, at a room that is NaN anyway
-        room = np.minimum(x - lower, upper - x)
-    return np.where(np.isfinite(x), room, np.nan)
-
-
 @dataclass(frozen=True)
 class DiffEngine:
     """Central differences with automatic step shrinking near box edges.
@@ -103,12 +97,15 @@ class DiffEngine:
             )
         return h
 
-    def _require_fit(self, room: np.ndarray, h: np.ndarray) -> None:
-        """Raises the StencilError of ``_fit_step`` for the first stencil, in
-        C order, whose step ``h`` (from ``room``) is below ``min_step`` or NaN."""
+    def _steps(self, room: np.ndarray) -> np.ndarray:
+        """``_fit_step`` of each entry of the array ``room``, equal to its own
+        bit for bit. Raises its StencilError for the first room, in C order,
+        whose step is below ``min_step`` or NaN."""
+        h = np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step)  # keeps a NaN
         fits = h >= self.min_step
         if not fits.all():
             self._fit_step(float(room.flat[np.argmin(fits)]))  # raises its message
+        return h
 
     def partial(self, fn, coords, axis: int, lower, upper):
         """d(fn)/d(coords[axis]). fn may return a float or an ndarray.
@@ -130,17 +127,6 @@ class DiffEngine:
 
         return STENCILS[self.scheme][1](at, h)
 
-    def _steps(self, coords: np.ndarray, lower, upper, axes) -> tuple:
-        """The steps of ``partial``'s stencils along each of ``axes`` at each
-        row of the (N, dim) array ``coords`` and the rooms they come from,
-        each of shape (N, len(axes)), equal to its own bit for bit. A
-        stencil whose step is below ``min_step`` or NaN does not fit:
-        ``partial`` raises there (``_require_fit``)."""
-        axes = list(axes)
-        room = _rooms(coords[:, axes], np.asarray(lower, dtype=float)[axes],
-                      np.asarray(upper, dtype=float)[axes])
-        return np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step), room  # keeps a NaN
-
     def _offsets(self, h) -> list:
         """The offsets from its base point at which a stencil of step ``h``
         (a float, or an array of steps) is evaluated, in call order: the
@@ -154,88 +140,75 @@ class DiffEngine:
         STENCILS[self.scheme][1](at, h)
         return offsets
 
-    def _stencils(self, coords: np.ndarray, lower, upper, axes) -> tuple:
-        """The stencils of ``partial`` along each of ``axes`` at each row of
-        the (N, dim) array ``coords``: their points, shape
-        (N, len(axes), S, dim) with the S points of a stencil in call order,
-        and their steps and rooms (``_steps``).
+    def _along(self, fn, coords: np.ndarray, d: np.ndarray, lower, upper, stack,
+               owners=None) -> np.ndarray:
+        """The derivative of ``fn`` at each row of the (K, dim) array
+        ``coords`` along the nonzero direction in that row of ``d``, as a
+        (K,) + value-shape array: the engine's one walk over a set's stencils.
 
-        The offsets are ``_offsets``, and each point is built as in
-        ``partial``, so points equal its own bit for bit. The points of a
-        stencil that does not fit mean nothing.
+        A row's step is ``_fit_step`` of its least room along the components
+        it moves (``_gaps``); the StencilError of the first row whose step
+        does not fit is raised before any evaluation. A stencil point copies
+        its base point and writes in only the moved components, c[j] + t
+        d[j] at the ``_offsets`` t, so along a unit axis it is ``partial``'s
+        point bit for bit, a -0.0 elsewhere included. ``fn`` is evaluated at
+        the stencil points row by row in call order, or ``stack``, a
+        point-set form of ``fn``, once on all of them, also given each
+        point's owner (row k's is ``owners[k]``) where ``owners`` is given.
+        The scheme's own combine then runs on the array of steps.
         """
-        axes = list(axes)
-        x = coords[:, axes]
-        h, room = self._steps(coords, lower, upper, axes)
-        offsets = self._offsets(h)
-        points = np.empty((len(coords), len(axes), len(offsets), coords.shape[1]))
-        points[...] = coords[:, None, None, :]
-        for k, t in enumerate(offsets):
-            points[:, range(len(axes)), k, axes] = x + t
-        return points, h, room
+        r, j = np.nonzero(d != 0.0)  # the moved components, row by row
+        c, v = coords[r, j], d[r, j]
+        room = np.full(len(d), np.inf)  # each row's least gap, NaN if one is NaN
+        with np.errstate(invalid="ignore"):
+            np.minimum.at(room, r, self._gaps(c, v, np.asarray(lower)[j], np.asarray(upper)[j]))
+        h = self._steps(room)
+        t = np.stack(self._offsets(h), axis=1)  # (K, S), a stencil's offsets in call order
+        points = np.repeat(coords[:, None, :], t.shape[1], axis=1)
+        points[r, :, j] = c[:, None] + t[r] * v[:, None]
+        flat = points.reshape(-1, coords.shape[1])
+        if stack is None:
+            values = np.array([fn(p) for p in flat], dtype=float)
+        else:
+            values = np.asarray(stack(flat) if owners is None else
+                                stack(flat, np.repeat(owners, t.shape[1])), dtype=float)
+        values = values.reshape(t.shape + values.shape[1:])
+        calls = iter(range(t.shape[1]))
+        h = h.reshape(h.shape + (1,) * (values.ndim - 2))
+        return STENCILS[self.scheme][1](lambda _: values[:, next(calls)], h)
 
     def _walk(self, fn, coords: np.ndarray, lower, upper, axes, used=None,
               stack=None, owned: bool = False) -> np.ndarray:
         """The partials of ``fn`` along each of ``axes`` at each row of the
         (N, dim) array ``coords``, as an (N, len(axes)) + value-shape array:
-        the engine's one walk over a point set's stencils.
-
-        Only the stencils where the (N, len(axes)) mask ``used`` holds are
-        evaluated (every one when None); the others are exact zeros. ``fn``
-        is evaluated once per used stencil point, in the order of the loop
-        of ``partial`` calls over points and then axes, or, when given,
-        ``stack``, a point-set form of ``fn``, once on all of them in that
-        order. With ``owned``, the form is called as ``stack(points,
-        owners)``: ``owners[k]``, the row in ``coords`` of the base point of
-        the k-th used stencil point, is built for such a form only. The
-        values are combined by the scheme's own combine with the array of
-        their stencils' steps, so each partial equals ``partial``'s at its
-        point bit for bit. Raises the StencilError of that loop's first
-        failing used stencil, before any evaluation.
+        ``_along`` the unit axis of each (point, axis) pair where the mask
+        ``used`` holds (every pair when None), in C order, which is the loop
+        of ``partial`` calls over points and then axes; the other pairs are
+        exact zeros. With ``owned``, ``stack`` is also given the owners, the
+        row in ``coords`` of each stencil point's base point.
         """
-        points, h, room = self._stencils(coords, lower, upper, axes)
-        owners = (np.broadcast_to(np.arange(len(coords))[:, None, None], points.shape[:-1])
-                  if owned else None)
-        if used is not None:
-            points, h, room = points[used], h[used], room[used]
-            owners = None if owners is None else owners[used]
-        self._require_fit(room, h)
-        d = self._combined(fn, points, h, stack, owners)
+        axes = np.asarray(axes, dtype=int)
+        rows, k = np.nonzero(np.ones((len(coords), len(axes)), bool) if used is None else used)
+        values = self._along(fn, coords[rows], np.eye(coords.shape[1])[axes[k]], lower, upper,
+                             stack, rows if owned else None)
         if used is None:
-            return d
-        out = np.zeros(used.shape + d.shape[1:])
-        out[used] = d
+            return values.reshape((len(coords), len(axes)) + values.shape[1:])
+        out = np.zeros(used.shape + values.shape[1:])
+        out[used] = values
         return out
-
-    def _combined(self, fn, points: np.ndarray, h: np.ndarray, stack=None, owners=None):
-        """The scheme's combine of the values at ``points``, an h.shape +
-        (S, dim) array of stencils whose S points are in call order, with
-        the array of their steps ``h``: ``fn`` is evaluated at each point in
-        C order, or ``stack``, a point-set form of ``fn``, once on all of
-        them, called with the owners of the points (h.shape + (S,)) where
-        given."""
-        flat = points.reshape(-1, points.shape[-1])
-        if stack is None:
-            values = np.array([fn(p) for p in flat], dtype=float)
-        else:
-            values = np.asarray(stack(flat) if owners is None else stack(flat, owners.reshape(-1)),
-                                dtype=float)
-        values = values.reshape(points.shape[:-1] + values.shape[1:])
-        calls = iter(range(points.shape[-2]))
-        lead = (slice(None),) * h.ndim
-        h = h.reshape(h.shape + (1,) * (values.ndim - h.ndim - 1))
-        return STENCILS[self.scheme][1](lambda t: values[lead + (next(calls),)], h)
 
     def stencil_points(self, coords, lower, upper, axes) -> np.ndarray:
         """The points ``partial(fn, coords, axis, lower, upper)`` passes to
         ``fn`` for each axis of ``axes``, in call order, as rows of one array,
-        equal to its points bit for bit. Raises StencilError where
-        ``partial`` would.
+        equal to its points bit for bit: the points ``_along`` hands a form
+        that records them. Raises StencilError where ``partial`` would.
         """
         coords = np.asarray(coords, dtype=float)
-        points, h, room = self._stencils(coords[None], lower, upper, axes)
-        self._require_fit(room, h)
-        return points.reshape(-1, len(coords))
+        d = np.eye(len(coords))[list(axes)]
+        seen = []
+        self._along(None, np.tile(coords, (len(d), 1)), d, lower, upper,
+                    lambda points: seen.append(points) or np.zeros(len(points)))
+        return seen[0]
 
     def stacked_partials(self, fn, coords, lower, upper, along=None, stack=None,
                          owned: bool = False) -> np.ndarray:
@@ -266,8 +239,7 @@ class DiffEngine:
             return self.partials(row(0), coords[0], lower, upper, along=one)[None]
         n, dim = coords.shape
         used = np.ones((n, dim), dtype=bool) if along is None else np.asarray(along) != 0.0
-        h, room = self._steps(coords, lower, upper, range(dim))
-        self._require_fit(room[used], h[used])
+        self._steps(self._gaps(coords, np.ones_like(coords), lower, upper)[used])
         idle = np.flatnonzero(~used.any(axis=1))
         shapes = [self.partials(row(k), coords[k], lower, upper, along=along[k]).shape[1:]
                   for k in idle]
@@ -341,33 +313,32 @@ class DiffEngine:
         h = self._fit_step(float(np.min(self._gaps(coords, d, lower, upper)[moving])))
 
         def at(t: float):
-            return np.asarray(fn(coords + t * d), dtype=float)
+            shifted = coords.copy()
+            shifted[moving] = coords[moving] + t * d[moving]
+            return np.asarray(fn(shifted), dtype=float)
 
         return float(STENCILS[self.scheme][1](at, h))
 
     @staticmethod
     def _gaps(coords: np.ndarray, d: np.ndarray, lower, upper) -> np.ndarray:
         """The room to the box along each component of the directions ``d``,
-        in units of that component: inf along a zero or subnormal component,
-        NaN or negative at a coordinate that is not finite or lies outside
-        the box, which ``_fit_step`` rejects."""
+        in units of that component: ``_room`` of each coordinate over |d|,
+        which may overflow to inf along a subnormal component, NaN at a
+        coordinate that is not finite or negative outside the box, which
+        ``_fit_step`` rejects. A zero component's gap means nothing."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.minimum(upper - coords, coords - lower) / np.abs(d)
+            room = np.minimum(upper - coords, coords - lower)  # ties as _room's min
+            return np.where(np.isfinite(coords), room, np.nan) / np.abs(d)
 
     def _directionals(self, fn, coords: np.ndarray, d: np.ndarray, lower, upper,
                       stack) -> np.ndarray:
         """``directional`` at each row of the (N, dim) arrays ``coords`` and
-        ``d``, as an (N,) array."""
+        ``d``, as an (N,) array: ``_along`` its rows with a nonzero
+        direction."""
         if len(coords) == 1:
             return np.array([self.directional(fn, coords[0], d[0], lower, upper)])
-        moving = d != 0.0
-        rows = moving.any(axis=1)
-        room = np.where(moving, self._gaps(coords, d, lower, upper), np.inf)[rows].min(axis=1)
-        h = np.minimum(0.5 * room / STENCILS[self.scheme][0], self.step)  # keeps a NaN
-        self._require_fit(room, h)
+        rows = (d != 0.0).any(axis=1)
         out = np.zeros(len(coords))
         if rows.any():
-            t = np.stack(self._offsets(h), axis=1)
-            points = coords[rows, None, :] + t[:, :, None] * d[rows, None, :]
-            out[rows] = self._combined(fn, points, h, stack)
+            out[rows] = self._along(fn, coords[rows], d[rows], lower, upper, stack)
         return out

@@ -21,9 +21,14 @@ import numpy as np
 from .manifold import ChartManifold, PointFields, VectorField, _with_stack
 
 
-def _center(M: ChartManifold, fallback: float = 0.0) -> np.ndarray:
+# the slope of the affine factor of a modulated field
+MODULATION_SLOPE = 0.7
+
+
+def _center(M: ChartManifold) -> np.ndarray:
+    """The midpoint of each bounded axis of the chart's box, 0 on the others."""
     lo, hi = M.lower, M.upper
-    c = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), fallback)
+    c = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
     return np.asarray(c, dtype=float)
 
 
@@ -67,7 +72,7 @@ def field_pairs(
     return [(fields[2 * i], fields[2 * i + 1]) for i in range(n)]
 
 
-def modulated(field: VectorField, axis: int, anchor: np.ndarray, slope: float = 0.7) -> VectorField:
+def modulated(field: VectorField, axis: int, anchor: np.ndarray) -> VectorField:
     """Rescale a field by an affine factor equal to 1 at the anchor point.
 
     Used by extension-independence checks: the modulated field has the same
@@ -76,18 +81,18 @@ def modulated(field: VectorField, axis: int, anchor: np.ndarray, slope: float = 
     anchor = np.asarray(anchor, dtype=float)
 
     def fn(x):
-        return (1.0 + slope * (x[axis] - anchor[axis])) * field(x)
+        return (1.0 + MODULATION_SLOPE * (x[axis] - anchor[axis])) * field(x)
 
     return VectorField(fn)
 
 
-def modulated_constants(vectors, axis: int, anchors, slope: float = 0.7) -> PointFields:
-    """Row n: ``modulated(VectorField.constant(vectors[n]), axis, anchors[n],
-    slope)``, bit for bit, as fields of the points ``anchors``, whose form
-    rescales the rows of one array."""
+def modulated_constants(vectors, axis: int, anchors) -> PointFields:
+    """Row n: ``modulated(VectorField.constant(vectors[n]), axis,
+    anchors[n])``, bit for bit, as fields of the points ``anchors``, whose
+    form rescales the rows of one array."""
     V, anchors = np.asarray(vectors, dtype=float), np.asarray(anchors, dtype=float)
 
     def stack(X, owners):
-        return (1.0 + slope * (X[:, axis] - anchors[owners, axis]))[:, None] * V[owners]
+        return (1.0 + MODULATION_SLOPE * (X[:, axis] - anchors[owners, axis]))[:, None] * V[owners]
 
     return PointFields(stack)

@@ -164,7 +164,17 @@ class ResidualCheck:
         self.notes: list[str] = []
 
     def add(self, residual: float, scale: float = 1.0) -> None:
-        self.residuals.append(float(residual) / float(scale))
+        """Records residual / scale. A residual is a size and a scale a
+        positive size: a negative residual or a scale that is not positive
+        would pass as a small residual, so either raises ConfigurationError.
+        A NaN passes through, and so does a failed sample's inf."""
+        residual, scale = float(residual), float(scale)
+        if residual < 0.0 or scale <= 0.0:
+            raise ConfigurationError(
+                f"check {self.check_id!r}: residual {residual!r} must be >= 0 and "
+                f"scale {scale!r} > 0"
+            )
+        self.residuals.append(residual / scale)
 
     def note(self, text: str) -> None:
         if text and text not in self.notes:

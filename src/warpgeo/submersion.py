@@ -368,7 +368,7 @@ class SubmersionContext:
         Raises the error of the first point whose splitting fails or whose
         pullback metric is degenerate on the horizontal space; a target
         metric that is not finite pulls back to zero, which is."""
-        splittings = _memoized_many(self, coords_list, "splitting", self._stacked_splittings)
+        splittings = self.splittings_at(coords_list)
         G = np.stack(self.map.target.metrics_at(self.map.images(coords_list)))
         G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0)
         J = np.stack([s.jacobian for s in splittings])

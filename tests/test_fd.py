@@ -230,20 +230,28 @@ def test_along_skipped_axis_may_sit_at_the_boundary():
 
 # -- point sets: partial at an (N, dim) array, stacked_partials ---------------
 
-# the second point sits 1e-5 from a wall of axis 0, so its step shrinks there
+# the second point sits 1e-5 from a wall of axis 0, so its step shrinks
+# there; the last keeps a -0.0 on axis 1, which its along row does not use
 SET_POINTS = np.array([ALONG_POINT, [2.0 - 1e-5, 0.1, -0.5], [-0.4, 1.2, 0.0],
-                       [0.0, 0.0, 0.0], [1.5, -1.9, 0.25], [-1.0, 0.5, 1.75]])
-SET_ALONG = np.array(ALONG_DIRECTIONS)  # row 4 uses no axis
+                       [0.0, 0.0, 0.0], [1.5, -1.9, 0.25], [-1.0, 0.5, 1.75],
+                       [0.6, -0.0, -0.3]])
+SET_ALONG = np.array(ALONG_DIRECTIONS + [[0.5, 0.0, -1.0]])  # row 4 uses no axis
 
 
 def _counting(fn):
+    """fn, and the list of the points it is called at, in call order."""
     calls = []
 
     def counted(c):
-        calls.append(1)
+        calls.append(np.array(c, dtype=float))
         return fn(c)
 
     return counted, calls
+
+
+def _bits(points) -> list:
+    """The bits of each of ``points``, in order."""
+    return [p.tobytes() for p in points]
 
 
 def _same(got, want) -> bool:
@@ -259,7 +267,8 @@ def test_point_sets_equal_the_loop_of_single_points_bit_for_bit(scheme, kind):
         want = np.stack([engine.partial(fn, c, axis, *BOX) for c in SET_POINTS])
         looped = len(calls)
         assert _same(engine.partial(fn, SET_POINTS, axis, *BOX), want)
-        assert len(calls) == 2 * looped
+        # the loop's points in its order, the -0.0 of an unmoved axis kept
+        assert _bits(calls[looped:]) == _bits(calls[:looped])
         calls.clear()
     def form(points):  # handed over, evaluated as often as fn by the loop
         return np.array([fn(c) for c in points], dtype=float)
@@ -275,7 +284,11 @@ def test_point_sets_equal_the_loop_of_single_points_bit_for_bit(scheme, kind):
                                               along=None if along is None else along[:n],
                                               stack=stack)
                 assert _same(got, want)
-            assert len(calls) == 3 * looped
+            # the loop's points: the per-axis walk's in its own order, and
+            # the form's in the loop's order but for the shape evaluations
+            # of points with no used axis, which come first
+            assert sorted(_bits(calls[looped:2 * looped])) == sorted(_bits(calls[:looped]))
+            assert sorted(_bits(calls[2 * looped:])) == sorted(_bits(calls[:looped]))
             calls.clear()
 
 
@@ -326,15 +339,17 @@ def _recorded_stencil(engine, coords, lower, upper, along):
 def test_stencil_points_are_the_points_partial_evaluates(scheme):
     engine = DiffEngine(scheme=scheme)
     lower, upper = np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0])
-    # axis 1 sits closer to its wall than the nominal step, so its step shrinks
+    # axis 1 sits closer to its wall than the nominal step, so its step
+    # shrinks; the second point's -0.0 stays on the axes that do not move
     coords = np.array([0.2, 3e-6, -0.1 / 3.0])
-    for axes, along in (
-        ((0, 1, 2), None),
-        ((1,), np.array([0.0, 1.0, 0.0])),
-        ((0, 2), np.array([0.5, 0.0, -2.0])),  # axis 1 skipped
+    for axes, along, at in (
+        ((0, 1, 2), None, coords),
+        ((1,), np.array([0.0, 1.0, 0.0]), coords),
+        ((0, 2), np.array([0.5, 0.0, -2.0]), coords),  # axis 1 skipped
+        ((0, 1, 2), None, np.array([-0.0, 3e-6, -0.0])),
     ):
-        want = _recorded_stencil(engine, coords, lower, upper, along)
-        got = engine.stencil_points(coords, lower, upper, axes)
+        want = _recorded_stencil(engine, at, lower, upper, along)
+        got = engine.stencil_points(at, lower, upper, axes)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()  # bit for bit, in call order
     shifts = engine.stencil_points(coords, lower, upper, (1,))[:, 1] - coords[1]
@@ -377,9 +392,20 @@ def _every_stencil_entry(engine, coords, lower, upper):
 def test_non_finite_coordinate_raises_stencil_error(scheme, bad, box):
     engine = DiffEngine(scheme=scheme)
     lower, upper = FINITE_BOX if box == "finite" else UNBOUNDED_BOX
-    for call in _every_stencil_entry(engine, np.array([bad, 0.5]), lower, upper):
+    coords = np.array([bad, 0.5])
+    for call in _every_stencil_entry(engine, coords, lower, upper):
         with pytest.raises(StencilError):
             call()
+    # the walk and the directional derivative raise partial's own message
+    fn = lambda c: c[0] * c[1]
+    messages = []
+    for call in (lambda: engine.partial(fn, coords, 0, lower, upper),
+                 lambda: engine.partial(fn, coords[None], 0, lower, upper),
+                 lambda: engine.directional(fn, coords, [1.0, 0.0], lower, upper)):
+        with pytest.raises(StencilError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == messages[:1] * 3
 
 
 def test_non_finite_coordinate_raises_in_christoffel():
@@ -410,9 +436,10 @@ def test_unbounded_axis_uses_the_full_step(scheme):
 
 DIRECTIONAL_BOX = (np.array([-1.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 # a zero direction, a subnormal component, a step that the wall of the second
-# axis shrinks (3e-6 away, along it), and a direction along one axis
+# axis shrinks (3e-6 away, along it), and a direction along one axis at a
+# point with a -0.0 on another
 DIRECTIONAL_POINTS = np.array([[0.2, 0.5, 0.1], [0.3, 0.4, -0.2], [0.1, 0.3, 0.5],
-                               [0.2, 3e-6, -0.1], [-0.4, 0.6, 0.0]])
+                               [0.2, 3e-6, -0.1], [-0.0, 0.6, 0.0]])
 DIRECTIONS = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [5e-324, 1.0, 0.0],
                        [0.3, 1.0, 0.0], [0.0, 0.0, -1.5]])
 
@@ -458,6 +485,9 @@ def test_a_set_directional_equals_the_loop_of_single_points_bit_for_bit(scheme):
     # the wall shrinks the step of the fourth point: its stencil stays in the box
     shifts = loop[2 * stencil:3 * stencil, 1] - DIRECTIONAL_POINTS[3, 1]
     assert 0.0 < np.max(np.abs(shifts)) < DIRECTIONAL_POINTS[3, 1] < engine.step
+    # a stencil point copies the components its direction does not move, -0.0 too
+    unmoved = np.tile(DIRECTIONAL_POINTS[4, :2], (stencil, 1))
+    assert np.ascontiguousarray(loop[3 * stencil:, :2]).tobytes() == unmoved.tobytes()
     # a lone point is the loop over fn, which evaluates fn
     forms.clear()
     lone = engine.directional(fn, DIRECTIONAL_POINTS[:1], DIRECTIONS[:1], *DIRECTIONAL_BOX,

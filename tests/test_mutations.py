@@ -141,6 +141,13 @@ def _dilations_times_1_01(ctx, coords_list):
             for d in _STACKED_DILATIONS(ctx, coords_list)]
 
 
+def _anisotropy_minus_0_1(ctx, coords_list):
+    """``SubmersionContext._stacked_dilations`` with each anisotropy minus 0.1,
+    below 1 where the map is conformal: a negative conformality residual."""
+    return [replace(d, anisotropy=d.anisotropy - 0.1)
+            for d in _STACKED_DILATIONS(ctx, coords_list)]
+
+
 _A_FORMULAS = submersion._conformal_a_formulas
 
 
@@ -312,3 +319,25 @@ def test_each_mutant_fails_a_gated_check_on_every_scenario_that_runs_it(name, mo
     # the detection margin: the largest residual-to-tolerance ratio
     print(f"{name}: worst ratio {margin:.3g} over {', '.join(runs)}")
     assert margin > 1.0
+
+
+# the scenarios whose gated conformality check expects a conformal map
+CONFORMAL = tuple(s for s in SCENARIOS if s not in ("cws-incompatible", "cws-mixed-local"))
+
+
+def test_a_negative_residual_aborts_its_scenario_by_the_residual_contract(monkeypatch):
+    # an anisotropy below 1 gives the conformality check a negative residual,
+    # which would pass under any tolerance as a residual below it; the
+    # residual contract of ResidualCheck.add rejects it, so the run aborts
+    ctx = build_objects("cws-variable-dilation", DiffEngine())["cws"].ctx
+    M = ctx.map.source
+    p, q = (M.lower + t * (M.upper - M.lower) for t in (0.3, 0.6))
+    clean = [ctx.dilation(p).anisotropy, ctx.dilations([p, q])[0].anisotropy]
+    monkeypatch.setattr(SubmersionContext, "_stacked_dilations", _anisotropy_minus_0_1)
+    assert [ctx.dilation(p).anisotropy, ctx.dilations([p, q])[0].anisotropy] == [
+        a - 0.1 for a in clean]
+    for scenario_id in CONFORMAL:
+        checks = run_scenario(scenario_id, RunConfig()).checks
+        assert checks and all(not c.passed and c.n_samples == 0 for c in checks)
+        assert all(c.notes.startswith("scenario aborted by ConfigurationError: check "
+                                      "'conformality': residual -0.09") for c in checks)

@@ -166,6 +166,31 @@ def test_nan_residual_fails_the_check(residuals, expected_fail):
     assert record.to_dict()["max_residual"] is None
 
 
+@pytest.mark.parametrize("residual, scale", [(-1e-300, 1.0), (-np.inf, 1.0), (1e-9, 0.0),
+                                             (1e-9, -0.0), (1e-9, -2.0), (-1.0, -1.0)],
+                         ids=["negative", "minus-inf", "zero-scale", "minus-zero-scale",
+                              "negative-scale", "both"])
+def test_a_negative_residual_or_a_scale_that_is_not_positive_raises(residual, scale):
+    # either would pass as a small residual
+    check = ResidualCheck("signed", 1e-6)
+    check.add(1e-9)
+    with pytest.raises(ConfigurationError, match="'signed'"):
+        check.add(residual, scale)
+    assert check.residuals == [1e-9]
+
+
+@pytest.mark.parametrize("residual, scale", [(0.0, 1.0), (-0.0, 1.0), (np.nan, 1.0),
+                                             (1e-9, np.nan), (np.inf, 1.0), (2.0, np.inf),
+                                             (np.float64(3.0), np.float64(1.5))],
+                         ids=["zero", "minus-zero", "nan", "nan-scale", "failed-sample",
+                              "inf-scale", "numpy-floats"])
+def test_the_residual_contract_lets_zero_nan_and_a_failed_samples_inf_through(residual, scale):
+    check = ResidualCheck("kept", 1e-6)
+    check.add(residual, scale)
+    got, want = check.residuals[0], float(residual) / float(scale)
+    assert type(got) is float and (got == want or np.isnan(got) and np.isnan(want))
+
+
 @pytest.mark.parametrize("arrays", [(np.ones(2), np.array([np.nan])),
                                     (np.array([np.nan]), np.ones(2)),
                                     (np.ones(2), np.array([1.0, np.nan]), np.zeros(0))],
