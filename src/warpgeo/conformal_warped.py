@@ -40,11 +40,12 @@ from .manifold import (
     _with_stack,
     evaluation_scope,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_norms, residual_scales
 from .submersion import (
     SmoothMap,
     SubmersionContext,
     _add_in_blocks,
+    _block_rows,
     _fiber_mean_curvatures,
     _gram_schmidt,
     _horizontal,
@@ -264,7 +265,7 @@ def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, coords: Array) ->
     lam1_sq = np.array([cws.lambda1(c) ** 2 for c in c1])
     P1 = _projectors(cws.ctx1, c1)
     P = _projectors(cws.ctx, coords)
-    rows = [[] for _ in coords]
+    columns = []
     for X1, Y1 in pairs1:
         Xl, Yl = lift(W, "first", X1), lift(W, "first", Y1)
         lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
@@ -277,12 +278,11 @@ def _first_factor_rows(cws: ConformalWarpedSubmersion, pairs1, coords: Array) ->
         br = _lie_brackets(W.ambient, engine, Xl, Yl, coords)
         grad_m = _vertical_gradients(cws.ctx, inv_l1_lifted, coords)
         rhs_b = 0.5 * (_vertical(P, br) - (lam1_sq * inner)[:, None] * grad_m)
-        for row, a, factor, b in zip(rows, lhs, rhs_factor, rhs_b):
-            rhs_a = W.pad("first", factor)
-            scale = residual_scale(a, rhs_a, b)
-            row += [(np.maximum(np.linalg.norm(a - rhs_a), np.linalg.norm(a - b)), scale),
-                    (np.linalg.norm(rhs_a - b), scale)]
-    return np.array(rows, dtype=float)
+        rhs_a = W.pad_rows("first", rhs_factor)
+        scale = residual_scales(lhs, rhs_a, rhs_b)
+        columns += [(np.maximum(residual_norms(lhs - rhs_a), residual_norms(lhs - rhs_b)), scale),
+                    (residual_norms(rhs_a - rhs_b), scale)]
+    return _block_rows(columns, len(coords))
 
 
 def second_factor_variant_fields(cws: ConformalWarpedSubmersion) -> dict[str, ScalarField]:
@@ -378,20 +378,20 @@ def _second_factor_rows(cws: ConformalWarpedSubmersion, pairs2, variants: dict,
     G2 = np.array(W.second.metrics_at(c2, check=True))
     lam2_sq = np.array([cws.lambda2(c) ** 2 for c in c2])
     grads = None  # each variant's vertical gradients at coords
-    rows = [[] for _ in coords]
+    columns = []
     for X2, Y2 in pairs2:
         Xl, Yl = lift(W, "second", X2), lift(W, "second", Y2)
         lhs = _oneills(cws.ctx, _horizontal, Xl, Yl, coords)
         a2_xy = _oneills(cws.ctx2, _horizontal, X2, Y2, c2)
         a2_yx = _oneills(cws.ctx2, _horizontal, Y2, X2, c2)
-        skew = np.array([W.pad("second", v) for v in a2_xy - a2_yx])
+        skew = W.pad_rows("second", a2_xy - a2_yx)
         inner = _inner(X2.values_at(c2), G2, Y2.values_at(c2))[:, 0]
         if grads is None:
             grads = [_vertical_gradients(cws.ctx, field, coords) for field in variants.values()]
-        rhs = [0.5 * (skew - (lam2_sq * inner)[:, None] * g) for g in grads]
-        for row, a, *r in zip(rows, lhs, *rhs):
-            row += [(np.linalg.norm(a - v), residual_scale(a, v)) for v in r]
-    return np.array(rows, dtype=float)
+        for g in grads:
+            rhs = 0.5 * (skew - (lam2_sq * inner)[:, None] * g)
+            columns.append((residual_norms(lhs - rhs), residual_scales(lhs, rhs)))
+    return _block_rows(columns, len(coords))
 
 
 def verify_riemannian_reduction(
@@ -562,15 +562,13 @@ def _fiber_rows(cws: ConformalWarpedSubmersion, coords: Array) -> Array:
     v1, v2 = _factor_vertical_bases(cws, coords)
     h1 = _fiber_mean_curvatures(cws.ctx, v1, coords)
     h2 = _fiber_mean_curvatures(cws.ctx, v2, coords)
-    rows = [[(np.linalg.norm(a), residual_scale(a)), (np.linalg.norm(b), residual_scale(b))]
-            for a, b in zip(h1, h2)]
+    columns = [(residual_norms(h), residual_scales(h)) for h in (h1, h2)]
     for a in range(v1.shape[2]):
         for b in range(v2.shape[2]):
             t_mixed = _oneills(cws.ctx, _vertical, PointFields.constant(v1[:, :, a]),
                                PointFields.constant(v2[:, :, b]), coords)
-            for row, t in zip(rows, t_mixed):
-                row.append((np.linalg.norm(t), residual_scale(t)))
-    return np.array(rows, dtype=float)
+            columns.append((residual_norms(t_mixed), residual_scales(t_mixed)))
+    return _block_rows(columns, len(coords))
 
 
 def verify_kernel_product(

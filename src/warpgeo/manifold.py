@@ -450,14 +450,21 @@ def gradients(M: ChartManifold, engine: DiffEngine, phi: ScalarField, coords_seq
 
     def stack(coords):
         points = np.array([M.point(c) for c in coords]).reshape(len(coords), M.dim)
-        if phi.partials is None:
-            dphi = engine.stacked_partials(phi, points, M.lower, M.upper, stack=_stack(phi))
-        else:
-            dphi = np.array([np.asarray(phi.partials(c), dtype=float) for c in points])
+        dphi = _stacked_scalar_partials(M, engine, phi, points)
         G = _given_or_checked(M, points, [given.get(c.tobytes()) for c in points])
         return np.linalg.solve(G, dphi[..., None])[..., 0]
 
     return _point_set(stack, coords_seq, (M.dim,))
+
+
+def _stacked_scalar_partials(M: ChartManifold, engine: DiffEngine, phi: ScalarField,
+                             points: Array) -> Array:
+    """``scalar_partials`` at each row of the (N, dim) array ``points``, bit
+    for bit: phi's analytic partials point by point, else one stacked walk,
+    handed phi's point-set form where it carries one."""
+    if phi.partials is None:
+        return engine.stacked_partials(phi, points, M.lower, M.upper, stack=_stack(phi))
+    return np.array([np.asarray(phi.partials(c), dtype=float) for c in points])
 
 
 def _given_or_checked(M: ChartManifold, coords_seq, given: list) -> Array:

@@ -113,6 +113,15 @@ def residual_scales(*stacks) -> np.ndarray:
     return 1.0 + np.max(tops, axis=0)
 
 
+def residual_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v)`` of each row v of a stack of vectors, bit for bit:
+    row . row as one stacked (1 x n)(n x 1) ``matmul``, whose product is the
+    dot of ``norm``'s own call; ``norm(x, axis=-1)`` sums in another order.
+    A square that overflows is inf, with numpy's overflow warning, as in
+    ``norm``."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 # The base tolerance of every gate the catalog reads, before
 # ``RunConfig.tolerance_scale``; exact checks are gated at 0.0. A key
 # "<check id>/<qualifier>" is a variant of that check's tolerance. A check

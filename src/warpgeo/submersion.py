@@ -209,17 +209,42 @@ def _blocks(points):
 
 def _add_in_blocks(columns: list, rows, points, one=None) -> None:
     """Adds the (residual, scale) pairs of ``rows`` to the ``ResidualCheck``
-    of their column, point by point in the order of ``points``.
+    of their column, in (point, column) order over ``points``: the samples
+    and the order of ``check.add`` called point by point, column by column.
 
     ``rows`` maps the (N, dim) coordinates of a block of ``POINT_BLOCK``
     points to an (N, len(columns), 2) array, one stacked pass over the
     block through ``_point_set``: a block that raises is redone point by
     point with ``one`` (``rows`` on a stack of one when None), so that the
-    first failing point raises its own error."""
+    first failing point raises its own error.
+
+    A block is added as arrays: one ``residuals / scales`` division, the
+    residual contract of ``ResidualCheck.add`` tested on the whole stack,
+    and each check's list extended with the samples of its columns (a check
+    may own several). A block in which a sample breaks the contract adds
+    nothing: the first such sample in (point, column) order raises
+    ``add``'s own ConfigurationError. A NaN, and a failed sample's inf,
+    pass through as in ``add``."""
+    spans = {check: [j for j, c in enumerate(columns) if c is check] for check in columns}
     for block in _blocks(points):
-        for row in _point_set(rows, block, (len(columns), 2), one):
-            for check, (residual, scale) in zip(columns, row):
-                check.add(residual, scale)
+        samples = _point_set(rows, block, (len(columns), 2), one)
+        residuals, scales = samples[..., 0], samples[..., 1]
+        broken = (residuals < 0.0) | (scales <= 0.0)  # a NaN breaks neither
+        if broken.any():
+            i, j = np.unravel_index(np.argmax(broken), broken.shape)
+            columns[j].add(residuals[i, j], scales[i, j])  # raises
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as on Python floats
+            ratios = residuals / scales
+        for check, js in spans.items():
+            check.residuals.extend(ratios[:, js].ravel().tolist())
+
+
+def _block_rows(columns: list, n: int) -> Array:
+    """The (n, len(columns), 2) array of a rows kernel of ``_add_in_blocks``
+    at n points, from its columns in order, each a pair (residuals, scales)
+    of (n,) arrays, C-ordered as the loop's array of rows."""
+    by_column = np.array(columns, dtype=float).reshape(len(columns), 2, n)
+    return np.ascontiguousarray(by_column.transpose(2, 0, 1))
 
 
 def _in_blocks(fetch, points):
@@ -574,8 +599,9 @@ def _conformal_a_formulas(ctx: SubmersionContext, X: VectorField, Y: VectorField
                           coords_seq) -> Array:
     """``conformal_a_formula`` at each point of ``coords_seq``, for fields X
     and Y fixed across the set, as an (N, dim) array: one ``dilations``
-    call, one stacked walk per field for the brackets (``_lie_brackets``),
-    one ``gradients`` call and stacked projections and inner products. A
+    call, one read of each horizontal field at the set's points, which the
+    brackets (``_lie_brackets``, one stacked walk per field) and the inner
+    products share, one ``gradients`` call and stacked projections. A
     set that raises is redone point by point (``_point_set``), so the first
     failing point raises its own error."""
     M = ctx.map.source
@@ -591,11 +617,11 @@ def _conformal_a_formulas(ctx: SubmersionContext, X: VectorField, Y: VectorField
                     f"map not conformal at {c}: anisotropy {d.anisotropy:.6e}",
                     anisotropy=d.anisotropy,
                 )
-        bracket = _lie_brackets(M, ctx.engine, Xh, Yh, coords)
+        x, y = Xh.values_at(coords), Yh.values_at(coords)
+        bracket = _lie_brackets(M, ctx.engine, Xh, Yh, coords, (x, y))
         splittings = ctx.splittings_at(coords)
         v_bracket = _vertical(np.stack([s.projector_v for s in splittings]), bracket)
         grad_v = _vertical_gradients(ctx, inv_lambda_sq, coords)
-        x, y = Xh.values_at(coords), Yh.values_at(coords)
         inner = _inner(x, np.stack([s.metric for s in splittings]), y)
         lambda_sq = np.array([d.lambda_sq for d in dilations])[:, None]
         return 0.5 * (v_bracket - lambda_sq * inner * grad_v)

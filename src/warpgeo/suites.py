@@ -41,10 +41,11 @@ from .manifold import (
     check_scalar_field,
     evaluation_scope,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale, residual_scales
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_norms, residual_scales
 from .submersion import (
     SubmersionContext,
     _add_in_blocks,
+    _block_rows,
     _blocks,
     _conformal_a_formulas,
     _fiber_mean_curvatures,
@@ -120,10 +121,10 @@ def _health_rows(M: ChartManifold, engine: DiffEngine, fields, coords: Array) ->
     lhs = engine.directional(_single(form), coords, x, M.lower, M.upper, stack=form)
     rhs = _inner(dxy, G, z)[:, 0] + _inner(y, G, dxz)[:, 0]
     torsion = dxy - dyx - br
-    return np.stack([
-        np.stack([np.abs(torsion).max(axis=1), residual_scales(dxy, dyx, br)], axis=1),
-        np.stack([np.abs(lhs - rhs), 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))], axis=1),
-    ], axis=1)
+    return _block_rows([
+        (np.abs(torsion).max(axis=1), residual_scales(dxy, dyx, br)),
+        (np.abs(lhs - rhs), 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))),
+    ], len(coords))
 
 
 def _metric_inner_form(M: ChartManifold, Y: VectorField, Z: VectorField):
@@ -242,7 +243,7 @@ def _crossval_rows(ctx: SubmersionContext, pairs, coords: Array) -> Array:
     of each extension of the points' own vectors, fields of their points
     (``PointFields``), from one ``_oneills`` call over the set."""
     M = ctx.map.source
-    rows = [[] for _ in coords]
+    columns = []
     for X, Y in pairs:
         a_direct = _oneills(ctx, _horizontal, X, Y, coords)
         a_formula = _conformal_a_formulas(ctx, X, Y, coords)
@@ -254,11 +255,10 @@ def _crossval_rows(ctx: SubmersionContext, pairs, coords: Array) -> Array:
         y_mod = ctx.horizontal_field(modulated_constants(y, M.dim - 1, coords))
         a_ext1 = _oneills(ctx, _horizontal, x_const, y_const, coords)
         a_ext2 = _oneills(ctx, _horizontal, x_mod, y_mod, coords)
-        for row, direct, formula, ext1, ext2 in zip(rows, a_direct, a_formula, a_ext1, a_ext2):
-            row += [(np.linalg.norm(direct - formula), residual_scale(direct, formula)),
-                    (np.linalg.norm(ext1 - ext2), residual_scale(ext1, ext2)),
-                    (np.linalg.norm(ext1 - direct), residual_scale(ext1, direct))]
-    return np.array(rows, dtype=float)
+        columns += [(residual_norms(a_direct - a_formula), residual_scales(a_direct, a_formula)),
+                    (residual_norms(a_ext1 - a_ext2), residual_scales(a_ext1, a_ext2)),
+                    (residual_norms(a_ext1 - a_direct), residual_scales(a_ext1, a_direct))]
+    return _block_rows(columns, len(coords))
 
 
 def t_umbilicity_records(
@@ -303,7 +303,7 @@ def _umbilicity_rows(ctx: SubmersionContext, samples: Array) -> Array:
     bases = _gram_schmidt(np.stack([s.vertical for s in splittings]), G)
     mean = _fiber_mean_curvatures(ctx, bases, coords)
     draws = samples[:, dim:].reshape(len(coords), 4, nv)
-    rows = [[] for _ in coords]
+    columns = []
     for k in (0, 2):
         # contiguous draws, as each point's own draw is, for the stacked product
         cu = (bases @ np.ascontiguousarray(draws[:, k])[:, :, None])[:, :, 0]
@@ -311,9 +311,8 @@ def _umbilicity_rows(ctx: SubmersionContext, samples: Array) -> Array:
         t_val = _oneills(ctx, _vertical, PointFields.constant(cu), PointFields.constant(cw),
                          coords)
         expected = _inner(cu, G, cw) * mean
-        for row, t, e in zip(rows, t_val, expected):
-            row.append((np.linalg.norm(t - e), residual_scale(t, e)))
-    return np.array(rows, dtype=float)
+        columns.append((residual_norms(t_val - expected), residual_scales(t_val, expected)))
+    return _block_rows(columns, len(coords))
 
 
 def fd_consistency_record(

@@ -13,6 +13,12 @@ and Christoffel symbols to the same kernel (``connection._submanifold_form``),
 which a single point calls on a stack of one.
 Both connection verifiers are one rows kernel (``_connection_rows``,
 ``_leaf_fiber_rows``) handed to the block pass ``submersion._add_in_blocks``.
+The connection kernel reads each factor field once per block, at the
+block's factor coordinates, and hands those values, zero-padded
+(``pad_rows``) for the lifted fields, to the stacked covariant
+derivatives; each rows kernel writes its columns as stacked norms and
+scales (``report.residual_norms``, ``residual_scales``), each equal to
+its per-vector call bit for bit.
 """
 
 from __future__ import annotations
@@ -37,12 +43,13 @@ from .manifold import (
     ScalarField,
     VectorField,
     _single,
+    _stack_of,
+    _stacked_scalar_partials,
     _with_stack,
     gradients,
-    scalar_partials,
 )
-from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_scale, residual_scales
-from .submersion import _add_in_blocks
+from .report import TOLERANCES, CheckRecord, ResidualCheck, residual_norms, residual_scales
+from .submersion import _add_in_blocks, _block_rows, _inner
 
 Array = np.ndarray
 
@@ -71,6 +78,14 @@ class WarpedProduct:
         values = np.asarray(values, dtype=float)
         out = np.zeros((self.ambient.dim,) + values.shape[1:])
         out[self.block(which)] = values
+        return out
+
+    def pad_rows(self, which: str, rows) -> Array:
+        """A stack of factor vectors, of shape (N, m), zero-padded into the
+        ambient dimension, (N, dim): ``pad`` of each row."""
+        rows = np.asarray(rows, dtype=float)
+        out = np.zeros(rows.shape[:-1] + (self.ambient.dim,))
+        out[..., self.block(which)] = rows
         return out
 
     def split_coords(self, coords) -> tuple[Array, Array]:
@@ -154,8 +169,7 @@ def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField
     zero-padding the other factor's block. A lifted VectorField is its
     point-set form (``manifold._single``): the factor field's values at the
     set's factor coordinates (``VectorField.values_at``, one call of the
-    factor field's own form where it has one), written into the zero-padded
-    rows of one array."""
+    factor field's own form where it has one), zero-padded (``pad_rows``)."""
     block = W.block(origin)
     if isinstance(field, ScalarField):
         partials = None
@@ -163,12 +177,8 @@ def lift(W: WarpedProduct, origin: str, field) -> Union[ScalarField, VectorField
             partials = lambda c: W.pad(origin, field.partials(c[block]))
         return ScalarField(lambda c: field(c[block]), partials)
     if isinstance(field, VectorField):
-        def rows(coords):
-            out = np.zeros((len(coords), W.ambient.dim))
-            out[:, block] = field.values_at(coords[:, block])
-            return out
-
-        return VectorField(_single(rows))
+        return VectorField(_single(
+            lambda coords: W.pad_rows(origin, field.values_at(coords[:, block]))))
     raise TypeError(f"cannot lift object of type {type(field).__name__}")
 
 
@@ -216,8 +226,9 @@ def verify_warped_connection(
     the two factor Christoffel symbols of a block come from one
     ``christoffels`` call per chart and each covariant derivative from one
     stacked walk; each of the three metrics is evaluated and checked once
-    per point. Every residual, and its order, is that of a point-by-point
-    walk.
+    per point, each factor field is read once per point, at the factor
+    coordinates, and so are the warp and its partials. Every residual, and
+    its order, is that of a point-by-point walk.
     """
     checks = [
         ResidualCheck("warped-conn-first-pair", tolerance),
@@ -231,56 +242,59 @@ def verify_warped_connection(
     return [c.record() for c in checks]
 
 
-def _scaled(rows: list, residual_of, *terms) -> None:
-    """Appends ``(residual_of(*t), residual_scale(*t))`` for the terms t at
-    each point of the stacks or lists ``terms`` to that point's list of
-    ``rows``."""
-    for row, t in zip(rows, zip(*terms)):
-        row.append((residual_of(*t), residual_scale(*t)))
-
-
 def _connection_rows(W: WarpedProduct, engine: DiffEngine, pairs1, pairs2,
                      coords: Array) -> Array:
     """The (residual, scale) of each sample of ``verify_warped_connection``
     at each row of the (N, dim) array ``coords``, in its order, as an
-    (N, samples, 2) array."""
+    (N, samples, 2) array. Each factor field is read once, at the block's
+    factor coordinates, and its lift's values are those zero-padded; the
+    covariant derivatives take the values read here, and the warp and its
+    partials are read once per point. Each column is stacked norms and
+    scales (``residual_norms``, ``residual_scales``)."""
     first, second = W.block("first"), W.block("second")
-    lifts1 = [(lift(W, "first", E1), lift(W, "first", F1)) for E1, F1 in pairs1]
-    lifts2 = [(lift(W, "second", E2), lift(W, "second", F2)) for E2, F2 in pairs2]
     c1, c2 = coords[:, first], coords[:, second]
-    G = W.ambient.metrics_at(coords, check=True)
+    G = np.array(W.ambient.metrics_at(coords, check=True))
     gammas = christoffels(W.ambient, engine, coords, G)
     gammas1 = christoffels(W.first, engine, c1)
     gammas2 = christoffels(W.second, engine, c2)
 
-    def nabla(M, X, Y, coords, gammas):
-        return _covariant_derivatives(M, engine, X.values_at(coords), Y, coords, gammas)
+    def read(which, field, at):
+        """The field, its values at ``at``, its lift and the lift's values."""
+        values = field.values_at(at)
+        return field, values, lift(W, which, field), W.pad_rows(which, values)
 
-    rows = [[] for _ in coords]
-    for (E1, F1), (E1l, F1l) in zip(pairs1, lifts1):
-        lhs = nabla(W.ambient, E1l, F1l, coords, gammas)
-        factor = nabla(W.first, E1, F1, c1, gammas1)
-        _scaled(rows, lambda a, b: np.linalg.norm(a - b), lhs, [W.pad("first", f) for f in factor])
+    def nabla(M, x, Y, y, at, gammas):
+        return _covariant_derivatives(M, engine, x, Y, at, gammas, y)
 
-    for (E1, _), (E1l, _), (E2l, _) in zip(pairs1, lifts1, lifts2):
-        lhs_a = nabla(W.ambient, E1l, E2l, coords, gammas)
-        lhs_b = nabla(W.ambient, E2l, E1l, coords, gammas)
-        rhs = [(float(np.dot(scalar_partials(W.first, engine, W.warp, a), e1)) / W.warp(a)) * e2
-               for a, e1, e2 in zip(c1, E1.values_at(c1), E2l.values_at(coords))]
-        _scaled(rows, lambda a, b, r: np.maximum(np.linalg.norm(a - r), np.linalg.norm(b - r)),
-                lhs_a, lhs_b, rhs)
+    fields1 = [(read("first", E1, c1), read("first", F1, c1)) for E1, F1 in pairs1]
+    fields2 = [(read("second", E2, c2), read("second", F2, c2)) for E2, F2 in pairs2]
+    columns = []
+    for (_, e1, _, e1l), (F1, f1, F1l, f1l) in fields1:
+        lhs = nabla(W.ambient, e1l, F1l, f1l, coords, gammas)
+        rhs = W.pad_rows("first", nabla(W.first, e1, F1, f1, c1, gammas1))
+        columns.append((residual_norms(lhs - rhs), residual_scales(lhs, rhs)))
+
+    # E1 f / f = df(E1) / f
+    dwarp = _stacked_scalar_partials(W.first, engine, W.warp, c1)
+    warp = _stack_of(W.warp)(c1)
+    for ((_, e1, E1l, e1l), _), ((_, _, E2l, e2l), _) in zip(fields1, fields2):
+        lhs_a = nabla(W.ambient, e1l, E2l, e2l, coords, gammas)
+        lhs_b = nabla(W.ambient, e2l, E1l, e1l, coords, gammas)
+        rhs = ((dwarp[:, None, :] @ e1[:, :, None])[:, 0, 0] / warp)[:, None] * e2l
+        columns.append((np.maximum(residual_norms(lhs_a - rhs), residual_norms(lhs_b - rhs)),
+                        residual_scales(lhs_a, lhs_b, rhs)))
 
     # gradients checks that each point is in the box
     grad_log = gradients(W.ambient, engine, W.log_warp(), coords, G)
-    for (E2, F2), (E2l, F2l) in zip(pairs2, lifts2):
-        full = nabla(W.ambient, E2l, F2l, coords, gammas)
-        rhs3 = [-float(e @ g @ f) * grad for e, g, f, grad in
-                zip(E2l.values_at(coords), G, F2l.values_at(coords), grad_log)]
-        _scaled(rows, lambda a, b: np.linalg.norm(a - b),
-                [W.pad("first", v[first]) for v in full], rhs3)
-        rhs4 = nabla(W.second, E2, F2, c2, gammas2)
-        _scaled(rows, lambda a, b: np.linalg.norm(a - b), full[:, second], rhs4)
-    return np.array(rows, dtype=float)
+    for (_, e2, _, e2l), (F2, f2, F2l, f2l) in fields2:
+        full = nabla(W.ambient, e2l, F2l, f2l, coords, gammas)
+        normal = W.pad_rows("first", full[:, first])
+        rhs3 = -_inner(e2l, G, f2l) * grad_log
+        columns.append((residual_norms(normal - rhs3), residual_scales(normal, rhs3)))
+        tangent = full[:, second]
+        rhs4 = nabla(W.second, e2, F2, f2, c2, gammas2)
+        columns.append((residual_norms(tangent - rhs4), residual_scales(tangent, rhs4)))
+    return _block_rows(columns, len(coords))
 
 
 def verify_leaf_fiber_geometry(
@@ -317,14 +331,11 @@ def _leaf_fiber_rows(W: WarpedProduct, engine: DiffEngine, coords: Array) -> Arr
     fiber, mean = _submanifold_form(G, gammas, W.second_axes())
     expected = np.einsum("nab,nk->nabk", G[:, second, second], mean)
     leaf_top = np.abs(leaf).max(axis=(1, 2, 3))
-    return np.stack([
-        np.stack([leaf_top, 1.0 + leaf_top], axis=1),
-        np.stack([np.abs(fiber - expected).max(axis=(1, 2, 3)), residual_scales(fiber, expected)],
-                 axis=1),
-        # per vector: a stacked norm sums in another order
-        np.stack([[np.linalg.norm(v) for v in mean + grad_log], residual_scales(mean, grad_log)],
-                 axis=1),
-    ], axis=1)
+    return _block_rows([
+        (leaf_top, 1.0 + leaf_top),
+        (np.abs(fiber - expected).max(axis=(1, 2, 3)), residual_scales(fiber, expected)),
+        (residual_norms(mean + grad_log), residual_scales(mean, grad_log)),
+    ], len(coords))
 
 
 def verify_metric_blocks(W: WarpedProduct, points: Sequence[Array]) -> CheckRecord:

@@ -79,6 +79,18 @@ def _projectors_rolled_by_one_point(ctx, coords):
     return np.roll(_PROJECTORS(ctx, coords), 1, axis=0)
 
 
+_COVARIANT_DERIVATIVES = connection._covariant_derivatives
+
+
+def _y_rolled_by_one_point(M, engine, directions, Y, coords, gammas, y=None):
+    """``connection._covariant_derivatives`` with the values of Y, handed
+    over or read, rolled by one point along the set axis: each point's
+    Christoffel term gets its predecessor's Y."""
+    y = Y.values_at(coords) if y is None else y
+    return _COVARIANT_DERIVATIVES(M, engine, directions, Y, coords, gammas,
+                                  np.roll(y, 1, axis=0))
+
+
 def _without_christoffel_term(direction, dY, y, gamma):
     """``connection._covariant_from_partials`` without its Christoffel term,
     at one point or at each point of stacks."""
@@ -156,7 +168,7 @@ def _a_formula_with_0_6(ctx, X, Y, coords_seq):
     return 1.2 * _A_FORMULAS(ctx, X, Y, coords_seq)
 
 
-def _bracket_dropped(M, engine, X, Y, coords):
+def _bracket_dropped(M, engine, X, Y, coords, values=None):
     """``_lie_brackets`` as ``conformal_a_formula``'s kernel calls it,
     dropped: its V[X, Y] term is then 0."""
     return np.zeros((len(coords), M.dim))
@@ -238,6 +250,14 @@ MUTANTS = {
     "bracket-dropped": (
         (submersion,), "_lie_brackets", _bracket_dropped, (), ("heisenberg",),
     ),
+    # the values of Y that the connection and engine-health kernels read
+    # once and hand over: a stack of one is not moved; y enters only the
+    # Christoffel term, so the flat charts of product-plain, exp-spiral-r4
+    # and cws-mixed-local (Gamma = 0) miss it
+    "covariant-y-rolled-by-one-point": (
+        (connection, warped, suites), "_covariant_derivatives", _y_rolled_by_one_point,
+        WARPED + CWS[:4], (),
+    ),
     # the O'Neill kernels' set path alone (``_oneill_kernel`` and
     # ``_vertical_gradients``): a stack of one is not moved; every other
     # scenario's vertical projector is the same at every point, so only
@@ -275,6 +295,11 @@ def _paths(name: str) -> list:
         return [ctx.dilation(p).lambda_sq, ctx.dilations([p, q])[0].lambda_sq]
     if name == "stacked-walk-rolled-by-one-point":
         return [connection.christoffels(M, DiffEngine(), [p, q])[0]]
+    if name == "covariant-y-rolled-by-one-point":
+        coords, engine = np.array([p, q]), DiffEngine()
+        E, F = field_pairs(M, np.random.default_rng(3), 1)[0]
+        return [connection._covariant_derivatives(M, engine, E.values_at(coords), F, coords,
+                                                  connection.christoffels(M, engine, coords))[0]]
     if name == "product-jacobian-columns-swapped":
         return [ctx.map.jac(p), ctx.map.jacobians_at([p, q], DiffEngine())[0]]
     E, F = field_pairs(M, np.random.default_rng(3), 1)[0]

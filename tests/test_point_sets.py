@@ -69,7 +69,7 @@ from warpgeo.conformal_warped import (
 from warpgeo.fd import SCHEMES, STENCILS
 from warpgeo.fields import field_pairs, modulated, modulated_constants, vector_field_library
 from warpgeo.manifold import PointFields, _stack, gradients, scalar_partials
-from warpgeo.report import TOLERANCES, ResidualCheck, residual_scale
+from warpgeo.report import TOLERANCES, ResidualCheck, residual_norms, residual_scale
 from warpgeo.sampling import sample_points
 from warpgeo.scenarios import _compatibility_records, build_objects, list_scenarios, run_scenario
 from warpgeo.submersion import (
@@ -2370,6 +2370,11 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                     lambda i: np.einsum("kij,i,j->k", T[i], u[i], v[i]),
                 ),
                 "(1 x n)(n x n)": (lambda: (u[:, None, :] @ A)[:, 0], lambda i: u[i] @ A[i]),
+                # the connection kernel's df(E1): a dot per point
+                "(1 x n)(n x 1), against 1-D np.dot": (
+                    lambda: (u[:, None, :] @ v[:, :, None])[:, 0, 0],
+                    lambda i: np.dot(u[i], v[i]),
+                ),
                 # the affine and trigonometric fields' forms: one shared matrix
                 "shared (n x n)(n x 1)": (
                     lambda: (A[0] @ u[..., None])[..., 0], lambda i: A[0] @ u[i],
@@ -2404,6 +2409,21 @@ def test_numpy_stacked_calls_equal_per_matrix_calls():
                         if isinstance(one, tuple) else np.array_equal(whole[i], one)
                     assert same, (f"{name} on a stack of {N} ({m}, {n}) matrices, matrix {i}: "
                                   f"{STACKED_KERNEL}")
+    # every residual norm of a rows kernel: row . row as one stacked
+    # (1 x n)(n x 1) matmul, against np.linalg.norm of each row, in a stack of
+    # 17 and in a stack of one; entries of scales e^-30 to e^30, a zero row,
+    # a row holding NaN, one holding inf and one whose square overflows
+    rng = np.random.default_rng(20261022)
+    for n in range(1, 9):
+        X = rng.standard_normal((17, n)) * np.exp(rng.uniform(-30.0, 30.0, size=(17, 1)))
+        X[0] = 0.0
+        X[1, -1], X[2, 0], X[3, n // 2] = np.nan, np.inf, 1e200
+        for stack in [X] + [X[i:i + 1] for i in range(len(X))]:
+            with np.errstate(over="ignore"):  # both warn where a square overflows
+                got = residual_norms(stack)
+                want = [np.linalg.norm(v) for v in stack]
+            assert np.array_equal(got, want, equal_nan=True), (
+                f"residual_norms of a stack of {len(stack)} rows of {n}: {STACKED_KERNEL}")
 
 
 # -- the evaluations of a dilation-survey pass
@@ -2527,15 +2547,23 @@ def _connection_pass_counts(scenario: str) -> tuple[dict, set]:
 # evaluations per user callable in one connection pass, as (at sample points,
 # at stencil points), measured when the verifiers still walked one point and
 # one axis at a time; the engine-health kernel then read X five times at each
-# sample point, Y four times and Z twice, and now reads each field once
+# sample point, Y four times and Z twice, and now reads each field once. The
+# connection kernel read each first-factor E1 five times at a sample point
+# besides the stencil points of its walk along E2 (now once), F1 twice (now
+# once), each second-factor E2 six times besides its walk along E1 (now
+# once), F2 three times (now once), and the warp once per point and mixed
+# pair (now once per point), so the counts at sample points fell: pairs1.E
+# 585 -> 325, pairs1.F 130 -> 65, pairs2.E 650 -> 325 (910 -> 585 where the
+# first factor is a plane), pairs2.F 195 -> 65 and warp 1300 -> 1170; no
+# stencil count moved
 _LINE_COUNTS = {
     "ambient.metric": (195, 1820), "first.metric": (1040, 1300),
     "health.0": (65, 1040), "health.1": (65, 780), "health.2": (65, 520),
-    **{f"pairs1.{i}.E": (585, 0) for i in range(3)},
-    **{f"pairs1.{i}.F": (130, 520) for i in range(3)},
-    **{f"pairs2.{i}.E": (650, 0) for i in range(3)},
-    **{f"pairs2.{i}.F": (195, 520) for i in range(3)},
-    "second.metric": (1300, 1040), "warp": (1300, 1040),
+    **{f"pairs1.{i}.E": (325, 0) for i in range(3)},
+    **{f"pairs1.{i}.F": (65, 520) for i in range(3)},
+    **{f"pairs2.{i}.E": (325, 0) for i in range(3)},
+    **{f"pairs2.{i}.F": (65, 520) for i in range(3)},
+    "second.metric": (1300, 1040), "warp": (1170, 1040),
 }
 CONNECTION_COUNTS = {
     "warped-line": _LINE_COUNTS,
@@ -2543,11 +2571,11 @@ CONNECTION_COUNTS = {
     "product-plain": {
         "ambient.metric": (195, 2600), "first.metric": (1040, 2340),
         "health.0": (65, 1560), "health.1": (65, 780), "health.2": (65, 520),
-        **{f"pairs1.{i}.E": (585, 0) for i in range(3)},
-        "pairs1.0.F": (130, 520), "pairs1.1.F": (130, 1040), "pairs1.2.F": (130, 1040),
-        "pairs2.0.E": (650, 0), "pairs2.1.E": (910, 0), "pairs2.2.E": (910, 0),
-        **{f"pairs2.{i}.F": (195, 520) for i in range(3)},
-        "second.metric": (2080, 1040), "warp": (1300, 1820),
+        **{f"pairs1.{i}.E": (325, 0) for i in range(3)},
+        "pairs1.0.F": (65, 520), "pairs1.1.F": (65, 1040), "pairs1.2.F": (65, 1040),
+        "pairs2.0.E": (325, 0), "pairs2.1.E": (585, 0), "pairs2.2.E": (585, 0),
+        **{f"pairs2.{i}.F": (65, 520) for i in range(3)},
+        "second.metric": (2080, 1040), "warp": (1170, 1820),
     },
 }
 
@@ -2702,21 +2730,24 @@ def _oneill_pass_counts(scenario: str) -> tuple[dict, set]:
 # times fewer; and since no suite warms its stencil points up, the second-
 # factor identity no longer fetches splittings at stencil points that no
 # kernel reads, so cws-variable-dilation's three maps' Jacobians are
-# evaluated 130 times fewer (2145, 2535 and 2405 before)
+# evaluated 130 times fewer (2145, 2535 and 2405 before); and since the A
+# formula reads its horizontal fields at a set's points once, which its
+# brackets and inner products share, not once each, field.0 to field.3 are
+# evaluated another 65 times fewer (412, 520, 336 and 564 on warped-line before)
 ONEILL_COUNTS = {
     "warped-line": {
-        "field.0": 412, "field.1": 520, "field.2": 336, "field.3": 564,
+        "field.0": 347, "field.1": 455, "field.2": 271, "field.3": 499,
         "objs.ctx.map.fn": 325, "objs.ctx.map.jac": 520, "objs.ctx.map.source.metric": 780,
         "objs.ctx.map.target.metric": 975, "objs.warped.second.metric": 780,
         "objs.warped.warp.fn": 780,
     },
     "exp-spiral-r4": {
-        "field.0": 780, "field.1": 1204, "field.2": 728, "field.3": 1300,
+        "field.0": 715, "field.1": 1139, "field.2": 663, "field.3": 1235,
         "objs.ctx.map.fn": 585, "objs.ctx.map.jac": 1170, "objs.ctx.map.source.metric": 1300,
         "objs.ctx.map.target.metric": 325,
     },
     "cws-variable-dilation": {
-        "field.0": 678, "field.1": 780, "field.2": 520, "field.3": 1096, "field.4": 780,
+        "field.0": 613, "field.1": 715, "field.2": 455, "field.3": 1031, "field.4": 780,
         "field.5": 1040, "field.6": 780, "field.7": 1040, "field.8": 390, "field.9": 520,
         "field.10": 325, "field.11": 520,
         "objs.ctx.map.fn": 585, "objs.ctx.map.jac": 2015, "objs.ctx.map.source.metric": 3250,

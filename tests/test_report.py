@@ -22,6 +22,7 @@ from warpgeo.report import (
     residual_scale,
     residual_scales,
 )
+from warpgeo.submersion import POINT_BLOCK, _add_in_blocks
 from warpgeo.suites import engine_health_records
 
 
@@ -199,6 +200,72 @@ def test_a_nan_entry_makes_the_residual_scale_nan(arrays):
     # Python's max keeps a NaN only when it comes first
     assert np.isnan(residual_scale(*arrays))
     assert residual_scale(np.array([-3.0, 2.0]), np.zeros(0)) == 4.0
+
+
+def _table_rows(table):
+    """A rows kernel of ``_add_in_blocks`` that returns row k of ``table``
+    for the point (k, 0), and the points of all its rows."""
+    return (lambda coords: table[coords[:, 0].astype(int)],
+            [np.array([k, 0.0]) for k in range(len(table))])
+
+
+def _added_by_the_loop(columns, table):
+    """The samples of ``table`` added point by point, column by column, with
+    ``ResidualCheck.add``: the block pass's reference."""
+    for row in table:
+        for check, (residual, scale) in zip(columns, row):
+            check.add(residual, scale)
+
+
+def _checks_and_columns():
+    """Four checks and their columns, two checks owning several, as the
+    connection verifier's ``[fiber-normal, fiber-tangent] * pairs``."""
+    checks = [ResidualCheck(name, 1e-6) for name in "abcd"]
+    return checks, [checks[0], checks[1]] + [checks[2], checks[3]] * 3
+
+
+def test_the_block_pass_adds_each_checks_samples_in_the_loops_order():
+    # two blocks, the second partial; each sample is distinct, so the order shows
+    n = POINT_BLOCK + 6
+    rng = np.random.default_rng(7)
+    table = np.stack([rng.uniform(0.0, 1.0, (n, 8)), rng.uniform(1.0, 2.0, (n, 8))], axis=2)
+    checks, columns = _checks_and_columns()
+    want, want_columns = _checks_and_columns()
+    _added_by_the_loop(want_columns, table)
+    _add_in_blocks(columns, *_table_rows(table))
+    assert [c.residuals for c in checks] == [c.residuals for c in want]
+    assert all(type(r) is float for c in checks for r in c.residuals)
+    assert [len(c.residuals) for c in checks] == [n, n, 3 * n, 3 * n]
+
+
+def test_the_block_pass_raises_the_loops_error_for_the_first_sample_that_breaks_the_contract():
+    # the second point's first column, then a later one: a negative residual
+    # and a scale that is not positive
+    table = np.ones((4, 8, 2))
+    table[1, 0, 0] = -1e-3
+    table[3, 2, 1] = 0.0
+    _, want_columns = _checks_and_columns()
+    with pytest.raises(ConfigurationError) as loop:
+        _added_by_the_loop(want_columns, table)
+    checks, columns = _checks_and_columns()
+    with pytest.raises(ConfigurationError) as block:
+        _add_in_blocks(columns, *_table_rows(table))
+    assert str(block.value) == str(loop.value)
+    assert str(block.value).startswith("check 'a': residual -0.001")
+
+
+def test_the_block_pass_lets_a_nan_and_a_failed_samples_inf_through():
+    # and divides as Python floats do, without a warning: inf / inf is NaN,
+    # an overflowing quotient inf
+    samples = [(np.nan, 1.0), (1e-9, np.nan), (np.inf, 1.0), (np.inf, np.inf), (1e300, 1e-300),
+               (0.0, 2.0), (-0.0, 1.0), (3.0, 1.5)]
+    table = np.array(samples)[:, None, :]
+    check, want = ResidualCheck("kept", 1e-6), ResidualCheck("kept", 1e-6)
+    _added_by_the_loop([want], table)
+    _add_in_blocks([check], *_table_rows(table))
+    assert np.array_equal(check.residuals, want.residuals, equal_nan=True)
+    assert all(type(r) is float for r in check.residuals)
+    assert np.isnan(check.max_residual) and not check.record().passed
 
 
 def test_the_stacked_residual_scales_are_the_per_point_ones():
